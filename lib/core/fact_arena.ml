@@ -470,13 +470,13 @@ module type FACTS = sig
   val cardinal : t -> int
 
   val of_list : int list -> t
-  (** Batch constructor: equals folding {!singleton} unions, but the flat
-      backend builds it in a single buffer — hot loops that collect
+  (** Batch constructor: equals folding {!singleton} unions, but both
+      backends build the result once — hot loops that collect
       per-instruction addresses should accumulate a list and build once. *)
 
   val union_all : t list -> t
-  (** n-ary {!union}; the flat backend allocates the result once instead
-      of once per operand. *)
+  (** n-ary {!union}; the flat backend allocates the result once, the
+      functional one unions into its tallest (so roughly largest) operand. *)
 
   val to_intervals : t -> Interval_set.t
   val of_intervals : Interval_set.t -> t
@@ -485,10 +485,18 @@ end
 module Interval_facts : FACTS with type t = Interval_set.t = struct
   include Interval_set
 
+  (* Sort once, coalesce into runs, build the tree once: [of_intervals]
+     takes canonical input in linear time. *)
   let of_list xs =
-    List.fold_left (fun acc x -> union acc (singleton x)) empty xs
+    let rec runs lo hi acc = function
+      | [] -> List.rev ((lo, hi) :: acc)
+      | x :: rest when x = hi -> runs lo (hi + 1) acc rest
+      | x :: rest -> runs x (x + 1) ((lo, hi) :: acc) rest
+    in
+    match List.sort_uniq Int.compare xs with
+    | [] -> empty
+    | x :: rest -> of_intervals (runs x (x + 1) [] rest)
 
-  let union_all = List.fold_left union empty
   let to_intervals = Fun.id
   let of_intervals = Fun.id
 end

@@ -120,13 +120,14 @@ module type FACTS = sig
   val cardinal : t -> int
 
   val of_list : int list -> t
-  (** Equals folding {!singleton} unions; the flat backend builds the
-      result in one buffer, so hot loops that collect per-instruction
-      addresses should accumulate a list and build once. *)
+  (** Equals folding {!singleton} unions, but both backends build the
+      result once (the flat one in one buffer, the functional one as a
+      balanced tree from the sorted runs), so hot loops that collect
+      per-instruction addresses should accumulate a list and build once. *)
 
   val union_all : t list -> t
-  (** n-ary {!union}; the flat backend allocates the result once instead
-      of once per operand. *)
+  (** n-ary {!union}; the flat backend allocates the result once, the
+      functional one unions into its tallest (so roughly largest) operand. *)
 
   val to_intervals : t -> Interval_set.t
   val of_intervals : Interval_set.t -> t

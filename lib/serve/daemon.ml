@@ -109,12 +109,21 @@ let fail_session t conn msg =
   (match conn.tenant with Some tn -> drop_session t tn | None -> ());
   reject t conn msg
 
+(* A delivered REPORT retires the tenant's periodic snapshot too: left on
+   disk, it would revive this finished stream's state (at its old
+   frontier) under the next session that reuses the tenant id.  If the
+   send fails, the snapshot stays so the client can resume and collect. *)
 let finish_session t conn tenant session =
   let report = Session.report session in
   Obs.Counter.incr m_reports;
-  ignore (send t conn (Wire.Report report));
+  let delivered = send t conn (Wire.Report report) in
   detach t conn;
-  drop_session t tenant
+  drop_session t tenant;
+  match t.cfg.state_dir with
+  | Some dir when delivered -> (
+    let snap = Snapshot.session_path ~dir ~tenant (Session.lifeguard session) in
+    try Sys.remove snap with Sys_error _ -> ())
+  | _ -> ()
 
 let session_of t conn =
   match conn.tenant with

@@ -1,53 +1,369 @@
-(* Interval_set: unit tests plus qcheck equivalence with a reference
-   bitset implementation over the universe [0, 64). *)
+(* Interval_set: unit tests plus a model-based qcheck battery.
+
+   Every operation is checked against a reference model: a bool array
+   over the universe [0, 64), and the former sorted-list implementation
+   ([List_ref] below) for a 2^16 universe and for sparse addresses near
+   2^40.  After every operation the tree's own invariants are checked
+   through [Interval_tree.check]: intervals in canonical order (sorted,
+   disjoint, non-adjacent, non-empty), sibling heights within 2, cached
+   heights exact.  Sequences of up to 256 operations grow trees tall
+   enough to rotate at every level. *)
 
 module I = Butterfly.Interval_set
+module T = Butterfly.Interval_tree
 
-let universe = 64
+(* Reference: bool array over the small universe. *)
+let small_universe = 64
 
-(* Reference: bool array. *)
 module Ref = struct
   type t = bool array [@@warning "-34"]
 
-  let of_iset (s : I.t) =
-    Array.init universe (fun x -> I.mem x s)
-
-  let binop f a b = Array.init universe (fun x -> f a.(x) b.(x))
+  let of_iset (s : I.t) = Array.init small_universe (fun x -> I.mem x s)
+  let binop f a b = Array.init small_universe (fun x -> f a.(x) b.(x))
   let union = binop ( || )
   let inter = binop ( && )
   let diff = binop (fun x y -> x && not y)
   let equal = ( = )
 end
 
-(* A random interval-set built from a list of signed ranges. *)
-let gen_ops =
-  QCheck.Gen.(
-    list_size (int_bound 8)
-      (triple (int_bound (universe - 1)) (int_bound 16) bool))
+(* Reference: the sorted-list representation [Interval_set] used before
+   the tree.  Canonical form: sorted, disjoint, non-adjacent, non-empty. *)
+module List_ref = struct
+  type t = (int * int) list
 
-let build ops =
+  let empty : t = []
+  let range lo hi : t = if hi <= lo then [] else [ (lo, hi) ]
+
+  let union a b =
+    let rec push acc = function
+      | [] -> List.rev acc
+      | (lo, hi) :: rest -> (
+        match acc with
+        | (plo, phi) :: acc' when lo <= phi ->
+          push ((plo, max phi hi) :: acc') rest
+        | _ -> push ((lo, hi) :: acc) rest)
+    in
+    let rec go acc a b =
+      match (a, b) with
+      | [], rest | rest, [] -> push acc rest
+      | (alo, _) :: _, (blo, _) :: _ ->
+        let (lo, hi), a, b =
+          if alo <= blo then (List.hd a, List.tl a, b)
+          else (List.hd b, a, List.tl b)
+        in
+        (match acc with
+        | (plo, phi) :: acc' when lo <= phi ->
+          go ((plo, max phi hi) :: acc') a b
+        | _ -> go ((lo, hi) :: acc) a b)
+    in
+    go [] a b
+
+  let rec inter a b =
+    match (a, b) with
+    | [], _ | _, [] -> []
+    | (alo, ahi) :: a', (blo, bhi) :: b' ->
+      let lo = max alo blo and hi = min ahi bhi in
+      let rest = if ahi < bhi then inter a' b else inter a b' in
+      if lo < hi then (lo, hi) :: rest else rest
+
+  let rec diff a b =
+    match (a, b) with
+    | [], _ -> []
+    | _, [] -> a
+    | (alo, ahi) :: a', (blo, bhi) :: b' ->
+      if bhi <= alo then diff a b'
+      else if ahi <= blo then (alo, ahi) :: diff a' b
+      else
+        let left = if alo < blo then [ (alo, blo) ] else [] in
+        if ahi <= bhi then left @ diff a' b
+        else left @ diff ((bhi, ahi) :: a') b'
+
+  let add_range lo hi t = union (range lo hi) t
+  let remove_range lo hi t = diff t (range lo hi)
+
+  let rec mem x = function
+    | [] -> false
+    | (lo, hi) :: rest -> if x < lo then false else x < hi || mem x rest
+
+  let cardinal t = List.fold_left (fun n (lo, hi) -> n + (hi - lo)) 0 t
+end
+
+(* ---------------------------------------------------------------- *)
+(* Operation sequences over three universes. *)
+
+type op = { lo : int; hi : int; add : bool }
+
+type universe = {
+  name : string;
+  gen_op : op QCheck.Gen.t;
+  gen_point : int QCheck.Gen.t;
+}
+
+let op_of lo len add = { lo; hi = lo + len; add }
+
+let small =
+  {
+    name = "2^6";
+    gen_op =
+      QCheck.Gen.(
+        map3
+          (fun lo len add -> op_of lo (min len (small_universe - lo)) add)
+          (int_bound (small_universe - 1))
+          (int_bound 16) bool);
+    gen_point = QCheck.Gen.int_bound (small_universe - 1);
+  }
+
+let mid =
+  let span = 1 lsl 16 in
+  {
+    name = "2^16";
+    gen_op =
+      QCheck.Gen.(
+        map3 op_of (int_bound (span - 1))
+          (frequency [ (4, int_bound 8); (2, int_bound 256); (1, int_bound 8192) ])
+          bool);
+    gen_point = QCheck.Gen.int_bound (span - 1);
+  }
+
+(* Heap-like: scattered short objects and a few huge ranges, all within a
+   2^30 window around 2^40. *)
+let sparse =
+  let base = 1 lsl 40 and window = 1 lsl 30 in
+  let addr = QCheck.Gen.map (fun k -> base + k) (QCheck.Gen.int_bound window) in
+  {
+    name = "sparse 2^40";
+    gen_op =
+      QCheck.Gen.(
+        map3 op_of addr
+          (frequency [ (6, int_bound 64); (2, int_bound 4096); (1, int_bound (1 lsl 24)) ])
+          bool);
+    gen_point =
+      QCheck.Gen.(
+        frequency [ (1, addr); (1, map (fun k -> base + k) (int_bound 4096)) ]);
+  }
+
+let gen_ops u = QCheck.Gen.(list_size (int_bound 256) u.gen_op)
+
+let pp_op ppf o =
+  Format.fprintf ppf "%s [%d, %d)" (if o.add then "add" else "remove") o.lo o.hi
+
+let print_ops ops = Format.asprintf "%a" (Format.pp_print_list pp_op) ops
+let arb_ops u = QCheck.make ~print:print_ops (gen_ops u)
+
+let apply_t o s = if o.add then T.add_range o.lo o.hi s else T.remove_range o.lo o.hi s
+
+let apply_ref o r =
+  if o.add then List_ref.add_range o.lo o.hi r else List_ref.remove_range o.lo o.hi r
+
+let fail fmt = Format.kasprintf (fun m -> QCheck.Test.fail_report m) fmt
+
+(* [s] is well-formed and holds exactly [r]. *)
+let agrees what s r =
+  (match T.check s with
+  | Ok () -> ()
+  | Error m -> fail "%s: broken invariant: %s" what m);
+  if T.intervals s <> r then
+    fail "%s: %a differs from the reference" what T.pp s
+
+let build ops = List.fold_left (fun s o -> apply_t o s) T.empty ops
+let build_ref ops = List.fold_left (fun r o -> apply_ref o r) List_ref.empty ops
+
+let prop_steps ops =
+  ignore
+    (List.fold_left
+       (fun (s, r) o ->
+         let s = apply_t o s and r = apply_ref o r in
+         agrees (Format.asprintf "after %a" pp_op o) s r;
+         (s, r))
+       (T.empty, List_ref.empty) ops);
+  true
+
+let prop_binops (a, b) =
+  let sa = build a and sb = build b in
+  let ra = build_ref a and rb = build_ref b in
+  agrees "union" (T.union sa sb) (List_ref.union ra rb);
+  agrees "inter" (T.inter sa sb) (List_ref.inter ra rb);
+  agrees "diff" (T.diff sa sb) (List_ref.diff ra rb);
+  agrees "diff (reversed)" (T.diff sb sa) (List_ref.diff rb ra);
+  agrees "union_all" (T.union_all [ sa; sb; sa ]) (List_ref.union ra rb);
+  T.subset sa sb = (List_ref.diff ra rb = [])
+  && T.disjoint sa sb = (List_ref.inter ra rb = [])
+  && T.equal sa sb = (ra = rb)
+  && T.equal (T.union sa sb) (T.union sb sa)
+
+(* A small operand against a large one: exercises the fold and probe
+   paths of the size-directed set algebra. *)
+let prop_lopsided (a, b) =
+  let a = List.filteri (fun i _ -> i < 3) a in
+  prop_binops (a, b) && prop_binops (b, a)
+
+let prop_queries (ops, points) =
+  let s = build ops and r = build_ref ops in
+  List.for_all (fun x -> T.mem x s = List_ref.mem x r) points
+  && T.cardinal s = List_ref.cardinal r
+  && T.interval_count s = List.length r
+  && T.choose s = (match r with [] -> None | (lo, _) :: _ -> Some lo)
+
+(* Rebuilding from any permutation of overlapping pieces is canonical. *)
+let prop_of_intervals ops =
+  let r = build_ref ops in
+  let pieces =
+    List.concat_map
+      (fun (lo, hi) ->
+        let mid = lo + ((hi - lo) / 2) in
+        [ (mid, hi); (lo, mid + 1); (hi, hi) ])
+      r
+  in
+  agrees "of_intervals (shuffled)" (T.of_intervals (List.rev pieces)) r;
+  agrees "of_intervals (canonical)" (T.of_intervals r) r;
+  true
+
+let universe_tests u =
+  let arb2 = QCheck.pair (arb_ops u) (arb_ops u) in
+  let points = QCheck.Gen.(list_size (int_bound 64) u.gen_point) in
+  let arb_q =
+    QCheck.make ~print:(fun (ops, _) -> print_ops ops)
+      QCheck.Gen.(pair (gen_ops u) points)
+  in
+  let name s = Printf.sprintf "%s: %s" u.name s in
+  [
+    Testutil.qtest ~count:150 (name "every step matches the list model")
+      (arb_ops u) prop_steps;
+    Testutil.qtest ~count:150 (name "set algebra matches the list model") arb2
+      prop_binops;
+    Testutil.qtest ~count:100 (name "small-vs-large algebra matches") arb2
+      prop_lopsided;
+    Testutil.qtest ~count:150 (name "queries match the list model") arb_q
+      prop_queries;
+    Testutil.qtest ~count:100 (name "of_intervals is canonical") (arb_ops u)
+      prop_of_intervals;
+  ]
+
+(* The bool-array model on the small universe, through the sealed
+   [Interval_set] interface. *)
+let build_i ops =
   List.fold_left
-    (fun s (lo, len, add) ->
-      if add then I.add_range lo (min universe (lo + len)) s
-      else I.remove_range lo (min universe (lo + len)) s)
+    (fun s o -> if o.add then I.add_range o.lo o.hi s else I.remove_range o.lo o.hi s)
     I.empty ops
 
-let arb =
-  QCheck.make
-    ~print:(fun ops ->
-      Format.asprintf "%a" I.pp (build ops))
-    gen_ops
+let bool_model_tests =
+  let arb = arb_ops small in
+  let arb2 = QCheck.pair arb arb in
+  [
+    Testutil.qtest "2^6: build matches the bool-array model" arb (fun ops ->
+        let r =
+          List.fold_left
+            (fun r o -> Array.mapi (fun x v -> if x >= o.lo && x < o.hi then o.add else v) r)
+            (Array.make small_universe false)
+            ops
+        in
+        Ref.equal (Ref.of_iset (build_i ops)) r);
+    Testutil.qtest "2^6: union/inter/diff match the bool-array model" arb2
+      (fun (a, b) ->
+        let sa = build_i a and sb = build_i b in
+        let ra = Ref.of_iset sa and rb = Ref.of_iset sb in
+        Ref.equal (Ref.of_iset (I.union sa sb)) (Ref.union ra rb)
+        && Ref.equal (Ref.of_iset (I.inter sa sb)) (Ref.inter ra rb)
+        && Ref.equal (Ref.of_iset (I.diff sa sb)) (Ref.diff ra rb));
+    Testutil.qtest "2^6: equal is semantic" arb2 (fun (a, b) ->
+        let sa = build_i a and sb = build_i b in
+        I.equal sa sb = Ref.equal (Ref.of_iset sa) (Ref.of_iset sb));
+    Testutil.qtest "2^6: cardinal and elements match" arb (fun ops ->
+        let s = build_i ops in
+        let r = Ref.of_iset s in
+        I.cardinal s = Array.fold_left (fun n v -> if v then n + 1 else n) 0 r
+        && I.elements s
+           = List.filter (fun x -> r.(x)) (List.init small_universe Fun.id));
+  ]
 
-let arb2 = QCheck.pair arb arb
+(* ---------------------------------------------------------------- *)
+(* Physical sharing: no-ops return their argument, so callers (the
+   dataflow pass-2 loop) can detect "unchanged" with [==]. *)
 
-let canonical (s : I.t) =
-  (* Intervals sorted, disjoint, non-adjacent, non-empty. *)
-  let rec ok = function
-    | [] | [ _ ] -> true
-    | (lo1, hi1) :: ((lo2, _) :: _ as rest) ->
-      lo1 < hi1 && hi1 < lo2 && ok rest
-  in
-  (match I.intervals s with [ (lo, hi) ] -> lo < hi | l -> ok l)
+let sharing_tests =
+  let arb = arb_ops mid in
+  [
+    Testutil.qtest "no-ops return their argument physically" arb (fun ops ->
+        let s = build_i ops in
+        let covered =
+          List.for_all
+            (fun (lo, hi) ->
+              I.add_range lo hi s == s
+              && I.add_range (lo + ((hi - lo) / 2)) hi s == s
+              && I.add_range lo (lo + 1) s == s
+              (* The pass-2 GEN of a re-written, already-defined byte. *)
+              && I.union (I.singleton (hi - 1)) s == s)
+            (I.intervals s)
+        in
+        let gaps =
+          let rec go = function
+            | (_, h1) :: ((l2, _) :: _ as rest) -> (h1, l2) :: go rest
+            | _ -> []
+          in
+          go (I.intervals s)
+        in
+        let disjoint =
+          List.for_all (fun (lo, hi) -> I.remove_range lo hi s == s) gaps
+        in
+        covered && disjoint
+        && I.union s s == s
+        && I.union s I.empty == s
+        && I.union I.empty s == s
+        && I.inter s s == s
+        && I.diff s I.empty == s
+        && I.remove_range (-10) (-1) s == s);
+  ]
+
+(* ---------------------------------------------------------------- *)
+(* Equal sets may be shaped differently: everything observable must
+   still agree.  This is why no caller may compare sets with [=]. *)
+
+let put_is_bytes s =
+  let w = Tracing.Binio.W.create () in
+  Lifeguards.Lg_io.put_is w s;
+  Tracing.Binio.W.contents w
+
+let same_set_observably what a b =
+  Testutil.checkb (what ^ ": equal") true (I.equal a b);
+  Alcotest.(check string)
+    (what ^ ": pp")
+    (Format.asprintf "%a" I.pp a)
+    (Format.asprintf "%a" I.pp b);
+  Alcotest.(check string) (what ^ ": put_is bytes") (put_is_bytes a) (put_is_bytes b)
+
+let shape_tests =
+  [
+    Alcotest.test_case "equal sets built in different orders" `Quick (fun () ->
+        let ivs = List.init 200 (fun k -> (10 * k, (10 * k) + 3)) in
+        let ascending =
+          List.fold_left (fun s (lo, hi) -> I.add_range lo hi s) I.empty ivs
+        in
+        let descending =
+          List.fold_left
+            (fun s (lo, hi) -> I.add_range lo hi s)
+            I.empty (List.rev ivs)
+        in
+        let batch = I.of_intervals ivs in
+        let carved =
+          List.fold_left
+            (fun s (_, hi) -> I.remove_range hi (hi + 7) s)
+            (I.range 0 2000) ivs
+        in
+        (* The shapes really differ, so the checks below are not vacuous. *)
+        Testutil.checkb "polymorphic = tells the shapes apart" false
+          (Stdlib.( = ) ascending batch);
+        same_set_observably "ascending vs batch" ascending batch;
+        same_set_observably "descending vs batch" descending batch;
+        same_set_observably "carved vs batch" carved batch);
+    Testutil.qtest "equal sets encode identically" (arb_ops mid) (fun ops ->
+        let s = build_i ops in
+        let rebuilt = I.of_intervals (List.rev (I.intervals s)) in
+        I.equal s rebuilt
+        && Format.asprintf "%a" I.pp s = Format.asprintf "%a" I.pp rebuilt
+        && put_is_bytes s = put_is_bytes rebuilt);
+  ]
+
+(* ---------------------------------------------------------------- *)
 
 let unit_tests =
   [
@@ -88,54 +404,30 @@ let unit_tests =
         Testutil.checkb "not subset" false (I.subset (I.range 2 12) (I.range 0 10));
         Testutil.checkb "disjoint" true (I.disjoint (I.range 0 5) (I.range 5 9));
         Testutil.checkb "not disjoint" false (I.disjoint (I.range 0 6) (I.range 5 9)));
-  ]
-
-let prop_tests =
-  [
-    Testutil.qtest "build matches reference" arb (fun ops ->
-        let s = build ops in
-        let r =
+    Alcotest.test_case "balanced after sequential inserts" `Quick (fun () ->
+        let n = 4096 in
+        let s =
           List.fold_left
-            (fun r (lo, len, add) ->
-              Array.mapi
-                (fun x v ->
-                  if x >= lo && x < min universe (lo + len) then add else v)
-                r)
-            (Array.make universe false)
-            ops
+            (fun s k -> T.add_range (3 * k) ((3 * k) + 1) s)
+            T.empty (List.init n Fun.id)
         in
-        Ref.equal (Ref.of_iset s) r);
-    Testutil.qtest "canonical form" arb (fun ops -> canonical (build ops));
-    Testutil.qtest "union matches reference" arb2 (fun (a, b) ->
-        let sa = build a and sb = build b in
-        Ref.equal
-          (Ref.of_iset (I.union sa sb))
-          (Ref.union (Ref.of_iset sa) (Ref.of_iset sb)));
-    Testutil.qtest "inter matches reference" arb2 (fun (a, b) ->
-        let sa = build a and sb = build b in
-        Ref.equal
-          (Ref.of_iset (I.inter sa sb))
-          (Ref.inter (Ref.of_iset sa) (Ref.of_iset sb)));
-    Testutil.qtest "diff matches reference" arb2 (fun (a, b) ->
-        let sa = build a and sb = build b in
-        Ref.equal
-          (Ref.of_iset (I.diff sa sb))
-          (Ref.diff (Ref.of_iset sa) (Ref.of_iset sb)));
-    Testutil.qtest "union canonical" arb2 (fun (a, b) ->
-        canonical (I.union (build a) (build b)));
-    Testutil.qtest "diff canonical" arb2 (fun (a, b) ->
-        canonical (I.diff (build a) (build b)));
-    Testutil.qtest "inter canonical" arb2 (fun (a, b) ->
-        canonical (I.inter (build a) (build b)));
-    Testutil.qtest "equal is semantic" arb2 (fun (a, b) ->
-        let sa = build a and sb = build b in
-        I.equal sa sb = Ref.equal (Ref.of_iset sa) (Ref.of_iset sb));
-    Testutil.qtest "cardinal matches" arb (fun ops ->
-        let s = build ops in
-        I.cardinal s
-        = Array.fold_left (fun n v -> if v then n + 1 else n) 0 (Ref.of_iset s));
+        Alcotest.(check (result unit string)) "invariants" (Ok ()) (T.check s);
+        Alcotest.(check int) "count" n (T.interval_count s);
+        (* Sibling heights within 2 bound the height by about 1.8 log2 n. *)
+        Testutil.checkb
+          (Printf.sprintf "height %d is logarithmic" (T.height s))
+          true
+          (T.height s <= 24));
   ]
 
 let () =
   Alcotest.run "interval_set"
-    [ ("unit", unit_tests); ("properties", prop_tests) ]
+    [
+      ("unit", unit_tests);
+      ("bool-model", bool_model_tests);
+      ("model-2^6", universe_tests small);
+      ("model-2^16", universe_tests mid);
+      ("model-sparse", universe_tests sparse);
+      ("sharing", sharing_tests);
+      ("shapes", shape_tests);
+    ]

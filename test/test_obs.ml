@@ -499,6 +499,55 @@ let flat_transfer_allocation_free =
       Alcotest.(check int) "null registry snapshots empty" 0
         (List.length (Obs.Sink.snapshot (Obs.sink ()))))
 
+(* The functional default's promise: a shadow-state update touches one
+   root-to-leaf path of the interval tree.  Budget-style Gc.minor_words
+   guard on a 10^4-interval set: [add_range] and [remove_range] allocate
+   O(log n) words per call (here at most 64 per tree level) and [mem]
+   none at all.  A linear-time representation (the former sorted list
+   copies ~6 words per interval per update) fails this immediately. *)
+let interval_set_updates_logarithmic =
+  Alcotest.test_case "interval-set updates allocate O(log n) words" `Quick
+    (fun () ->
+      let module I = Butterfly.Interval_set in
+      let n = 10_000 in
+      (* [8k, 8k+3): every gap is 5 wide. *)
+      let s = I.of_intervals (List.init n (fun k -> (8 * k, (8 * k) + 3))) in
+      Alcotest.(check int) "fixture size" n (I.interval_count s);
+      let log2n =
+        int_of_float (Float.ceil (Float.log2 (float_of_int n)))
+      in
+      let budget = float_of_int (64 * log2n) in
+      let iters = 2_000 in
+      let k = ref 0 in
+      let per_call f =
+        ignore (Sys.opaque_identity (f ()));
+        let before = Gc.minor_words () in
+        for _ = 1 to iters do
+          k := (!k + 7919) mod n;
+          ignore (Sys.opaque_identity (f ()))
+        done;
+        (Gc.minor_words () -. before) /. float_of_int iters
+      in
+      let within what f =
+        let words = per_call f in
+        Testutil.checkb
+          (Printf.sprintf "%s: %.1f words/call, budget %.0f" what words budget)
+          true (words <= budget)
+      in
+      (* New isolated interval inside a gap. *)
+      within "add_range" (fun () -> I.add_range ((8 * !k) + 4) ((8 * !k) + 6) s);
+      (* Bridging two neighbours into one interval. *)
+      within "add_range (merge)" (fun () ->
+          I.add_range ((8 * !k) + 3) ((8 * !k) + 8) s);
+      (* Splitting an interval in two. *)
+      within "remove_range" (fun () ->
+          I.remove_range ((8 * !k) + 1) ((8 * !k) + 2) s);
+      let mem_words = per_call (fun () -> I.mem ((8 * !k) + 1) s) in
+      Testutil.checkb
+        (Printf.sprintf "mem allocated %.3f words/call" mem_words)
+        true
+        (mem_words *. float_of_int iters < 64.0))
+
 let () =
   Alcotest.run "obs"
     [
@@ -513,5 +562,6 @@ let () =
           prometheus_exposition ] );
       ("pipeline", [ window_accounting; null_sink_inert;
                      null_sink_allocation_free;
-                     flat_transfer_allocation_free ]);
+                     flat_transfer_allocation_free;
+                     interval_set_updates_logarithmic ]);
     ]

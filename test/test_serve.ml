@@ -661,6 +661,31 @@ let crash_and_reconnect () =
         checkb "resumed past the start" true (resumed_from > 0);
         checks "resumed == solo batch" expected report)
 
+(* A tenant id reused after REPORT starts a fresh session: the finished
+   stream's periodic snapshot is retired with its report, so the second
+   trace is neither resumed at the first one's frontier nor mixed with
+   its state. *)
+let tenant_reuse_after_report () =
+  with_state_dir @@ fun dir ->
+  with_daemon ~state_dir:dir ~checkpoint_every:1 @@ fun socket _stop ->
+  let snap = Snapshot.session_path ~dir ~tenant:"reuse" Snapshot.Addrcheck in
+  let h = hello ~tenant:"reuse" ~threads:3 () in
+  List.iteri
+    (fun i seed ->
+      let p = program ~seed ~threads:3 ~scale:150 in
+      match Client.run_tenant ~socket ~hello:h (rows_of_program p) with
+      | Error m -> Alcotest.fail m
+      | Ok (resumed_from, report) ->
+        checki (Printf.sprintf "session %d starts fresh" i) 0 resumed_from;
+        checks
+          (Printf.sprintf "session %d == solo batch" i)
+          (batch_report Snapshot.Addrcheck ~relaxed:false p)
+          report)
+    [ 51; 52 ];
+  (* The daemon unlinks right after sending REPORT, before it reads any
+     later frame; only this final look can race it. *)
+  wait_for (fun () -> not (Sys.file_exists snap))
+
 (* One tenant's corrupt stream must not perturb another tenant streaming
    concurrently — and must end with one stable ERROR frame. *)
 let fault_containment () =
@@ -888,5 +913,7 @@ let () =
             oversubscription_eviction;
           Alcotest.test_case "status endpoint" `Quick status_surface;
           Alcotest.test_case "frame-protocol fuzz slice" `Slow protocol_fuzz;
+          Alcotest.test_case "tenant id reused after REPORT starts fresh"
+            `Slow tenant_reuse_after_report;
         ] );
     ]
