@@ -16,17 +16,7 @@
    2. Wavefront: within CURRENT's `epochwise-vs-wavefront` group, every
       `*.wavefront-N` entry must be no more than 10% slower than its
       `*.epochwise-N` twin — the pipelined driver is allowed to win or
-      tie, never to lose the barrier it removed.
-
-   3. Flat state: within CURRENT's `flat-vs-functional` group, every
-      `*.flat` entry is paired with its `*.functional` twin.  The
-      taint* pairs must hold a >=1.5x flat speedup (geometric mean over
-      the pairs) — the arena fast path's reason to exist.  Every other
-      pair must keep flat within 2x of functional: on interval-shaped
-      facts (AddrCheck) the wide bitset loses a little by design
-      (~1.4x nominal), and the bound only exists to catch the backend
-      collapsing, with headroom for bechamel's run-to-run noise.
-      Unpaired names (the ingest.* entries) are reported, not gated. *)
+      tie, never to lose the barrier it removed. *)
 
 let fail_usage () =
   prerr_endline "usage: gate.exe BASELINE.json CURRENT.json";
@@ -71,8 +61,6 @@ let group_of name =
 
 let max_group_regression = 1.25
 let max_wavefront_ratio = 1.10
-let min_taint_flat_speedup = 1.5
-let max_flat_overhead = 2.0
 
 (* Substring replace for the epochwise/wavefront twin lookup. *)
 let replace ~sub ~by s =
@@ -163,48 +151,6 @@ let () =
               twin
               ((max_wavefront_ratio -. 1.) *. 100.))
     current;
-
-  (* Rule 3: flat vs its functional twin, within CURRENT. *)
-  let flat_pairs =
-    List.filter_map
-      (fun (n, flat) ->
-        let marker = ".flat" in
-        if group_of n = "flat-vs-functional" && contains n marker then
-          let twin = replace ~sub:marker ~by:".functional" n in
-          match List.assoc_opt twin current with
-          | None ->
-            Printf.printf "note: %s has no functional twin (not gated)\n" n;
-            None
-          | Some fn -> Some (n, flat /. fn)
-        else None)
-      current
-  in
-  let taint_ratios, other_pairs =
-    List.partition (fun (n, _) -> contains n "/taint") flat_pairs
-  in
-  (match taint_ratios with
-  | [] ->
-    if flat_pairs <> [] then
-      violate "flat-vs-functional has no taint.* pair to hold the speedup"
-  | _ ->
-    let geomean =
-      exp
-        (List.fold_left (fun acc (_, r) -> acc +. log r) 0. taint_ratios
-        /. float_of_int (List.length taint_ratios))
-    in
-    Printf.printf "flat  taint pairs (%d)%24s %.2fx speedup\n"
-      (List.length taint_ratios) ""
-      (1. /. geomean);
-    if 1. /. geomean < min_taint_flat_speedup then
-      violate "flat taint speedup %.2fx below the %.1fx floor" (1. /. geomean)
-        min_taint_flat_speedup);
-  List.iter
-    (fun (n, r) ->
-      Printf.printf "flat  %-40s %.3fx of functional\n" n r;
-      if r > max_flat_overhead then
-        violate "%s is %.2fx slower than its functional twin (limit %.1fx)" n
-          r max_flat_overhead)
-    other_pairs;
 
   match List.rev !violations with
   | [] -> print_endline "bench gate: OK"

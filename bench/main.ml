@@ -285,25 +285,19 @@ let wavefront_tests pools =
          ])
        pools)
 
-(* Flat vs functional fact tables: the same lifeguard, the same epochs,
-   with only the [--state] backend switched.  The `.flat`/`.functional`
-   naming is load-bearing: gate.exe's rule 3 pairs entries by that suffix
-   within this group and requires the taint pair to hold a >=1.5x flat
-   speedup (the arena fast path's reason to exist) while every other pair
-   merely must not regress.  The ingest.* entries compare whole-trace
-   materialization against the zero-copy cursor walk and are unpaired
-   (reported, not gated). *)
-(* Fan-out variant for the gated flat-vs-functional taint pair: eight
-   threads, 128-instruction blocks, taint sources scattered over a 4k
-   address space.  Every window slide recomputes each wing block's
-   GEN/KILL summary once per body — threads x (threads - 1) times plus
-   the SOS update — so the per-block summary cost grows quadratically
-   with thread count.  The flat backend memoizes those summaries and
-   builds each in one arena buffer; the functional reference deliberately
-   re-folds them element by element, which is exactly the gap the >=1.5x
-   gate rule pins.  (The narrow fixture above fits the whole taint state
-   in a few machine words, hiding any representation difference; it keeps
-   serving the driver-comparison group.) *)
+(* Fact tables on the functional structures, plus trace ingestion.  The
+   group keeps its historical [flat-vs-functional] name and the
+   [.functional] suffixes so gate.exe's trajectory rule keeps comparing
+   these entries with earlier points; the flat backend they were once
+   paired with is retired.  The ingest.* entries compare whole-trace
+   materialization against the zero-copy cursor walk. *)
+(* Fan-out TaintCheck fixture: eight threads, 128-instruction blocks,
+   taint sources scattered over a 4k address space.  Every window slide
+   recomputes each wing block's GEN/KILL summary once per body —
+   threads x (threads - 1) times plus the SOS update — so the per-block
+   summary cost grows quadratically with thread count.  (The narrow
+   fixture above fits the whole taint state in a few machine words; it
+   keeps serving the driver-comparison group.) *)
 let taint_fanout_epochs =
   let threads = 8 and scale = 2000 and span = 4096 in
   let instrs t =
@@ -321,13 +315,16 @@ let taint_fanout_epochs =
   |> Machine.Heartbeat.insert ~every:128
   |> Butterfly.Epochs.of_program
 
-let flat_tests =
+let fact_table_tests =
   let ocean_binary = Tracing.Trace_codec.encode_binary ocean_small in
   let cursor_run () =
     match Tracing.Trace_codec.Cursor.of_string ocean_binary with
     | Error m -> failwith m
     | Ok c ->
-      let st = Lifeguards.Addrcheck.Resumable.create ~state:`Flat ~threads:(Tracing.Trace_codec.Cursor.threads c) () in
+      let st =
+        Lifeguards.Addrcheck.Resumable.create
+          ~threads:(Tracing.Trace_codec.Cursor.threads c) ()
+      in
       Tracing.Trace_codec.Cursor.iter_rows c
         (Lifeguards.Addrcheck.Resumable.feed_epoch st);
       ignore (Lifeguards.Addrcheck.Resumable.finish st)
@@ -336,32 +333,19 @@ let flat_tests =
     match Tracing.Trace_codec.decode_binary ocean_binary with
     | Error m -> failwith m
     | Ok p ->
-      ignore
-        (Lifeguards.Addrcheck.run ~state:`Flat (Butterfly.Epochs.of_program p))
+      ignore (Lifeguards.Addrcheck.run (Butterfly.Epochs.of_program p))
   in
   Test.make_grouped ~name:"flat-vs-functional"
     [
       Test.make ~name:"taint.functional"
         (Staged.stage (fun () ->
-             ignore
-               (Lifeguards.Taintcheck.run ~state:`Functional taint_fanout_epochs)));
-      Test.make ~name:"taint.flat"
-        (Staged.stage (fun () ->
-             ignore (Lifeguards.Taintcheck.run ~state:`Flat taint_fanout_epochs)));
+             ignore (Lifeguards.Taintcheck.run taint_fanout_epochs)));
       Test.make ~name:"addrcheck-ocean.functional"
         (Staged.stage (fun () ->
-             ignore
-               (Lifeguards.Addrcheck.run ~state:`Functional ocean_small_epochs)));
-      Test.make ~name:"addrcheck-ocean.flat"
-        (Staged.stage (fun () ->
-             ignore (Lifeguards.Addrcheck.run ~state:`Flat ocean_small_epochs)));
+             ignore (Lifeguards.Addrcheck.run ocean_small_epochs)));
       Test.make ~name:"initcheck-ocean.functional"
         (Staged.stage (fun () ->
-             ignore
-               (Lifeguards.Initcheck.run ~state:`Functional ocean_small_epochs)));
-      Test.make ~name:"initcheck-ocean.flat"
-        (Staged.stage (fun () ->
-             ignore (Lifeguards.Initcheck.run ~state:`Flat ocean_small_epochs)));
+             ignore (Lifeguards.Initcheck.run ocean_small_epochs)));
       Test.make ~name:"ingest.list" (Staged.stage list_run);
       Test.make ~name:"ingest.cursor" (Staged.stage cursor_run);
     ]
@@ -386,7 +370,7 @@ let serve_one ~socket tenant =
       Serve.Wire.tenant;
       lifeguard = Recovery.Snapshot.Addrcheck;
       driver = `Sequential;
-      state = `Flat;
+      state = `Functional;
       relaxed = false;
       threads = serve_threads;
     }
@@ -523,7 +507,7 @@ let print_json measurements =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* [--probe]: direct wall-clock + GC timing of the flat-vs-functional
+  (* [--probe]: direct wall-clock + GC timing of the fact-table
      fixtures, 2 s of repeated runs each after one warm-up.  Bechamel's
      quota/regression machinery is the committed instrument, but on
      300-700 ms fixtures its sample counts are small and run-to-run
@@ -548,21 +532,13 @@ let () =
        major0 := (Gc.quick_stat ()).Gc.major_words
      in
      time "taint.functional" (fun () ->
-         Lifeguards.Taintcheck.run ~state:`Functional taint_fanout_epochs);
-     time "taint.flat" (fun () ->
-         Lifeguards.Taintcheck.run ~state:`Flat taint_fanout_epochs);
+         Lifeguards.Taintcheck.run taint_fanout_epochs);
      time "taint-narrow.functional" (fun () ->
-         Lifeguards.Taintcheck.run ~state:`Functional taint_epochs);
-     time "taint-narrow.flat" (fun () ->
-         Lifeguards.Taintcheck.run ~state:`Flat taint_epochs);
+         Lifeguards.Taintcheck.run taint_epochs);
      time "addrcheck.functional" (fun () ->
-         Lifeguards.Addrcheck.run ~state:`Functional ocean_small_epochs);
-     time "addrcheck.flat" (fun () ->
-         Lifeguards.Addrcheck.run ~state:`Flat ocean_small_epochs);
+         Lifeguards.Addrcheck.run ocean_small_epochs);
      time "initcheck.functional" (fun () ->
-         Lifeguards.Initcheck.run ~state:`Functional ocean_small_epochs);
-     time "initcheck.flat" (fun () ->
-         Lifeguards.Initcheck.run ~state:`Flat ocean_small_epochs);
+         Lifeguards.Initcheck.run ocean_small_epochs);
      exit 0
    end);
   let json = Array.exists (( = ) "--json") Sys.argv in
@@ -615,22 +591,16 @@ let () =
          before every sample, so even microsecond entries only collect
          a handful of samples per second — the ~limit:50 cap keeps the
          cheap ones from eating the whole quota).  The groups whose
-         entries gate.exe holds hard ratio bounds on —
-         flat-vs-functional (rule 3) and the streaming pairs (rules 1
-         and 2) — get 4-6s quotas instead: their runs are hundreds of
-         ms, and a short quota would pin them at a single sample each,
-         gating on noise.
-         The flat fixtures deliberately stay full-size — the arena
-         backend's advantage is fact density, which a downscaled OCEAN
-         run never develops (at scale 500 the functional InitCheck
-         trees are small enough to win) — so the quota is what buys the
-         sample count. *)
+         entries run for hundreds of ms — flat-vs-functional and the
+         streaming pairs (gate rules 1 and 2) — get 4-6s quotas
+         instead: a short quota would pin them at a single sample each,
+         gating on noise. *)
       let groups =
         if streaming_only then [ (6.0, false, streaming_tests pools) ]
         else if taint_only then [ (1.0, true, taint_tests pools) ]
         else if wavefront_only then [ (6.0, false, wavefront_tests pools) ]
         else if race_only then [ (1.0, true, race_tests pools) ]
-        else if flat_only then [ (4.0, true, flat_tests) ]
+        else if flat_only then [ (4.0, true, fact_table_tests) ]
         else if serve_only then []
         else
           [
@@ -640,7 +610,7 @@ let () =
             (6.0, false, streaming_tests pools);
             (1.0, true, taint_tests pools);
             (6.0, false, wavefront_tests pools);
-            (1.0, true, race_tests pools); (4.0, true, flat_tests);
+            (1.0, true, race_tests pools); (4.0, true, fact_table_tests);
           ]
       in
       let full_suite =

@@ -280,14 +280,6 @@ let with_pool_opt domains f =
   | Some n ->
     Butterfly.Domain_pool.with_pool ~name:"cli" ~domains:n (fun p -> f (Some p))
 
-let state_arg =
-  let b = Arg.enum [ ("functional", `Functional); ("flat", `Flat) ] in
-  Arg.(value & opt b `Functional & info [ "state" ] ~docv:"BACKEND"
-       ~doc:"Fact-table backend: $(b,functional) (default; the persistent \
-             reference structures) or $(b,flat) (arena-backed bitsets with \
-             word-at-a-time set algebra).  The report is byte-identical in \
-             either mode.")
-
 let ingest_arg =
   let m = Arg.enum [ ("list", `List); ("cursor", `Cursor) ] in
   Arg.(value & opt m `List & info [ "ingest" ] ~docv:"MODE"
@@ -361,7 +353,7 @@ let load_program path h =
   | Ok p -> if h > 0 then Machine.Heartbeat.insert ~every:h p else p
 
 let addrcheck_cmd =
-  let run path h state ingest domains driver every out resume json stats
+  let run path h ingest domains driver every out resume json stats
       obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
         let wavefront = wavefront_of_driver driver domains in
@@ -371,7 +363,7 @@ let addrcheck_cmd =
             cursor_incompat ~every ~out ~resume;
             run_cursor
               ~create:(fun pool ~threads ->
-                Lifeguards.Addrcheck.Resumable.create ?pool ~wavefront ~state
+                Lifeguards.Addrcheck.Resumable.create ?pool ~wavefront
                   ~threads ())
               ~feed:Lifeguards.Addrcheck.Resumable.feed_epoch
               ~finish:Lifeguards.Addrcheck.Resumable.finish ~h ~domains
@@ -381,12 +373,12 @@ let addrcheck_cmd =
             let r =
               run_with_recovery
                 ~batch:(fun ~domains epochs ->
-                  Lifeguards.Addrcheck.run ~state ~wavefront ?domains epochs)
+                  Lifeguards.Addrcheck.run ~wavefront ?domains epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_addrcheck ?pool ~wavefront ~state
+                  Recovery.Runner.run_addrcheck ?pool ~wavefront
                     ?checkpoint epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_addrcheck ?pool ~wavefront ~state
+                  Recovery.Runner.resume_addrcheck ?pool ~wavefront
                     ?checkpoint ~path epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
@@ -405,12 +397,12 @@ let addrcheck_cmd =
         end)
   in
   Cmd.v (Cmd.info "addrcheck" ~doc:"Run butterfly AddrCheck on a trace file")
-    Term.(const run $ trace_arg $ h_arg $ state_arg $ ingest_arg $ domains_arg
+    Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
           $ driver_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg
           $ stats_arg $ obs_jsonl_arg)
 
 let initcheck_cmd =
-  let run path h state ingest domains driver every out resume json stats
+  let run path h ingest domains driver every out resume json stats
       obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
         let wavefront = wavefront_of_driver driver domains in
@@ -420,7 +412,7 @@ let initcheck_cmd =
             cursor_incompat ~every ~out ~resume;
             run_cursor
               ~create:(fun pool ~threads ->
-                Lifeguards.Initcheck.Resumable.create ?pool ~wavefront ~state
+                Lifeguards.Initcheck.Resumable.create ?pool ~wavefront
                   ~threads ())
               ~feed:Lifeguards.Initcheck.Resumable.feed_epoch
               ~finish:Lifeguards.Initcheck.Resumable.finish ~h ~domains
@@ -430,12 +422,12 @@ let initcheck_cmd =
             let r =
               run_with_recovery
                 ~batch:(fun ~domains epochs ->
-                  Lifeguards.Initcheck.run ~state ~wavefront ?domains epochs)
+                  Lifeguards.Initcheck.run ~wavefront ?domains epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_initcheck ?pool ~wavefront ~state
+                  Recovery.Runner.run_initcheck ?pool ~wavefront
                     ?checkpoint epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_initcheck ?pool ~wavefront ~state
+                  Recovery.Runner.resume_initcheck ?pool ~wavefront
                     ?checkpoint ~path epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
@@ -456,13 +448,13 @@ let initcheck_cmd =
   Cmd.v
     (Cmd.info "initcheck"
        ~doc:"Run butterfly InitCheck (uninitialized reads) on a trace file")
-    Term.(const run $ trace_arg $ h_arg $ state_arg $ ingest_arg $ domains_arg
+    Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
           $ driver_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg
           $ stats_arg $ obs_jsonl_arg)
 
 let taintcheck_cmd =
-  let run path h relaxed state ingest domains driver every out resume json
-      stats obs_jsonl =
+  let run path h relaxed ingest domains driver every out resume json stats
+      obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
         let wavefront = wavefront_of_driver driver domains in
         let r =
@@ -472,7 +464,7 @@ let taintcheck_cmd =
             run_cursor
               ~create:(fun pool ~threads ->
                 Lifeguards.Taintcheck.Resumable.create ?pool
-                  ~sequential:(not relaxed) ~wavefront ~state ~threads ())
+                  ~sequential:(not relaxed) ~wavefront ~threads ())
               ~feed:Lifeguards.Taintcheck.Resumable.feed_epoch
               ~finish:Lifeguards.Taintcheck.Resumable.finish ~h ~domains
               (load_cursor path)
@@ -481,14 +473,14 @@ let taintcheck_cmd =
             let r =
               run_with_recovery
                 ~batch:(fun ~domains epochs ->
-                  Lifeguards.Taintcheck.run ~state ~sequential:(not relaxed)
+                  Lifeguards.Taintcheck.run ~sequential:(not relaxed)
                     ~wavefront ?domains epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
                   Recovery.Runner.run_taintcheck ?pool
-                    ~sequential:(not relaxed) ~wavefront ~state ?checkpoint
+                    ~sequential:(not relaxed) ~wavefront ?checkpoint
                     epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_taintcheck ?pool ~wavefront ~state
+                  Recovery.Runner.resume_taintcheck ?pool ~wavefront
                     ?checkpoint ~path epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
@@ -509,12 +501,12 @@ let taintcheck_cmd =
          ~doc:"Use the relaxed-consistency termination condition.")
   in
   Cmd.v (Cmd.info "taintcheck" ~doc:"Run butterfly TaintCheck on a trace file")
-    Term.(const run $ trace_arg $ h_arg $ relaxed_arg $ state_arg $ ingest_arg
+    Term.(const run $ trace_arg $ h_arg $ relaxed_arg $ ingest_arg
           $ domains_arg $ driver_arg $ ckpt_every_arg $ ckpt_out_arg
           $ resume_arg $ json_arg $ stats_arg $ obs_jsonl_arg)
 
 let racecheck_cmd =
-  let run path h state ingest domains driver every out resume json stats
+  let run path h ingest domains driver every out resume json stats
       obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
         let wavefront = wavefront_of_driver driver domains in
@@ -524,7 +516,7 @@ let racecheck_cmd =
             cursor_incompat ~every ~out ~resume;
             run_cursor
               ~create:(fun pool ~threads ->
-                Lifeguards.Racecheck.Resumable.create ?pool ~wavefront ~state
+                Lifeguards.Racecheck.Resumable.create ?pool ~wavefront
                   ~threads ())
               ~feed:Lifeguards.Racecheck.Resumable.feed_epoch
               ~finish:Lifeguards.Racecheck.Resumable.finish ~h ~domains
@@ -534,12 +526,12 @@ let racecheck_cmd =
             let r =
               run_with_recovery
                 ~batch:(fun ~domains epochs ->
-                  Lifeguards.Racecheck.run ~state ~wavefront ?domains epochs)
+                  Lifeguards.Racecheck.run ~wavefront ?domains epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_racecheck ?pool ~wavefront ~state
+                  Recovery.Runner.run_racecheck ?pool ~wavefront
                     ?checkpoint epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_racecheck ?pool ~wavefront ~state
+                  Recovery.Runner.resume_racecheck ?pool ~wavefront
                     ?checkpoint ~path epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
@@ -570,7 +562,7 @@ let racecheck_cmd =
     (Cmd.info "racecheck"
        ~doc:"Run butterfly RaceCheck (happens-before/lockset may-races) on \
              a trace file")
-    Term.(const run $ trace_arg $ h_arg $ state_arg $ ingest_arg $ domains_arg
+    Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
           $ driver_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg
           $ stats_arg $ obs_jsonl_arg)
 
@@ -631,8 +623,8 @@ let stats_cmd =
    with greedy minimization of any counterexample. *)
 
 let fuzz_cmd =
-  let run lifeguard driver state iterations seed shrink crash_at out replay
-      serve stats obs_jsonl =
+  let run lifeguard driver iterations seed shrink crash_at out replay serve
+      stats obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
         if serve then begin
           (* Frame-protocol fuzzing: mutate valid serving conversations
@@ -649,11 +641,6 @@ let fuzz_cmd =
           match driver with
           | `All -> Qa.Differential.all_drivers
           | `One d -> [ d ]
-        in
-        let states =
-          match state with
-          | `All -> Qa.Differential.all_backends
-          | `One st -> [ st ]
         in
         let lifeguards =
           match lifeguard with
@@ -704,7 +691,7 @@ let fuzz_cmd =
                   seed;
                   shrink;
                   crash;
-                  diff = { Qa.Differential.default_config with drivers; states };
+                  diff = { Qa.Differential.default_config with drivers };
                 }
               in
               let outcome = Qa.Engine.run ~config lg in
@@ -761,22 +748,6 @@ let fuzz_cmd =
                over: $(b,pooled), $(b,wavefront) or $(b,all) (default).  \
                The sequential baseline always runs.  Ignored with \
                $(b,--replay).")
-  in
-  let fuzz_state_arg =
-    let b =
-      Arg.enum
-        [
-          ("functional", `One (`Functional : Qa.Differential.backend));
-          ("flat", `One (`Flat : Qa.Differential.backend));
-          ("all", `All);
-        ]
-    in
-    Arg.(value & opt b `All & info [ "state" ] ~docv:"BACKEND"
-         ~doc:"Which fact-table backends the battery quantifies over: \
-               $(b,functional), $(b,flat) or $(b,all) (default).  Every \
-               driver entry runs once per backend, and the flat backend \
-               additionally gets its own sequential entry against the \
-               functional sequential baseline.  Ignored with $(b,--replay).")
   in
   let iterations_arg =
     Arg.(value & opt positive_int 100 & info [ "iterations" ] ~docv:"N"
@@ -842,7 +813,7 @@ let fuzz_cmd =
        ~doc:"Differentially fuzz the butterfly lifeguards: random grids \
              through all driver/domain/memory-model combinations plus the \
              valid-ordering soundness oracle; exits non-zero on mismatch")
-    Term.(const run $ lifeguard_arg $ fuzz_driver_arg $ fuzz_state_arg
+    Term.(const run $ lifeguard_arg $ fuzz_driver_arg
           $ iterations_arg $ fuzz_seed_arg $ shrink_arg $ crash_at_arg
           $ out_arg $ replay_arg $ serve_arg $ stats_arg $ obs_jsonl_arg)
 
@@ -1058,7 +1029,7 @@ let serve_cmd =
           $ obs_jsonl_arg)
 
 let client_cmd =
-  let run socket status_only tenant lifeguard trace h relaxed state driver
+  let run socket status_only tenant lifeguard trace h relaxed driver
       write_chunk stats obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
         if status_only then (
@@ -1075,8 +1046,8 @@ let client_cmd =
               Recovery.Runner.rows_of (Butterfly.Epochs.of_program p)
             in
             let hello =
-              { Serve.Wire.tenant; lifeguard; driver; state; relaxed;
-                threads = Tracing.Program.threads p }
+              { Serve.Wire.tenant; lifeguard; driver; state = `Functional;
+                relaxed; threads = Tracing.Program.threads p }
             in
             match
               Serve.Client.run_tenant ~socket ?write_chunk ~hello rows
@@ -1149,8 +1120,7 @@ let client_cmd =
              report — byte-identical to the batch subcommand's $(b,--json) \
              line — or query the daemon's status")
     Term.(const run $ socket_arg $ status_flag $ tenant_arg $ lifeguard_arg
-          $ trace_opt_arg $ h_arg $ relaxed_arg $ state_arg
-          $ client_driver_arg $ chunk_arg $ stats_arg $ obs_jsonl_arg)
+          $ trace_opt_arg $ h_arg $ relaxed_arg $ client_driver_arg $ chunk_arg $ stats_arg $ obs_jsonl_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

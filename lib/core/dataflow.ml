@@ -8,8 +8,8 @@ module type SET = sig
   val diff : t -> t -> t
 
   val union_all : t list -> t
-  (* n-ary union: functional sets fold {!union}; the flat backend
-     allocates the result once instead of once per operand. *)
+  (* n-ary union; may beat a fold of {!union} (the interval tree
+     unions every operand into its tallest one). *)
 
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
@@ -181,8 +181,7 @@ module Make (P : PROBLEM) = struct
      [in_before] depends only on the running LSOS, which GEN/KILL-free
      instructions leave physically unchanged (the set ops shortcut empty
      operands) — so the meet with the side-in is recomputed only at state
-     changes.  Word-at-a-time backends pay O(set width) per mutation
-     instead of per instruction; the view stream is unchanged. *)
+     changes, not per instruction; the view stream is unchanged. *)
   let iter_block ~side_in ~lsos0 ~sos f body =
     let cur = ref lsos0 in
     let cached_at = ref lsos0 in

@@ -33,8 +33,8 @@ module type SET = sig
   val diff : t -> t -> t
 
   val union_all : t list -> t
-  (** n-ary union: functional sets fold {!union}; the flat backend
-      allocates the result once instead of once per operand. *)
+  (** n-ary union; may beat a fold of {!union} (the interval tree
+      unions every operand into its tallest one). *)
 
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
@@ -108,8 +108,8 @@ module Make (P : PROBLEM) : sig
       driver): threads the running LSOS through GEN/KILL and emits each
       instruction's view.  [in_before] is recomputed only when the
       running LSOS actually changes — GEN/KILL-free instructions reuse
-      the previous meet, so word-at-a-time backends pay O(set width) per
-      state change, not per instruction. *)
+      the previous meet, so the meet costs one set operation per state
+      change, not per instruction. *)
 
   type result = {
     epochs : Epochs.t;

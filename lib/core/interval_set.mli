@@ -61,6 +61,11 @@ val of_intervals : (int * int) list -> t
 (** Intervals may overlap and arrive in any order; O(n) when they are
     already sorted, disjoint and non-adjacent, O(n log n) otherwise. *)
 
+val of_list : int list -> t
+(** The listed integers, in any order and with repeats.  Sorts once and
+    builds the tree once, O(n log n), so hot loops that collect
+    per-instruction addresses accumulate a list and build once. *)
+
 val choose : t -> int option
 (** The smallest element, if any. *)
 

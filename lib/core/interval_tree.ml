@@ -366,6 +366,13 @@ let of_intervals l =
   List.iter (fun (lo, hi) -> if lo < hi then push out lo hi) sorted;
   to_tree out
 
+(* Sort once; [push] coalesces repeats and adjacent runs, and the tree is
+   built once. *)
+let of_list xs =
+  let out = acc () in
+  List.iter (fun x -> push out x (x + 1)) (List.sort Int.compare xs);
+  to_tree out
+
 let choose t = match leftmost t with Empty -> None | Node { lo; _ } -> Some lo
 
 let iter f t =

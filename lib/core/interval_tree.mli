@@ -25,6 +25,7 @@ val cardinal : t -> int
 val interval_count : t -> int
 val intervals : t -> (int * int) list
 val of_intervals : (int * int) list -> t
+val of_list : int list -> t
 val choose : t -> int option
 val fold_intervals : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (int -> unit) -> t -> unit

@@ -67,9 +67,6 @@ let fingerprint (r : report) =
 
 let zero_stats = { instrs = 0; mem_events = 0; flagged_events = 0 }
 
-(* Errors and stats are backend-independent (fact sets are converted to
-   {!IS.t} at error-creation time), so their codecs are shared. *)
-
 let put_error w (e : error) =
   let module W = Tracing.Binio.W in
   W.u8 w
@@ -123,580 +120,512 @@ let get_stats r =
   let flagged_events = R.varint r in
   { instrs; mem_events; flagged_events }
 
-(* ------------------------------------------------------------------ *)
-(* The analysis body, generic over the fact-set representation
-   ({!Butterfly.Fact_arena.FACTS}): [Interval_facts] is the functional
-   reference, [Bitset_facts] the flat fast path.  Error sets, reports and
-   snapshots round-trip through {!IS.t}, so fingerprints and checkpoint
-   payloads are representation-independent — the property the
-   flat/functional differential battery checks. *)
+module Problem = struct
+  let name = "addrcheck"
 
-module Body (F : Butterfly.Fact_arena.FACTS) = struct
-  module Problem = struct
-    let name = "addrcheck"
+  module Set = IS
 
-    module Set = F
+  let flavour = `Must
 
-    let flavour = `Must
-
-    let gen _id i =
-      match Tracing.Instr.alloc_effect i with
-      | `Alloc (base, size) -> F.range base (base + size)
-      | `Free _ | `None -> F.empty
-
-    let kill _id i =
-      match Tracing.Instr.alloc_effect i with
-      | `Free (base, size) -> F.range base (base + size)
-      | `Alloc _ | `None -> F.empty
-  end
-
-  module A = Butterfly.Dataflow.Make (Problem)
-  module S = Butterfly.Scheduler.Make (Problem)
-
-  (* Does instruction [i]'s footprint meet [viol]?  Point accesses probe
-     membership directly — materializing a bitset spanning the lowest to
-     highest accessed address per instruction is exactly the allocation
-     the flat backend must avoid. *)
-  let footprint_meets i viol =
+  let gen _id i =
     match Tracing.Instr.alloc_effect i with
-    | `Alloc (base, size) | `Free (base, size) ->
-      not (F.disjoint (F.range base (base + size)) viol)
-    | `None -> List.exists (fun a -> F.mem a viol) (Tracing.Instr.accesses i)
+    | `Alloc (base, size) -> IS.range base (base + size)
+    | `Free _ | `None -> IS.empty
 
-  (* Collect then build once: the flat backend turns what was one
-     widening union per memory instruction into a single buffer fill. *)
-  let access_set block =
-    Butterfly.Block.fold_left
-      (fun acc _id i ->
-        match Tracing.Instr.alloc_effect i with
-        | `Alloc _ | `Free _ -> acc
-        | `None -> List.rev_append (Tracing.Instr.accesses i) acc)
-      [] block
-    |> F.of_list
-
-  (* The per-instruction check, shared verbatim by the batch [run] driver
-     and the checkpointable [Resumable] engine below: a divergence here
-     would break the resume-equivalence guarantee.  [violation_of l tid]
-     abstracts over how the isolation-violation sets are obtained — a
-     precomputed whole-grid array in [run], a lazily materialized sliding
-     window in [Resumable]. *)
-  let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
-      (v : A.instr_view) =
-    let { Butterfly.Instr_id.epoch = l; tid; _ } = v.id in
-    bump tid l (fun s -> { s with instrs = s.instrs + 1 });
-    if Tracing.Instr.is_memory_event v.instr then (
-      incr total;
-      Obs.Counter.incr m_checks;
-      bump tid l (fun s -> { s with mem_events = s.mem_events + 1 }));
-    let local_errs =
-      match Tracing.Instr.alloc_effect v.instr with
-      | `Alloc (base, size) ->
-        let bad = F.inter (F.range base (base + size)) v.lsos_before in
-        if F.is_empty bad then []
-        else
-          [
-            {
-              kind = Double_alloc;
-              addrs = F.to_intervals bad;
-              where = `Instr v.id;
-            };
-          ]
-      | `Free (base, size) ->
-        let bad = F.diff (F.range base (base + size)) v.lsos_before in
-        if F.is_empty bad then []
-        else
-          [
-            {
-              kind = Unallocated_free;
-              addrs = F.to_intervals bad;
-              where = `Instr v.id;
-            };
-          ]
-      | `None ->
-        List.filter_map
-          (fun a ->
-            if F.mem a v.lsos_before then None
-            else
-              Some
-                {
-                  kind = Unallocated_access;
-                  addrs = IS.singleton a;
-                  where = `Instr v.id;
-                })
-          (Tracing.Instr.accesses v.instr)
-    in
-    instr_errors := List.rev_append local_errs !instr_errors;
-    let races = footprint_meets v.instr (violation_of l tid) in
-    if (local_errs <> [] || races) && Tracing.Instr.is_memory_event v.instr
-    then (
-      incr flagged;
-      Obs.Counter.incr m_flags;
-      bump tid l (fun s -> { s with flagged_events = s.flagged_events + 1 }))
-
-  let run ?(isolation = true) ?(wavefront = false) ?domains ?pool epochs =
-    (* Materialize the check/flag counters so clean runs still report 0. *)
-    Obs.Counter.add m_checks 0;
-    Obs.Counter.add m_flags 0;
-    let num_l = Butterfly.Epochs.num_epochs epochs in
-    let threads = Butterfly.Epochs.threads epochs in
-    (* Pass-1-style summaries (also recomputed inside A.run; cheap). *)
-    let summaries =
-      Array.init num_l (fun l ->
-          Array.init threads (fun tid ->
-              A.summarize (Butterfly.Epochs.block epochs ~epoch:l ~tid)))
-    in
-    let accesses =
-      Array.init num_l (fun l ->
-          Array.init threads (fun tid ->
-              access_set (Butterfly.Epochs.block epochs ~epoch:l ~tid)))
-    in
-    let changes =
-      Array.map
-        (Array.map (fun s -> F.union s.A.gen_union s.A.kill_union))
-        summaries
-    in
-    let state_change l tid =
-      if l < 0 || l >= num_l then F.empty else changes.(l).(tid)
-    in
-    let access_of l tid =
-      if l < 0 || l >= num_l then F.empty else accesses.(l).(tid)
-    in
-    (* Isolation-violation set per block (Section 6.1's emptiness check). *)
-    let violation l tid =
-      let s_change = state_change l tid in
-      let s_access = access_of l tid in
-      let wing_change = ref [] and wing_access = ref [] in
-      for l' = l - 1 to l + 1 do
-        for t' = 0 to threads - 1 do
-          if t' <> tid then (
-            wing_change := state_change l' t' :: !wing_change;
-            wing_access := access_of l' t' :: !wing_access)
-        done
-      done;
-      (* (∪w) ∩ x  distributed as  ∪(w ∩ x): state changes are sparse, so
-         every intersection is small — materializing the union of nine
-         access footprints (≈ the whole heap) just to meet it with one
-         block's allocations is the allocation the flat backend feels. *)
-      let wing_inter ws x = F.union_all (List.map (F.inter x) ws) in
-      F.union
-        (wing_inter !wing_change s_change)
-        (F.union
-           (wing_inter !wing_change s_access)
-           (wing_inter !wing_access s_change))
-    in
-    let violations =
-      Obs.Scope.with_scope ~phase:"isolation" (fun () ->
-          Obs.Span.time sp_isolation (fun () ->
-              Array.init num_l (fun l ->
-                  Array.init threads (fun tid ->
-                      if isolation then violation l tid else F.empty))))
-    in
-    let errors = ref [] in
-    let flagged = ref 0 in
-    let total = ref 0 in
-    let stats =
-      Array.init threads (fun _ ->
-          Array.init num_l (fun _ ->
-              { instrs = 0; mem_events = 0; flagged_events = 0 }))
-    in
-    let bump tid l f = stats.(tid).(l) <- f stats.(tid).(l) in
-    let on_instr =
-      make_on_instr
-        ~violation_of:(fun l tid -> violations.(l).(tid))
-        ~bump ~instr_errors:errors ~flagged ~total
-    in
-    let sos_levels =
-      match (pool, domains) with
-      | None, None ->
-        let result = A.run ~on_instr epochs in
-        result.A.sos
-      | Some pool, _ ->
-        (* Caller-owned pool: same pooled streaming driver, shared across
-           runs (the QA fuzz engine reuses one pool for its whole corpus). *)
-        let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-        S.sos_history s
-      | None, Some d ->
-        (* Pooled streaming: the scheduler delivers the exact same view
-           sequence (property-tested), with pass 1/2 on worker domains. *)
-        Butterfly.Domain_pool.with_pool ~name:"addrcheck" ~domains:d
-          (fun pool ->
-            let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-            S.sos_history s)
-    in
-    (* Report isolation violations at block granularity too. *)
-    for l = 0 to num_l - 1 do
-      for tid = 0 to threads - 1 do
-        let v = violations.(l).(tid) in
-        if not (F.is_empty v) then (
-          Obs.Counter.incr m_flags;
-          errors :=
-            {
-              kind = Metadata_race;
-              addrs = F.to_intervals v;
-              where = `Block (l, tid);
-            }
-            :: !errors)
-      done
-    done;
-    if Obs.enabled () then
-      Array.iter
-        (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (F.cardinal s)))
-        sos_levels;
-    {
-      errors = List.rev !errors;
-      flagged_accesses = !flagged;
-      total_accesses = !total;
-      block_stats = stats;
-      sos = Array.map F.to_intervals sos_levels;
-    }
-
-  (* ---------------------------------------------------------------- *)
-  (* Checkpointable epoch-incremental engine.  The streaming scheduler
-     already carries the dataflow window; what AddrCheck adds on top is the
-     isolation check, whose whole-grid precomputation above must become
-     incremental here.  The key locality fact (Section 6.1): the violation
-     set of block (l, t) reads state-change/access footprints of rows
-     l-1..l+1 only, and the scheduler processes epoch l only once row l+1
-     is closed — so violation rows can be materialized lazily, and row
-     footprints older than the window pruned. *)
-
-  module Resumable = struct
-    (* Fact sets are serialized as canonical interval lists regardless of
-       backend, so snapshots are backend-portable. *)
-    let set_codec =
-      {
-        S.put_set = (fun w s -> Lg_io.put_is w (F.to_intervals s));
-        get_set = (fun r -> F.of_intervals (Lg_io.get_is r));
-      }
-
-    (* Per-row, per-tid footprints feeding the isolation check. *)
-    type row_facts = { sc : F.t array;  (* GEN ∪ KILL *) ac : F.t array }
-
-    type state = {
-      sched : S.t;
-      threads : int;
-      isolation : bool;
-      instr_errors : error list ref; (* reversed *)
-      mutable block_errors : error list; (* reversed *)
-      flagged : int ref;
-      total : int ref;
-      stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
-      facts : (int, row_facts) Hashtbl.t; (* sliding window, pruned *)
-      viol : (int, F.t array) Hashtbl.t; (* lazy violation rows *)
-      mutable finalized : int; (* rows 0..finalized-1 emitted block errors *)
-      mutable epochs_fed : int;
-    }
-
-    (* Rows absent from [facts] (before epoch 0, or past the last row fed)
-       contribute empty footprints — exactly the bounds check in [run]. *)
-    let violation_row ~threads ~isolation ~facts ~viol l =
-      match Hashtbl.find_opt viol l with
-      | Some v -> v
-      | None ->
-        let v =
-          if not isolation then Array.make threads F.empty
-          else
-            Obs.Scope.with_scope ~epoch:l ~phase:"isolation" @@ fun () ->
-            Obs.Span.time sp_isolation (fun () ->
-                let sc l' t' =
-                  match Hashtbl.find_opt facts l' with
-                  | Some f -> f.sc.(t')
-                  | None -> F.empty
-                and ac l' t' =
-                  match Hashtbl.find_opt facts l' with
-                  | Some f -> f.ac.(t')
-                  | None -> F.empty
-                in
-                Array.init threads (fun tid ->
-                    let s_change = sc l tid and s_access = ac l tid in
-                    let wing_change = ref [] and wing_access = ref [] in
-                    for l' = l - 1 to l + 1 do
-                      for t' = 0 to threads - 1 do
-                        if t' <> tid then (
-                          wing_change := sc l' t' :: !wing_change;
-                          wing_access := ac l' t' :: !wing_access)
-                      done
-                    done;
-                    (* Distributed as in [run]: see the comment there. *)
-                    let wing_inter ws x =
-                      F.union_all (List.map (F.inter x) ws)
-                    in
-                    F.union
-                      (wing_inter !wing_change s_change)
-                      (F.union
-                         (wing_inter !wing_change s_access)
-                         (wing_inter !wing_access s_change))))
-        in
-        Hashtbl.replace viol l v;
-        v
-
-    let make_state ?pool ~isolation ~threads ~instr_errors ~block_errors
-        ~flagged ~total ~stats ~facts ~finalized ~epochs_fed ~sched_of () =
-      let viol = Hashtbl.create 8 in
-      let bump tid l f =
-        let row =
-          match Hashtbl.find_opt stats l with
-          | Some row -> row
-          | None ->
-            let row = Array.make threads zero_stats in
-            Hashtbl.replace stats l row;
-            row
-        in
-        row.(tid) <- f row.(tid)
-      in
-      let violation_of l tid =
-        (violation_row ~threads ~isolation ~facts ~viol l).(tid)
-      in
-      let on_instr =
-        make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
-      in
-      let sched = sched_of ?pool ~on_instr () in
-      {
-        sched;
-        threads;
-        isolation;
-        instr_errors;
-        block_errors;
-        flagged;
-        total;
-        stats;
-        facts;
-        viol;
-        finalized;
-        epochs_fed;
-      }
-
-    let create ?pool ?(isolation = true) ?(wavefront = false) ~threads () =
-      Obs.Counter.add m_checks 0;
-      Obs.Counter.add m_flags 0;
-      make_state ?pool ~isolation ~threads ~instr_errors:(ref [])
-        ~block_errors:[] ~flagged:(ref 0) ~total:(ref 0)
-        ~stats:(Hashtbl.create 64) ~facts:(Hashtbl.create 8) ~finalized:0
-        ~epochs_fed:0
-        ~sched_of:(fun ?pool ~on_instr () ->
-          S.create ?pool ~wavefront ~threads ~on_instr ())
-        ()
-
-    let epochs_fed st = st.epochs_fed
-
-    (* Violation row [e] is final once row [e+1] is closed; emit its
-       block-level errors and retire footprint rows the window has passed
-       (rows < e are never read again). *)
-    let finalize_rows st ~upto =
-      while st.finalized <= upto do
-        let l = st.finalized in
-        let v =
-          violation_row ~threads:st.threads ~isolation:st.isolation
-            ~facts:st.facts ~viol:st.viol l
-        in
-        for tid = 0 to st.threads - 1 do
-          if not (F.is_empty v.(tid)) then (
-            Obs.Counter.incr m_flags;
-            st.block_errors <-
-              {
-                kind = Metadata_race;
-                addrs = F.to_intervals v.(tid);
-                where = `Block (l, tid);
-              }
-              :: st.block_errors)
-        done;
-        Hashtbl.remove st.viol l;
-        if l > 0 then Hashtbl.remove st.facts (l - 1);
-        st.finalized <- l + 1
-      done
-
-    let record_facts st row =
-      let epoch = st.epochs_fed in
-      let sc =
-        Array.mapi
-          (fun tid instrs ->
-            let s = A.summarize (Butterfly.Block.make ~epoch ~tid instrs) in
-            F.union s.A.gen_union s.A.kill_union)
-          row
-      and ac =
-        Array.mapi
-          (fun tid instrs ->
-            access_set (Butterfly.Block.make ~epoch ~tid instrs))
-          row
-      in
-      Hashtbl.replace st.facts epoch { sc; ac }
-
-    (* Heartbeats go out as separators, not terminators (see
-       {!Initcheck.Resumable.feed_epoch}).  The separator heartbeats close
-       row m-1, which lets the scheduler process epoch m-2 — whose
-       violation row draws on footprints m-3..m-1, all recorded — and then
-       lets us finalize that same row's block-level errors. *)
-    let feed_epoch st row =
-      if Array.length row <> st.threads then
-        invalid_arg "Addrcheck.Resumable.feed_epoch: wrong row width";
-      if st.epochs_fed > 0 then
-        for tid = 0 to st.threads - 1 do
-          S.feed st.sched tid Tracing.Event.Heartbeat
-        done;
-      (* A violation row may only be finalized (and its facts pruned) once
-         every view that reads it has been delivered — in wavefront mode
-         delivery can lag the scheduler's processing cursor, so clamp to
-         the delivery frontier.  Outside wavefront mode the clamp is the
-         identity: delivered tracks processed exactly. *)
-      finalize_rows st
-        ~upto:(min (st.epochs_fed - 2) (S.epochs_delivered st.sched - 1));
-      record_facts st row;
-      Array.iteri
-        (fun tid instrs ->
-          Array.iter
-            (fun i -> S.feed st.sched tid (Tracing.Event.Instr i))
-            instrs)
-        row;
-      st.epochs_fed <- st.epochs_fed + 1
-
-    let finish st =
-      (* An empty program still owns one (empty) epoch — mirror
-         [Epochs.of_program]. *)
-      if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
-      S.finish st.sched;
-      (* [S.finish] quiesces the pipeline, so every epoch is delivered. *)
-      finalize_rows st ~upto:(st.epochs_fed - 1);
-      let num_l = st.epochs_fed in
-      let sos_levels = S.sos_history st.sched in
-      let stats =
-        Array.init st.threads (fun tid ->
-            Array.init num_l (fun l ->
-                match Hashtbl.find_opt st.stats l with
-                | Some row -> row.(tid)
-                | None -> zero_stats))
-      in
-      if Obs.enabled () then
-        Array.iter
-          (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (F.cardinal s)))
-          sos_levels;
-      {
-        errors = List.rev !(st.instr_errors) @ List.rev st.block_errors;
-        flagged_accesses = !(st.flagged);
-        total_accesses = !(st.total);
-        block_stats = stats;
-        sos = Array.map F.to_intervals sos_levels;
-      }
-
-    let encode st =
-      (* Quiesce before serializing anything: delivering in-flight pass-2
-         epochs appends to the error lists and counters captured below, so
-         the drain must happen first, not as a side effect of
-         [S.encode_state] at the end. *)
-      S.quiesce st.sched;
-      let module W = Tracing.Binio.W in
-      let w = W.create () in
-      W.varint w st.threads;
-      W.bool w st.isolation;
-      W.varint w st.epochs_fed;
-      W.varint w st.finalized;
-      W.varint w !(st.flagged);
-      W.varint w !(st.total);
-      W.list w put_error !(st.instr_errors);
-      W.list w put_error st.block_errors;
-      W.list w
-        (fun w (epoch, row) ->
-          W.varint w epoch;
-          W.array w put_stats row)
-        (Lg_io.sorted_entries st.stats);
-      W.list w
-        (fun w (epoch, f) ->
-          W.varint w epoch;
-          W.array w (fun w s -> Lg_io.put_is w (F.to_intervals s)) f.sc;
-          W.array w (fun w s -> Lg_io.put_is w (F.to_intervals s)) f.ac)
-        (Lg_io.sorted_entries st.facts);
-      W.string w (S.encode_state ~set:set_codec st.sched);
-      W.contents w
-
-    let decode ?pool ?(wavefront = false) s =
-      let module R = Tracing.Binio.R in
-      match
-        let r = R.of_string s in
-        let threads = R.varint r in
-        if threads = 0 then raise (R.Corrupt "zero threads");
-        let isolation = R.bool r in
-        let epochs_fed = R.varint r in
-        let finalized = R.varint r in
-        let flagged = ref (R.varint r) in
-        let total = ref (R.varint r) in
-        let instr_errors = ref (R.list r get_error) in
-        let block_errors = R.list r get_error in
-        let stats = Hashtbl.create 64 in
-        R.list r (fun r ->
-            let epoch = R.varint r in
-            let row = R.array r get_stats in
-            if Array.length row <> threads then
-              raise (R.Corrupt "stats row width mismatch");
-            Hashtbl.replace stats epoch row)
-        |> ignore;
-        let facts = Hashtbl.create 8 in
-        R.list r (fun r ->
-            let epoch = R.varint r in
-            let sc = R.array r (fun r -> F.of_intervals (Lg_io.get_is r)) in
-            let ac = R.array r (fun r -> F.of_intervals (Lg_io.get_is r)) in
-            if Array.length sc <> threads || Array.length ac <> threads then
-              raise (R.Corrupt "facts row width mismatch");
-            Hashtbl.replace facts epoch { sc; ac })
-        |> ignore;
-        let sched_payload = R.string r in
-        R.expect_end r;
-        make_state ?pool ~isolation ~threads ~instr_errors ~block_errors
-          ~flagged ~total ~stats ~facts ~finalized ~epochs_fed
-          ~sched_of:(fun ?pool ~on_instr () ->
-            S.decode_state ~set:set_codec ?pool ~wavefront ~on_instr
-              sched_payload)
-          ()
-      with
-      | st -> Ok st
-      | exception R.Corrupt m -> Error ("addrcheck state: " ^ m)
-  end
+  let kill _id i =
+    match Tracing.Instr.alloc_effect i with
+    | `Free (base, size) -> IS.range base (base + size)
+    | `Alloc _ | `None -> IS.empty
 end
 
-module Fn = Body (Butterfly.Fact_arena.Interval_facts)
-module Fl = Body (Butterfly.Fact_arena.Bitset_facts)
+module A = Butterfly.Dataflow.Make (Problem)
+module S = Butterfly.Scheduler.Make (Problem)
 
-type backend = [ `Functional | `Flat ]
+(* Does instruction [i]'s footprint meet [viol]?  Point accesses probe
+   membership directly instead of building a set per instruction. *)
+let footprint_meets i viol =
+  match Tracing.Instr.alloc_effect i with
+  | `Alloc (base, size) | `Free (base, size) ->
+    not (IS.disjoint (IS.range base (base + size)) viol)
+  | `None -> List.exists (fun a -> IS.mem a viol) (Tracing.Instr.accesses i)
 
-let run ?(state = `Functional) ?isolation ?wavefront ?domains ?pool epochs =
-  match (state : backend) with
-  | `Functional -> Fn.run ?isolation ?wavefront ?domains ?pool epochs
-  | `Flat -> Fl.run ?isolation ?wavefront ?domains ?pool epochs
+(* Collect then build once: one sorted bulk construction instead of one
+   union per memory instruction. *)
+let access_set block =
+  Butterfly.Block.fold_left
+    (fun acc _id i ->
+      match Tracing.Instr.alloc_effect i with
+      | `Alloc _ | `Free _ -> acc
+      | `None -> List.rev_append (Tracing.Instr.accesses i) acc)
+    [] block
+  |> IS.of_list
+
+(* The per-instruction check, shared verbatim by the batch [run] driver
+   and the checkpointable [Resumable] engine below: a divergence here
+   would break the resume-equivalence guarantee.  [violation_of l tid]
+   abstracts over how the isolation-violation sets are obtained — a
+   precomputed whole-grid array in [run], a lazily materialized sliding
+   window in [Resumable]. *)
+let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
+    (v : A.instr_view) =
+  let { Butterfly.Instr_id.epoch = l; tid; _ } = v.id in
+  bump tid l (fun s -> { s with instrs = s.instrs + 1 });
+  if Tracing.Instr.is_memory_event v.instr then (
+    incr total;
+    Obs.Counter.incr m_checks;
+    bump tid l (fun s -> { s with mem_events = s.mem_events + 1 }));
+  let local_errs =
+    match Tracing.Instr.alloc_effect v.instr with
+    | `Alloc (base, size) ->
+      let bad = IS.inter (IS.range base (base + size)) v.lsos_before in
+      if IS.is_empty bad then []
+      else
+        [
+          {
+            kind = Double_alloc;
+            addrs = bad;
+            where = `Instr v.id;
+          };
+        ]
+    | `Free (base, size) ->
+      let bad = IS.diff (IS.range base (base + size)) v.lsos_before in
+      if IS.is_empty bad then []
+      else
+        [
+          {
+            kind = Unallocated_free;
+            addrs = bad;
+            where = `Instr v.id;
+          };
+        ]
+    | `None ->
+      List.filter_map
+        (fun a ->
+          if IS.mem a v.lsos_before then None
+          else
+            Some
+              {
+                kind = Unallocated_access;
+                addrs = IS.singleton a;
+                where = `Instr v.id;
+              })
+        (Tracing.Instr.accesses v.instr)
+  in
+  instr_errors := List.rev_append local_errs !instr_errors;
+  let races = footprint_meets v.instr (violation_of l tid) in
+  if (local_errs <> [] || races) && Tracing.Instr.is_memory_event v.instr
+  then (
+    incr flagged;
+    Obs.Counter.incr m_flags;
+    bump tid l (fun s -> { s with flagged_events = s.flagged_events + 1 }))
+
+let run ?(isolation = true) ?(wavefront = false) ?domains ?pool epochs =
+  (* Materialize the check/flag counters so clean runs still report 0. *)
+  Obs.Counter.add m_checks 0;
+  Obs.Counter.add m_flags 0;
+  let num_l = Butterfly.Epochs.num_epochs epochs in
+  let threads = Butterfly.Epochs.threads epochs in
+  (* Pass-1-style summaries (also recomputed inside A.run; cheap). *)
+  let summaries =
+    Array.init num_l (fun l ->
+        Array.init threads (fun tid ->
+            A.summarize (Butterfly.Epochs.block epochs ~epoch:l ~tid)))
+  in
+  let accesses =
+    Array.init num_l (fun l ->
+        Array.init threads (fun tid ->
+            access_set (Butterfly.Epochs.block epochs ~epoch:l ~tid)))
+  in
+  let changes =
+    Array.map
+      (Array.map (fun s -> IS.union s.A.gen_union s.A.kill_union))
+      summaries
+  in
+  let state_change l tid =
+    if l < 0 || l >= num_l then IS.empty else changes.(l).(tid)
+  in
+  let access_of l tid =
+    if l < 0 || l >= num_l then IS.empty else accesses.(l).(tid)
+  in
+  (* Isolation-violation set per block (Section 6.1's emptiness check). *)
+  let violation l tid =
+    let s_change = state_change l tid in
+    let s_access = access_of l tid in
+    let wing_change = ref [] and wing_access = ref [] in
+    for l' = l - 1 to l + 1 do
+      for t' = 0 to threads - 1 do
+        if t' <> tid then (
+          wing_change := state_change l' t' :: !wing_change;
+          wing_access := access_of l' t' :: !wing_access)
+      done
+    done;
+    (* (∪w) ∩ x  distributed as  ∪(w ∩ x): state changes are sparse, so
+       every intersection is small, whereas the union of nine access
+       footprints is about the whole heap. *)
+    let wing_inter ws x = IS.union_all (List.map (IS.inter x) ws) in
+    IS.union
+      (wing_inter !wing_change s_change)
+      (IS.union
+         (wing_inter !wing_change s_access)
+         (wing_inter !wing_access s_change))
+  in
+  let violations =
+    Obs.Scope.with_scope ~phase:"isolation" (fun () ->
+        Obs.Span.time sp_isolation (fun () ->
+            Array.init num_l (fun l ->
+                Array.init threads (fun tid ->
+                    if isolation then violation l tid else IS.empty))))
+  in
+  let errors = ref [] in
+  let flagged = ref 0 in
+  let total = ref 0 in
+  let stats =
+    Array.init threads (fun _ ->
+        Array.init num_l (fun _ ->
+            { instrs = 0; mem_events = 0; flagged_events = 0 }))
+  in
+  let bump tid l f = stats.(tid).(l) <- f stats.(tid).(l) in
+  let on_instr =
+    make_on_instr
+      ~violation_of:(fun l tid -> violations.(l).(tid))
+      ~bump ~instr_errors:errors ~flagged ~total
+  in
+  let sos_levels =
+    match (pool, domains) with
+    | None, None ->
+      let result = A.run ~on_instr epochs in
+      result.A.sos
+    | Some pool, _ ->
+      (* Caller-owned pool: same pooled streaming driver, shared across
+         runs (the QA fuzz engine reuses one pool for its whole corpus). *)
+      let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
+      S.sos_history s
+    | None, Some d ->
+      (* Pooled streaming: the scheduler delivers the exact same view
+         sequence (property-tested), with pass 1/2 on worker domains. *)
+      Butterfly.Domain_pool.with_pool ~name:"addrcheck" ~domains:d
+        (fun pool ->
+          let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
+          S.sos_history s)
+  in
+  (* Report isolation violations at block granularity too. *)
+  for l = 0 to num_l - 1 do
+    for tid = 0 to threads - 1 do
+      let v = violations.(l).(tid) in
+      if not (IS.is_empty v) then (
+        Obs.Counter.incr m_flags;
+        errors :=
+          {
+            kind = Metadata_race;
+            addrs = v;
+            where = `Block (l, tid);
+          }
+          :: !errors)
+    done
+  done;
+  if Obs.enabled () then
+    Array.iter
+      (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
+      sos_levels;
+  {
+    errors = List.rev !errors;
+    flagged_accesses = !flagged;
+    total_accesses = !total;
+    block_stats = stats;
+    sos = sos_levels;
+  }
+
+(* ---------------------------------------------------------------- *)
+(* Checkpointable epoch-incremental engine.  The streaming scheduler
+   already carries the dataflow window; what AddrCheck adds on top is the
+   isolation check, whose whole-grid precomputation above must become
+   incremental here.  The key locality fact (Section 6.1): the violation
+   set of block (l, t) reads state-change/access footprints of rows
+   l-1..l+1 only, and the scheduler processes epoch l only once row l+1
+   is closed — so violation rows can be materialized lazily, and row
+   footprints older than the window pruned. *)
 
 module Resumable = struct
-  type state = Fn_state of Fn.Resumable.state | Fl_state of Fl.Resumable.state
+  (* Fact sets are serialized as canonical interval lists. *)
+  let set_codec = { S.put_set = Lg_io.put_is; get_set = Lg_io.get_is }
 
-  let create ?pool ?isolation ?wavefront ?(state = (`Functional : backend))
-      ~threads () =
-    match state with
-    | `Functional ->
-      Fn_state (Fn.Resumable.create ?pool ?isolation ?wavefront ~threads ())
-    | `Flat ->
-      Fl_state (Fl.Resumable.create ?pool ?isolation ?wavefront ~threads ())
+  (* Per-row, per-tid footprints feeding the isolation check. *)
+  type row_facts = { sc : IS.t array;  (* GEN ∪ KILL *) ac : IS.t array }
 
+  type state = {
+    sched : S.t;
+    threads : int;
+    isolation : bool;
+    instr_errors : error list ref; (* reversed *)
+    mutable block_errors : error list; (* reversed *)
+    flagged : int ref;
+    total : int ref;
+    stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
+    facts : (int, row_facts) Hashtbl.t; (* sliding window, pruned *)
+    viol : (int, IS.t array) Hashtbl.t; (* lazy violation rows *)
+    mutable finalized : int; (* rows 0..finalized-1 emitted block errors *)
+    mutable epochs_fed : int;
+  }
+
+  (* Rows absent from [facts] (before epoch 0, or past the last row fed)
+     contribute empty footprints — exactly the bounds check in [run]. *)
+  let violation_row ~threads ~isolation ~facts ~viol l =
+    match Hashtbl.find_opt viol l with
+    | Some v -> v
+    | None ->
+      let v =
+        if not isolation then Array.make threads IS.empty
+        else
+          Obs.Scope.with_scope ~epoch:l ~phase:"isolation" @@ fun () ->
+          Obs.Span.time sp_isolation (fun () ->
+              let sc l' t' =
+                match Hashtbl.find_opt facts l' with
+                | Some f -> f.sc.(t')
+                | None -> IS.empty
+              and ac l' t' =
+                match Hashtbl.find_opt facts l' with
+                | Some f -> f.ac.(t')
+                | None -> IS.empty
+              in
+              Array.init threads (fun tid ->
+                  let s_change = sc l tid and s_access = ac l tid in
+                  let wing_change = ref [] and wing_access = ref [] in
+                  for l' = l - 1 to l + 1 do
+                    for t' = 0 to threads - 1 do
+                      if t' <> tid then (
+                        wing_change := sc l' t' :: !wing_change;
+                        wing_access := ac l' t' :: !wing_access)
+                    done
+                  done;
+                  (* Distributed as in [run]: see the comment there. *)
+                  let wing_inter ws x =
+                    IS.union_all (List.map (IS.inter x) ws)
+                  in
+                  IS.union
+                    (wing_inter !wing_change s_change)
+                    (IS.union
+                       (wing_inter !wing_change s_access)
+                       (wing_inter !wing_access s_change))))
+      in
+      Hashtbl.replace viol l v;
+      v
+
+  let make_state ?pool ~isolation ~threads ~instr_errors ~block_errors
+      ~flagged ~total ~stats ~facts ~finalized ~epochs_fed ~sched_of () =
+    let viol = Hashtbl.create 8 in
+    let bump tid l f =
+      let row =
+        match Hashtbl.find_opt stats l with
+        | Some row -> row
+        | None ->
+          let row = Array.make threads zero_stats in
+          Hashtbl.replace stats l row;
+          row
+      in
+      row.(tid) <- f row.(tid)
+    in
+    let violation_of l tid =
+      (violation_row ~threads ~isolation ~facts ~viol l).(tid)
+    in
+    let on_instr =
+      make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
+    in
+    let sched = sched_of ?pool ~on_instr () in
+    {
+      sched;
+      threads;
+      isolation;
+      instr_errors;
+      block_errors;
+      flagged;
+      total;
+      stats;
+      facts;
+      viol;
+      finalized;
+      epochs_fed;
+    }
+
+  let create ?pool ?(isolation = true) ?(wavefront = false) ~threads () =
+    Obs.Counter.add m_checks 0;
+    Obs.Counter.add m_flags 0;
+    make_state ?pool ~isolation ~threads ~instr_errors:(ref [])
+      ~block_errors:[] ~flagged:(ref 0) ~total:(ref 0)
+      ~stats:(Hashtbl.create 64) ~facts:(Hashtbl.create 8) ~finalized:0
+      ~epochs_fed:0
+      ~sched_of:(fun ?pool ~on_instr () ->
+        S.create ?pool ~wavefront ~threads ~on_instr ())
+      ()
+
+  let epochs_fed st = st.epochs_fed
+
+  (* Violation row [e] is final once row [e+1] is closed; emit its
+     block-level errors and retire footprint rows the window has passed
+     (rows < e are never read again). *)
+  let finalize_rows st ~upto =
+    while st.finalized <= upto do
+      let l = st.finalized in
+      let v =
+        violation_row ~threads:st.threads ~isolation:st.isolation
+          ~facts:st.facts ~viol:st.viol l
+      in
+      for tid = 0 to st.threads - 1 do
+        if not (IS.is_empty v.(tid)) then (
+          Obs.Counter.incr m_flags;
+          st.block_errors <-
+            {
+              kind = Metadata_race;
+              addrs = v.(tid);
+              where = `Block (l, tid);
+            }
+            :: st.block_errors)
+      done;
+      Hashtbl.remove st.viol l;
+      if l > 0 then Hashtbl.remove st.facts (l - 1);
+      st.finalized <- l + 1
+    done
+
+  let record_facts st row =
+    let epoch = st.epochs_fed in
+    let sc =
+      Array.mapi
+        (fun tid instrs ->
+          let s = A.summarize (Butterfly.Block.make ~epoch ~tid instrs) in
+          IS.union s.A.gen_union s.A.kill_union)
+        row
+    and ac =
+      Array.mapi
+        (fun tid instrs ->
+          access_set (Butterfly.Block.make ~epoch ~tid instrs))
+        row
+    in
+    Hashtbl.replace st.facts epoch { sc; ac }
+
+  (* Heartbeats go out as separators, not terminators (see
+     {!Initcheck.Resumable.feed_epoch}).  The separator heartbeats close
+     row m-1, which lets the scheduler process epoch m-2 — whose
+     violation row draws on footprints m-3..m-1, all recorded — and then
+     lets us finalize that same row's block-level errors. *)
   let feed_epoch st row =
-    match st with
-    | Fn_state s -> Fn.Resumable.feed_epoch s row
-    | Fl_state s -> Fl.Resumable.feed_epoch s row
+    if Array.length row <> st.threads then
+      invalid_arg "Addrcheck.Resumable.feed_epoch: wrong row width";
+    if st.epochs_fed > 0 then
+      for tid = 0 to st.threads - 1 do
+        S.feed st.sched tid Tracing.Event.Heartbeat
+      done;
+    (* A violation row may only be finalized (and its facts pruned) once
+       every view that reads it has been delivered — in wavefront mode
+       delivery can lag the scheduler's processing cursor, so clamp to
+       the delivery frontier.  Outside wavefront mode the clamp is the
+       identity: delivered tracks processed exactly. *)
+    finalize_rows st
+      ~upto:(min (st.epochs_fed - 2) (S.epochs_delivered st.sched - 1));
+    record_facts st row;
+    Array.iteri
+      (fun tid instrs ->
+        Array.iter
+          (fun i -> S.feed st.sched tid (Tracing.Event.Instr i))
+          instrs)
+      row;
+    st.epochs_fed <- st.epochs_fed + 1
 
-  let epochs_fed = function
-    | Fn_state s -> Fn.Resumable.epochs_fed s
-    | Fl_state s -> Fl.Resumable.epochs_fed s
+  let finish st =
+    (* An empty program still owns one (empty) epoch — mirror
+       [Epochs.of_program]. *)
+    if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
+    S.finish st.sched;
+    (* [S.finish] quiesces the pipeline, so every epoch is delivered. *)
+    finalize_rows st ~upto:(st.epochs_fed - 1);
+    let num_l = st.epochs_fed in
+    let sos_levels = S.sos_history st.sched in
+    let stats =
+      Array.init st.threads (fun tid ->
+          Array.init num_l (fun l ->
+              match Hashtbl.find_opt st.stats l with
+              | Some row -> row.(tid)
+              | None -> zero_stats))
+    in
+    if Obs.enabled () then
+      Array.iter
+        (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
+        sos_levels;
+    {
+      errors = List.rev !(st.instr_errors) @ List.rev st.block_errors;
+      flagged_accesses = !(st.flagged);
+      total_accesses = !(st.total);
+      block_stats = stats;
+      sos = sos_levels;
+    }
 
-  let finish = function
-    | Fn_state s -> Fn.Resumable.finish s
-    | Fl_state s -> Fl.Resumable.finish s
+  let encode st =
+    (* Quiesce before serializing anything: delivering in-flight pass-2
+       epochs appends to the error lists and counters captured below, so
+       the drain must happen first, not as a side effect of
+       [S.encode_state] at the end. *)
+    S.quiesce st.sched;
+    let module W = Tracing.Binio.W in
+    let w = W.create () in
+    W.varint w st.threads;
+    W.bool w st.isolation;
+    W.varint w st.epochs_fed;
+    W.varint w st.finalized;
+    W.varint w !(st.flagged);
+    W.varint w !(st.total);
+    W.list w put_error !(st.instr_errors);
+    W.list w put_error st.block_errors;
+    W.list w
+      (fun w (epoch, row) ->
+        W.varint w epoch;
+        W.array w put_stats row)
+      (Lg_io.sorted_entries st.stats);
+    W.list w
+      (fun w (epoch, f) ->
+        W.varint w epoch;
+        W.array w Lg_io.put_is f.sc;
+        W.array w Lg_io.put_is f.ac)
+      (Lg_io.sorted_entries st.facts);
+    W.string w (S.encode_state ~set:set_codec st.sched);
+    W.contents w
 
-  let encode = function
-    | Fn_state s -> Fn.Resumable.encode s
-    | Fl_state s -> Fl.Resumable.encode s
-
-  let decode ?pool ?wavefront ?(state = (`Functional : backend)) s =
-    match state with
-    | `Functional ->
-      Result.map
-        (fun st -> Fn_state st)
-        (Fn.Resumable.decode ?pool ?wavefront s)
-    | `Flat ->
-      Result.map
-        (fun st -> Fl_state st)
-        (Fl.Resumable.decode ?pool ?wavefront s)
+  let decode ?pool ?(wavefront = false) s =
+    let module R = Tracing.Binio.R in
+    match
+      let r = R.of_string s in
+      let threads = R.varint r in
+      if threads = 0 then raise (R.Corrupt "zero threads");
+      let isolation = R.bool r in
+      let epochs_fed = R.varint r in
+      let finalized = R.varint r in
+      let flagged = ref (R.varint r) in
+      let total = ref (R.varint r) in
+      let instr_errors = ref (R.list r get_error) in
+      let block_errors = R.list r get_error in
+      let stats = Hashtbl.create 64 in
+      R.list r (fun r ->
+          let epoch = R.varint r in
+          let row = R.array r get_stats in
+          if Array.length row <> threads then
+            raise (R.Corrupt "stats row width mismatch");
+          Hashtbl.replace stats epoch row)
+      |> ignore;
+      let facts = Hashtbl.create 8 in
+      R.list r (fun r ->
+          let epoch = R.varint r in
+          let sc = R.array r Lg_io.get_is in
+          let ac = R.array r Lg_io.get_is in
+          if Array.length sc <> threads || Array.length ac <> threads then
+            raise (R.Corrupt "facts row width mismatch");
+          Hashtbl.replace facts epoch { sc; ac })
+      |> ignore;
+      let sched_payload = R.string r in
+      R.expect_end r;
+      make_state ?pool ~isolation ~threads ~instr_errors ~block_errors
+        ~flagged ~total ~stats ~facts ~finalized ~epochs_fed
+        ~sched_of:(fun ?pool ~on_instr () ->
+          S.decode_state ~set:set_codec ?pool ~wavefront ~on_instr
+            sched_payload)
+        ()
+    with
+    | st -> Ok st
+    | exception R.Corrupt m -> Error ("addrcheck state: " ^ m)
 end

@@ -41,23 +41,14 @@ type report = {
   sos : Butterfly.Interval_set.t array;  (** allocated-state SOS per epoch *)
 }
 
-type backend = [ `Functional | `Flat ]
-(** Fact-table representation: [`Functional] is the {!Butterfly.Interval_set}
-    reference path, [`Flat] the {!Butterfly.Fact_arena.Bitset} fast path.
-    Reports are byte-identical across backends (the differential battery
-    of [test/test_fact_arena.ml]). *)
-
 val run :
-  ?state:backend ->
   ?isolation:bool ->
   ?wavefront:bool ->
   ?domains:int ->
   ?pool:Butterfly.Domain_pool.t ->
   Butterfly.Epochs.t ->
   report
-(** [state] (default [`Functional]) selects the fact-table backend.
-
-    [isolation] (default [true]) enables the wing-summary isolation check.
+(** [isolation] (default [true]) enables the wing-summary isolation check.
     Disabling it is an ablation: local LSOS checks alone miss the
     metadata races of Figure 9 (allocation state changing concurrently
     with an access), reintroducing false negatives — the tests demonstrate
@@ -101,14 +92,12 @@ module Resumable : sig
     ?pool:Butterfly.Domain_pool.t ->
     ?isolation:bool ->
     ?wavefront:bool ->
-    ?state:backend ->
     threads:int ->
     unit ->
     state
   (** [wavefront] (with [pool]) runs the underlying scheduler in
       pipelined mode; checkpoints are still cut at sealed-epoch
-      frontiers, so resume equivalence is unaffected.  [state] (default
-      [`Functional]) selects the fact-table backend. *)
+      frontiers, so resume equivalence is unaffected. *)
 
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One epoch row, indexed by tid; width must equal [threads]. *)
@@ -124,10 +113,8 @@ module Resumable : sig
   val decode :
     ?pool:Butterfly.Domain_pool.t ->
     ?wavefront:bool ->
-    ?state:backend ->
     string ->
     (state, string) result
   (** [Error _] on any malformed payload (never raises).  Snapshots
-      serialize fact sets as canonical interval lists, so a checkpoint
-      cut under one backend restores under the other. *)
+      serialize fact sets as canonical interval lists. *)
 end

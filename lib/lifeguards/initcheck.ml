@@ -29,254 +29,192 @@ let fingerprint (r : report) =
     (fun ppf -> Array.iter (Format.fprintf ppf "%a; " IS.pp))
     r.sos
 
-(* ------------------------------------------------------------------ *)
-(* The analysis body, generic over the fact-set representation
-   ({!Butterfly.Fact_arena.FACTS}): [Interval_facts] is the functional
-   reference, [Bitset_facts] the flat fast path.  Reports and snapshots
-   round-trip through {!IS.t}, so fingerprints and checkpoint payloads
-   are representation-independent — the property the flat/functional
-   differential battery checks. *)
+module Problem = struct
+  let name = "initcheck"
 
-module Body (F : Butterfly.Fact_arena.FACTS) = struct
-  module Problem = struct
-    let name = "initcheck"
+  module Set = IS
 
-    module Set = F
+  let flavour = `Must
 
-    let flavour = `Must
+  let gen _id i =
+    match Tracing.Instr.writes i with
+    | Some x -> IS.range x (x + 1)
+    | None -> IS.empty
 
-    let gen _id i =
-      match Tracing.Instr.writes i with
-      | Some x -> F.range x (x + 1)
-      | None -> F.empty
-
-    let kill _id i =
-      match Tracing.Instr.alloc_effect i with
-      | `Alloc (base, size) | `Free (base, size) -> F.range base (base + size)
-      | `None -> F.empty
-  end
-
-  module A = Butterfly.Dataflow.Make (Problem)
-  module S = Butterfly.Scheduler.Make (Problem)
-
-  (* The per-instruction check, shared verbatim by the batch/streaming [run]
-     drivers and the checkpointable [Resumable] engine below: a divergence
-     here would break the resume-equivalence guarantee. *)
-  let make_on_instr ~errors ~flagged ~total (v : A.instr_view) =
-    match Tracing.Instr.reads v.instr with
-    | [] -> ()
-    | rs ->
-      incr total;
-      Obs.Counter.incr m_checks;
-      let bad =
-        List.fold_left
-          (fun acc a ->
-            if F.mem a v.in_before then acc else IS.union acc (IS.singleton a))
-          IS.empty rs
-      in
-      if not (IS.is_empty bad) then (
-        incr flagged;
-        Obs.Counter.incr m_flags;
-        errors := { id = v.id; addrs = bad } :: !errors)
-
-  let run ?(wavefront = false) ?domains ?pool epochs =
-    (* Materialize the check/flag counters so clean runs still report 0. *)
-    Obs.Counter.add m_checks 0;
-    Obs.Counter.add m_flags 0;
-    let errors = ref [] in
-    let flagged = ref 0 in
-    let total = ref 0 in
-    let on_instr = make_on_instr ~errors ~flagged ~total in
-    let sos_levels =
-      match (pool, domains) with
-      | None, None ->
-        let result = A.run ~on_instr epochs in
-        result.A.sos
-      | Some pool, _ ->
-        let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-        S.sos_history s
-      | None, Some d ->
-        Butterfly.Domain_pool.with_pool ~name:"initcheck" ~domains:d
-          (fun pool ->
-            let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-            S.sos_history s)
-    in
-    if Obs.enabled () then
-      Array.iter
-        (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (F.cardinal s)))
-        sos_levels;
-    {
-      errors = List.rev !errors;
-      flagged_reads = !flagged;
-      total_reads = !total;
-      sos = Array.map F.to_intervals sos_levels;
-    }
-
-  (* ---------------------------------------------------------------- *)
-  (* Checkpointable epoch-incremental engine.  Built directly on the
-     streaming scheduler: InitCheck's durable state is the scheduler's
-     sliding window plus the accumulated report — nothing else. *)
-
-  module Resumable = struct
-    (* Fact sets are serialized as canonical interval lists regardless of
-       backend, so snapshots are backend-portable. *)
-    let set_codec =
-      {
-        S.put_set = (fun w s -> Lg_io.put_is w (F.to_intervals s));
-        get_set = (fun r -> F.of_intervals (Lg_io.get_is r));
-      }
-
-    type state = {
-      sched : S.t;
-      threads : int;
-      errors : error list ref; (* reversed *)
-      flagged : int ref;
-      total : int ref;
-      mutable epochs_fed : int;
-    }
-
-    let create ?pool ?(wavefront = false) ~threads () =
-      Obs.Counter.add m_checks 0;
-      Obs.Counter.add m_flags 0;
-      let errors = ref [] and flagged = ref 0 and total = ref 0 in
-      let on_instr = make_on_instr ~errors ~flagged ~total in
-      {
-        sched = S.create ?pool ~wavefront ~threads ~on_instr ();
-        threads;
-        errors;
-        flagged;
-        total;
-        epochs_fed = 0;
-      }
-
-    let epochs_fed st = st.epochs_fed
-
-    (* Heartbeats go out as separators, not terminators: the engine cannot
-       know which epoch is the last one, and [S.finish] closes the final
-       (still open) blocks exactly like [run_epochs] does — keeping the
-       epoch count identical to the grid's. *)
-    let feed_epoch st row =
-      if Array.length row <> st.threads then
-        invalid_arg "Initcheck.Resumable.feed_epoch: wrong row width";
-      if st.epochs_fed > 0 then
-        for tid = 0 to st.threads - 1 do
-          S.feed st.sched tid Tracing.Event.Heartbeat
-        done;
-      Array.iteri
-        (fun tid instrs ->
-          Array.iter
-            (fun i -> S.feed st.sched tid (Tracing.Event.Instr i))
-            instrs)
-        row;
-      st.epochs_fed <- st.epochs_fed + 1
-
-    let finish st =
-      (* An empty program still owns one (empty) epoch — mirror
-         [Epochs.of_program]. *)
-      if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
-      S.finish st.sched;
-      let sos_levels = S.sos_history st.sched in
-      if Obs.enabled () then
-        Array.iter
-          (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (F.cardinal s)))
-          sos_levels;
-      {
-        errors = List.rev !(st.errors);
-        flagged_reads = !(st.flagged);
-        total_reads = !(st.total);
-        sos = Array.map F.to_intervals sos_levels;
-      }
-
-    let encode st =
-      (* Quiesce before serializing: delivering in-flight pass-2 epochs
-         appends to the error list and counters captured below. *)
-      S.quiesce st.sched;
-      let module W = Tracing.Binio.W in
-      let w = W.create () in
-      W.varint w st.threads;
-      W.varint w st.epochs_fed;
-      W.varint w !(st.flagged);
-      W.varint w !(st.total);
-      W.list w
-        (fun w e ->
-          Lg_io.put_id w e.id;
-          Lg_io.put_is w e.addrs)
-        !(st.errors);
-      W.string w (S.encode_state ~set:set_codec st.sched);
-      W.contents w
-
-    let decode ?pool ?(wavefront = false) s =
-      let module R = Tracing.Binio.R in
-      match
-        let r = R.of_string s in
-        let threads = R.varint r in
-        let epochs_fed = R.varint r in
-        let flagged = ref (R.varint r) in
-        let total = ref (R.varint r) in
-        let errors =
-          ref
-            (R.list r (fun r ->
-                 let id = Lg_io.get_id r in
-                 let addrs = Lg_io.get_is r in
-                 { id; addrs }))
-        in
-        let sched_payload = R.string r in
-        R.expect_end r;
-        let on_instr = make_on_instr ~errors ~flagged ~total in
-        let sched =
-          S.decode_state ~set:set_codec ?pool ~wavefront ~on_instr
-            sched_payload
-        in
-        { sched; threads; errors; flagged; total; epochs_fed }
-      with
-      | st -> Ok st
-      | exception R.Corrupt m -> Error ("initcheck state: " ^ m)
-  end
+  let kill _id i =
+    match Tracing.Instr.alloc_effect i with
+    | `Alloc (base, size) | `Free (base, size) -> IS.range base (base + size)
+    | `None -> IS.empty
 end
 
-module Fn = Body (Butterfly.Fact_arena.Interval_facts)
-module Fl = Body (Butterfly.Fact_arena.Bitset_facts)
+module A = Butterfly.Dataflow.Make (Problem)
+module S = Butterfly.Scheduler.Make (Problem)
 
-type backend = [ `Functional | `Flat ]
+(* The per-instruction check, shared verbatim by the batch/streaming [run]
+   drivers and the checkpointable [Resumable] engine below: a divergence
+   here would break the resume-equivalence guarantee. *)
+let make_on_instr ~errors ~flagged ~total (v : A.instr_view) =
+  match Tracing.Instr.reads v.instr with
+  | [] -> ()
+  | rs ->
+    incr total;
+    Obs.Counter.incr m_checks;
+    let bad =
+      List.fold_left
+        (fun acc a ->
+          if IS.mem a v.in_before then acc else IS.union acc (IS.singleton a))
+        IS.empty rs
+    in
+    if not (IS.is_empty bad) then (
+      incr flagged;
+      Obs.Counter.incr m_flags;
+      errors := { id = v.id; addrs = bad } :: !errors)
 
-let run ?(state = `Functional) ?wavefront ?domains ?pool epochs =
-  match (state : backend) with
-  | `Functional -> Fn.run ?wavefront ?domains ?pool epochs
-  | `Flat -> Fl.run ?wavefront ?domains ?pool epochs
+let run ?(wavefront = false) ?domains ?pool epochs =
+  (* Materialize the check/flag counters so clean runs still report 0. *)
+  Obs.Counter.add m_checks 0;
+  Obs.Counter.add m_flags 0;
+  let errors = ref [] in
+  let flagged = ref 0 in
+  let total = ref 0 in
+  let on_instr = make_on_instr ~errors ~flagged ~total in
+  let sos_levels =
+    match (pool, domains) with
+    | None, None ->
+      let result = A.run ~on_instr epochs in
+      result.A.sos
+    | Some pool, _ ->
+      let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
+      S.sos_history s
+    | None, Some d ->
+      Butterfly.Domain_pool.with_pool ~name:"initcheck" ~domains:d
+        (fun pool ->
+          let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
+          S.sos_history s)
+  in
+  if Obs.enabled () then
+    Array.iter
+      (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
+      sos_levels;
+  {
+    errors = List.rev !errors;
+    flagged_reads = !flagged;
+    total_reads = !total;
+    sos = sos_levels;
+  }
+
+(* ---------------------------------------------------------------- *)
+(* Checkpointable epoch-incremental engine.  Built directly on the
+   streaming scheduler: InitCheck's durable state is the scheduler's
+   sliding window plus the accumulated report — nothing else. *)
 
 module Resumable = struct
-  type state = Fn_state of Fn.Resumable.state | Fl_state of Fl.Resumable.state
+  (* Fact sets are serialized as canonical interval lists. *)
+  let set_codec = { S.put_set = Lg_io.put_is; get_set = Lg_io.get_is }
 
-  let create ?pool ?wavefront ?(state = (`Functional : backend)) ~threads () =
-    match state with
-    | `Functional -> Fn_state (Fn.Resumable.create ?pool ?wavefront ~threads ())
-    | `Flat -> Fl_state (Fl.Resumable.create ?pool ?wavefront ~threads ())
+  type state = {
+    sched : S.t;
+    threads : int;
+    errors : error list ref; (* reversed *)
+    flagged : int ref;
+    total : int ref;
+    mutable epochs_fed : int;
+  }
 
+  let create ?pool ?(wavefront = false) ~threads () =
+    Obs.Counter.add m_checks 0;
+    Obs.Counter.add m_flags 0;
+    let errors = ref [] and flagged = ref 0 and total = ref 0 in
+    let on_instr = make_on_instr ~errors ~flagged ~total in
+    {
+      sched = S.create ?pool ~wavefront ~threads ~on_instr ();
+      threads;
+      errors;
+      flagged;
+      total;
+      epochs_fed = 0;
+    }
+
+  let epochs_fed st = st.epochs_fed
+
+  (* Heartbeats go out as separators, not terminators: the engine cannot
+     know which epoch is the last one, and [S.finish] closes the final
+     (still open) blocks exactly like [run_epochs] does — keeping the
+     epoch count identical to the grid's. *)
   let feed_epoch st row =
-    match st with
-    | Fn_state s -> Fn.Resumable.feed_epoch s row
-    | Fl_state s -> Fl.Resumable.feed_epoch s row
+    if Array.length row <> st.threads then
+      invalid_arg "Initcheck.Resumable.feed_epoch: wrong row width";
+    if st.epochs_fed > 0 then
+      for tid = 0 to st.threads - 1 do
+        S.feed st.sched tid Tracing.Event.Heartbeat
+      done;
+    Array.iteri
+      (fun tid instrs ->
+        Array.iter
+          (fun i -> S.feed st.sched tid (Tracing.Event.Instr i))
+          instrs)
+      row;
+    st.epochs_fed <- st.epochs_fed + 1
 
-  let epochs_fed = function
-    | Fn_state s -> Fn.Resumable.epochs_fed s
-    | Fl_state s -> Fl.Resumable.epochs_fed s
+  let finish st =
+    (* An empty program still owns one (empty) epoch — mirror
+       [Epochs.of_program]. *)
+    if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
+    S.finish st.sched;
+    let sos_levels = S.sos_history st.sched in
+    if Obs.enabled () then
+      Array.iter
+        (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
+        sos_levels;
+    {
+      errors = List.rev !(st.errors);
+      flagged_reads = !(st.flagged);
+      total_reads = !(st.total);
+      sos = sos_levels;
+    }
 
-  let finish = function
-    | Fn_state s -> Fn.Resumable.finish s
-    | Fl_state s -> Fl.Resumable.finish s
+  let encode st =
+    (* Quiesce before serializing: delivering in-flight pass-2 epochs
+       appends to the error list and counters captured below. *)
+    S.quiesce st.sched;
+    let module W = Tracing.Binio.W in
+    let w = W.create () in
+    W.varint w st.threads;
+    W.varint w st.epochs_fed;
+    W.varint w !(st.flagged);
+    W.varint w !(st.total);
+    W.list w
+      (fun w e ->
+        Lg_io.put_id w e.id;
+        Lg_io.put_is w e.addrs)
+      !(st.errors);
+    W.string w (S.encode_state ~set:set_codec st.sched);
+    W.contents w
 
-  let encode = function
-    | Fn_state s -> Fn.Resumable.encode s
-    | Fl_state s -> Fl.Resumable.encode s
-
-  let decode ?pool ?wavefront ?(state = (`Functional : backend)) s =
-    match state with
-    | `Functional ->
-      Result.map
-        (fun st -> Fn_state st)
-        (Fn.Resumable.decode ?pool ?wavefront s)
-    | `Flat ->
-      Result.map
-        (fun st -> Fl_state st)
-        (Fl.Resumable.decode ?pool ?wavefront s)
+  let decode ?pool ?(wavefront = false) s =
+    let module R = Tracing.Binio.R in
+    match
+      let r = R.of_string s in
+      let threads = R.varint r in
+      let epochs_fed = R.varint r in
+      let flagged = ref (R.varint r) in
+      let total = ref (R.varint r) in
+      let errors =
+        ref
+          (R.list r (fun r ->
+               let id = Lg_io.get_id r in
+               let addrs = Lg_io.get_is r in
+               { id; addrs }))
+      in
+      let sched_payload = R.string r in
+      R.expect_end r;
+      let on_instr = make_on_instr ~errors ~flagged ~total in
+      let sched =
+        S.decode_state ~set:set_codec ?pool ~wavefront ~on_instr
+          sched_payload
+      in
+      { sched; threads; errors; flagged; total; epochs_fed }
+    with
+    | st -> Ok st
+    | exception R.Corrupt m -> Error ("initcheck state: " ^ m)
 end

@@ -25,14 +25,7 @@ type report = {
   sos : Butterfly.Interval_set.t array;  (** definitely-defined SOS per epoch *)
 }
 
-type backend = [ `Functional | `Flat ]
-(** Fact-table representation: [`Functional] is the {!Butterfly.Interval_set}
-    reference path, [`Flat] the {!Butterfly.Fact_arena.Bitset} fast path.
-    Reports are byte-identical across backends (the differential battery
-    of [test/test_fact_arena.ml]). *)
-
 val run :
-  ?state:backend ->
   ?wavefront:bool ->
   ?domains:int ->
   ?pool:Butterfly.Domain_pool.t ->
@@ -41,8 +34,7 @@ val run :
 (** [domains] switches the driver from the sequential batch run to the
     pooled streaming scheduler, [pool] is the caller-owned form and
     [wavefront] selects the pipelined (barrier-free) pooled mode (see
-    {!Addrcheck.run}); [state] (default [`Functional]) selects the
-    fact-table backend; the report is identical in every mode. *)
+    {!Addrcheck.run}); the report is identical in every mode. *)
 
 val flagged_addresses : report -> Butterfly.Interval_set.t
 val pp_error : Format.formatter -> error -> unit
@@ -67,7 +59,6 @@ module Resumable : sig
   val create :
     ?pool:Butterfly.Domain_pool.t ->
     ?wavefront:bool ->
-    ?state:backend ->
     threads:int ->
     unit ->
     state
@@ -86,10 +77,8 @@ module Resumable : sig
   val decode :
     ?pool:Butterfly.Domain_pool.t ->
     ?wavefront:bool ->
-    ?state:backend ->
     string ->
     (state, string) result
   (** [Error _] on any malformed payload (never raises).  Snapshots
-      serialize fact sets as canonical interval lists, so a checkpoint
-      cut under one backend restores under the other. *)
+      serialize fact sets as canonical interval lists. *)
 end

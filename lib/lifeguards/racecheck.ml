@@ -462,14 +462,7 @@ let run_with ~pool ~wavefront epochs =
     block_stats = stats;
   }
 
-(* RaceCheck keeps no per-address fact sets — its state is the race list
-   plus O(threads) lock/clock rows — so the functional and flat backends
-   alias a single implementation; [state] only keeps the CLI and the
-   differential matrix uniform across lifeguards. *)
-type backend = [ `Functional | `Flat ]
-
-let run ?state ?(wavefront = false) ?domains ?pool epochs =
-  ignore (state : backend option);
+let run ?(wavefront = false) ?domains ?pool epochs =
   match (pool, domains) with
   | Some _, _ -> run_with ~pool ~wavefront epochs
   | None, Some d ->
@@ -521,8 +514,7 @@ module Resumable = struct
       entry_clock_at = (fun l t -> (Hashtbl.find clocks l).(t));
     }
 
-  let create ?pool ?(wavefront = false) ?state ~threads () =
-    ignore (state : backend option);
+  let create ?pool ?(wavefront = false) ~threads () =
     if threads <= 0 then
       invalid_arg "Racecheck.Resumable.create: threads must be > 0";
     Obs.Counter.add m_checks 0;
@@ -759,8 +751,7 @@ module Resumable = struct
       (Lg_io.sorted_entries st.rows);
     W.contents w
 
-  let decode ?pool ?(wavefront = false) ?state s =
-    ignore (state : backend option);
+  let decode ?pool ?(wavefront = false) s =
     let module R = Tracing.Binio.R in
     match
       let r = R.of_string s in

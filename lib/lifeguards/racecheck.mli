@@ -62,13 +62,7 @@ val fingerprint : report -> string
 (** Total serialization of a report; equal strings iff byte-identical
     results.  The differential batteries compare drivers through this. *)
 
-type backend = [ `Functional | `Flat ]
-(** RaceCheck keeps no per-address fact sets, so both backends alias one
-    implementation; the parameter exists to keep the CLI and the
-    differential driver matrix uniform across lifeguards. *)
-
 val run :
-  ?state:backend ->
   ?wavefront:bool ->
   ?domains:int ->
   ?pool:Butterfly.Domain_pool.t ->
@@ -88,12 +82,9 @@ module Resumable : sig
   val create :
     ?pool:Butterfly.Domain_pool.t ->
     ?wavefront:bool ->
-    ?state:backend ->
     threads:int ->
     unit ->
     state
-  (** [state] is accepted for uniformity with the other lifeguards and
-      ignored (see {!type:backend}). *)
 
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One grid row, [threads] wide; raises [Invalid_argument] otherwise. *)
@@ -110,7 +101,6 @@ module Resumable : sig
   val decode :
     ?pool:Butterfly.Domain_pool.t ->
     ?wavefront:bool ->
-    ?state:backend ->
     string ->
     (state, string) result
 end

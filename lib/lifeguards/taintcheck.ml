@@ -144,472 +144,698 @@ let fingerprint (r : report) =
     r.sos_tainted fp_stats r.block_stats
 
 (* ------------------------------------------------------------------ *)
-(* The taint-fact set the analysis core is generic over.  [AS] (the
-   functional reference) and [Butterfly.Fact_arena.Bitset] (the flat
-   backend) both satisfy it; [elements] must be sorted ascending so the
-   report and the snapshot payloads are representation-independent. *)
-
-module type TAINT_SET = sig
-  type t
-
-  val empty : t
-  val mem : int -> t -> bool
-  val union : t -> t -> t
-  val inter : t -> t -> t
-  val diff : t -> t -> t
-  val cardinal : t -> int
-  val iter : (int -> unit) -> t -> unit
-  val elements : t -> int list
-  val of_list : int list -> t
-end
-
-(* ------------------------------------------------------------------ *)
 (* The evaluation core, parameterized over how its frozen inputs are
    looked up: [run_with] instantiates [ctx] over whole-grid arrays, the
    checkpointable [Resumable] engine over a pruned sliding window.  The
    two drivers share this code verbatim — a divergence here would break
    the resume-equivalence guarantee.  Accessors return [None] (or
-   [S.empty]) outside the grid, which subsumes the bounds checks the
-   array-backed driver used to do inline.
+   [AS.empty]) outside the grid, which subsumes the bounds checks the
+   array-backed driver used to do inline. *)
 
-   The functor is additionally generic over the fact-set representation.
-   With [memo_genkill] (the flat backend), the per-block GEN/KILL sets
-   derived from LASTCHECK tables are cached per (epoch, tid): a row is
-   only ever queried after its commits have sealed it (eval of epoch l
-   reads rows <= l-1; [prepare l] reads row l-2; both run after every
-   commit of those rows under all drivers — the Lemma 5.2 dependence
-   argument), so the cache can never observe a half-built row.  The
-   functional backend keeps [memo_genkill = false] and stays exactly the
-   original element-fold reference path. *)
+type ctx = {
+  c_threads : int;
+  c_sequential : bool;
+  c_two_phase : bool;
+  tfs_at : int -> int -> block_tfs option;
+  lastcheck_at : int -> int -> (int, bool) Hashtbl.t option;
+  sos_at : int -> AS.t;
+}
 
-module Core (X : sig
-  module S : TAINT_SET
-
-  val memo_genkill : bool
-end) =
-struct
-  module S = X.S
-
-  type ctx = {
-    c_threads : int;
-    c_sequential : bool;
-    c_two_phase : bool;
-    tfs_at : int -> int -> block_tfs option;
-    lastcheck_at : int -> int -> (int, bool) Hashtbl.t option;
-    sos_at : int -> S.t;
-    c_genkill : (int, S.t * S.t) Hashtbl.t option;
-        (* flat backend: (l * threads + t) -> (gen, kill) *)
+let make_ctx ~threads ~sequential ~two_phase ~tfs_at ~lastcheck_at ~sos_at =
+  {
+    c_threads = threads;
+    c_sequential = sequential;
+    c_two_phase = two_phase;
+    tfs_at;
+    lastcheck_at;
+    sos_at;
   }
 
-  let make_ctx ~threads ~sequential ~two_phase ~tfs_at ~lastcheck_at ~sos_at =
-    {
-      c_threads = threads;
-      c_sequential = sequential;
-      c_two_phase = two_phase;
-      tfs_at;
-      lastcheck_at;
-      sos_at;
-      c_genkill = (if X.memo_genkill then Some (Hashtbl.create 64) else None);
-    }
+let gen_block c l t =
+  match c.lastcheck_at l t with
+  | None -> AS.empty
+  | Some h ->
+    AS.of_list
+      (Hashtbl.fold
+         (fun x tainted acc -> if tainted then x :: acc else acc)
+         h [])
 
-  let compute_gen c l t =
+let kill_block c l t =
+  match c.lastcheck_at l t with
+  | None -> AS.empty
+  | Some h ->
+    AS.of_list
+      (Hashtbl.fold
+         (fun x tainted acc -> if not tainted then x :: acc else acc)
+         h [])
+
+(* LASTCHECK(x, (l-1,l), t): the last check spanning the two epochs. *)
+let lastcheck_span c x l t =
+  let look l =
     match c.lastcheck_at l t with
-    | None -> S.empty
-    | Some h ->
-      S.of_list
-        (Hashtbl.fold
-           (fun x tainted acc -> if tainted then x :: acc else acc)
-           h [])
+    | None -> None
+    | Some h -> Hashtbl.find_opt h x
+  in
+  match look l with Some r -> Some r | None -> look (l - 1)
 
-  let compute_kill c l t =
-    match c.lastcheck_at l t with
-    | None -> S.empty
-    | Some h ->
-      S.of_list
-        (Hashtbl.fold
-           (fun x tainted acc -> if not tainted then x :: acc else acc)
-           h [])
+let epoch_gen c l =
+  let acc = ref AS.empty in
+  for t = 0 to c.c_threads - 1 do
+    acc := AS.union !acc (gen_block c l t)
+  done;
+  !acc
 
-  let genkill_memo c l t memo =
-    let key = (l * c.c_threads) + t in
-    match Hashtbl.find_opt memo key with
-    | Some p -> p
-    | None ->
-      let p = (compute_gen c l t, compute_kill c l t) in
-      Hashtbl.replace memo key p;
-      p
+let epoch_kill c l =
+  let acc = ref [] in
+  for t = 0 to c.c_threads - 1 do
+    AS.iter
+      (fun x ->
+        let others_ok =
+          List.for_all
+            (fun t' ->
+              t' = t
+              ||
+              match lastcheck_span c x l t' with
+              | None -> true (* ∅: never assigned nearby *)
+              | Some tainted -> not tainted)
+            (List.init c.c_threads Fun.id)
+        in
+        if others_ok then acc := x :: !acc)
+      (kill_block c l t)
+  done;
+  AS.of_list !acc
 
-  let gen_block c l t =
-    match c.c_genkill with
-    | None -> compute_gen c l t
-    | Some memo -> fst (genkill_memo c l t memo)
+(* SOS over tainted addresses, with the reaching-definitions update:
+   SOS_l = GEN_{l-2} ∪ (SOS_{l-1} − KILL_{l-2}), for l >= 2. *)
+let sos_step c ~prev l =
+  AS.union (epoch_gen c (l - 2)) (AS.diff prev (epoch_kill c (l - 2)))
 
-  let kill_block c l t =
-    match c.c_genkill with
-    | None -> compute_kill c l t
-    | Some memo -> snd (genkill_memo c l t memo)
+let tfs_for c ~scope ~exclude_tid a =
+  List.concat_map
+    (fun l ->
+      List.concat
+        (List.init c.c_threads (fun t' ->
+             if Some t' = exclude_tid then []
+             else
+               match c.tfs_at l t' with
+               | None -> []
+               | Some tfs ->
+                 Option.value (Hashtbl.find_opt tfs.by_dst a) ~default:[])))
+    scope
 
-  (* Drop cached rows the sliding window has passed. *)
-  let forget_genkill c l =
-    match c.c_genkill with
-    | None -> ()
-    | Some memo ->
-      for t = 0 to c.c_threads - 1 do
-        Hashtbl.remove memo ((l * c.c_threads) + t)
-      done
-
-  (* LASTCHECK(x, (l-1,l), t): the last check spanning the two epochs. *)
-  let lastcheck_span c x l t =
-    let look l =
-      match c.lastcheck_at l t with
-      | None -> None
-      | Some h -> Hashtbl.find_opt h x
-    in
-    match look l with Some r -> Some r | None -> look (l - 1)
-
-  let epoch_gen c l =
-    let acc = ref S.empty in
-    for t = 0 to c.c_threads - 1 do
-      acc := S.union !acc (gen_block c l t)
+let eval_block c ~epoch:l ~tid block =
+  (* LSOS via the May rule, with the resurrection clause. *)
+  let head_gen = gen_block c (l - 1) tid
+  and head_kill = kill_block c (l - 1) tid in
+  let others_gen_l2 =
+    let acc = ref AS.empty in
+    for t' = 0 to c.c_threads - 1 do
+      if t' <> tid then acc := AS.union !acc (gen_block c (l - 2) t')
     done;
     !acc
-
-  let epoch_kill c l =
-    let acc = ref [] in
-    for t = 0 to c.c_threads - 1 do
-      S.iter
-        (fun x ->
-          let others_ok =
-            List.for_all
-              (fun t' ->
-                t' = t
-                ||
-                match lastcheck_span c x l t' with
-                | None -> true (* ∅: never assigned nearby *)
-                | Some tainted -> not tainted)
-              (List.init c.c_threads Fun.id)
-          in
-          if others_ok then acc := x :: !acc)
-        (kill_block c l t)
-    done;
-    S.of_list !acc
-
-  (* SOS over tainted addresses, with the reaching-definitions update:
-     SOS_l = GEN_{l-2} ∪ (SOS_{l-1} − KILL_{l-2}), for l >= 2. *)
-  let sos_step c ~prev l =
-    S.union (epoch_gen c (l - 2)) (S.diff prev (epoch_kill c (l - 2)))
-
-  let tfs_for c ~scope ~exclude_tid a =
-    List.concat_map
-      (fun l ->
-        List.concat
-          (List.init c.c_threads (fun t' ->
-               if Some t' = exclude_tid then []
-               else
-                 match c.tfs_at l t' with
-                 | None -> []
-                 | Some tfs ->
-                   Option.value (Hashtbl.find_opt tfs.by_dst a) ~default:[])))
-      scope
-
-  let eval_block c ~epoch:l ~tid block =
-    (* LSOS via the May rule, with the resurrection clause. *)
-    let head_gen = gen_block c (l - 1) tid
-    and head_kill = kill_block c (l - 1) tid in
-    let others_gen_l2 =
-      let acc = ref S.empty in
-      for t' = 0 to c.c_threads - 1 do
-        if t' <> tid then acc := S.union !acc (gen_block c (l - 2) t')
-      done;
-      !acc
-    in
-    let sos_l = c.sos_at l in
-    let lsos =
-      S.union head_gen
-        (S.union
-           (S.diff sos_l head_kill)
-           (S.inter (S.inter sos_l head_kill) others_gen_l2))
-    in
-    let local : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-    (* A chain's base taint sources: something our block already resolved
-       as tainted (the wing read may interleave after our write), or the
-       strongly-ordered past.  A local untaint does NOT mask the LSOS for
-       wing chains: the wing may read the location before our untaint. *)
-    let base_tainted a =
-      Hashtbl.find_opt local a = Some true || S.mem a lsos
-    in
-    (* Under sequential consistency a wing chain only uses other threads'
-       transfer functions (the own thread's effects flow through LSOS and
-       [local]); under relaxed models the own thread's independent writes
-       may become visible out of program order (Figure 2), so its
-       transfer functions join the chase and only the per-location
-       termination rules bound it. *)
-    let exclude_tid = if c.c_sequential then Some tid else None in
-    (* Two-phase resolution (Lemma 6.3): phase 1 chases transfer
-       functions of epochs l-1 and l; phase 2 of epochs l and l+1, where
-       a parent already proven tainted by phase 1 stays tainted.  Both
-       phases run here, on the worker: phase 2 reads the same frozen
-       inputs as phase 1, and its verdicts feed [local] (hence later
-       instructions of this very block), so deferring it past the epoch
-       barrier would change results, not just scheduling. *)
-    let checks = ref 0 in
-    let phase2 = ref 0 in
-    let phase1_memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-    let rec resolve ~scope ~parent_extra a visited sc_pos =
-      List.exists
-        (fun tf ->
-          incr checks;
-          (not (Tf_set.mem tf.tf_id visited))
-          && ((not c.c_sequential) || sc_admissible sc_pos tf)
-          &&
-          let visited = Tf_set.add tf.tf_id visited in
-          let sc_pos =
-            if c.c_sequential then sc_advance sc_pos tf else sc_pos
-          in
+  in
+  let sos_l = c.sos_at l in
+  let lsos =
+    AS.union head_gen
+      (AS.union
+         (AS.diff sos_l head_kill)
+         (AS.inter (AS.inter sos_l head_kill) others_gen_l2))
+  in
+  let local : (int, bool) Hashtbl.t = Hashtbl.create 16 in
+  (* A chain's base taint sources: something our block already resolved
+     as tainted (the wing read may interleave after our write), or the
+     strongly-ordered past.  A local untaint does NOT mask the LSOS for
+     wing chains: the wing may read the location before our untaint. *)
+  let base_tainted a =
+    Hashtbl.find_opt local a = Some true || AS.mem a lsos
+  in
+  (* Under sequential consistency a wing chain only uses other threads'
+     transfer functions (the own thread's effects flow through LSOS and
+     [local]); under relaxed models the own thread's independent writes
+     may become visible out of program order (Figure 2), so its
+     transfer functions join the chase and only the per-location
+     termination rules bound it. *)
+  let exclude_tid = if c.c_sequential then Some tid else None in
+  (* Two-phase resolution (Lemma 6.3): phase 1 chases transfer
+     functions of epochs l-1 and l; phase 2 of epochs l and l+1, where
+     a parent already proven tainted by phase 1 stays tainted.  Both
+     phases run here, on the worker: phase 2 reads the same frozen
+     inputs as phase 1, and its verdicts feed [local] (hence later
+     instructions of this very block), so deferring it past the epoch
+     barrier would change results, not just scheduling. *)
+  let checks = ref 0 in
+  let phase2 = ref 0 in
+  let phase1_memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
+  let rec resolve ~scope ~parent_extra a visited sc_pos =
+    List.exists
+      (fun tf ->
+        incr checks;
+        (not (Tf_set.mem tf.tf_id visited))
+        && ((not c.c_sequential) || sc_admissible sc_pos tf)
+        &&
+        let visited = Tf_set.add tf.tf_id visited in
+        let sc_pos =
+          if c.c_sequential then sc_advance sc_pos tf else sc_pos
+        in
+        match tf.rhs with
+        | Bot -> true
+        | Top -> false
+        | Inherit ps ->
+          List.exists
+            (fun p ->
+              base_tainted p || parent_extra p
+              || resolve ~scope ~parent_extra p visited sc_pos)
+            ps)
+      (tfs_for c ~scope ~exclude_tid a)
+  in
+  let phase1 a =
+    match Hashtbl.find_opt phase1_memo a with
+    | Some r -> r
+    | None ->
+      let r =
+        resolve ~scope:[ l - 1; l ]
+          ~parent_extra:(fun _ -> false)
+          a Tf_set.empty Pos_map.empty
+      in
+      Hashtbl.replace phase1_memo a r;
+      r
+  in
+  let wing_may a =
+    if c.c_two_phase then
+      phase1 a
+      || (incr phase2;
+          resolve ~scope:[ l; l + 1 ] ~parent_extra:phase1 a Tf_set.empty
+            Pos_map.empty)
+    else
+      (* Ablation: one phase over the whole window.  Still sound, but
+         admits impossible chains such as an epoch l+1 taint feeding an
+         epoch l-1 read (the example of Section 6.2). *)
+      resolve ~scope:[ l - 1; l; l + 1 ]
+        ~parent_extra:(fun _ -> false)
+        a Tf_set.empty Pos_map.empty
+  in
+  let may_tainted a =
+    match Hashtbl.find_opt local a with
+    | Some true -> true
+    | Some false -> wing_may a
+    | None -> AS.mem a lsos || wing_may a
+  in
+  let n_instrs = ref 0 and n_mem = ref 0 in
+  let errs = ref [] in
+  Butterfly.Block.iteri
+    (fun id instr ->
+      incr n_instrs;
+      if Tracing.Instr.is_memory_event instr then incr n_mem;
+      (match Tracing.Instr.taint_sink instr with
+      | Some x -> if may_tainted x then errs := { id; sink = x } :: !errs
+      | None -> ());
+      match tf_of_instr id instr with
+      | None -> ()
+      | Some tf ->
+        let result =
           match tf.rhs with
           | Bot -> true
           | Top -> false
-          | Inherit ps ->
-            List.exists
-              (fun p ->
-                base_tainted p || parent_extra p
-                || resolve ~scope ~parent_extra p visited sc_pos)
-              ps)
-        (tfs_for c ~scope ~exclude_tid a)
-    in
-    let phase1 a =
-      match Hashtbl.find_opt phase1_memo a with
-      | Some r -> r
-      | None ->
-        let r =
-          resolve ~scope:[ l - 1; l ]
-            ~parent_extra:(fun _ -> false)
-            a Tf_set.empty Pos_map.empty
+          | Inherit ps -> List.exists may_tainted ps
         in
-        Hashtbl.replace phase1_memo a r;
-        r
-    in
-    let wing_may a =
-      if c.c_two_phase then
-        phase1 a
-        || (incr phase2;
-            resolve ~scope:[ l; l + 1 ] ~parent_extra:phase1 a Tf_set.empty
-              Pos_map.empty)
-      else
-        (* Ablation: one phase over the whole window.  Still sound, but
-           admits impossible chains such as an epoch l+1 taint feeding an
-           epoch l-1 read (the example of Section 6.2). *)
-        resolve ~scope:[ l - 1; l; l + 1 ]
-          ~parent_extra:(fun _ -> false)
-          a Tf_set.empty Pos_map.empty
-    in
-    let may_tainted a =
-      match Hashtbl.find_opt local a with
-      | Some true -> true
-      | Some false -> wing_may a
-      | None -> S.mem a lsos || wing_may a
-    in
-    let n_instrs = ref 0 and n_mem = ref 0 in
-    let errs = ref [] in
-    Butterfly.Block.iteri
-      (fun id instr ->
-        incr n_instrs;
-        if Tracing.Instr.is_memory_event instr then incr n_mem;
-        (match Tracing.Instr.taint_sink instr with
-        | Some x -> if may_tainted x then errs := { id; sink = x } :: !errs
-        | None -> ());
-        match tf_of_instr id instr with
-        | None -> ()
-        | Some tf ->
-          let result =
-            match tf.rhs with
-            | Bot -> true
-            | Top -> false
-            | Inherit ps -> List.exists may_tainted ps
-          in
-          Hashtbl.replace local tf.dst result)
-      block;
-    {
-      bo_errors = List.rev !errs;
-      bo_lastcheck = local;
-      bo_stats =
-        { instrs = !n_instrs; mem_events = !n_mem; checks_resolved = !checks };
-      bo_lsos_card = S.cardinal lsos;
-      bo_phase2 = !phase2;
-    }
+        Hashtbl.replace local tf.dst result)
+    block;
+  {
+    bo_errors = List.rev !errs;
+    bo_lastcheck = local;
+    bo_stats =
+      { instrs = !n_instrs; mem_events = !n_mem; checks_resolved = !checks };
+    bo_lsos_card = AS.cardinal lsos;
+    bo_phase2 = !phase2;
+  }
 
-  let run_with ~sequential ~two_phase ~pool ~wavefront epochs =
-    (* Materialize the check/flag counters so clean runs still report 0. *)
+let run_with ~sequential ~two_phase ~pool ~wavefront epochs =
+  (* Materialize the check/flag counters so clean runs still report 0. *)
+  Obs.Counter.add m_checks 0;
+  Obs.Counter.add m_flags 0;
+  let num_l = Butterfly.Epochs.num_epochs epochs in
+  let threads = Butterfly.Epochs.threads epochs in
+  (* Pass-1 summaries, committed by the master as they become available:
+     the epochwise driver fans the whole grid out up front, the wavefront
+     driver commits each row just ahead of the pass-2 cursor.  Either
+     way, a cell is [Some] before any pass-2 task that may read it is
+     dispatched. *)
+  let tfs_store = Array.init num_l (fun _ -> Array.make threads None) in
+  (* LASTCHECK results: lastcheck.(l).(t) maps assigned locations to their
+     final resolved taint in block (l,t).  Row l is written only by the
+     master's epoch-l commits; workers evaluating epoch l read rows <= l-1. *)
+  let lastcheck =
+    Array.init num_l (fun _ ->
+        Array.init threads (fun _ -> Hashtbl.create 16))
+  in
+  let sos = Array.make (num_l + 2) AS.empty in
+  let c =
+    make_ctx ~threads ~sequential ~two_phase
+      ~tfs_at:(fun l t ->
+        if l < 0 || l >= num_l then None else tfs_store.(l).(t))
+      ~lastcheck_at:(fun l t ->
+        if l < 0 || l >= num_l then None else Some lastcheck.(l).(t))
+      ~sos_at:(fun l -> sos.(l))
+  in
+  let advance_sos l =
+    if l >= 2 then sos.(l) <- sos_step c ~prev:sos.(l - 1) l
+  in
+  let errors = ref [] in
+  let stats =
+    Array.init threads (fun _ ->
+        Array.init num_l (fun _ ->
+            { instrs = 0; mem_events = 0; checks_resolved = 0 }))
+  in
+  let commit ~epoch:l ~tid o =
+    errors := List.rev_append o.bo_errors !errors;
+    Hashtbl.iter
+      (fun x r -> Hashtbl.replace lastcheck.(l).(tid) x r)
+      o.bo_lastcheck;
+    stats.(tid).(l) <- o.bo_stats;
+    (* The master commits on behalf of block (l,tid): scope the counter
+       deltas so a jsonl stream attributes them to their epoch. *)
+    Obs.Scope.with_scope ~epoch:l ~tid ~phase:"commit" (fun () ->
+        Obs.Counter.add m_checks o.bo_stats.checks_resolved;
+        Obs.Counter.add m_flags (List.length o.bo_errors);
+        Obs.Counter.add m_phase2 o.bo_phase2;
+        Obs.Counter.add m_instrs o.bo_stats.instrs;
+        if Obs.enabled () then
+          Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
+        if tid = threads - 1 then Obs.Counter.incr m_epochs)
+  in
+  if wavefront then
+    (* Dependency-driven schedule: pass-1 summarization of later epochs
+       overlaps the (serially dependent) pass-2 chase of earlier ones.
+       eval_block of epoch l reads tfs rows l-1..l+1 — committed by
+       [commit1] before dispatch — and LASTCHECK rows <= l-1, sealed by
+       the previous iteration's [commit2]s. *)
+    Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
+      ~pass1:(fun ~epoch ~tid ->
+        summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid))
+      ~commit1:(fun ~epoch ~tid s -> tfs_store.(epoch).(tid) <- Some s)
+      ~prepare:advance_sos
+      ~pass2:(fun ~epoch ~tid ->
+        eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
+      ~commit2:commit ()
+  else begin
+    (* Pass 1 is per-block-local, so the pooled mode fans the whole grid
+       out up front; pass 2 below then sees every wing already summarized. *)
+    let tfs =
+      Butterfly.Scheduler.Epochwise.map_grid ?pool ~num_epochs:num_l ~threads
+        (fun ~epoch ~tid ->
+          Obs.Scope.with_scope ~phase:"pass1" (fun () ->
+              summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid)))
+    in
+    Array.iteri
+      (fun l row -> Array.iteri (fun t s -> tfs_store.(l).(t) <- Some s) row)
+      tfs;
+    Butterfly.Scheduler.Epochwise.run ?pool ~num_epochs:num_l ~threads
+      ~prepare:advance_sos
+      ~task:(fun ~epoch ~tid ->
+        Obs.Scope.with_scope ~phase:"pass2" (fun () ->
+            eval_block c ~epoch ~tid
+              (Butterfly.Epochs.block epochs ~epoch ~tid)))
+      ~commit ()
+  end;
+  (* Final SOS entries past the last window. *)
+  advance_sos num_l;
+  advance_sos (num_l + 1);
+  {
+    errors = List.rev !errors;
+    sos_tainted = Array.map AS.elements sos;
+    block_stats = stats;
+  }
+
+let run ?(sequential = true) ?(two_phase = true) ?(wavefront = false)
+    ?domains ?pool epochs =
+  match (pool, domains) with
+  | Some _, _ -> run_with ~sequential ~two_phase ~pool ~wavefront epochs
+  | None, Some d ->
+    Butterfly.Domain_pool.with_pool ~name:"taintcheck" ~domains:d (fun p ->
+        run_with ~sequential ~two_phase ~pool:(Some p) ~wavefront epochs)
+  | None, None -> run_with ~sequential ~two_phase ~pool:None ~wavefront epochs
+
+(* ---------------------------------------------------------------- *)
+(* Checkpointable epoch-incremental engine.  TaintCheck's epoch-barrier
+   driver already processes the grid epoch-major, so incrementality only
+   needs the window localized: evaluating epoch l reads transfer
+   functions of rows l-1..l+1, LASTCHECK rows l-3..l-1 and SOS_l — so raw
+   rows, pass-1 summaries and LASTCHECK rows the window has passed are
+   pruned, and the SOS history (part of the report) is kept whole.
+   Pass-1 summaries are recomputed from the retained raw rows on decode
+   rather than serialized: [summarize_block] is pure. *)
+
+module Resumable = struct
+  let zero_stats = { instrs = 0; mem_events = 0; checks_resolved = 0 }
+
+  type state = {
+    threads : int;
+    sequential : bool;
+    two_phase : bool;
+    pool : Butterfly.Domain_pool.t option;
+    wavefront : bool;
+    rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
+    tfs : (int, block_tfs array) Hashtbl.t; (* derived from [rows] *)
+    tfs_pending :
+      (int, block_tfs Butterfly.Domain_pool.future array) Hashtbl.t;
+        (* wavefront mode: pass-1 rows still in flight on the pool,
+           resolved into [tfs] just before the pass-2 window needs them *)
+    lastcheck : (int, (int, bool) Hashtbl.t array) Hashtbl.t; (* pruned *)
+    sos : (int, AS.t) Hashtbl.t; (* full history: report content *)
+    stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
+    ctx : ctx; (* window lookups for the evaluation core *)
+    mutable errors : error list; (* reversed *)
+    mutable processed : int;
+    mutable epochs_fed : int;
+  }
+
+  let make_ctx_of ~threads ~sequential ~two_phase ~rows:_ ~tfs ~lastcheck
+      ~sos =
+    make_ctx ~threads ~sequential ~two_phase
+      ~tfs_at:(fun l t ->
+        match Hashtbl.find_opt tfs l with
+        | Some row -> Some row.(t)
+        | None -> None)
+      ~lastcheck_at:(fun l t ->
+        match Hashtbl.find_opt lastcheck l with
+        | Some row -> Some row.(t)
+        | None -> None)
+      ~sos_at:(fun l ->
+        Option.value (Hashtbl.find_opt sos l) ~default:AS.empty)
+
+  let create ?pool ?(sequential = true) ?(two_phase = true)
+      ?(wavefront = false) ~threads () =
+    if threads <= 0 then
+      invalid_arg "Taintcheck.Resumable.create: threads must be > 0";
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    let num_l = Butterfly.Epochs.num_epochs epochs in
-    let threads = Butterfly.Epochs.threads epochs in
-    (* Pass-1 summaries, committed by the master as they become available:
-       the epochwise driver fans the whole grid out up front, the wavefront
-       driver commits each row just ahead of the pass-2 cursor.  Either
-       way, a cell is [Some] before any pass-2 task that may read it is
-       dispatched. *)
-    let tfs_store = Array.init num_l (fun _ -> Array.make threads None) in
-    (* LASTCHECK results: lastcheck.(l).(t) maps assigned locations to their
-       final resolved taint in block (l,t).  Row l is written only by the
-       master's epoch-l commits; workers evaluating epoch l read rows <= l-1. *)
-    let lastcheck =
-      Array.init num_l (fun _ ->
-          Array.init threads (fun _ -> Hashtbl.create 16))
-    in
-    let sos = Array.make (num_l + 2) S.empty in
-    let c =
-      make_ctx ~threads ~sequential ~two_phase
-        ~tfs_at:(fun l t ->
-          if l < 0 || l >= num_l then None else tfs_store.(l).(t))
-        ~lastcheck_at:(fun l t ->
-          if l < 0 || l >= num_l then None else Some lastcheck.(l).(t))
-        ~sos_at:(fun l -> sos.(l))
-    in
-    let advance_sos l =
-      if l >= 2 then sos.(l) <- sos_step c ~prev:sos.(l - 1) l
-    in
-    let errors = ref [] in
-    let stats =
-      Array.init threads (fun _ ->
-          Array.init num_l (fun _ ->
-              { instrs = 0; mem_events = 0; checks_resolved = 0 }))
-    in
-    let commit ~epoch:l ~tid o =
-      errors := List.rev_append o.bo_errors !errors;
-      Hashtbl.iter
-        (fun x r -> Hashtbl.replace lastcheck.(l).(tid) x r)
-        o.bo_lastcheck;
-      stats.(tid).(l) <- o.bo_stats;
-      (* The master commits on behalf of block (l,tid): scope the counter
-         deltas so a jsonl stream attributes them to their epoch. *)
-      Obs.Scope.with_scope ~epoch:l ~tid ~phase:"commit" (fun () ->
-          Obs.Counter.add m_checks o.bo_stats.checks_resolved;
-          Obs.Counter.add m_flags (List.length o.bo_errors);
-          Obs.Counter.add m_phase2 o.bo_phase2;
-          Obs.Counter.add m_instrs o.bo_stats.instrs;
-          if Obs.enabled () then
-            Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
-          if tid = threads - 1 then Obs.Counter.incr m_epochs)
-    in
-    if wavefront then
-      (* Dependency-driven schedule: pass-1 summarization of later epochs
-         overlaps the (serially dependent) pass-2 chase of earlier ones.
-         eval_block of epoch l reads tfs rows l-1..l+1 — committed by
-         [commit1] before dispatch — and LASTCHECK rows <= l-1, sealed by
-         the previous iteration's [commit2]s. *)
-      Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
-        ~pass1:(fun ~epoch ~tid ->
-          summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid))
-        ~commit1:(fun ~epoch ~tid s -> tfs_store.(epoch).(tid) <- Some s)
-        ~prepare:advance_sos
-        ~pass2:(fun ~epoch ~tid ->
-          eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
-        ~commit2:commit ()
-    else begin
-      (* Pass 1 is per-block-local, so the pooled mode fans the whole grid
-         out up front; pass 2 below then sees every wing already summarized. *)
-      let tfs =
-        Butterfly.Scheduler.Epochwise.map_grid ?pool ~num_epochs:num_l ~threads
-          (fun ~epoch ~tid ->
-            Obs.Scope.with_scope ~phase:"pass1" (fun () ->
-                summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid)))
-      in
-      Array.iteri
-        (fun l row -> Array.iteri (fun t s -> tfs_store.(l).(t) <- Some s) row)
-        tfs;
-      Butterfly.Scheduler.Epochwise.run ?pool ~num_epochs:num_l ~threads
-        ~prepare:advance_sos
-        ~task:(fun ~epoch ~tid ->
-          Obs.Scope.with_scope ~phase:"pass2" (fun () ->
-              eval_block c ~epoch ~tid
-                (Butterfly.Epochs.block epochs ~epoch ~tid)))
-        ~commit ()
+    (* Materialize the pipeline metrics so clean wavefront runs still
+       report them; non-wavefront runs never touch them. *)
+    if wavefront && pool <> None && Obs.enabled () then begin
+      Obs.Counter.add m_wf_overlap 0;
+      Obs.Counter.add m_wf_p1 0;
+      Obs.Gauge.set g_wf_ready 0.0;
+      Obs.Span.time sp_wf_stall ignore
     end;
-    (* Final SOS entries past the last window. *)
-    advance_sos num_l;
-    advance_sos (num_l + 1);
+    let rows = Hashtbl.create 8 in
+    let tfs = Hashtbl.create 8 in
+    let lastcheck = Hashtbl.create 8 in
+    let sos = Hashtbl.create 64 in
     {
-      errors = List.rev !errors;
-      sos_tainted = Array.map S.elements sos;
-      block_stats = stats;
+      threads;
+      sequential;
+      two_phase;
+      pool;
+      wavefront = wavefront && pool <> None;
+      rows;
+      tfs;
+      tfs_pending = Hashtbl.create 8;
+      lastcheck;
+      sos;
+      stats = Hashtbl.create 64;
+      ctx = make_ctx_of ~threads ~sequential ~two_phase ~rows ~tfs ~lastcheck ~sos;
+      errors = [];
+      processed = 0;
+      epochs_fed = 0;
     }
 
-  let run ?(sequential = true) ?(two_phase = true) ?(wavefront = false)
-      ?domains ?pool epochs =
-    match (pool, domains) with
-    | Some _, _ -> run_with ~sequential ~two_phase ~pool ~wavefront epochs
-    | None, Some d ->
-      Butterfly.Domain_pool.with_pool ~name:"taintcheck" ~domains:d (fun p ->
-          run_with ~sequential ~two_phase ~pool:(Some p) ~wavefront epochs)
-    | None, None -> run_with ~sequential ~two_phase ~pool:None ~wavefront epochs
+  let epochs_fed st = st.epochs_fed
 
-  (* ---------------------------------------------------------------- *)
-  (* Checkpointable epoch-incremental engine.  TaintCheck's epoch-barrier
-     driver already processes the grid epoch-major, so incrementality only
-     needs the window localized: evaluating epoch l reads transfer
-     functions of rows l-1..l+1, LASTCHECK rows l-3..l-1 and SOS_l — so raw
-     rows, pass-1 summaries and LASTCHECK rows the window has passed are
-     pruned, and the SOS history (part of the report) is kept whole.
-     Pass-1 summaries are recomputed from the retained raw rows on decode
-     rather than serialized: [summarize_block] is pure. *)
+  let advance_sos st l =
+    if l >= 2 then begin
+      let prev =
+        Option.value (Hashtbl.find_opt st.sos (l - 1)) ~default:AS.empty
+      in
+      Hashtbl.replace st.sos l (sos_step st.ctx ~prev l)
+    end
 
-  module Resumable = struct
-    let zero_stats = { instrs = 0; mem_events = 0; checks_resolved = 0 }
+  let commit st ~epoch:l ~tid o =
+    st.errors <- List.rev_append o.bo_errors st.errors;
+    let row =
+      match Hashtbl.find_opt st.lastcheck l with
+      | Some row -> row
+      | None ->
+        let row = Array.init st.threads (fun _ -> Hashtbl.create 16) in
+        Hashtbl.replace st.lastcheck l row;
+        row
+    in
+    Hashtbl.iter (fun x r -> Hashtbl.replace row.(tid) x r) o.bo_lastcheck;
+    let srow =
+      match Hashtbl.find_opt st.stats l with
+      | Some s -> s
+      | None ->
+        let s = Array.make st.threads zero_stats in
+        Hashtbl.replace st.stats l s;
+        s
+    in
+    srow.(tid) <- o.bo_stats;
+    Obs.Scope.with_scope ~epoch:l ~tid ~phase:"commit" (fun () ->
+        Obs.Counter.add m_checks o.bo_stats.checks_resolved;
+        Obs.Counter.add m_flags (List.length o.bo_errors);
+        Obs.Counter.add m_phase2 o.bo_phase2;
+        Obs.Counter.add m_instrs o.bo_stats.instrs;
+        if Obs.enabled () then
+          Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
+        if tid = st.threads - 1 then Obs.Counter.incr m_epochs)
 
-    type state = {
-      threads : int;
-      sequential : bool;
-      two_phase : bool;
-      pool : Butterfly.Domain_pool.t option;
-      wavefront : bool;
-      rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
-      tfs : (int, block_tfs array) Hashtbl.t; (* derived from [rows] *)
-      tfs_pending :
-        (int, block_tfs Butterfly.Domain_pool.future array) Hashtbl.t;
-          (* wavefront mode: pass-1 rows still in flight on the pool,
-             resolved into [tfs] just before the pass-2 window needs them *)
-      lastcheck : (int, (int, bool) Hashtbl.t array) Hashtbl.t; (* pruned *)
-      sos : (int, S.t) Hashtbl.t; (* full history: report content *)
-      stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
-      ctx : ctx; (* carries the (transient) flat-backend GEN/KILL cache *)
-      mutable errors : error list; (* reversed *)
-      mutable processed : int;
-      mutable epochs_fed : int;
+  (* Wavefront mode: commit an in-flight pass-1 row into [st.tfs].
+     Master-side only; no-op for rows summarized synchronously. *)
+  let resolve_tfs st l =
+    match Hashtbl.find_opt st.tfs_pending l with
+    | None -> ()
+    | Some futs ->
+      let land_row () = Array.map Butterfly.Domain_pool.await futs in
+      let row =
+        if Array.for_all Butterfly.Domain_pool.poll futs then land_row ()
+        else Obs.Span.time sp_wf_stall land_row
+      in
+      Hashtbl.replace st.tfs l row;
+      Hashtbl.remove st.tfs_pending l;
+      if Obs.enabled () then
+        Obs.Gauge.set g_wf_ready
+          (float_of_int (Hashtbl.length st.tfs_pending * st.threads))
+
+  (* Process epoch [st.processed]: the same prepare/task/commit sequence
+     as [Epochwise.run], one epoch at a time, then retire the rows the
+     window has passed (raw/summary rows < l, LASTCHECK rows < l-2). *)
+  let process_one st =
+    let l = st.processed in
+    (* eval_block reads tfs rows l-1..l+1: land any still in flight. *)
+    resolve_tfs st (l - 1);
+    resolve_tfs st l;
+    resolve_tfs st (l + 1);
+    advance_sos st l;
+    let c = st.ctx in
+    let row = Hashtbl.find st.rows l in
+    let task tid =
+      Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
+          eval_block c ~epoch:l ~tid
+            (Butterfly.Block.make ~epoch:l ~tid row.(tid)))
+    in
+    (match st.pool with
+    | None ->
+      for tid = 0 to st.threads - 1 do
+        commit st ~epoch:l ~tid (task tid)
+      done
+    | Some pool ->
+      let results =
+        Butterfly.Domain_pool.map_array pool task
+          (Array.init st.threads Fun.id)
+      in
+      Array.iteri (fun tid r -> commit st ~epoch:l ~tid r) results);
+    st.processed <- l + 1;
+    if l > 0 then (
+      Hashtbl.remove st.rows (l - 1);
+      Hashtbl.remove st.tfs (l - 1));
+    if l >= 3 then Hashtbl.remove st.lastcheck (l - 3)
+
+  (* Rows arrive whole, so epoch l is processable as soon as row l+1 (its
+     trailing-wing source) has been fed; the last epoch waits for
+     [finish], where the missing row l+1 reads as empty — exactly the
+     out-of-grid bounds case of the batch driver. *)
+  let feed_epoch st row =
+    if Array.length row <> st.threads then
+      invalid_arg "Taintcheck.Resumable.feed_epoch: wrong row width";
+    let epoch = st.epochs_fed in
+    Hashtbl.replace st.rows epoch row;
+    (match st.pool with
+    | Some pool when st.wavefront ->
+      (* Pipeline pass 1: the summaries run on workers while the master
+         chases pass 2 of older epochs; [summarize_block] is pure, so the
+         deferred commit is invisible to results. *)
+      Hashtbl.replace st.tfs_pending epoch
+        (Array.mapi
+           (fun tid instrs ->
+             Butterfly.Domain_pool.async pool (fun () ->
+                 Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
+                     summarize_block
+                       (Butterfly.Block.make ~epoch ~tid instrs))))
+           row);
+      if Obs.enabled () then begin
+        if epoch > st.processed then Obs.Counter.add m_wf_p1 st.threads;
+        let depth = Hashtbl.length st.tfs_pending in
+        if depth > 1 then Obs.Counter.incr m_wf_overlap;
+        Obs.Gauge.set g_wf_ready (float_of_int (depth * st.threads))
+      end
+    | _ ->
+      Hashtbl.replace st.tfs epoch
+        (Array.mapi
+           (fun tid instrs ->
+             Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
+                 summarize_block (Butterfly.Block.make ~epoch ~tid instrs)))
+           row));
+    st.epochs_fed <- epoch + 1;
+    while st.processed <= st.epochs_fed - 2 do
+      process_one st
+    done
+
+  let finish st =
+    (* An empty program still owns one (empty) epoch — mirror
+       [Epochs.of_program]. *)
+    if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
+    while st.processed < st.epochs_fed do
+      process_one st
+    done;
+    let num_l = st.epochs_fed in
+    (* Final SOS entries past the last window. *)
+    advance_sos st num_l;
+    advance_sos st (num_l + 1);
+    {
+      errors = List.rev st.errors;
+      sos_tainted =
+        Array.init (num_l + 2) (fun l ->
+            AS.elements
+              (Option.value (Hashtbl.find_opt st.sos l) ~default:AS.empty));
+      block_stats =
+        Array.init st.threads (fun tid ->
+            Array.init num_l (fun l ->
+                match Hashtbl.find_opt st.stats l with
+                | Some row -> row.(tid)
+                | None -> zero_stats));
     }
 
-    let make_ctx_of ~threads ~sequential ~two_phase ~rows:_ ~tfs ~lastcheck
-        ~sos =
-      make_ctx ~threads ~sequential ~two_phase
-        ~tfs_at:(fun l t ->
-          match Hashtbl.find_opt tfs l with
-          | Some row -> Some row.(t)
-          | None -> None)
-        ~lastcheck_at:(fun l t ->
-          match Hashtbl.find_opt lastcheck l with
-          | Some row -> Some row.(t)
-          | None -> None)
-        ~sos_at:(fun l ->
-          Option.value (Hashtbl.find_opt sos l) ~default:S.empty)
+  let put_stats w (s : block_stats) =
+    let module W = Tracing.Binio.W in
+    W.varint w s.instrs;
+    W.varint w s.mem_events;
+    W.varint w s.checks_resolved
 
-    let create ?pool ?(sequential = true) ?(two_phase = true)
-        ?(wavefront = false) ~threads () =
-      if threads <= 0 then
-        invalid_arg "Taintcheck.Resumable.create: threads must be > 0";
-      Obs.Counter.add m_checks 0;
-      Obs.Counter.add m_flags 0;
-      (* Materialize the pipeline metrics so clean wavefront runs still
-         report them; non-wavefront runs never touch them. *)
-      if wavefront && pool <> None && Obs.enabled () then begin
-        Obs.Counter.add m_wf_overlap 0;
-        Obs.Counter.add m_wf_p1 0;
-        Obs.Gauge.set g_wf_ready 0.0;
-        Obs.Span.time sp_wf_stall ignore
-      end;
-      let rows = Hashtbl.create 8 in
-      let tfs = Hashtbl.create 8 in
-      let lastcheck = Hashtbl.create 8 in
+  let get_stats r =
+    let module R = Tracing.Binio.R in
+    let instrs = R.varint r in
+    let mem_events = R.varint r in
+    let checks_resolved = R.varint r in
+    { instrs; mem_events; checks_resolved }
+
+  (* Fact sets are serialized as sorted element lists. *)
+  let encode st =
+    let module W = Tracing.Binio.W in
+    let w = W.create () in
+    W.varint w st.threads;
+    W.bool w st.sequential;
+    W.bool w st.two_phase;
+    W.varint w st.epochs_fed;
+    W.varint w st.processed;
+    W.list w
+      (fun w (e : error) ->
+        Lg_io.put_id w e.id;
+        W.sint w e.sink)
+      st.errors;
+    W.list w
+      (fun w (epoch, row) ->
+        W.varint w epoch;
+        W.array w put_stats row)
+      (Lg_io.sorted_entries st.stats);
+    W.list w
+      (fun w (l, s) ->
+        W.varint w l;
+        W.list w (fun w x -> W.sint w x) (AS.elements s))
+      (Lg_io.sorted_entries st.sos);
+    W.list w
+      (fun w (epoch, row) ->
+        W.varint w epoch;
+        W.array w
+          (fun w tbl ->
+            W.list w
+              (fun w (x, b) ->
+                W.sint w x;
+                W.bool w b)
+              (List.sort compare
+                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))
+          row)
+      (Lg_io.sorted_entries st.lastcheck);
+    W.list w
+      (fun w (epoch, row) ->
+        W.varint w epoch;
+        W.array w Lg_io.put_instrs row)
+      (Lg_io.sorted_entries st.rows);
+    W.contents w
+
+  let decode ?pool ?(wavefront = false) s =
+    let module R = Tracing.Binio.R in
+    match
+      let r = R.of_string s in
+      let threads = R.varint r in
+      if threads = 0 then raise (R.Corrupt "zero threads");
+      let sequential = R.bool r in
+      let two_phase = R.bool r in
+      let epochs_fed = R.varint r in
+      let processed = R.varint r in
+      let errors =
+        R.list r (fun r ->
+            let id = Lg_io.get_id r in
+            let sink = R.sint r in
+            { id; sink })
+      in
+      let stats = Hashtbl.create 64 in
+      ignore
+        (R.list r (fun r ->
+             let epoch = R.varint r in
+             let row = R.array r get_stats in
+             if Array.length row <> threads then
+               raise (R.Corrupt "stats row width mismatch");
+             Hashtbl.replace stats epoch row));
       let sos = Hashtbl.create 64 in
+      ignore
+        (R.list r (fun r ->
+             let l = R.varint r in
+             let xs = R.list r (fun r -> R.sint r) in
+             Hashtbl.replace sos l (AS.of_list xs)));
+      let lastcheck = Hashtbl.create 8 in
+      ignore
+        (R.list r (fun r ->
+             let epoch = R.varint r in
+             let row =
+               R.array r (fun r ->
+                   let tbl = Hashtbl.create 16 in
+                   ignore
+                     (R.list r (fun r ->
+                          let x = R.sint r in
+                          let b = R.bool r in
+                          Hashtbl.replace tbl x b));
+                   tbl)
+             in
+             if Array.length row <> threads then
+               raise (R.Corrupt "lastcheck row width mismatch");
+             Hashtbl.replace lastcheck epoch row));
+      let rows = Hashtbl.create 8 in
+      ignore
+        (R.list r (fun r ->
+             let epoch = R.varint r in
+             let row = R.array r Lg_io.get_instrs in
+             if Array.length row <> threads then
+               raise (R.Corrupt "instr row width mismatch");
+             Hashtbl.replace rows epoch row));
+      R.expect_end r;
+      let tfs = Hashtbl.create 8 in
+      Hashtbl.iter
+        (fun epoch row ->
+          Hashtbl.replace tfs epoch
+            (Array.mapi
+               (fun tid instrs ->
+                 summarize_block (Butterfly.Block.make ~epoch ~tid instrs))
+               row))
+        rows;
       {
         threads;
         sequential;
@@ -621,386 +847,15 @@ struct
         tfs_pending = Hashtbl.create 8;
         lastcheck;
         sos;
-        stats = Hashtbl.create 64;
-        ctx = make_ctx_of ~threads ~sequential ~two_phase ~rows ~tfs ~lastcheck ~sos;
-        errors = [];
-        processed = 0;
-        epochs_fed = 0;
+        stats;
+        ctx =
+          make_ctx_of ~threads ~sequential ~two_phase ~rows ~tfs ~lastcheck
+            ~sos;
+        errors;
+        processed;
+        epochs_fed;
       }
-
-    let epochs_fed st = st.epochs_fed
-
-    let advance_sos st l =
-      if l >= 2 then begin
-        let prev =
-          Option.value (Hashtbl.find_opt st.sos (l - 1)) ~default:S.empty
-        in
-        Hashtbl.replace st.sos l (sos_step st.ctx ~prev l)
-      end
-
-    let commit st ~epoch:l ~tid o =
-      st.errors <- List.rev_append o.bo_errors st.errors;
-      let row =
-        match Hashtbl.find_opt st.lastcheck l with
-        | Some row -> row
-        | None ->
-          let row = Array.init st.threads (fun _ -> Hashtbl.create 16) in
-          Hashtbl.replace st.lastcheck l row;
-          row
-      in
-      Hashtbl.iter (fun x r -> Hashtbl.replace row.(tid) x r) o.bo_lastcheck;
-      let srow =
-        match Hashtbl.find_opt st.stats l with
-        | Some s -> s
-        | None ->
-          let s = Array.make st.threads zero_stats in
-          Hashtbl.replace st.stats l s;
-          s
-      in
-      srow.(tid) <- o.bo_stats;
-      Obs.Scope.with_scope ~epoch:l ~tid ~phase:"commit" (fun () ->
-          Obs.Counter.add m_checks o.bo_stats.checks_resolved;
-          Obs.Counter.add m_flags (List.length o.bo_errors);
-          Obs.Counter.add m_phase2 o.bo_phase2;
-          Obs.Counter.add m_instrs o.bo_stats.instrs;
-          if Obs.enabled () then
-            Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
-          if tid = st.threads - 1 then Obs.Counter.incr m_epochs)
-
-    (* Wavefront mode: commit an in-flight pass-1 row into [st.tfs].
-       Master-side only; no-op for rows summarized synchronously. *)
-    let resolve_tfs st l =
-      match Hashtbl.find_opt st.tfs_pending l with
-      | None -> ()
-      | Some futs ->
-        let land_row () = Array.map Butterfly.Domain_pool.await futs in
-        let row =
-          if Array.for_all Butterfly.Domain_pool.poll futs then land_row ()
-          else Obs.Span.time sp_wf_stall land_row
-        in
-        Hashtbl.replace st.tfs l row;
-        Hashtbl.remove st.tfs_pending l;
-        if Obs.enabled () then
-          Obs.Gauge.set g_wf_ready
-            (float_of_int (Hashtbl.length st.tfs_pending * st.threads))
-
-    (* Process epoch [st.processed]: the same prepare/task/commit sequence
-       as [Epochwise.run], one epoch at a time, then retire the rows the
-       window has passed (raw/summary rows < l, LASTCHECK rows < l-2). *)
-    let process_one st =
-      let l = st.processed in
-      (* eval_block reads tfs rows l-1..l+1: land any still in flight. *)
-      resolve_tfs st (l - 1);
-      resolve_tfs st l;
-      resolve_tfs st (l + 1);
-      advance_sos st l;
-      let c = st.ctx in
-      let row = Hashtbl.find st.rows l in
-      let task tid =
-        Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
-            eval_block c ~epoch:l ~tid
-              (Butterfly.Block.make ~epoch:l ~tid row.(tid)))
-      in
-      (match st.pool with
-      | None ->
-        for tid = 0 to st.threads - 1 do
-          commit st ~epoch:l ~tid (task tid)
-        done
-      | Some pool ->
-        let results =
-          Butterfly.Domain_pool.map_array pool task
-            (Array.init st.threads Fun.id)
-        in
-        Array.iteri (fun tid r -> commit st ~epoch:l ~tid r) results);
-      st.processed <- l + 1;
-      if l > 0 then (
-        Hashtbl.remove st.rows (l - 1);
-        Hashtbl.remove st.tfs (l - 1));
-      if l >= 3 then begin
-        Hashtbl.remove st.lastcheck (l - 3);
-        forget_genkill st.ctx (l - 3)
-      end
-
-    (* Rows arrive whole, so epoch l is processable as soon as row l+1 (its
-       trailing-wing source) has been fed; the last epoch waits for
-       [finish], where the missing row l+1 reads as empty — exactly the
-       out-of-grid bounds case of the batch driver. *)
-    let feed_epoch st row =
-      if Array.length row <> st.threads then
-        invalid_arg "Taintcheck.Resumable.feed_epoch: wrong row width";
-      let epoch = st.epochs_fed in
-      Hashtbl.replace st.rows epoch row;
-      (match st.pool with
-      | Some pool when st.wavefront ->
-        (* Pipeline pass 1: the summaries run on workers while the master
-           chases pass 2 of older epochs; [summarize_block] is pure, so the
-           deferred commit is invisible to results. *)
-        Hashtbl.replace st.tfs_pending epoch
-          (Array.mapi
-             (fun tid instrs ->
-               Butterfly.Domain_pool.async pool (fun () ->
-                   Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-                       summarize_block
-                         (Butterfly.Block.make ~epoch ~tid instrs))))
-             row);
-        if Obs.enabled () then begin
-          if epoch > st.processed then Obs.Counter.add m_wf_p1 st.threads;
-          let depth = Hashtbl.length st.tfs_pending in
-          if depth > 1 then Obs.Counter.incr m_wf_overlap;
-          Obs.Gauge.set g_wf_ready (float_of_int (depth * st.threads))
-        end
-      | _ ->
-        Hashtbl.replace st.tfs epoch
-          (Array.mapi
-             (fun tid instrs ->
-               Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-                   summarize_block (Butterfly.Block.make ~epoch ~tid instrs)))
-             row));
-      st.epochs_fed <- epoch + 1;
-      while st.processed <= st.epochs_fed - 2 do
-        process_one st
-      done
-
-    let finish st =
-      (* An empty program still owns one (empty) epoch — mirror
-         [Epochs.of_program]. *)
-      if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
-      while st.processed < st.epochs_fed do
-        process_one st
-      done;
-      let num_l = st.epochs_fed in
-      (* Final SOS entries past the last window. *)
-      advance_sos st num_l;
-      advance_sos st (num_l + 1);
-      {
-        errors = List.rev st.errors;
-        sos_tainted =
-          Array.init (num_l + 2) (fun l ->
-              S.elements
-                (Option.value (Hashtbl.find_opt st.sos l) ~default:S.empty));
-        block_stats =
-          Array.init st.threads (fun tid ->
-              Array.init num_l (fun l ->
-                  match Hashtbl.find_opt st.stats l with
-                  | Some row -> row.(tid)
-                  | None -> zero_stats));
-      }
-
-    let put_stats w (s : block_stats) =
-      let module W = Tracing.Binio.W in
-      W.varint w s.instrs;
-      W.varint w s.mem_events;
-      W.varint w s.checks_resolved
-
-    let get_stats r =
-      let module R = Tracing.Binio.R in
-      let instrs = R.varint r in
-      let mem_events = R.varint r in
-      let checks_resolved = R.varint r in
-      { instrs; mem_events; checks_resolved }
-
-    (* The payload is representation-independent (sorted element lists),
-       so a snapshot cut under either backend restores under either. *)
-    let encode st =
-      let module W = Tracing.Binio.W in
-      let w = W.create () in
-      W.varint w st.threads;
-      W.bool w st.sequential;
-      W.bool w st.two_phase;
-      W.varint w st.epochs_fed;
-      W.varint w st.processed;
-      W.list w
-        (fun w (e : error) ->
-          Lg_io.put_id w e.id;
-          W.sint w e.sink)
-        st.errors;
-      W.list w
-        (fun w (epoch, row) ->
-          W.varint w epoch;
-          W.array w put_stats row)
-        (Lg_io.sorted_entries st.stats);
-      W.list w
-        (fun w (l, s) ->
-          W.varint w l;
-          W.list w (fun w x -> W.sint w x) (S.elements s))
-        (Lg_io.sorted_entries st.sos);
-      W.list w
-        (fun w (epoch, row) ->
-          W.varint w epoch;
-          W.array w
-            (fun w tbl ->
-              W.list w
-                (fun w (x, b) ->
-                  W.sint w x;
-                  W.bool w b)
-                (List.sort compare
-                   (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))
-            row)
-        (Lg_io.sorted_entries st.lastcheck);
-      W.list w
-        (fun w (epoch, row) ->
-          W.varint w epoch;
-          W.array w Lg_io.put_instrs row)
-        (Lg_io.sorted_entries st.rows);
-      W.contents w
-
-    let decode ?pool ?(wavefront = false) s =
-      let module R = Tracing.Binio.R in
-      match
-        let r = R.of_string s in
-        let threads = R.varint r in
-        if threads = 0 then raise (R.Corrupt "zero threads");
-        let sequential = R.bool r in
-        let two_phase = R.bool r in
-        let epochs_fed = R.varint r in
-        let processed = R.varint r in
-        let errors =
-          R.list r (fun r ->
-              let id = Lg_io.get_id r in
-              let sink = R.sint r in
-              { id; sink })
-        in
-        let stats = Hashtbl.create 64 in
-        ignore
-          (R.list r (fun r ->
-               let epoch = R.varint r in
-               let row = R.array r get_stats in
-               if Array.length row <> threads then
-                 raise (R.Corrupt "stats row width mismatch");
-               Hashtbl.replace stats epoch row));
-        let sos = Hashtbl.create 64 in
-        ignore
-          (R.list r (fun r ->
-               let l = R.varint r in
-               let xs = R.list r (fun r -> R.sint r) in
-               Hashtbl.replace sos l (S.of_list xs)));
-        let lastcheck = Hashtbl.create 8 in
-        ignore
-          (R.list r (fun r ->
-               let epoch = R.varint r in
-               let row =
-                 R.array r (fun r ->
-                     let tbl = Hashtbl.create 16 in
-                     ignore
-                       (R.list r (fun r ->
-                            let x = R.sint r in
-                            let b = R.bool r in
-                            Hashtbl.replace tbl x b));
-                     tbl)
-               in
-               if Array.length row <> threads then
-                 raise (R.Corrupt "lastcheck row width mismatch");
-               Hashtbl.replace lastcheck epoch row));
-        let rows = Hashtbl.create 8 in
-        ignore
-          (R.list r (fun r ->
-               let epoch = R.varint r in
-               let row = R.array r Lg_io.get_instrs in
-               if Array.length row <> threads then
-                 raise (R.Corrupt "instr row width mismatch");
-               Hashtbl.replace rows epoch row));
-        R.expect_end r;
-        let tfs = Hashtbl.create 8 in
-        Hashtbl.iter
-          (fun epoch row ->
-            Hashtbl.replace tfs epoch
-              (Array.mapi
-                 (fun tid instrs ->
-                   summarize_block (Butterfly.Block.make ~epoch ~tid instrs))
-                 row))
-          rows;
-        {
-          threads;
-          sequential;
-          two_phase;
-          pool;
-          wavefront = wavefront && pool <> None;
-          rows;
-          tfs;
-          tfs_pending = Hashtbl.create 8;
-          lastcheck;
-          sos;
-          stats;
-          ctx =
-            make_ctx_of ~threads ~sequential ~two_phase ~rows ~tfs ~lastcheck
-              ~sos;
-          errors;
-          processed;
-          epochs_fed;
-        }
-      with
-      | st -> Ok st
-      | exception R.Corrupt m -> Error ("taintcheck state: " ^ m)
-  end
-end
-
-(* ------------------------------------------------------------------ *)
-(* Backend instantiation and the state-dispatching public API.  [Fn] is
-   the original functional path (element folds over [Set.Make (Int)]),
-   [Fl] the flat bitset path with GEN/KILL memoization; the differential
-   battery in [test/test_fact_arena.ml] pins their reports byte-identical
-   across every driver. *)
-
-module Fn = Core (struct
-  module S = AS
-
-  let memo_genkill = false
-end)
-
-module Fl = Core (struct
-  module S = Butterfly.Fact_arena.Bitset
-
-  let memo_genkill = true
-end)
-
-type backend = [ `Functional | `Flat ]
-
-let run ?(state = `Functional) ?sequential ?two_phase ?wavefront ?domains
-    ?pool epochs =
-  match (state : backend) with
-  | `Functional -> Fn.run ?sequential ?two_phase ?wavefront ?domains ?pool epochs
-  | `Flat -> Fl.run ?sequential ?two_phase ?wavefront ?domains ?pool epochs
-
-module Resumable = struct
-  type state = Fn_state of Fn.Resumable.state | Fl_state of Fl.Resumable.state
-
-  let create ?pool ?sequential ?two_phase ?wavefront
-      ?(state = (`Functional : backend)) ~threads () =
-    match state with
-    | `Functional ->
-      Fn_state
-        (Fn.Resumable.create ?pool ?sequential ?two_phase ?wavefront ~threads
-           ())
-    | `Flat ->
-      Fl_state
-        (Fl.Resumable.create ?pool ?sequential ?two_phase ?wavefront ~threads
-           ())
-
-  let feed_epoch st row =
-    match st with
-    | Fn_state s -> Fn.Resumable.feed_epoch s row
-    | Fl_state s -> Fl.Resumable.feed_epoch s row
-
-  let epochs_fed = function
-    | Fn_state s -> Fn.Resumable.epochs_fed s
-    | Fl_state s -> Fl.Resumable.epochs_fed s
-
-  let finish = function
-    | Fn_state s -> Fn.Resumable.finish s
-    | Fl_state s -> Fl.Resumable.finish s
-
-  let encode = function
-    | Fn_state s -> Fn.Resumable.encode s
-    | Fl_state s -> Fl.Resumable.encode s
-
-  let decode ?pool ?wavefront ?(state = (`Functional : backend)) s =
-    match state with
-    | `Functional ->
-      Result.map
-        (fun st -> Fn_state st)
-        (Fn.Resumable.decode ?pool ?wavefront s)
-    | `Flat ->
-      Result.map
-        (fun st -> Fl_state st)
-        (Fl.Resumable.decode ?pool ?wavefront s)
+    with
+    | st -> Ok st
+    | exception R.Corrupt m -> Error ("taintcheck state: " ^ m)
 end

@@ -38,15 +38,7 @@ type report = {
   block_stats : block_stats array array;  (** [.(tid).(epoch)] *)
 }
 
-type backend = [ `Functional | `Flat ]
-(** Fact-table representation: [`Functional] is the original
-    [Set.Make (Int)] reference path, [`Flat] the
-    {!Butterfly.Fact_arena.Bitset} fast path with per-row GEN/KILL
-    memoization.  Reports are byte-identical across backends (the
-    differential battery of [test/test_fact_arena.ml]). *)
-
 val run :
-  ?state:backend ->
   ?sequential:bool ->
   ?two_phase:bool ->
   ?wavefront:bool ->
@@ -54,9 +46,7 @@ val run :
   ?pool:Butterfly.Domain_pool.t ->
   Butterfly.Epochs.t ->
   report
-(** [state] (default [`Functional]) selects the fact-table backend.
-
-    [sequential] defaults to [true] (the machine-model assumption of
+(** [sequential] defaults to [true] (the machine-model assumption of
     Sections 3–4.3); pass [false] for the relaxed-consistency variant.
     [two_phase] (default [true]) enables the false-positive reduction of
     Lemma 6.3; disabling it is the ablation of that design choice — still
@@ -108,14 +98,12 @@ module Resumable : sig
     ?sequential:bool ->
     ?two_phase:bool ->
     ?wavefront:bool ->
-    ?state:backend ->
     threads:int ->
     unit ->
     state
   (** [wavefront] (with [pool]) pipelines pass-1 summarization of newly
       fed rows against the pass-2 window; results are unchanged.  Ignored
-      without a pool.  [state] (default [`Functional]) selects the
-      fact-table backend. *)
+      without a pool. *)
 
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One epoch row, indexed by tid; width must equal [threads]. *)
@@ -131,15 +119,12 @@ module Resumable : sig
   val decode :
     ?pool:Butterfly.Domain_pool.t ->
     ?wavefront:bool ->
-    ?state:backend ->
     string ->
     (state, string) result
   (** [Error _] on any malformed payload (never raises).  The analysis
       variant ([sequential]/[two_phase]) travels inside the payload;
-      [pool]/[wavefront]/[state] are transient plumbing re-supplied on
-      restore.  Snapshots are representation-independent (sorted element
-      lists), so a checkpoint cut under one backend restores under the
-      other. *)
+      [pool]/[wavefront] are transient plumbing re-supplied on
+      restore. *)
 end
 
 (**/**)

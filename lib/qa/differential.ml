@@ -25,18 +25,12 @@ type driver = Pooled | Wavefront
 let driver_to_string = function Pooled -> "pooled" | Wavefront -> "wavefront"
 let all_drivers = [ Pooled; Wavefront ]
 
-type backend = [ `Functional | `Flat ]
-
-let backend_to_string = function `Functional -> "functional" | `Flat -> "flat"
-let all_backends : backend list = [ `Functional; `Flat ]
-
 type config = {
   oracle_cap : int;
   oracle_samples : int;
   oracle_seed : int;
   models : Memmodel.Consistency.t list;
   drivers : driver list;
-  states : backend list;
 }
 
 let default_config =
@@ -46,7 +40,6 @@ let default_config =
     oracle_seed = 7;
     models = Memmodel.Consistency.all;
     drivers = all_drivers;
-    states = all_backends;
   }
 
 type mismatch = {
@@ -126,55 +119,33 @@ let driver_divergences lifeguard ~baseline runs =
 let driver_label d p =
   Printf.sprintf "%s(%d)" (driver_to_string d) (Butterfly.Domain_pool.size p)
 
-let state_suffix = function `Functional -> "" | `Flat -> "[flat]"
 let wavefront_of = function Pooled -> false | Wavefront -> true
 
-(* The driver × pool × backend matrix.  The functional sequential run is
-   the baseline, so it is not an entry; the flat sequential run is — a
-   backend bug with no driver involved must still be caught. *)
-let matrix_of ~drivers ~states pools =
-  List.concat_map
-    (fun st ->
-      let seq = if st = `Functional then [] else [ (st, None) ] in
-      seq
-      @ List.concat_map
-          (fun d -> List.map (fun p -> (st, Some (d, p))) pools)
-          drivers)
-    states
-
-let entry_label (st, dp) =
-  match dp with
-  | None -> "sequential" ^ state_suffix st
-  | Some (d, p) -> driver_label d p ^ state_suffix st
-
-let check_drivers ?(drivers = all_drivers) ?(states = all_backends) lifeguard
-    pools g =
+let check_drivers ?(drivers = all_drivers) lifeguard pools g =
   let epochs = Grid.epochs g in
-  (* Every parallel driver, on every supplied pool, under every fact-table
-     backend, must reproduce the sequential functional baseline byte for
-     byte. *)
-  let matrix = matrix_of ~drivers ~states pools in
+  (* Every parallel driver, on every supplied pool, must reproduce the
+     sequential baseline byte for byte.  The baseline itself is not an
+     entry. *)
+  let matrix =
+    List.concat_map (fun d -> List.map (fun p -> (d, p)) pools) drivers
+  in
   let runs run_fp =
     List.map
-      (fun ((st, dp) as e) ->
-        ( entry_label e,
-          match dp with
-          | None -> run_fp ~state:st ~wavefront:false None
-          | Some (d, p) -> run_fp ~state:st ~wavefront:(wavefront_of d) (Some p)
-        ))
+      (fun (d, p) ->
+        (driver_label d p, run_fp ~wavefront:(wavefront_of d) p))
       matrix
   in
   match lifeguard with
   | Addrcheck ->
     let baseline = fp_addrcheck (AC.run epochs) in
     driver_divergences lifeguard ~baseline
-      (runs (fun ~state ~wavefront pool ->
-           fp_addrcheck (AC.run ~state ~wavefront ?pool epochs)))
+      (runs (fun ~wavefront pool ->
+           fp_addrcheck (AC.run ~wavefront ~pool epochs)))
   | Initcheck ->
     let baseline = fp_initcheck (IC.run epochs) in
     driver_divergences lifeguard ~baseline
-      (runs (fun ~state ~wavefront pool ->
-           fp_initcheck (IC.run ~state ~wavefront ?pool epochs)))
+      (runs (fun ~wavefront pool ->
+           fp_initcheck (IC.run ~wavefront ~pool epochs)))
   | Racecheck ->
     (* The baseline here is the butterfly batch driver, and the
        independent brute-force reference [Racecheck_seq.check] joins the
@@ -185,8 +156,8 @@ let check_drivers ?(drivers = all_drivers) ?(states = all_backends) lifeguard
     driver_divergences lifeguard ~baseline
       (( "reference",
          RC.fingerprint (Lifeguards.Racecheck_seq.check epochs) )
-      :: runs (fun ~state ~wavefront pool ->
-             RC.fingerprint (RC.run ~state ~wavefront ?pool epochs)))
+      :: runs (fun ~wavefront pool ->
+             RC.fingerprint (RC.run ~wavefront ~pool epochs)))
   | Taintcheck ->
     (* Per analysis variant: every parallel driver must agree with the
        sequential loop under every (chase, phase) setting. *)
@@ -197,16 +168,11 @@ let check_drivers ?(drivers = all_drivers) ?(states = all_backends) lifeguard
         in
         driver_divergences lifeguard ~baseline
           (List.map
-             (fun ((st, dp) as e) ->
-               ( Printf.sprintf "%s[%s]" (entry_label e) vlabel,
-                 match dp with
-                 | None ->
-                   fp_taintcheck
-                     (TC.run ~state:st ~sequential ~two_phase epochs)
-                 | Some (d, p) ->
-                   fp_taintcheck
-                     (TC.run ~state:st ~sequential ~two_phase
-                        ~wavefront:(wavefront_of d) ~pool:p epochs) ))
+             (fun (d, p) ->
+               ( Printf.sprintf "%s[%s]" (driver_label d p) vlabel,
+                 fp_taintcheck
+                   (TC.run ~sequential ~two_phase ~wavefront:(wavefront_of d)
+                      ~pool:p epochs) ))
              matrix))
       [
         (true, true, "sc,two-phase");
@@ -275,7 +241,7 @@ let check_oracle config lifeguard g =
     config.models
 
 let check ?(config = default_config) ?(pools = []) lifeguard g =
-  check_drivers ~drivers:config.drivers ~states:config.states lifeguard pools g
+  check_drivers ~drivers:config.drivers lifeguard pools g
   @ check_oracle config lifeguard g
 
 let snapshot_tag = function
@@ -284,14 +250,14 @@ let snapshot_tag = function
   | Taintcheck -> Recovery.Snapshot.Taintcheck
   | Racecheck -> Recovery.Snapshot.Racecheck
 
-let check_recovery ?pool ?wavefront ?state ?(every = 1) ?crash_at ?(seed = 0)
+let check_recovery ?pool ?wavefront ?(every = 1) ?crash_at ?(seed = 0)
     lifeguard g =
   let path = Filename.temp_file "bfly-ckpt" ".snap" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
   match
-    Recovery.Crash_sim.run ?pool ?wavefront ?state ?crash_at ~seed ~every ~path
+    Recovery.Crash_sim.run ?pool ?wavefront ?crash_at ~seed ~every ~path
       (snapshot_tag lifeguard) (Grid.epochs g)
   with
   | Error m ->

@@ -39,15 +39,6 @@ type driver = Pooled | Wavefront
 val driver_to_string : driver -> string
 val all_drivers : driver list
 
-type backend = [ `Functional | `Flat ]
-(** The fact-table backends under test (see {!Lifeguards.Addrcheck.backend}):
-    the functional reference structures and the flat arena-backed fast
-    path.  The functional sequential run is the baseline; every other
-    (driver, pool, backend) combination must match it byte for byte. *)
-
-val backend_to_string : backend -> string
-val all_backends : backend list
-
 type config = {
   oracle_cap : int;
       (** enumerate valid orderings up to this many, else sample *)
@@ -57,13 +48,10 @@ type config = {
       (** memory models the oracle checks quantify over *)
   drivers : driver list;
       (** parallel drivers the equivalence checks quantify over *)
-  states : backend list;
-      (** fact-table backends the equivalence checks quantify over *)
 }
 
 val default_config : config
-(** cap 240, 24 samples, all three consistency models, both drivers,
-    both backends. *)
+(** cap 240, 24 samples, all three consistency models, both drivers. *)
 
 type mismatch = {
   lifeguard : lifeguard;
@@ -87,7 +75,6 @@ val check :
 val check_recovery :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:backend ->
   ?every:int ->
   ?crash_at:int ->
   ?seed:int ->
@@ -100,7 +87,5 @@ val check_recovery :
     surviving snapshot, and compare fingerprints with an uninterrupted
     run.  [wavefront] (with [pool]) runs both the doomed and resumed
     engines in pipelined mode — checkpoints still cut at sealed-epoch
-    frontiers.  [state] runs both engines on the given fact-table backend
-    (snapshots themselves are backend-portable).  The snapshot lives in a
-    temp file, removed afterwards.  A mismatch here is a
+    frontiers.  The snapshot lives in a temp file, removed afterwards.  A mismatch here is a
     checkpoint/restore bug. *)

@@ -71,12 +71,9 @@ let run ?pools ?(config = default_config) lifeguard =
       base
       @ List.concat_map
           (fun d ->
-            List.concat_map
-              (fun state ->
-                Differential.check_recovery ?pool
-                  ~wavefront:(d = Differential.Wavefront) ~state ~every:c.every
-                  ?crash_at:c.crash_at ~seed:crash_seed lifeguard g)
-              config.diff.Differential.states)
+            Differential.check_recovery ?pool
+              ~wavefront:(d = Differential.Wavefront) ~every:c.every
+              ?crash_at:c.crash_at ~seed:crash_seed lifeguard g)
           config.diff.Differential.drivers
   in
   let rec loop i =

@@ -27,7 +27,7 @@ type config = {
   diff : Differential.config;
   crash : crash option;
       (** also run {!Differential.check_recovery} on every grid, once per
-          configured driver × fact-table backend *)
+          configured driver *)
 }
 
 val default_config : config

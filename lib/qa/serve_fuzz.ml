@@ -38,7 +38,7 @@ let base_frames ~shape ~tenant rst =
       Serve.Wire.tenant;
       lifeguard = lifeguard_of_profile profile;
       driver = `Sequential;
-      state = (if Random.State.bool rst then `Functional else `Flat);
+      state = `Functional;
       relaxed = Random.State.bool rst;
       threads = Grid.threads g;
     }

@@ -21,7 +21,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val run :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?crash_at:int ->
   ?seed:int ->
   every:int ->
@@ -38,7 +37,6 @@ val run :
 val run_session :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?crash_at:int ->
   ?seed:int ->
   every:int ->

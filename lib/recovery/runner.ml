@@ -19,68 +19,68 @@ type ('s, 'r) ops = {
 
 type packed = Packed : ('s, 'r) ops -> packed
 
-let addr_ops ?pool ?isolation ?wavefront ?state () =
+let addr_ops ?pool ?isolation ?wavefront () =
   {
     tag = Snapshot.Addrcheck;
     create =
       (fun ~threads ->
-        AC.Resumable.create ?pool ?isolation ?wavefront ?state ~threads ());
+        AC.Resumable.create ?pool ?isolation ?wavefront ~threads ());
     feed = AC.Resumable.feed_epoch;
     fed = AC.Resumable.epochs_fed;
     finish = AC.Resumable.finish;
     enc = AC.Resumable.encode;
-    dec = AC.Resumable.decode ?pool ?wavefront ?state;
+    dec = AC.Resumable.decode ?pool ?wavefront;
     fp = AC.fingerprint;
   }
 
-let init_ops ?pool ?wavefront ?state () =
+let init_ops ?pool ?wavefront () =
   {
     tag = Snapshot.Initcheck;
     create =
-      (fun ~threads -> IC.Resumable.create ?pool ?wavefront ?state ~threads ());
+      (fun ~threads -> IC.Resumable.create ?pool ?wavefront ~threads ());
     feed = IC.Resumable.feed_epoch;
     fed = IC.Resumable.epochs_fed;
     finish = IC.Resumable.finish;
     enc = IC.Resumable.encode;
-    dec = IC.Resumable.decode ?pool ?wavefront ?state;
+    dec = IC.Resumable.decode ?pool ?wavefront;
     fp = IC.fingerprint;
   }
 
-let taint_ops ?pool ?sequential ?two_phase ?wavefront ?state () =
+let taint_ops ?pool ?sequential ?two_phase ?wavefront () =
   {
     tag = Snapshot.Taintcheck;
     create =
       (fun ~threads ->
-        TC.Resumable.create ?pool ?sequential ?two_phase ?wavefront ?state
+        TC.Resumable.create ?pool ?sequential ?two_phase ?wavefront
           ~threads ());
     feed = TC.Resumable.feed_epoch;
     fed = TC.Resumable.epochs_fed;
     finish = TC.Resumable.finish;
     enc = TC.Resumable.encode;
-    dec = TC.Resumable.decode ?pool ?wavefront ?state;
+    dec = TC.Resumable.decode ?pool ?wavefront;
     fp = TC.fingerprint;
   }
 
-let race_ops ?pool ?wavefront ?state () =
+let race_ops ?pool ?wavefront () =
   {
     tag = Snapshot.Racecheck;
     create =
-      (fun ~threads -> RC.Resumable.create ?pool ?wavefront ?state ~threads ());
+      (fun ~threads -> RC.Resumable.create ?pool ?wavefront ~threads ());
     feed = RC.Resumable.feed_epoch;
     fed = RC.Resumable.epochs_fed;
     finish = RC.Resumable.finish;
     enc = RC.Resumable.encode;
-    dec = RC.Resumable.decode ?pool ?wavefront ?state;
+    dec = RC.Resumable.decode ?pool ?wavefront;
     fp = RC.fingerprint;
   }
 
-let ops_of ?pool ?isolation ?sequential ?two_phase ?wavefront ?state = function
+let ops_of ?pool ?isolation ?sequential ?two_phase ?wavefront = function
   | Snapshot.Addrcheck ->
-    Packed (addr_ops ?pool ?isolation ?wavefront ?state ())
-  | Snapshot.Initcheck -> Packed (init_ops ?pool ?wavefront ?state ())
+    Packed (addr_ops ?pool ?isolation ?wavefront ())
+  | Snapshot.Initcheck -> Packed (init_ops ?pool ?wavefront ())
   | Snapshot.Taintcheck ->
-    Packed (taint_ops ?pool ?sequential ?two_phase ?wavefront ?state ())
-  | Snapshot.Racecheck -> Packed (race_ops ?pool ?wavefront ?state ())
+    Packed (taint_ops ?pool ?sequential ?two_phase ?wavefront ())
+  | Snapshot.Racecheck -> Packed (race_ops ?pool ?wavefront ())
 
 let rows_of epochs =
   let threads = Epochs.threads epochs in
@@ -155,29 +155,29 @@ let resume ops ?checkpoint ~path epochs =
               (drive ops ?checkpoint ~threads (rows_of epochs)
                  ~from:meta.Snapshot.next_epoch st))
 
-let run_addrcheck ?pool ?isolation ?wavefront ?state ?checkpoint epochs =
-  run (addr_ops ?pool ?isolation ?wavefront ?state ()) ?checkpoint epochs
+let run_addrcheck ?pool ?isolation ?wavefront ?checkpoint epochs =
+  run (addr_ops ?pool ?isolation ?wavefront ()) ?checkpoint epochs
 
-let resume_addrcheck ?pool ?wavefront ?state ?checkpoint ~path epochs =
-  resume (addr_ops ?pool ?wavefront ?state ()) ?checkpoint ~path epochs
+let resume_addrcheck ?pool ?wavefront ?checkpoint ~path epochs =
+  resume (addr_ops ?pool ?wavefront ()) ?checkpoint ~path epochs
 
-let run_initcheck ?pool ?wavefront ?state ?checkpoint epochs =
-  run (init_ops ?pool ?wavefront ?state ()) ?checkpoint epochs
+let run_initcheck ?pool ?wavefront ?checkpoint epochs =
+  run (init_ops ?pool ?wavefront ()) ?checkpoint epochs
 
-let resume_initcheck ?pool ?wavefront ?state ?checkpoint ~path epochs =
-  resume (init_ops ?pool ?wavefront ?state ()) ?checkpoint ~path epochs
+let resume_initcheck ?pool ?wavefront ?checkpoint ~path epochs =
+  resume (init_ops ?pool ?wavefront ()) ?checkpoint ~path epochs
 
-let run_taintcheck ?pool ?sequential ?two_phase ?wavefront ?state ?checkpoint
+let run_taintcheck ?pool ?sequential ?two_phase ?wavefront ?checkpoint
     epochs =
   run
-    (taint_ops ?pool ?sequential ?two_phase ?wavefront ?state ())
+    (taint_ops ?pool ?sequential ?two_phase ?wavefront ())
     ?checkpoint epochs
 
-let resume_taintcheck ?pool ?wavefront ?state ?checkpoint ~path epochs =
-  resume (taint_ops ?pool ?wavefront ?state ()) ?checkpoint ~path epochs
+let resume_taintcheck ?pool ?wavefront ?checkpoint ~path epochs =
+  resume (taint_ops ?pool ?wavefront ()) ?checkpoint ~path epochs
 
-let run_racecheck ?pool ?wavefront ?state ?checkpoint epochs =
-  run (race_ops ?pool ?wavefront ?state ()) ?checkpoint epochs
+let run_racecheck ?pool ?wavefront ?checkpoint epochs =
+  run (race_ops ?pool ?wavefront ()) ?checkpoint epochs
 
-let resume_racecheck ?pool ?wavefront ?state ?checkpoint ~path epochs =
-  resume (race_ops ?pool ?wavefront ?state ()) ?checkpoint ~path epochs
+let resume_racecheck ?pool ?wavefront ?checkpoint ~path epochs =
+  resume (race_ops ?pool ?wavefront ()) ?checkpoint ~path epochs

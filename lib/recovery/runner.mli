@@ -38,18 +38,14 @@ val ops_of :
   ?sequential:bool ->
   ?two_phase:bool ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   Snapshot.lifeguard ->
   packed
 (** [isolation] applies to AddrCheck, [sequential]/[two_phase] to
     TaintCheck; the others ignore them.  [wavefront] (with [pool]) runs
     every lifeguard's engine in pipelined mode; checkpoints are always
     cut at sealed-epoch frontiers, so snapshots are driver-independent.
-    [state] (default [`Functional]) selects the fact-table backend;
-    snapshots serialize fact sets canonically, so they are
-    backend-portable in both directions.  On resume the analysis flags
-    are restored from the snapshot payload, not from here;
-    [pool]/[wavefront]/[state] are transient and re-supplied. *)
+    On resume the analysis flags are restored from the snapshot payload,
+    not from here; [pool]/[wavefront] are transient and re-supplied. *)
 
 (** Typed builders behind {!ops_of}, for callers that need to keep the
     report type visible — e.g. [lib/serve] packs an engine together with
@@ -60,14 +56,12 @@ val addr_ops :
   ?pool:Butterfly.Domain_pool.t ->
   ?isolation:bool ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   unit ->
   (Lifeguards.Addrcheck.Resumable.state, Lifeguards.Addrcheck.report) ops
 
 val init_ops :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   unit ->
   (Lifeguards.Initcheck.Resumable.state, Lifeguards.Initcheck.report) ops
 
@@ -76,14 +70,12 @@ val taint_ops :
   ?sequential:bool ->
   ?two_phase:bool ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   unit ->
   (Lifeguards.Taintcheck.Resumable.state, Lifeguards.Taintcheck.report) ops
 
 val race_ops :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   unit ->
   (Lifeguards.Racecheck.Resumable.state, Lifeguards.Racecheck.report) ops
 
@@ -117,7 +109,6 @@ val run_addrcheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?isolation:bool ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Addrcheck.report
@@ -125,7 +116,6 @@ val run_addrcheck :
 val resume_addrcheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->
@@ -134,7 +124,6 @@ val resume_addrcheck :
 val run_initcheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Initcheck.report
@@ -142,7 +131,6 @@ val run_initcheck :
 val resume_initcheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->
@@ -153,7 +141,6 @@ val run_taintcheck :
   ?sequential:bool ->
   ?two_phase:bool ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Taintcheck.report
@@ -161,7 +148,6 @@ val run_taintcheck :
 val resume_taintcheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->
@@ -170,7 +156,6 @@ val resume_taintcheck :
 val run_racecheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Racecheck.report
@@ -178,7 +163,6 @@ val run_racecheck :
 val resume_racecheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?wavefront:bool ->
-  ?state:[ `Functional | `Flat ] ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->

@@ -12,7 +12,6 @@ type t = {
   tenant : string;
   lifeguard : Snapshot.lifeguard;
   driver : [ `Sequential | `Pooled | `Wavefront ];
-  state : [ `Functional | `Flat ];
   threads : int;
   engine : packed;
   rows : Tracing.Instr.t array array Queue.t;
@@ -29,16 +28,15 @@ let fresh (h : Wire.hello) pool =
   let mk ops render = E (ops, ops.Runner.create ~threads:h.threads, render) in
   match h.lifeguard with
   | Snapshot.Addrcheck ->
-    mk (Runner.addr_ops ?pool ~wavefront ~state:h.state ()) Report.addrcheck
+    mk (Runner.addr_ops ?pool ~wavefront ()) Report.addrcheck
   | Snapshot.Initcheck ->
-    mk (Runner.init_ops ?pool ~wavefront ~state:h.state ()) Report.initcheck
+    mk (Runner.init_ops ?pool ~wavefront ()) Report.initcheck
   | Snapshot.Taintcheck ->
     mk
-      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ~wavefront
-         ~state:h.state ())
+      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ~wavefront ())
       Report.taintcheck
   | Snapshot.Racecheck ->
-    mk (Runner.race_ops ?pool ~wavefront ~state:h.state ()) Report.racecheck
+    mk (Runner.race_ops ?pool ~wavefront ()) Report.racecheck
 
 let revive (h : Wire.hello) pool ~path =
   let wavefront = h.driver = `Wavefront in
@@ -66,21 +64,22 @@ let revive (h : Wire.hello) pool ~path =
   in
   match h.lifeguard with
   | Snapshot.Addrcheck ->
-    load (Runner.addr_ops ?pool ~wavefront ~state:h.state ()) Report.addrcheck
+    load (Runner.addr_ops ?pool ~wavefront ()) Report.addrcheck
   | Snapshot.Initcheck ->
-    load (Runner.init_ops ?pool ~wavefront ~state:h.state ()) Report.initcheck
+    load (Runner.init_ops ?pool ~wavefront ()) Report.initcheck
   | Snapshot.Taintcheck ->
     load
-      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ~wavefront
-         ~state:h.state ())
+      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ~wavefront ())
       Report.taintcheck
   | Snapshot.Racecheck ->
-    load (Runner.race_ops ?pool ~wavefront ~state:h.state ()) Report.racecheck
+    load (Runner.race_ops ?pool ~wavefront ()) Report.racecheck
 
 let create ?pool ?state_dir (h : Wire.hello) =
   if not (Snapshot.valid_tenant h.tenant) then
     Error (Printf.sprintf "bad hello: invalid tenant id %S" h.tenant)
   else if h.threads < 1 then Error "bad hello: threads must be >= 1"
+  else if h.state = `Flat then
+    Error "bad hello: state=flat is no longer supported"
   else if h.driver <> `Sequential && pool = None then
     Error "bad hello: driver needs a daemon started with --domains"
   else
@@ -90,7 +89,6 @@ let create ?pool ?state_dir (h : Wire.hello) =
         tenant = h.tenant;
         lifeguard = h.lifeguard;
         driver = h.driver;
-        state = h.state;
         threads = h.threads;
         engine;
         rows = Queue.create ();
@@ -204,8 +202,6 @@ let driver_string = function
   | `Pooled -> "pooled"
   | `Wavefront -> "wavefront"
 
-let state_string = function `Functional -> "functional" | `Flat -> "flat"
-
 let stats_json t =
   Obs.Json.Obj
     [
@@ -213,7 +209,6 @@ let stats_json t =
       ("lifeguard",
        Obs.Json.String (Snapshot.lifeguard_to_string t.lifeguard));
       ("driver", Obs.Json.String (driver_string t.driver));
-      ("state", Obs.Json.String (state_string t.state));
       ("threads", Obs.Json.Int t.threads);
       ("fed", Obs.Json.Int (fed t));
       ("queued", Obs.Json.Int (queued t));

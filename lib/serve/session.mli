@@ -1,7 +1,7 @@
 (** One tenant's analysis session.
 
     A session wraps a lifeguard's [Resumable] engine (built from the
-    HELLO's lifeguard/driver/state config via {!Recovery.Runner}'s typed
+    HELLO's lifeguard/driver config via {!Recovery.Runner}'s typed
     ops) plus a queue of decoded-but-unfed epoch rows.  The daemon owns
     the pacing: it {!enqueue}s every DATA chunk as it arrives and calls
     {!step} from its fairness rotation, one epoch at a time, so no
@@ -13,7 +13,7 @@
     [Epochs.of_program] sequence whenever the client chunks the same
     program — which is why the daemon's {!report} is byte-identical to
     the batch CLI's [--json] line (the differential battery pins this
-    for every lifeguard × driver × backend). *)
+    for every lifeguard × driver). *)
 
 type t
 
@@ -28,6 +28,8 @@ val create :
     epoch frontier and {!fed} reflects it.  Stable errors:
     ["bad hello: invalid tenant id _"], ["bad hello: threads must be >= 1"],
     ["bad hello: driver needs a daemon started with --domains"],
+    ["bad hello: state=flat is no longer supported"] (the retired flat
+    fact-table backend; old clients still send the byte),
     the {!Recovery.Runner.resume} checkpoint errors, and
     ["tenant T has a L session on disk, not L'"] when the tenant's
     on-disk session was checkpointed under a different lifeguard. *)

@@ -35,6 +35,8 @@ type hello = {
   lifeguard : Recovery.Snapshot.lifeguard;
   driver : [ `Sequential | `Pooled | `Wavefront ];
   state : [ `Functional | `Flat ];
+      (** fact-table backend; only [`Functional] remains, and
+          {!Session.create} rejects [`Flat] *)
   relaxed : bool;  (** TaintCheck's relaxed-consistency termination *)
   threads : int;  (** application threads; every DATA row must match *)
 }

@@ -444,58 +444,13 @@ let null_sink_inert =
         |> Tracing.Program.with_heartbeats ~every:10
       in
       ignore (RD.run (Butterfly.Epochs.of_program p));
-      Alcotest.(check int) "null registry snapshots empty" 0
-        (List.length (Obs.Sink.snapshot (Obs.sink ()))))
-
-(* The flat backend's promise is that the hot transfer-function loop
-   works in place: once the arena has grown to the working address span,
-   the [Dense] set algebra must not touch the minor heap at all — the
-   same budget-style Gc.minor_words guard as the instrument test above,
-   because a regression here (an accidental [Bytes.make] in an _into op)
-   would silently melt the fast path without failing any equivalence
-   test. *)
-let flat_transfer_allocation_free =
-  Alcotest.test_case
-    "null sink: arena transfer functions allocate nothing" `Quick (fun () ->
-      Alcotest.(check bool) "null sink installed" false (Obs.enabled ());
-      let module FA = Butterfly.Fact_arena in
-      let d = FA.Dense.create ~capacity_bits:4096 () in
-      let gen = FA.Bitset.range 100 180 in
-      let kill = FA.Bitset.of_list [ 7; 64; 130; 700; 701 ] in
-      let iters = 10_000 in
-      let measure f =
-        f ();
-        (* warm-up: the first call may still grow the arena *)
-        let before = Gc.minor_words () in
-        for _ = 1 to iters do
-          f ()
-        done;
-        Gc.minor_words () -. before
-      in
-      let check_free what f =
-        let words = measure f in
-        Testutil.checkb
-          (Printf.sprintf "%s allocated %.0f words over %d calls" what words
-             iters)
-          true
-          (words < 64.0)
-      in
-      check_free "Dense.set/unset" (fun () ->
-          FA.Dense.set d 900;
-          FA.Dense.unset d 900);
-      check_free "Dense.union_into" (fun () -> FA.Dense.union_into d gen);
-      check_free "Dense.diff_into" (fun () -> FA.Dense.diff_into d kill);
-      check_free "Dense.inter_into" (fun () -> FA.Dense.inter_into d gen);
-      check_free "Dense.clear" (fun () -> FA.Dense.clear d);
-      (* And under the null sink the whole flat-backend run stays silent:
-         the state.arena.* counters exist only where a sink is live. *)
+      (* A lifeguard run, with its own counters and gauges, too. *)
       let p =
         Tracing.Program.of_instrs
           [ List.init 60 (fun k -> Tracing.Instr.Malloc { base = 4 * k; size = 4 }) ]
         |> Tracing.Program.with_heartbeats ~every:16
       in
-      ignore
-        (Lifeguards.Addrcheck.run ~state:`Flat (Butterfly.Epochs.of_program p));
+      ignore (Lifeguards.Addrcheck.run (Butterfly.Epochs.of_program p));
       Alcotest.(check int) "null registry snapshots empty" 0
         (List.length (Obs.Sink.snapshot (Obs.sink ()))))
 
@@ -562,6 +517,5 @@ let () =
           prometheus_exposition ] );
       ("pipeline", [ window_accounting; null_sink_inert;
                      null_sink_allocation_free;
-                     flat_transfer_allocation_free;
                      interval_set_updates_logarithmic ]);
     ]

@@ -5,7 +5,7 @@
    1. Differential battery: 500+ seeded lock-heavy grids, each analyzed
       by the independent brute-force reference [Racecheck_seq.check] and
       by every deployment of the butterfly lifeguard — sequential batch,
-      pooled 2/8 domains, wavefront, and the (aliased) flat backend.
+      pooled 2/8 domains and wavefront.
       Every report fingerprint must match the reference byte for byte.
 
    2. QCheck lattice laws for the two abstractions the analysis is built
@@ -70,7 +70,6 @@ let differential_battery () =
             reference label fp)
       [
         ("sequential", RC.run epochs);
-        ("flat", RC.run ~state:`Flat epochs);
         ("pooled(2)", RC.run ~pool:pool2 epochs);
         ("pooled(8)", RC.run ~pool:pool8 epochs);
         ("wavefront(2)", RC.run ~wavefront:true ~pool:pool2 epochs);
@@ -311,7 +310,7 @@ let () =
         [
           Alcotest.test_case
             (Printf.sprintf
-               "%d grids: reference == sequential/flat/pooled-2/pooled-8/wavefront"
+               "%d grids: reference == sequential/pooled-2/pooled-8/wavefront"
                battery_grids)
             `Slow differential_battery;
         ] );

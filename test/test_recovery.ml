@@ -264,143 +264,6 @@ let engines =
     taintcheck_engine ~sequential:true ~two_phase:false "sc,one-phase";
   ]
 
-(* Flat-state twins: the arena backend on both sides of the checkpoint.
-   Snapshots serialize fact sets as canonical interval lists, so the
-   payloads are backend-portable — the cross-backend battery below cuts
-   under one backend and revives under the other. *)
-let addrcheck_flat_engine =
-  {
-    label = "addrcheck[flat]";
-    profile = Qa.Grid_gen.Alloc;
-    batch_fp =
-      (fun ?pool epochs -> AC.fingerprint (AC.run ~state:`Flat ?pool epochs));
-    resumed_fp =
-      (fun ?pool ~cut ~threads rows ->
-        resumed_via
-          ~create:(fun ~threads () ->
-            AC.Resumable.create ?pool ~state:`Flat ~threads ())
-          ~feed:AC.Resumable.feed_epoch ~encode:AC.Resumable.encode
-          ~decode:(AC.Resumable.decode ?pool ~state:`Flat)
-          ~finish:AC.Resumable.finish ~fp:AC.fingerprint ~cut ~threads rows);
-  }
-
-let initcheck_flat_engine =
-  {
-    label = "initcheck[flat]";
-    profile = Qa.Grid_gen.Init;
-    batch_fp =
-      (fun ?pool epochs -> IC.fingerprint (IC.run ~state:`Flat ?pool epochs));
-    resumed_fp =
-      (fun ?pool ~cut ~threads rows ->
-        resumed_via
-          ~create:(fun ~threads () ->
-            IC.Resumable.create ?pool ~state:`Flat ~threads ())
-          ~feed:IC.Resumable.feed_epoch ~encode:IC.Resumable.encode
-          ~decode:(IC.Resumable.decode ?pool ~state:`Flat)
-          ~finish:IC.Resumable.finish ~fp:IC.fingerprint ~cut ~threads rows);
-  }
-
-let taintcheck_flat_engine =
-  {
-    label = "taintcheck[flat]";
-    profile = Qa.Grid_gen.Taint;
-    batch_fp =
-      (fun ?pool epochs -> TC.fingerprint (TC.run ~state:`Flat ?pool epochs));
-    resumed_fp =
-      (fun ?pool ~cut ~threads rows ->
-        resumed_via
-          ~create:(fun ~threads () ->
-            TC.Resumable.create ?pool ~state:`Flat ~threads ())
-          ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
-          ~decode:(TC.Resumable.decode ?pool ~state:`Flat)
-          ~finish:TC.Resumable.finish ~fp:TC.fingerprint ~cut ~threads rows);
-  }
-
-let flat_engines =
-  [ addrcheck_flat_engine; initcheck_flat_engine; taintcheck_flat_engine ]
-
-(* Cut under [from]-backend, revive under [into]-backend: the finished
-   report must still match the uninterrupted functional batch run. *)
-let cross_backend_case (type s)
-    ~(create :
-       state:[ `Functional | `Flat ] -> threads:int -> unit -> s)
-    ~(feed : s -> Tracing.Instr.t array array -> unit)
-    ~(encode : s -> string)
-    ~(decode :
-       state:[ `Functional | `Flat ] -> string -> (s, string) result)
-    ~(finish : s -> 'r) ~(fp : 'r -> string) ~from ~into ~cut ~threads rows =
-  let st = create ~state:from ~threads () in
-  Array.iteri (fun i row -> if i < cut then feed st row) rows;
-  let st' =
-    match decode ~state:into (encode st) with
-    | Ok st' -> st'
-    | Error m -> Alcotest.failf "cross-backend decode at %d: %s" cut m
-  in
-  Array.iteri (fun i row -> if i >= cut then feed st' row) rows;
-  fp (finish st')
-
-let cross_backend_battery () =
-  let directions = [ (`Functional, `Flat); (`Flat, `Functional) ] in
-  let cases =
-    [
-      ( "addrcheck",
-        Qa.Grid_gen.Alloc,
-        fun epochs ~from ~into ~cut ~threads rows label ->
-          checks label
-            (AC.fingerprint (AC.run epochs))
-            (cross_backend_case
-               ~create:(fun ~state ~threads () ->
-                 AC.Resumable.create ~state ~threads ())
-               ~feed:AC.Resumable.feed_epoch ~encode:AC.Resumable.encode
-               ~decode:(fun ~state p -> AC.Resumable.decode ~state p)
-               ~finish:AC.Resumable.finish ~fp:AC.fingerprint ~from ~into
-               ~cut ~threads rows) );
-      ( "initcheck",
-        Qa.Grid_gen.Init,
-        fun epochs ~from ~into ~cut ~threads rows label ->
-          checks label
-            (IC.fingerprint (IC.run epochs))
-            (cross_backend_case
-               ~create:(fun ~state ~threads () ->
-                 IC.Resumable.create ~state ~threads ())
-               ~feed:IC.Resumable.feed_epoch ~encode:IC.Resumable.encode
-               ~decode:(fun ~state p -> IC.Resumable.decode ~state p)
-               ~finish:IC.Resumable.finish ~fp:IC.fingerprint ~from ~into
-               ~cut ~threads rows) );
-      ( "taintcheck",
-        Qa.Grid_gen.Taint,
-        fun epochs ~from ~into ~cut ~threads rows label ->
-          checks label
-            (TC.fingerprint (TC.run epochs))
-            (cross_backend_case
-               ~create:(fun ~state ~threads () ->
-                 TC.Resumable.create ~state ~threads ())
-               ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
-               ~decode:(fun ~state p -> TC.Resumable.decode ~state p)
-               ~finish:TC.Resumable.finish ~fp:TC.fingerprint ~from ~into
-               ~cut ~threads rows) );
-    ]
-  in
-  let rng = Random.State.make [| 0xeb11; 23 |] in
-  for g = 1 to 12 do
-    List.iter
-      (fun (name, profile, run_case) ->
-        let grid = Qa.Grid_gen.grid profile rng in
-        let epochs = Qa.Grid.epochs grid in
-        let rows = rows_of_epochs epochs in
-        let threads = Butterfly.Epochs.threads epochs in
-        List.iter
-          (fun (from, into) ->
-            for cut = 0 to Array.length rows do
-              run_case epochs ~from ~into ~cut ~threads rows
-                (Printf.sprintf "%s grid #%d cut %d %s->%s" name g cut
-                   (if from = `Flat then "flat" else "functional")
-                   (if into = `Flat then "flat" else "functional"))
-            done)
-          directions)
-      cases
-  done
-
 (* The deterministic battery: [n_grids] seeded grids per engine, resumed
    from EVERY epoch boundary (including 0 and num_epochs). *)
 let every_epoch_battery e ~n_grids () =
@@ -731,24 +594,17 @@ let crash_sim_battery () =
       for g = 1 to 5 do
         let grid = Qa.Grid_gen.grid profile rng in
         let epochs = Qa.Grid.epochs grid in
-        List.iter
-          (fun state ->
-            with_snap_file (fun path ->
-                match
-                  Recovery.Crash_sim.run ~state ~seed:g ~every:(1 + (g mod 2))
-                    ~path tag epochs
-                with
-                | Error m -> Alcotest.failf "crash sim: %s" m
-                | Ok o ->
-                  if not o.Recovery.Crash_sim.equal then
-                    Alcotest.failf "%s grid #%d (%s): %a"
-                      (Snapshot.lifeguard_to_string tag)
-                      g
-                      (match state with
-                      | `Functional -> "functional"
-                      | `Flat -> "flat")
-                      Recovery.Crash_sim.pp_outcome o))
-          [ `Functional; `Flat ]
+        with_snap_file (fun path ->
+            match
+              Recovery.Crash_sim.run ~seed:g ~every:(1 + (g mod 2)) ~path tag
+                epochs
+            with
+            | Error m -> Alcotest.failf "crash sim: %s" m
+            | Ok o ->
+              if not o.Recovery.Crash_sim.equal then
+                Alcotest.failf "%s grid #%d: %a"
+                  (Snapshot.lifeguard_to_string tag)
+                  g Recovery.Crash_sim.pp_outcome o)
       done;
       (* A crash before the first checkpoint recovers by starting over. *)
       let grid = Qa.Grid_gen.grid profile rng in
@@ -768,18 +624,13 @@ let qa_crash_checks () =
   List.iter
     (fun lg ->
       let grid = grid_of_seed (Qa.Differential.profile_of lg) 11 in
-      List.iter
-        (fun state ->
-          match Qa.Differential.check_recovery ~state ~seed:3 lg grid with
-          | [] -> ()
-          | ms ->
-            Alcotest.failf "check_recovery flagged %d mismatches: %s"
-              (List.length ms)
-              (String.concat "; "
-                 (List.map
-                    (fun (m : Qa.Differential.mismatch) -> m.subject)
-                    ms)))
-        [ `Functional; `Flat ])
+      match Qa.Differential.check_recovery ~seed:3 lg grid with
+      | [] -> ()
+      | ms ->
+        Alcotest.failf "check_recovery flagged %d mismatches: %s"
+          (List.length ms)
+          (String.concat "; "
+             (List.map (fun (m : Qa.Differential.mismatch) -> m.subject) ms)))
     Qa.Differential.all_lifeguards
 
 (* ------------------------------------------------------------------ *)
@@ -814,19 +665,13 @@ let () =
               (Printf.sprintf "%s: every-epoch battery" e.label)
               `Slow
               (every_epoch_battery e ~n_grids:40))
-          (engines @ flat_engines)
+          engines
         @ List.map
             (fun e ->
               qt ~count:40
                 (Printf.sprintf "%s: random grid, random cut" e.label)
                 arb_cut_case (resume_prop e))
-            (engines @ flat_engines)
-        @ [
-            Alcotest.test_case
-              "snapshots are backend-portable (cut under one, revive under \
-               the other)"
-              `Slow cross_backend_battery;
-          ] );
+            engines );
       ( "resume-pooled",
         List.map
           (fun e ->
@@ -834,7 +679,7 @@ let () =
               (Printf.sprintf "%s: pooled 1/2/8 domains" e.label)
               `Slow
               (pooled_battery e ~n_grids:8))
-          (engines @ flat_engines) );
+          engines );
       ( "scheduler-state",
         [
           qt ~count:80 "May problem: resume at any event == uninterrupted"

@@ -41,9 +41,9 @@ let program ~seed ~threads ~scale =
 
 let rows_of_program p = Runner.rows_of (Epochs.of_program p)
 
-(* The solo batch reference: sequential driver, functional backend —
-   every other driver/backend must match it byte-for-byte, so it serves
-   as the oracle for all tenant configs. *)
+(* The solo batch reference: sequential driver — every other driver
+   must match it byte-for-byte, so it serves as the oracle for all
+   tenant configs. *)
 let batch_report lifeguard ~relaxed p =
   let epochs = Epochs.of_program p in
   match lifeguard with
@@ -55,8 +55,8 @@ let batch_report lifeguard ~relaxed p =
   | Snapshot.Racecheck -> Report.racecheck (Lifeguards.Racecheck.run epochs)
 
 let hello ?(lifeguard = Snapshot.Addrcheck) ?(driver = `Sequential)
-    ?(state = `Functional) ?(relaxed = false) ~tenant ~threads () =
-  { Wire.tenant; lifeguard; driver; state; relaxed; threads }
+    ?(relaxed = false) ~tenant ~threads () =
+  { Wire.tenant; lifeguard; driver; state = `Functional; relaxed; threads }
 
 (* ------------------------------------------------------------------ *)
 (* Wire: round-trips and rejections.                                   *)
@@ -65,7 +65,7 @@ let sample_frames =
   [
     Wire.Hello
       (hello ~tenant:"alpha-1" ~lifeguard:Snapshot.Taintcheck ~driver:`Wavefront
-         ~state:`Flat ~relaxed:true ~threads:7 ());
+         ~relaxed:true ~threads:7 ());
     Wire.Hello_ok { resumed_from = 42 };
     Wire.Data "\x00\x01\x02binary payload\xff";
     Wire.Fin;
@@ -175,13 +175,12 @@ let gen_frame =
               Snapshot.Racecheck ]
         in
         let* driver = oneofl [ `Sequential; `Pooled; `Wavefront ] in
-        let* state = oneofl [ `Functional; `Flat ] in
         let* relaxed = bool in
         let* threads = int_range 1 16 in
         return
           (Wire.Hello
-             { Wire.tenant = t; lifeguard = lg; driver; state; relaxed;
-               threads }) );
+             { Wire.tenant = t; lifeguard = lg; driver; state = `Functional;
+               relaxed; threads }) );
       (1, map (fun n -> Wire.Hello_ok { resumed_from = n }) (int_bound 1000));
       (2, map (fun s -> Wire.Data s) str);
       (1, return Wire.Fin);
@@ -305,7 +304,9 @@ let session_create_rejects () =
     (hello ~tenant:"no/slash" ~threads:2 ());
   expect "bad hello: threads must be >= 1" (hello ~tenant:"ok" ~threads:0 ());
   expect "bad hello: driver needs a daemon started with --domains"
-    (hello ~tenant:"ok" ~driver:`Pooled ~threads:2 ())
+    (hello ~tenant:"ok" ~driver:`Pooled ~threads:2 ());
+  expect "bad hello: state=flat is no longer supported"
+    { (hello ~tenant:"ok" ~threads:2 ()) with state = `Flat }
 
 let session_matches_batch () =
   let p = program ~seed:11 ~threads:3 ~scale:100 in
@@ -496,31 +497,31 @@ let with_daemon ?domains ?state_dir ?checkpoint_every ?evict_idle_after ?policy
       if Sys.file_exists socket then Sys.remove socket)
     (fun () -> f socket stop)
 
-(* Eight tenants, mixed lifeguards × drivers × backends, streaming
-   concurrently (some with writes shredded to 3 bytes); every report
-   must equal the tenant's solo sequential batch run. *)
+(* Eight tenants, mixed lifeguards × drivers, streaming concurrently
+   (some with writes shredded to 3 bytes); every report must equal the
+   tenant's solo sequential batch run. *)
 let eight_tenant_battery () =
   let configs =
     [
-      ("t0", Snapshot.Addrcheck, `Sequential, `Functional, false, None);
-      ("t1", Snapshot.Addrcheck, `Pooled, `Flat, false, Some 3);
-      ("t2", Snapshot.Initcheck, `Wavefront, `Functional, false, None);
-      ("t3", Snapshot.Initcheck, `Sequential, `Flat, false, Some 2);
-      ("t4", Snapshot.Taintcheck, `Pooled, `Functional, false, None);
-      ("t5", Snapshot.Taintcheck, `Wavefront, `Flat, true, Some 3);
-      ("t6", Snapshot.Racecheck, `Sequential, `Functional, false, None);
-      ("t7", Snapshot.Racecheck, `Pooled, `Flat, false, Some 5);
+      ("t0", Snapshot.Addrcheck, `Sequential, false, None);
+      ("t1", Snapshot.Addrcheck, `Pooled, false, Some 3);
+      ("t2", Snapshot.Initcheck, `Wavefront, false, None);
+      ("t3", Snapshot.Initcheck, `Sequential, false, Some 2);
+      ("t4", Snapshot.Taintcheck, `Pooled, false, None);
+      ("t5", Snapshot.Taintcheck, `Wavefront, true, Some 3);
+      ("t6", Snapshot.Racecheck, `Sequential, false, None);
+      ("t7", Snapshot.Racecheck, `Pooled, false, Some 5);
     ]
   in
   with_daemon ~domains:2 @@ fun socket _stop ->
   let jobs =
     List.mapi
-      (fun i (tenant, lifeguard, driver, state, relaxed, write_chunk) ->
+      (fun i (tenant, lifeguard, driver, relaxed, write_chunk) ->
         let p = program ~seed:(100 + i) ~threads:(2 + (i mod 3)) ~scale:80 in
         let expected = batch_report lifeguard ~relaxed p in
         let rows = rows_of_program p in
         let h =
-          hello ~tenant ~lifeguard ~driver ~state ~relaxed
+          hello ~tenant ~lifeguard ~driver ~relaxed
             ~threads:(Tracing.Program.threads p) ()
         in
         ( tenant,
@@ -729,6 +730,33 @@ let fault_containment () =
   | Ok (_, report) -> checks "good tenant unaffected" expected report
   | Error m -> Alcotest.fail ("good tenant: " ^ m)
 
+(* The retired flat backend: a HELLO asking for it gets one stable error
+   frame, and a tenant streaming next to it is unaffected. *)
+let flat_state_rejected () =
+  with_daemon @@ fun socket _stop ->
+  let p = program ~seed:43 ~threads:2 ~scale:100 in
+  let expected = batch_report Snapshot.Addrcheck ~relaxed:false p in
+  let rows = rows_of_program p in
+  let good =
+    Domain.spawn (fun () ->
+        Client.run_tenant ~socket
+          ~hello:(hello ~tenant:"good" ~threads:2 ())
+          rows)
+  in
+  let fd = raw_connect socket in
+  raw_send fd
+    (Wire.Hello { (hello ~tenant:"old" ~threads:2 ()) with state = `Flat });
+  (match raw_read_frame fd with
+  | Ok (Wire.Error m) ->
+    checks "flat hello" "bad hello: state=flat is no longer supported" m
+  | other ->
+    Alcotest.fail
+      (match other with Error m -> m | Ok f -> Format.asprintf "%a" Wire.pp f));
+  Unix.close fd;
+  match Domain.join good with
+  | Ok (_, report) -> checks "good tenant unaffected" expected report
+  | Error m -> Alcotest.fail ("good tenant: " ^ m)
+
 let daemon_hello_rejects () =
   with_daemon @@ fun socket _stop ->
   let fd = raw_connect socket in
@@ -909,6 +937,8 @@ let () =
             fault_containment;
           Alcotest.test_case "hello rejections over the wire" `Quick
             daemon_hello_rejects;
+          Alcotest.test_case "state=flat hello rejected, neighbour unaffected"
+            `Quick flat_state_rejected;
           Alcotest.test_case "oversubscription eviction + revival" `Slow
             oversubscription_eviction;
           Alcotest.test_case "status endpoint" `Quick status_surface;
