@@ -3,20 +3,15 @@
    Usage: gate.exe BASELINE.json CURRENT.json
 
    Both files are the `bench/main.exe --json` output: one array of
-   {name; runs; ns_per_run}.  The gate enforces two rules and exits
-   non-zero (listing every violation) if either is broken:
+   {name; runs; ns_per_run}.  The gate enforces one rule and exits
+   non-zero (listing every violation) if it is broken:
 
-   1. Trajectory: no benchmark group may regress by more than 25%
-      against the previous committed point.  A group's regression is the
-      geometric mean of the per-benchmark ratios over the names present
-      in both files — robust to one noisy entry, sensitive to a whole
-      group drifting.  Names only in one file (benches added or retired
-      between points) are reported but don't gate.
-
-   2. Wavefront: within CURRENT's `epochwise-vs-wavefront` group, every
-      `*.wavefront-N` entry must be no more than 10% slower than its
-      `*.epochwise-N` twin — the pipelined driver is allowed to win or
-      tie, never to lose the barrier it removed. *)
+   Trajectory: no benchmark group may regress by more than 25% against
+   the previous committed point.  A group's regression is the geometric
+   mean of the per-benchmark ratios over the names present in both
+   files — robust to one noisy entry, sensitive to a whole group
+   drifting.  Names only in one file (benches added or retired between
+   points) are reported but don't gate. *)
 
 let fail_usage () =
   prerr_endline "usage: gate.exe BASELINE.json CURRENT.json";
@@ -60,25 +55,6 @@ let group_of name =
   | None -> name
 
 let max_group_regression = 1.25
-let max_wavefront_ratio = 1.10
-
-(* Substring replace for the epochwise/wavefront twin lookup. *)
-let replace ~sub ~by s =
-  let ls = String.length sub in
-  let b = Buffer.create (String.length s) in
-  let i = ref 0 in
-  while !i <= String.length s - ls do
-    if String.sub s !i ls = sub then begin
-      Buffer.add_string b by;
-      i := !i + ls
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.add_string b (String.sub s !i (String.length s - !i));
-  Buffer.contents b
 
 let () =
   let baseline_path, current_path =
@@ -91,7 +67,7 @@ let () =
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
 
-  (* Rule 1: per-group geometric mean of current/baseline ratios. *)
+  (* Per-group geometric mean of current/baseline ratios. *)
   let groups =
     List.sort_uniq compare (List.map (fun (n, _) -> group_of n) current)
   in
@@ -126,31 +102,6 @@ let () =
             baseline_path
             ((max_group_regression -. 1.) *. 100.))
     groups;
-
-  (* Rule 2: wavefront vs its epochwise twin, within CURRENT. *)
-  let contains s sub =
-    let ls = String.length sub in
-    let rec has i =
-      i + ls <= String.length s && (String.sub s i ls = sub || has (i + 1))
-    in
-    has 0
-  in
-  List.iter
-    (fun (n, wf) ->
-      let marker = ".wavefront-" in
-      if group_of n = "epochwise-vs-wavefront" && contains n marker then
-        let twin = replace ~sub:marker ~by:".epochwise-" n in
-        match List.assoc_opt twin current with
-        | None -> violate "%s has no epochwise twin %s" n twin
-        | Some ep ->
-          let ratio = wf /. ep in
-          Printf.printf "pair  %-40s %.3fx of %s\n" n ratio twin;
-          if ratio > max_wavefront_ratio then
-            violate "%s is %.1f%% slower than %s (limit %.0f%%)" n
-              ((ratio -. 1.) *. 100.)
-              twin
-              ((max_wavefront_ratio -. 1.) *. 100.))
-    current;
 
   match List.rev !violations with
   | [] -> print_endline "bench gate: OK"

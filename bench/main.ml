@@ -26,11 +26,10 @@ let fft_small = fixture_program "fft" ~threads:4 ~scale:1500 ~h:128
    enough per-epoch work for fan-out to matter, but each entry also needs
    several samples for the gate's ratio bounds to mean anything.  Two
    threads of LU churn land a sequential pass around a quarter second
-   (the pooled and wavefront drivers roughly double that), so the timed
-   quota below collects at least a handful of runs per entry.  (The
-   previous fixture, OCEAN at scale 1200, cost ~14 s per pass: OCEAN's fixed-size
-   stencil iteration is all-or-nothing, so every streaming entry sat at
-   runs:1 and the wavefront gate was comparing single samples.) *)
+   (the pooled driver roughly doubles that), so the timed quota below
+   collects at least a handful of runs per entry.  (The previous fixture,
+   OCEAN at scale 1200, cost ~14 s per pass: OCEAN's fixed-size stencil
+   iteration is all-or-nothing, so every streaming entry sat at runs:1.) *)
 let lu_large = fixture_program "lu" ~threads:2 ~scale:1200 ~h:64
 let lu_large_epochs = Butterfly.Epochs.of_program lu_large
 
@@ -174,10 +173,8 @@ let figure12_tests =
    spawning. *)
 module SRD = Butterfly.Scheduler.Make (Butterfly.Reaching_definitions.Problem)
 
-let streaming_run ?pool ?wavefront () =
-  ignore
-    (SRD.run_epochs ?pool ?wavefront ~on_instr:(fun _ -> ())
-       lu_large_epochs)
+let streaming_run ?pool () =
+  ignore (SRD.run_epochs ?pool ~on_instr:(fun _ -> ()) lu_large_epochs)
 
 let streaming_tests pools =
   Test.make_grouped ~name:"streaming"
@@ -215,8 +212,7 @@ let taint_program ~threads ~scale ~h =
 let taint_epochs =
   Butterfly.Epochs.of_program (taint_program ~threads:4 ~scale:1000 ~h:64)
 
-let taint_run ?pool ?wavefront () =
-  ignore (Lifeguards.Taintcheck.run ?pool ?wavefront taint_epochs)
+let taint_run ?pool () = ignore (Lifeguards.Taintcheck.run ?pool taint_epochs)
 
 let taint_tests pools =
   Test.make_grouped ~name:"taint"
@@ -232,8 +228,7 @@ let taint_tests pools =
    lock-discipline workload.  Discipline 0.7 leaves most accesses
    guarded and seeds genuine races, so both suppression paths (vector
    clock and lockset) and the cross-thread pairing loop all do real
-   work; the wavefront entries ride the same pools as the other
-   driver-comparison groups. *)
+   work. *)
 let race_epochs =
   Workloads.Synthetic.generate_racy ~counters:8 ~discipline:0.7 ~threads:4
     ~scale:1000 ~seed:7 ()
@@ -241,49 +236,17 @@ let race_epochs =
   |> Tracing.Program.with_heartbeats ~every:64
   |> Butterfly.Epochs.of_program
 
-let race_run ?pool ?wavefront () =
-  ignore (Lifeguards.Racecheck.run ?pool ?wavefront race_epochs)
+let race_run ?pool () = ignore (Lifeguards.Racecheck.run ?pool race_epochs)
 
 let race_tests pools =
   Test.make_grouped ~name:"race"
     (Test.make ~name:"sequential" (Staged.stage (fun () -> race_run ()))
-    :: List.concat_map
+    :: List.map
          (fun (d, pool) ->
-           [
-             Test.make
-               ~name:(Printf.sprintf "pooled-%d" d)
-               (Staged.stage (fun () -> race_run ~pool ()));
-             Test.make
-               ~name:(Printf.sprintf "wavefront-%d" d)
-               (Staged.stage (fun () -> race_run ~pool ~wavefront:true ()));
-           ])
+           Test.make
+             ~name:(Printf.sprintf "pooled-%d" d)
+             (Staged.stage (fun () -> race_run ~pool ())))
          pools)
-
-(* Epochwise vs wavefront: the same pool, the same trace, barrier vs
-   pipelined dispatch — the pairing BENCH_*.json's regression gate holds
-   to "wavefront no slower than epochwise".  Two workload shapes: the
-   streaming reaching-definitions pass (pass-2 dominated, the barrier is
-   pure overhead) and the TaintCheck two-pass pipeline (serially
-   dependent pass-2, the win is pass-1 overlap). *)
-let wavefront_tests pools =
-  Test.make_grouped ~name:"epochwise-vs-wavefront"
-    (List.concat_map
-       (fun (d, pool) ->
-         [
-           Test.make
-             ~name:(Printf.sprintf "streaming.epochwise-%d" d)
-             (Staged.stage (fun () -> streaming_run ~pool ()));
-           Test.make
-             ~name:(Printf.sprintf "streaming.wavefront-%d" d)
-             (Staged.stage (fun () -> streaming_run ~pool ~wavefront:true ()));
-           Test.make
-             ~name:(Printf.sprintf "taint.epochwise-%d" d)
-             (Staged.stage (fun () -> taint_run ~pool ()));
-           Test.make
-             ~name:(Printf.sprintf "taint.wavefront-%d" d)
-             (Staged.stage (fun () -> taint_run ~pool ~wavefront:true ()));
-         ])
-       pools)
 
 (* Fact tables on the functional structures, plus trace ingestion.  The
    group keeps its historical [flat-vs-functional] name and the
@@ -544,7 +507,6 @@ let () =
   let json = Array.exists (( = ) "--json") Sys.argv in
   let streaming_only = Array.exists (( = ) "--streaming-only") Sys.argv in
   let taint_only = Array.exists (( = ) "--taint-only") Sys.argv in
-  let wavefront_only = Array.exists (( = ) "--wavefront-only") Sys.argv in
   let race_only = Array.exists (( = ) "--race-only") Sys.argv in
   let flat_only = Array.exists (( = ) "--flat-only") Sys.argv in
   let serve_only = Array.exists (( = ) "--serve-only") Sys.argv in
@@ -592,13 +554,11 @@ let () =
          a handful of samples per second — the ~limit:50 cap keeps the
          cheap ones from eating the whole quota).  The groups whose
          entries run for hundreds of ms — flat-vs-functional and the
-         streaming pairs (gate rules 1 and 2) — get 4-6s quotas
-         instead: a short quota would pin them at a single sample each,
+         streaming group — get 4-6s quotas instead: a short quota would pin them at a single sample each,
          gating on noise. *)
       let groups =
         if streaming_only then [ (6.0, false, streaming_tests pools) ]
         else if taint_only then [ (1.0, true, taint_tests pools) ]
-        else if wavefront_only then [ (6.0, false, wavefront_tests pools) ]
         else if race_only then [ (1.0, true, race_tests pools) ]
         else if flat_only then [ (4.0, true, fact_table_tests) ]
         else if serve_only then []
@@ -609,14 +569,13 @@ let () =
             (1.0, true, figure12_tests); (1.0, true, figure13_tests);
             (6.0, false, streaming_tests pools);
             (1.0, true, taint_tests pools);
-            (6.0, false, wavefront_tests pools);
             (1.0, true, race_tests pools); (4.0, true, fact_table_tests);
           ]
       in
       let full_suite =
         not
-          (streaming_only || taint_only || wavefront_only || race_only
-         || flat_only || serve_only)
+          (streaming_only || taint_only || race_only || flat_only
+         || serve_only)
       in
       let measure_all () =
         let base = measure_benchmarks groups in

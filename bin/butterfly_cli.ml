@@ -205,42 +205,11 @@ let positive_int =
 
 let domains_arg =
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N"
-       ~doc:"Run the lifeguard on the pooled streaming scheduler with $(docv) \
-             worker domains (capped at the hardware's recommended domain \
-             count) instead of the sequential batch driver.  The output is \
-             identical in either mode.")
-
-(* Driver selection: [--driver] names the execution strategy explicitly;
-   [auto] (the default) preserves the historical behaviour where
-   [--domains] alone picks sequential vs pooled. *)
-
-let driver_arg =
-  let d =
-    Arg.enum
-      [ ("auto", `Auto); ("sequential", `Sequential); ("pooled", `Pooled);
-        ("wavefront", `Wavefront) ]
-  in
-  Arg.(value & opt d `Auto & info [ "driver" ] ~docv:"DRIVER"
-       ~doc:"Execution driver: $(b,sequential) (batch, single domain), \
-             $(b,pooled) (epoch-barrier streaming scheduler; needs \
-             $(b,--domains)), $(b,wavefront) (barrier-free pipelined \
-             scheduler; needs $(b,--domains)), or $(b,auto) (default: \
-             $(b,pooled) when $(b,--domains) is given, else \
-             $(b,sequential)).  The report is identical for every driver.")
-
-(* Returns whether the wavefront scheduler is requested; exits on the
-   contradictory combinations so the error surfaces at parse time, not as
-   an escaped [Invalid_argument]. *)
-let wavefront_of_driver driver domains =
-  match (driver, domains) with
-  | `Auto, _ | `Sequential, None | `Pooled, Some _ -> false
-  | `Wavefront, Some _ -> true
-  | `Sequential, Some _ ->
-    prerr_endline "error: --driver sequential conflicts with --domains";
-    exit 2
-  | (`Pooled | `Wavefront), None ->
-    prerr_endline "error: --driver wavefront/pooled requires --domains";
-    exit 2
+       ~doc:"Run the lifeguard on a pool of $(docv) worker domains (capped \
+             at the hardware's recommended domain count) instead of on the \
+             calling domain alone: AddrCheck and InitCheck on the pooled \
+             streaming scheduler, TaintCheck and RaceCheck on the pooled \
+             two-pass schedule.  The output is identical in either mode.")
 
 (* Checkpoint/restore plumbing (lib/recovery), shared by the three
    lifeguard subcommands. *)
@@ -325,18 +294,16 @@ let run_cursor ~create ~feed ~finish ~h ~domains c =
    resume flag is present; the plain batch driver otherwise. *)
 let run_with_recovery ~batch ~fresh ~resumed ~domains ~checkpoint ~resume
     epochs =
-  match (resume, checkpoint) with
-  | None, None -> batch ~domains epochs
-  | resume, checkpoint ->
-    with_pool_opt domains (fun pool ->
-        match resume with
-        | None -> fresh ?pool ?checkpoint epochs
-        | Some path -> (
-          match resumed ?pool ?checkpoint ~path epochs with
-          | Ok r -> r
-          | Error m ->
-            prerr_endline ("error: " ^ m);
-            exit 2))
+  with_pool_opt domains (fun pool ->
+      match (resume, checkpoint) with
+      | None, None -> batch ?pool epochs
+      | None, checkpoint -> fresh ?pool ?checkpoint epochs
+      | Some path, checkpoint -> (
+        match resumed ?pool ?checkpoint ~path epochs with
+        | Ok r -> r
+        | Error m ->
+          prerr_endline ("error: " ^ m);
+          exit 2))
 
 let load_program path h =
   let raw = In_channel.with_open_bin path In_channel.input_all in
@@ -353,18 +320,15 @@ let load_program path h =
   | Ok p -> if h > 0 then Machine.Heartbeat.insert ~every:h p else p
 
 let addrcheck_cmd =
-  let run path h ingest domains driver every out resume json stats
-      obs_jsonl =
+  let run path h ingest domains every out resume json stats obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
-        let wavefront = wavefront_of_driver driver domains in
         let r =
           match ingest with
           | `Cursor ->
             cursor_incompat ~every ~out ~resume;
             run_cursor
               ~create:(fun pool ~threads ->
-                Lifeguards.Addrcheck.Resumable.create ?pool ~wavefront
-                  ~threads ())
+                Lifeguards.Addrcheck.Resumable.create ?pool ~threads ())
               ~feed:Lifeguards.Addrcheck.Resumable.feed_epoch
               ~finish:Lifeguards.Addrcheck.Resumable.finish ~h ~domains
               (load_cursor path)
@@ -372,14 +336,13 @@ let addrcheck_cmd =
             let p = load_program path h in
             let r =
               run_with_recovery
-                ~batch:(fun ~domains epochs ->
-                  Lifeguards.Addrcheck.run ~wavefront ?domains epochs)
+                ~batch:(fun ?pool epochs ->
+                  Lifeguards.Addrcheck.run ?pool epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_addrcheck ?pool ~wavefront
-                    ?checkpoint epochs)
+                  Recovery.Runner.run_addrcheck ?pool ?checkpoint epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_addrcheck ?pool ~wavefront
-                    ?checkpoint ~path epochs)
+                  Recovery.Runner.resume_addrcheck ?pool ?checkpoint ~path
+                    epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
             in
@@ -398,22 +361,19 @@ let addrcheck_cmd =
   in
   Cmd.v (Cmd.info "addrcheck" ~doc:"Run butterfly AddrCheck on a trace file")
     Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
-          $ driver_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg
-          $ stats_arg $ obs_jsonl_arg)
+          $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg $ stats_arg
+          $ obs_jsonl_arg)
 
 let initcheck_cmd =
-  let run path h ingest domains driver every out resume json stats
-      obs_jsonl =
+  let run path h ingest domains every out resume json stats obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
-        let wavefront = wavefront_of_driver driver domains in
         let r =
           match ingest with
           | `Cursor ->
             cursor_incompat ~every ~out ~resume;
             run_cursor
               ~create:(fun pool ~threads ->
-                Lifeguards.Initcheck.Resumable.create ?pool ~wavefront
-                  ~threads ())
+                Lifeguards.Initcheck.Resumable.create ?pool ~threads ())
               ~feed:Lifeguards.Initcheck.Resumable.feed_epoch
               ~finish:Lifeguards.Initcheck.Resumable.finish ~h ~domains
               (load_cursor path)
@@ -421,14 +381,13 @@ let initcheck_cmd =
             let p = load_program path h in
             let r =
               run_with_recovery
-                ~batch:(fun ~domains epochs ->
-                  Lifeguards.Initcheck.run ~wavefront ?domains epochs)
+                ~batch:(fun ?pool epochs ->
+                  Lifeguards.Initcheck.run ?pool epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_initcheck ?pool ~wavefront
-                    ?checkpoint epochs)
+                  Recovery.Runner.run_initcheck ?pool ?checkpoint epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_initcheck ?pool ~wavefront
-                    ?checkpoint ~path epochs)
+                  Recovery.Runner.resume_initcheck ?pool ?checkpoint ~path
+                    epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
             in
@@ -449,14 +408,13 @@ let initcheck_cmd =
     (Cmd.info "initcheck"
        ~doc:"Run butterfly InitCheck (uninitialized reads) on a trace file")
     Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
-          $ driver_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg
-          $ stats_arg $ obs_jsonl_arg)
+          $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg $ stats_arg
+          $ obs_jsonl_arg)
 
 let taintcheck_cmd =
-  let run path h relaxed ingest domains driver every out resume json stats
+  let run path h relaxed ingest domains every out resume json stats
       obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
-        let wavefront = wavefront_of_driver driver domains in
         let r =
           match ingest with
           | `Cursor ->
@@ -464,7 +422,7 @@ let taintcheck_cmd =
             run_cursor
               ~create:(fun pool ~threads ->
                 Lifeguards.Taintcheck.Resumable.create ?pool
-                  ~sequential:(not relaxed) ~wavefront ~threads ())
+                  ~sequential:(not relaxed) ~threads ())
               ~feed:Lifeguards.Taintcheck.Resumable.feed_epoch
               ~finish:Lifeguards.Taintcheck.Resumable.finish ~h ~domains
               (load_cursor path)
@@ -472,16 +430,15 @@ let taintcheck_cmd =
             let p = load_program path h in
             let r =
               run_with_recovery
-                ~batch:(fun ~domains epochs ->
-                  Lifeguards.Taintcheck.run ~sequential:(not relaxed)
-                    ~wavefront ?domains epochs)
+                ~batch:(fun ?pool epochs ->
+                  Lifeguards.Taintcheck.run ~sequential:(not relaxed) ?pool
+                    epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
                   Recovery.Runner.run_taintcheck ?pool
-                    ~sequential:(not relaxed) ~wavefront ?checkpoint
-                    epochs)
+                    ~sequential:(not relaxed) ?checkpoint epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_taintcheck ?pool ~wavefront
-                    ?checkpoint ~path epochs)
+                  Recovery.Runner.resume_taintcheck ?pool ?checkpoint ~path
+                    epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
             in
@@ -502,22 +459,19 @@ let taintcheck_cmd =
   in
   Cmd.v (Cmd.info "taintcheck" ~doc:"Run butterfly TaintCheck on a trace file")
     Term.(const run $ trace_arg $ h_arg $ relaxed_arg $ ingest_arg
-          $ domains_arg $ driver_arg $ ckpt_every_arg $ ckpt_out_arg
-          $ resume_arg $ json_arg $ stats_arg $ obs_jsonl_arg)
+          $ domains_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg
+          $ json_arg $ stats_arg $ obs_jsonl_arg)
 
 let racecheck_cmd =
-  let run path h ingest domains driver every out resume json stats
-      obs_jsonl =
+  let run path h ingest domains every out resume json stats obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
-        let wavefront = wavefront_of_driver driver domains in
         let r =
           match ingest with
           | `Cursor ->
             cursor_incompat ~every ~out ~resume;
             run_cursor
               ~create:(fun pool ~threads ->
-                Lifeguards.Racecheck.Resumable.create ?pool ~wavefront
-                  ~threads ())
+                Lifeguards.Racecheck.Resumable.create ?pool ~threads ())
               ~feed:Lifeguards.Racecheck.Resumable.feed_epoch
               ~finish:Lifeguards.Racecheck.Resumable.finish ~h ~domains
               (load_cursor path)
@@ -525,14 +479,13 @@ let racecheck_cmd =
             let p = load_program path h in
             let r =
               run_with_recovery
-                ~batch:(fun ~domains epochs ->
-                  Lifeguards.Racecheck.run ~wavefront ?domains epochs)
+                ~batch:(fun ?pool epochs ->
+                  Lifeguards.Racecheck.run ?pool epochs)
                 ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_racecheck ?pool ~wavefront
-                    ?checkpoint epochs)
+                  Recovery.Runner.run_racecheck ?pool ?checkpoint epochs)
                 ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_racecheck ?pool ~wavefront
-                    ?checkpoint ~path epochs)
+                  Recovery.Runner.resume_racecheck ?pool ?checkpoint ~path
+                    epochs)
                 ~domains ~checkpoint:(checkpointing_of every out) ~resume
                 (Butterfly.Epochs.of_program p)
             in
@@ -563,8 +516,8 @@ let racecheck_cmd =
        ~doc:"Run butterfly RaceCheck (happens-before/lockset may-races) on \
              a trace file")
     Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
-          $ driver_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg
-          $ stats_arg $ obs_jsonl_arg)
+          $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg $ stats_arg
+          $ obs_jsonl_arg)
 
 let stats_cmd =
   let run path h domains lifeguard json prometheus obs_jsonl =
@@ -583,11 +536,13 @@ let stats_cmd =
         Obs.with_sink s (fun () ->
             let p = load_program path h in
             let epochs = Butterfly.Epochs.of_program p in
-            (match lifeguard with
-            | `Addrcheck -> ignore (Lifeguards.Addrcheck.run ?domains epochs)
-            | `Initcheck -> ignore (Lifeguards.Initcheck.run ?domains epochs)
-            | `Taintcheck -> ignore (Lifeguards.Taintcheck.run ?domains epochs)
-            | `Racecheck -> ignore (Lifeguards.Racecheck.run ?domains epochs));
+            with_pool_opt domains (fun pool ->
+                match lifeguard with
+                | `Addrcheck -> ignore (Lifeguards.Addrcheck.run ?pool epochs)
+                | `Initcheck -> ignore (Lifeguards.Initcheck.run ?pool epochs)
+                | `Taintcheck ->
+                  ignore (Lifeguards.Taintcheck.run ?pool epochs)
+                | `Racecheck -> ignore (Lifeguards.Racecheck.run ?pool epochs));
             replay_window_metrics p));
     print_snapshot
       (if prometheus then `Prometheus else if json then `Json else `Text)
@@ -618,13 +573,13 @@ let stats_cmd =
           $ json_arg $ prometheus_arg $ obs_jsonl_arg)
 
 (* ------------------------------------------------------------------ *)
-(* Differential fuzzing (lib/qa): generated grids through every driver ×
-   domains × memory-model combination plus the valid-ordering oracle,
+(* Differential fuzzing (lib/qa): generated grids through the sequential
+   and pooled drivers × memory models plus the valid-ordering oracle,
    with greedy minimization of any counterexample. *)
 
 let fuzz_cmd =
-  let run lifeguard driver iterations seed shrink crash_at out replay serve
-      stats obs_jsonl =
+  let run lifeguard iterations seed shrink crash_at out replay serve stats
+      obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
         if serve then begin
           (* Frame-protocol fuzzing: mutate valid serving conversations
@@ -637,11 +592,6 @@ let fuzz_cmd =
           if o.Qa.Serve_fuzz.failure <> None then exit 1
         end
         else
-        let drivers =
-          match driver with
-          | `All -> Qa.Differential.all_drivers
-          | `One d -> [ d ]
-        in
         let lifeguards =
           match lifeguard with
           | `All -> Qa.Differential.all_lifeguards
@@ -691,7 +641,6 @@ let fuzz_cmd =
                   seed;
                   shrink;
                   crash;
-                  diff = { Qa.Differential.default_config with drivers };
                 }
               in
               let outcome = Qa.Engine.run ~config lg in
@@ -733,21 +682,6 @@ let fuzz_cmd =
     Arg.(value & opt lg `All & info [ "lifeguard" ] ~docv:"LIFEGUARD"
          ~doc:"Which lifeguard to fuzz: $(b,addrcheck), $(b,initcheck), \
                $(b,taintcheck), $(b,racecheck) or $(b,all) (default).")
-  in
-  let fuzz_driver_arg =
-    let d =
-      Arg.enum
-        [
-          ("pooled", `One Qa.Differential.Pooled);
-          ("wavefront", `One Qa.Differential.Wavefront);
-          ("all", `All);
-        ]
-    in
-    Arg.(value & opt d `All & info [ "driver" ] ~docv:"DRIVER"
-         ~doc:"Which parallel drivers the equivalence battery quantifies \
-               over: $(b,pooled), $(b,wavefront) or $(b,all) (default).  \
-               The sequential baseline always runs.  Ignored with \
-               $(b,--replay).")
   in
   let iterations_arg =
     Arg.(value & opt positive_int 100 & info [ "iterations" ] ~docv:"N"
@@ -811,11 +745,12 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Differentially fuzz the butterfly lifeguards: random grids \
-             through all driver/domain/memory-model combinations plus the \
-             valid-ordering soundness oracle; exits non-zero on mismatch")
-    Term.(const run $ lifeguard_arg $ fuzz_driver_arg
-          $ iterations_arg $ fuzz_seed_arg $ shrink_arg $ crash_at_arg
-          $ out_arg $ replay_arg $ serve_arg $ stats_arg $ obs_jsonl_arg)
+             through the sequential and pooled drivers plus the \
+             valid-ordering soundness oracle on every memory model; exits \
+             non-zero on mismatch")
+    Term.(const run $ lifeguard_arg $ iterations_arg $ fuzz_seed_arg
+          $ shrink_arg $ crash_at_arg $ out_arg $ replay_arg $ serve_arg
+          $ stats_arg $ obs_jsonl_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection: dependence-graph / timeline rendering and the obs
@@ -1094,15 +1029,11 @@ let client_cmd =
          ~doc:"Trace file (Trace_codec text or binary format).")
   in
   let client_driver_arg =
-    let d =
-      Arg.enum
-        [ ("sequential", `Sequential); ("pooled", `Pooled);
-          ("wavefront", `Wavefront) ]
-    in
+    let d = Arg.enum [ ("sequential", `Sequential); ("pooled", `Pooled) ] in
     Arg.(value & opt d `Sequential & info [ "driver" ] ~docv:"DRIVER"
          ~doc:"Execution driver the daemon should run this session with; \
-               $(b,pooled)/$(b,wavefront) need a daemon started with \
-               $(b,--domains).  The report is identical for every driver.")
+               $(b,pooled) needs a daemon started with $(b,--domains).  The \
+               report is identical for either driver.")
   in
   let relaxed_arg =
     Arg.(value & flag & info [ "relaxed" ]

@@ -177,7 +177,7 @@ module Make (P : PROBLEM) = struct
     | `Must -> Set.diff lsos_at side_in
 
   (* Pass-2 inner loop over one block, shared by every driver (batch here,
-     pooled/wavefront in [Scheduler.Make], fork-join in [Parallel]).
+     sequential and pooled streaming in [Scheduler.Make]).
      [in_before] depends only on the running LSOS, which GEN/KILL-free
      instructions leave physically unchanged (the set ops shortcut empty
      operands) — so the meet with the side-in is recomputed only at state

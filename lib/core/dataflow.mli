@@ -104,8 +104,8 @@ module Make (P : PROBLEM) : sig
     Block.t ->
     unit
   (** The pass-2 inner loop over one block, shared by every driver (the
-      batch {!run}, the pooled/wavefront scheduler, the fork-join
-      driver): threads the running LSOS through GEN/KILL and emits each
+      batch {!run} and the streaming scheduler, sequential or pooled):
+      threads the running LSOS through GEN/KILL and emits each
       instruction's view.  [in_before] is recomputed only when the
       running LSOS actually changes — GEN/KILL-free instructions reuse
       the previous meet, so the meet costs one set operation per state

@@ -15,16 +15,6 @@ module Make (P : Dataflow.PROBLEM) = struct
   let sp_lsos = Obs.Span.make ~labels:obs_labels "butterfly.lsos.ns"
   let sp_pass2 = Obs.Span.make ~labels:obs_labels "butterfly.pass2_block.ns"
 
-  (* Wavefront mode keeps several epochs' pass-2 tasks in flight at once;
-     its pipeline accounting carries its own driver label. *)
-  let wf_labels = [ ("problem", P.name); ("driver", "wavefront") ]
-  let g_wf_ready =
-    Obs.Gauge.make ~labels:wf_labels "scheduler.wavefront.ready_queue"
-  let sp_wf_stall =
-    Obs.Span.make ~labels:wf_labels "scheduler.wavefront.stall_ns"
-  let m_wf_overlap =
-    Obs.Counter.make ~labels:wf_labels "scheduler.wavefront.overlapped_epochs"
-
   type t = {
     threads : int;
     pool : Domain_pool.t option;
@@ -41,25 +31,10 @@ module Make (P : Dataflow.PROBLEM) = struct
     mutable processed : int; (* epochs whose pass 2 has been launched *)
     mutable hwm : int;
     mutable finished : bool;
-    (* Wavefront pipelining: pass-2 results still in flight on the pool,
-       keyed by epoch, plus the delivery frontier.  In the sequential and
-       plain pooled modes delivery is immediate, so [delivered] simply
-       tracks [processed]. *)
-    wavefront : bool;
-    inflight_cap : int;
-    p2_pending : (int, D.instr_view list Domain_pool.future array) Hashtbl.t;
-    mutable delivered : int; (* epochs whose views reached [on_instr] *)
   }
 
-  let create ?pool ?(wavefront = false) ~threads ~on_instr () =
+  let create ?pool ~threads ~on_instr () =
     if threads <= 0 then invalid_arg "Scheduler.create: threads must be > 0";
-    let wavefront = wavefront && pool <> None in
-    if wavefront && Obs.enabled () then begin
-      (* Materialize the pipeline metrics so clean runs still report them. *)
-      Obs.Counter.add m_wf_overlap 0;
-      Obs.Gauge.set g_wf_ready 0.0;
-      Obs.Span.time sp_wf_stall ignore
-    end;
     let t =
       {
         threads;
@@ -76,13 +51,6 @@ module Make (P : Dataflow.PROBLEM) = struct
         processed = 0;
         hwm = 0;
         finished = false;
-        wavefront;
-        inflight_cap =
-          (match pool with
-          | Some p when wavefront -> (2 * Domain_pool.size p) + 2
-          | _ -> 1);
-        p2_pending = Hashtbl.create 8;
-        delivered = 0;
       }
     in
     Hashtbl.replace t.sos_tbl 0 D.Set.empty;
@@ -159,51 +127,10 @@ module Make (P : Dataflow.PROBLEM) = struct
     Obs.Span.time sp_pass2 (fun () ->
         D.iter_block ~side_in ~lsos0 ~sos emit body)
 
-  (* ---- Wavefront delivery.  Buffered pass-2 views are handed to
-     [on_instr] strictly epoch-major (the futures array is per-thread, so
-     thread-minor order is positional), which keeps the observable
-     sequence byte-identical to the sequential path no matter how the
-     pool interleaved the work. *)
-
-  let await_views fut =
-    if Domain_pool.poll fut then Domain_pool.await fut
-    else Obs.Span.time sp_wf_stall (fun () -> Domain_pool.await fut)
-
-  let deliver_epoch t p futs =
-    let views = Array.map await_views futs in
-    Obs.Scope.with_scope ~epoch:p ~phase:"deliver" (fun () ->
-        Array.iter (fun vs -> List.iter t.on_instr vs) views);
-    Hashtbl.remove t.p2_pending p;
-    t.delivered <- p + 1;
-    if Obs.enabled () then
-      Obs.Gauge.set g_wf_ready (float_of_int (Hashtbl.length t.p2_pending))
-
-  (* Deliver every epoch whose tasks have all finished (a cheap poll —
-     the master never blocks for it), and force delivery of the oldest
-     epochs while the in-flight depth exceeds the cap, bounding the
-     memory held by undelivered views. *)
-  let drain t =
-    let continue = ref true in
-    while !continue do
-      match Hashtbl.find_opt t.p2_pending t.delivered with
-      | None -> continue := false
-      | Some futs ->
-        if
-          Hashtbl.length t.p2_pending > t.inflight_cap
-          || Array.for_all Domain_pool.poll futs
-        then deliver_epoch t t.delivered futs
-        else continue := false
-    done
-
-  (* Quiesce all transient parallelism: resolve in-flight pass-1
-     summaries into their rows and flush every undelivered pass-2 epoch.
-     Afterwards [delivered = processed] and the pool holds no work for
-     this scheduler. *)
-  let quiesce t =
-    Hashtbl.iter (fun epoch row -> ignore (resolve_row t epoch row)) t.summaries;
-    while Hashtbl.mem t.p2_pending t.delivered do
-      deliver_epoch t t.delivered (Hashtbl.find t.p2_pending t.delivered)
-    done
+  (* Commit every in-flight pass-1 summary into its row, so the pool
+     holds no work for this scheduler. *)
+  let resolve_all t =
+    Hashtbl.iter (fun epoch row -> ignore (resolve_row t epoch row)) t.summaries
 
   (* Second pass over epoch [p]: every thread's epoch-(p+1) summaries are
      available (or the run has finished and missing rows are empty). *)
@@ -222,30 +149,7 @@ module Make (P : Dataflow.PROBLEM) = struct
       for tid = 0 to t.threads - 1 do
         Obs.Scope.with_scope ~epoch:p ~tid ~phase:"pass2" (fun () ->
             pass2_thread t ~sos ~rows ~body:body_row.(tid) ~tid ~emit:t.on_instr)
-      done;
-      t.delivered <- p + 1
-    | Some pool when t.wavefront ->
-      (* No barrier: launch this epoch's per-thread tasks and move on.
-         The closures capture only the resolved [rows], [sos] and body
-         blocks (all frozen before submission), never [t]'s tables, so
-         several epochs may be in flight at once — pass 1 of epoch p+2
-         overlaps pass 2 of epoch p.  [drain] below delivers completed
-         epochs in order. *)
-      let futs =
-        Array.init t.threads (fun tid ->
-            Domain_pool.async pool (fun () ->
-                Obs.Scope.with_scope ~epoch:p ~tid ~phase:"pass2" (fun () ->
-                    let acc = ref [] in
-                    pass2_thread t ~sos ~rows ~body:body_row.(tid) ~tid
-                      ~emit:(fun v -> acc := v :: !acc);
-                    List.rev !acc)))
-      in
-      Hashtbl.replace t.p2_pending p futs;
-      if Obs.enabled () then begin
-        if Hashtbl.length t.p2_pending > 1 then Obs.Counter.incr m_wf_overlap;
-        Obs.Gauge.set g_wf_ready (float_of_int (Hashtbl.length t.p2_pending))
-      end;
-      drain t
+      done
     | Some pool ->
       (* Fan the per-thread work out, then deliver the buffered views in
          thread order: the observable sequence is byte-identical to the
@@ -261,12 +165,9 @@ module Make (P : Dataflow.PROBLEM) = struct
           (Array.init t.threads (fun tid -> tid))
       in
       Obs.Scope.with_scope ~epoch:p ~phase:"deliver" (fun () ->
-          Array.iter (fun vs -> List.iter t.on_instr vs) views);
-      t.delivered <- p + 1);
+          Array.iter (fun vs -> List.iter t.on_instr vs) views));
     (* Shrink the window: the body blocks are done; summary row p-2 has
-       served its last purpose (epoch_sum p-1 is cached by sos_at).
-       Wavefront tasks still in flight hold their own references to the
-       captured rows, so dropping the table entries is safe. *)
+       served its last purpose (epoch_sum p-1 is cached by sos_at). *)
     ignore (epoch_sum t (max 0 (p - 1)));
     Hashtbl.remove t.blocks p;
     Hashtbl.remove t.summaries (p - 2);
@@ -358,9 +259,7 @@ module Make (P : Dataflow.PROBLEM) = struct
       while t.processed < target do
         process_epoch t t.processed
       done;
-      (* Flush any wavefront epochs still in flight: after [finish] every
-         view has reached [on_instr], in every mode. *)
-      quiesce t)
+      resolve_all t)
 
   let sos t = sos_at t (t.processed + 1)
 
@@ -368,7 +267,6 @@ module Make (P : Dataflow.PROBLEM) = struct
     Array.init (t.processed + 2) (fun l -> sos_at t l)
 
   let epochs_completed t = t.processed
-  let epochs_delivered t = t.delivered
   let max_resident_epochs t = t.hwm
 
   (* ---------------- Checkpointing ----------------
@@ -391,10 +289,9 @@ module Make (P : Dataflow.PROBLEM) = struct
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
   let encode_state ~set t =
-    (* Resolve every in-flight pass-1 future and deliver every in-flight
-       pass-2 epoch: workers' results become master-side state, so the
-       snapshot is self-contained and cut at a sealed-epoch frontier. *)
-    quiesce t;
+    (* Resolve every in-flight pass-1 future: workers' results become
+       master-side state, so the snapshot is self-contained. *)
+    resolve_all t;
     let module W = Tracing.Binio.W in
     let w = W.create () in
     let put_instrs w instrs = W.array w Tracing.Trace_codec.put_instr instrs in
@@ -435,7 +332,7 @@ module Make (P : Dataflow.PROBLEM) = struct
     W.bool w t.finished;
     W.contents w
 
-  let decode_state ~set ?pool ?(wavefront = false) ~on_instr s =
+  let decode_state ~set ?pool ~on_instr s =
     let module R = Tracing.Binio.R in
     let r = R.of_string s in
     let get_instrs r = R.array r Tracing.Trace_codec.read_instr in
@@ -520,21 +417,12 @@ module Make (P : Dataflow.PROBLEM) = struct
       processed;
       hwm;
       finished;
-      (* Snapshots are cut quiesced: no pass-2 work was in flight, so the
-         restored pipeline starts empty with [delivered = processed]. *)
-      wavefront = wavefront && pool <> None;
-      inflight_cap =
-        (match pool with
-        | Some p when wavefront -> (2 * Domain_pool.size p) + 2
-        | _ -> 1);
-      p2_pending = Hashtbl.create 8;
-      delivered = processed;
     }
 
-  let run_epochs ?pool ?wavefront ~on_instr epochs =
+  let run_epochs ?pool ~on_instr epochs =
     let threads = Epochs.threads epochs in
     let num_l = Epochs.num_epochs epochs in
-    let t = create ?pool ?wavefront ~threads ~on_instr () in
+    let t = create ?pool ~threads ~on_instr () in
     for l = 0 to num_l - 1 do
       for tid = 0 to threads - 1 do
         let b = Epochs.block epochs ~epoch:l ~tid in
@@ -552,71 +440,12 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-module Epochwise = struct
-  (* Batch counterpart of the pooled streaming mode above, for analyses
-     that do not fit [Dataflow.PROBLEM] (TaintCheck's transfer-function
-     chase reads the whole window, not a meet-of-summaries).  The shape is
-     the same: per-block tasks are pure, the master is the single writer
-     of cross-block state, and the epoch barrier is what makes the
-     serialization order (epoch-major / thread-minor) deterministic. *)
-
-  let obs_labels = [ ("driver", "epochwise") ]
-  let m_barriers = Obs.Counter.make ~labels:obs_labels "scheduler.epoch_barriers"
-  let sp_fanout = Obs.Span.make ~labels:obs_labels "scheduler.epoch_fanout.ns"
-
-  let map_grid ?pool ~num_epochs ~threads f =
-    if num_epochs < 0 then invalid_arg "Epochwise.map_grid: negative num_epochs";
-    if threads <= 0 then invalid_arg "Epochwise.map_grid: threads must be > 0";
-    let f ~epoch ~tid =
-      Obs.Scope.with_scope ~epoch ~tid (fun () -> f ~epoch ~tid)
-    in
-    match pool with
-    | None ->
-      Array.init num_epochs (fun epoch ->
-          Array.init threads (fun tid -> f ~epoch ~tid))
-    | Some pool ->
-      (* One flat fan-out over the whole grid: every cell is independent,
-         and [Domain_pool.map_array] keeps results positional. *)
-      let flat =
-        Domain_pool.map_array pool
-          (fun k -> f ~epoch:(k / threads) ~tid:(k mod threads))
-          (Array.init (num_epochs * threads) Fun.id)
-      in
-      Array.init num_epochs (fun epoch ->
-          Array.init threads (fun tid -> flat.((epoch * threads) + tid)))
-
-  let run ?pool ~num_epochs ~threads ~prepare ~task ~commit () =
-    if threads <= 0 then invalid_arg "Epochwise.run: threads must be > 0";
-    let task ~epoch ~tid =
-      Obs.Scope.with_scope ~epoch ~tid (fun () -> task ~epoch ~tid)
-    in
-    for epoch = 0 to num_epochs - 1 do
-      prepare epoch;
-      match pool with
-      | None ->
-        for tid = 0 to threads - 1 do
-          commit ~epoch ~tid (task ~epoch ~tid)
-        done
-      | Some pool ->
-        let results =
-          Obs.Span.time sp_fanout (fun () ->
-              Domain_pool.map_array pool
-                (fun tid -> task ~epoch ~tid)
-                (Array.init threads Fun.id))
-        in
-        Obs.Counter.incr m_barriers;
-        Array.iteri (fun tid r -> commit ~epoch ~tid r) results
-    done
-end
-
-(* ------------------------------------------------------------------ *)
-
 module Wavefront = struct
-  (* Dependency-driven counterpart of [Epochwise]: instead of stalling
-     the whole pool at every epoch boundary, the master dispatches each
-     task the moment its butterfly dependencies (Lemma 5.2) are
-     committed, and commits results in the canonical epoch-major /
-     thread-minor order so reports stay byte-identical.
+  (* The batch two-pass driver.  Instead of stalling the whole pool at
+     every epoch boundary, the master dispatches each task the moment its
+     butterfly dependencies (Lemma 5.2) are committed, and commits
+     results in the canonical epoch-major / thread-minor order so reports
+     stay byte-identical to the inline (sequential) schedule.
 
      The dependence structure of a two-pass butterfly analysis:
 

@@ -33,7 +33,6 @@ module Make (P : Dataflow.PROBLEM) : sig
 
   val create :
     ?pool:Domain_pool.t ->
-    ?wavefront:bool ->
     threads:int ->
     on_instr:(D.instr_view -> unit) ->
     unit ->
@@ -41,19 +40,7 @@ module Make (P : Dataflow.PROBLEM) : sig
   (** With [pool], pass 1 and pass 2 run as pool tasks (see above).  The
       scheduler does not own the pool: the caller shuts it down.  All
       [feed]/[finish] calls must come from the same domain that created
-      the scheduler (the master).
-
-      With [wavefront] (default [false]; ignored without a pool), pass-2
-      fan-outs do not block at the epoch boundary: each epoch's per-thread
-      tasks are launched and the master moves on, so pass 1 of later
-      epochs overlaps pass 2 of earlier ones.  Completed epochs are
-      delivered to [on_instr] strictly in order — the view sequence stays
-      byte-identical to the sequential path — but delivery may lag
-      {!epochs_completed} by a bounded number of epochs until {!finish}
-      (or {!quiesce}) flushes the pipeline.  Telemetry:
-      [scheduler.wavefront.ready_queue], [scheduler.wavefront.stall_ns]
-      and [scheduler.wavefront.overlapped_epochs] under
-      [driver=wavefront]. *)
+      the scheduler (the master). *)
 
   val feed : t -> Tracing.Tid.t -> Tracing.Event.t -> unit
   (** Deliver the next event of one thread's stream.  Heartbeats close the
@@ -65,11 +52,11 @@ module Make (P : Dataflow.PROBLEM) : sig
 
   val finish : t -> unit
   (** End of all streams: closes trailing partial blocks (padding threads
-      to a common epoch count) and drains the remaining window.  Idempotent. *)
+      to a common epoch count) and drains the remaining window; afterwards
+      the pool holds no work for this scheduler.  Idempotent. *)
 
   val run_epochs :
     ?pool:Domain_pool.t ->
-    ?wavefront:bool ->
     on_instr:(D.instr_view -> unit) ->
     Epochs.t ->
     t
@@ -86,19 +73,8 @@ module Make (P : Dataflow.PROBLEM) : sig
       a full drain this matches the batch driver's [result.sos] array. *)
 
   val epochs_completed : t -> int
-  (** Epochs whose second pass has been launched. *)
-
-  val epochs_delivered : t -> int
-  (** Epochs whose views have reached [on_instr].  Equal to
-      {!epochs_completed} except mid-stream in wavefront mode, where it
-      may lag while pass-2 tasks are still in flight. *)
-
-  val quiesce : t -> unit
-  (** Flush all transient parallelism: resolve in-flight pass-1 summaries
-      and deliver every launched-but-undelivered pass-2 epoch, in order.
-      Afterwards [epochs_delivered t = epochs_completed t] and the pool
-      holds no work for this scheduler.  No-op outside wavefront mode
-      (and on an idle scheduler). *)
+  (** Epochs whose second pass has run and whose views have reached
+      [on_instr]. *)
 
   val max_resident_epochs : t -> int
   (** High-water mark of epochs simultaneously buffered. *)
@@ -128,79 +104,31 @@ module Make (P : Dataflow.PROBLEM) : sig
   val decode_state :
     set:set_codec ->
     ?pool:Domain_pool.t ->
-    ?wavefront:bool ->
     on_instr:(D.instr_view -> unit) ->
     string ->
     t
-  (** Raises {!Tracing.Binio.R.Corrupt} on a malformed payload.  [pool],
-      [wavefront] and [on_instr] are the transient plumbing re-supplied on
-      restore; they play the same roles as in {!create}.  Snapshots are
-      always cut quiesced (sealed-epoch frontier), so a wavefront
-      scheduler restores with an empty pipeline. *)
+  (** Raises {!Tracing.Binio.R.Corrupt} on a malformed payload.  [pool]
+      and [on_instr] are the transient plumbing re-supplied on restore;
+      they play the same roles as in {!create}. *)
 end
 
-(** Epoch-barrier fan-out for analyses outside {!Dataflow.PROBLEM}.
+(** The batch two-pass driver: dependency-driven dispatch with ordered
+    commits.
 
-    {!Make}'s pooled mode covers lifeguards expressible as summaries plus
-    a meet; TaintCheck's window-wide transfer-function chase is not, but
-    it has the same parallel structure: per-block work is pure once its
-    inputs are frozen, and cross-block state has a single writer.  This
-    driver factors that structure out of the lifeguard:
-
-    {ul
-    {- {!Epochwise.map_grid} fans a pure per-block function over the whole
-       grid at once (TaintCheck pass 1: block summarization);}
-    {- {!Epochwise.run} walks epochs in order; per epoch the master runs
-       [prepare], the per-thread [task]s run (on the pool when given,
-       otherwise inline) and block at an epoch barrier, and the master
-       then [commit]s the results in thread order.  Because tasks may only
-       read state committed before the barrier opened, the pooled
-       schedule is observationally identical to the sequential loop.}}
-
-    Telemetry (pooled path only, so sequential runs report identical
-    metric sets to before): [scheduler.epoch_barriers] and
-    [scheduler.epoch_fanout.ns] under [driver=epochwise]. *)
-module Epochwise : sig
-  val map_grid :
-    ?pool:Domain_pool.t ->
-    num_epochs:int ->
-    threads:int ->
-    (epoch:int -> tid:int -> 'a) ->
-    'a array array
-  (** [map_grid ?pool ~num_epochs ~threads f] is the [num_epochs ×
-      threads] grid of [f ~epoch ~tid], indexed [.(epoch).(tid)].  [f]
-      must be pure up to thread-safety: with a pool, calls run
-      concurrently in unspecified order.  Raises [Invalid_argument] if
-      [threads <= 0] or [num_epochs < 0]. *)
-
-  val run :
-    ?pool:Domain_pool.t ->
-    num_epochs:int ->
-    threads:int ->
-    prepare:(int -> unit) ->
-    task:(epoch:int -> tid:int -> 'r) ->
-    commit:(epoch:int -> tid:int -> 'r -> unit) ->
-    unit ->
-    unit
-  (** For each epoch [l] in order: [prepare l] (master), then
-      [task ~epoch:l ~tid] for every thread (pool workers when [pool] is
-      given — they must not write shared state), then, after all of epoch
-      [l]'s tasks return, [commit ~epoch:l ~tid r] in increasing [tid]
-      order (master).  Raises [Invalid_argument] if [threads <= 0]. *)
-end
-
-(** Dependency-driven pipelining past the epoch barrier.
-
-    {!Epochwise.run} stalls the whole pool at every epoch boundary, but
-    the butterfly dependence structure (Lemma 5.2) only requires a block
-    to wait on its own wings and head: pass 1 of block [(l, t)] is
+    Every batch lifeguard outside {!Dataflow.PROBLEM} (TaintCheck's
+    window-wide transfer-function chase, RaceCheck's happens-before
+    checks) runs on {!Wavefront.run}.  Inline (no pool) it is the
+    sequential schedule; with a pool it is the only parallel one.  The
+    butterfly dependence structure (Lemma 5.2) only requires a block to
+    wait on its own wings and head: pass 1 of block [(l, t)] is
     block-local and always ready, while pass 2 of [(l, t)] needs the
     pass-1 facts of epochs [l-1 .. l+1] and the epoch-[l] cross-block
     input ([prepare l], which the master seals once every pass-2 result
-    of [l-1] is committed).  {!Wavefront.run} exploits exactly that
-    slack: pass-1 dispatch runs [lookahead] epochs ahead of the pass-2
-    cursor, so the pool summarizes future epochs while the current
-    epoch's checks are still in flight.
+    of [l-1] is committed).  Pass-1 dispatch therefore runs [lookahead]
+    epochs ahead of the pass-2 cursor, so the pool summarizes future
+    epochs while the current epoch's checks are still in flight.  An
+    epoch-barrier schedule (all pass-1 work up front, then one pass-2
+    fan-out per epoch) is this driver with unbounded lookahead.
 
     Determinism is preserved by the master-side ordered-commit trick:
     tasks run in unspecified order, but [commit1]/[commit2] are invoked

@@ -219,7 +219,7 @@ let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
     Obs.Counter.incr m_flags;
     bump tid l (fun s -> { s with flagged_events = s.flagged_events + 1 }))
 
-let run ?(isolation = true) ?(wavefront = false) ?domains ?pool epochs =
+let run ?(isolation = true) ?pool epochs =
   (* Materialize the check/flag counters so clean runs still report 0. *)
   Obs.Counter.add m_checks 0;
   Obs.Counter.add m_flags 0;
@@ -291,22 +291,14 @@ let run ?(isolation = true) ?(wavefront = false) ?domains ?pool epochs =
       ~bump ~instr_errors:errors ~flagged ~total
   in
   let sos_levels =
-    match (pool, domains) with
-    | None, None ->
+    match pool with
+    | None ->
       let result = A.run ~on_instr epochs in
       result.A.sos
-    | Some pool, _ ->
-      (* Caller-owned pool: same pooled streaming driver, shared across
-         runs (the QA fuzz engine reuses one pool for its whole corpus). *)
-      let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-      S.sos_history s
-    | None, Some d ->
+    | Some pool ->
       (* Pooled streaming: the scheduler delivers the exact same view
          sequence (property-tested), with pass 1/2 on worker domains. *)
-      Butterfly.Domain_pool.with_pool ~name:"addrcheck" ~domains:d
-        (fun pool ->
-          let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-          S.sos_history s)
+      S.sos_history (S.run_epochs ~pool ~on_instr epochs)
   in
   (* Report isolation violations at block granularity too. *)
   for l = 0 to num_l - 1 do
@@ -446,7 +438,7 @@ module Resumable = struct
       epochs_fed;
     }
 
-  let create ?pool ?(isolation = true) ?(wavefront = false) ~threads () =
+  let create ?pool ?(isolation = true) ~threads () =
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
     make_state ?pool ~isolation ~threads ~instr_errors:(ref [])
@@ -454,7 +446,7 @@ module Resumable = struct
       ~stats:(Hashtbl.create 64) ~facts:(Hashtbl.create 8) ~finalized:0
       ~epochs_fed:0
       ~sched_of:(fun ?pool ~on_instr () ->
-        S.create ?pool ~wavefront ~threads ~on_instr ())
+        S.create ?pool ~threads ~on_instr ())
       ()
 
   let epochs_fed st = st.epochs_fed
@@ -513,13 +505,7 @@ module Resumable = struct
       for tid = 0 to st.threads - 1 do
         S.feed st.sched tid Tracing.Event.Heartbeat
       done;
-    (* A violation row may only be finalized (and its facts pruned) once
-       every view that reads it has been delivered — in wavefront mode
-       delivery can lag the scheduler's processing cursor, so clamp to
-       the delivery frontier.  Outside wavefront mode the clamp is the
-       identity: delivered tracks processed exactly. *)
-    finalize_rows st
-      ~upto:(min (st.epochs_fed - 2) (S.epochs_delivered st.sched - 1));
+    finalize_rows st ~upto:(st.epochs_fed - 2);
     record_facts st row;
     Array.iteri
       (fun tid instrs ->
@@ -534,7 +520,6 @@ module Resumable = struct
        [Epochs.of_program]. *)
     if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
     S.finish st.sched;
-    (* [S.finish] quiesces the pipeline, so every epoch is delivered. *)
     finalize_rows st ~upto:(st.epochs_fed - 1);
     let num_l = st.epochs_fed in
     let sos_levels = S.sos_history st.sched in
@@ -558,11 +543,6 @@ module Resumable = struct
     }
 
   let encode st =
-    (* Quiesce before serializing anything: delivering in-flight pass-2
-       epochs appends to the error lists and counters captured below, so
-       the drain must happen first, not as a side effect of
-       [S.encode_state] at the end. *)
-    S.quiesce st.sched;
     let module W = Tracing.Binio.W in
     let w = W.create () in
     W.varint w st.threads;
@@ -587,7 +567,7 @@ module Resumable = struct
     W.string w (S.encode_state ~set:set_codec st.sched);
     W.contents w
 
-  let decode ?pool ?(wavefront = false) s =
+  let decode ?pool s =
     let module R = Tracing.Binio.R in
     match
       let r = R.of_string s in
@@ -622,7 +602,7 @@ module Resumable = struct
       make_state ?pool ~isolation ~threads ~instr_errors ~block_errors
         ~flagged ~total ~stats ~facts ~finalized ~epochs_fed
         ~sched_of:(fun ?pool ~on_instr () ->
-          S.decode_state ~set:set_codec ?pool ~wavefront ~on_instr
+          S.decode_state ~set:set_codec ?pool ~on_instr
             sched_payload)
         ()
     with

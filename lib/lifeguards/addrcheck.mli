@@ -43,8 +43,6 @@ type report = {
 
 val run :
   ?isolation:bool ->
-  ?wavefront:bool ->
-  ?domains:int ->
   ?pool:Butterfly.Domain_pool.t ->
   Butterfly.Epochs.t ->
   report
@@ -54,17 +52,12 @@ val run :
     with an access), reintroducing false negatives — the tests demonstrate
     exactly which errors it loses.
 
-    [domains] switches the underlying driver from the sequential batch
-    run to the pooled streaming scheduler with a {!Butterfly.Domain_pool}
-    of that many workers (capped at the hardware's recommended domain
-    count).  [pool] is the caller-owned form of the same driver — the
-    pool is reused across calls and the caller shuts it down ([pool] wins
-    if both are given, mirroring {!Taintcheck.run}).  [wavefront]
-    (default [false]; needs a pool) removes the pooled driver's epoch
-    barrier: pass-2 epochs pipeline through the pool with master-side
-    ordered delivery.  The report is identical in every mode — the
+    [pool] switches the underlying driver from the sequential batch run
+    to the pooled streaming scheduler on the caller's
+    {!Butterfly.Domain_pool}; the pool may be reused across calls and the
+    caller shuts it down.  The report is identical either way — the
     drivers' equivalence is property-tested and continuously fuzzed
-    ([lib/qa], [test/test_wavefront.ml]). *)
+    ([lib/qa], [test/test_scheduler.ml]). *)
 
 val flagged_addresses : report -> Butterfly.Interval_set.t
 val pp_error : Format.formatter -> error -> unit
@@ -91,13 +84,9 @@ module Resumable : sig
   val create :
     ?pool:Butterfly.Domain_pool.t ->
     ?isolation:bool ->
-    ?wavefront:bool ->
     threads:int ->
     unit ->
     state
-  (** [wavefront] (with [pool]) runs the underlying scheduler in
-      pipelined mode; checkpoints are still cut at sealed-epoch
-      frontiers, so resume equivalence is unaffected. *)
 
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One epoch row, indexed by tid; width must equal [threads]. *)
@@ -112,7 +101,6 @@ module Resumable : sig
 
   val decode :
     ?pool:Butterfly.Domain_pool.t ->
-    ?wavefront:bool ->
     string ->
     (state, string) result
   (** [Error _] on any malformed payload (never raises).  Snapshots

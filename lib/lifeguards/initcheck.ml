@@ -70,7 +70,7 @@ let make_on_instr ~errors ~flagged ~total (v : A.instr_view) =
       Obs.Counter.incr m_flags;
       errors := { id = v.id; addrs = bad } :: !errors)
 
-let run ?(wavefront = false) ?domains ?pool epochs =
+let run ?pool epochs =
   (* Materialize the check/flag counters so clean runs still report 0. *)
   Obs.Counter.add m_checks 0;
   Obs.Counter.add m_flags 0;
@@ -79,18 +79,11 @@ let run ?(wavefront = false) ?domains ?pool epochs =
   let total = ref 0 in
   let on_instr = make_on_instr ~errors ~flagged ~total in
   let sos_levels =
-    match (pool, domains) with
-    | None, None ->
+    match pool with
+    | None ->
       let result = A.run ~on_instr epochs in
       result.A.sos
-    | Some pool, _ ->
-      let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-      S.sos_history s
-    | None, Some d ->
-      Butterfly.Domain_pool.with_pool ~name:"initcheck" ~domains:d
-        (fun pool ->
-          let s = S.run_epochs ~pool ~wavefront ~on_instr epochs in
-          S.sos_history s)
+    | Some pool -> S.sos_history (S.run_epochs ~pool ~on_instr epochs)
   in
   if Obs.enabled () then
     Array.iter
@@ -121,13 +114,13 @@ module Resumable = struct
     mutable epochs_fed : int;
   }
 
-  let create ?pool ?(wavefront = false) ~threads () =
+  let create ?pool ~threads () =
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
     let errors = ref [] and flagged = ref 0 and total = ref 0 in
     let on_instr = make_on_instr ~errors ~flagged ~total in
     {
-      sched = S.create ?pool ~wavefront ~threads ~on_instr ();
+      sched = S.create ?pool ~threads ~on_instr ();
       threads;
       errors;
       flagged;
@@ -174,9 +167,6 @@ module Resumable = struct
     }
 
   let encode st =
-    (* Quiesce before serializing: delivering in-flight pass-2 epochs
-       appends to the error list and counters captured below. *)
-    S.quiesce st.sched;
     let module W = Tracing.Binio.W in
     let w = W.create () in
     W.varint w st.threads;
@@ -191,7 +181,7 @@ module Resumable = struct
     W.string w (S.encode_state ~set:set_codec st.sched);
     W.contents w
 
-  let decode ?pool ?(wavefront = false) s =
+  let decode ?pool s =
     let module R = Tracing.Binio.R in
     match
       let r = R.of_string s in
@@ -210,8 +200,7 @@ module Resumable = struct
       R.expect_end r;
       let on_instr = make_on_instr ~errors ~flagged ~total in
       let sched =
-        S.decode_state ~set:set_codec ?pool ~wavefront ~on_instr
-          sched_payload
+        S.decode_state ~set:set_codec ?pool ~on_instr sched_payload
       in
       { sched; threads; errors; flagged; total; epochs_fed }
     with

@@ -25,16 +25,10 @@ type report = {
   sos : Butterfly.Interval_set.t array;  (** definitely-defined SOS per epoch *)
 }
 
-val run :
-  ?wavefront:bool ->
-  ?domains:int ->
-  ?pool:Butterfly.Domain_pool.t ->
-  Butterfly.Epochs.t ->
-  report
-(** [domains] switches the driver from the sequential batch run to the
-    pooled streaming scheduler, [pool] is the caller-owned form and
-    [wavefront] selects the pipelined (barrier-free) pooled mode (see
-    {!Addrcheck.run}); the report is identical in every mode. *)
+val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
+(** [pool] switches the driver from the sequential batch run to the
+    pooled streaming scheduler on the caller's pool (see
+    {!Addrcheck.run}); the report is identical either way. *)
 
 val flagged_addresses : report -> Butterfly.Interval_set.t
 val pp_error : Format.formatter -> error -> unit
@@ -56,12 +50,7 @@ val fingerprint : report -> string
 module Resumable : sig
   type state
 
-  val create :
-    ?pool:Butterfly.Domain_pool.t ->
-    ?wavefront:bool ->
-    threads:int ->
-    unit ->
-    state
+  val create : ?pool:Butterfly.Domain_pool.t -> threads:int -> unit -> state
 
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One epoch row, indexed by tid; width must equal [threads]. *)
@@ -76,7 +65,6 @@ module Resumable : sig
 
   val decode :
     ?pool:Butterfly.Domain_pool.t ->
-    ?wavefront:bool ->
     string ->
     (state, string) result
   (** [Error _] on any malformed payload (never raises).  Snapshots

@@ -25,12 +25,11 @@ let orderings_of ?(model = Memmodel.Consistency.Sequential) ?(cap = 20_000)
 let instrs_of_ordering vo o =
   Memmodel.Ordering.apply (VO.threads vo) o
 
-let addrcheck_zero_false_negatives ?model ?cap ?samples ?seed ?wavefront
-    ?domains p =
+let addrcheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
   let grid = grid_of_program p in
   let vo, os, exhaustive = orderings_of ?model ?cap ?samples ?seed grid in
   let report =
-    Addrcheck.run ?wavefront ?domains (Butterfly.Epochs.of_blocks grid)
+    Addrcheck.run ?pool (Butterfly.Epochs.of_blocks grid)
   in
   let butterfly_flags = Addrcheck.flagged_addresses report in
   let missed = ref [] in
@@ -52,12 +51,11 @@ let addrcheck_zero_false_negatives ?model ?cap ?samples ?seed ?wavefront
     missed = List.rev !missed;
   }
 
-let initcheck_zero_false_negatives ?model ?cap ?samples ?seed ?wavefront
-    ?domains p =
+let initcheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
   let grid = grid_of_program p in
   let vo, os, exhaustive = orderings_of ?model ?cap ?samples ?seed grid in
   let report =
-    Initcheck.run ?wavefront ?domains (Butterfly.Epochs.of_blocks grid)
+    Initcheck.run ?pool (Butterfly.Epochs.of_blocks grid)
   in
   let butterfly_flags = Initcheck.flagged_addresses report in
   let missed = ref [] in
@@ -107,12 +105,11 @@ let conflict_addrs i1 i2 =
   in
   List.sort_uniq compare (of_write w1 w2 r2 @ of_write w2 w1 r1)
 
-let racecheck_zero_false_negatives ?model ?cap ?samples ?seed ?wavefront
-    ?domains p =
+let racecheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
   let grid = grid_of_program p in
   let vo, os, exhaustive = orderings_of ?model ?cap ?samples ?seed grid in
   let epochs = Butterfly.Epochs.of_blocks grid in
-  let report = Racecheck.run ?wavefront ?domains epochs in
+  let report = Racecheck.run ?pool epochs in
   let flagged = Racecheck.flagged_pairs report in
   let flat = VO.threads vo in
   let n_threads = Array.length flat in
@@ -269,11 +266,11 @@ let racecheck_zero_false_negatives ?model ?cap ?samples ?seed ?wavefront
   }
 
 let taintcheck_zero_false_negatives ?model ?cap ?samples ?seed
-    ?(sequential = true) ?(two_phase = true) ?wavefront ?domains p =
+    ?(sequential = true) ?(two_phase = true) ?pool p =
   let grid = grid_of_program p in
   let vo, os, exhaustive = orderings_of ?model ?cap ?samples ?seed grid in
   let report =
-    Taintcheck.run ~sequential ~two_phase ?wavefront ?domains
+    Taintcheck.run ~sequential ~two_phase ?pool
       (Butterfly.Epochs.of_blocks grid)
   in
   let butterfly_sinks = Taintcheck.flagged_sinks report in

@@ -18,25 +18,23 @@ val addrcheck_zero_false_negatives :
   ?cap:int ->
   ?samples:int ->
   ?seed:int ->
-  ?wavefront:bool ->
-  ?domains:int ->
+  ?pool:Butterfly.Domain_pool.t ->
   Tracing.Program.t ->
   verdict
 (** Splits the program at its heartbeats, runs butterfly AddrCheck, and
     checks that every address flagged by sequential AddrCheck under any
     enumerated (or sampled, when enumeration exceeds [cap]) valid ordering
-    is also flagged.  [domains] runs the butterfly side on the pooled
-    streaming scheduler instead of the batch driver and [wavefront]
-    selects its pipelined mode (see {!Addrcheck.run}), so the soundness
-    theorem is checked against the parallel deployments too. *)
+    is also flagged.  [pool] runs the butterfly side on the pooled
+    streaming scheduler instead of the batch driver (see
+    {!Addrcheck.run}), so the soundness theorem is checked against the
+    parallel deployment too. *)
 
 val initcheck_zero_false_negatives :
   ?model:Memmodel.Consistency.t ->
   ?cap:int ->
   ?samples:int ->
   ?seed:int ->
-  ?wavefront:bool ->
-  ?domains:int ->
+  ?pool:Butterfly.Domain_pool.t ->
   Tracing.Program.t ->
   verdict
 (** Same for InitCheck: every byte sequential InitCheck flags as read
@@ -47,8 +45,7 @@ val racecheck_zero_false_negatives :
   ?cap:int ->
   ?samples:int ->
   ?seed:int ->
-  ?wavefront:bool ->
-  ?domains:int ->
+  ?pool:Butterfly.Domain_pool.t ->
   Tracing.Program.t ->
   verdict
 (** Same for RaceCheck.  Per valid ordering, ground-truth races are the
@@ -66,13 +63,12 @@ val taintcheck_zero_false_negatives :
   ?seed:int ->
   ?sequential:bool ->
   ?two_phase:bool ->
-  ?wavefront:bool ->
-  ?domains:int ->
+  ?pool:Butterfly.Domain_pool.t ->
   Tracing.Program.t ->
   verdict
 (** Same for TaintCheck: every sink location flagged sequentially under any
     valid ordering must be flagged by butterfly TaintCheck.  When checking
     a relaxed [model], pass [~sequential:false] so the checker uses the
-    relaxed termination condition.  [domains] runs the butterfly side on a
+    relaxed termination condition.  [pool] runs the butterfly side on a
     domain pool (see {!Taintcheck.run}), checking the theorem against the
     parallel deployment. *)

@@ -41,7 +41,7 @@
    with removed/added the block's net unlock/lock effect from its pass-1
    summary.  Everything else — fork/join positions and per-access
    held/released deltas — is block-local pass-1 data, so the lifeguard
-   rides both epoch-barrier drivers unchanged.
+   rides the two-pass schedule unchanged, inline or pooled.
 
    What survives is reported as a may-race.  Within the window the
    analysis is conservative in the sense of Theorem 6.1/6.2: it never
@@ -245,18 +245,6 @@ let pipe_labels = [ ("problem", "racecheck"); ("driver", "batch") ]
 let m_epochs = Obs.Counter.make ~labels:pipe_labels "butterfly.epochs_processed"
 let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
 
-(* The resumable engine's wavefront mode does its own pass-1 pipelining
-   (rows arrive incrementally), so it carries the pipeline telemetry
-   itself, under the same names as the scheduler drivers. *)
-let wf_labels = [ ("problem", "racecheck"); ("driver", "wavefront") ]
-let g_wf_ready =
-  Obs.Gauge.make ~labels:wf_labels "scheduler.wavefront.ready_queue"
-let sp_wf_stall = Obs.Span.make ~labels:wf_labels "scheduler.wavefront.stall_ns"
-let m_wf_overlap =
-  Obs.Counter.make ~labels:wf_labels "scheduler.wavefront.overlapped_epochs"
-let m_wf_p1 =
-  Obs.Counter.make ~labels:wf_labels "scheduler.wavefront.pipelined_pass1_blocks"
-
 (* Everything pass 2 learns about one body block, produced without
    touching shared state.  Evaluating block (l, t) reads only inputs
    sealed before its dispatch — pass-1 summaries of rows l-1 and l, and
@@ -368,16 +356,14 @@ let commit_obs ~threads ~epoch ~tid o =
         Obs.Gauge.set_max g_ls_hwm (float_of_int o.bo_max_ls);
       if tid = threads - 1 then Obs.Counter.incr m_epochs)
 
-let run_with ~pool ~wavefront epochs =
+let run ?pool epochs =
   (* Materialize the check/flag counters so clean runs still report 0. *)
   Obs.Counter.add m_checks 0;
   Obs.Counter.add m_flags 0;
   let num_l = Butterfly.Epochs.num_epochs epochs in
   let threads = Butterfly.Epochs.threads epochs in
-  (* Pass-1 summaries, committed by the master as they become available:
-     the epochwise driver fans the whole grid out up front, the wavefront
-     driver commits each row just ahead of the pass-2 cursor.  Either
-     way, a cell is [Some] before any pass-2 task that may read it is
+  (* Pass-1 summaries, committed by the master just ahead of the pass-2
+     cursor: a cell is [Some] before any pass-2 task that may read it is
      dispatched, and rows <= l-1 before [prepare l]. *)
   let summaries = Array.init num_l (fun _ -> Array.make threads None) in
   (* entry.(l).(t): locks held by t when epoch l starts; row num_l is the
@@ -420,40 +406,17 @@ let run_with ~pool ~wavefront epochs =
     stats.(tid).(l) <- o.bo_stats;
     commit_obs ~threads ~epoch:l ~tid o
   in
-  if wavefront then
-    (* Dependency-driven schedule: pass-1 summarization of later epochs
-       overlaps pass 2 of earlier ones.  eval_block of epoch l reads
-       summary rows l-1 and l — committed before its dispatch — and the
-       entry rows sealed by [prepare l]. *)
-    Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
-      ~pass1:(fun ~epoch ~tid ->
-        summarize_block ~threads (Butterfly.Epochs.block epochs ~epoch ~tid))
-      ~commit1:(fun ~epoch ~tid s -> summaries.(epoch).(tid) <- Some s)
-      ~prepare
-      ~pass2:(fun ~epoch ~tid ->
-        eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
-      ~commit2:commit ()
-  else begin
-    (* Pass 1 is per-block-local, so the pooled mode fans the whole grid
-       out up front; pass 2 below then sees every wing already
-       summarized. *)
-    let sm =
-      Butterfly.Scheduler.Epochwise.map_grid ?pool ~num_epochs:num_l ~threads
-        (fun ~epoch ~tid ->
-          Obs.Scope.with_scope ~phase:"pass1" (fun () ->
-              summarize_block ~threads
-                (Butterfly.Epochs.block epochs ~epoch ~tid)))
-    in
-    Array.iteri
-      (fun l row -> Array.iteri (fun t s -> summaries.(l).(t) <- Some s) row)
-      sm;
-    Butterfly.Scheduler.Epochwise.run ?pool ~num_epochs:num_l ~threads ~prepare
-      ~task:(fun ~epoch ~tid ->
-        Obs.Scope.with_scope ~phase:"pass2" (fun () ->
-            eval_block c ~epoch ~tid
-              (Butterfly.Epochs.block epochs ~epoch ~tid)))
-      ~commit ()
-  end;
+  (* Pass-1 summarization of later epochs overlaps pass 2 of earlier
+     ones.  eval_block of epoch l reads summary rows l-1 and l — committed
+     before its dispatch — and the entry rows sealed by [prepare l]. *)
+  Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
+    ~pass1:(fun ~epoch ~tid ->
+      summarize_block ~threads (Butterfly.Epochs.block epochs ~epoch ~tid))
+    ~commit1:(fun ~epoch ~tid s -> summaries.(epoch).(tid) <- Some s)
+    ~prepare
+    ~pass2:(fun ~epoch ~tid ->
+      eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
+    ~commit2:commit ();
   (* Final lock state past the last epoch. *)
   advance_entry num_l;
   {
@@ -461,14 +424,6 @@ let run_with ~pool ~wavefront epochs =
     entry_locks = Array.map (Array.map LS.elements) entry;
     block_stats = stats;
   }
-
-let run ?(wavefront = false) ?domains ?pool epochs =
-  match (pool, domains) with
-  | Some _, _ -> run_with ~pool ~wavefront epochs
-  | None, Some d ->
-    Butterfly.Domain_pool.with_pool ~name:"racecheck" ~domains:d (fun p ->
-        run_with ~pool:(Some p) ~wavefront epochs)
-  | None, None -> run_with ~pool:None ~wavefront epochs
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointable epoch-incremental engine.  Evaluating epoch l reads
@@ -483,12 +438,8 @@ module Resumable = struct
   type state = {
     threads : int;
     pool : Butterfly.Domain_pool.t option;
-    wavefront : bool;
     rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
     summaries : (int, summary array) Hashtbl.t; (* derived from [rows] *)
-    pending : (int, summary Butterfly.Domain_pool.future array) Hashtbl.t;
-        (* wavefront mode: pass-1 rows still in flight on the pool,
-           resolved into [summaries] just before pass 2 needs them *)
     entry : (int, LS.t array) Hashtbl.t; (* full history: report content *)
     clocks : (int, Vclock.t array) Hashtbl.t; (* transient, per epoch *)
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
@@ -514,29 +465,19 @@ module Resumable = struct
       entry_clock_at = (fun l t -> (Hashtbl.find clocks l).(t));
     }
 
-  let create ?pool ?(wavefront = false) ~threads () =
+  let create ?pool ~threads () =
     if threads <= 0 then
       invalid_arg "Racecheck.Resumable.create: threads must be > 0";
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    (* Materialize the pipeline metrics so clean wavefront runs still
-       report them; non-wavefront runs never touch them. *)
-    if wavefront && pool <> None && Obs.enabled () then begin
-      Obs.Counter.add m_wf_overlap 0;
-      Obs.Counter.add m_wf_p1 0;
-      Obs.Gauge.set g_wf_ready 0.0;
-      Obs.Span.time sp_wf_stall ignore
-    end;
     let summaries = Hashtbl.create 8 in
     let entry = Hashtbl.create 64 in
     let clocks = Hashtbl.create 8 in
     {
       threads;
       pool;
-      wavefront = wavefront && pool <> None;
       rows = Hashtbl.create 8;
       summaries;
-      pending = Hashtbl.create 8;
       entry;
       clocks;
       stats = Hashtbl.create 64;
@@ -561,23 +502,6 @@ module Resumable = struct
     srow.(tid) <- o.bo_stats;
     commit_obs ~threads:st.threads ~epoch:l ~tid o
 
-  (* Wavefront mode: land an in-flight pass-1 row into [st.summaries].
-     Master-side only; no-op for rows summarized synchronously. *)
-  let resolve_summaries st l =
-    match Hashtbl.find_opt st.pending l with
-    | None -> ()
-    | Some futs ->
-      let land_row () = Array.map Butterfly.Domain_pool.await futs in
-      let row =
-        if Array.for_all Butterfly.Domain_pool.poll futs then land_row ()
-        else Obs.Span.time sp_wf_stall land_row
-      in
-      Hashtbl.replace st.summaries l row;
-      Hashtbl.remove st.pending l;
-      if Obs.enabled () then
-        Obs.Gauge.set g_wf_ready
-          (float_of_int (Hashtbl.length st.pending * st.threads))
-
   let entry_row st l =
     match Hashtbl.find_opt st.entry l with
     | Some row -> row
@@ -599,9 +523,6 @@ module Resumable = struct
      window has passed (raw/summary rows < l). *)
   let process_one st =
     let l = st.processed in
-    (* eval_block reads summary rows l-1 and l: land any in flight. *)
-    resolve_summaries st (l - 1);
-    resolve_summaries st l;
     advance_entry st l;
     Hashtbl.replace st.clocks l
       (Array.init st.threads (fun t ->
@@ -631,41 +552,22 @@ module Resumable = struct
       Hashtbl.remove st.summaries (l - 1)
     end
 
-  (* Epoch l reads nothing of row l+1, but the one-epoch lag below keeps
-     the wavefront pass-1 pipeline genuinely ahead of the pass-2 cursor;
-     [finish] drains the rest.  The lag is invisible to results. *)
+  (* Epoch l reads nothing of row l+1, but processing still lags feeding
+     by one epoch: the lag fixes which rows a snapshot carries, so
+     changing it would change snapshot payloads.  [finish] drains the
+     rest; the lag is invisible to results. *)
   let feed_epoch st row =
     if Array.length row <> st.threads then
       invalid_arg "Racecheck.Resumable.feed_epoch: wrong row width";
     let epoch = st.epochs_fed in
     Hashtbl.replace st.rows epoch row;
-    (match st.pool with
-    | Some pool when st.wavefront ->
-      (* Pipeline pass 1: summaries run on workers while the master
-         checks older epochs; [summarize_block] is pure, so the deferred
-         commit is invisible to results. *)
-      Hashtbl.replace st.pending epoch
-        (Array.mapi
-           (fun tid instrs ->
-             Butterfly.Domain_pool.async pool (fun () ->
-                 Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-                     summarize_block ~threads:st.threads
-                       (Butterfly.Block.make ~epoch ~tid instrs))))
-           row);
-      if Obs.enabled () then begin
-        if epoch > st.processed then Obs.Counter.add m_wf_p1 st.threads;
-        let depth = Hashtbl.length st.pending in
-        if depth > 1 then Obs.Counter.incr m_wf_overlap;
-        Obs.Gauge.set g_wf_ready (float_of_int (depth * st.threads))
-      end
-    | _ ->
-      Hashtbl.replace st.summaries epoch
-        (Array.mapi
-           (fun tid instrs ->
-             Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-                 summarize_block ~threads:st.threads
-                   (Butterfly.Block.make ~epoch ~tid instrs)))
-           row));
+    Hashtbl.replace st.summaries epoch
+      (Array.mapi
+         (fun tid instrs ->
+           Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
+               summarize_block ~threads:st.threads
+                 (Butterfly.Block.make ~epoch ~tid instrs)))
+         row);
     st.epochs_fed <- epoch + 1;
     while st.processed <= st.epochs_fed - 2 do
       process_one st
@@ -680,7 +582,6 @@ module Resumable = struct
     done;
     let num_l = st.epochs_fed in
     (* Final lock state past the last epoch. *)
-    resolve_summaries st (num_l - 1);
     advance_entry st num_l;
     {
       races = List.rev st.races;
@@ -751,7 +652,7 @@ module Resumable = struct
       (Lg_io.sorted_entries st.rows);
     W.contents w
 
-  let decode ?pool ?(wavefront = false) s =
+  let decode ?pool s =
     let module R = Tracing.Binio.R in
     match
       let r = R.of_string s in
@@ -801,10 +702,8 @@ module Resumable = struct
       {
         threads;
         pool;
-        wavefront = wavefront && pool <> None;
         rows;
         summaries;
-        pending = Hashtbl.create 8;
         entry;
         clocks;
         stats;

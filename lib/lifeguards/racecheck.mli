@@ -13,8 +13,7 @@
     ({!Oracle.racecheck_zero_false_negatives}); pairs ordered in every
     valid ordering may still be flagged (may-race, no false negatives).
 
-    Parallel drivers (pooled epoch-barrier and wavefront) reproduce the
-    sequential reference {!Racecheck_seq.check} byte for byte, pinned by
+    The pooled schedule reproduces the sequential reference {!Racecheck_seq.check} byte for byte, pinned by
     the differential battery in [test/test_racecheck.ml]. *)
 
 module Lockset : Set.S with type elt = int
@@ -62,16 +61,10 @@ val fingerprint : report -> string
 (** Total serialization of a report; equal strings iff byte-identical
     results.  The differential batteries compare drivers through this. *)
 
-val run :
-  ?wavefront:bool ->
-  ?domains:int ->
-  ?pool:Butterfly.Domain_pool.t ->
-  Butterfly.Epochs.t ->
-  report
-(** Analyze a whole grid.  [wavefront] selects the dependency-driven
-    scheduler; [domains]/[pool] the worker pool (absent both, the master
-    runs every block itself).  All combinations produce identical
-    reports. *)
+val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
+(** Analyze a whole grid on {!Butterfly.Scheduler.Wavefront.run}: inline
+    without [pool], on the caller's domain pool with it.  Both produce
+    identical reports. *)
 
 (** Checkpointable epoch-incremental engine: feed rows as they arrive,
     snapshot between epochs, resume from the encoded state.  Used by
@@ -80,11 +73,8 @@ module Resumable : sig
   type state
 
   val create :
-    ?pool:Butterfly.Domain_pool.t ->
-    ?wavefront:bool ->
-    threads:int ->
-    unit ->
-    state
+    ?pool:Butterfly.Domain_pool.t -> threads:int -> unit -> state
+  (** With [pool], each epoch's pass-2 block checks fan out on it. *)
 
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One grid row, [threads] wide; raises [Invalid_argument] otherwise. *)
@@ -99,10 +89,7 @@ module Resumable : sig
       the accumulated races, statistics and entry-lock history. *)
 
   val decode :
-    ?pool:Butterfly.Domain_pool.t ->
-    ?wavefront:bool ->
-    string ->
-    (state, string) result
+    ?pool:Butterfly.Domain_pool.t -> string -> (state, string) result
 end
 
 (**/**)

@@ -88,24 +88,10 @@ let pipe_labels = [ ("problem", "taintcheck"); ("driver", "batch") ]
 let m_epochs = Obs.Counter.make ~labels:pipe_labels "butterfly.epochs_processed"
 let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
 
-(* The resumable engine's wavefront mode does its own pass-1 pipelining
-   (it cannot ride [Scheduler.Wavefront]: rows arrive incrementally), so
-   it also carries the pipeline telemetry itself, under the same names
-   as the scheduler drivers. *)
-let wf_labels = [ ("problem", "taintcheck"); ("driver", "wavefront") ]
-let g_wf_ready =
-  Obs.Gauge.make ~labels:wf_labels "scheduler.wavefront.ready_queue"
-let sp_wf_stall =
-  Obs.Span.make ~labels:wf_labels "scheduler.wavefront.stall_ns"
-let m_wf_overlap =
-  Obs.Counter.make ~labels:wf_labels "scheduler.wavefront.overlapped_epochs"
-let m_wf_p1 =
-  Obs.Counter.make ~labels:wf_labels "scheduler.wavefront.pipelined_pass1_blocks"
-
 (* Everything pass 2 learns about one body block, produced without touching
-   shared state.  Evaluating block (l,t) reads only inputs frozen before
-   epoch l's barrier opens — the pass-1 transfer functions of the whole
-   grid, LASTCHECK results of epochs <= l-1, and SOS_l — so it can run on a
+   shared state.  Evaluating block (l,t) reads only inputs sealed before
+   its dispatch — the pass-1 transfer functions of epochs l-1..l+1,
+   LASTCHECK results of epochs <= l-1, and SOS_l — so it can run on a
    pool worker.  The master commits outcomes epoch-major / thread-minor,
    which reproduces the sequential error list, LASTCHECK tables, statistics
    and telemetry byte for byte. *)
@@ -145,7 +131,7 @@ let fingerprint (r : report) =
 
 (* ------------------------------------------------------------------ *)
 (* The evaluation core, parameterized over how its frozen inputs are
-   looked up: [run_with] instantiates [ctx] over whole-grid arrays, the
+   looked up: [run] instantiates [ctx] over whole-grid arrays, the
    checkpointable [Resumable] engine over a pruned sliding window.  The
    two drivers share this code verbatim — a divergence here would break
    the resume-equivalence guarantee.  Accessors return [None] (or
@@ -281,8 +267,8 @@ let eval_block c ~epoch:l ~tid block =
      a parent already proven tainted by phase 1 stays tainted.  Both
      phases run here, on the worker: phase 2 reads the same frozen
      inputs as phase 1, and its verdicts feed [local] (hence later
-     instructions of this very block), so deferring it past the epoch
-     barrier would change results, not just scheduling. *)
+     instructions of this very block), so deferring it past this
+     block's commit would change results, not just scheduling. *)
   let checks = ref 0 in
   let phase2 = ref 0 in
   let phase1_memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
@@ -369,16 +355,14 @@ let eval_block c ~epoch:l ~tid block =
     bo_phase2 = !phase2;
   }
 
-let run_with ~sequential ~two_phase ~pool ~wavefront epochs =
+let run ?(sequential = true) ?(two_phase = true) ?pool epochs =
   (* Materialize the check/flag counters so clean runs still report 0. *)
   Obs.Counter.add m_checks 0;
   Obs.Counter.add m_flags 0;
   let num_l = Butterfly.Epochs.num_epochs epochs in
   let threads = Butterfly.Epochs.threads epochs in
-  (* Pass-1 summaries, committed by the master as they become available:
-     the epochwise driver fans the whole grid out up front, the wavefront
-     driver commits each row just ahead of the pass-2 cursor.  Either
-     way, a cell is [Some] before any pass-2 task that may read it is
+  (* Pass-1 summaries, committed by the master just ahead of the pass-2
+     cursor: a cell is [Some] before any pass-2 task that may read it is
      dispatched. *)
   let tfs_store = Array.init num_l (fun _ -> Array.make threads None) in
   (* LASTCHECK results: lastcheck.(l).(t) maps assigned locations to their
@@ -423,40 +407,18 @@ let run_with ~sequential ~two_phase ~pool ~wavefront epochs =
           Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
         if tid = threads - 1 then Obs.Counter.incr m_epochs)
   in
-  if wavefront then
-    (* Dependency-driven schedule: pass-1 summarization of later epochs
-       overlaps the (serially dependent) pass-2 chase of earlier ones.
-       eval_block of epoch l reads tfs rows l-1..l+1 — committed by
-       [commit1] before dispatch — and LASTCHECK rows <= l-1, sealed by
-       the previous iteration's [commit2]s. *)
-    Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
-      ~pass1:(fun ~epoch ~tid ->
-        summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid))
-      ~commit1:(fun ~epoch ~tid s -> tfs_store.(epoch).(tid) <- Some s)
-      ~prepare:advance_sos
-      ~pass2:(fun ~epoch ~tid ->
-        eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
-      ~commit2:commit ()
-  else begin
-    (* Pass 1 is per-block-local, so the pooled mode fans the whole grid
-       out up front; pass 2 below then sees every wing already summarized. *)
-    let tfs =
-      Butterfly.Scheduler.Epochwise.map_grid ?pool ~num_epochs:num_l ~threads
-        (fun ~epoch ~tid ->
-          Obs.Scope.with_scope ~phase:"pass1" (fun () ->
-              summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid)))
-    in
-    Array.iteri
-      (fun l row -> Array.iteri (fun t s -> tfs_store.(l).(t) <- Some s) row)
-      tfs;
-    Butterfly.Scheduler.Epochwise.run ?pool ~num_epochs:num_l ~threads
-      ~prepare:advance_sos
-      ~task:(fun ~epoch ~tid ->
-        Obs.Scope.with_scope ~phase:"pass2" (fun () ->
-            eval_block c ~epoch ~tid
-              (Butterfly.Epochs.block epochs ~epoch ~tid)))
-      ~commit ()
-  end;
+  (* Pass-1 summarization of later epochs overlaps the (serially
+     dependent) pass-2 chase of earlier ones.  eval_block of epoch l reads
+     tfs rows l-1..l+1 — committed by [commit1] before dispatch — and
+     LASTCHECK rows <= l-1, sealed by the previous epoch's [commit2]s. *)
+  Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
+    ~pass1:(fun ~epoch ~tid ->
+      summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid))
+    ~commit1:(fun ~epoch ~tid s -> tfs_store.(epoch).(tid) <- Some s)
+    ~prepare:advance_sos
+    ~pass2:(fun ~epoch ~tid ->
+      eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
+    ~commit2:commit ();
   (* Final SOS entries past the last window. *)
   advance_sos num_l;
   advance_sos (num_l + 1);
@@ -466,19 +428,10 @@ let run_with ~sequential ~two_phase ~pool ~wavefront epochs =
     block_stats = stats;
   }
 
-let run ?(sequential = true) ?(two_phase = true) ?(wavefront = false)
-    ?domains ?pool epochs =
-  match (pool, domains) with
-  | Some _, _ -> run_with ~sequential ~two_phase ~pool ~wavefront epochs
-  | None, Some d ->
-    Butterfly.Domain_pool.with_pool ~name:"taintcheck" ~domains:d (fun p ->
-        run_with ~sequential ~two_phase ~pool:(Some p) ~wavefront epochs)
-  | None, None -> run_with ~sequential ~two_phase ~pool:None ~wavefront epochs
-
 (* ---------------------------------------------------------------- *)
-(* Checkpointable epoch-incremental engine.  TaintCheck's epoch-barrier
-   driver already processes the grid epoch-major, so incrementality only
-   needs the window localized: evaluating epoch l reads transfer
+(* Checkpointable epoch-incremental engine.  The batch driver already
+   processes the grid epoch-major, so incrementality only needs the
+   window localized: evaluating epoch l reads transfer
    functions of rows l-1..l+1, LASTCHECK rows l-3..l-1 and SOS_l — so raw
    rows, pass-1 summaries and LASTCHECK rows the window has passed are
    pruned, and the SOS history (part of the report) is kept whole.
@@ -493,13 +446,8 @@ module Resumable = struct
     sequential : bool;
     two_phase : bool;
     pool : Butterfly.Domain_pool.t option;
-    wavefront : bool;
     rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
     tfs : (int, block_tfs array) Hashtbl.t; (* derived from [rows] *)
-    tfs_pending :
-      (int, block_tfs Butterfly.Domain_pool.future array) Hashtbl.t;
-        (* wavefront mode: pass-1 rows still in flight on the pool,
-           resolved into [tfs] just before the pass-2 window needs them *)
     lastcheck : (int, (int, bool) Hashtbl.t array) Hashtbl.t; (* pruned *)
     sos : (int, AS.t) Hashtbl.t; (* full history: report content *)
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
@@ -523,20 +471,11 @@ module Resumable = struct
       ~sos_at:(fun l ->
         Option.value (Hashtbl.find_opt sos l) ~default:AS.empty)
 
-  let create ?pool ?(sequential = true) ?(two_phase = true)
-      ?(wavefront = false) ~threads () =
+  let create ?pool ?(sequential = true) ?(two_phase = true) ~threads () =
     if threads <= 0 then
       invalid_arg "Taintcheck.Resumable.create: threads must be > 0";
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    (* Materialize the pipeline metrics so clean wavefront runs still
-       report them; non-wavefront runs never touch them. *)
-    if wavefront && pool <> None && Obs.enabled () then begin
-      Obs.Counter.add m_wf_overlap 0;
-      Obs.Counter.add m_wf_p1 0;
-      Obs.Gauge.set g_wf_ready 0.0;
-      Obs.Span.time sp_wf_stall ignore
-    end;
     let rows = Hashtbl.create 8 in
     let tfs = Hashtbl.create 8 in
     let lastcheck = Hashtbl.create 8 in
@@ -546,10 +485,8 @@ module Resumable = struct
       sequential;
       two_phase;
       pool;
-      wavefront = wavefront && pool <> None;
       rows;
       tfs;
-      tfs_pending = Hashtbl.create 8;
       lastcheck;
       sos;
       stats = Hashtbl.create 64;
@@ -598,32 +535,12 @@ module Resumable = struct
           Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
         if tid = st.threads - 1 then Obs.Counter.incr m_epochs)
 
-  (* Wavefront mode: commit an in-flight pass-1 row into [st.tfs].
-     Master-side only; no-op for rows summarized synchronously. *)
-  let resolve_tfs st l =
-    match Hashtbl.find_opt st.tfs_pending l with
-    | None -> ()
-    | Some futs ->
-      let land_row () = Array.map Butterfly.Domain_pool.await futs in
-      let row =
-        if Array.for_all Butterfly.Domain_pool.poll futs then land_row ()
-        else Obs.Span.time sp_wf_stall land_row
-      in
-      Hashtbl.replace st.tfs l row;
-      Hashtbl.remove st.tfs_pending l;
-      if Obs.enabled () then
-        Obs.Gauge.set g_wf_ready
-          (float_of_int (Hashtbl.length st.tfs_pending * st.threads))
-
-  (* Process epoch [st.processed]: the same prepare/task/commit sequence
-     as [Epochwise.run], one epoch at a time, then retire the rows the
-     window has passed (raw/summary rows < l, LASTCHECK rows < l-2). *)
+  (* Process epoch [st.processed]: the batch driver's prepare/pass2/commit2
+     sequence, one epoch at a time, with the per-thread tasks fanned out on
+     the pool when there is one; then retire the rows the window has
+     passed (raw/summary rows < l, LASTCHECK rows < l-2). *)
   let process_one st =
     let l = st.processed in
-    (* eval_block reads tfs rows l-1..l+1: land any still in flight. *)
-    resolve_tfs st (l - 1);
-    resolve_tfs st l;
-    resolve_tfs st (l + 1);
     advance_sos st l;
     let c = st.ctx in
     let row = Hashtbl.find st.rows l in
@@ -658,32 +575,12 @@ module Resumable = struct
       invalid_arg "Taintcheck.Resumable.feed_epoch: wrong row width";
     let epoch = st.epochs_fed in
     Hashtbl.replace st.rows epoch row;
-    (match st.pool with
-    | Some pool when st.wavefront ->
-      (* Pipeline pass 1: the summaries run on workers while the master
-         chases pass 2 of older epochs; [summarize_block] is pure, so the
-         deferred commit is invisible to results. *)
-      Hashtbl.replace st.tfs_pending epoch
-        (Array.mapi
-           (fun tid instrs ->
-             Butterfly.Domain_pool.async pool (fun () ->
-                 Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-                     summarize_block
-                       (Butterfly.Block.make ~epoch ~tid instrs))))
-           row);
-      if Obs.enabled () then begin
-        if epoch > st.processed then Obs.Counter.add m_wf_p1 st.threads;
-        let depth = Hashtbl.length st.tfs_pending in
-        if depth > 1 then Obs.Counter.incr m_wf_overlap;
-        Obs.Gauge.set g_wf_ready (float_of_int (depth * st.threads))
-      end
-    | _ ->
-      Hashtbl.replace st.tfs epoch
-        (Array.mapi
-           (fun tid instrs ->
-             Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-                 summarize_block (Butterfly.Block.make ~epoch ~tid instrs)))
-           row));
+    Hashtbl.replace st.tfs epoch
+      (Array.mapi
+         (fun tid instrs ->
+           Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
+               summarize_block (Butterfly.Block.make ~epoch ~tid instrs)))
+         row);
     st.epochs_fed <- epoch + 1;
     while st.processed <= st.epochs_fed - 2 do
       process_one st
@@ -771,7 +668,7 @@ module Resumable = struct
       (Lg_io.sorted_entries st.rows);
     W.contents w
 
-  let decode ?pool ?(wavefront = false) s =
+  let decode ?pool s =
     let module R = Tracing.Binio.R in
     match
       let r = R.of_string s in
@@ -841,10 +738,8 @@ module Resumable = struct
         sequential;
         two_phase;
         pool;
-        wavefront = wavefront && pool <> None;
         rows;
         tfs;
-        tfs_pending = Hashtbl.create 8;
         lastcheck;
         sos;
         stats;

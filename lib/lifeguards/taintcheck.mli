@@ -41,8 +41,6 @@ type report = {
 val run :
   ?sequential:bool ->
   ?two_phase:bool ->
-  ?wavefront:bool ->
-  ?domains:int ->
   ?pool:Butterfly.Domain_pool.t ->
   Butterfly.Epochs.t ->
   report
@@ -52,22 +50,15 @@ val run :
     Lemma 6.3; disabling it is the ablation of that design choice — still
     sound, strictly less precise.
 
-    [pool] runs both butterfly passes on the given domain pool via
-    {!Butterfly.Scheduler.Epochwise}: pass-1 summaries for the whole grid
-    fan out at once, pass-2 block evaluations fan out per epoch behind a
-    barrier, and the master serializes LASTCHECK/SOS commits epoch-major /
-    thread-minor — the report is structurally identical to the sequential
-    run (property-tested in [test/test_taintcheck_parallel.ml]).
-    [domains] is the convenience form: a private pool of that many domains
-    is created for the call and shut down afterwards ([pool] wins if both
-    are given).  Omit both for the sequential driver.
-
-    [wavefront] (default [false]) switches the pooled path to
-    {!Butterfly.Scheduler.Wavefront}: pass-1 summarization runs a
-    lookahead window ahead of the pass-2 cursor instead of fanning the
-    whole grid out behind a barrier, so summaries of future epochs
-    overlap the serially-dependent LASTCHECK chase.  Reports are
-    byte-identical across all drivers ([test/test_wavefront.ml]). *)
+    Both butterfly passes run on {!Butterfly.Scheduler.Wavefront.run}:
+    inline without [pool], on the caller's domain pool with it.  Pass-1
+    summarization runs a lookahead window ahead of the pass-2 cursor, so
+    summaries of future epochs overlap the serially dependent LASTCHECK
+    chase, and the master serializes LASTCHECK/SOS commits epoch-major /
+    thread-minor — the report is byte-identical with and without a pool
+    (property-tested in [test/test_taintcheck_parallel.ml] and
+    [test/test_wavefront.ml]).  The caller owns the pool and shuts it
+    down. *)
 
 val flagged_sinks : report -> Tracing.Addr.t list
 
@@ -97,13 +88,11 @@ module Resumable : sig
     ?pool:Butterfly.Domain_pool.t ->
     ?sequential:bool ->
     ?two_phase:bool ->
-    ?wavefront:bool ->
     threads:int ->
     unit ->
     state
-  (** [wavefront] (with [pool]) pipelines pass-1 summarization of newly
-      fed rows against the pass-2 window; results are unchanged.  Ignored
-      without a pool. *)
+  (** Pass 1 runs on the caller as rows are fed; with [pool], each epoch's
+      pass-2 block evaluations fan out on it.  Results are unchanged. *)
 
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One epoch row, indexed by tid; width must equal [threads]. *)
@@ -118,13 +107,11 @@ module Resumable : sig
 
   val decode :
     ?pool:Butterfly.Domain_pool.t ->
-    ?wavefront:bool ->
     string ->
     (state, string) result
   (** [Error _] on any malformed payload (never raises).  The analysis
       variant ([sequential]/[two_phase]) travels inside the payload;
-      [pool]/[wavefront] are transient plumbing re-supplied on
-      restore. *)
+      [pool] is transient plumbing re-supplied on restore. *)
 end
 
 (**/**)

@@ -20,17 +20,11 @@ let profile_of = function
   | Taintcheck -> Grid_gen.Taint
   | Racecheck -> Grid_gen.Racy
 
-type driver = Pooled | Wavefront
-
-let driver_to_string = function Pooled -> "pooled" | Wavefront -> "wavefront"
-let all_drivers = [ Pooled; Wavefront ]
-
 type config = {
   oracle_cap : int;
   oracle_samples : int;
   oracle_seed : int;
   models : Memmodel.Consistency.t list;
-  drivers : driver list;
 }
 
 let default_config =
@@ -39,7 +33,6 @@ let default_config =
     oracle_samples = 24;
     oracle_seed = 7;
     models = Memmodel.Consistency.all;
-    drivers = all_drivers;
   }
 
 type mismatch = {
@@ -116,36 +109,23 @@ let driver_divergences lifeguard ~baseline runs =
           })
     runs
 
-let driver_label d p =
-  Printf.sprintf "%s(%d)" (driver_to_string d) (Butterfly.Domain_pool.size p)
+let pool_label p = Printf.sprintf "pooled(%d)" (Butterfly.Domain_pool.size p)
 
-let wavefront_of = function Pooled -> false | Wavefront -> true
-
-let check_drivers ?(drivers = all_drivers) lifeguard pools g =
+let check_drivers lifeguard pools g =
   let epochs = Grid.epochs g in
-  (* Every parallel driver, on every supplied pool, must reproduce the
+  (* The pooled schedule, on every supplied pool, must reproduce the
      sequential baseline byte for byte.  The baseline itself is not an
      entry. *)
-  let matrix =
-    List.concat_map (fun d -> List.map (fun p -> (d, p)) pools) drivers
-  in
-  let runs run_fp =
-    List.map
-      (fun (d, p) ->
-        (driver_label d p, run_fp ~wavefront:(wavefront_of d) p))
-      matrix
-  in
+  let runs run_fp = List.map (fun p -> (pool_label p, run_fp p)) pools in
   match lifeguard with
   | Addrcheck ->
     let baseline = fp_addrcheck (AC.run epochs) in
     driver_divergences lifeguard ~baseline
-      (runs (fun ~wavefront pool ->
-           fp_addrcheck (AC.run ~wavefront ~pool epochs)))
+      (runs (fun pool -> fp_addrcheck (AC.run ~pool epochs)))
   | Initcheck ->
     let baseline = fp_initcheck (IC.run epochs) in
     driver_divergences lifeguard ~baseline
-      (runs (fun ~wavefront pool ->
-           fp_initcheck (IC.run ~wavefront ~pool epochs)))
+      (runs (fun pool -> fp_initcheck (IC.run ~pool epochs)))
   | Racecheck ->
     (* The baseline here is the butterfly batch driver, and the
        independent brute-force reference [Racecheck_seq.check] joins the
@@ -156,11 +136,10 @@ let check_drivers ?(drivers = all_drivers) lifeguard pools g =
     driver_divergences lifeguard ~baseline
       (( "reference",
          RC.fingerprint (Lifeguards.Racecheck_seq.check epochs) )
-      :: runs (fun ~wavefront pool ->
-             RC.fingerprint (RC.run ~wavefront ~pool epochs)))
+      :: runs (fun pool -> RC.fingerprint (RC.run ~pool epochs)))
   | Taintcheck ->
-    (* Per analysis variant: every parallel driver must agree with the
-       sequential loop under every (chase, phase) setting. *)
+    (* Per analysis variant: every pool must agree with the sequential
+       loop under every (chase, phase) setting. *)
     List.concat_map
       (fun (sequential, two_phase, vlabel) ->
         let baseline =
@@ -168,12 +147,11 @@ let check_drivers ?(drivers = all_drivers) lifeguard pools g =
         in
         driver_divergences lifeguard ~baseline
           (List.map
-             (fun (d, p) ->
-               ( Printf.sprintf "%s[%s]" (driver_label d p) vlabel,
-                 fp_taintcheck
-                   (TC.run ~sequential ~two_phase ~wavefront:(wavefront_of d)
-                      ~pool:p epochs) ))
-             matrix))
+             (fun p ->
+               ( Printf.sprintf "%s[%s]" (pool_label p) vlabel,
+                 fp_taintcheck (TC.run ~sequential ~two_phase ~pool:p epochs)
+               ))
+             pools))
       [
         (true, true, "sc,two-phase");
         (false, true, "relaxed,two-phase");
@@ -241,7 +219,7 @@ let check_oracle config lifeguard g =
     config.models
 
 let check ?(config = default_config) ?(pools = []) lifeguard g =
-  check_drivers ~drivers:config.drivers lifeguard pools g
+  check_drivers lifeguard pools g
   @ check_oracle config lifeguard g
 
 let snapshot_tag = function
@@ -250,14 +228,13 @@ let snapshot_tag = function
   | Taintcheck -> Recovery.Snapshot.Taintcheck
   | Racecheck -> Recovery.Snapshot.Racecheck
 
-let check_recovery ?pool ?wavefront ?(every = 1) ?crash_at ?(seed = 0)
-    lifeguard g =
+let check_recovery ?pool ?(every = 1) ?crash_at ?(seed = 0) lifeguard g =
   let path = Filename.temp_file "bfly-ckpt" ".snap" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
   @@ fun () ->
   match
-    Recovery.Crash_sim.run ?pool ?wavefront ?crash_at ~seed ~every ~path
+    Recovery.Crash_sim.run ?pool ?crash_at ~seed ~every ~path
       (snapshot_tag lifeguard) (Grid.epochs g)
   with
   | Error m ->

@@ -5,8 +5,9 @@
     {ul
     {- {b Driver equivalence.}  Every execution driver must produce a
        structurally identical report: the sequential batch driver, and
-       the pooled drivers (streaming scheduler for AddrCheck/InitCheck,
-       epoch-barrier fan-out for TaintCheck) on each supplied pool.  For
+       the pooled schedule (streaming scheduler for AddrCheck/InitCheck,
+       {!Butterfly.Scheduler.Wavefront.run} for TaintCheck/RaceCheck) on
+       each supplied pool.  For
        TaintCheck the equivalence is checked per analysis variant
        (sequential/relaxed chase × two-phase/one-phase).  Reports are
        compared via a canonical fingerprint covering the error list in
@@ -31,14 +32,6 @@ val all_lifeguards : lifeguard list
 val profile_of : lifeguard -> Grid_gen.profile
 (** The instruction mix that exercises this lifeguard. *)
 
-type driver = Pooled | Wavefront
-    (** The parallel drivers under test: the epoch-barrier pooled path
-        and the pipelined wavefront path.  The sequential driver is the
-        baseline, not a matrix entry. *)
-
-val driver_to_string : driver -> string
-val all_drivers : driver list
-
 type config = {
   oracle_cap : int;
       (** enumerate valid orderings up to this many, else sample *)
@@ -46,12 +39,10 @@ type config = {
   oracle_seed : int;  (** seed for the sampling fallback *)
   models : Memmodel.Consistency.t list;
       (** memory models the oracle checks quantify over *)
-  drivers : driver list;
-      (** parallel drivers the equivalence checks quantify over *)
 }
 
 val default_config : config
-(** cap 240, 24 samples, all three consistency models, both drivers. *)
+(** cap 240, 24 samples, all three consistency models. *)
 
 type mismatch = {
   lifeguard : lifeguard;
@@ -74,7 +65,6 @@ val check :
 
 val check_recovery :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?every:int ->
   ?crash_at:int ->
   ?seed:int ->
@@ -85,7 +75,6 @@ val check_recovery :
     checkpoint every [every] epochs (default 1), kill the run at
     [crash_at] — or at a [seed]-determined epoch — resume from the
     surviving snapshot, and compare fingerprints with an uninterrupted
-    run.  [wavefront] (with [pool]) runs both the doomed and resumed
-    engines in pipelined mode — checkpoints still cut at sealed-epoch
-    frontiers.  The snapshot lives in a temp file, removed afterwards.  A mismatch here is a
-    checkpoint/restore bug. *)
+    run.  With [pool], both the doomed and the resumed engine run on it.
+    The snapshot lives in a temp file, removed afterwards.  A mismatch
+    here is a checkpoint/restore bug. *)

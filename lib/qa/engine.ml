@@ -62,19 +62,13 @@ let run ?pools ?(config = default_config) lifeguard =
     match config.crash with
     | None -> base
     | Some c ->
-      (* The most concurrent pool on offer exercises pooled resume; the
-         crash check runs once per configured driver so wavefront resume
-         gets the same coverage as the barrier path. *)
+      (* The most concurrent pool on offer exercises pooled resume. *)
       let pool =
         match List.rev pools with [] -> None | p :: _ -> Some p
       in
       base
-      @ List.concat_map
-          (fun d ->
-            Differential.check_recovery ?pool
-              ~wavefront:(d = Differential.Wavefront) ~every:c.every
-              ?crash_at:c.crash_at ~seed:crash_seed lifeguard g)
-          config.diff.Differential.drivers
+      @ Differential.check_recovery ?pool ~every:c.every
+          ?crash_at:c.crash_at ~seed:crash_seed lifeguard g
   in
   let rec loop i =
     if i >= config.iterations then { lifeguard; grids = i; counterexample = None }

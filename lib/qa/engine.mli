@@ -26,8 +26,8 @@ type config = {
   shape : Grid_gen.shape;
   diff : Differential.config;
   crash : crash option;
-      (** also run {!Differential.check_recovery} on every grid, once per
-          configured driver *)
+      (** also run {!Differential.check_recovery} on every grid, on the
+          most concurrent pool *)
 }
 
 val default_config : config
@@ -53,7 +53,7 @@ val run :
   ?config:config ->
   Differential.lifeguard ->
   outcome
-(** Fuzz one lifeguard.  [pools] are reused for every pooled driver run;
+(** Fuzz one lifeguard.  [pools] are reused for every pooled run;
     when omitted, the engine creates a one-worker and a two-worker pool
     for the campaign and shuts them down afterwards. *)
 

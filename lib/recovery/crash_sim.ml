@@ -69,14 +69,12 @@ let simulate (type s r) (ops : (s, r) Runner.ops) ?crash_at ~seed ~every ~path
         equal = String.equal straight_fp resumed_fp;
       }
 
-let run ?pool ?wavefront ?crash_at ?(seed = 0) ~every ~path lifeguard
-    epochs =
-  let (Runner.Packed ops) = Runner.ops_of ?pool ?wavefront lifeguard in
+let run ?pool ?crash_at ?(seed = 0) ~every ~path lifeguard epochs =
+  let (Runner.Packed ops) = Runner.ops_of ?pool lifeguard in
   simulate ops ?crash_at ~seed ~every ~path epochs
 
-let run_session ?pool ?wavefront ?crash_at ?seed ~every ~dir ~tenant
-    lifeguard epochs =
+let run_session ?pool ?crash_at ?seed ~every ~dir ~tenant lifeguard epochs =
   Obs.Scope.with_scope ~tenant (fun () ->
-      run ?pool ?wavefront ?crash_at ?seed ~every
+      run ?pool ?crash_at ?seed ~every
         ~path:(Snapshot.session_path ~dir ~tenant lifeguard)
         lifeguard epochs)

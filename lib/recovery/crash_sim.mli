@@ -20,7 +20,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val run :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?crash_at:int ->
   ?seed:int ->
   every:int ->
@@ -36,7 +35,6 @@ val run :
 
 val run_session :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?crash_at:int ->
   ?seed:int ->
   every:int ->

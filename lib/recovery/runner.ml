@@ -19,68 +19,62 @@ type ('s, 'r) ops = {
 
 type packed = Packed : ('s, 'r) ops -> packed
 
-let addr_ops ?pool ?isolation ?wavefront () =
+let addr_ops ?pool ?isolation () =
   {
     tag = Snapshot.Addrcheck;
-    create =
-      (fun ~threads ->
-        AC.Resumable.create ?pool ?isolation ?wavefront ~threads ());
+    create = (fun ~threads -> AC.Resumable.create ?pool ?isolation ~threads ());
     feed = AC.Resumable.feed_epoch;
     fed = AC.Resumable.epochs_fed;
     finish = AC.Resumable.finish;
     enc = AC.Resumable.encode;
-    dec = AC.Resumable.decode ?pool ?wavefront;
+    dec = AC.Resumable.decode ?pool;
     fp = AC.fingerprint;
   }
 
-let init_ops ?pool ?wavefront () =
+let init_ops ?pool () =
   {
     tag = Snapshot.Initcheck;
-    create =
-      (fun ~threads -> IC.Resumable.create ?pool ?wavefront ~threads ());
+    create = (fun ~threads -> IC.Resumable.create ?pool ~threads ());
     feed = IC.Resumable.feed_epoch;
     fed = IC.Resumable.epochs_fed;
     finish = IC.Resumable.finish;
     enc = IC.Resumable.encode;
-    dec = IC.Resumable.decode ?pool ?wavefront;
+    dec = IC.Resumable.decode ?pool;
     fp = IC.fingerprint;
   }
 
-let taint_ops ?pool ?sequential ?two_phase ?wavefront () =
+let taint_ops ?pool ?sequential ?two_phase () =
   {
     tag = Snapshot.Taintcheck;
     create =
       (fun ~threads ->
-        TC.Resumable.create ?pool ?sequential ?two_phase ?wavefront
-          ~threads ());
+        TC.Resumable.create ?pool ?sequential ?two_phase ~threads ());
     feed = TC.Resumable.feed_epoch;
     fed = TC.Resumable.epochs_fed;
     finish = TC.Resumable.finish;
     enc = TC.Resumable.encode;
-    dec = TC.Resumable.decode ?pool ?wavefront;
+    dec = TC.Resumable.decode ?pool;
     fp = TC.fingerprint;
   }
 
-let race_ops ?pool ?wavefront () =
+let race_ops ?pool () =
   {
     tag = Snapshot.Racecheck;
-    create =
-      (fun ~threads -> RC.Resumable.create ?pool ?wavefront ~threads ());
+    create = (fun ~threads -> RC.Resumable.create ?pool ~threads ());
     feed = RC.Resumable.feed_epoch;
     fed = RC.Resumable.epochs_fed;
     finish = RC.Resumable.finish;
     enc = RC.Resumable.encode;
-    dec = RC.Resumable.decode ?pool ?wavefront;
+    dec = RC.Resumable.decode ?pool;
     fp = RC.fingerprint;
   }
 
-let ops_of ?pool ?isolation ?sequential ?two_phase ?wavefront = function
-  | Snapshot.Addrcheck ->
-    Packed (addr_ops ?pool ?isolation ?wavefront ())
-  | Snapshot.Initcheck -> Packed (init_ops ?pool ?wavefront ())
+let ops_of ?pool ?isolation ?sequential ?two_phase = function
+  | Snapshot.Addrcheck -> Packed (addr_ops ?pool ?isolation ())
+  | Snapshot.Initcheck -> Packed (init_ops ?pool ())
   | Snapshot.Taintcheck ->
-    Packed (taint_ops ?pool ?sequential ?two_phase ?wavefront ())
-  | Snapshot.Racecheck -> Packed (race_ops ?pool ?wavefront ())
+    Packed (taint_ops ?pool ?sequential ?two_phase ())
+  | Snapshot.Racecheck -> Packed (race_ops ?pool ())
 
 let rows_of epochs =
   let threads = Epochs.threads epochs in
@@ -155,29 +149,26 @@ let resume ops ?checkpoint ~path epochs =
               (drive ops ?checkpoint ~threads (rows_of epochs)
                  ~from:meta.Snapshot.next_epoch st))
 
-let run_addrcheck ?pool ?isolation ?wavefront ?checkpoint epochs =
-  run (addr_ops ?pool ?isolation ?wavefront ()) ?checkpoint epochs
+let run_addrcheck ?pool ?isolation ?checkpoint epochs =
+  run (addr_ops ?pool ?isolation ()) ?checkpoint epochs
 
-let resume_addrcheck ?pool ?wavefront ?checkpoint ~path epochs =
-  resume (addr_ops ?pool ?wavefront ()) ?checkpoint ~path epochs
+let resume_addrcheck ?pool ?checkpoint ~path epochs =
+  resume (addr_ops ?pool ()) ?checkpoint ~path epochs
 
-let run_initcheck ?pool ?wavefront ?checkpoint epochs =
-  run (init_ops ?pool ?wavefront ()) ?checkpoint epochs
+let run_initcheck ?pool ?checkpoint epochs =
+  run (init_ops ?pool ()) ?checkpoint epochs
 
-let resume_initcheck ?pool ?wavefront ?checkpoint ~path epochs =
-  resume (init_ops ?pool ?wavefront ()) ?checkpoint ~path epochs
+let resume_initcheck ?pool ?checkpoint ~path epochs =
+  resume (init_ops ?pool ()) ?checkpoint ~path epochs
 
-let run_taintcheck ?pool ?sequential ?two_phase ?wavefront ?checkpoint
-    epochs =
-  run
-    (taint_ops ?pool ?sequential ?two_phase ?wavefront ())
-    ?checkpoint epochs
+let run_taintcheck ?pool ?sequential ?two_phase ?checkpoint epochs =
+  run (taint_ops ?pool ?sequential ?two_phase ()) ?checkpoint epochs
 
-let resume_taintcheck ?pool ?wavefront ?checkpoint ~path epochs =
-  resume (taint_ops ?pool ?wavefront ()) ?checkpoint ~path epochs
+let resume_taintcheck ?pool ?checkpoint ~path epochs =
+  resume (taint_ops ?pool ()) ?checkpoint ~path epochs
 
-let run_racecheck ?pool ?wavefront ?checkpoint epochs =
-  run (race_ops ?pool ?wavefront ()) ?checkpoint epochs
+let run_racecheck ?pool ?checkpoint epochs =
+  run (race_ops ?pool ()) ?checkpoint epochs
 
-let resume_racecheck ?pool ?wavefront ?checkpoint ~path epochs =
-  resume (race_ops ?pool ?wavefront ()) ?checkpoint ~path epochs
+let resume_racecheck ?pool ?checkpoint ~path epochs =
+  resume (race_ops ?pool ()) ?checkpoint ~path epochs

@@ -37,15 +37,14 @@ val ops_of :
   ?isolation:bool ->
   ?sequential:bool ->
   ?two_phase:bool ->
-  ?wavefront:bool ->
   Snapshot.lifeguard ->
   packed
 (** [isolation] applies to AddrCheck, [sequential]/[two_phase] to
-    TaintCheck; the others ignore them.  [wavefront] (with [pool]) runs
-    every lifeguard's engine in pipelined mode; checkpoints are always
-    cut at sealed-epoch frontiers, so snapshots are driver-independent.
-    On resume the analysis flags are restored from the snapshot payload,
-    not from here; [pool]/[wavefront] are transient and re-supplied. *)
+    TaintCheck; the others ignore them.  Checkpoints are cut at
+    sealed-epoch frontiers, so a snapshot taken with or without [pool]
+    resumes either way.  On resume the analysis flags are restored from
+    the snapshot payload, not from here; [pool] is transient and
+    re-supplied. *)
 
 (** Typed builders behind {!ops_of}, for callers that need to keep the
     report type visible — e.g. [lib/serve] packs an engine together with
@@ -55,13 +54,11 @@ val ops_of :
 val addr_ops :
   ?pool:Butterfly.Domain_pool.t ->
   ?isolation:bool ->
-  ?wavefront:bool ->
   unit ->
   (Lifeguards.Addrcheck.Resumable.state, Lifeguards.Addrcheck.report) ops
 
 val init_ops :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   unit ->
   (Lifeguards.Initcheck.Resumable.state, Lifeguards.Initcheck.report) ops
 
@@ -69,13 +66,11 @@ val taint_ops :
   ?pool:Butterfly.Domain_pool.t ->
   ?sequential:bool ->
   ?two_phase:bool ->
-  ?wavefront:bool ->
   unit ->
   (Lifeguards.Taintcheck.Resumable.state, Lifeguards.Taintcheck.report) ops
 
 val race_ops :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   unit ->
   (Lifeguards.Racecheck.Resumable.state, Lifeguards.Racecheck.report) ops
 
@@ -108,14 +103,12 @@ val resume :
 val run_addrcheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?isolation:bool ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Addrcheck.report
 
 val resume_addrcheck :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->
@@ -123,14 +116,12 @@ val resume_addrcheck :
 
 val run_initcheck :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Initcheck.report
 
 val resume_initcheck :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->
@@ -140,14 +131,12 @@ val run_taintcheck :
   ?pool:Butterfly.Domain_pool.t ->
   ?sequential:bool ->
   ?two_phase:bool ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Taintcheck.report
 
 val resume_taintcheck :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->
@@ -155,14 +144,12 @@ val resume_taintcheck :
 
 val run_racecheck :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   Butterfly.Epochs.t ->
   Lifeguards.Racecheck.report
 
 val resume_racecheck :
   ?pool:Butterfly.Domain_pool.t ->
-  ?wavefront:bool ->
   ?checkpoint:checkpointing ->
   path:string ->
   Butterfly.Epochs.t ->

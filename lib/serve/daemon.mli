@@ -5,8 +5,8 @@
     coordinating loop.  The single loop is load-bearing: every engine
     submission happens from this one domain, which is exactly the
     single-writer discipline {!Butterfly.Domain_pool} requires, so K
-    tenants can share one pool (each session's pooled or wavefront
-    scheduler fans out from here) without a lock anywhere in the feeding
+    tenants can share one pool (each pooled session's engine fans out
+    from here) without a lock anywhere in the feeding
     path.
 
     Per tick the loop: selects on the listener and every unthrottled
@@ -24,7 +24,7 @@
 type config = {
   socket : string;  (** Unix-domain socket path; replaced if present *)
   domains : int option;
-      (** shared worker pool; required by pooled/wavefront hellos *)
+      (** shared worker pool; required by pooled hellos *)
   state_dir : string option;  (** session snapshots (eviction, crashes) *)
   checkpoint_every : int option;  (** epochs between periodic snapshots *)
   evict_idle_after : int option;

@@ -11,7 +11,7 @@ type packed =
 type t = {
   tenant : string;
   lifeguard : Snapshot.lifeguard;
-  driver : [ `Sequential | `Pooled | `Wavefront ];
+  driver : [ `Sequential | `Pooled ];
   threads : int;
   engine : packed;
   rows : Tracing.Instr.t array array Queue.t;
@@ -24,22 +24,20 @@ let all_lifeguards =
     Snapshot.Racecheck ]
 
 let fresh (h : Wire.hello) pool =
-  let wavefront = h.driver = `Wavefront in
   let mk ops render = E (ops, ops.Runner.create ~threads:h.threads, render) in
   match h.lifeguard with
   | Snapshot.Addrcheck ->
-    mk (Runner.addr_ops ?pool ~wavefront ()) Report.addrcheck
+    mk (Runner.addr_ops ?pool ()) Report.addrcheck
   | Snapshot.Initcheck ->
-    mk (Runner.init_ops ?pool ~wavefront ()) Report.initcheck
+    mk (Runner.init_ops ?pool ()) Report.initcheck
   | Snapshot.Taintcheck ->
     mk
-      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ~wavefront ())
+      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ())
       Report.taintcheck
   | Snapshot.Racecheck ->
-    mk (Runner.race_ops ?pool ~wavefront ()) Report.racecheck
+    mk (Runner.race_ops ?pool ()) Report.racecheck
 
 let revive (h : Wire.hello) pool ~path =
-  let wavefront = h.driver = `Wavefront in
   let load (type s r) (ops : (s, r) Runner.ops) render =
     match Snapshot.read_file ~path with
     | Error m -> Error m
@@ -64,15 +62,15 @@ let revive (h : Wire.hello) pool ~path =
   in
   match h.lifeguard with
   | Snapshot.Addrcheck ->
-    load (Runner.addr_ops ?pool ~wavefront ()) Report.addrcheck
+    load (Runner.addr_ops ?pool ()) Report.addrcheck
   | Snapshot.Initcheck ->
-    load (Runner.init_ops ?pool ~wavefront ()) Report.initcheck
+    load (Runner.init_ops ?pool ()) Report.initcheck
   | Snapshot.Taintcheck ->
     load
-      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ~wavefront ())
+      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ())
       Report.taintcheck
   | Snapshot.Racecheck ->
-    load (Runner.race_ops ?pool ~wavefront ()) Report.racecheck
+    load (Runner.race_ops ?pool ()) Report.racecheck
 
 let create ?pool ?state_dir (h : Wire.hello) =
   if not (Snapshot.valid_tenant h.tenant) then
@@ -83,12 +81,15 @@ let create ?pool ?state_dir (h : Wire.hello) =
   else if h.driver <> `Sequential && pool = None then
     Error "bad hello: driver needs a daemon started with --domains"
   else
-    let pool = if h.driver = `Sequential then None else pool in
+    (* Old clients may still ask for [`Wavefront]: the daemon has one
+       pooled engine, so it serves them as [`Pooled]. *)
+    let driver = if h.driver = `Sequential then `Sequential else `Pooled in
+    let pool = if driver = `Sequential then None else pool in
     let wrap engine =
       {
         tenant = h.tenant;
         lifeguard = h.lifeguard;
-        driver = h.driver;
+        driver;
         threads = h.threads;
         engine;
         rows = Queue.create ();
@@ -200,7 +201,6 @@ let evict t ~dir =
 let driver_string = function
   | `Sequential -> "sequential"
   | `Pooled -> "pooled"
-  | `Wavefront -> "wavefront"
 
 let stats_json t =
   Obs.Json.Obj

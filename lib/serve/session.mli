@@ -27,7 +27,9 @@ val create :
     eviction path's inverse) — the engine resumes at the snapshot's
     epoch frontier and {!fed} reflects it.  Stable errors:
     ["bad hello: invalid tenant id _"], ["bad hello: threads must be >= 1"],
-    ["bad hello: driver needs a daemon started with --domains"],
+    ["bad hello: driver needs a daemon started with --domains"] (a
+    [`Wavefront] hello, which old clients may still send, runs as
+    [`Pooled]),
     ["bad hello: state=flat is no longer supported"] (the retired flat
     fact-table backend; old clients still send the byte),
     the {!Recovery.Runner.resume} checkpoint errors, and

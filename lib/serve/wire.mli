@@ -34,6 +34,8 @@ type hello = {
   tenant : string;  (** session key; must satisfy {!Recovery.Snapshot.valid_tenant} *)
   lifeguard : Recovery.Snapshot.lifeguard;
   driver : [ `Sequential | `Pooled | `Wavefront ];
+      (** [`Wavefront] names a retired schedule; old clients still send
+          it and {!Session.create} runs it as [`Pooled] *)
   state : [ `Functional | `Flat ];
       (** fact-table backend; only [`Functional] remains, and
           {!Session.create} rejects [`Flat] *)

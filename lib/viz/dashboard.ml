@@ -401,10 +401,10 @@ let render ?(title = "Butterfly run") ?refresh events =
          ~tooltip:(fun x v -> Printf.sprintf "+%.1f ms: %.0f%% busy" x v)
          (List.map (fun (t, v) -> ((t -. t0) /. 1e6, v *. 100.)) util));
 
-  (* --- wavefront pipeline, when that driver ran -------------------- *)
-  (* Conditional on the metrics existing in the stream: epochwise and
-     sequential runs never touch scheduler.wavefront.*, so their
-     dashboards are unchanged byte for byte. *)
+  (* --- wavefront pipeline, when a pooled two-pass run happened ----- *)
+  (* Conditional on the metrics existing in the stream: sequential runs
+     and the streaming scheduler never touch scheduler.wavefront.*, so
+     their dashboards carry no such card. *)
   let wf_stall = sum_by_epoch events ~kind:"observe" ~name:"scheduler.wavefront.stall_ns" in
   let wf_overlap = total events ~kind:"add" ~name:"scheduler.wavefront.overlapped_epochs" in
   let wf_p1 = total events ~kind:"add" ~name:"scheduler.wavefront.pipelined_pass1_blocks" in

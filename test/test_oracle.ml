@@ -54,9 +54,10 @@ let addrcheck_cases =
         (Printf.sprintf "addrcheck zero false negatives (%s)" name)
         arb_mem
         (fun p ->
+          Testutil.with_pool_opt domains @@ fun pool ->
           sound name
-            (Oracle.addrcheck_zero_false_negatives ~model ~cap ~samples
-               ?domains p)))
+            (Oracle.addrcheck_zero_false_negatives ~model ~cap ~samples ?pool
+               p)))
     [
       ("sequential", Memmodel.Consistency.Sequential, None);
       ("relaxed", Memmodel.Consistency.Relaxed, None);
@@ -70,9 +71,10 @@ let initcheck_cases =
         (Printf.sprintf "initcheck zero false negatives (%s)" name)
         arb_df
         (fun p ->
+          Testutil.with_pool_opt domains @@ fun pool ->
           sound name
-            (Oracle.initcheck_zero_false_negatives ~model ~cap ~samples
-               ?domains p)))
+            (Oracle.initcheck_zero_false_negatives ~model ~cap ~samples ?pool
+               p)))
     [
       ("sequential", Memmodel.Consistency.Sequential, None);
       ("relaxed", Memmodel.Consistency.Relaxed, None);
@@ -95,9 +97,10 @@ let taintcheck_cases =
                flavour)
             arb
             (fun p ->
+              Testutil.with_pool_opt domains @@ fun pool ->
               sound name
                 (Oracle.taintcheck_zero_false_negatives ~model ~cap ~samples
-                   ~sequential ?domains p)))
+                   ~sequential ?pool p)))
         [ ("dataflow mix", arb_df); ("taint mix", arb_taint) ])
     [
       ("sequential", Memmodel.Consistency.Sequential, true, None);

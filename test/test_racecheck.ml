@@ -5,7 +5,8 @@
    1. Differential battery: 500+ seeded lock-heavy grids, each analyzed
       by the independent brute-force reference [Racecheck_seq.check] and
       by every deployment of the butterfly lifeguard — sequential batch,
-      pooled 2/8 domains and wavefront.
+      pooled 2/8 domains, and the checkpointable engine fed row by row
+      on the same pools.
       Every report fingerprint must match the reference byte for byte.
 
    2. QCheck lattice laws for the two abstractions the analysis is built
@@ -41,6 +42,14 @@ let battery_shape =
 
 let battery_grids = 500
 
+(* The epoch-incremental engine the CLI's cursor ingest and the daemon
+   drive, fed one row at a time. *)
+let resumable ?pool epochs =
+  let threads = Butterfly.Epochs.threads epochs in
+  let st = RC.Resumable.create ?pool ~threads () in
+  Array.iter (RC.Resumable.feed_epoch st) (Recovery.Runner.rows_of epochs);
+  RC.Resumable.finish st
+
 let differential_battery () =
   let pool2 = Butterfly.Domain_pool.create ~name:"rc-pool2" ~domains:2 () in
   let pool8 = Butterfly.Domain_pool.create ~name:"rc-pool8" ~domains:8 () in
@@ -72,8 +81,8 @@ let differential_battery () =
         ("sequential", RC.run epochs);
         ("pooled(2)", RC.run ~pool:pool2 epochs);
         ("pooled(8)", RC.run ~pool:pool8 epochs);
-        ("wavefront(2)", RC.run ~wavefront:true ~pool:pool2 epochs);
-        ("wavefront(8)", RC.run ~wavefront:true ~pool:pool8 epochs);
+        ("resumable pooled(2)", resumable ~pool:pool2 epochs);
+        ("resumable pooled(8)", resumable ~pool:pool8 epochs);
       ]
   done
 
@@ -189,20 +198,16 @@ let samples = 60
 
 let oracle_cases =
   List.map
-    (fun (name, wavefront, domains) ->
+    (fun (name, domains) ->
       Testutil.qtest ~count:100
         (Printf.sprintf "racecheck zero false negatives (%s)" name)
         arb_racy
         (fun p ->
+          Testutil.with_pool_opt domains @@ fun pool ->
           sound name
             (Oracle.racecheck_zero_false_negatives
-               ~model:Memmodel.Consistency.Sequential ~cap ~samples ~wavefront
-               ?domains p)))
-    [
-      ("sequential", false, None);
-      ("2 domains", false, Some 2);
-      ("wavefront, 2 domains", true, Some 2);
-    ]
+               ~model:Memmodel.Consistency.Sequential ~cap ~samples ?pool p)))
+    [ ("sequential", None); ("2 domains", Some 2); ("8 domains", Some 8) ]
 
 (* The battery has teeth: disabling the same-epoch backward wing makes
    RaceCheck miss a first-epoch write-write race, and both the oracle
@@ -257,11 +262,12 @@ let scenario_case (s : Workloads.Races.scenario) =
       checkb (s.name ^ ": oracle sound") true
         (Oracle.racecheck_zero_false_negatives ~cap ~samples s.program)
           .Oracle.sound;
-      (* And every driver reproduces them. *)
+      (* And the pooled driver reproduces them. *)
       checks
-        (s.name ^ ": wavefront == sequential")
+        (s.name ^ ": pooled == sequential")
         (RC.fingerprint r)
-        (RC.fingerprint (RC.run ~wavefront:true ~domains:2 epochs)))
+        (Testutil.with_pool_opt (Some 2) (fun pool ->
+             RC.fingerprint (RC.run ?pool epochs))))
 
 let faults_twins () =
   let racy_program, bugs =
@@ -310,7 +316,7 @@ let () =
         [
           Alcotest.test_case
             (Printf.sprintf
-               "%d grids: reference == sequential/pooled-2/pooled-8/wavefront"
+               "%d grids: reference == sequential/pooled-2/pooled-8/resumable"
                battery_grids)
             `Slow differential_battery;
         ] );

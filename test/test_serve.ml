@@ -174,7 +174,7 @@ let gen_frame =
             [ Snapshot.Addrcheck; Snapshot.Initcheck; Snapshot.Taintcheck;
               Snapshot.Racecheck ]
         in
-        let* driver = oneofl [ `Sequential; `Pooled; `Wavefront ] in
+        let* driver = oneofl [ `Sequential; `Pooled ] in
         let* relaxed = bool in
         let* threads = int_range 1 16 in
         return
@@ -505,10 +505,10 @@ let eight_tenant_battery () =
     [
       ("t0", Snapshot.Addrcheck, `Sequential, false, None);
       ("t1", Snapshot.Addrcheck, `Pooled, false, Some 3);
-      ("t2", Snapshot.Initcheck, `Wavefront, false, None);
+      ("t2", Snapshot.Initcheck, `Pooled, false, None);
       ("t3", Snapshot.Initcheck, `Sequential, false, Some 2);
       ("t4", Snapshot.Taintcheck, `Pooled, false, None);
-      ("t5", Snapshot.Taintcheck, `Wavefront, true, Some 3);
+      ("t5", Snapshot.Taintcheck, `Pooled, true, Some 3);
       ("t6", Snapshot.Racecheck, `Sequential, false, None);
       ("t7", Snapshot.Racecheck, `Pooled, false, Some 5);
     ]
@@ -864,6 +864,42 @@ let protocol_fuzz () =
   | None -> ());
   checki "campaign completed" 40 o.Qa.Serve_fuzz.iterations
 
+(* Old clients may still send the retired [`Wavefront] driver byte: a
+   [--domains] daemon serves it on its one pooled engine, the STATUS card
+   says so, and the report is the batch report byte for byte. *)
+let wavefront_hello_runs_pooled () =
+  Butterfly.Domain_pool.with_pool ~name:"serve-test" ~domains:2 (fun pool ->
+      match
+        Session.create ~pool
+          (hello ~tenant:"old" ~driver:`Wavefront ~threads:2 ())
+      with
+      | Error m -> Alcotest.fail m
+      | Ok s -> (
+        match Session.stats_json s with
+        | Obs.Json.Obj card ->
+          checkb "card says pooled" true
+            (List.assoc_opt "driver" card = Some (Obs.Json.String "pooled"))
+        | _ -> Alcotest.fail "status card is not an object"));
+  with_daemon ~domains:2 @@ fun socket _stop ->
+  List.iteri
+    (fun i (lifeguard, relaxed) ->
+      let p = program ~seed:(71 + i) ~threads:3 ~scale:80 in
+      let h =
+        hello
+          ~tenant:(Printf.sprintf "old-%d" i)
+          ~lifeguard ~driver:`Wavefront ~relaxed
+          ~threads:(Tracing.Program.threads p) ()
+      in
+      match Client.run_tenant ~socket ~hello:h (rows_of_program p) with
+      | Ok (_, report) ->
+        checks
+          (Snapshot.lifeguard_to_string lifeguard ^ " == batch")
+          (batch_report lifeguard ~relaxed p)
+          report
+      | Error m -> Alcotest.fail m)
+    [ (Snapshot.Addrcheck, false); (Snapshot.Initcheck, false);
+      (Snapshot.Taintcheck, true); (Snapshot.Racecheck, false) ]
+
 let status_surface () =
   with_daemon @@ fun socket _stop ->
   let p = program ~seed:61 ~threads:2 ~scale:60 in
@@ -941,6 +977,8 @@ let () =
             `Quick flat_state_rejected;
           Alcotest.test_case "oversubscription eviction + revival" `Slow
             oversubscription_eviction;
+          Alcotest.test_case "old-client wavefront hello runs pooled" `Slow
+            wavefront_hello_runs_pooled;
           Alcotest.test_case "status endpoint" `Quick status_surface;
           Alcotest.test_case "frame-protocol fuzz slice" `Slow protocol_fuzz;
           Alcotest.test_case "tenant id reused after REPORT starts fresh"

@@ -11,8 +11,8 @@
      original grid with every address relocated, compared through the
      lifeguard's canonical fingerprint (a metamorphic check: no oracle
      needed, and every report field that holds an address is covered);
-   - drivers: the pooled and wavefront drivers, on 2- and 8-domain
-     pools, reproduce the sequential report of the relocated grid;
+   - drivers: the pooled drivers, on 2- and 8-domain pools, reproduce
+     the sequential report of the relocated grid;
    - resume: a snapshot of the relocated grid taken at any epoch
      boundary re-encodes byte for byte and revives to the uninterrupted
      report. *)
@@ -117,7 +117,7 @@ type lifeguard = {
   label : string;
   profile : Qa.Grid_gen.profile;
   fp :
-    ?pool:Butterfly.Domain_pool.t -> ?wavefront:bool -> Butterfly.Epochs.t -> string;
+    ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> string;
   relocated_fp : Butterfly.Epochs.t -> string;
       (** the sequential report, addresses relocated, fingerprinted *)
   resumed_fp : cut:int -> threads:int -> Tracing.Instr.t array array array -> string;
@@ -127,7 +127,7 @@ let addrcheck =
   {
     label = "addrcheck";
     profile = Qa.Grid_gen.Alloc;
-    fp = (fun ?pool ?wavefront e -> AC.fingerprint (AC.run ?pool ?wavefront e));
+    fp = (fun ?pool e -> AC.fingerprint (AC.run ?pool e));
     relocated_fp = (fun e -> AC.fingerprint (reloc_ac (AC.run e)));
     resumed_fp =
       resumed_via
@@ -141,7 +141,7 @@ let initcheck =
   {
     label = "initcheck";
     profile = Qa.Grid_gen.Init;
-    fp = (fun ?pool ?wavefront e -> IC.fingerprint (IC.run ?pool ?wavefront e));
+    fp = (fun ?pool e -> IC.fingerprint (IC.run ?pool e));
     relocated_fp = (fun e -> IC.fingerprint (reloc_ic (IC.run e)));
     resumed_fp =
       resumed_via
@@ -156,8 +156,8 @@ let taintcheck ~sequential ~two_phase vlabel =
     label = Printf.sprintf "taintcheck[%s]" vlabel;
     profile = Qa.Grid_gen.Taint;
     fp =
-      (fun ?pool ?wavefront e ->
-        TC.fingerprint (TC.run ~sequential ~two_phase ?pool ?wavefront e));
+      (fun ?pool e ->
+        TC.fingerprint (TC.run ~sequential ~two_phase ?pool e));
     relocated_fp =
       (fun e -> TC.fingerprint (reloc_tc (TC.run ~sequential ~two_phase e)));
     resumed_fp =
@@ -173,7 +173,7 @@ let racecheck =
   {
     label = "racecheck";
     profile = Qa.Grid_gen.Racy;
-    fp = (fun ?pool ?wavefront e -> RC.fingerprint (RC.run ?pool ?wavefront e));
+    fp = (fun ?pool e -> RC.fingerprint (RC.run ?pool e));
     relocated_fp = (fun e -> RC.fingerprint (reloc_rc (RC.run e)));
     resumed_fp =
       resumed_via
@@ -220,16 +220,11 @@ let drivers_battery lg () =
           iter_grids lg ~seed:(2 + domains) ~n:40 (fun g _ far ->
               let epochs = Qa.Grid.epochs far in
               let expected = lg.fp epochs in
-              List.iter
-                (fun wavefront ->
-                  let got = lg.fp ~pool ~wavefront epochs in
-                  if not (String.equal expected got) then
-                    diverged lg
-                      (Printf.sprintf "%s(%d)"
-                         (if wavefront then "wavefront" else "pooled")
-                         domains)
-                      g far expected got)
-                [ false; true ])))
+              let got = lg.fp ~pool epochs in
+              if not (String.equal expected got) then
+                diverged lg
+                  (Printf.sprintf "pooled(%d)" domains)
+                  g far expected got)))
     [ 2; 8 ]
 
 let resume_battery lg () =
@@ -258,6 +253,6 @@ let () =
         per_lifeguard "150 grids relocated 2^39 apart report the same"
           relocation_battery );
       ( "drivers",
-        per_lifeguard "pooled and wavefront match sequential" drivers_battery );
+        per_lifeguard "pooled matches sequential" drivers_battery );
       ("resume", per_lifeguard "resume at every epoch" resume_battery);
     ]

@@ -1,7 +1,7 @@
 (* Parallel TaintCheck: the pooled driver is the sequential driver.
 
-   The pooled mode fans pass-1 summarization over the grid and pass-2
-   block evaluation per epoch (Scheduler.Epochwise), with the master
+   The pooled mode runs pass-1 summarization a lookahead window ahead of
+   pass-2 block evaluation (Scheduler.Wavefront), with the master
    serializing LASTCHECK/SOS commits epoch-major / thread-minor.  The
    claim under test is *structural equality of the whole report* — error
    list in order, SOS taint history, per-block statistics — not just the
@@ -33,11 +33,15 @@ let reports_equal (a : TC.report) (b : TC.report) =
 (* ------------------------------------------------------------------ *)
 (* Differential battery: pooled report == sequential butterfly report.  *)
 
+let run_on ?sequential ?two_phase domains epochs =
+  Testutil.with_pool_opt (Some domains) (fun pool ->
+      TC.run ?sequential ?two_phase ?pool epochs)
+
 let pooled_equal ~sequential ~two_phase domains g =
   let epochs = Testutil.epochs_of_grid g in
   reports_equal
     (TC.run ~sequential ~two_phase epochs)
-    (TC.run ~sequential ~two_phase ~domains epochs)
+    (run_on ~sequential ~two_phase domains epochs)
 
 let differential_tests =
   List.map
@@ -76,7 +80,7 @@ let program_order epochs =
 
 let superset_of_seq domains g =
   let epochs = Testutil.epochs_of_grid g in
-  let butterfly = TC.flagged_sinks (TC.run ~domains epochs) in
+  let butterfly = TC.flagged_sinks (run_on domains epochs) in
   let seq = TC_seq.flagged_sinks (TC_seq.check (program_order epochs)) in
   List.for_all (fun s -> List.mem s butterfly) seq
 
@@ -104,7 +108,7 @@ let two_phase_never_drops model g =
   in
   let epochs = Testutil.epochs_of_grid g in
   let two =
-    TC.flagged_sinks (TC.run ~sequential ~two_phase:true ~domains:2 epochs)
+    TC.flagged_sinks (run_on ~sequential ~two_phase:true 2 epochs)
   in
   let one = TC.flagged_sinks (TC.run ~sequential ~two_phase:false epochs) in
   let vo = Testutil.vo_of_grid ~model g in
@@ -164,11 +168,11 @@ let pool_reuse () =
         (reports_equal b (TC.run ~sequential:false epochs)))
 
 let oversized_domains () =
-  (* ~domains above the hardware count: with_pool caps it, the report is
-     still the sequential one. *)
+  (* A pool asked for more domains than the hardware has: creation caps
+     it, the report is still the sequential one. *)
   let epochs = Testutil.epochs_of_grid demo_grid in
   Testutil.checkb "capped pool matches" true
-    (reports_equal (TC.run ~domains:64 epochs) (TC.run epochs))
+    (reports_equal (run_on 64 epochs) (TC.run epochs))
 
 let pool_tests =
   [

@@ -1,30 +1,31 @@
-(* Wavefront scheduler: dependency-driven pipelining past the epoch
-   barrier, proven equivalent to the sequential drivers.
+(* Wavefront scheduler: the one batch two-pass schedule, dependency-driven
+   dispatch with ordered commits, proven equivalent to the sequential
+   drivers.
 
    Five batteries:
 
    - the cross-driver equivalence battery: 500+ seeded ragged grids, all
-     three lifeguards (TaintCheck in every analysis variant), pools of
-     1/2/8 domains — every wavefront report fingerprint must be
+     four lifeguards (TaintCheck in every analysis variant), pools of
+     1/2/8 domains — every pooled report fingerprint must be
      byte-identical to the sequential driver's;
-   - scheduler-level equivalence for a May problem (reaching
-     definitions) and a Must problem (reaching expressions): wavefront
-     view sequences and SOS history equal the batch driver's;
    - the readiness rule, pinned by replaying Wavefront.run's dispatch
      log against the butterfly geometry ([Epochs.wings]/head/tail —
-     the Lemma 5.2 dependence set) plus the ordered-commit laws;
-   - Theorem 6.2 through the wavefront driver: the valid-ordering
-     oracle must still find zero false negatives;
+     the Lemma 5.2 dependence set) plus the ordered-commit laws, and
+     the unbounded-lookahead log against the epoch-barrier shape;
+   - Theorem 6.2 through the pooled driver: the valid-ordering oracle
+     must still find zero false negatives;
    - edge cases: degenerate grids, a pass-2 task that raises (surfaces
-     once, pool survives), submit-after-teardown, argument validation. *)
+     once, pool survives), submit-after-teardown, argument validation;
+   - resume from every sealed epoch with pooled engines on both sides,
+     and the crash simulator on a pool.
+
+   Wavefront.run driving a dataflow problem's pieces is checked against
+   Dataflow.run in test_parallel.ml. *)
 
 module AC = Lifeguards.Addrcheck
 module IC = Lifeguards.Initcheck
 module TC = Lifeguards.Taintcheck
-module RD = Butterfly.Reaching_definitions
-module RE = Butterfly.Reaching_expressions
-module Sched_rd = Butterfly.Scheduler.Make (RD.Problem)
-module Sched_re = Butterfly.Scheduler.Make (RE.Problem)
+module RC = Lifeguards.Racecheck
 module WF = Butterfly.Scheduler.Wavefront
 
 let check = Alcotest.check
@@ -35,32 +36,28 @@ let checks = Alcotest.(check string)
 
 (* One run of each lifeguard under each driver; a divergent fingerprint
    names the grid (seeded, so any failure replays exactly). *)
-type fp_fn =
-  ?pool:Butterfly.Domain_pool.t -> ?wavefront:bool -> Butterfly.Epochs.t -> string
+type fp_fn = ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> string
 
 let lifeguard_cases : (string * Qa.Grid_gen.profile * fp_fn list) list =
   [
     ( "addrcheck",
       Qa.Grid_gen.Alloc,
-      [
-        (fun ?pool ?(wavefront = false) epochs ->
-          AC.fingerprint (AC.run ?pool ~wavefront epochs));
-      ] );
+      [ (fun ?pool epochs -> AC.fingerprint (AC.run ?pool epochs)) ] );
     ( "initcheck",
       Qa.Grid_gen.Init,
-      [
-        (fun ?pool ?(wavefront = false) epochs ->
-          IC.fingerprint (IC.run ?pool ~wavefront epochs));
-      ] );
+      [ (fun ?pool epochs -> IC.fingerprint (IC.run ?pool epochs)) ] );
     ( "taintcheck",
       Qa.Grid_gen.Taint,
       List.map
-        (fun (sequential, two_phase) ?pool ?(wavefront = false) epochs ->
-          TC.fingerprint (TC.run ~sequential ~two_phase ?pool ~wavefront epochs))
+        (fun (sequential, two_phase) ?pool epochs ->
+          TC.fingerprint (TC.run ~sequential ~two_phase ?pool epochs))
         [ (true, true); (false, true); (true, false) ] );
+    ( "racecheck",
+      Qa.Grid_gen.Racy,
+      [ (fun ?pool epochs -> RC.fingerprint (RC.run ?pool epochs)) ] );
   ]
 
-(* 3 lifeguards x 3 pool widths x 20 grids x (1 or 3 variants) = 540
+(* 4 lifeguards x 3 pool widths x 20 grids x (1 or 3 variants) = 720
    grid-runs, each compared against the sequential baseline. *)
 let equivalence_battery domains () =
   Butterfly.Domain_pool.with_pool ~name:"wf-test" ~domains (fun pool ->
@@ -73,84 +70,16 @@ let equivalence_battery domains () =
             List.iteri
               (fun v (fp : fp_fn) ->
                 let expected = fp epochs in
-                let got = fp ~pool ~wavefront:true epochs in
+                let got = fp ~pool epochs in
                 if not (String.equal expected got) then
                   Alcotest.failf
-                    "%s[v%d] wavefront(%d) diverged on grid #%d:\n%s\n%s\nvs\n%s"
+                    "%s[v%d] pooled(%d) diverged on grid #%d:\n%s\n%s\nvs\n%s"
                     label v domains g
                     (Format.asprintf "%a" Qa.Grid.pp grid)
                     expected got)
               fps
           done)
         lifeguard_cases)
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler-level equivalence: May and Must problems, qcheck grids.   *)
-
-let arb_uneven_grid =
-  Testutil.arb_grid ~n_addrs:3 ~max_threads:4 ~max_epochs:4 ~max_block:3
-    ~uneven:true ()
-
-let key_rd (v : RD.Analysis.instr_view) =
-  Format.asprintf "%a|%s|%a|%a|%a" Butterfly.Instr_id.pp v.id
-    (Tracing.Instr.to_string v.instr)
-    Butterfly.Def_set.pp v.lsos_before Butterfly.Def_set.pp v.in_before
-    Butterfly.Def_set.pp v.sos
-
-let key_re (v : RE.Analysis.instr_view) =
-  Format.asprintf "%a|%s|%a|%a|%a" Butterfly.Instr_id.pp v.id
-    (Tracing.Instr.to_string v.instr)
-    Butterfly.Expr_set.pp v.lsos_before Butterfly.Expr_set.pp v.in_before
-    Butterfly.Expr_set.pp v.sos
-
-let wavefront_equiv_rd domains g =
-  let epochs = Testutil.epochs_of_grid g in
-  let batch = ref [] in
-  let br = RD.run ~on_instr:(fun v -> batch := key_rd v :: !batch) epochs in
-  let stream = ref [] in
-  let hist =
-    Butterfly.Domain_pool.with_pool ~name:"wf-rd" ~domains (fun pool ->
-        let s =
-          Sched_rd.run_epochs ~pool ~wavefront:true
-            ~on_instr:(fun v -> stream := key_rd v :: !stream)
-            epochs
-        in
-        Sched_rd.sos_history s)
-  in
-  !batch = !stream
-  && Array.length hist = Array.length br.sos
-  && Array.for_all2 Butterfly.Def_set.equal br.sos hist
-
-let wavefront_equiv_re domains g =
-  let epochs = Testutil.epochs_of_grid g in
-  let batch = ref [] in
-  let br = RE.run ~on_instr:(fun v -> batch := key_re v :: !batch) epochs in
-  let stream = ref [] in
-  let hist =
-    Butterfly.Domain_pool.with_pool ~name:"wf-re" ~domains (fun pool ->
-        let s =
-          Sched_re.run_epochs ~pool ~wavefront:true
-            ~on_instr:(fun v -> stream := key_re v :: !stream)
-            epochs
-        in
-        Sched_re.sos_history s)
-  in
-  !batch = !stream
-  && Array.length hist = Array.length br.sos
-  && Array.for_all2 Butterfly.Expr_set.equal br.sos hist
-
-let scheduler_tests =
-  List.concat_map
-    (fun domains ->
-      [
-        Testutil.qtest ~count:120
-          (Printf.sprintf "wavefront == batch (May/RD, %d domains)" domains)
-          arb_uneven_grid (wavefront_equiv_rd domains);
-        Testutil.qtest ~count:110
-          (Printf.sprintf "wavefront == batch (Must/RE, %d domains)" domains)
-          arb_uneven_grid (wavefront_equiv_re domains);
-      ])
-    [ 1; 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Readiness rule: the dispatch log vs the butterfly geometry.         *)
@@ -276,6 +205,28 @@ let probe_pool_invariance =
                 [ 2; 3; 6 ])
             [ (1, 1); (3, 2); (5, 4); (7, 1) ]))
 
+(* At a lookahead past the last epoch the schedule is the epoch
+   barrier's: every pass-1 task is dispatched before the first pass-2
+   task, and each epoch's pass-2 tasks are all dispatched before any of
+   them commits. *)
+let barrier_shape_prop (num_epochs, threads) =
+  let num_epochs = 1 + (num_epochs mod 5) and threads = 1 + (threads mod 4) in
+  let log = probe_log ~lookahead:(num_epochs + 2) ~num_epochs ~threads () in
+  let last_pass1 =
+    pos_exn log
+      (WF.Dispatched { phase = Pass1; epoch = num_epochs - 1; tid = threads - 1 })
+  in
+  let first_pass2 =
+    pos_exn log (WF.Dispatched { phase = Pass2; epoch = 0; tid = 0 })
+  in
+  last_pass1 < first_pass2
+  && List.for_all
+       (fun l ->
+         pos_exn log
+           (WF.Dispatched { phase = Pass2; epoch = l; tid = threads - 1 })
+         < pos_exn log (WF.Committed { phase = Pass2; epoch = l; tid = 0 }))
+       (List.init num_epochs Fun.id)
+
 let readiness_tests =
   [
     Testutil.qtest ~count:150 "readiness rule == Lemma 5.2 wings (inline)"
@@ -286,10 +237,13 @@ let readiness_tests =
         Butterfly.Domain_pool.with_pool ~name:"wf-ready" ~domains:2
           (fun pool -> readiness_prop ~pool shape));
     probe_pool_invariance;
+    Testutil.qtest ~count:100
+      "unbounded lookahead is the epoch-barrier schedule" arb_shape
+      barrier_shape_prop;
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Theorem 6.2 through the wavefront driver.                           *)
+(* Theorem 6.2 through the pooled driver.                              *)
 
 let arb_taint_grid =
   Testutil.arb_grid ~n_addrs:3 ~max_threads:3 ~max_epochs:3 ~max_block:2
@@ -298,13 +252,14 @@ let arb_taint_grid =
 let theorem_tests =
   [
     Testutil.qtest ~count:60
-      "Theorem 6.2: wavefront TaintCheck has zero false negatives"
+      "Theorem 6.2: pooled TaintCheck has zero false negatives"
       arb_taint_grid
       (fun g ->
         let program = Qa.Grid.to_program g in
+        Testutil.with_pool_opt (Some 2) @@ fun pool ->
         let v =
           Lifeguards.Oracle.taintcheck_zero_false_negatives ~cap:120
-            ~samples:12 ~seed:5 ~wavefront:true ~domains:2 program
+            ~samples:12 ~seed:5 ?pool program
         in
         v.Lifeguards.Oracle.sound);
   ]
@@ -312,16 +267,18 @@ let theorem_tests =
 (* ------------------------------------------------------------------ *)
 (* Edge cases.                                                         *)
 
-let fp_all_drivers epochs =
-  Butterfly.Domain_pool.with_pool ~name:"wf-edge" ~domains:2 (fun pool ->
-      ( AC.fingerprint (AC.run epochs),
-        AC.fingerprint (AC.run ~pool ~wavefront:true epochs) ))
-
+(* Degenerate grids through both pooled paths: the streaming scheduler
+   (AddrCheck) and Wavefront.run (TaintCheck). *)
 let edge_grid name (g : Testutil.grid) =
   Alcotest.test_case name `Quick (fun () ->
       let epochs = Testutil.epochs_of_grid g in
-      let seq, wf = fp_all_drivers epochs in
-      checks name seq wf)
+      Butterfly.Domain_pool.with_pool ~name:"wf-edge" ~domains:2 (fun pool ->
+          checks (name ^ " (addrcheck)")
+            (AC.fingerprint (AC.run epochs))
+            (AC.fingerprint (AC.run ~pool epochs));
+          checks (name ^ " (taintcheck)")
+            (TC.fingerprint (TC.run epochs))
+            (TC.fingerprint (TC.run ~pool epochs))))
 
 exception Boom
 
@@ -430,7 +387,7 @@ let edge_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Resume from every sealed epoch, wavefront engines on both sides.    *)
+(* Resume from every sealed epoch, pooled engines on both sides.       *)
 
 let rows_of_epochs epochs =
   let threads = Butterfly.Epochs.threads epochs in
@@ -466,7 +423,7 @@ type engine = {
     string;
 }
 
-let wavefront_engines =
+let pooled_engines =
   [
     {
       label = "addrcheck";
@@ -476,9 +433,9 @@ let wavefront_engines =
         (fun ~pool ~cut ~threads rows ->
           resumed_via
             ~create:(fun ~threads () ->
-              AC.Resumable.create ~pool ~wavefront:true ~threads ())
+              AC.Resumable.create ~pool ~threads ())
             ~feed:AC.Resumable.feed_epoch ~encode:AC.Resumable.encode
-            ~decode:(AC.Resumable.decode ~pool ~wavefront:true)
+            ~decode:(AC.Resumable.decode ~pool)
             ~finish:AC.Resumable.finish ~fp:AC.fingerprint ~cut ~threads rows);
     };
     {
@@ -489,9 +446,9 @@ let wavefront_engines =
         (fun ~pool ~cut ~threads rows ->
           resumed_via
             ~create:(fun ~threads () ->
-              IC.Resumable.create ~pool ~wavefront:true ~threads ())
+              IC.Resumable.create ~pool ~threads ())
             ~feed:IC.Resumable.feed_epoch ~encode:IC.Resumable.encode
-            ~decode:(IC.Resumable.decode ~pool ~wavefront:true)
+            ~decode:(IC.Resumable.decode ~pool)
             ~finish:IC.Resumable.finish ~fp:IC.fingerprint ~cut ~threads rows);
     };
     {
@@ -502,17 +459,29 @@ let wavefront_engines =
         (fun ~pool ~cut ~threads rows ->
           resumed_via
             ~create:(fun ~threads () ->
-              TC.Resumable.create ~pool ~wavefront:true ~threads ())
+              TC.Resumable.create ~pool ~threads ())
             ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
-            ~decode:(TC.Resumable.decode ~pool ~wavefront:true)
+            ~decode:(TC.Resumable.decode ~pool)
             ~finish:TC.Resumable.finish ~fp:TC.fingerprint ~cut ~threads rows);
+    };
+    {
+      label = "racecheck";
+      profile = Qa.Grid_gen.Racy;
+      batch_fp = (fun epochs -> RC.fingerprint (RC.run epochs));
+      resumed_fp =
+        (fun ~pool ~cut ~threads rows ->
+          resumed_via
+            ~create:(fun ~threads () -> RC.Resumable.create ~pool ~threads ())
+            ~feed:RC.Resumable.feed_epoch ~encode:RC.Resumable.encode
+            ~decode:(RC.Resumable.decode ~pool)
+            ~finish:RC.Resumable.finish ~fp:RC.fingerprint ~cut ~threads rows);
     };
   ]
 
-(* Checkpoints cut at sealed-epoch frontiers: the snapshot must drain
-   the pipeline, so a resumed wavefront run — from EVERY epoch boundary
-   — reproduces the sequential report byte for byte. *)
-let wavefront_resume_battery e () =
+(* Checkpoints cut at sealed-epoch frontiers: the snapshot must resolve
+   in-flight pass-1 work, so a resumed pooled run — from EVERY epoch
+   boundary — reproduces the sequential report byte for byte. *)
+let pooled_resume_battery e () =
   Butterfly.Domain_pool.with_pool ~name:"wf-resume" ~domains:2 (fun pool ->
       let rng = Random.State.make [| 0x3afd; 23 |] in
       for g = 1 to 8 do
@@ -525,14 +494,14 @@ let wavefront_resume_battery e () =
           let got = e.resumed_fp ~pool ~cut ~threads rows in
           if not (String.equal expected got) then
             Alcotest.failf
-              "%s grid #%d wavefront-resumed at epoch %d/%d diverged:\n%s"
+              "%s grid #%d pooled-resumed at epoch %d/%d diverged:\n%s"
               e.label g cut (Array.length rows)
               (Format.asprintf "%a" Qa.Grid.pp grid)
         done
       done)
 
-let crash_sim_wavefront =
-  Alcotest.test_case "crash sim under the wavefront driver" `Quick (fun () ->
+let crash_sim_pooled =
+  Alcotest.test_case "crash sim under the pooled driver" `Quick (fun () ->
       Butterfly.Domain_pool.with_pool ~name:"wf-crash" ~domains:2 (fun pool ->
           List.iter
             (fun lg ->
@@ -542,8 +511,7 @@ let crash_sim_wavefront =
                   Qa.Grid_gen.grid (Qa.Differential.profile_of lg) rng
                 in
                 match
-                  Qa.Differential.check_recovery ~pool ~wavefront:true
-                    ~seed:g lg grid
+                  Qa.Differential.check_recovery ~pool ~seed:g lg grid
                 with
                 | [] -> ()
                 | ms ->
@@ -554,28 +522,25 @@ let crash_sim_wavefront =
             Qa.Differential.all_lifeguards))
 
 (* ------------------------------------------------------------------ *)
-(* The qa driver matrix includes Wavefront.                            *)
+(* The qa driver matrix: sequential vs each supplied pool.             *)
 
 let qa_matrix =
-  Alcotest.test_case "differential battery spans pooled and wavefront"
+  Alcotest.test_case "differential battery spans every supplied pool"
     `Quick (fun () ->
-      check
-        Alcotest.(list string)
-        "all_drivers" [ "pooled"; "wavefront" ]
-        (List.map Qa.Differential.driver_to_string Qa.Differential.all_drivers);
-      check Alcotest.bool "default config fuzzes both drivers" true
-        (Qa.Differential.default_config.Qa.Differential.drivers
-        = Qa.Differential.all_drivers);
-      (* One grid through the full driver x pool matrix. *)
+      (* One grid through the sequential x pool matrix. *)
       let grid =
         Qa.Grid_gen.grid Qa.Grid_gen.Taint (Random.State.make [| 0x3afb |])
       in
-      Butterfly.Domain_pool.with_pool ~name:"wf-qa" ~domains:2 (fun pool ->
-          match Qa.Differential.check ~pools:[ pool ] Qa.Differential.Taintcheck grid with
-          | [] -> ()
-          | ms ->
-            Alcotest.failf "differential matrix flagged %d mismatches"
-              (List.length ms)))
+      Butterfly.Domain_pool.with_pool ~name:"wf-qa-1" ~domains:1 (fun p1 ->
+          Butterfly.Domain_pool.with_pool ~name:"wf-qa-2" ~domains:2 (fun p2 ->
+              match
+                Qa.Differential.check ~pools:[ p1; p2 ]
+                  Qa.Differential.Taintcheck grid
+              with
+              | [] -> ()
+              | ms ->
+                Alcotest.failf "differential matrix flagged %d mismatches"
+                  (List.length ms))))
 
 let () =
   Alcotest.run "wavefront"
@@ -584,21 +549,20 @@ let () =
         List.map
           (fun domains ->
             Alcotest.test_case
-              (Printf.sprintf "540-run battery, wavefront(%d) == sequential"
+              (Printf.sprintf "720-run battery, pooled(%d) == sequential"
                  domains)
               `Slow (equivalence_battery domains))
           [ 1; 2; 8 ] );
-      ("scheduler", scheduler_tests);
       ("readiness", readiness_tests);
       ("soundness", theorem_tests);
       ("edge-cases", edge_tests);
       ( "resume",
-        crash_sim_wavefront
+        crash_sim_pooled
         :: List.map
              (fun e ->
                Alcotest.test_case
                  (Printf.sprintf "%s resumed from every sealed epoch" e.label)
-                 `Slow (wavefront_resume_battery e))
-             wavefront_engines );
+                 `Slow (pooled_resume_battery e))
+             pooled_engines );
       ("qa-matrix", [ qa_matrix ]);
     ]

@@ -43,6 +43,14 @@ let qtest ?(count = 200) name arb prop =
 let check = Alcotest.check
 let checkb name expected actual = Alcotest.check Alcotest.bool name expected actual
 
+(* [f None] without a domain count, else [f (Some pool)] on a fresh pool
+   of that many domains, shut down afterwards. *)
+let with_pool_opt domains f =
+  match domains with
+  | None -> f None
+  | Some d ->
+    Butterfly.Domain_pool.with_pool ~name:"test" ~domains:d (fun p -> f (Some p))
+
 (* --- Grids: per-thread block lists, the raw form of an epoch grid. --- *)
 
 type grid = Tracing.Instr.t array list array
