@@ -252,8 +252,10 @@ let race_tests pools =
    group keeps its historical [flat-vs-functional] name and the
    [.functional] suffixes so gate.exe's trajectory rule keeps comparing
    these entries with earlier points; the flat backend they were once
-   paired with is retired.  The ingest.* entries compare whole-trace
-   materialization against the zero-copy cursor walk. *)
+   paired with is retired.  The ingest.* entries compare two library
+   decoders feeding the same AddrCheck engine: [decode_binary] into a
+   whole program and its epoch grid, against the zero-copy cursor walk
+   the CLI uses for every binary trace. *)
 (* Fan-out TaintCheck fixture: eight threads, 128-instruction blocks,
    taint sources scattered over a 4k address space.  Every window slide
    recomputes each wing block's GEN/KILL summary once per body —

@@ -78,40 +78,6 @@ let with_stats ?obs_jsonl stats f =
     | _ -> ());
     r
 
-(* Streaming window replay: drives the trace through the sliding-window
-   scheduler with a no-op analysis, so [--stats] reports genuine
-   summary-window occupancy (geometry only depends on the heartbeats,
-   not on the lifeguard).  Metrics carry [problem=window]. *)
-module Window_probe = struct
-  let name = "window"
-
-  module Set = Butterfly.Interval_set
-
-  let flavour = `May
-  let gen _ _ = Butterfly.Interval_set.empty
-  let kill _ _ = Butterfly.Interval_set.empty
-end
-
-module Window_sched = Butterfly.Scheduler.Make (Window_probe)
-
-let replay_window_metrics p =
-  let threads = Tracing.Program.threads p in
-  let s = Window_sched.create ~threads ~on_instr:(fun _ -> ()) () in
-  (* Round-robin feed: threads advance together, as in a deployment, so
-     the occupancy high-water mark reflects the bounded window rather
-     than one thread racing ahead of the others. *)
-  let events =
-    Array.init threads (fun tid ->
-        Tracing.Trace.events (Tracing.Program.trace p tid))
-  in
-  let longest = Array.fold_left (fun m e -> max m (Array.length e)) 0 events in
-  for k = 0 to longest - 1 do
-    Array.iteri
-      (fun tid evs -> if k < Array.length evs then Window_sched.feed s tid evs.(k))
-      events
-  done;
-  Window_sched.finish s
-
 (* ------------------------------------------------------------------ *)
 (* JSON report serialization lives in [Serve.Report], so [--json] here
    and a daemon's REPORT frames render the same bytes — the serve
@@ -207,12 +173,12 @@ let domains_arg =
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N"
        ~doc:"Run the lifeguard on a pool of $(docv) worker domains (capped \
              at the hardware's recommended domain count) instead of on the \
-             calling domain alone: AddrCheck and InitCheck on the pooled \
-             streaming scheduler, TaintCheck and RaceCheck on the pooled \
-             two-pass schedule.  The output is identical in either mode.")
+             calling domain alone: each epoch's per-thread work fans out on \
+             the pool and is committed in thread order.  The output is \
+             identical in either mode.")
 
-(* Checkpoint/restore plumbing (lib/recovery), shared by the three
-   lifeguard subcommands. *)
+(* Checkpoint/restore plumbing (lib/recovery), shared by the lifeguard
+   subcommands. *)
 
 let ckpt_every_arg =
   Arg.(value & opt (some positive_int) None
@@ -249,62 +215,6 @@ let with_pool_opt domains f =
   | Some n ->
     Butterfly.Domain_pool.with_pool ~name:"cli" ~domains:n (fun p -> f (Some p))
 
-let ingest_arg =
-  let m = Arg.enum [ ("list", `List); ("cursor", `Cursor) ] in
-  Arg.(value & opt m `List & info [ "ingest" ] ~docv:"MODE"
-       ~doc:"Trace ingestion path: $(b,list) (default) decodes the whole \
-             trace into a program before analysis; $(b,cursor) streams epoch \
-             rows straight out of the binary trace buffer (no program \
-             materialization) into the epoch-incremental engine.  \
-             $(b,cursor) needs the binary trace format and is incompatible \
-             with $(b,--checkpoint-out)/$(b,--resume).")
-
-(* Cursor ingestion feeds the Resumable engines row by row; the
-   checkpoint flags drive a different engine lifecycle, so the
-   combination is rejected up front rather than half-working. *)
-let cursor_incompat ~every ~out ~resume =
-  if every <> None || out <> None || resume <> None then begin
-    prerr_endline
-      "error: --ingest cursor is incompatible with \
-       --checkpoint-every/--checkpoint-out/--resume";
-    exit 2
-  end
-
-let load_cursor path =
-  let raw = In_channel.with_open_bin path In_channel.input_all in
-  match Tracing.Trace_codec.Cursor.of_string raw with
-  | Error m ->
-    prerr_endline ("error: " ^ m);
-    exit 1
-  | Ok c -> c
-
-(* Drive a lifeguard's epoch-incremental engine from a trace cursor:
-   epoch rows are decoded in place and fed directly, so peak memory is
-   one row, not the whole program.  [--epoch-size 0] keeps the trace's
-   embedded heartbeats as epoch separators, like the list path. *)
-let run_cursor ~create ~feed ~finish ~h ~domains c =
-  with_pool_opt domains (fun pool ->
-      let st = create pool ~threads:(Tracing.Trace_codec.Cursor.threads c) in
-      Tracing.Trace_codec.Cursor.iter_rows
-        ?every:(if h > 0 then Some h else None)
-        c (feed st);
-      finish st)
-
-(* Route a lifeguard run through [Recovery.Runner] when any checkpoint or
-   resume flag is present; the plain batch driver otherwise. *)
-let run_with_recovery ~batch ~fresh ~resumed ~domains ~checkpoint ~resume
-    epochs =
-  with_pool_opt domains (fun pool ->
-      match (resume, checkpoint) with
-      | None, None -> batch ?pool epochs
-      | None, checkpoint -> fresh ?pool ?checkpoint epochs
-      | Some path, checkpoint -> (
-        match resumed ?pool ?checkpoint ~path epochs with
-        | Ok r -> r
-        | Error m ->
-          prerr_endline ("error: " ^ m);
-          exit 2))
-
 let load_program path h =
   let raw = In_channel.with_open_bin path In_channel.input_all in
   let decoded =
@@ -319,205 +229,94 @@ let load_program path h =
     exit 1
   | Ok p -> if h > 0 then Machine.Heartbeat.insert ~every:h p else p
 
-let addrcheck_cmd =
-  let run path h ingest domains every out resume json stats obs_jsonl =
+(* Every lifeguard run reads its trace as a stream of epoch rows, in
+   either trace format; a binary trace is walked in place.  [--epoch-size
+   0] keeps the trace's embedded heartbeats as epoch separators. *)
+let load_rows path =
+  match
+    Tracing.Row_source.of_string
+      (In_channel.with_open_bin path In_channel.input_all)
+  with
+  | Ok src -> src
+  | Error m ->
+    prerr_endline ("error: " ^ m);
+    exit 1
+
+let every_of h = if h > 0 then Some h else None
+
+(* One lifeguard run: the trace's rows stream into the lifeguard's engine,
+   fresh or revived from a checkpoint, snapshotting on the way when asked.
+   Returns the report's renderer. *)
+let analyze ~domains ~relaxed ~every ~out ~resume lifeguard path h =
+  let src = load_rows path in
+  let checkpoint = checkpointing_of every out in
+  let chunk = every_of h in
+  let threads = Tracing.Row_source.threads src in
+  let rows = Tracing.Row_source.iter_rows ?every:chunk src in
+  with_pool_opt domains (fun pool ->
+      let (Serve.Report.Engine e) =
+        Serve.Report.engine ?pool ~relaxed lifeguard
+      in
+      let r =
+        match resume with
+        | None -> Recovery.Runner.run e.ops ?checkpoint ~threads rows
+        | Some path -> (
+          match
+            Recovery.Runner.resume e.ops ?checkpoint ~path ~threads
+              ~num_rows:(Tracing.Row_source.num_rows ?every:chunk src)
+              rows
+          with
+          | Ok r -> r
+          | Error m ->
+            prerr_endline ("error: " ^ m);
+            exit 2)
+      in
+      fun ~json -> if json then e.json r ^ "\n" else e.text r)
+
+(* The four lifeguard subcommands: one builder, told apart by the
+   lifeguard, its doc string and TaintCheck's [--relaxed] flag. *)
+let lifeguard_cmd lifeguard ~doc relaxed_arg =
+  let run path h relaxed domains every out resume json stats obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
-        let r =
-          match ingest with
-          | `Cursor ->
-            cursor_incompat ~every ~out ~resume;
-            run_cursor
-              ~create:(fun pool ~threads ->
-                Lifeguards.Addrcheck.Resumable.create ?pool ~threads ())
-              ~feed:Lifeguards.Addrcheck.Resumable.feed_epoch
-              ~finish:Lifeguards.Addrcheck.Resumable.finish ~h ~domains
-              (load_cursor path)
-          | `List ->
-            let p = load_program path h in
-            let r =
-              run_with_recovery
-                ~batch:(fun ?pool epochs ->
-                  Lifeguards.Addrcheck.run ?pool epochs)
-                ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_addrcheck ?pool ?checkpoint epochs)
-                ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_addrcheck ?pool ?checkpoint ~path
-                    epochs)
-                ~domains ~checkpoint:(checkpointing_of every out) ~resume
-                (Butterfly.Epochs.of_program p)
-            in
-            if stats <> None then replay_window_metrics p;
-            r
+        let render =
+          analyze ~domains ~relaxed ~every ~out ~resume lifeguard path h
         in
-        if json then print_endline (Serve.Report.addrcheck r)
-        else begin
-          Format.printf "checked %d memory events; flagged %d@."
-            r.total_accesses r.flagged_accesses;
-          List.iter
-            (fun e -> Format.printf "  %a@." Lifeguards.Addrcheck.pp_error e)
-            r.errors;
-          if r.errors = [] then Format.printf "  no errors@."
-        end)
+        print_string (render ~json))
   in
-  Cmd.v (Cmd.info "addrcheck" ~doc:"Run butterfly AddrCheck on a trace file")
-    Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
+  Cmd.v
+    (Cmd.info (Recovery.Snapshot.lifeguard_to_string lifeguard) ~doc)
+    Term.(const run $ trace_arg $ h_arg $ relaxed_arg $ domains_arg
           $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg $ stats_arg
           $ obs_jsonl_arg)
+
+let no_relaxed = Term.const false
+
+let addrcheck_cmd =
+  lifeguard_cmd Recovery.Snapshot.Addrcheck
+    ~doc:"Run butterfly AddrCheck on a trace file" no_relaxed
 
 let initcheck_cmd =
-  let run path h ingest domains every out resume json stats obs_jsonl =
-    with_stats ?obs_jsonl stats (fun () ->
-        let r =
-          match ingest with
-          | `Cursor ->
-            cursor_incompat ~every ~out ~resume;
-            run_cursor
-              ~create:(fun pool ~threads ->
-                Lifeguards.Initcheck.Resumable.create ?pool ~threads ())
-              ~feed:Lifeguards.Initcheck.Resumable.feed_epoch
-              ~finish:Lifeguards.Initcheck.Resumable.finish ~h ~domains
-              (load_cursor path)
-          | `List ->
-            let p = load_program path h in
-            let r =
-              run_with_recovery
-                ~batch:(fun ?pool epochs ->
-                  Lifeguards.Initcheck.run ?pool epochs)
-                ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_initcheck ?pool ?checkpoint epochs)
-                ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_initcheck ?pool ?checkpoint ~path
-                    epochs)
-                ~domains ~checkpoint:(checkpointing_of every out) ~resume
-                (Butterfly.Epochs.of_program p)
-            in
-            if stats <> None then replay_window_metrics p;
-            r
-        in
-        if json then print_endline (Serve.Report.initcheck r)
-        else begin
-          Format.printf "checked %d reads; flagged %d@." r.total_reads
-            r.flagged_reads;
-          List.iter
-            (fun e -> Format.printf "  %a@." Lifeguards.Initcheck.pp_error e)
-            r.errors;
-          if r.errors = [] then Format.printf "  no uninitialized reads@."
-        end)
-  in
-  Cmd.v
-    (Cmd.info "initcheck"
-       ~doc:"Run butterfly InitCheck (uninitialized reads) on a trace file")
-    Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
-          $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg $ stats_arg
-          $ obs_jsonl_arg)
+  lifeguard_cmd Recovery.Snapshot.Initcheck
+    ~doc:"Run butterfly InitCheck (uninitialized reads) on a trace file"
+    no_relaxed
 
 let taintcheck_cmd =
-  let run path h relaxed ingest domains every out resume json stats
-      obs_jsonl =
-    with_stats ?obs_jsonl stats (fun () ->
-        let r =
-          match ingest with
-          | `Cursor ->
-            cursor_incompat ~every ~out ~resume;
-            run_cursor
-              ~create:(fun pool ~threads ->
-                Lifeguards.Taintcheck.Resumable.create ?pool
-                  ~sequential:(not relaxed) ~threads ())
-              ~feed:Lifeguards.Taintcheck.Resumable.feed_epoch
-              ~finish:Lifeguards.Taintcheck.Resumable.finish ~h ~domains
-              (load_cursor path)
-          | `List ->
-            let p = load_program path h in
-            let r =
-              run_with_recovery
-                ~batch:(fun ?pool epochs ->
-                  Lifeguards.Taintcheck.run ~sequential:(not relaxed) ?pool
-                    epochs)
-                ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_taintcheck ?pool
-                    ~sequential:(not relaxed) ?checkpoint epochs)
-                ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_taintcheck ?pool ?checkpoint ~path
-                    epochs)
-                ~domains ~checkpoint:(checkpointing_of every out) ~resume
-                (Butterfly.Epochs.of_program p)
-            in
-            if stats <> None then replay_window_metrics p;
-            r
-        in
-        if json then print_endline (Serve.Report.taintcheck r)
-        else begin
-          List.iter
-            (fun e -> Format.printf "  %a@." Lifeguards.Taintcheck.pp_error e)
-            r.errors;
-          if r.errors = [] then Format.printf "  no tainted sinks@."
-        end)
-  in
-  let relaxed_arg =
+  lifeguard_cmd Recovery.Snapshot.Taintcheck
+    ~doc:"Run butterfly TaintCheck on a trace file"
     Arg.(value & flag & info [ "relaxed" ]
          ~doc:"Use the relaxed-consistency termination condition.")
-  in
-  Cmd.v (Cmd.info "taintcheck" ~doc:"Run butterfly TaintCheck on a trace file")
-    Term.(const run $ trace_arg $ h_arg $ relaxed_arg $ ingest_arg
-          $ domains_arg $ ckpt_every_arg $ ckpt_out_arg $ resume_arg
-          $ json_arg $ stats_arg $ obs_jsonl_arg)
 
 let racecheck_cmd =
-  let run path h ingest domains every out resume json stats obs_jsonl =
-    with_stats ?obs_jsonl stats (fun () ->
-        let r =
-          match ingest with
-          | `Cursor ->
-            cursor_incompat ~every ~out ~resume;
-            run_cursor
-              ~create:(fun pool ~threads ->
-                Lifeguards.Racecheck.Resumable.create ?pool ~threads ())
-              ~feed:Lifeguards.Racecheck.Resumable.feed_epoch
-              ~finish:Lifeguards.Racecheck.Resumable.finish ~h ~domains
-              (load_cursor path)
-          | `List ->
-            let p = load_program path h in
-            let r =
-              run_with_recovery
-                ~batch:(fun ?pool epochs ->
-                  Lifeguards.Racecheck.run ?pool epochs)
-                ~fresh:(fun ?pool ?checkpoint epochs ->
-                  Recovery.Runner.run_racecheck ?pool ?checkpoint epochs)
-                ~resumed:(fun ?pool ?checkpoint ~path epochs ->
-                  Recovery.Runner.resume_racecheck ?pool ?checkpoint ~path
-                    epochs)
-                ~domains ~checkpoint:(checkpointing_of every out) ~resume
-                (Butterfly.Epochs.of_program p)
-            in
-            if stats <> None then replay_window_metrics p;
-            r
-        in
-        let checked =
-          Array.fold_left
-            (fun acc row ->
-              Array.fold_left
-                (fun acc (s : Lifeguards.Racecheck.block_stats) ->
-                  acc + s.pairs_checked)
-                acc row)
-            0 r.block_stats
-        in
-        if json then print_endline (Serve.Report.racecheck r)
-        else begin
-          Format.printf "checked %d conflicting pairs; flagged %d may-races@."
-            checked (List.length r.races);
-          List.iter
-            (fun e -> Format.printf "  %a@." Lifeguards.Racecheck.pp_race e)
-            r.races;
-          if r.races = [] then Format.printf "  no races@."
-        end)
-  in
-  Cmd.v
-    (Cmd.info "racecheck"
-       ~doc:"Run butterfly RaceCheck (happens-before/lockset may-races) on \
-             a trace file")
-    Term.(const run $ trace_arg $ h_arg $ ingest_arg $ domains_arg
-          $ ckpt_every_arg $ ckpt_out_arg $ resume_arg $ json_arg $ stats_arg
-          $ obs_jsonl_arg)
+  lifeguard_cmd Recovery.Snapshot.Racecheck
+    ~doc:"Run butterfly RaceCheck (happens-before/lockset may-races) on a \
+          trace file"
+    no_relaxed
+
+let lifeguard_enum =
+  Arg.enum
+    (List.map
+       (fun lg -> (Recovery.Snapshot.lifeguard_to_string lg, lg))
+       Recovery.Snapshot.[ Addrcheck; Initcheck; Taintcheck; Racecheck ])
 
 let stats_cmd =
   let run path h domains lifeguard json prometheus obs_jsonl =
@@ -534,16 +333,11 @@ let stats_cmd =
     in
     with_jsonl (fun s ->
         Obs.with_sink s (fun () ->
-            let p = load_program path h in
-            let epochs = Butterfly.Epochs.of_program p in
-            with_pool_opt domains (fun pool ->
-                match lifeguard with
-                | `Addrcheck -> ignore (Lifeguards.Addrcheck.run ?pool epochs)
-                | `Initcheck -> ignore (Lifeguards.Initcheck.run ?pool epochs)
-                | `Taintcheck ->
-                  ignore (Lifeguards.Taintcheck.run ?pool epochs)
-                | `Racecheck -> ignore (Lifeguards.Racecheck.run ?pool epochs));
-            replay_window_metrics p));
+            let (_ : json:bool -> string) =
+              analyze ~domains ~relaxed:false ~every:None ~out:None
+                ~resume:None lifeguard path h
+            in
+            ()));
     print_snapshot
       (if prometheus then `Prometheus else if json then `Json else `Text)
       (Obs.Sink.snapshot sink)
@@ -556,12 +350,8 @@ let stats_cmd =
                    scraper would collect.")
   in
   let lifeguard_arg =
-    let lg =
-      Arg.enum
-        [ ("addrcheck", `Addrcheck); ("initcheck", `Initcheck);
-          ("taintcheck", `Taintcheck); ("racecheck", `Racecheck) ]
-    in
-    Arg.(value & opt lg `Addrcheck & info [ "lifeguard" ] ~docv:"LIFEGUARD"
+    Arg.(value & opt lifeguard_enum Recovery.Snapshot.Addrcheck
+         & info [ "lifeguard" ] ~docv:"LIFEGUARD"
          ~doc:"Which lifeguard to run: $(b,addrcheck) (default), \
                $(b,initcheck), $(b,taintcheck) or $(b,racecheck).")
   in
@@ -976,13 +766,14 @@ let client_cmd =
         else
           match (tenant, trace) with
           | Some tenant, Some path -> (
-            let p = load_program path h in
-            let rows =
-              Recovery.Runner.rows_of (Butterfly.Epochs.of_program p)
-            in
+            let src = load_rows path in
+            let rows = ref [] in
+            Tracing.Row_source.iter_rows ?every:(every_of h) src (fun row ->
+                rows := row :: !rows);
+            let rows = Array.of_list (List.rev !rows) in
             let hello =
               { Serve.Wire.tenant; lifeguard; driver; state = `Functional;
-                relaxed; threads = Tracing.Program.threads p }
+                relaxed; threads = Tracing.Row_source.threads src }
             in
             match
               Serve.Client.run_tenant ~socket ?write_chunk ~hello rows
@@ -1012,14 +803,7 @@ let client_cmd =
                same $(docv) resumes the session.")
   in
   let lifeguard_arg =
-    let lg =
-      Arg.enum
-        [ ("addrcheck", Recovery.Snapshot.Addrcheck);
-          ("initcheck", Recovery.Snapshot.Initcheck);
-          ("taintcheck", Recovery.Snapshot.Taintcheck);
-          ("racecheck", Recovery.Snapshot.Racecheck) ]
-    in
-    Arg.(value & opt lg Recovery.Snapshot.Addrcheck
+    Arg.(value & opt lifeguard_enum Recovery.Snapshot.Addrcheck
          & info [ "lifeguard" ] ~docv:"LIFEGUARD"
              ~doc:"Analysis to request: $(b,addrcheck) (default), \
                    $(b,initcheck), $(b,taintcheck) or $(b,racecheck).")

@@ -48,6 +48,9 @@ let epoch_blocks t ~epoch =
 
 let iter_blocks f t = Array.iter (fun row -> Array.iter f row) t.blocks
 
+let iter_rows t f =
+  Array.iter (fun row -> f (Array.map (fun b -> b.Block.instrs) row)) t.blocks
+
 let instr_count t =
   let n = ref 0 in
   iter_blocks (fun b -> n := !n + Block.length b) t;

@@ -40,5 +40,10 @@ val epoch_blocks : t -> epoch:int -> Block.t list
 val iter_blocks : (Block.t -> unit) -> t -> unit
 (** Visits blocks epoch-major, thread-minor. *)
 
+val iter_rows : t -> (Tracing.Instr.t array array -> unit) -> unit
+(** [iter_rows t f] calls [f] once per epoch, in order, with that epoch's
+    row of instruction arrays indexed by tid — the unit the lifeguards'
+    epoch-incremental engines consume. *)
+
 val instr_count : t -> int
 val pp : Format.formatter -> t -> unit

@@ -440,151 +440,24 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-module Wavefront = struct
-  (* The batch two-pass driver.  Instead of stalling the whole pool at
-     every epoch boundary, the master dispatches each task the moment its
-     butterfly dependencies (Lemma 5.2) are committed, and commits
-     results in the canonical epoch-major / thread-minor order so reports
-     stay byte-identical to the inline (sequential) schedule.
-
-     The dependence structure of a two-pass butterfly analysis:
-
-     - pass 1 of block (l, t) is block-local: always ready;
-     - pass 2 of block (l, t) reads the pass-1 facts of its wings and
-       head — epochs l-1 .. l+1 — plus the epoch-l cross-block input
-       (SOS / LASTCHECK), which [prepare l] seals after every pass-2
-       result of epoch l-1 has been committed.
-
-     So the master keeps pass-1 dispatch running [lookahead] epochs
-     ahead of the pass-2 cursor: while the pool chews on epoch e's
-     pass-2 tasks, it is also summarizing epochs e+2 .. e+lookahead-1 —
-     the pipelining the epoch barrier forbids. *)
-
-  let obs_labels = [ ("driver", "wavefront") ]
-  let g_ready =
-    Obs.Gauge.make ~labels:obs_labels "scheduler.wavefront.ready_queue"
-  let sp_stall = Obs.Span.make ~labels:obs_labels "scheduler.wavefront.stall_ns"
-  let m_overlap =
-    Obs.Counter.make ~labels:obs_labels "scheduler.wavefront.overlapped_epochs"
-  let m_p1_pipelined =
-    Obs.Counter.make ~labels:obs_labels
-      "scheduler.wavefront.pipelined_pass1_blocks"
-
-  type phase = Pass1 | Pass2
-
-  type probe_event =
-    | Dispatched of { phase : phase; epoch : int; tid : int }
-    | Committed of { phase : phase; epoch : int; tid : int }
-
-  (* A dispatched task: ran inline (no pool) or in flight on a worker. *)
-  type 'a join = Now of 'a | Fut of 'a Domain_pool.future
-
-  let run ?pool ?lookahead ?probe ~num_epochs ~threads ~pass1 ~commit1
-      ~prepare ~pass2 ~commit2 () =
-    if threads <= 0 then invalid_arg "Wavefront.run: threads must be > 0";
-    if num_epochs < 0 then invalid_arg "Wavefront.run: negative num_epochs";
-    let lookahead =
-      match lookahead with
-      | Some k ->
-        (* Pass 2 of epoch e reads pass-1 facts up to epoch e+1 (the tail
-           wing), so dispatch must run at least two epochs ahead. *)
-        if k < 2 then invalid_arg "Wavefront.run: lookahead must be >= 2";
-        k
-      | None -> (
-        match pool with
-        | Some p -> 2 + (2 * Domain_pool.size p)
-        | None -> 2)
+let pass2_epoch ?pool ~threads ~pass2 ~commit2 l =
+  let task tid =
+    Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
+        pass2 ~epoch:l ~tid)
+  in
+  match pool with
+  | None ->
+    for tid = 0 to threads - 1 do
+      commit2 ~epoch:l ~tid (task tid)
+    done
+  | Some pool ->
+    (* Submit in tid order, commit in tid order: a task that raised
+       re-raises from [await] at its own commit point, after every
+       earlier thread's result has been committed. *)
+    let futs =
+      Array.init threads (fun tid ->
+          Domain_pool.async pool (fun () -> task tid))
     in
-    let probe = match probe with Some f -> f | None -> fun _ -> () in
-    if pool <> None && Obs.enabled () then begin
-      (* Materialize the pipeline metrics so clean runs still report them. *)
-      Obs.Counter.add m_overlap 0;
-      Obs.Counter.add m_p1_pipelined 0;
-      Obs.Gauge.set g_ready 0.0;
-      Obs.Span.time sp_stall ignore
-    end;
-    (* Eta-expanded so [submit] generalizes: it is used at the pass-1 and
-       pass-2 result types. *)
-    let submit f =
-      match pool with
-      | None -> Now (f ())
-      | Some p -> Fut (Domain_pool.async p f)
-    in
-    let joined j =
-      match j with
-      | Now v -> v
-      | Fut fut ->
-        if Domain_pool.poll fut then Domain_pool.await fut
-        else Obs.Span.time sp_stall (fun () -> Domain_pool.await fut)
-    in
-    (* Pass-1 pipeline: [p1.(l * threads + t)] holds the dispatched but
-       not yet committed summary of block (l, t).  Both cursors are
-       exclusive epoch frontiers. *)
-    let p1 = Array.make (max 1 (num_epochs * threads)) None in
-    let p1_dispatched = ref 0 in
-    let p1_committed = ref 0 in
-    let dispatch_p1_upto e =
-      let e = min e num_epochs in
-      while !p1_dispatched < e do
-        let epoch = !p1_dispatched in
-        for tid = 0 to threads - 1 do
-          probe (Dispatched { phase = Pass1; epoch; tid });
-          if pool <> None && !p1_committed < epoch && Obs.enabled () then
-            Obs.Counter.incr m_p1_pipelined;
-          p1.((epoch * threads) + tid) <-
-            Some
-              (submit (fun () ->
-                   Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-                       pass1 ~epoch ~tid)))
-        done;
-        incr p1_dispatched;
-        if pool <> None && Obs.enabled () then
-          Obs.Gauge.set g_ready
-            (float_of_int ((!p1_dispatched - !p1_committed) * threads))
-      done
-    in
-    let commit_p1_upto e =
-      let e = min e num_epochs in
-      while !p1_committed < e do
-        let epoch = !p1_committed in
-        for tid = 0 to threads - 1 do
-          let k = (epoch * threads) + tid in
-          match p1.(k) with
-          | None -> assert false
-          | Some j ->
-            let v = joined j in
-            p1.(k) <- None;
-            commit1 ~epoch ~tid v;
-            probe (Committed { phase = Pass1; epoch; tid })
-        done;
-        incr p1_committed;
-        if pool <> None && Obs.enabled () then
-          Obs.Gauge.set g_ready
-            (float_of_int ((!p1_dispatched - !p1_committed) * threads))
-      done
-    in
-    for epoch = 0 to num_epochs - 1 do
-      (* Readiness: before epoch e's pass 2 is dispatched, the pass-1
-         facts of every wing/head dependency (epochs <= e+1) are
-         committed, and [prepare e] has sealed the cross-block input
-         (every pass-2 result of e-1 committed on the previous turn). *)
-      dispatch_p1_upto (epoch + lookahead);
-      commit_p1_upto (epoch + 2);
-      if pool <> None && !p1_dispatched > epoch + 2 && Obs.enabled () then
-        Obs.Counter.incr m_overlap;
-      prepare epoch;
-      let joins =
-        Array.init threads (fun tid ->
-            probe (Dispatched { phase = Pass2; epoch; tid });
-            submit (fun () ->
-                Obs.Scope.with_scope ~epoch ~tid ~phase:"pass2" (fun () ->
-                    pass2 ~epoch ~tid)))
-      in
-      Array.iteri
-        (fun tid j ->
-          commit2 ~epoch ~tid (joined j);
-          probe (Committed { phase = Pass2; epoch; tid }))
-        joins
-    done;
-    commit_p1_upto num_epochs
-end
+    Array.iteri
+      (fun tid fut -> commit2 ~epoch:l ~tid (Domain_pool.await fut))
+      futs

@@ -112,81 +112,28 @@ module Make (P : Dataflow.PROBLEM) : sig
       they play the same roles as in {!create}. *)
 end
 
-(** The batch two-pass driver: dependency-driven dispatch with ordered
-    commits.
+(** Pass 2 of one epoch, fanned out per thread.
 
-    Every batch lifeguard outside {!Dataflow.PROBLEM} (TaintCheck's
-    window-wide transfer-function chase, RaceCheck's happens-before
-    checks) runs on {!Wavefront.run}.  Inline (no pool) it is the
-    sequential schedule; with a pool it is the only parallel one.  The
-    butterfly dependence structure (Lemma 5.2) only requires a block to
-    wait on its own wings and head: pass 1 of block [(l, t)] is
-    block-local and always ready, while pass 2 of [(l, t)] needs the
-    pass-1 facts of epochs [l-1 .. l+1] and the epoch-[l] cross-block
-    input ([prepare l], which the master seals once every pass-2 result
-    of [l-1] is committed).  Pass-1 dispatch therefore runs [lookahead]
-    epochs ahead of the pass-2 cursor, so the pool summarizes future
-    epochs while the current epoch's checks are still in flight.  An
-    epoch-barrier schedule (all pass-1 work up front, then one pass-2
-    fan-out per epoch) is this driver with unbounded lookahead.
+    The epoch-incremental lifeguard engines outside {!Dataflow.PROBLEM}
+    (TaintCheck's window-wide transfer-function chase, RaceCheck's
+    happens-before checks) process one epoch at a time once its trailing
+    wing has arrived.  Every block of that epoch reads only frozen
+    inputs — pass-1 facts of epochs [l-1 .. l+1] and the cross-block
+    state the master sealed after committing epoch [l-1] — so the
+    blocks are independent (Lemma 5.2).
 
-    Determinism is preserved by the master-side ordered-commit trick:
-    tasks run in unspecified order, but [commit1]/[commit2] are invoked
-    by the master in epoch-major / thread-minor order, so all observable
-    output — reports, cross-block state evolution — is byte-identical to
-    the sequential schedule (property-tested in [test/test_wavefront.ml],
-    including a dispatch-log replay against {!Epochs.wings}).
-
-    Telemetry (pooled path only) under [driver=wavefront]:
-    [scheduler.wavefront.ready_queue] (blocks dispatched but
-    uncommitted), [scheduler.wavefront.stall_ns] (master time blocked on
-    an unfinished task), [scheduler.wavefront.overlapped_epochs] and
-    [scheduler.wavefront.pipelined_pass1_blocks]. *)
-module Wavefront : sig
-  type phase = Pass1 | Pass2
-
-  type probe_event =
-    | Dispatched of { phase : phase; epoch : int; tid : int }
-    | Committed of { phase : phase; epoch : int; tid : int }
-        (** Scheduling trace for the readiness-rule tests: [Dispatched]
-            fires on the master just before a task is handed to the pool
-            (or run inline), [Committed] just after its result is
-            committed.  The probe event sequence is deterministic — a
-            pure function of [(num_epochs, threads, lookahead)], never
-            of worker timing — so at equal [lookahead] it is identical
-            with and without a pool.  (The {e defaults} differ by mode,
-            so compare runs with [lookahead] pinned.) *)
-
-  val run :
-    ?pool:Domain_pool.t ->
-    ?lookahead:int ->
-    ?probe:(probe_event -> unit) ->
-    num_epochs:int ->
-    threads:int ->
-    pass1:(epoch:int -> tid:int -> 'p) ->
-    commit1:(epoch:int -> tid:int -> 'p -> unit) ->
-    prepare:(int -> unit) ->
-    pass2:(epoch:int -> tid:int -> 'r) ->
-    commit2:(epoch:int -> tid:int -> 'r -> unit) ->
-    unit ->
-    unit
-  (** Runs the two-pass butterfly schedule over a [num_epochs × threads]
-      grid.  Guarantees, in every mode:
-
-      {ul
-      {- [commit1 ~epoch ~tid] runs in epoch-major / thread-minor order,
-         and for every epoch [l], pass-1 commits of epochs [<= l+1]
-         precede the first pass-2 dispatch of epoch [l];}
-      {- [prepare l] runs after every [commit2] of epoch [l-1] and before
-         any pass-2 dispatch of epoch [l];}
-      {- [commit2 ~epoch ~tid] runs in epoch-major / thread-minor order.}}
-
-      [pass1]/[pass2] run on pool workers when [pool] is given and must
-      not write shared state; commits run on the master.  [lookahead]
-      (default [2 + 2 × pool size], or [2] inline) bounds how many epochs
-      of pass-1 work may be in flight or uncommitted; it must be [>= 2]
-      because pass 2 of epoch [l] reads the tail wing's epoch-[l+1]
-      facts.  A task that raises re-raises on the master at its commit
-      point, once; the pool survives.  Raises [Invalid_argument] if
-      [threads <= 0], [num_epochs < 0] or [lookahead < 2]. *)
-end
+    [pass2_epoch ?pool ~threads ~pass2 ~commit2 l] runs
+    [pass2 ~epoch:l ~tid] for every [tid] in [0 .. threads-1] — inline
+    without [pool], as pool tasks with it — and calls
+    [commit2 ~epoch:l ~tid] on the calling domain (the master) in tid
+    order, so every observable result is identical with and without a
+    pool.  [pass2] must not write shared state.  A task that raises
+    re-raises on the master at its commit point, after the commits of
+    the threads before it; the pool survives. *)
+val pass2_epoch :
+  ?pool:Domain_pool.t ->
+  threads:int ->
+  pass2:(epoch:int -> tid:int -> 'r) ->
+  commit2:(epoch:int -> tid:int -> 'r -> unit) ->
+  int ->
+  unit

@@ -160,12 +160,8 @@ let access_set block =
     [] block
   |> IS.of_list
 
-(* The per-instruction check, shared verbatim by the batch [run] driver
-   and the checkpointable [Resumable] engine below: a divergence here
-   would break the resume-equivalence guarantee.  [violation_of l tid]
-   abstracts over how the isolation-violation sets are obtained — a
-   precomputed whole-grid array in [run], a lazily materialized sliding
-   window in [Resumable]. *)
+(* The per-instruction check.  [violation_of l tid] is block (l, tid)'s
+   isolation-violation set, materialized lazily by the engine below. *)
 let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
     (v : A.instr_view) =
   let { Butterfly.Instr_id.epoch = l; tid; _ } = v.id in
@@ -219,123 +215,14 @@ let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
     Obs.Counter.incr m_flags;
     bump tid l (fun s -> { s with flagged_events = s.flagged_events + 1 }))
 
-let run ?(isolation = true) ?pool epochs =
-  (* Materialize the check/flag counters so clean runs still report 0. *)
-  Obs.Counter.add m_checks 0;
-  Obs.Counter.add m_flags 0;
-  let num_l = Butterfly.Epochs.num_epochs epochs in
-  let threads = Butterfly.Epochs.threads epochs in
-  (* Pass-1-style summaries (also recomputed inside A.run; cheap). *)
-  let summaries =
-    Array.init num_l (fun l ->
-        Array.init threads (fun tid ->
-            A.summarize (Butterfly.Epochs.block epochs ~epoch:l ~tid)))
-  in
-  let accesses =
-    Array.init num_l (fun l ->
-        Array.init threads (fun tid ->
-            access_set (Butterfly.Epochs.block epochs ~epoch:l ~tid)))
-  in
-  let changes =
-    Array.map
-      (Array.map (fun s -> IS.union s.A.gen_union s.A.kill_union))
-      summaries
-  in
-  let state_change l tid =
-    if l < 0 || l >= num_l then IS.empty else changes.(l).(tid)
-  in
-  let access_of l tid =
-    if l < 0 || l >= num_l then IS.empty else accesses.(l).(tid)
-  in
-  (* Isolation-violation set per block (Section 6.1's emptiness check). *)
-  let violation l tid =
-    let s_change = state_change l tid in
-    let s_access = access_of l tid in
-    let wing_change = ref [] and wing_access = ref [] in
-    for l' = l - 1 to l + 1 do
-      for t' = 0 to threads - 1 do
-        if t' <> tid then (
-          wing_change := state_change l' t' :: !wing_change;
-          wing_access := access_of l' t' :: !wing_access)
-      done
-    done;
-    (* (∪w) ∩ x  distributed as  ∪(w ∩ x): state changes are sparse, so
-       every intersection is small, whereas the union of nine access
-       footprints is about the whole heap. *)
-    let wing_inter ws x = IS.union_all (List.map (IS.inter x) ws) in
-    IS.union
-      (wing_inter !wing_change s_change)
-      (IS.union
-         (wing_inter !wing_change s_access)
-         (wing_inter !wing_access s_change))
-  in
-  let violations =
-    Obs.Scope.with_scope ~phase:"isolation" (fun () ->
-        Obs.Span.time sp_isolation (fun () ->
-            Array.init num_l (fun l ->
-                Array.init threads (fun tid ->
-                    if isolation then violation l tid else IS.empty))))
-  in
-  let errors = ref [] in
-  let flagged = ref 0 in
-  let total = ref 0 in
-  let stats =
-    Array.init threads (fun _ ->
-        Array.init num_l (fun _ ->
-            { instrs = 0; mem_events = 0; flagged_events = 0 }))
-  in
-  let bump tid l f = stats.(tid).(l) <- f stats.(tid).(l) in
-  let on_instr =
-    make_on_instr
-      ~violation_of:(fun l tid -> violations.(l).(tid))
-      ~bump ~instr_errors:errors ~flagged ~total
-  in
-  let sos_levels =
-    match pool with
-    | None ->
-      let result = A.run ~on_instr epochs in
-      result.A.sos
-    | Some pool ->
-      (* Pooled streaming: the scheduler delivers the exact same view
-         sequence (property-tested), with pass 1/2 on worker domains. *)
-      S.sos_history (S.run_epochs ~pool ~on_instr epochs)
-  in
-  (* Report isolation violations at block granularity too. *)
-  for l = 0 to num_l - 1 do
-    for tid = 0 to threads - 1 do
-      let v = violations.(l).(tid) in
-      if not (IS.is_empty v) then (
-        Obs.Counter.incr m_flags;
-        errors :=
-          {
-            kind = Metadata_race;
-            addrs = v;
-            where = `Block (l, tid);
-          }
-          :: !errors)
-    done
-  done;
-  if Obs.enabled () then
-    Array.iter
-      (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
-      sos_levels;
-  {
-    errors = List.rev !errors;
-    flagged_accesses = !flagged;
-    total_accesses = !total;
-    block_stats = stats;
-    sos = sos_levels;
-  }
-
 (* ---------------------------------------------------------------- *)
-(* Checkpointable epoch-incremental engine.  The streaming scheduler
-   already carries the dataflow window; what AddrCheck adds on top is the
-   isolation check, whose whole-grid precomputation above must become
-   incremental here.  The key locality fact (Section 6.1): the violation
-   set of block (l, t) reads state-change/access footprints of rows
-   l-1..l+1 only, and the scheduler processes epoch l only once row l+1
-   is closed — so violation rows can be materialized lazily, and row
-   footprints older than the window pruned. *)
+(* The epoch-incremental engine.  The streaming scheduler carries the
+   dataflow window; what AddrCheck adds on top is the isolation check.
+   The key locality fact (Section 6.1): the violation set of block
+   (l, t) reads state-change/access footprints of rows l-1..l+1 only,
+   and the scheduler processes epoch l only once row l+1 is closed — so
+   violation rows can be materialized lazily, and row footprints older
+   than the window pruned. *)
 
 module Resumable = struct
   (* Fact sets are serialized as canonical interval lists. *)
@@ -360,7 +247,8 @@ module Resumable = struct
   }
 
   (* Rows absent from [facts] (before epoch 0, or past the last row fed)
-     contribute empty footprints — exactly the bounds check in [run]. *)
+     contribute empty footprints: the grid is empty outside the
+     execution. *)
   let violation_row ~threads ~isolation ~facts ~viol l =
     match Hashtbl.find_opt viol l with
     | Some v -> v
@@ -389,7 +277,10 @@ module Resumable = struct
                         wing_access := ac l' t' :: !wing_access)
                     done
                   done;
-                  (* Distributed as in [run]: see the comment there. *)
+                  (* (∪w) ∩ x distributed as ∪(w ∩ x): state changes
+                     are sparse, so every intersection is small, whereas
+                     the union of nine access footprints is about the
+                     whole heap. *)
                   let wing_inter ws x =
                     IS.union_all (List.map (IS.inter x) ws)
                   in
@@ -609,3 +500,11 @@ module Resumable = struct
     | st -> Ok st
     | exception R.Corrupt m -> Error ("addrcheck state: " ^ m)
 end
+
+let run ?isolation ?pool epochs =
+  let st =
+    Resumable.create ?pool ?isolation
+      ~threads:(Butterfly.Epochs.threads epochs) ()
+  in
+  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
+  Resumable.finish st

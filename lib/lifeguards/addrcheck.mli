@@ -52,12 +52,13 @@ val run :
     with an access), reintroducing false negatives — the tests demonstrate
     exactly which errors it loses.
 
-    [pool] switches the underlying driver from the sequential batch run
-    to the pooled streaming scheduler on the caller's
-    {!Butterfly.Domain_pool}; the pool may be reused across calls and the
-    caller shuts it down.  The report is identical either way — the
-    drivers' equivalence is property-tested and continuously fuzzed
-    ([lib/qa], [test/test_scheduler.ml]). *)
+    [run] is the {!Resumable} engine fed every row of the grid
+    ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs the
+    engine's streaming scheduler on the caller's {!Butterfly.Domain_pool}
+    (pass 1 and pass 2 as pool tasks); the pool may be reused across
+    calls and the caller shuts it down.  The report is identical either
+    way — property-tested and continuously fuzzed ([lib/qa],
+    [test/test_engine.ml]). *)
 
 val flagged_addresses : report -> Butterfly.Interval_set.t
 val pp_error : Format.formatter -> error -> unit
@@ -74,9 +75,8 @@ val fingerprint : report -> string
     can be serialized with {!Resumable.encode} and later revived with
     {!Resumable.decode}, and the resumed run's {!Resumable.finish} report
     is byte-identical to an uninterrupted run's (see [test_recovery]).
-    The isolation check's whole-grid precomputation in {!run} is replaced
-    by a sliding window of per-row footprints, finalized and pruned as
-    the wing passes each row.  The payload is raw — [lib/recovery] wraps
+    The isolation check reads a sliding window of per-row footprints,
+    finalized and pruned as the wing passes each row.  The payload is raw — [lib/recovery] wraps
     it in a versioned, CRC-guarded envelope. *)
 module Resumable : sig
   type state

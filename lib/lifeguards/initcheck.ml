@@ -50,9 +50,8 @@ end
 module A = Butterfly.Dataflow.Make (Problem)
 module S = Butterfly.Scheduler.Make (Problem)
 
-(* The per-instruction check, shared verbatim by the batch/streaming [run]
-   drivers and the checkpointable [Resumable] engine below: a divergence
-   here would break the resume-equivalence guarantee. *)
+(* The per-instruction check, fed every view the streaming scheduler
+   delivers. *)
 let make_on_instr ~errors ~flagged ~total (v : A.instr_view) =
   match Tracing.Instr.reads v.instr with
   | [] -> ()
@@ -70,35 +69,9 @@ let make_on_instr ~errors ~flagged ~total (v : A.instr_view) =
       Obs.Counter.incr m_flags;
       errors := { id = v.id; addrs = bad } :: !errors)
 
-let run ?pool epochs =
-  (* Materialize the check/flag counters so clean runs still report 0. *)
-  Obs.Counter.add m_checks 0;
-  Obs.Counter.add m_flags 0;
-  let errors = ref [] in
-  let flagged = ref 0 in
-  let total = ref 0 in
-  let on_instr = make_on_instr ~errors ~flagged ~total in
-  let sos_levels =
-    match pool with
-    | None ->
-      let result = A.run ~on_instr epochs in
-      result.A.sos
-    | Some pool -> S.sos_history (S.run_epochs ~pool ~on_instr epochs)
-  in
-  if Obs.enabled () then
-    Array.iter
-      (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
-      sos_levels;
-  {
-    errors = List.rev !errors;
-    flagged_reads = !flagged;
-    total_reads = !total;
-    sos = sos_levels;
-  }
-
 (* ---------------------------------------------------------------- *)
-(* Checkpointable epoch-incremental engine.  Built directly on the
-   streaming scheduler: InitCheck's durable state is the scheduler's
+(* The epoch-incremental engine.  Built directly on the streaming
+   scheduler: InitCheck's durable state is the scheduler's
    sliding window plus the accumulated report — nothing else. *)
 
 module Resumable = struct
@@ -207,3 +180,10 @@ module Resumable = struct
     | st -> Ok st
     | exception R.Corrupt m -> Error ("initcheck state: " ^ m)
 end
+
+let run ?pool epochs =
+  let st =
+    Resumable.create ?pool ~threads:(Butterfly.Epochs.threads epochs) ()
+  in
+  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
+  Resumable.finish st

@@ -26,9 +26,10 @@ type report = {
 }
 
 val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
-(** [pool] switches the driver from the sequential batch run to the
-    pooled streaming scheduler on the caller's pool (see
-    {!Addrcheck.run}); the report is identical either way. *)
+(** The {!Resumable} engine fed every row of the grid
+    ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs its
+    streaming scheduler on the caller's pool (see {!Addrcheck.run}); the
+    report is identical either way. *)
 
 val flagged_addresses : report -> Butterfly.Interval_set.t
 val pp_error : Format.formatter -> error -> unit

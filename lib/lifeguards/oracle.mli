@@ -24,10 +24,9 @@ val addrcheck_zero_false_negatives :
 (** Splits the program at its heartbeats, runs butterfly AddrCheck, and
     checks that every address flagged by sequential AddrCheck under any
     enumerated (or sampled, when enumeration exceeds [cap]) valid ordering
-    is also flagged.  [pool] runs the butterfly side on the pooled
-    streaming scheduler instead of the batch driver (see
-    {!Addrcheck.run}), so the soundness theorem is checked against the
-    parallel deployment too. *)
+    is also flagged.  [pool] runs the butterfly side's streaming
+    scheduler on a domain pool (see {!Addrcheck.run}), so the soundness
+    theorem is checked against the parallel deployment too. *)
 
 val initcheck_zero_false_negatives :
   ?model:Memmodel.Consistency.t ->

@@ -248,7 +248,7 @@ let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
 (* Everything pass 2 learns about one body block, produced without
    touching shared state.  Evaluating block (l, t) reads only inputs
    sealed before its dispatch — pass-1 summaries of rows l-1 and l, and
-   the entry lock/clock rows the master computed in [prepare l] — so it
+   the entry lock/clock rows the master sealed for epoch l — so it
    can run on a pool worker.  The master commits outcomes epoch-major /
    thread-minor, which reproduces the sequential race list, statistics
    and telemetry byte for byte. *)
@@ -356,77 +356,9 @@ let commit_obs ~threads ~epoch ~tid o =
         Obs.Gauge.set_max g_ls_hwm (float_of_int o.bo_max_ls);
       if tid = threads - 1 then Obs.Counter.incr m_epochs)
 
-let run ?pool epochs =
-  (* Materialize the check/flag counters so clean runs still report 0. *)
-  Obs.Counter.add m_checks 0;
-  Obs.Counter.add m_flags 0;
-  let num_l = Butterfly.Epochs.num_epochs epochs in
-  let threads = Butterfly.Epochs.threads epochs in
-  (* Pass-1 summaries, committed by the master just ahead of the pass-2
-     cursor: a cell is [Some] before any pass-2 task that may read it is
-     dispatched, and rows <= l-1 before [prepare l]. *)
-  let summaries = Array.init num_l (fun _ -> Array.make threads None) in
-  (* entry.(l).(t): locks held by t when epoch l starts; row num_l is the
-     state after the whole execution.  Row l is written by [prepare l]
-     (row 0 is the empty base) and read by epoch-l and epoch-(l+1)
-     workers. *)
-  let entry = Array.init (num_l + 1) (fun _ -> Array.make threads LS.empty) in
-  let clocks = Array.init num_l (fun _ -> Array.make threads [||]) in
-  let summary_at l t =
-    if l < 0 || l >= num_l then None else summaries.(l).(t)
-  in
-  let c =
-    {
-      c_threads = threads;
-      summary_at;
-      entry_locks_at =
-        (fun l t -> if l < 0 || l > num_l then LS.empty else entry.(l).(t));
-      entry_clock_at = (fun l t -> clocks.(l).(t));
-    }
-  in
-  let advance_entry l =
-    if l >= 1 && l <= num_l then
-      for t = 0 to threads - 1 do
-        entry.(l).(t) <-
-          (match summaries.(l - 1).(t) with
-          | Some s -> entry_step entry.(l - 1).(t) s
-          | None -> entry.(l - 1).(t))
-      done
-  in
-  let prepare l =
-    advance_entry l;
-    for t = 0 to threads - 1 do
-      clocks.(l).(t) <- entry_clock ~threads ~summary_at ~epoch:l ~tid:t
-    done
-  in
-  let races = ref [] in
-  let stats = Array.init threads (fun _ -> Array.make num_l zero_stats) in
-  let commit ~epoch:l ~tid o =
-    races := List.rev_append o.bo_races !races;
-    stats.(tid).(l) <- o.bo_stats;
-    commit_obs ~threads ~epoch:l ~tid o
-  in
-  (* Pass-1 summarization of later epochs overlaps pass 2 of earlier
-     ones.  eval_block of epoch l reads summary rows l-1 and l — committed
-     before its dispatch — and the entry rows sealed by [prepare l]. *)
-  Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
-    ~pass1:(fun ~epoch ~tid ->
-      summarize_block ~threads (Butterfly.Epochs.block epochs ~epoch ~tid))
-    ~commit1:(fun ~epoch ~tid s -> summaries.(epoch).(tid) <- Some s)
-    ~prepare
-    ~pass2:(fun ~epoch ~tid ->
-      eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
-    ~commit2:commit ();
-  (* Final lock state past the last epoch. *)
-  advance_entry num_l;
-  {
-    races = List.rev !races;
-    entry_locks = Array.map (Array.map LS.elements) entry;
-    block_stats = stats;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Checkpointable epoch-incremental engine.  Evaluating epoch l reads
+(* The epoch-incremental engine, checkpointable between epochs.
+   Evaluating epoch l reads
    summary rows l-1 and l, the entry lock rows l-1 and l, and its own
    raw row — so raw and summary rows the window has passed are pruned;
    the entry-lock history (part of the report) is kept whole.  Pass-1
@@ -518,9 +450,10 @@ module Resumable = struct
              | None -> prev.(t)))
     end
 
-  (* Process epoch [st.processed]: the same prepare/task/commit sequence
-     as the batch drivers, one epoch at a time, then retire the rows the
-     window has passed (raw/summary rows < l). *)
+  (* Process epoch [st.processed]: seal its entry lock and clock rows,
+     run pass 2 of every block (fanned out on the pool when there is one,
+     committed in tid order), then retire the rows the window has passed
+     (raw/summary rows < l). *)
   let process_one st =
     let l = st.processed in
     advance_entry st l;
@@ -529,22 +462,11 @@ module Resumable = struct
            entry_clock ~threads:st.threads ~summary_at:st.ctx.summary_at
              ~epoch:l ~tid:t));
     let row = Hashtbl.find st.rows l in
-    let task tid =
-      Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
-          eval_block st.ctx ~epoch:l ~tid
-            (Butterfly.Block.make ~epoch:l ~tid row.(tid)))
-    in
-    (match st.pool with
-    | None ->
-      for tid = 0 to st.threads - 1 do
-        commit st ~epoch:l ~tid (task tid)
-      done
-    | Some pool ->
-      let results =
-        Butterfly.Domain_pool.map_array pool task
-          (Array.init st.threads Fun.id)
-      in
-      Array.iteri (fun tid r -> commit st ~epoch:l ~tid r) results);
+    Butterfly.Scheduler.pass2_epoch ?pool:st.pool ~threads:st.threads
+      ~pass2:(fun ~epoch ~tid ->
+        eval_block st.ctx ~epoch ~tid
+          (Butterfly.Block.make ~epoch ~tid row.(tid)))
+      ~commit2:(commit st) l;
     st.processed <- l + 1;
     Hashtbl.remove st.clocks l;
     if l > 0 then begin
@@ -716,3 +638,10 @@ module Resumable = struct
     | st -> Ok st
     | exception R.Corrupt m -> Error ("racecheck state: " ^ m)
 end
+
+let run ?pool epochs =
+  let st =
+    Resumable.create ?pool ~threads:(Butterfly.Epochs.threads epochs) ()
+  in
+  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
+  Resumable.finish st

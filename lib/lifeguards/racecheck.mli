@@ -62,13 +62,15 @@ val fingerprint : report -> string
     results.  The differential batteries compare drivers through this. *)
 
 val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
-(** Analyze a whole grid on {!Butterfly.Scheduler.Wavefront.run}: inline
-    without [pool], on the caller's domain pool with it.  Both produce
-    identical reports. *)
+(** Analyze a whole grid: the {!Resumable} engine fed every row of
+    {!Butterfly.Epochs.iter_rows}, then finished.  With [pool], each
+    epoch's pass-2 block checks fan out on the caller's domain pool
+    ({!Butterfly.Scheduler.pass2_epoch}); the report is identical with
+    and without one. *)
 
-(** Checkpointable epoch-incremental engine: feed rows as they arrive,
-    snapshot between epochs, resume from the encoded state.  Used by
-    {!Recovery.Runner} and the crash-sim battery. *)
+(** The epoch-incremental engine behind {!run}: feed rows as they
+    arrive, snapshot between epochs, resume from the encoded state.  Used
+    by {!run}, {!Recovery.Runner} and the crash-sim battery. *)
 module Resumable : sig
   type state
 

@@ -131,12 +131,10 @@ let fingerprint (r : report) =
 
 (* ------------------------------------------------------------------ *)
 (* The evaluation core, parameterized over how its frozen inputs are
-   looked up: [run] instantiates [ctx] over whole-grid arrays, the
-   checkpointable [Resumable] engine over a pruned sliding window.  The
-   two drivers share this code verbatim — a divergence here would break
-   the resume-equivalence guarantee.  Accessors return [None] (or
-   [AS.empty]) outside the grid, which subsumes the bounds checks the
-   array-backed driver used to do inline. *)
+   looked up: the [Resumable] engine below instantiates [ctx] over its
+   pruned sliding window.  Accessors return [None] (or [AS.empty])
+   outside the window, which is also how the grid reads outside the
+   execution. *)
 
 type ctx = {
   c_threads : int;
@@ -146,16 +144,6 @@ type ctx = {
   lastcheck_at : int -> int -> (int, bool) Hashtbl.t option;
   sos_at : int -> AS.t;
 }
-
-let make_ctx ~threads ~sequential ~two_phase ~tfs_at ~lastcheck_at ~sos_at =
-  {
-    c_threads = threads;
-    c_sequential = sequential;
-    c_two_phase = two_phase;
-    tfs_at;
-    lastcheck_at;
-    sos_at;
-  }
 
 let gen_block c l t =
   match c.lastcheck_at l t with
@@ -355,84 +343,9 @@ let eval_block c ~epoch:l ~tid block =
     bo_phase2 = !phase2;
   }
 
-let run ?(sequential = true) ?(two_phase = true) ?pool epochs =
-  (* Materialize the check/flag counters so clean runs still report 0. *)
-  Obs.Counter.add m_checks 0;
-  Obs.Counter.add m_flags 0;
-  let num_l = Butterfly.Epochs.num_epochs epochs in
-  let threads = Butterfly.Epochs.threads epochs in
-  (* Pass-1 summaries, committed by the master just ahead of the pass-2
-     cursor: a cell is [Some] before any pass-2 task that may read it is
-     dispatched. *)
-  let tfs_store = Array.init num_l (fun _ -> Array.make threads None) in
-  (* LASTCHECK results: lastcheck.(l).(t) maps assigned locations to their
-     final resolved taint in block (l,t).  Row l is written only by the
-     master's epoch-l commits; workers evaluating epoch l read rows <= l-1. *)
-  let lastcheck =
-    Array.init num_l (fun _ ->
-        Array.init threads (fun _ -> Hashtbl.create 16))
-  in
-  let sos = Array.make (num_l + 2) AS.empty in
-  let c =
-    make_ctx ~threads ~sequential ~two_phase
-      ~tfs_at:(fun l t ->
-        if l < 0 || l >= num_l then None else tfs_store.(l).(t))
-      ~lastcheck_at:(fun l t ->
-        if l < 0 || l >= num_l then None else Some lastcheck.(l).(t))
-      ~sos_at:(fun l -> sos.(l))
-  in
-  let advance_sos l =
-    if l >= 2 then sos.(l) <- sos_step c ~prev:sos.(l - 1) l
-  in
-  let errors = ref [] in
-  let stats =
-    Array.init threads (fun _ ->
-        Array.init num_l (fun _ ->
-            { instrs = 0; mem_events = 0; checks_resolved = 0 }))
-  in
-  let commit ~epoch:l ~tid o =
-    errors := List.rev_append o.bo_errors !errors;
-    Hashtbl.iter
-      (fun x r -> Hashtbl.replace lastcheck.(l).(tid) x r)
-      o.bo_lastcheck;
-    stats.(tid).(l) <- o.bo_stats;
-    (* The master commits on behalf of block (l,tid): scope the counter
-       deltas so a jsonl stream attributes them to their epoch. *)
-    Obs.Scope.with_scope ~epoch:l ~tid ~phase:"commit" (fun () ->
-        Obs.Counter.add m_checks o.bo_stats.checks_resolved;
-        Obs.Counter.add m_flags (List.length o.bo_errors);
-        Obs.Counter.add m_phase2 o.bo_phase2;
-        Obs.Counter.add m_instrs o.bo_stats.instrs;
-        if Obs.enabled () then
-          Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
-        if tid = threads - 1 then Obs.Counter.incr m_epochs)
-  in
-  (* Pass-1 summarization of later epochs overlaps the (serially
-     dependent) pass-2 chase of earlier ones.  eval_block of epoch l reads
-     tfs rows l-1..l+1 — committed by [commit1] before dispatch — and
-     LASTCHECK rows <= l-1, sealed by the previous epoch's [commit2]s. *)
-  Butterfly.Scheduler.Wavefront.run ?pool ~num_epochs:num_l ~threads
-    ~pass1:(fun ~epoch ~tid ->
-      summarize_block (Butterfly.Epochs.block epochs ~epoch ~tid))
-    ~commit1:(fun ~epoch ~tid s -> tfs_store.(epoch).(tid) <- Some s)
-    ~prepare:advance_sos
-    ~pass2:(fun ~epoch ~tid ->
-      eval_block c ~epoch ~tid (Butterfly.Epochs.block epochs ~epoch ~tid))
-    ~commit2:commit ();
-  (* Final SOS entries past the last window. *)
-  advance_sos num_l;
-  advance_sos (num_l + 1);
-  {
-    errors = List.rev !errors;
-    sos_tainted = Array.map AS.elements sos;
-    block_stats = stats;
-  }
-
 (* ---------------------------------------------------------------- *)
-(* Checkpointable epoch-incremental engine.  The batch driver already
-   processes the grid epoch-major, so incrementality only needs the
-   window localized: evaluating epoch l reads transfer
-   functions of rows l-1..l+1, LASTCHECK rows l-3..l-1 and SOS_l — so raw
+(* The epoch-incremental engine, checkpointable between epochs.
+   Evaluating epoch l reads transfer functions of rows l-1..l+1, LASTCHECK rows l-3..l-1 and SOS_l — so raw
    rows, pass-1 summaries and LASTCHECK rows the window has passed are
    pruned, and the SOS history (part of the report) is kept whole.
    Pass-1 summaries are recomputed from the retained raw rows on decode
@@ -457,19 +370,24 @@ module Resumable = struct
     mutable epochs_fed : int;
   }
 
-  let make_ctx_of ~threads ~sequential ~two_phase ~rows:_ ~tfs ~lastcheck
-      ~sos =
-    make_ctx ~threads ~sequential ~two_phase
-      ~tfs_at:(fun l t ->
-        match Hashtbl.find_opt tfs l with
-        | Some row -> Some row.(t)
-        | None -> None)
-      ~lastcheck_at:(fun l t ->
-        match Hashtbl.find_opt lastcheck l with
-        | Some row -> Some row.(t)
-        | None -> None)
-      ~sos_at:(fun l ->
-        Option.value (Hashtbl.find_opt sos l) ~default:AS.empty)
+  let make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~sos =
+    {
+      c_threads = threads;
+      c_sequential = sequential;
+      c_two_phase = two_phase;
+      tfs_at =
+        (fun l t ->
+          match Hashtbl.find_opt tfs l with
+          | Some row -> Some row.(t)
+          | None -> None);
+      lastcheck_at =
+        (fun l t ->
+          match Hashtbl.find_opt lastcheck l with
+          | Some row -> Some row.(t)
+          | None -> None);
+      sos_at =
+        (fun l -> Option.value (Hashtbl.find_opt sos l) ~default:AS.empty);
+    }
 
   let create ?pool ?(sequential = true) ?(two_phase = true) ~threads () =
     if threads <= 0 then
@@ -490,7 +408,7 @@ module Resumable = struct
       lastcheck;
       sos;
       stats = Hashtbl.create 64;
-      ctx = make_ctx_of ~threads ~sequential ~two_phase ~rows ~tfs ~lastcheck ~sos;
+      ctx = make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~sos;
       errors = [];
       processed = 0;
       epochs_fed = 0;
@@ -535,31 +453,19 @@ module Resumable = struct
           Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
         if tid = st.threads - 1 then Obs.Counter.incr m_epochs)
 
-  (* Process epoch [st.processed]: the batch driver's prepare/pass2/commit2
-     sequence, one epoch at a time, with the per-thread tasks fanned out on
-     the pool when there is one; then retire the rows the window has
-     passed (raw/summary rows < l, LASTCHECK rows < l-2). *)
+  (* Process epoch [st.processed]: seal SOS_l, run pass 2 of every block
+     (fanned out on the pool when there is one, committed in tid order),
+     then retire the rows the window has passed (raw/summary rows < l,
+     LASTCHECK rows < l-2). *)
   let process_one st =
     let l = st.processed in
     advance_sos st l;
     let c = st.ctx in
     let row = Hashtbl.find st.rows l in
-    let task tid =
-      Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
-          eval_block c ~epoch:l ~tid
-            (Butterfly.Block.make ~epoch:l ~tid row.(tid)))
-    in
-    (match st.pool with
-    | None ->
-      for tid = 0 to st.threads - 1 do
-        commit st ~epoch:l ~tid (task tid)
-      done
-    | Some pool ->
-      let results =
-        Butterfly.Domain_pool.map_array pool task
-          (Array.init st.threads Fun.id)
-      in
-      Array.iteri (fun tid r -> commit st ~epoch:l ~tid r) results);
+    Butterfly.Scheduler.pass2_epoch ?pool:st.pool ~threads:st.threads
+      ~pass2:(fun ~epoch ~tid ->
+        eval_block c ~epoch ~tid (Butterfly.Block.make ~epoch ~tid row.(tid)))
+      ~commit2:(commit st) l;
     st.processed <- l + 1;
     if l > 0 then (
       Hashtbl.remove st.rows (l - 1);
@@ -568,8 +474,8 @@ module Resumable = struct
 
   (* Rows arrive whole, so epoch l is processable as soon as row l+1 (its
      trailing-wing source) has been fed; the last epoch waits for
-     [finish], where the missing row l+1 reads as empty — exactly the
-     out-of-grid bounds case of the batch driver. *)
+     [finish], where the missing row l+1 reads as empty, as the grid
+     does outside the execution. *)
   let feed_epoch st row =
     if Array.length row <> st.threads then
       invalid_arg "Taintcheck.Resumable.feed_epoch: wrong row width";
@@ -744,8 +650,7 @@ module Resumable = struct
         sos;
         stats;
         ctx =
-          make_ctx_of ~threads ~sequential ~two_phase ~rows ~tfs ~lastcheck
-            ~sos;
+          make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~sos;
         errors;
         processed;
         epochs_fed;
@@ -754,3 +659,11 @@ module Resumable = struct
     | st -> Ok st
     | exception R.Corrupt m -> Error ("taintcheck state: " ^ m)
 end
+
+let run ?sequential ?two_phase ?pool epochs =
+  let st =
+    Resumable.create ?pool ?sequential ?two_phase
+      ~threads:(Butterfly.Epochs.threads epochs) ()
+  in
+  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
+  Resumable.finish st

@@ -50,15 +50,14 @@ val run :
     Lemma 6.3; disabling it is the ablation of that design choice — still
     sound, strictly less precise.
 
-    Both butterfly passes run on {!Butterfly.Scheduler.Wavefront.run}:
-    inline without [pool], on the caller's domain pool with it.  Pass-1
-    summarization runs a lookahead window ahead of the pass-2 cursor, so
-    summaries of future epochs overlap the serially dependent LASTCHECK
-    chase, and the master serializes LASTCHECK/SOS commits epoch-major /
-    thread-minor — the report is byte-identical with and without a pool
-    (property-tested in [test/test_taintcheck_parallel.ml] and
-    [test/test_wavefront.ml]).  The caller owns the pool and shuts it
-    down. *)
+    [run] is the {!Resumable} engine fed every row of the grid: it
+    creates an engine, feeds {!Butterfly.Epochs.iter_rows} and finishes.
+    With [pool], each epoch's pass-2 block evaluations fan out on the
+    caller's domain pool ({!Butterfly.Scheduler.pass2_epoch}) and the
+    master commits LASTCHECK/SOS results in thread order, so the report
+    is byte-identical with and without a pool (property-tested in
+    [test/test_taintcheck_parallel.ml] and [test/test_engine.ml]).  The
+    caller owns the pool and shuts it down. *)
 
 val flagged_sinks : report -> Tracing.Addr.t list
 
@@ -76,8 +75,7 @@ val fingerprint : report -> string
     can be serialized with {!Resumable.encode} and later revived with
     {!Resumable.decode}, and the resumed run's {!Resumable.finish} report
     is byte-identical to an uninterrupted run's (see [test_recovery]).
-    The engine shares the pass-2 evaluation core with {!run} verbatim,
-    localized to a sliding window: raw rows, pass-1 summaries and
+    The engine keeps a sliding window: raw rows, pass-1 summaries and
     LASTCHECK rows the window has passed are pruned from the state (and
     hence from checkpoints).  The payload is raw — [lib/recovery] wraps
     it in a versioned, CRC-guarded envelope. *)

@@ -127,7 +127,7 @@ let check_drivers lifeguard pools g =
     driver_divergences lifeguard ~baseline
       (runs (fun pool -> fp_initcheck (IC.run ~pool epochs)))
   | Racecheck ->
-    (* The baseline here is the butterfly batch driver, and the
+    (* The baseline here is the sequential butterfly engine, and the
        independent brute-force reference [Racecheck_seq.check] joins the
        matrix as an extra entry — so a divergence between the windowed
        analysis and the reference semantics is caught alongside driver

@@ -4,10 +4,10 @@
 
     {ul
     {- {b Driver equivalence.}  Every execution driver must produce a
-       structurally identical report: the sequential batch driver, and
-       the pooled schedule (streaming scheduler for AddrCheck/InitCheck,
-       {!Butterfly.Scheduler.Wavefront.run} for TaintCheck/RaceCheck) on
-       each supplied pool.  For
+       structurally identical report: the sequential engine, and the
+       pooled one (streaming scheduler for AddrCheck/InitCheck, the
+       per-epoch fan-out {!Butterfly.Scheduler.pass2_epoch} for
+       TaintCheck/RaceCheck) on each supplied pool.  For
        TaintCheck the equivalence is checked per analysis variant
        (sequential/relaxed chase × two-phase/one-phase).  Reports are
        compared via a canonical fingerprint covering the error list in

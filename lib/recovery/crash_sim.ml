@@ -29,7 +29,8 @@ let simulate (type s r) (ops : (s, r) Runner.ops) ?crash_at ~seed ~every ~path
   let rows = Runner.rows_of epochs in
   let threads = Epochs.threads epochs in
   let crash_epoch = crash_point ?crash_at ~seed ~num_epochs:(Array.length rows) () in
-  let straight_fp = ops.Runner.fp (Runner.run ops epochs) in
+  let source = Epochs.iter_rows epochs in
+  let straight_fp = ops.Runner.fp (Runner.run ops ~threads source) in
   if Sys.file_exists path then Sys.remove path;
   (* The doomed run: its state is simply abandoned at the crash point,
      exactly like a killed process.  Only the snapshot file survives. *)
@@ -43,7 +44,9 @@ let simulate (type s r) (ops : (s, r) Runner.ops) ?crash_at ~seed ~every ~path
     match Snapshot.read_file ~path with
     | Error m -> Error m
     | Ok (meta, payload) -> (
-      match Runner.resume ops ~path epochs with
+      match
+        Runner.resume ops ~path ~threads ~num_rows:(Array.length rows) source
+      with
       | Error m -> Error m
       | Ok report ->
         let resumed_fp = ops.Runner.fp report in
@@ -58,7 +61,7 @@ let simulate (type s r) (ops : (s, r) Runner.ops) ?crash_at ~seed ~every ~path
           }))
   else
     (* Crashed before the first checkpoint: recovery is a fresh run. *)
-    let resumed_fp = ops.Runner.fp (Runner.run ops epochs) in
+    let resumed_fp = ops.Runner.fp (Runner.run ops ~threads source) in
     Ok
       {
         crash_epoch;

@@ -77,10 +77,11 @@ let ops_of ?pool ?isolation ?sequential ?two_phase = function
   | Snapshot.Racecheck -> Packed (race_ops ?pool ())
 
 let rows_of epochs =
-  let threads = Epochs.threads epochs in
-  Array.init (Epochs.num_epochs epochs) (fun l ->
-      Array.init threads (fun tid ->
-          (Epochs.block epochs ~epoch:l ~tid).Butterfly.Block.instrs))
+  let rows = ref [] in
+  Epochs.iter_rows epochs (fun row -> rows := row :: !rows);
+  Array.of_list (List.rev !rows)
+
+type rows = (Tracing.Instr.t array array -> unit) -> unit
 
 let m_checkpoints = Obs.Counter.make "recovery.checkpoints"
 let m_bytes = Obs.Counter.make "recovery.bytes"
@@ -96,79 +97,68 @@ let write_checkpoint ops ~path ~threads st =
   Obs.Counter.add m_bytes bytes;
   bytes
 
-let drive ops ?checkpoint ~threads rows ~from st =
+(* Feed the rows past the first [from], snapshotting on the way, and
+   finish. *)
+let drive ops ?checkpoint ~threads ~from (rows : rows) st =
   (match checkpoint with
   | Some { every; _ } when every <= 0 ->
     invalid_arg "Recovery.Runner: checkpoint interval must be > 0"
   | _ -> ());
-  for l = from to Array.length rows - 1 do
-    ops.feed st rows.(l);
-    match checkpoint with
-    | Some { every; path } when ops.fed st mod every = 0 ->
-      ignore (write_checkpoint ops ~path ~threads st)
-    | _ -> ()
-  done;
+  let l = ref 0 in
+  rows (fun row ->
+      if !l >= from then begin
+        ops.feed st row;
+        match checkpoint with
+        | Some { every; path } when ops.fed st mod every = 0 ->
+          ignore (write_checkpoint ops ~path ~threads st)
+        | _ -> ()
+      end;
+      incr l);
   ops.finish st
 
-let run ops ?checkpoint epochs =
-  let threads = Epochs.threads epochs in
-  drive ops ?checkpoint ~threads (rows_of epochs) ~from:0 (ops.create ~threads)
+let run ops ?checkpoint ~threads rows =
+  drive ops ?checkpoint ~threads ~from:0 rows (ops.create ~threads)
 
-let resume ops ?checkpoint ~path epochs =
+(* [num_rows], when given, is the length of the trace the revived engine
+   will continue over: a snapshot past its end is rejected before its
+   payload is decoded. *)
+let revive_within ?num_rows ops ~path ~threads =
   match Snapshot.read_file ~path with
   | Error m -> Error m
-  | Ok (meta, payload) ->
+  | Ok (meta, payload) -> (
+    let next = meta.Snapshot.next_epoch in
     if meta.Snapshot.lifeguard <> ops.tag then
       Error
         (Printf.sprintf "checkpoint is for %s, not %s"
            (Snapshot.lifeguard_to_string meta.Snapshot.lifeguard)
            (Snapshot.lifeguard_to_string ops.tag))
+    else if meta.Snapshot.threads <> threads then
+      Error
+        (Printf.sprintf "checkpoint has %d threads, trace has %d"
+           meta.Snapshot.threads threads)
     else
-      let threads = Epochs.threads epochs in
-      let num = Epochs.num_epochs epochs in
-      if meta.Snapshot.threads <> threads then
-        Error
-          (Printf.sprintf "checkpoint has %d threads, trace has %d"
-             meta.Snapshot.threads threads)
-      else if meta.Snapshot.next_epoch > num then
+      match num_rows with
+      | Some n when next > n ->
         Error
           (Printf.sprintf
              "checkpoint is ahead of the trace: %d epochs folded, trace has %d"
-             meta.Snapshot.next_epoch num)
-      else (
+             next n)
+      | _ -> (
         match
           Obs.Scope.with_scope ~phase:"restore" (fun () ->
               Obs.Span.time sp_restore (fun () -> ops.dec payload))
         with
         | Error m -> Error ("corrupt checkpoint payload: " ^ m)
         | Ok st ->
-          if ops.fed st <> meta.Snapshot.next_epoch then
-            Error "corrupt checkpoint payload: header and payload disagree on epoch"
-          else
-            Ok
-              (drive ops ?checkpoint ~threads (rows_of epochs)
-                 ~from:meta.Snapshot.next_epoch st))
+          if ops.fed st <> next then
+            Error
+              "corrupt checkpoint payload: header and payload disagree on \
+               epoch"
+          else Ok (st, next)))
 
-let run_addrcheck ?pool ?isolation ?checkpoint epochs =
-  run (addr_ops ?pool ?isolation ()) ?checkpoint epochs
+let revive ops ~path ~threads = revive_within ops ~path ~threads
 
-let resume_addrcheck ?pool ?checkpoint ~path epochs =
-  resume (addr_ops ?pool ()) ?checkpoint ~path epochs
-
-let run_initcheck ?pool ?checkpoint epochs =
-  run (init_ops ?pool ()) ?checkpoint epochs
-
-let resume_initcheck ?pool ?checkpoint ~path epochs =
-  resume (init_ops ?pool ()) ?checkpoint ~path epochs
-
-let run_taintcheck ?pool ?sequential ?two_phase ?checkpoint epochs =
-  run (taint_ops ?pool ?sequential ?two_phase ()) ?checkpoint epochs
-
-let resume_taintcheck ?pool ?checkpoint ~path epochs =
-  resume (taint_ops ?pool ()) ?checkpoint ~path epochs
-
-let run_racecheck ?pool ?checkpoint epochs =
-  run (race_ops ?pool ()) ?checkpoint epochs
-
-let resume_racecheck ?pool ?checkpoint ~path epochs =
-  resume (race_ops ?pool ()) ?checkpoint ~path epochs
+let resume ops ?checkpoint ~path ~threads ~num_rows rows =
+  Result.map
+    (fun (st, from) -> drive ops ?checkpoint ~threads ~from rows st)
+    (revive_within ~num_rows ops ~path ~threads)

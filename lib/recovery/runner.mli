@@ -1,8 +1,8 @@
 (** Checkpointed lifeguard runs.
 
-    Drives a lifeguard's [Resumable] engine over an epoch grid, persisting
-    a {!Snapshot} every [every] epochs, and revives a run from such a
-    snapshot.  The resumed run is byte-identical to an uninterrupted one —
+    Drives a lifeguard's [Resumable] engine over a stream of epoch rows,
+    persisting a {!Snapshot} every [every] epochs, and revives a run from
+    such a snapshot.  The resumed run is byte-identical to an uninterrupted one —
     that is the [Resumable] contract, enforced by the resume-equivalence
     suite in [test_recovery] and fuzzed continuously by [Qa].
 
@@ -75,82 +75,45 @@ val race_ops :
   (Lifeguards.Racecheck.Resumable.state, Lifeguards.Racecheck.report) ops
 
 val rows_of : Butterfly.Epochs.t -> Tracing.Instr.t array array array
-(** The grid as epoch rows, [rows.(epoch).(tid)]. *)
+(** The grid as epoch rows, [rows.(epoch).(tid)]
+    ({!Butterfly.Epochs.iter_rows}, collected). *)
+
+type rows = (Tracing.Instr.t array array -> unit) -> unit
+(** A row iterator: calls its argument once per epoch row, in order —
+    {!Butterfly.Epochs.iter_rows} over a grid, or
+    {!Tracing.Row_source.iter_rows} over a trace file. *)
 
 val write_checkpoint : ('s, 'r) ops -> path:string -> threads:int -> 's -> int
 (** Snapshot the engine state to [path] (atomic), bumping the recovery
     counters; returns the byte size. *)
 
-val run : ('s, 'r) ops -> ?checkpoint:checkpointing -> Butterfly.Epochs.t -> 'r
-(** Feed the whole grid, snapshotting after every [every]-th epoch when
+val run :
+  ('s, 'r) ops -> ?checkpoint:checkpointing -> threads:int -> rows -> 'r
+(** Create an engine for [threads] threads, feed it every row, and
+    finish it — snapshotting after every [every]-th epoch when
     [checkpoint] is given.  Raises [Invalid_argument] if [every <= 0]. *)
+
+val revive :
+  ('s, 'r) ops -> path:string -> threads:int -> ('s * int, string) result
+(** Revive an engine from the snapshot at [path]; returns it with the
+    number of epochs it has folded.  Stable errors: the
+    {!Snapshot.read_file} errors;
+    ["checkpoint is for LIFEGUARD, not LIFEGUARD"];
+    ["checkpoint has N threads, trace has M"];
+    ["corrupt checkpoint payload: _"], including
+    ["corrupt checkpoint payload: header and payload disagree on epoch"]. *)
 
 val resume :
   ('s, 'r) ops ->
   ?checkpoint:checkpointing ->
   path:string ->
-  Butterfly.Epochs.t ->
+  threads:int ->
+  num_rows:int ->
+  rows ->
   ('r, string) result
-(** Revive the engine from the snapshot at [path] and feed the remaining
-    epochs of the grid.  Stable errors: the {!Snapshot.read_file} errors;
-    ["checkpoint is for LIFEGUARD, not LIFEGUARD"];
-    ["checkpoint has N threads, trace has M"];
-    ["checkpoint is ahead of the trace: N epochs folded, trace has M"];
-    ["corrupt checkpoint payload: _"]. *)
-
-(** Typed per-lifeguard conveniences over {!run}/{!resume}. *)
-
-val run_addrcheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?isolation:bool ->
-  ?checkpoint:checkpointing ->
-  Butterfly.Epochs.t ->
-  Lifeguards.Addrcheck.report
-
-val resume_addrcheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?checkpoint:checkpointing ->
-  path:string ->
-  Butterfly.Epochs.t ->
-  (Lifeguards.Addrcheck.report, string) result
-
-val run_initcheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?checkpoint:checkpointing ->
-  Butterfly.Epochs.t ->
-  Lifeguards.Initcheck.report
-
-val resume_initcheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?checkpoint:checkpointing ->
-  path:string ->
-  Butterfly.Epochs.t ->
-  (Lifeguards.Initcheck.report, string) result
-
-val run_taintcheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?sequential:bool ->
-  ?two_phase:bool ->
-  ?checkpoint:checkpointing ->
-  Butterfly.Epochs.t ->
-  Lifeguards.Taintcheck.report
-
-val resume_taintcheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?checkpoint:checkpointing ->
-  path:string ->
-  Butterfly.Epochs.t ->
-  (Lifeguards.Taintcheck.report, string) result
-
-val run_racecheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?checkpoint:checkpointing ->
-  Butterfly.Epochs.t ->
-  Lifeguards.Racecheck.report
-
-val resume_racecheck :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?checkpoint:checkpointing ->
-  path:string ->
-  Butterfly.Epochs.t ->
-  (Lifeguards.Racecheck.report, string) result
+(** {!revive} the engine from [path], feed the rows past its frontier —
+    the first [N] rows the iterator yields are skipped — and finish.
+    [num_rows] is the trace's row count.  Stable errors: those of
+    {!revive}, and
+    ["checkpoint is ahead of the trace: N epochs folded, trace has M"],
+    checked before the payload is decoded. *)

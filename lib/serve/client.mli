@@ -2,10 +2,10 @@
 
     Used by the [butterfly client] subcommand, the test batteries and
     the serve bench.  The client owns the epoch chunking: it computes
-    the same epoch rows the batch CLI would ({!Recovery.Runner.rows_of}
-    over [Epochs.of_program]) and ships each row as one DATA chunk, so
-    the daemon's feed sequence — and therefore its report — matches the
-    batch run byte for byte. *)
+    the same epoch rows the batch CLI feeds its engine (the subcommand
+    reads them with {!Tracing.Row_source.iter_rows}) and ships each row
+    as one DATA chunk, so the daemon's feed sequence — and therefore its
+    report — matches the batch run byte for byte. *)
 
 val chunk_of_row : Tracing.Instr.t array array -> string
 (** One epoch row as a standalone binary trace (the body of a DATA

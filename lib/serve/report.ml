@@ -91,3 +91,60 @@ let racecheck (r : Lifeguards.Racecheck.report) =
     (lifeguard_json ~lifeguard:"racecheck" ~checked
        ~flagged:(List.length r.races)
        ~errors:(List.map json_of_race r.races))
+
+(* Text renderings, as the lifeguard subcommands print them without
+   [--json]. *)
+
+let addrcheck_text ppf (r : Lifeguards.Addrcheck.report) =
+  Format.fprintf ppf "checked %d memory events; flagged %d@." r.total_accesses
+    r.flagged_accesses;
+  List.iter
+    (fun e -> Format.fprintf ppf "  %a@." Lifeguards.Addrcheck.pp_error e)
+    r.errors;
+  if r.errors = [] then Format.fprintf ppf "  no errors@."
+
+let initcheck_text ppf (r : Lifeguards.Initcheck.report) =
+  Format.fprintf ppf "checked %d reads; flagged %d@." r.total_reads
+    r.flagged_reads;
+  List.iter
+    (fun e -> Format.fprintf ppf "  %a@." Lifeguards.Initcheck.pp_error e)
+    r.errors;
+  if r.errors = [] then Format.fprintf ppf "  no uninitialized reads@."
+
+let taintcheck_text ppf (r : Lifeguards.Taintcheck.report) =
+  List.iter
+    (fun e -> Format.fprintf ppf "  %a@." Lifeguards.Taintcheck.pp_error e)
+    r.errors;
+  if r.errors = [] then Format.fprintf ppf "  no tainted sinks@."
+
+let racecheck_text ppf (r : Lifeguards.Racecheck.report) =
+  let checked =
+    sum_block_stats r.block_stats
+      (fun (s : Lifeguards.Racecheck.block_stats) -> s.pairs_checked)
+  in
+  Format.fprintf ppf "checked %d conflicting pairs; flagged %d may-races@."
+    checked (List.length r.races);
+  List.iter
+    (fun e -> Format.fprintf ppf "  %a@." Lifeguards.Racecheck.pp_race e)
+    r.races;
+  if r.races = [] then Format.fprintf ppf "  no races@."
+
+type engine =
+  | Engine : {
+      ops : ('s, 'r) Recovery.Runner.ops;
+      json : 'r -> string;
+      text : 'r -> string;
+    }
+      -> engine
+
+let engine ?pool ~relaxed lifeguard =
+  let module R = Recovery.Runner in
+  let mk ops json text = Engine { ops; json; text = Format.asprintf "%a" text } in
+  match (lifeguard : Recovery.Snapshot.lifeguard) with
+  | Addrcheck -> mk (R.addr_ops ?pool ()) addrcheck addrcheck_text
+  | Initcheck -> mk (R.init_ops ?pool ()) initcheck initcheck_text
+  | Taintcheck ->
+    mk
+      (R.taint_ops ?pool ~sequential:(not relaxed) ())
+      taintcheck taintcheck_text
+  | Racecheck -> mk (R.race_ops ?pool ()) racecheck racecheck_text

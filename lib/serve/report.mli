@@ -12,6 +12,30 @@ val initcheck : Lifeguards.Initcheck.report -> string
 val taintcheck : Lifeguards.Taintcheck.report -> string
 val racecheck : Lifeguards.Racecheck.report -> string
 
+(** {2 Engines}
+
+    One table from a lifeguard to its engine and its two renderings.
+    The batch CLI subcommands, [stats] and the daemon's sessions all
+    build their engine here, so no caller matches on the lifeguard. *)
+
+type engine =
+  | Engine : {
+      ops : ('s, 'r) Recovery.Runner.ops;
+      json : 'r -> string;  (** the canonical line above *)
+      text : 'r -> string;
+          (** the subcommands' human-readable report, newline-terminated *)
+    }
+      -> engine
+
+val engine :
+  ?pool:Butterfly.Domain_pool.t ->
+  relaxed:bool ->
+  Recovery.Snapshot.lifeguard ->
+  engine
+(** [pool] runs the engine's pass 2 on the caller's domain pool;
+    [relaxed] selects TaintCheck's relaxed-consistency chase and is
+    ignored by the other lifeguards. *)
+
 (** {2 Pieces}
 
     Exposed for the CLI, which also embeds error objects in its

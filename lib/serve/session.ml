@@ -2,9 +2,8 @@ module Runner = Recovery.Runner
 module Snapshot = Recovery.Snapshot
 module Cursor = Tracing.Trace_codec.Cursor
 
-(* The engine and its typed report renderer, packed together so the
-   report type never escapes.  [Runner.ops_of]'s [packed] cannot carry
-   the renderer — hence the typed builders. *)
+(* The engine state and its typed report renderer, packed together so
+   the report type never escapes. *)
 type packed =
   | E : ('s, 'r) Runner.ops * 's * ('r -> string) -> packed
 
@@ -24,53 +23,18 @@ let all_lifeguards =
     Snapshot.Racecheck ]
 
 let fresh (h : Wire.hello) pool =
-  let mk ops render = E (ops, ops.Runner.create ~threads:h.threads, render) in
-  match h.lifeguard with
-  | Snapshot.Addrcheck ->
-    mk (Runner.addr_ops ?pool ()) Report.addrcheck
-  | Snapshot.Initcheck ->
-    mk (Runner.init_ops ?pool ()) Report.initcheck
-  | Snapshot.Taintcheck ->
-    mk
-      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ())
-      Report.taintcheck
-  | Snapshot.Racecheck ->
-    mk (Runner.race_ops ?pool ()) Report.racecheck
+  let (Report.Engine { ops; json; _ }) =
+    Report.engine ?pool ~relaxed:h.relaxed h.lifeguard
+  in
+  E (ops, ops.Runner.create ~threads:h.threads, json)
 
 let revive (h : Wire.hello) pool ~path =
-  let load (type s r) (ops : (s, r) Runner.ops) render =
-    match Snapshot.read_file ~path with
-    | Error m -> Error m
-    | Ok (meta, payload) ->
-      if meta.Snapshot.lifeguard <> ops.Runner.tag then
-        Error
-          (Printf.sprintf "checkpoint is for %s, not %s"
-             (Snapshot.lifeguard_to_string meta.Snapshot.lifeguard)
-             (Snapshot.lifeguard_to_string ops.Runner.tag))
-      else if meta.Snapshot.threads <> h.threads then
-        Error
-          (Printf.sprintf "checkpoint has %d threads, trace has %d"
-             meta.Snapshot.threads h.threads)
-      else (
-        match ops.Runner.dec payload with
-        | Error m -> Error ("corrupt checkpoint payload: " ^ m)
-        | Ok st ->
-          if ops.Runner.fed st <> meta.Snapshot.next_epoch then
-            Error
-              "corrupt checkpoint payload: header and payload disagree on epoch"
-          else Ok (E (ops, st, render)))
+  let (Report.Engine { ops; json; _ }) =
+    Report.engine ?pool ~relaxed:h.relaxed h.lifeguard
   in
-  match h.lifeguard with
-  | Snapshot.Addrcheck ->
-    load (Runner.addr_ops ?pool ()) Report.addrcheck
-  | Snapshot.Initcheck ->
-    load (Runner.init_ops ?pool ()) Report.initcheck
-  | Snapshot.Taintcheck ->
-    load
-      (Runner.taint_ops ?pool ~sequential:(not h.relaxed) ())
-      Report.taintcheck
-  | Snapshot.Racecheck ->
-    load (Runner.race_ops ?pool ()) Report.racecheck
+  Result.map
+    (fun (st, _) -> E (ops, st, json))
+    (Runner.revive ops ~path ~threads:h.threads)
 
 let create ?pool ?state_dir (h : Wire.hello) =
   if not (Snapshot.valid_tenant h.tenant) then

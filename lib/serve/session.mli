@@ -1,8 +1,8 @@
 (** One tenant's analysis session.
 
     A session wraps a lifeguard's [Resumable] engine (built from the
-    HELLO's lifeguard/driver config via {!Recovery.Runner}'s typed
-    ops) plus a queue of decoded-but-unfed epoch rows.  The daemon owns
+    HELLO's lifeguard/driver config via the {!Report.engine} table)
+    plus a queue of decoded-but-unfed epoch rows.  The daemon owns
     the pacing: it {!enqueue}s every DATA chunk as it arrives and calls
     {!step} from its fairness rotation, one epoch at a time, so no
     tenant can monopolize the feeding domain.
@@ -32,7 +32,7 @@ val create :
     [`Pooled]),
     ["bad hello: state=flat is no longer supported"] (the retired flat
     fact-table backend; old clients still send the byte),
-    the {!Recovery.Runner.resume} checkpoint errors, and
+    the {!Recovery.Runner.revive} checkpoint errors, and
     ["tenant T has a L session on disk, not L'"] when the tenant's
     on-disk session was checkpointed under a different lifeguard. *)
 

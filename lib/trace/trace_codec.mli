@@ -71,10 +71,9 @@ val read_event : Binio.R.t -> Event.t
     string), thread event regions are located in one validating scan,
     and instruction rows are then decoded epoch-by-epoch straight out of
     the buffer — no [Program.t], no per-thread event lists, no second
-    copy of the trace.  This is the ingestion path behind
-    [--ingest cursor]: rows feed the lifeguards' [Resumable] engines
-    directly, so peak memory is one epoch row instead of the whole
-    decoded program.
+    copy of the trace.  {!Row_source} walks every binary trace file
+    through it: rows feed the lifeguards' engines directly, so peak
+    memory is one epoch row instead of the whole decoded program.
 
     The cursor accepts exactly the inputs {!decode_binary} accepts
     (including legacy ["BFLY1"] traces) and rejects exactly the inputs

@@ -401,36 +401,6 @@ let render ?(title = "Butterfly run") ?refresh events =
          ~tooltip:(fun x v -> Printf.sprintf "+%.1f ms: %.0f%% busy" x v)
          (List.map (fun (t, v) -> ((t -. t0) /. 1e6, v *. 100.)) util));
 
-  (* --- wavefront pipeline, when a pooled two-pass run happened ----- *)
-  (* Conditional on the metrics existing in the stream: sequential runs
-     and the streaming scheduler never touch scheduler.wavefront.*, so
-     their dashboards carry no such card. *)
-  let wf_stall = sum_by_epoch events ~kind:"observe" ~name:"scheduler.wavefront.stall_ns" in
-  let wf_overlap = total events ~kind:"add" ~name:"scheduler.wavefront.overlapped_epochs" in
-  let wf_p1 = total events ~kind:"add" ~name:"scheduler.wavefront.pipelined_pass1_blocks" in
-  let wf_ready = series events ~kind:"set" ~name:"scheduler.wavefront.ready_queue" in
-  if wf_stall <> [] || wf_overlap > 0. || wf_p1 > 0. || wf_ready <> [] then begin
-    let stall_total = total events ~kind:"observe" ~name:"scheduler.wavefront.stall_ns" in
-    card b ~title:"Wavefront pipeline"
-      ~sub:
-        (Printf.sprintf
-           "commit-side stall per epoch · %s overlapped epochs · %s pass-1 \
-            blocks pipelined · %s total stall"
-           (fmt_count wf_overlap) (fmt_count wf_p1) (fmt_ns stall_total))
-      (if wf_stall = [] then empty_card
-       else
-         bar_chart ~x_title:"epoch" ~fmt:fmt_ns
-           ~tooltip:(fun l v -> Printf.sprintf "epoch %s: stalled %s" l (fmt_ns v))
-           (List.map (fun (l, v) -> (string_of_int l, v)) wf_stall));
-    if wf_ready <> [] then
-      card b ~title:"Wavefront in-flight epochs"
-        ~sub:"scheduler.wavefront.ready_queue gauge over the run"
-        (line_chart ~x_title:"ms since start" ~fmt:fmt_count
-           ~tooltip:(fun x v ->
-             Printf.sprintf "+%.1f ms: %s in flight" x (fmt_count v))
-           (List.map (fun (t, v) -> ((t -. t0) /. 1e6, v)) wf_ready))
-  end;
-
   (* --- phase-2 rechecks per epoch ---------------------------------- *)
   let p2 = sum_by_epoch events ~kind:"add" ~name:"lifeguard.phase2_rechecks" in
   card b ~title:"Phase-2 rechecks by epoch"

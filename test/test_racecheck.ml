@@ -4,9 +4,8 @@
 
    1. Differential battery: 500+ seeded lock-heavy grids, each analyzed
       by the independent brute-force reference [Racecheck_seq.check] and
-      by every deployment of the butterfly lifeguard — sequential batch,
-      pooled 2/8 domains, and the checkpointable engine fed row by row
-      on the same pools.
+      by every deployment of the butterfly lifeguard's engine —
+      sequential and pooled on 2/8 domains.
       Every report fingerprint must match the reference byte for byte.
 
    2. QCheck lattice laws for the two abstractions the analysis is built
@@ -42,14 +41,6 @@ let battery_shape =
 
 let battery_grids = 500
 
-(* The epoch-incremental engine the CLI's cursor ingest and the daemon
-   drive, fed one row at a time. *)
-let resumable ?pool epochs =
-  let threads = Butterfly.Epochs.threads epochs in
-  let st = RC.Resumable.create ?pool ~threads () in
-  Array.iter (RC.Resumable.feed_epoch st) (Recovery.Runner.rows_of epochs);
-  RC.Resumable.finish st
-
 let differential_battery () =
   let pool2 = Butterfly.Domain_pool.create ~name:"rc-pool2" ~domains:2 () in
   let pool8 = Butterfly.Domain_pool.create ~name:"rc-pool8" ~domains:8 () in
@@ -81,8 +72,6 @@ let differential_battery () =
         ("sequential", RC.run epochs);
         ("pooled(2)", RC.run ~pool:pool2 epochs);
         ("pooled(8)", RC.run ~pool:pool8 epochs);
-        ("resumable pooled(2)", resumable ~pool:pool2 epochs);
-        ("resumable pooled(8)", resumable ~pool:pool8 epochs);
       ]
   done
 

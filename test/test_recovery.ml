@@ -428,6 +428,16 @@ let scheduler_resume_prop
 module Snapshot = Recovery.Snapshot
 module Runner = Recovery.Runner
 
+(* Runner drives over an epoch grid. *)
+let run_grid ops ?checkpoint epochs =
+  Runner.run ops ?checkpoint ~threads:(Butterfly.Epochs.threads epochs)
+    (Butterfly.Epochs.iter_rows epochs)
+
+let resume_grid ops ~path epochs =
+  Runner.resume ops ~path ~threads:(Butterfly.Epochs.threads epochs)
+    ~num_rows:(Butterfly.Epochs.num_epochs epochs)
+    (Butterfly.Epochs.iter_rows epochs)
+
 let all_tags =
   [
     (Snapshot.Addrcheck, Qa.Grid_gen.Alloc);
@@ -519,10 +529,10 @@ let runner_roundtrip () =
         let epochs = Qa.Grid.epochs grid in
         with_snap_file (fun path ->
             let checkpoint = { Runner.every = 1; path } in
-            let expected = ops.Runner.fp (Runner.run ops epochs) in
-            let ck = ops.Runner.fp (Runner.run ops ~checkpoint epochs) in
+            let expected = ops.Runner.fp (run_grid ops epochs) in
+            let ck = ops.Runner.fp (run_grid ops ~checkpoint epochs) in
             checks "checkpointing changes nothing" expected ck;
-            match Runner.resume ops ~path epochs with
+            match resume_grid ops ~path epochs with
             | Ok r -> checks "resumed from last snapshot" expected (ops.Runner.fp r)
             | Error m -> Alcotest.failf "resume (%s grid #%d): %s" (Snapshot.lifeguard_to_string tag) g m)
       done)
@@ -544,11 +554,11 @@ let runner_rejections () =
       aops.Runner.feed st (rows_of_epochs epochs).(0);
       ignore (Runner.write_checkpoint aops ~path ~threads st);
       expect_error "wrong lifeguard" "checkpoint is for addrcheck, not initcheck"
-        (Runner.resume iops ~path epochs);
+        (resume_grid iops ~path epochs);
       let (Runner.Packed rops) = Runner.ops_of Snapshot.Racecheck in
       expect_error "wrong lifeguard (racecheck)"
         "checkpoint is for addrcheck, not racecheck"
-        (Runner.resume rops ~path epochs);
+        (resume_grid rops ~path epochs);
       let payload = aops.Runner.enc st in
       ignore
         (Snapshot.write_file ~path
@@ -558,7 +568,7 @@ let runner_rejections () =
       expect_error "thread mismatch"
         (Printf.sprintf "checkpoint has %d threads, trace has %d" (threads + 1)
            threads)
-        (Runner.resume aops ~path epochs);
+        (resume_grid aops ~path epochs);
       ignore
         (Snapshot.write_file ~path
            { Snapshot.lifeguard = Snapshot.Addrcheck; next_epoch = num + 3;
@@ -568,19 +578,19 @@ let runner_rejections () =
         (Printf.sprintf
            "checkpoint is ahead of the trace: %d epochs folded, trace has %d"
            (num + 3) num)
-        (Runner.resume aops ~path epochs);
+        (resume_grid aops ~path epochs);
       ignore
         (Snapshot.write_file ~path
            { Snapshot.lifeguard = Snapshot.Addrcheck; next_epoch = 0; threads }
            payload);
       expect_error "header/payload skew"
         "corrupt checkpoint payload: header and payload disagree on epoch"
-        (Runner.resume aops ~path epochs);
+        (resume_grid aops ~path epochs);
       ignore
         (Snapshot.write_file ~path
            { Snapshot.lifeguard = Snapshot.Addrcheck; next_epoch = 1; threads }
            "garbage");
-      (match Runner.resume aops ~path epochs with
+      (match resume_grid aops ~path epochs with
       | Error m ->
         check Alcotest.bool "corrupt payload" true
           (String.length m >= 26

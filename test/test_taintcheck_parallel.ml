@@ -1,8 +1,8 @@
 (* Parallel TaintCheck: the pooled driver is the sequential driver.
 
-   The pooled mode runs pass-1 summarization a lookahead window ahead of
-   pass-2 block evaluation (Scheduler.Wavefront), with the master
-   serializing LASTCHECK/SOS commits epoch-major / thread-minor.  The
+   The pooled mode fans each epoch's pass-2 block evaluations out on the
+   pool (Scheduler.pass2_epoch), with the master serializing
+   LASTCHECK/SOS commits epoch-major / thread-minor.  The
    claim under test is *structural equality of the whole report* — error
    list in order, SOS taint history, per-block statistics — not just the
    same set of flagged sinks.  On top of that, soundness (Theorem 6.2):

@@ -338,9 +338,9 @@ let sync_codec_tests =
 (* The zero-copy cursor against the materializing decoder: same rows,
    same accept/reject verdict, on well-formed traces, every strict
    prefix, every single-bit corruption, and the legacy BFLY1 framing.
-   The cursor feeds the streaming lifeguard engines directly (`--ingest
-   cursor`), so "identical to decode_binary + Epochs.of_program" is the
-   contract that keeps that path honest. *)
+   The cursor feeds the lifeguard engines every binary trace directly
+   (through [Row_source]), so "identical to decode_binary +
+   Epochs.of_program" is the contract that keeps that path honest. *)
 module Cursor = Tracing.Trace_codec.Cursor
 
 let rows_of_cursor ?every c =
@@ -430,8 +430,8 @@ let cursor_tests =
            Printf.sprintf "every=%d\n%s" h (Tracing.Trace_codec.encode p))
          QCheck.Gen.(pair gen_sync_program (int_range 1 5)))
       (fun (p, h) ->
-        (* Lock/fork/join rows delivered by `--ingest cursor` must be the
-           rows the batch pipeline sees. *)
+        (* Lock/fork/join rows the cursor delivers must be the rows of
+           the decoded program's epoch grid. *)
         let c = cursor_of_program p in
         rows_match_epochs (rows_of_cursor c) (Butterfly.Epochs.of_program p)
         && rows_match_epochs
@@ -457,6 +457,69 @@ let cursor_tests =
                   (Tracing.Program.with_heartbeats ~every:3 taint_exemplar))));
   ]
 
+(* The one trace loader: both encodings of a program yield the rows of
+   its epoch grid, and malformed input gets the matching decoder's
+   error. *)
+module Row_source = Tracing.Row_source
+
+let source_rows ?every s =
+  match Row_source.of_string s with
+  | Error m -> failwith ("row source: " ^ m)
+  | Ok src ->
+    let acc = ref [] in
+    Row_source.iter_rows ?every src (fun row -> acc := row :: !acc);
+    (src, List.rev !acc)
+
+let row_source_prop ~every p =
+  let grid =
+    Butterfly.Epochs.of_program
+      (match every with
+      | None -> p
+      | Some h -> Tracing.Program.with_heartbeats ~every:h p)
+  in
+  List.for_all
+    (fun encoded ->
+      let src, rows = source_rows ?every encoded in
+      Row_source.threads src = Tracing.Program.threads p
+      && Row_source.num_rows ?every src = List.length rows
+      && rows_match_epochs rows grid)
+    [ Tracing.Trace_codec.encode p; Tracing.Trace_codec.encode_binary p ]
+
+let arb_program_every gen =
+  QCheck.make
+    ~print:(fun (p, h) ->
+      Printf.sprintf "every=%d\n%s" h (Tracing.Trace_codec.encode p))
+    QCheck.Gen.(pair gen (int_range 1 5))
+
+let row_source_tests =
+  [
+    Testutil.qtest ~count:200 "text and binary rows = Epochs.of_program"
+      (arb_program_every gen_program) (fun (p, h) ->
+        row_source_prop ~every:None p && row_source_prop ~every:(Some h) p);
+    Testutil.qtest ~count:100 "text and binary rows agree on sync traffic"
+      (arb_program_every gen_sync_program) (fun (p, h) ->
+        row_source_prop ~every:None p && row_source_prop ~every:(Some h) p);
+    Testutil.qtest ~count:300 "errors are the matching decoder's"
+      QCheck.(string_gen_of_size Gen.(int_bound 200) Gen.char)
+      (fun s ->
+        let want =
+          if String.starts_with ~prefix:Tracing.Trace_codec.binary_magic s
+          then Tracing.Trace_codec.decode_binary s
+          else Tracing.Trace_codec.decode s
+        in
+        match (Row_source.of_string s, want) with
+        | Error m, Error m' -> String.equal m m'
+        | Ok _, Ok _ -> true
+        | _ -> false);
+    Alcotest.test_case "a truncated binary trace keeps the decoder's error"
+      `Quick (fun () ->
+        let b = Tracing.Trace_codec.encode_binary taint_exemplar in
+        let cut = String.sub b 0 (String.length b - 1) in
+        match (Row_source.of_string cut, Tracing.Trace_codec.decode_binary cut) with
+        | Error m, Error m' -> Alcotest.(check string) "message" m' m
+        | _ -> Alcotest.fail "a truncated trace was accepted");
+  ]
+
 let () =
   Alcotest.run "tracing"
     [
@@ -467,4 +530,5 @@ let () =
       ("codec_taint", taint_codec_tests);
       ("codec_sync", sync_codec_tests);
       ("cursor", cursor_tests);
+      ("row_source", row_source_tests);
     ]
