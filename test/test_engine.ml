@@ -12,7 +12,7 @@
      reference computation, sequential and pooled;
    - Theorem 6.2 through the pooled engine: the valid-ordering oracle
      must still find zero false negatives;
-   - edge cases: degenerate grids, future polling;
+   - edge cases: degenerate grids, future polling, argument validation;
    - resume from every sealed epoch with pooled engines on both sides,
      and the crash simulator on a pool.
 
@@ -222,6 +222,34 @@ let poll_semantics =
           check Alcotest.int "await" 7 (Butterfly.Domain_pool.await f);
           check Alcotest.bool "done" true (Butterfly.Domain_pool.poll f)))
 
+let validation =
+  Alcotest.test_case "argument validation" `Quick (fun () ->
+      let expect_invalid name f =
+        match f () with
+        | exception Invalid_argument _ -> ()
+        | () -> Alcotest.failf "%s: expected Invalid_argument" name
+      in
+      (* Every engine is created for two threads. *)
+      let widths name feed =
+        expect_invalid (name ^ ": narrow row") (fun () -> feed [| [||] |]);
+        expect_invalid (name ^ ": wide row") (fun () ->
+            feed [| [||]; [||]; [||] |])
+      in
+      widths "addrcheck" AC.Resumable.(feed_epoch (create ~threads:2 ()));
+      widths "initcheck" IC.Resumable.(feed_epoch (create ~threads:2 ()));
+      widths "taintcheck" TC.Resumable.(feed_epoch (create ~threads:2 ()));
+      widths "racecheck" RC.Resumable.(feed_epoch (create ~threads:2 ()));
+      expect_invalid "taintcheck: threads = 0" (fun () ->
+          ignore (TC.Resumable.create ~threads:0 ()));
+      expect_invalid "racecheck: threads = 0" (fun () ->
+          ignore (RC.Resumable.create ~threads:0 ()));
+      expect_invalid "checkpoint every = 0" (fun () ->
+          ignore
+            (Recovery.Runner.run (Recovery.Runner.addr_ops ())
+               ~checkpoint:{ every = 0; path = "unused.snap" }
+               ~threads:1
+               (fun _ -> ()))))
+
 let edge_tests =
   [
     edge_grid "single-epoch grid"
@@ -241,6 +269,7 @@ let edge_tests =
     edge_grid "empty epochs" [| [ [||]; [||]; [||] ]; [ [||]; [||] ] |];
     edge_grid "no blocks at all" [| []; [] |];
     poll_semantics;
+    validation;
   ]
 
 (* ------------------------------------------------------------------ *)

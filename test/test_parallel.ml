@@ -6,7 +6,13 @@
      whatever order pool workers finish in (1/2/8-domain pools);
    - a raising task re-raises on the master at its own commit point,
      after the commits of the threads before it, and the pool survives
-     to run the next epoch. *)
+     to run the next epoch;
+   - driving Dataflow.Make's pieces one epoch at a time (summarize a row
+     as it arrives, seal SOS_l, fan pass 2 of epoch l out once row l+1
+     is in) reproduces Dataflow.run exactly — the ordered stream of
+     second-pass views and the whole SOS history — inline and on 1/2/8
+     domain pools, for a May problem (reaching definitions) and a Must
+     problem (reaching expressions). *)
 
 module Pool = Butterfly.Domain_pool
 module Sched = Butterfly.Scheduler
@@ -62,6 +68,136 @@ let ordered =
              Pool.with_pool ~name:"pass2" ~domains (fun pool ->
                  ordered_prop ~pool shape)))
        [ 1; 2; 8 ]
+
+module Epochs = Butterfly.Epochs
+module RD = Butterfly.Reaching_definitions
+module RE = Butterfly.Reaching_expressions
+
+module Drive (P : Butterfly.Dataflow.PROBLEM) = struct
+  module D = Butterfly.Dataflow.Make (P)
+
+  (* [Dataflow.run] on the per-epoch discipline of the streaming
+     engines: row [l+1] is summarized on arrival, then SOS_l is sealed
+     and pass 2 of epoch [l] fans out through [pass2_epoch]; the master
+     replays each block's views in commit order. *)
+  let run ?pool ~on_instr epochs =
+    let num = Epochs.num_epochs epochs and threads = Epochs.threads epochs in
+    let summaries = Array.make_matrix num threads None in
+    let summarize_row l =
+      if l < num then
+        for tid = 0 to threads - 1 do
+          summaries.(l).(tid) <-
+            Some (D.summarize (Epochs.block epochs ~epoch:l ~tid))
+        done
+    in
+    let row l =
+      Array.init threads (fun tid ->
+          if l < 0 || l >= num then
+            D.summarize (Butterfly.Block.empty ~epoch:l ~tid)
+          else Option.get summaries.(l).(tid))
+    in
+    let sos = Array.make (num + 2) D.Set.empty in
+    let seal l =
+      if l >= 2 then
+        sos.(l) <-
+          D.sos_next ~sos_prev:sos.(l - 1)
+            ~two_back:
+              (D.epoch_summary
+                 ~prev:(if l = 2 then None else Some (row (l - 3)))
+                 ~cur:(row (l - 2)))
+    in
+    summarize_row 0;
+    for l = 0 to num - 1 do
+      summarize_row (l + 1);
+      seal l;
+      Sched.pass2_epoch ?pool ~threads
+        ~pass2:(fun ~epoch ~tid ->
+          (* Everything read here was summarized or sealed before the
+             fan-out. *)
+          let wings =
+            Epochs.wings epochs ~epoch ~tid
+            |> List.map (fun (b : Butterfly.Block.t) -> (row b.epoch).(b.tid))
+          in
+          let lsos0 =
+            D.lsos ~sos:sos.(epoch) ~head:(row (epoch - 1)).(tid)
+              ~two_back_row:(row (epoch - 2)) ~tid
+          in
+          let views = ref [] in
+          D.iter_block ~side_in:(D.side_in ~wings) ~lsos0 ~sos:sos.(epoch)
+            (fun v -> views := v :: !views)
+            (Epochs.block epochs ~epoch ~tid);
+          List.rev !views)
+        ~commit2:(fun ~epoch:_ ~tid:_ views -> List.iter on_instr views)
+        l
+    done;
+    seal num;
+    seal (num + 1);
+    sos
+end
+
+module Drive_rd = Drive (RD.Problem)
+module Drive_re = Drive (RE.Problem)
+
+let key_rd (v : RD.Analysis.instr_view) =
+  Format.asprintf "%a|%s|%a|%a|%a|%a" Butterfly.Instr_id.pp v.id
+    (Tracing.Instr.to_string v.instr)
+    Butterfly.Def_set.pp v.lsos_before Butterfly.Def_set.pp v.in_before
+    Butterfly.Def_set.pp v.side_in Butterfly.Def_set.pp v.sos
+
+let key_re (v : RE.Analysis.instr_view) =
+  Format.asprintf "%a|%s|%a|%a|%a|%a" Butterfly.Instr_id.pp v.id
+    (Tracing.Instr.to_string v.instr)
+    Butterfly.Expr_set.pp v.lsos_before Butterfly.Expr_set.pp v.in_before
+    Butterfly.Expr_set.pp v.side_in Butterfly.Expr_set.pp v.sos
+
+(* Ragged grids: threads disagreeing on epoch counts, empty blocks. *)
+let arb_grid =
+  Testutil.arb_grid ~n_addrs:3 ~max_threads:4 ~max_epochs:5 ~max_block:4
+    ~uneven:true ()
+
+let rd_equiv ?pool g =
+  let epochs = Testutil.epochs_of_grid g in
+  let batch = ref [] and driven = ref [] in
+  let br = RD.run ~on_instr:(fun v -> batch := key_rd v :: !batch) epochs in
+  let sos =
+    Drive_rd.run ?pool ~on_instr:(fun v -> driven := key_rd v :: !driven) epochs
+  in
+  !batch = !driven
+  && Array.length sos = Array.length br.sos
+  && Array.for_all2 Butterfly.Def_set.equal br.sos sos
+
+let re_equiv ?pool g =
+  let epochs = Testutil.epochs_of_grid g in
+  let batch = ref [] and driven = ref [] in
+  let br = RE.run ~on_instr:(fun v -> batch := key_re v :: !batch) epochs in
+  let sos =
+    Drive_re.run ?pool ~on_instr:(fun v -> driven := key_re v :: !driven) epochs
+  in
+  !batch = !driven
+  && Array.length sos = Array.length br.sos
+  && Array.for_all2 Butterfly.Expr_set.equal br.sos sos
+
+let equivalence =
+  List.concat_map
+    (fun (problem, prop) ->
+      Testutil.qtest ~count:150
+        (Printf.sprintf "inline == Dataflow.run (%s)" problem)
+        arb_grid
+        (fun g -> prop ?pool:None g)
+      :: List.map
+           (fun domains ->
+             Testutil.qtest ~count:80
+               (Printf.sprintf "%d-domain pool == Dataflow.run (%s)" domains
+                  problem)
+               arb_grid
+               (fun g ->
+                 Pool.with_pool ~name:"pass2-dataflow" ~domains (fun pool ->
+                     prop ?pool:(Some pool) g)))
+           [ 1; 2; 8 ])
+    [
+      ("May/RD", fun ?pool g -> rd_equiv ?pool g);
+      ("Must/RE", fun ?pool g -> re_equiv ?pool g);
+    ]
 
 exception Boom
 
@@ -121,4 +257,9 @@ let raising =
   ]
 
 let () =
-  Alcotest.run "parallel" [ ("ordered-commit", ordered); ("raising", raising) ]
+  Alcotest.run "parallel"
+    [
+      ("equivalence", equivalence);
+      ("ordered-commit", ordered);
+      ("raising", raising);
+    ]
