@@ -96,9 +96,7 @@ let core_tests =
                 (Butterfly.Reaching_definitions.Problem) in
             fun () ->
               let s = S.create ~threads:3 ~on_instr:(fun _ -> ()) () in
-              for tid = 0 to 2 do
-                S.feed_trace s tid (Tracing.Program.trace exploit_program tid)
-              done;
+              Butterfly.Epochs.iter_rows exploit_epochs (S.feed_row s);
               S.finish s));
       Test.make ~name:"idempotent_filter.walk-1k"
         (Staged.stage (fun () ->

@@ -29,8 +29,8 @@ module Make (P : PROBLEM) = struct
   module Set = P.Set
 
   (* Telemetry: one instrument per metric, shared by every batch run of
-     this problem.  The streaming driver emits the same names with
-     [driver=streaming] (see {!Scheduler.Make}). *)
+     this problem.  The row window ([Scheduler.Make], the engine the
+     lifeguards run on) emits the same names with [driver=streaming]. *)
   let obs_labels = [ ("problem", P.name); ("driver", "batch") ]
   let m_epochs = Obs.Counter.make ~labels:obs_labels "butterfly.epochs_processed"
   let m_instrs = Obs.Counter.make ~labels:obs_labels "butterfly.pass2_instrs"
@@ -176,8 +176,8 @@ module Make (P : PROBLEM) = struct
     | `May -> Set.union side_in lsos_at
     | `Must -> Set.diff lsos_at side_in
 
-  (* Pass-2 inner loop over one block, shared by every driver (batch here,
-     sequential and pooled streaming in [Scheduler.Make]).
+  (* Pass-2 inner loop over one block, shared by both drivers (batch here,
+     the row window's pass-2 task in [Scheduler.Make]).
      [in_before] depends only on the running LSOS, which GEN/KILL-free
      instructions leave physically unchanged (the set ops shortcut empty
      operands) — so the meet with the side-in is recomputed only at state

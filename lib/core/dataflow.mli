@@ -103,8 +103,9 @@ module Make (P : PROBLEM) : sig
     (instr_view -> unit) ->
     Block.t ->
     unit
-  (** The pass-2 inner loop over one block, shared by every driver (the
-      batch {!run} and the streaming scheduler, sequential or pooled):
+  (** The pass-2 inner loop over one block, shared by both drivers (the
+      batch {!run} and the pass-2 task of the streaming scheduler's row
+      window, on the caller or on a pool):
       threads the running LSOS through GEN/KILL and emits each
       instruction's view.  [in_before] is recomputed only when the
       running LSOS actually changes — GEN/KILL-free instructions reuse

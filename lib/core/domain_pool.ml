@@ -146,17 +146,6 @@ let await fut =
   | Failed e -> raise e
   | Pending -> assert false
 
-let map_array t f arr =
-  match Array.length arr with
-  | 0 -> [||]
-  | n ->
-    (* Submit in index order — round-robin assignment stays deterministic. *)
-    let futs = Array.make n (async t (fun () -> f arr.(0))) in
-    for i = 1 to n - 1 do
-      futs.(i) <- async t (fun () -> f arr.(i))
-    done;
-    Array.map await futs
-
 let shutdown t =
   if t.live then begin
     t.live <- false;

@@ -17,9 +17,6 @@
     - {b Backpressure on submit.}  When the target worker's queue is full,
       {!async} blocks the submitter until the worker drains — a producer
       can never race unboundedly ahead of the pool.
-    - {b Deterministic result collection.}  {!map_array} returns results
-      positionally: element [i] of the output is [f arr.(i)] no matter
-      which worker ran it or in what order tasks completed.
 
     Telemetry (under the installed {!Obs} sink, labelled [pool=<name>]):
     [pool.size] and [pool.utilization] gauges, [pool.queue_depth] and
@@ -28,7 +25,7 @@
     per executed task.
 
     Concurrency contract: tasks run on worker domains and must not call
-    {!async}, {!await} or {!map_array} on the pool that runs them (a task
+    {!async} or {!await} on the pool that runs them (a task
     waiting for a task queued behind it would deadlock the worker).  All
     submissions must come from a single coordinating domain at a time —
     exactly the single-writer discipline the butterfly drivers already
@@ -66,11 +63,6 @@ val poll : 'a future -> bool
 (** [true] once the task has finished (successfully or not): {!await}
     will return without blocking.  Never blocks; safe from the
     submitting domain at any time. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array p f arr] runs [f] over [arr] on the pool and returns the
-    results in input order: deterministic collection regardless of task
-    completion order.  Exceptions re-raise (first index wins). *)
 
 val shutdown : t -> unit
 (** Drain every queue, stop and join all workers.  Idempotent.  Every

@@ -1,26 +1,28 @@
 (** Online sliding-window driver (the processing discipline of Section 4.3).
 
     {!Dataflow.Make}'s [run] is a batch driver over a complete execution.
-    A deployed lifeguard instead consumes each thread's event stream as the
-    application produces it.  This module drives the same analysis
-    incrementally: pass 1 runs the moment a heartbeat closes a block;
-    pass 2 for epoch [l] runs as soon as every thread has delivered its
-    epoch-[l+1] block (the butterfly needs the tail's summaries); and
-    SOS{_l+2} is committed right after.  Only a constant number of epochs
-    of state is ever resident — the point of the sliding window — and
-    {!max_resident_epochs} exposes the high-water mark so tests can verify
-    boundedness.
+    A deployed lifeguard instead consumes the execution as it is produced,
+    one epoch at a time: every input (CLI traces in either encoding,
+    checkpoint resume, the serving daemon) reaches the engines as whole
+    epoch rows — row [l] holds each thread's epoch-[l] block.  This module
+    drives the same analysis over that stream: {!Make.feed_row} runs
+    pass 1 over the new row on the calling domain, then pass 2 of epoch
+    [l-1], whose trailing row has now arrived (the butterfly needs the
+    tail's summaries); SOS{_l+1} is committed right after.  Only a
+    constant number of epochs of state is ever resident — the point of
+    the sliding window — and {!Make.max_resident_epochs} exposes the
+    high-water mark (four rows, [l-3 .. l], just before epoch [l-1] is
+    processed) so tests can verify boundedness.
 
-    {b Parallel mode.}  Passing a {!Domain_pool.t} to {!create} dispatches
-    the per-block work to the pool, exploiting exactly the structure the
-    paper identifies (§4.3): pass-1 summaries are per-block-local, so each
-    runs on a worker the moment its heartbeat lands, while the master keeps
-    ingesting events; pass-2 per-thread work reads only the (by then
-    frozen) wing summaries and SOS, so one task per thread fans out when a
-    window closes.  The master remains the single writer of SOS and epoch
-    summaries, and re-serializes buffered views so [on_instr] observes the
-    same epoch-major / thread-minor / instruction-order sequence as the
-    sequential path.
+    {b Pass 2} goes through {!pass2_epoch}, the one per-epoch fan-out in
+    the tree: one task per thread computes the meet, the LSOS and the
+    body's views from frozen inputs.  With a {!Domain_pool.t} the tasks
+    run on the pool and buffer their views, which the master hands to
+    [on_instr] in tid order at each task's commit; without one, each
+    task runs on the master right before its commit and hands its views
+    over as it makes them.  The master remains the single writer of SOS
+    and epoch summaries, so [on_instr] observes the same epoch-major /
+    thread-minor / instruction-order sequence in both modes.
 
     The per-instruction views delivered to [on_instr] are identical to the
     batch driver's in both modes (the equivalence is property-tested over
@@ -37,33 +39,38 @@ module Make (P : Dataflow.PROBLEM) : sig
     on_instr:(D.instr_view -> unit) ->
     unit ->
     t
-  (** With [pool], pass 1 and pass 2 run as pool tasks (see above).  The
-      scheduler does not own the pool: the caller shuts it down.  All
-      [feed]/[finish] calls must come from the same domain that created
-      the scheduler (the master). *)
+  (** With [pool], each epoch's pass 2 runs as pool tasks (see above).
+      The scheduler does not own the pool: the caller shuts it down.  All
+      [feed_row]/[finish] calls must come from the same domain that
+      created the scheduler (the master). *)
 
-  val feed : t -> Tracing.Tid.t -> Tracing.Event.t -> unit
-  (** Deliver the next event of one thread's stream.  Heartbeats close the
-      thread's current block; any pass-2 work whose window is now complete
-      runs before [feed] returns.  Raises [Invalid_argument] after
-      {!finish} or for an out-of-range thread. *)
-
-  val feed_trace : t -> Tracing.Tid.t -> Tracing.Trace.t -> unit
+  val feed_row : t -> Tracing.Instr.t array array -> unit
+  (** Deliver the next epoch row, indexed by tid: pass 1 summarizes it,
+      then pass 2 of the previous epoch runs and its views reach
+      [on_instr] before [feed_row] returns.  Raises [Invalid_argument]
+      after {!finish} or for a row whose width is not [threads]. *)
 
   val finish : t -> unit
-  (** End of all streams: closes trailing partial blocks (padding threads
-      to a common epoch count) and drains the remaining window; afterwards
-      the pool holds no work for this scheduler.  Idempotent. *)
+  (** End of the execution: runs pass 2 of the last epoch (its trailing
+      row is empty).  An empty feed still owns one (empty) epoch, as in
+      {!Epochs.of_program}.  Idempotent. *)
 
   val run_epochs :
     ?pool:Domain_pool.t ->
     on_instr:(D.instr_view -> unit) ->
     Epochs.t ->
     t
-  (** Convenience driver: replays a complete epoch grid through the
-      sliding window (epoch-major feed, one heartbeat per interior block
-      boundary) and {!finish}es.  The resulting view sequence and SOS
-      match the batch driver's on the same grid. *)
+  (** Convenience driver: {!create}, feed every row of the grid
+      ({!Epochs.iter_rows}), {!finish}.  The resulting view sequence and
+      SOS match the batch driver's on the same grid. *)
+
+  val threads : t -> int
+
+  val summary_row : t -> int -> D.block_summary array
+  (** [summary_row t l] is the pass-1 summary row of epoch [l] while the
+      window holds it: from row [epochs_completed t - 2] up to the last
+      row fed.  Rows outside the execution read as empty summaries.
+      Raises [Invalid_argument] for a row the window has retired. *)
 
   val sos : t -> D.Set.t
   (** The most recently committed strongly ordered state. *)
@@ -77,22 +84,21 @@ module Make (P : Dataflow.PROBLEM) : sig
       [on_instr]. *)
 
   val max_resident_epochs : t -> int
-  (** High-water mark of epochs simultaneously buffered. *)
+  (** High-water mark of summary rows simultaneously resident. *)
 
   (** {2 Checkpointing}
 
       The durable state of a scheduler is exactly its bounded sliding
-      window — open per-thread buffers, closed-block counts, the resident
-      summary/block/epoch-summary rows, the SOS levels and the cursor
-      counters.  {!encode_state} serializes it (resolving any in-flight
-      pooled pass-1 work first, so snapshots are self-contained);
-      {!decode_state} rebuilds a live scheduler that continues exactly
-      where the snapshot left off: feeding the remaining events produces
-      the same [on_instr] view sequence and SOS history as an
-      uninterrupted run (property-tested in [test/test_recovery.ml]).
-      The fact-set representation is problem-specific, so the caller
-      supplies its codec; the payload carries no framing — wrap it in a
-      {!Tracing.Binio.frame} (as [lib/recovery] does) before persisting. *)
+      window — the resident summary rows (each carrying its block's
+      instructions), the epoch summaries, the SOS levels and the cursor
+      counters.  {!encode_state} serializes it; {!decode_state} rebuilds a
+      live scheduler that continues exactly where the snapshot left off:
+      feeding the remaining rows produces the same [on_instr] view
+      sequence and SOS history as an uninterrupted run (property-tested
+      in [test/test_recovery.ml]).  The fact-set representation is
+      problem-specific, so the caller supplies its codec; the payload
+      carries no framing — wrap it in a {!Tracing.Binio.frame} (as
+      [lib/recovery] does) before persisting. *)
 
   type set_codec = {
     put_set : Tracing.Binio.W.t -> D.Set.t -> unit;
@@ -107,20 +113,22 @@ module Make (P : Dataflow.PROBLEM) : sig
     on_instr:(D.instr_view -> unit) ->
     string ->
     t
-  (** Raises {!Tracing.Binio.R.Corrupt} on a malformed payload.  [pool]
+  (** Raises {!Tracing.Binio.R.Corrupt} on a malformed payload, including
+      a summary row whose width disagrees with the thread count.  [pool]
       and [on_instr] are the transient plumbing re-supplied on restore;
       they play the same roles as in {!create}. *)
 end
 
 (** Pass 2 of one epoch, fanned out per thread.
 
-    The epoch-incremental lifeguard engines outside {!Dataflow.PROBLEM}
-    (TaintCheck's window-wide transfer-function chase, RaceCheck's
-    happens-before checks) process one epoch at a time once its trailing
-    wing has arrived.  Every block of that epoch reads only frozen
-    inputs — pass-1 facts of epochs [l-1 .. l+1] and the cross-block
-    state the master sealed after committing epoch [l-1] — so the
-    blocks are independent (Lemma 5.2).
+    Every epoch-incremental engine runs pass 2 through this function:
+    {!Make} for the {!Dataflow.PROBLEM} lifeguards (AddrCheck,
+    InitCheck), and the engines outside it (TaintCheck's window-wide
+    transfer-function chase, RaceCheck's happens-before checks).  They
+    process one epoch at a time once its trailing wing has arrived.
+    Every block of that epoch reads only frozen inputs — pass-1 facts of
+    epochs [l-1 .. l+1] and the cross-block state the master sealed after
+    committing epoch [l-1] — so the blocks are independent (Lemma 5.2).
 
     [pass2_epoch ?pool ~threads ~pass2 ~commit2 l] runs
     [pass2 ~epoch:l ~tid] for every [tid] in [0 .. threads-1] — inline

@@ -220,16 +220,14 @@ let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
    dataflow window; what AddrCheck adds on top is the isolation check.
    The key locality fact (Section 6.1): the violation set of block
    (l, t) reads state-change/access footprints of rows l-1..l+1 only,
-   and the scheduler processes epoch l only once row l+1 is closed — so
-   violation rows can be materialized lazily, and row footprints older
-   than the window pruned. *)
+   and the scheduler runs pass 2 of epoch l only once row l+1 is
+   summarized — so violation rows can be materialized lazily, and access
+   footprints older than the window pruned.  State changes (GEN ∪ KILL)
+   come straight from the window's pass-1 summaries. *)
 
 module Resumable = struct
   (* Fact sets are serialized as canonical interval lists. *)
   let set_codec = { S.put_set = Lg_io.put_is; get_set = Lg_io.get_is }
-
-  (* Per-row, per-tid footprints feeding the isolation check. *)
-  type row_facts = { sc : IS.t array;  (* GEN ∪ KILL *) ac : IS.t array }
 
   type state = {
     sched : S.t;
@@ -240,16 +238,16 @@ module Resumable = struct
     flagged : int ref;
     total : int ref;
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
-    facts : (int, row_facts) Hashtbl.t; (* sliding window, pruned *)
+    access : (int, IS.t array) Hashtbl.t; (* sliding window, pruned *)
     viol : (int, IS.t array) Hashtbl.t; (* lazy violation rows *)
     mutable finalized : int; (* rows 0..finalized-1 emitted block errors *)
     mutable epochs_fed : int;
   }
 
-  (* Rows absent from [facts] (before epoch 0, or past the last row fed)
-     contribute empty footprints: the grid is empty outside the
-     execution. *)
-  let violation_row ~threads ~isolation ~facts ~viol l =
+  (* Rows absent from [access] (before epoch 0, or past the last row fed)
+     contribute empty footprints, as the window's summaries do: the grid
+     is empty outside the execution. *)
+  let violation_row ~threads ~isolation ~sched ~access ~viol l =
     match Hashtbl.find_opt viol l with
     | Some v -> v
     | None ->
@@ -258,23 +256,27 @@ module Resumable = struct
         else
           Obs.Scope.with_scope ~epoch:l ~phase:"isolation" @@ fun () ->
           Obs.Span.time sp_isolation (fun () ->
-              let sc l' t' =
-                match Hashtbl.find_opt facts l' with
-                | Some f -> f.sc.(t')
-                | None -> IS.empty
-              and ac l' t' =
-                match Hashtbl.find_opt facts l' with
-                | Some f -> f.ac.(t')
-                | None -> IS.empty
+              (* Rows l-1 .. l+1, indexed by l' - l + 1. *)
+              let sc =
+                Array.init 3 (fun i ->
+                    Array.map
+                      (fun (s : A.block_summary) ->
+                        IS.union s.gen_union s.kill_union)
+                      (S.summary_row sched (l - 1 + i)))
+              and ac =
+                Array.init 3 (fun i ->
+                    match Hashtbl.find_opt access (l - 1 + i) with
+                    | Some row -> row
+                    | None -> Array.make threads IS.empty)
               in
               Array.init threads (fun tid ->
-                  let s_change = sc l tid and s_access = ac l tid in
+                  let s_change = sc.(1).(tid) and s_access = ac.(1).(tid) in
                   let wing_change = ref [] and wing_access = ref [] in
-                  for l' = l - 1 to l + 1 do
+                  for i = 0 to 2 do
                     for t' = 0 to threads - 1 do
                       if t' <> tid then (
-                        wing_change := sc l' t' :: !wing_change;
-                        wing_access := ac l' t' :: !wing_access)
+                        wing_change := sc.(i).(t') :: !wing_change;
+                        wing_access := ac.(i).(t') :: !wing_access)
                     done
                   done;
                   (* (∪w) ∩ x distributed as ∪(w ∩ x): state changes
@@ -293,8 +295,8 @@ module Resumable = struct
       Hashtbl.replace viol l v;
       v
 
-  let make_state ?pool ~isolation ~threads ~instr_errors ~block_errors
-      ~flagged ~total ~stats ~facts ~finalized ~epochs_fed ~sched_of () =
+  let make_state ~isolation ~threads ~instr_errors ~block_errors ~flagged
+      ~total ~stats ~access ~finalized ~epochs_fed ~sched_of =
     let viol = Hashtbl.create 8 in
     let bump tid l f =
       let row =
@@ -307,15 +309,17 @@ module Resumable = struct
       in
       row.(tid) <- f row.(tid)
     in
-    let violation_of l tid =
-      (violation_row ~threads ~isolation ~facts ~viol l).(tid)
+    (* [on_instr] runs inside the scheduler it is handed to and reads
+       that scheduler's summary rows, hence the knot. *)
+    let rec sched = lazy (sched_of on_instr)
+    and on_instr v =
+      make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total v
+    and violation_of l tid =
+      (violation_row ~threads ~isolation ~sched:(Lazy.force sched) ~access
+         ~viol l).(tid)
     in
-    let on_instr =
-      make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
-    in
-    let sched = sched_of ?pool ~on_instr () in
     {
-      sched;
+      sched = Lazy.force sched;
       threads;
       isolation;
       instr_errors;
@@ -323,7 +327,7 @@ module Resumable = struct
       flagged;
       total;
       stats;
-      facts;
+      access;
       viol;
       finalized;
       epochs_fed;
@@ -332,25 +336,23 @@ module Resumable = struct
   let create ?pool ?(isolation = true) ~threads () =
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    make_state ?pool ~isolation ~threads ~instr_errors:(ref [])
-      ~block_errors:[] ~flagged:(ref 0) ~total:(ref 0)
-      ~stats:(Hashtbl.create 64) ~facts:(Hashtbl.create 8) ~finalized:0
-      ~epochs_fed:0
-      ~sched_of:(fun ?pool ~on_instr () ->
-        S.create ?pool ~threads ~on_instr ())
-      ()
+    make_state ~isolation ~threads ~instr_errors:(ref []) ~block_errors:[]
+      ~flagged:(ref 0) ~total:(ref 0) ~stats:(Hashtbl.create 64)
+      ~access:(Hashtbl.create 8) ~finalized:0 ~epochs_fed:0
+      ~sched_of:(fun on_instr -> S.create ?pool ~threads ~on_instr ())
 
+  let threads st = st.threads
   let epochs_fed st = st.epochs_fed
 
-  (* Violation row [e] is final once row [e+1] is closed; emit its
-     block-level errors and retire footprint rows the window has passed
+  (* Violation row [e] is final once row [e+1] is summarized; emit its
+     block-level errors and retire access rows the window has passed
      (rows < e are never read again). *)
   let finalize_rows st ~upto =
     while st.finalized <= upto do
       let l = st.finalized in
       let v =
         violation_row ~threads:st.threads ~isolation:st.isolation
-          ~facts:st.facts ~viol:st.viol l
+          ~sched:st.sched ~access:st.access ~viol:st.viol l
       in
       for tid = 0 to st.threads - 1 do
         if not (IS.is_empty v.(tid)) then (
@@ -364,55 +366,30 @@ module Resumable = struct
             :: st.block_errors)
       done;
       Hashtbl.remove st.viol l;
-      if l > 0 then Hashtbl.remove st.facts (l - 1);
+      if l > 0 then Hashtbl.remove st.access (l - 1);
       st.finalized <- l + 1
     done
 
-  let record_facts st row =
-    let epoch = st.epochs_fed in
-    let sc =
-      Array.mapi
-        (fun tid instrs ->
-          let s = A.summarize (Butterfly.Block.make ~epoch ~tid instrs) in
-          IS.union s.A.gen_union s.A.kill_union)
-        row
-    and ac =
-      Array.mapi
-        (fun tid instrs ->
-          access_set (Butterfly.Block.make ~epoch ~tid instrs))
-        row
-    in
-    Hashtbl.replace st.facts epoch { sc; ac }
-
-  (* Heartbeats go out as separators, not terminators (see
-     {!Initcheck.Resumable.feed_epoch}).  The separator heartbeats close
-     row m-1, which lets the scheduler process epoch m-2 — whose
-     violation row draws on footprints m-3..m-1, all recorded — and then
-     lets us finalize that same row's block-level errors. *)
+  (* Row [l]'s access footprints go in before [S.feed_row] runs pass 2
+     of epoch l-1, whose violation row reads them; that same pass leaves
+     violation row l-1 final. *)
   let feed_epoch st row =
     if Array.length row <> st.threads then
       invalid_arg "Addrcheck.Resumable.feed_epoch: wrong row width";
-    if st.epochs_fed > 0 then
-      for tid = 0 to st.threads - 1 do
-        S.feed st.sched tid Tracing.Event.Heartbeat
-      done;
-    finalize_rows st ~upto:(st.epochs_fed - 2);
-    record_facts st row;
-    Array.iteri
-      (fun tid instrs ->
-        Array.iter
-          (fun i -> S.feed st.sched tid (Tracing.Event.Instr i))
-          instrs)
-      row;
-    st.epochs_fed <- st.epochs_fed + 1
+    let epoch = st.epochs_fed in
+    Hashtbl.replace st.access epoch
+      (Array.mapi
+         (fun tid instrs ->
+           access_set (Butterfly.Block.make ~epoch ~tid instrs))
+         row);
+    S.feed_row st.sched row;
+    st.epochs_fed <- epoch + 1;
+    finalize_rows st ~upto:(epoch - 1)
 
   let finish st =
-    (* An empty program still owns one (empty) epoch — mirror
-       [Epochs.of_program]. *)
-    if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
     S.finish st.sched;
-    finalize_rows st ~upto:(st.epochs_fed - 1);
-    let num_l = st.epochs_fed in
+    let num_l = S.epochs_completed st.sched in
+    finalize_rows st ~upto:(num_l - 1);
     let sos_levels = S.sos_history st.sched in
     let stats =
       Array.init st.threads (fun tid ->
@@ -450,11 +427,10 @@ module Resumable = struct
         W.array w put_stats row)
       (Lg_io.sorted_entries st.stats);
     W.list w
-      (fun w (epoch, f) ->
+      (fun w (epoch, row) ->
         W.varint w epoch;
-        W.array w Lg_io.put_is f.sc;
-        W.array w Lg_io.put_is f.ac)
-      (Lg_io.sorted_entries st.facts);
+        W.array w Lg_io.put_is row)
+      (Lg_io.sorted_entries st.access);
     W.string w (S.encode_state ~set:set_codec st.sched);
     W.contents w
 
@@ -479,23 +455,24 @@ module Resumable = struct
             raise (R.Corrupt "stats row width mismatch");
           Hashtbl.replace stats epoch row)
       |> ignore;
-      let facts = Hashtbl.create 8 in
+      let access = Hashtbl.create 8 in
       R.list r (fun r ->
           let epoch = R.varint r in
-          let sc = R.array r Lg_io.get_is in
-          let ac = R.array r Lg_io.get_is in
-          if Array.length sc <> threads || Array.length ac <> threads then
-            raise (R.Corrupt "facts row width mismatch");
-          Hashtbl.replace facts epoch { sc; ac })
+          let row = R.array r Lg_io.get_is in
+          if Array.length row <> threads then
+            raise (R.Corrupt "access row width mismatch");
+          Hashtbl.replace access epoch row)
       |> ignore;
       let sched_payload = R.string r in
       R.expect_end r;
-      make_state ?pool ~isolation ~threads ~instr_errors ~block_errors
-        ~flagged ~total ~stats ~facts ~finalized ~epochs_fed
-        ~sched_of:(fun ?pool ~on_instr () ->
-          S.decode_state ~set:set_codec ?pool ~on_instr
-            sched_payload)
-        ()
+      make_state ~isolation ~threads ~instr_errors ~block_errors ~flagged
+        ~total ~stats ~access ~finalized ~epochs_fed ~sched_of:(fun on_instr ->
+          let sched =
+            S.decode_state ~set:set_codec ?pool ~on_instr sched_payload
+          in
+          if S.threads sched <> threads then
+            raise (R.Corrupt "thread count disagrees with the window's");
+          sched)
     with
     | st -> Ok st
     | exception R.Corrupt m -> Error ("addrcheck state: " ^ m)

@@ -55,8 +55,8 @@ val run :
     [run] is the {!Resumable} engine fed every row of the grid
     ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs the
     engine's streaming scheduler on the caller's {!Butterfly.Domain_pool}
-    (pass 1 and pass 2 as pool tasks); the pool may be reused across
-    calls and the caller shuts it down.  The report is identical either
+    (each epoch's pass 2 fans out as one task per thread); the pool may
+    be reused across calls and the caller shuts it down.  The report is identical either
     way — property-tested and continuously fuzzed ([lib/qa],
     [test/test_engine.ml]). *)
 
@@ -75,9 +75,11 @@ val fingerprint : report -> string
     can be serialized with {!Resumable.encode} and later revived with
     {!Resumable.decode}, and the resumed run's {!Resumable.finish} report
     is byte-identical to an uninterrupted run's (see [test_recovery]).
-    The isolation check reads a sliding window of per-row footprints,
-    finalized and pruned as the wing passes each row.  The payload is raw — [lib/recovery] wraps
-    it in a versioned, CRC-guarded envelope. *)
+    The isolation check reads a sliding window of per-row access
+    footprints, finalized and pruned as the wing passes each row, and
+    takes each block's state changes from the row window's pass-1
+    summaries.  The payload is raw — [lib/recovery] wraps it in a
+    versioned, CRC-guarded envelope. *)
 module Resumable : sig
   type state
 
@@ -91,6 +93,7 @@ module Resumable : sig
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One epoch row, indexed by tid; width must equal [threads]. *)
 
+  val threads : state -> int
   val epochs_fed : state -> int
 
   val finish : state -> report

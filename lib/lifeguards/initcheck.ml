@@ -101,31 +101,16 @@ module Resumable = struct
       epochs_fed = 0;
     }
 
+  let threads st = st.threads
   let epochs_fed st = st.epochs_fed
 
-  (* Heartbeats go out as separators, not terminators: the engine cannot
-     know which epoch is the last one, and [S.finish] closes the final
-     (still open) blocks exactly like [run_epochs] does — keeping the
-     epoch count identical to the grid's. *)
+  (* Pass 2 of the previous epoch runs inside [S.feed_row]: its views
+     reach the check above before this returns. *)
   let feed_epoch st row =
-    if Array.length row <> st.threads then
-      invalid_arg "Initcheck.Resumable.feed_epoch: wrong row width";
-    if st.epochs_fed > 0 then
-      for tid = 0 to st.threads - 1 do
-        S.feed st.sched tid Tracing.Event.Heartbeat
-      done;
-    Array.iteri
-      (fun tid instrs ->
-        Array.iter
-          (fun i -> S.feed st.sched tid (Tracing.Event.Instr i))
-          instrs)
-      row;
+    S.feed_row st.sched row;
     st.epochs_fed <- st.epochs_fed + 1
 
   let finish st =
-    (* An empty program still owns one (empty) epoch — mirror
-       [Epochs.of_program]. *)
-    if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
     S.finish st.sched;
     let sos_levels = S.sos_history st.sched in
     if Obs.enabled () then
@@ -175,6 +160,8 @@ module Resumable = struct
       let sched =
         S.decode_state ~set:set_codec ?pool ~on_instr sched_payload
       in
+      if S.threads sched <> threads then
+        raise (R.Corrupt "thread count disagrees with the window's");
       { sched; threads; errors; flagged; total; epochs_fed }
     with
     | st -> Ok st

@@ -56,6 +56,7 @@ module Resumable : sig
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One epoch row, indexed by tid; width must equal [threads]. *)
 
+  val threads : state -> int
   val epochs_fed : state -> int
 
   val finish : state -> report

@@ -81,6 +81,7 @@ module Resumable : sig
   val feed_epoch : state -> Tracing.Instr.t array array -> unit
   (** One grid row, [threads] wide; raises [Invalid_argument] otherwise. *)
 
+  val threads : state -> int
   val epochs_fed : state -> int
 
   val finish : state -> report

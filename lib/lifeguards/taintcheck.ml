@@ -414,6 +414,7 @@ module Resumable = struct
       epochs_fed = 0;
     }
 
+  let threads st = st.threads
   let epochs_fed st = st.epochs_fed
 
   let advance_sos st l =

@@ -10,6 +10,7 @@ type ('s, 'r) ops = {
   tag : Snapshot.lifeguard;
   create : threads:int -> 's;
   feed : 's -> Tracing.Instr.t array array -> unit;
+  threads : 's -> int;
   fed : 's -> int;
   finish : 's -> 'r;
   enc : 's -> string;
@@ -24,6 +25,7 @@ let addr_ops ?pool ?isolation () =
     tag = Snapshot.Addrcheck;
     create = (fun ~threads -> AC.Resumable.create ?pool ?isolation ~threads ());
     feed = AC.Resumable.feed_epoch;
+    threads = AC.Resumable.threads;
     fed = AC.Resumable.epochs_fed;
     finish = AC.Resumable.finish;
     enc = AC.Resumable.encode;
@@ -36,6 +38,7 @@ let init_ops ?pool () =
     tag = Snapshot.Initcheck;
     create = (fun ~threads -> IC.Resumable.create ?pool ~threads ());
     feed = IC.Resumable.feed_epoch;
+    threads = IC.Resumable.threads;
     fed = IC.Resumable.epochs_fed;
     finish = IC.Resumable.finish;
     enc = IC.Resumable.encode;
@@ -50,6 +53,7 @@ let taint_ops ?pool ?sequential ?two_phase () =
       (fun ~threads ->
         TC.Resumable.create ?pool ?sequential ?two_phase ~threads ());
     feed = TC.Resumable.feed_epoch;
+    threads = TC.Resumable.threads;
     fed = TC.Resumable.epochs_fed;
     finish = TC.Resumable.finish;
     enc = TC.Resumable.encode;
@@ -62,6 +66,7 @@ let race_ops ?pool () =
     tag = Snapshot.Racecheck;
     create = (fun ~threads -> RC.Resumable.create ?pool ~threads ());
     feed = RC.Resumable.feed_epoch;
+    threads = RC.Resumable.threads;
     fed = RC.Resumable.epochs_fed;
     finish = RC.Resumable.finish;
     enc = RC.Resumable.encode;
@@ -154,6 +159,10 @@ let revive_within ?num_rows ops ~path ~threads =
             Error
               "corrupt checkpoint payload: header and payload disagree on \
                epoch"
+          else if ops.threads st <> threads then
+            Error
+              "corrupt checkpoint payload: header and payload disagree on \
+               threads"
           else Ok (st, next)))
 
 let revive ops ~path ~threads = revive_within ops ~path ~threads

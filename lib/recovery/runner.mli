@@ -23,6 +23,7 @@ type ('s, 'r) ops = {
   tag : Snapshot.lifeguard;
   create : threads:int -> 's;
   feed : 's -> Tracing.Instr.t array array -> unit;
+  threads : 's -> int;
   fed : 's -> int;
   finish : 's -> 'r;
   enc : 's -> string;
@@ -101,7 +102,8 @@ val revive :
     ["checkpoint is for LIFEGUARD, not LIFEGUARD"];
     ["checkpoint has N threads, trace has M"];
     ["corrupt checkpoint payload: _"], including
-    ["corrupt checkpoint payload: header and payload disagree on epoch"]. *)
+    ["corrupt checkpoint payload: header and payload disagree on epoch"]
+    and ["... on threads"]. *)
 
 val resume :
   ('s, 'r) ops ->

@@ -12,7 +12,8 @@ let lifeguard_to_string = function
 type meta = { lifeguard : lifeguard; next_epoch : int; threads : int }
 
 let magic = "BFLYCKPT"
-let version = 1
+(* Bumped whenever an engine payload changes shape. *)
+let version = 2
 
 let encode meta payload =
   let w = W.create () in

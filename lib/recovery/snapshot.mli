@@ -25,6 +25,8 @@ val magic : string
 (** ["BFLYCKPT"]. *)
 
 val version : int
+(** The format-version byte; {!decode} refuses any other with
+    ["unsupported format version N (expected M)"]. *)
 
 val encode : meta -> string -> string
 (** [encode meta payload] is the complete framed snapshot. *)

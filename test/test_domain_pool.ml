@@ -1,6 +1,6 @@
-(* Domain pool: the bounded worker pool both parallel drivers run on.
-   The contract under test: results come back in submission order no
-   matter which worker ran what, exceptions surface at [await], submit
+(* Domain pool: the bounded worker pool the per-epoch pass-2 fan-out
+   runs on.  The contract under test: results come back in submission
+   order no matter which worker ran what, exceptions surface at [await], submit
    blocks (rather than drops) when a queue fills, and pool width never
    exceeds the hardware's recommended domain count. *)
 
@@ -9,24 +9,30 @@ module Pool = Butterfly.Domain_pool
 let with_pool ?queue_capacity ~domains f =
   Pool.with_pool ?queue_capacity ~name:"test" ~domains f
 
-let map_array_order =
-  Alcotest.test_case "map_array preserves index order" `Quick (fun () ->
+(* The batch discipline of [Scheduler.pass2_epoch]: submit every task in
+   index order, then await the futures in index order. *)
+let map_async pool f arr =
+  Array.map (fun x -> Pool.async pool (fun () -> f x)) arr
+  |> Array.map Pool.await
+
+let async_order =
+  Alcotest.test_case "awaiting in submission order preserves index order" `Quick (fun () ->
       with_pool ~domains:4 (fun pool ->
           let input = Array.init 257 (fun i -> i) in
-          let out = Pool.map_array pool (fun i -> i * i) input in
+          let out = map_async pool (fun i -> i * i) input in
           Alcotest.(check (array int))
             "squares in order"
             (Array.map (fun i -> i * i) input)
             out))
 
-let map_array_deterministic =
-  Alcotest.test_case "map_array is deterministic under timing jitter" `Quick
+let async_deterministic =
+  Alcotest.test_case "async/await is deterministic under timing jitter" `Quick
     (fun () ->
       (* Jittered task durations shuffle completion order; collection
          order must not move with it. *)
       let run () =
         with_pool ~domains:3 (fun pool ->
-            Pool.map_array pool
+            map_async pool
               (fun i ->
                 if i land 3 = 0 then Unix.sleepf 0.0005;
                 i * 2)
@@ -34,12 +40,12 @@ let map_array_deterministic =
       in
       Alcotest.(check (array int)) "same output" (run ()) (run ()))
 
-let map_array_empty =
-  Alcotest.test_case "map_array on the empty array" `Quick (fun () ->
+let async_empty =
+  Alcotest.test_case "the empty batch submits nothing" `Quick (fun () ->
       with_pool ~domains:2 (fun pool ->
           Alcotest.(check (array int))
             "empty" [||]
-            (Pool.map_array pool (fun i -> i) [||])))
+            (map_async pool (fun i -> i) [||])))
 
 let single_worker =
   Alcotest.test_case "pool of size 1 serializes but completes everything"
@@ -48,9 +54,9 @@ let single_worker =
           Alcotest.(check int) "size" 1 (Pool.size pool);
           let input = Array.init 100 (fun i -> i) in
           Alcotest.(check (array int))
-            "map_array in order"
+            "batch in order"
             (Array.map (fun i -> i + 1) input)
-            (Pool.map_array pool (fun i -> i + 1) input);
+            (map_async pool (fun i -> i + 1) input);
           (* Interleaved async/await cycles on the single worker: each
              future must resolve even though every task shares one queue. *)
           for k = 0 to 9 do
@@ -74,12 +80,12 @@ let exception_propagation =
           Alcotest.(check int) "still alive" 7
             (Pool.await (Pool.async pool (fun () -> 7)))))
 
-let exception_in_map_array =
-  Alcotest.test_case "map_array re-raises and leaves the pool reusable"
+let exception_in_batch =
+  Alcotest.test_case "a failed batch re-raises and leaves the pool reusable"
     `Quick (fun () ->
       with_pool ~domains:2 (fun pool ->
           (match
-             Pool.map_array pool
+             map_async pool
                (fun i -> if i = 5 then raise (Boom i) else i)
                (Array.init 16 (fun i -> i))
            with
@@ -87,11 +93,11 @@ let exception_in_map_array =
           | exception e ->
             Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
           | _ -> Alcotest.fail "expected Boom");
-          (* Every task of the failed batch has drained; the pool keeps
-             serving both entry points afterwards. *)
+          (* The failed batch's remaining tasks drain behind it; the pool
+             keeps serving batches and single tasks afterwards. *)
           Alcotest.(check (array int))
-            "pool reusable for map_array" [| 0; 2; 4 |]
-            (Pool.map_array pool (fun i -> 2 * i) [| 0; 1; 2 |]);
+            "pool reusable for a batch" [| 0; 2; 4 |]
+            (map_async pool (fun i -> 2 * i) [| 0; 1; 2 |]);
           Alcotest.(check int) "pool reusable for async" 9
             (Pool.await (Pool.async pool (fun () -> 9)))))
 
@@ -116,7 +122,7 @@ let backpressure =
           let n = 50 in
           let hits = Atomic.make 0 in
           let out =
-            Pool.map_array pool
+            map_async pool
               (fun i ->
                 if i land 7 = 0 then Unix.sleepf 0.001;
                 Atomic.incr hits;
@@ -148,16 +154,16 @@ let shutdown_idempotent =
       (match Pool.async pool (fun () -> 0) with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "expected Invalid_argument after shutdown");
-      (* Same for the batch entry point: tasks submitted after teardown
-         must be rejected, not silently dropped. *)
-      (match Pool.map_array pool (fun i -> i) [| 1; 2; 3 |] with
+      (* Same for a batch: tasks submitted after teardown must be
+         rejected, not silently dropped. *)
+      (match map_async pool (fun i -> i) [| 1; 2; 3 |] with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "expected Invalid_argument after shutdown");
-      (* The empty batch submits nothing, so it is the one map_array call
-         that still succeeds on a dead pool. *)
+      (* The empty batch submits nothing, so it is the one batch that
+         still succeeds on a dead pool. *)
       Alcotest.(check (array int))
-        "empty map_array is submission-free" [||]
-        (Pool.map_array pool (fun i -> i) [||]);
+        "empty batch is submission-free" [||]
+        (map_async pool (fun i -> i) [||]);
       (* Futures resolved before teardown remain readable after it. *)
       let pool2 = Pool.create ~name:"test" ~domains:1 () in
       let fut = Pool.async pool2 (fun () -> 11) in
@@ -171,8 +177,8 @@ let () =
     [
       ( "pool",
         [
-          map_array_order; map_array_deterministic; map_array_empty;
-          single_worker; exception_propagation; exception_in_map_array;
+          async_order; async_deterministic; async_empty;
+          single_worker; exception_propagation; exception_in_batch;
           exception_on_single_worker; backpressure; size_capped;
           shutdown_idempotent;
         ] );

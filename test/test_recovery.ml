@@ -9,8 +9,8 @@
      fingerprint byte-identical to the uninterrupted run, across
      sequential and pooled drivers and every TaintCheck variant;
    - the scheduler itself ([Scheduler.Make(P).encode_state]): same
-     resume-equivalence at the raw event level, for a May and a Must
-     problem, including cuts in the middle of a block. *)
+     resume-equivalence at every row boundary, for a May and a Must
+     problem. *)
 
 module IS = Butterfly.Interval_set
 module Binio = Tracing.Binio
@@ -334,7 +334,7 @@ let resume_prop e (seed, cut_bias) =
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler-level checkpointing: May and Must synthetic problems, with
-   cuts at arbitrary event positions (including mid-block).             *)
+   cuts at arbitrary row boundaries.                                    *)
 
 module May_problem = struct
   let name = "syn-may"
@@ -364,26 +364,6 @@ end
 module SMay = Butterfly.Scheduler.Make (May_problem)
 module SMust = Butterfly.Scheduler.Make (Must_problem)
 
-let events_of_grid grid =
-  let epochs = Qa.Grid.epochs grid in
-  let rows = rows_of_epochs epochs in
-  let threads = Butterfly.Epochs.threads epochs in
-  let evs = ref [] in
-  Array.iteri
-    (fun i row ->
-      if i > 0 then
-        for tid = 0 to threads - 1 do
-          evs := (tid, Tracing.Event.Heartbeat) :: !evs
-        done;
-      Array.iteri
-        (fun tid instrs ->
-          Array.iter
-            (fun ins -> evs := (tid, Tracing.Event.Instr ins) :: !evs)
-            instrs)
-        row)
-    rows;
-  (threads, List.rev !evs)
-
 let scheduler_resume_prop
     (module P : Butterfly.Dataflow.PROBLEM with type Set.t = IS.t)
     (seed, cut_bias) =
@@ -395,11 +375,13 @@ let scheduler_resume_prop
     Format.asprintf "%a|%a|%a|%a" Butterfly.Instr_id.pp v.id IS.pp v.in_before
       IS.pp v.lsos_before IS.pp v.side_in
   in
-  let threads, events = events_of_grid grid in
+  let epochs = Qa.Grid.epochs grid in
+  let rows = rows_of_epochs epochs in
+  let threads = Butterfly.Epochs.threads epochs in
   let run_full () =
     let log = ref [] in
     let s = S.create ~threads ~on_instr:(fun v -> log := view_sig v :: !log) () in
-    List.iter (fun (tid, ev) -> S.feed s tid ev) events;
+    Array.iter (S.feed_row s) rows;
     S.finish s;
     (List.rev !log, S.sos_history s)
   in
@@ -407,15 +389,15 @@ let scheduler_resume_prop
     let log = ref [] in
     let on_instr v = log := view_sig v :: !log in
     let s = S.create ~threads ~on_instr () in
-    List.iteri (fun i (tid, ev) -> if i < cut then S.feed s tid ev) events;
+    Array.iteri (fun i row -> if i < cut then S.feed_row s row) rows;
     let payload = S.encode_state ~set s in
     let s' = S.decode_state ~set ~on_instr payload in
-    List.iteri (fun i (tid, ev) -> if i >= cut then S.feed s' tid ev) events;
+    Array.iteri (fun i row -> if i >= cut then S.feed_row s' row) rows;
     S.finish s';
     (List.rev !log, S.sos_history s')
   in
   let full_log, full_sos = run_full () in
-  let cut = cut_bias mod (List.length events + 1) in
+  let cut = cut_bias mod (Array.length rows + 1) in
   let cut_log, cut_sos = run_cut cut in
   full_log = cut_log
   && Array.length full_sos = Array.length cut_sos
@@ -597,6 +579,54 @@ let runner_rejections () =
           && String.sub m 0 26 = "corrupt checkpoint payload")
       | Ok _ -> Alcotest.fail "corrupt payload accepted"))
 
+(* A payload whose thread count disagrees with its header, or whose
+   engine disagrees with its own window, is a corrupt payload: revive
+   reports it as such instead of handing back an engine whose next
+   [feed_epoch] raises. *)
+let thread_skew_case tag () =
+  let (Runner.Packed ops) = Runner.ops_of tag in
+  let lg = Snapshot.lifeguard_to_string tag in
+  let revive ~header_threads payload st =
+    with_snap_file (fun path ->
+        ignore
+          (Snapshot.write_file ~path
+             { Snapshot.lifeguard = tag; next_epoch = ops.Runner.fed st;
+               threads = header_threads }
+             payload);
+        match Runner.revive ops ~path ~threads:header_threads with
+        | Ok _ -> Alcotest.failf "%s: thread skew accepted" lg
+        | Error m -> m)
+  in
+  let row = [| [| Tracing.Instr.Malloc { base = 0x100; size = 8 } |]; [||] |] in
+  (* Payload narrower than its header. *)
+  let st = ops.Runner.create ~threads:2 in
+  ops.Runner.feed st row;
+  checks "header vs payload"
+    "corrupt checkpoint payload: header and payload disagree on threads"
+    (revive ~header_threads:3 (ops.Runner.enc st) st);
+  (* The payload's own leading thread count patched from 2 to 3; the
+     window (AddrCheck/InitCheck) or the rows (TaintCheck/RaceCheck)
+     still say 2.  AddrCheck is cut before its first row, where no
+     engine row would catch the skew before the window does. *)
+  let st = ops.Runner.create ~threads:2 in
+  if tag <> Snapshot.Addrcheck then ops.Runner.feed st row;
+  let payload = Bytes.of_string (ops.Runner.enc st) in
+  check Alcotest.int "leading thread count" 2 (Char.code (Bytes.get payload 0));
+  Bytes.set payload 0 '\003';
+  let want =
+    match tag with
+    | Snapshot.Addrcheck | Snapshot.Initcheck ->
+      Printf.sprintf
+        "corrupt checkpoint payload: %s state: thread count disagrees with \
+         the window's"
+        lg
+    | Snapshot.Taintcheck | Snapshot.Racecheck ->
+      Printf.sprintf
+        "corrupt checkpoint payload: %s state: instr row width mismatch" lg
+  in
+  checks "engine vs window" want
+    (revive ~header_threads:3 (Bytes.to_string payload) st)
+
 let crash_sim_battery () =
   List.iter
     (fun (tag, profile) ->
@@ -692,10 +722,10 @@ let () =
           engines );
       ( "scheduler-state",
         [
-          qt ~count:80 "May problem: resume at any event == uninterrupted"
+          qt ~count:80 "May problem: resume at any row == uninterrupted"
             arb_cut_case
             (scheduler_resume_prop (module May_problem));
-          qt ~count:80 "Must problem: resume at any event == uninterrupted"
+          qt ~count:80 "Must problem: resume at any row == uninterrupted"
             arb_cut_case
             (scheduler_resume_prop (module Must_problem));
         ] );
@@ -712,7 +742,14 @@ let () =
             runner_roundtrip;
           Alcotest.test_case "resume rejections are precise" `Quick
             runner_rejections;
-        ] );
+        ]
+        @ List.map
+            (fun (tag, _) ->
+              Alcotest.test_case
+                (Printf.sprintf "%s: thread skew is a corrupt payload"
+                   (Snapshot.lifeguard_to_string tag))
+                `Quick (thread_skew_case tag))
+            all_tags );
       ( "crash-sim",
         [
           Alcotest.test_case "seeded crashes recover byte-identically" `Slow

@@ -1,7 +1,6 @@
 (* Streaming scheduler: the online sliding-window driver must deliver
-   exactly the batch driver's per-instruction views — regardless of how
-   the per-thread streams are interleaved at the input — while keeping
-   only a bounded window of epochs resident. *)
+   exactly the batch driver's per-instruction views from a stream of
+   epoch rows, while keeping only a bounded window of epochs resident. *)
 
 module RD = Butterfly.Reaching_definitions
 module RE = Butterfly.Reaching_expressions
@@ -44,60 +43,20 @@ let batch_views_rd program =
   (List.rev !acc, Format.asprintf "%a" Butterfly.Def_set.pp r.sos.(Array.length r.sos - 1))
 
 
-let stream_views_rd order program =
+let rows_of_program program =
+  let rows = ref [] in
+  Butterfly.Epochs.iter_rows (Butterfly.Epochs.of_program program) (fun row ->
+      rows := row :: !rows);
+  List.rev !rows
+
+let stream_views_rd program =
   let acc = ref [] in
   let threads = Tracing.Program.threads program in
   let s = Sched_rd.create ~threads ~on_instr:(fun v -> acc := key_rd v :: !acc) () in
-  (match order with
-  | `Sequential ->
-    for tid = 0 to threads - 1 do
-      Sched_rd.feed_trace s tid (Tracing.Program.trace program tid)
-    done
-  | `Round_robin ->
-    let streams =
-      Array.init threads (fun tid ->
-          ref (Array.to_list (Tracing.Trace.events (Tracing.Program.trace program tid))))
-    in
-    let live = ref true in
-    while !live do
-      live := false;
-      Array.iteri
-        (fun tid stream ->
-          match !stream with
-          | [] -> ()
-          | ev :: rest ->
-            live := true;
-            stream := rest;
-            Sched_rd.feed s tid ev)
-        streams
-    done
-  | `Random ->
-    let rng = Random.State.make [| 0xfeed |] in
-    let streams =
-      Array.init threads (fun tid ->
-          ref (Array.to_list (Tracing.Trace.events (Tracing.Program.trace program tid))))
-    in
-    let remaining () =
-      Array.to_list streams
-      |> List.mapi (fun tid s -> (tid, s))
-      |> List.filter (fun (_, s) -> !s <> [])
-    in
-    let rec go () =
-      match remaining () with
-      | [] -> ()
-      | choices ->
-        let tid, stream = List.nth choices (Random.State.int rng (List.length choices)) in
-        (match !stream with
-        | ev :: rest ->
-          stream := rest;
-          Sched_rd.feed s tid ev
-        | [] -> assert false);
-        go ()
-    in
-    go ());
+  List.iter (Sched_rd.feed_row s) (rows_of_program program);
   Sched_rd.finish s;
   let sos = Format.asprintf "%a" Butterfly.Def_set.pp (Sched_rd.sos s) in
-  (List.rev !acc, sos, Sched_rd.max_resident_epochs s)
+  (List.rev !acc, sos)
 
 let gen_program =
   let open QCheck.Gen in
@@ -109,18 +68,12 @@ let gen_program =
 
 let arb_program = QCheck.make ~print:Tracing.Trace_codec.encode gen_program
 
-let equivalence_tests =
-  List.map
-    (fun (name, order) ->
-      Testutil.qtest ~count:150
-        (Printf.sprintf "streaming == batch (%s feed)" name)
-        arb_program
-        (fun p ->
-          let batch, batch_sos = batch_views_rd p in
-          let stream, stream_sos, _ = stream_views_rd order p in
-          batch = stream && batch_sos = stream_sos))
-    [ ("sequential", `Sequential); ("round-robin", `Round_robin);
-      ("random", `Random) ]
+let rd_equivalence =
+  Testutil.qtest ~count:150 "streaming == batch (row feed)" arb_program
+    (fun p ->
+      let batch, batch_sos = batch_views_rd p in
+      let stream, stream_sos = stream_views_rd p in
+      batch = stream && batch_sos = stream_sos)
 
 let re_equivalence =
   Testutil.qtest ~count:100 "streaming == batch (reaching expressions)"
@@ -136,11 +89,14 @@ let re_equivalence =
       let s =
         Sched_re.create ~threads ~on_instr:(fun v -> acc_s := key_re v :: !acc_s) ()
       in
-      for tid = 0 to threads - 1 do
-        Sched_re.feed_trace s tid (Tracing.Program.trace p tid)
-      done;
+      List.iter (Sched_re.feed_row s) (rows_of_program p);
       Sched_re.finish s;
       !acc_b = !acc_s)
+
+let expect_invalid_arg name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.failf "%s: expected Invalid_argument" name
 
 let bounded_window =
   Alcotest.test_case "window stays bounded on long streams" `Quick (fun () ->
@@ -150,48 +106,82 @@ let bounded_window =
         |> Tracing.Program.with_heartbeats ~every:10
       in
       let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> ()) () in
-      (* Round-robin so both threads advance together. *)
-      let e0 = Tracing.Trace.events (Tracing.Program.trace p 0) in
-      let e1 = Tracing.Trace.events (Tracing.Program.trace p 1) in
-      for k = 0 to Array.length e0 - 1 do
-        Sched_rd.feed s 0 e0.(k);
-        Sched_rd.feed s 1 e1.(k)
-      done;
+      List.iter (Sched_rd.feed_row s) (rows_of_program p);
       Sched_rd.finish s;
       Alcotest.(check int) "epochs completed" 201 (Sched_rd.epochs_completed s);
-      Testutil.checkb
-        (Printf.sprintf "resident window %d <= 6" (Sched_rd.max_resident_epochs s))
-        true
-        (Sched_rd.max_resident_epochs s <= 6))
+      (* Rows l-3 .. l are resident just before epoch l-1 is processed. *)
+      Alcotest.(check int) "resident window" 4 (Sched_rd.max_resident_epochs s))
 
-let misuse =
-  Alcotest.test_case "feed after finish raises" `Quick (fun () ->
-      let s = Sched_rd.create ~threads:1 ~on_instr:(fun _ -> ()) () in
-      Sched_rd.feed s 0 (Tracing.Event.Instr Tracing.Instr.Nop);
-      Sched_rd.finish s;
-      (match Sched_rd.feed s 0 Tracing.Event.Heartbeat with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "expected Invalid_argument");
-      (* finish is idempotent *)
-      Sched_rd.finish s)
-
-let lagging_thread =
-  Alcotest.test_case "a lagging thread stalls pass 2 but not pass 1" `Quick
-    (fun () ->
+let wrong_width =
+  Alcotest.test_case "a row of the wrong width raises" `Quick (fun () ->
       let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> ()) () in
-      (* Thread 0 races ahead by many epochs; nothing can be processed
-         because thread 1's blocks are missing. *)
-      for _ = 1 to 10 do
-        Sched_rd.feed s 0 (Tracing.Event.Instr (Tracing.Instr.Assign_const 0));
-        Sched_rd.feed s 0 Tracing.Event.Heartbeat
+      expect_invalid_arg "narrow row" (fun () ->
+          Sched_rd.feed_row s [| [| Tracing.Instr.Nop |] |]);
+      expect_invalid_arg "wide row" (fun () ->
+          Sched_rd.feed_row s [| [||]; [||]; [||] |]);
+      (* A refused row leaves the window untouched. *)
+      Sched_rd.feed_row s [| [| Tracing.Instr.Nop |]; [||] |];
+      Sched_rd.finish s;
+      Alcotest.(check int) "one epoch" 1 (Sched_rd.epochs_completed s))
+
+let feed_after_finish =
+  Alcotest.test_case "feed_row after finish raises" `Quick (fun () ->
+      let s = Sched_rd.create ~threads:1 ~on_instr:(fun _ -> ()) () in
+      Sched_rd.feed_row s [| [| Tracing.Instr.Nop |] |];
+      Sched_rd.finish s;
+      expect_invalid_arg "feed after finish" (fun () ->
+          Sched_rd.feed_row s [| [||] |]))
+
+let empty_feed =
+  Alcotest.test_case "an empty feed gives one epoch" `Quick (fun () ->
+      let views = ref 0 in
+      let s = Sched_rd.create ~threads:3 ~on_instr:(fun _ -> incr views) () in
+      Sched_rd.finish s;
+      let batch =
+        RD.run (Butterfly.Epochs.of_program (Tracing.Program.of_instrs [ []; []; [] ]))
+      in
+      Alcotest.(check int) "one epoch" 1 (Sched_rd.epochs_completed s);
+      Alcotest.(check int) "batch agrees" 1 (Butterfly.Epochs.num_epochs batch.epochs);
+      Alcotest.(check int) "no views" 0 !views;
+      Alcotest.(check int) "SOS_0 .. SOS_2" 3
+        (Array.length (Sched_rd.sos_history s)))
+
+let finish_idempotent =
+  Alcotest.test_case "finish is idempotent" `Quick (fun () ->
+      let views = ref 0 in
+      let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> incr views) () in
+      Sched_rd.feed_row s
+        [| [| Tracing.Instr.Assign_const 0 |]; [| Tracing.Instr.Assign_const 1 |] |];
+      Sched_rd.feed_row s [| [| Tracing.Instr.Nop |]; [||] |];
+      Sched_rd.finish s;
+      let history = Sched_rd.sos_history s in
+      Sched_rd.finish s;
+      Alcotest.(check int) "epochs" 2 (Sched_rd.epochs_completed s);
+      Alcotest.(check int) "views delivered once" 3 !views;
+      Testutil.checkb "SOS history unchanged" true
+        (Array.for_all2 Butterfly.Def_set.equal history (Sched_rd.sos_history s)))
+
+let summary_rows =
+  Alcotest.test_case "summary_row serves resident rows, refuses retired ones"
+    `Quick (fun () ->
+      let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> ()) () in
+      let row l = [| [| Tracing.Instr.Assign_const l |]; [||] |] in
+      for l = 0 to 4 do
+        Sched_rd.feed_row s (row l)
       done;
-      Alcotest.(check int) "nothing processed" 0 (Sched_rd.epochs_completed s);
-      (* Thread 1 catches up: the window drains. *)
-      for _ = 1 to 10 do
-        Sched_rd.feed s 1 (Tracing.Event.Instr (Tracing.Instr.Assign_const 1));
-        Sched_rd.feed s 1 Tracing.Event.Heartbeat
+      (* Epochs 0..3 are processed; rows 2..4 stay resident. *)
+      Alcotest.(check int) "processed" 4 (Sched_rd.epochs_completed s);
+      for l = 2 to 4 do
+        let b = (Sched_rd.summary_row s l).(0).block in
+        Alcotest.(check int) "resident row carries its block" l b.epoch;
+        Alcotest.(check int) "one instruction" 1 (Butterfly.Block.length b)
       done;
-      Testutil.checkb "processing resumed" true (Sched_rd.epochs_completed s >= 8))
+      Testutil.checkb "rows past the feed read as empty" true
+        (Array.for_all
+           (fun (b : RD.Analysis.block_summary) -> Butterfly.Block.is_empty b.block)
+           (Sched_rd.summary_row s 5));
+      expect_invalid_arg "retired row" (fun () ->
+          ignore (Sched_rd.summary_row s 1)))
 
 (* --- Pooled streaming battery (the tentpole differential test). ---
 
@@ -257,7 +247,11 @@ let pooled_tests =
 let () =
   Alcotest.run "scheduler"
     [
-      ("equivalence", (re_equivalence :: equivalence_tests));
+      ("equivalence", [ rd_equivalence; re_equivalence ]);
       ("pooled", pooled_tests);
-      ("streaming", [ bounded_window; misuse; lagging_thread ]);
+      ( "streaming",
+        [
+          bounded_window; wrong_width; feed_after_finish; empty_feed;
+          finish_idempotent; summary_rows;
+        ] );
     ]
