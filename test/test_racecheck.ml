@@ -75,6 +75,70 @@ let differential_battery () =
       ]
   done
 
+(* Per-block [pairs_checked] against a brute-force count straight from
+   the raw rows: block (l, t) owns every cross-thread pair between one of
+   its accesses and an access of row l-1 (u <> t) or of row l (u < t) to
+   the same address, at least one of them a write.  This pins the pair
+   enumeration independently of how the engine finds wing partners. *)
+let brute_pairs epochs ~epoch:l ~tid:t =
+  let accesses ~epoch ~tid =
+    let b = Butterfly.Epochs.block epochs ~epoch ~tid in
+    Array.to_list b.Butterfly.Block.instrs
+    |> List.concat_map (fun i ->
+           (match I.writes i with Some x -> [ (x, true) ] | None -> [])
+           @ List.map (fun x -> (x, false)) (I.reads i))
+  in
+  let partners =
+    List.concat
+      (List.init (Butterfly.Epochs.threads epochs) (fun u ->
+           (if u <> t then accesses ~epoch:(l - 1) ~tid:u else [])
+           @ if u < t then accesses ~epoch:l ~tid:u else []))
+  in
+  List.fold_left
+    (fun n (x, w) ->
+      List.fold_left
+        (fun n (y, w') -> if x = y && (w || w') then n + 1 else n)
+        n partners)
+    0 (accesses ~epoch:l ~tid:t)
+
+let check_pairs_brute label ?pool epochs =
+  let r = RC.run ?pool epochs in
+  Array.iteri
+    (fun t row ->
+      Array.iteri
+        (fun l (s : RC.block_stats) ->
+          let expected = brute_pairs epochs ~epoch:l ~tid:t in
+          if s.pairs_checked <> expected then
+            Alcotest.failf "%s: block (%d,%d) checked %d pairs, brute force %d"
+              label l t s.pairs_checked expected)
+        row)
+    r.RC.block_stats
+
+let pairs_brute_force () =
+  Testutil.with_pool_opt (Some 2) @@ fun pool ->
+  List.iter
+    (fun pool ->
+      let driver = if pool = None then "sequential" else "pooled(2)" in
+      for seed = 0 to 99 do
+        let rs = Random.State.make [| 0xb7f; seed |] in
+        let g = Gen.grid ~shape:battery_shape Gen.Racy rs in
+        check_pairs_brute
+          (Printf.sprintf "%s racy grid seed=%d" driver seed)
+          ?pool (Grid.epochs g)
+      done;
+      List.iter
+        (fun every ->
+          Workloads.Synthetic.generate_racy ~counters:64 ~discipline:0.99
+            ~threads:8 ~scale:120 ~seed:3 ()
+          |> Workloads.Workload.Bundle.program
+          |> Tracing.Program.with_heartbeats ~every
+          |> Butterfly.Epochs.of_program
+          |> check_pairs_brute
+               (Printf.sprintf "%s synthetic racy h=%d" driver every)
+               ?pool)
+        [ 8; 64 ])
+    [ None; pool ]
+
 (* ------------------------------------------------------------------ *)
 (* 2. Lattice laws.                                                    *)
 
@@ -308,6 +372,9 @@ let () =
                "%d grids: reference == sequential/pooled-2/pooled-8/resumable"
                battery_grids)
             `Slow differential_battery;
+          Alcotest.test_case
+            "per-block pairs_checked == brute force over raw rows" `Slow
+            pairs_brute_force;
         ] );
       ("vclock-lattice", clock_laws);
       ("lockset-lattice", lockset_laws);

@@ -333,6 +333,108 @@ let resume_prop e (seed, cut_bias) =
   String.equal (e.batch_fp epochs) (e.resumed_fp ~cut ~threads rows)
 
 (* ------------------------------------------------------------------ *)
+(* Golden digests: RaceCheck and TaintCheck (SC and relaxed) on fixed
+   8-thread inputs at epoch sizes 8 and 64.  Each report fingerprint
+   digest must be reproduced by the sequential, pooled(2) and
+   resumed-at-a-cut runs, and the snapshot taken after the last row must
+   hash to its recorded digest: any change to an engine's internals that
+   moves a report, a statistic or a snapshot byte fails here.  The
+   TaintCheck digests are meant to be re-recorded by a deliberate change
+   to its resolution rule (the Theorem 6.2 fix), and only then. *)
+
+let golden_racy ~every =
+  Workloads.Synthetic.generate_racy ~counters:64 ~discipline:0.99 ~threads:8
+    ~scale:240 ~seed:7 ()
+  |> Workloads.Workload.Bundle.program
+  |> Tracing.Program.with_heartbeats ~every
+  |> Butterfly.Epochs.of_program
+
+(* Sources, sanitizers, unop/binop chains and sinks over 128 shared
+   words, so every thread's transfer functions reach into its wings. *)
+let golden_taint ~every =
+  let module I = Tracing.Instr in
+  Tracing.Program.of_instrs
+    (List.init 8 (fun t ->
+         let rng = Random.State.make [| 7; t; 0x7a1 |] in
+         let addr () = 0x1000 + (8 * Random.State.int rng 128) in
+         List.init 320 (fun _ ->
+             match Random.State.int rng 100 with
+             | p when p < 5 -> I.Taint_source (addr ())
+             | p when p < 10 -> I.Untaint (addr ())
+             | p when p < 40 -> I.Assign_unop (addr (), addr ())
+             | p when p < 70 -> I.Assign_binop (addr (), addr (), addr ())
+             | p when p < 80 -> I.Assign_const (addr ())
+             | p when p < 85 -> I.Jump_via (addr ())
+             | p when p < 90 -> I.Syscall_arg (addr ())
+             | _ -> I.Nop)))
+  |> Tracing.Program.with_heartbeats ~every
+  |> Butterfly.Epochs.of_program
+
+(* The encoded engine state after every row has been fed. *)
+let final_snapshot (type s) ~(create : threads:int -> unit -> s)
+    ~(feed : s -> Tracing.Instr.t array array -> unit) ~(encode : s -> string)
+    ~threads rows =
+  let st = create ~threads () in
+  Array.iter (feed st) rows;
+  encode st
+
+let rc_snapshot =
+  let module RC = Lifeguards.Racecheck in
+  final_snapshot
+    ~create:(fun ~threads () -> RC.Resumable.create ~threads ())
+    ~feed:RC.Resumable.feed_epoch ~encode:RC.Resumable.encode
+
+let tc_snapshot ~sequential =
+  final_snapshot
+    ~create:(fun ~threads () -> TC.Resumable.create ~sequential ~threads ())
+    ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
+
+let hex s = Digest.to_hex (Digest.string s)
+
+(* (engine, snapshot, input, epoch size, report digest, snapshot digest) *)
+let golden_cases =
+  let rc = racecheck_engine in
+  let sc = taintcheck_engine ~sequential:true ~two_phase:true "sc,two-phase" in
+  let rx =
+    taintcheck_engine ~sequential:false ~two_phase:true "relaxed,two-phase"
+  in
+  [
+    (rc, rc_snapshot, golden_racy, 8, "abfa5dba649743ea4fa06eea020d59a9",
+      "1cb2555453f6325b19aec09fa55fdf88");
+    (rc, rc_snapshot, golden_racy, 64, "262727a4852eccd5df6c873658bb7e05",
+      "cacd49b18898d98fc1edece245d29456");
+    (sc, tc_snapshot ~sequential:true, golden_taint, 8,
+      "7600a895ea98cd7838700753cad31669", "6ed49d85c601cdbd29ad23a93e2693ae");
+    (sc, tc_snapshot ~sequential:true, golden_taint, 64,
+      "3724b98df5c95c9d97ef69df84321cd0", "81d0d3565b9101bc0e72c89aef2cfa7b");
+    (rx, tc_snapshot ~sequential:false, golden_taint, 8,
+      "66e9a1f2cab515f7f5ac5105d95b3caa", "0810e09b8a4f25cb666c955bea6e83b6");
+    (rx, tc_snapshot ~sequential:false, golden_taint, 64,
+      "6574647f1fe5f2aa91cc5f6168a12b5d", "f8784a846b572c41c3d2237de2a2796f");
+  ]
+
+let golden_case (e, snapshot, input, every, report_md5, snapshot_md5) =
+  let name = Printf.sprintf "%s h=%d: golden digests" e.label every in
+  Alcotest.test_case name `Slow (fun () ->
+      let epochs = input ~every in
+      let rows = rows_of_epochs epochs in
+      let threads = Butterfly.Epochs.threads epochs in
+      let cut = Array.length rows / 2 in
+      Butterfly.Domain_pool.with_pool ~name:"golden" ~domains:2 (fun pool ->
+          List.iter
+            (fun (run, fp) -> checks (name ^ ": " ^ run) report_md5 (hex fp))
+            [
+              ("sequential", e.batch_fp epochs);
+              ("pooled(2)", e.batch_fp ~pool epochs);
+              ( Printf.sprintf "resumed at %d" cut,
+                e.resumed_fp ~cut ~threads rows );
+              ( Printf.sprintf "pooled(2) resumed at %d" cut,
+                e.resumed_fp ~pool ~cut ~threads rows );
+            ]);
+      checks (name ^ ": final snapshot") snapshot_md5
+        (hex (snapshot ~threads rows)))
+
+(* ------------------------------------------------------------------ *)
 (* Scheduler-level checkpointing: May and Must synthetic problems, with
    cuts at arbitrary row boundaries.                                    *)
 
@@ -720,6 +822,7 @@ let () =
               `Slow
               (pooled_battery e ~n_grids:8))
           engines );
+      ("golden", List.map golden_case golden_cases);
       ( "scheduler-state",
         [
           qt ~count:80 "May problem: resume at any row == uninterrupted"
