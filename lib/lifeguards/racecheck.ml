@@ -150,15 +150,6 @@ type summary = {
   s_removed : LS.t; (* entry locks released by exit *)
 }
 
-let empty_summary () =
-  {
-    s_accesses = [||];
-    s_fork_max = Hashtbl.create 1;
-    s_join_min = Hashtbl.create 1;
-    s_added = LS.empty;
-    s_removed = LS.empty;
-  }
-
 (* Fork/join targets outside the grid (or the forking thread itself) are
    recorded in the trace but induce no ordering. *)
 let valid_target ~threads ~tid u = u >= 0 && u < threads && u <> tid
@@ -214,17 +205,54 @@ let access_lockset entry (a : access) =
 
 (* Entry clock of block (l, t): for u <> t, everything of u up to the
    last Fork t in block (l-1, u) — or up to epoch l-2 when there is
-   none — happens before all of block (l, t). *)
-let entry_clock ~threads ~summary_at ~epoch:l ~tid:t : Vclock.t =
+   none — happens before all of block (l, t).  [prev] is summary row
+   l-1, absent before the first epoch. *)
+let entry_clock ~threads ~(prev : summary array option) ~epoch:l ~tid:t :
+    Vclock.t =
   Array.init threads (fun u ->
       if u = t then (l, 0)
       else
-        match summary_at (l - 1) u with
-        | Some s -> (
-          match Hashtbl.find_opt s.s_fork_max t with
+        match prev with
+        | Some row -> (
+          match Hashtbl.find_opt row.(u).s_fork_max t with
           | Some f -> (l - 1, f + 1)
           | None -> (l - 1, 0))
         | None -> (l - 1, 0))
+
+(* A summary row sealed by the master before an epoch's fan-out, so that
+   pass 2 never rebuilds what every block of the epoch shares:
+   - each access's full lockset, [access_lockset entry(e, u) a], computed
+     once instead of once per candidate pair;
+   - an index from address to the row's accesses as (tid, position)
+     pairs, ascending — the order in which scanning the row thread by
+     thread, access by access, meets them. *)
+type sealed = {
+  sl_row : summary array; (* by tid *)
+  sl_locksets : LS.t array array; (* [u].(i): lockset of access i of u *)
+  sl_by_addr : (Tracing.Addr.t, (int * int) list) Hashtbl.t;
+}
+
+let seal ~(entry : LS.t array) (row : summary array) =
+  let by_addr = Hashtbl.create 64 in
+  for u = Array.length row - 1 downto 0 do
+    let accs = row.(u).s_accesses in
+    for i = Array.length accs - 1 downto 0 do
+      let x = accs.(i).a_addr in
+      let later = Option.value (Hashtbl.find_opt by_addr x) ~default:[] in
+      Hashtbl.replace by_addr x ((u, i) :: later)
+    done
+  done;
+  {
+    sl_row = row;
+    sl_locksets =
+      Array.mapi
+        (fun u s -> Array.map (access_lockset entry.(u)) s.s_accesses)
+        row;
+    sl_by_addr = by_addr;
+  }
+
+let accesses_to (w : sealed) x =
+  Option.value (Hashtbl.find_opt w.sl_by_addr x) ~default:[]
 
 (* ------------------------------------------------------------------ *)
 
@@ -247,9 +275,8 @@ let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
 
 (* Everything pass 2 learns about one body block, produced without
    touching shared state.  Evaluating block (l, t) reads only inputs
-   sealed before its dispatch — pass-1 summaries of rows l-1 and l, and
-   the entry lock/clock rows the master sealed for epoch l — so it
-   can run on a pool worker.  The master commits outcomes epoch-major /
+   sealed before its dispatch — the sealed summary rows l-1 and l and
+   the block's entry clock — so it can run on a pool worker.  The master commits outcomes epoch-major /
    thread-minor, which reproduces the sequential race list, statistics
    and telemetry byte for byte. *)
 type block_outcome = {
@@ -260,73 +287,64 @@ type block_outcome = {
   bo_max_ls : int; (* largest per-access lockset seen *)
 }
 
-type ctx = {
-  c_threads : int;
-  summary_at : int -> int -> summary option;
-  entry_locks_at : int -> int -> LS.t;
-  entry_clock_at : int -> int -> Vclock.t;
-}
-
 (* The pair enumeration discipline makes every window pair checked
    exactly once, by its later block: block (l, t) checks each of its
    accesses (index order) against the wings of epoch l-1 (all u <> t,
    ascending) and the already-committed part of its own epoch (u < t,
    ascending).  The forward wing (l+1, u) is covered when that block
-   runs. *)
-let eval_block c ~epoch:l ~tid:t block =
-  let sm =
-    match c.summary_at l t with Some s -> s | None -> empty_summary ()
-  in
-  let entry = c.entry_locks_at l t in
-  let clock = c.entry_clock_at l t in
+   runs.  The sealed rows' address index yields exactly those partners,
+   in exactly that order; [prev] (row l-1) is absent before the first
+   epoch. *)
+let eval_block ~prev ~cur ~clock ~epoch:l ~tid:t block =
+  let sm = cur.sl_row.(t) in
   let races = ref [] in
   let n_pairs = ref 0 and hb_supp = ref 0 and lock_supp = ref 0 in
   let max_ls = ref 0 in
-  let check_wing (a : access) ls_a ~wl ~wu =
-    match c.summary_at wl wu with
-    | None -> ()
-    | Some wsm ->
-      let wentry = c.entry_locks_at wl wu in
-      Array.iter
-        (fun (b : access) ->
-          if b.a_addr = a.a_addr && (a.a_kind = W || b.a_kind = W) then begin
-            incr n_pairs;
-            let hb =
-              Vclock.pos_lt (wl, b.ai) (Vclock.get clock wu)
-              || wl < l
-                 &&
-                 match Hashtbl.find_opt sm.s_join_min wu with
-                 | Some j -> j < a.ai
-                 | None -> false
-            in
-            if hb then incr hb_supp
-            else if
-              not (LS.is_empty (LS.inter ls_a (access_lockset wentry b)))
-            then incr lock_supp
-            else
-              races :=
-                {
-                  a = Id.make ~epoch:l ~tid:t ~index:a.ai;
-                  a_kind = a.a_kind;
-                  b = Id.make ~epoch:wl ~tid:wu ~index:b.ai;
-                  b_kind = b.a_kind;
-                  addr = a.a_addr;
-                }
-                :: !races
-          end)
-        wsm.s_accesses
+  let check (a : access) ls_a ~wl (w : sealed) (wu, j) =
+    let b = w.sl_row.(wu).s_accesses.(j) in
+    if a.a_kind = W || b.a_kind = W then begin
+      incr n_pairs;
+      let hb =
+        Vclock.pos_lt (wl, b.ai) (Vclock.get clock wu)
+        || wl < l
+           &&
+           match Hashtbl.find_opt sm.s_join_min wu with
+           | Some j -> j < a.ai
+           | None -> false
+      in
+      if hb then incr hb_supp
+      else if not (LS.disjoint ls_a w.sl_locksets.(wu).(j)) then
+        incr lock_supp
+      else
+        races :=
+          {
+            a = Id.make ~epoch:l ~tid:t ~index:a.ai;
+            a_kind = a.a_kind;
+            b = Id.make ~epoch:wl ~tid:wu ~index:b.ai;
+            b_kind = b.a_kind;
+            addr = a.a_addr;
+          }
+          :: !races
+    end
   in
-  Array.iter
-    (fun (a : access) ->
-      let ls_a = access_lockset entry a in
+  Array.iteri
+    (fun i (a : access) ->
+      let ls_a = cur.sl_locksets.(t).(i) in
       if LS.cardinal ls_a > !max_ls then max_ls := LS.cardinal ls_a;
-      for u = 0 to c.c_threads - 1 do
-        if u <> t then check_wing a ls_a ~wl:(l - 1) ~wu:u
-      done;
+      Option.iter
+        (fun w ->
+          List.iter
+            (fun ((u, _) as p) -> if u <> t then check a ls_a ~wl:(l - 1) w p)
+            (accesses_to w a.a_addr))
+        prev;
       if not !Testing.break_same_epoch then
-        for u = 0 to t - 1 do
-          check_wing a ls_a ~wl:l ~wu:u
-        done)
+        let rec earlier = function
+          | ((u, _) as p) :: rest when u < t ->
+            check a ls_a ~wl:l cur p;
+            earlier rest
+          | _ -> ()
+        in
+        earlier (accesses_to cur a.a_addr))
     sm.s_accesses;
   let races = List.rev !races in
   {
@@ -358,13 +376,14 @@ let commit_obs ~threads ~epoch ~tid o =
 
 (* ------------------------------------------------------------------ *)
 (* The epoch-incremental engine, checkpointable between epochs.
-   Evaluating epoch l reads
-   summary rows l-1 and l, the entry lock rows l-1 and l, and its own
-   raw row — so raw and summary rows the window has passed are pruned;
-   the entry-lock history (part of the report) is kept whole.  Pass-1
-   summaries are recomputed from the retained raw rows on decode rather
-   than serialized: [summarize_block] is pure, and entry clocks are
-   rederived per epoch from the summary row behind it. *)
+   Evaluating epoch l reads summary rows l-1 and l, sealed with the
+   entry lock rows l-1 and l, and its own raw row — so raw, summary and
+   sealed rows the window has passed are pruned; the entry-lock history
+   (part of the report) is kept whole.  Pass-1 summaries are recomputed
+   from the retained raw rows on decode rather than serialized:
+   [summarize_block] is pure, sealed rows are resealed on first use, and
+   entry clocks are rederived per epoch from the summary row behind
+   it. *)
 
 module Resumable = struct
   type state = {
@@ -372,48 +391,27 @@ module Resumable = struct
     pool : Butterfly.Domain_pool.t option;
     rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
     summaries : (int, summary array) Hashtbl.t; (* derived from [rows] *)
+    sealed : (int, sealed) Hashtbl.t; (* derived: [summaries] + [entry] *)
     entry : (int, LS.t array) Hashtbl.t; (* full history: report content *)
-    clocks : (int, Vclock.t array) Hashtbl.t; (* transient, per epoch *)
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
-    ctx : ctx;
     mutable races : race list; (* reversed *)
     mutable processed : int;
     mutable epochs_fed : int;
   }
-
-  let make_ctx_of ~threads ~summaries ~entry ~clocks =
-    {
-      c_threads = threads;
-      summary_at =
-        (fun l t ->
-          match Hashtbl.find_opt summaries l with
-          | Some row -> Some row.(t)
-          | None -> None);
-      entry_locks_at =
-        (fun l t ->
-          match Hashtbl.find_opt entry l with
-          | Some row -> row.(t)
-          | None -> LS.empty);
-      entry_clock_at = (fun l t -> (Hashtbl.find clocks l).(t));
-    }
 
   let create ?pool ~threads () =
     if threads <= 0 then
       invalid_arg "Racecheck.Resumable.create: threads must be > 0";
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    let summaries = Hashtbl.create 8 in
-    let entry = Hashtbl.create 64 in
-    let clocks = Hashtbl.create 8 in
     {
       threads;
       pool;
       rows = Hashtbl.create 8;
-      summaries;
-      entry;
-      clocks;
+      summaries = Hashtbl.create 8;
+      sealed = Hashtbl.create 4;
+      entry = Hashtbl.create 64;
       stats = Hashtbl.create 64;
-      ctx = make_ctx_of ~threads ~summaries ~entry ~clocks;
       races = [];
       processed = 0;
       epochs_fed = 0;
@@ -451,28 +449,45 @@ module Resumable = struct
              | None -> prev.(t)))
     end
 
-  (* Process epoch [st.processed]: seal its entry lock and clock rows,
-     run pass 2 of every block (fanned out on the pool when there is one,
-     committed in tid order), then retire the rows the window has passed
-     (raw/summary rows < l). *)
+  (* Summary row [l] sealed with entry lock row [l]; sealed once, on
+     first use, and [None] outside the fed rows. *)
+  let sealed_row st l =
+    match Hashtbl.find_opt st.sealed l with
+    | Some _ as w -> w
+    | None ->
+      Option.map
+        (fun row ->
+          let w = seal ~entry:(entry_row st l) row in
+          Hashtbl.replace st.sealed l w;
+          w)
+        (Hashtbl.find_opt st.summaries l)
+
+  (* Process epoch [st.processed]: seal its entry lock row, summary rows
+     l-1 and l and entry clocks, run pass 2 of every block (fanned out on
+     the pool when there is one, committed in tid order), then retire the
+     rows the window has passed (raw/summary/sealed rows < l). *)
   let process_one st =
     let l = st.processed in
     advance_entry st l;
-    Hashtbl.replace st.clocks l
-      (Array.init st.threads (fun t ->
-           entry_clock ~threads:st.threads ~summary_at:st.ctx.summary_at
-             ~epoch:l ~tid:t));
+    let prev = sealed_row st (l - 1) in
+    let cur = Option.get (sealed_row st l) in
+    let clocks =
+      Array.init st.threads (fun t ->
+          entry_clock ~threads:st.threads
+            ~prev:(Option.map (fun w -> w.sl_row) prev)
+            ~epoch:l ~tid:t)
+    in
     let row = Hashtbl.find st.rows l in
     Butterfly.Scheduler.pass2_epoch ?pool:st.pool ~threads:st.threads
       ~pass2:(fun ~epoch ~tid ->
-        eval_block st.ctx ~epoch ~tid
+        eval_block ~prev ~cur ~clock:clocks.(tid) ~epoch ~tid
           (Butterfly.Block.make ~epoch ~tid row.(tid)))
       ~commit2:(commit st) l;
     st.processed <- l + 1;
-    Hashtbl.remove st.clocks l;
     if l > 0 then begin
       Hashtbl.remove st.rows (l - 1);
-      Hashtbl.remove st.summaries (l - 1)
+      Hashtbl.remove st.summaries (l - 1);
+      Hashtbl.remove st.sealed (l - 1)
     end
 
   (* Epoch l reads nothing of row l+1, but processing still lags feeding
@@ -621,16 +636,14 @@ module Resumable = struct
                    (Butterfly.Block.make ~epoch ~tid instrs))
                row))
         rows;
-      let clocks = Hashtbl.create 8 in
       {
         threads;
         pool;
         rows;
         summaries;
+        sealed = Hashtbl.create 4;
         entry;
-        clocks;
         stats;
-        ctx = make_ctx_of ~threads ~summaries ~entry ~clocks;
         races;
         processed;
         epochs_fed;

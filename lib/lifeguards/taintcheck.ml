@@ -136,32 +136,33 @@ let fingerprint (r : report) =
    outside the window, which is also how the grid reads outside the
    execution. *)
 
+(* A LASTCHECK block's GEN (locations it last resolved tainted) and
+   KILL (last resolved untainted), sealed once by the master after the
+   block's epoch has committed. *)
+type gen_kill = { gen : AS.t; kill : AS.t }
+
+let no_gen_kill = { gen = AS.empty; kill = AS.empty }
+
+let seal_gen_kill (h : (int, bool) Hashtbl.t) =
+  let gen, kill =
+    Hashtbl.fold
+      (fun x tainted (g, k) -> if tainted then (x :: g, k) else (g, x :: k))
+      h ([], [])
+  in
+  { gen = AS.of_list gen; kill = AS.of_list kill }
+
 type ctx = {
   c_threads : int;
   c_sequential : bool;
   c_two_phase : bool;
   tfs_at : int -> int -> block_tfs option;
   lastcheck_at : int -> int -> (int, bool) Hashtbl.t option;
+  gen_kill_at : int -> int -> gen_kill;
   sos_at : int -> AS.t;
 }
 
-let gen_block c l t =
-  match c.lastcheck_at l t with
-  | None -> AS.empty
-  | Some h ->
-    AS.of_list
-      (Hashtbl.fold
-         (fun x tainted acc -> if tainted then x :: acc else acc)
-         h [])
-
-let kill_block c l t =
-  match c.lastcheck_at l t with
-  | None -> AS.empty
-  | Some h ->
-    AS.of_list
-      (Hashtbl.fold
-         (fun x tainted acc -> if not tainted then x :: acc else acc)
-         h [])
+let gen_block c l t = (c.gen_kill_at l t).gen
+let kill_block c l t = (c.gen_kill_at l t).kill
 
 (* LASTCHECK(x, (l-1,l), t): the last check spanning the two epochs. *)
 let lastcheck_span c x l t =
@@ -218,22 +219,23 @@ let tfs_for c ~scope ~exclude_tid a =
     scope
 
 let eval_block c ~epoch:l ~tid block =
-  (* LSOS via the May rule, with the resurrection clause. *)
+  (* LSOS via the May rule, with the resurrection clause:
+       LSOS = head_gen ∪ (SOS_l − head_kill)
+              ∪ (SOS_l ∩ head_kill ∩ ⋃_{t' ≠ tid} GEN(l-2, t'))
+     Pass 2 only asks whether a location is in it, which the sealed
+     GEN/KILL sets answer without building the union. *)
   let head_gen = gen_block c (l - 1) tid
   and head_kill = kill_block c (l - 1) tid in
   let others_gen_l2 =
-    let acc = ref AS.empty in
-    for t' = 0 to c.c_threads - 1 do
-      if t' <> tid then acc := AS.union !acc (gen_block c (l - 2) t')
-    done;
-    !acc
+    List.filter_map
+      (fun t' -> if t' = tid then None else Some (gen_block c (l - 2) t'))
+      (List.init c.c_threads Fun.id)
   in
   let sos_l = c.sos_at l in
-  let lsos =
-    AS.union head_gen
-      (AS.union
-         (AS.diff sos_l head_kill)
-         (AS.inter (AS.inter sos_l head_kill) others_gen_l2))
+  let in_lsos a =
+    AS.mem a head_gen
+    || AS.mem a sos_l
+       && ((not (AS.mem a head_kill)) || List.exists (AS.mem a) others_gen_l2)
   in
   let local : (int, bool) Hashtbl.t = Hashtbl.create 16 in
   (* A chain's base taint sources: something our block already resolved
@@ -241,7 +243,7 @@ let eval_block c ~epoch:l ~tid block =
      strongly-ordered past.  A local untaint does NOT mask the LSOS for
      wing chains: the wing may read the location before our untaint. *)
   let base_tainted a =
-    Hashtbl.find_opt local a = Some true || AS.mem a lsos
+    Hashtbl.find_opt local a = Some true || in_lsos a
   in
   (* Under sequential consistency a wing chain only uses other threads'
      transfer functions (the own thread's effects flow through LSOS and
@@ -312,7 +314,7 @@ let eval_block c ~epoch:l ~tid block =
     match Hashtbl.find_opt local a with
     | Some true -> true
     | Some false -> wing_may a
-    | None -> AS.mem a lsos || wing_may a
+    | None -> in_lsos a || wing_may a
   in
   let n_instrs = ref 0 and n_mem = ref 0 in
   let errs = ref [] in
@@ -339,7 +341,17 @@ let eval_block c ~epoch:l ~tid block =
     bo_lastcheck = local;
     bo_stats =
       { instrs = !n_instrs; mem_events = !n_mem; checks_resolved = !checks };
-    bo_lsos_card = AS.cardinal lsos;
+    bo_lsos_card =
+      (* The LSOS is built only for the size gauge, under a live sink. *)
+      (if Obs.enabled () then
+         AS.cardinal
+           (AS.union head_gen
+              (AS.union
+                 (AS.diff sos_l head_kill)
+                 (AS.inter
+                    (AS.inter sos_l head_kill)
+                    (List.fold_left AS.union AS.empty others_gen_l2))))
+       else 0);
     bo_phase2 = !phase2;
   }
 
@@ -362,6 +374,7 @@ module Resumable = struct
     rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
     tfs : (int, block_tfs array) Hashtbl.t; (* derived from [rows] *)
     lastcheck : (int, (int, bool) Hashtbl.t array) Hashtbl.t; (* pruned *)
+    gen_kill : (int, gen_kill array) Hashtbl.t; (* derived from [lastcheck] *)
     sos : (int, AS.t) Hashtbl.t; (* full history: report content *)
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
     ctx : ctx; (* window lookups for the evaluation core *)
@@ -370,7 +383,8 @@ module Resumable = struct
     mutable epochs_fed : int;
   }
 
-  let make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~sos =
+  let make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~gen_kill
+      ~sos =
     {
       c_threads = threads;
       c_sequential = sequential;
@@ -385,6 +399,11 @@ module Resumable = struct
           match Hashtbl.find_opt lastcheck l with
           | Some row -> Some row.(t)
           | None -> None);
+      gen_kill_at =
+        (fun l t ->
+          match Hashtbl.find_opt gen_kill l with
+          | Some row -> row.(t)
+          | None -> no_gen_kill);
       sos_at =
         (fun l -> Option.value (Hashtbl.find_opt sos l) ~default:AS.empty);
     }
@@ -397,6 +416,7 @@ module Resumable = struct
     let rows = Hashtbl.create 8 in
     let tfs = Hashtbl.create 8 in
     let lastcheck = Hashtbl.create 8 in
+    let gen_kill = Hashtbl.create 8 in
     let sos = Hashtbl.create 64 in
     {
       threads;
@@ -406,9 +426,12 @@ module Resumable = struct
       rows;
       tfs;
       lastcheck;
+      gen_kill;
       sos;
       stats = Hashtbl.create 64;
-      ctx = make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~sos;
+      ctx =
+        make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~gen_kill
+          ~sos;
       errors = [];
       processed = 0;
       epochs_fed = 0;
@@ -454,10 +477,15 @@ module Resumable = struct
           Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
         if tid = st.threads - 1 then Obs.Counter.incr m_epochs)
 
+  (* GEN/KILL of every block of LASTCHECK row [l], once it is whole. *)
+  let seal_gen_kill_row gen_kill l row =
+    Hashtbl.replace gen_kill l (Array.map seal_gen_kill row)
+
   (* Process epoch [st.processed]: seal SOS_l, run pass 2 of every block
      (fanned out on the pool when there is one, committed in tid order),
-     then retire the rows the window has passed (raw/summary rows < l,
-     LASTCHECK rows < l-2). *)
+     seal the GEN/KILL row of the committed LASTCHECK row l, then retire
+     the rows the window has passed (raw/summary rows < l, LASTCHECK and
+     GEN/KILL rows < l-2). *)
   let process_one st =
     let l = st.processed in
     advance_sos st l;
@@ -467,11 +495,16 @@ module Resumable = struct
       ~pass2:(fun ~epoch ~tid ->
         eval_block c ~epoch ~tid (Butterfly.Block.make ~epoch ~tid row.(tid)))
       ~commit2:(commit st) l;
+    Option.iter
+      (seal_gen_kill_row st.gen_kill l)
+      (Hashtbl.find_opt st.lastcheck l);
     st.processed <- l + 1;
     if l > 0 then (
       Hashtbl.remove st.rows (l - 1);
       Hashtbl.remove st.tfs (l - 1));
-    if l >= 3 then Hashtbl.remove st.lastcheck (l - 3)
+    if l >= 3 then (
+      Hashtbl.remove st.lastcheck (l - 3);
+      Hashtbl.remove st.gen_kill (l - 3))
 
   (* Rows arrive whole, so epoch l is processable as soon as row l+1 (its
      trailing-wing source) has been fed; the last epoch waits for
@@ -631,6 +664,8 @@ module Resumable = struct
                raise (R.Corrupt "instr row width mismatch");
              Hashtbl.replace rows epoch row));
       R.expect_end r;
+      let gen_kill = Hashtbl.create 8 in
+      Hashtbl.iter (seal_gen_kill_row gen_kill) lastcheck;
       let tfs = Hashtbl.create 8 in
       Hashtbl.iter
         (fun epoch row ->
@@ -648,10 +683,12 @@ module Resumable = struct
         rows;
         tfs;
         lastcheck;
+        gen_kill;
         sos;
         stats;
         ctx =
-          make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~sos;
+          make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~gen_kill
+            ~sos;
         errors;
         processed;
         epochs_fed;

@@ -86,13 +86,15 @@ type rows = (Tracing.Instr.t array array -> unit) -> unit
 
 val write_checkpoint : ('s, 'r) ops -> path:string -> threads:int -> 's -> int
 (** Snapshot the engine state to [path] (atomic), bumping the recovery
-    counters; returns the byte size. *)
+    counters; returns the byte size.  Raises
+    {!Snapshot.Write_error} when the snapshot cannot be written. *)
 
 val run :
   ('s, 'r) ops -> ?checkpoint:checkpointing -> threads:int -> rows -> 'r
 (** Create an engine for [threads] threads, feed it every row, and
     finish it — snapshotting after every [every]-th epoch when
-    [checkpoint] is given.  Raises [Invalid_argument] if [every <= 0]. *)
+    [checkpoint] is given.  Raises [Invalid_argument] if [every <= 0],
+    and {!Snapshot.Write_error} if a snapshot cannot be written. *)
 
 val revive :
   ('s, 'r) ops -> path:string -> threads:int -> ('s * int, string) result

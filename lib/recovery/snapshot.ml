@@ -51,12 +51,19 @@ let decode s =
     | result -> Ok result
     | exception R.Corrupt m -> Error ("corrupt checkpoint metadata: " ^ m))
 
+exception Write_error of string
+
 let write_file ~path meta payload =
   let data = encode meta payload in
   let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
-  Sys.rename tmp path;
-  String.length data
+  match
+    Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc data);
+    Sys.rename tmp path
+  with
+  | () -> String.length data
+  | exception Sys_error m ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise (Write_error (Printf.sprintf "cannot write checkpoint %s: %s" path m))
 
 let read_file ~path =
   match In_channel.with_open_bin path In_channel.input_all with

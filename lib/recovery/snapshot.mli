@@ -36,8 +36,14 @@ val decode : string -> (meta * string, string) result
     envelope, or ["corrupt checkpoint metadata: _"] for a valid envelope
     with an unreadable header. *)
 
+exception Write_error of string
+(** A snapshot that could not be written; the message is stable:
+    ["cannot write checkpoint PATH: REASON"]. *)
+
 val write_file : path:string -> meta -> string -> int
-(** Atomically persist a snapshot; returns the byte size written. *)
+(** Atomically persist a snapshot; returns the byte size written.
+    Raises {!Write_error} when the file cannot be written (the previous
+    snapshot at [path], if any, is left intact). *)
 
 val read_file : path:string -> (meta * string, string) result
 (** [Error _] also covers an unreadable/missing file

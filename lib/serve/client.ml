@@ -101,13 +101,17 @@ let run_tenant ~socket ?retries ?write_chunk ~hello rows =
         in
         feed (l + 1)
     in
-    let* () = feed resumed_from in
-    let* () = send ?chunk:write_chunk fd Wire.Fin in
-    match read_frame fd reader buf with
-    | Ok (Wire.Report r) -> Ok (resumed_from, r)
-    | Ok (Wire.Error m) -> Error m
-    | Ok f -> Error (Format.asprintf "unexpected frame: %a" Wire.pp f)
-    | Error m -> Error m
+    let sent =
+      let* () = feed resumed_from in
+      send ?chunk:write_chunk fd Wire.Fin
+    in
+    (* A daemon that failed the session mid-stream sent one ERROR and hung
+       up, so a write may have failed first: that ERROR is the answer. *)
+    match (read_frame fd reader buf, sent) with
+    | Ok (Wire.Error m), _ | _, Error m -> Error m
+    | Ok (Wire.Report r), Ok () -> Ok (resumed_from, r)
+    | Ok f, Ok () -> Error (Format.asprintf "unexpected frame: %a" Wire.pp f)
+    | Error m, Ok () -> Error m
 
 let status ~socket ?retries () =
   with_conn ~socket ?retries @@ fun fd ->

@@ -313,27 +313,33 @@ let accept_conns t =
   in
   go ()
 
+(* Periodic checkpoint at the sealed frontier: a killed daemon loses at
+   most [every - 1] fed epochs per tenant, and reconnecting clients
+   resume from here. *)
+let periodic_checkpoint t s =
+  match (t.cfg.checkpoint_every, t.cfg.state_dir) with
+  | Some every, Some dir when Session.fed s mod every = 0 ->
+    Result.map ignore (Session.checkpoint s ~dir)
+  | _ -> Ok ()
+
 let rotate t =
   ignore
     (Table.tick t.sessions (fun tenant s ->
          let worked = Session.step s in
          if worked then begin
-           (match (t.cfg.checkpoint_every, t.cfg.state_dir) with
-           | Some every, Some dir when Session.fed s mod every = 0 ->
-             (* Periodic checkpoint at the sealed frontier: a killed
-                daemon loses at most [every - 1] fed epochs per tenant,
-                and reconnecting clients resume from here. *)
-             (match Session.checkpoint s ~dir with
-             | Ok _ -> ()
-             | Error _ -> ())
-           | _ -> ());
-           match Hashtbl.find_opt t.attached tenant with
-           | Some conn ->
+           match (periodic_checkpoint t s, Hashtbl.find_opt t.attached tenant) with
+           (* A checkpoint that cannot be written voids the session's
+              crash-survivability promise: that session fails, alone. *)
+           | Error m, Some conn -> fail_session t conn m
+           | Error _, None ->
+             Obs.Counter.incr m_errors;
+             drop_session t tenant
+           | Ok (), Some conn ->
              if Session.finished s then finish_session t conn tenant s
              (* Feeding may have unthrottled the session; pick the
                 buffered frames back up. *)
              else drain_frames t conn
-           | None -> Hashtbl.replace t.idle tenant 0
+           | Ok (), None -> Hashtbl.replace t.idle tenant 0
          end;
          worked))
 

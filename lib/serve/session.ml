@@ -150,10 +150,13 @@ let checkpoint t ~dir =
     match t.engine with
     | E (ops, st, _) ->
       Obs.Scope.with_scope ~tenant:t.tenant (fun () ->
-          Ok
-            (Runner.write_checkpoint ops
-               ~path:(Snapshot.session_path ~dir ~tenant:t.tenant t.lifeguard)
-               ~threads:t.threads st))
+          match
+            Runner.write_checkpoint ops
+              ~path:(Snapshot.session_path ~dir ~tenant:t.tenant t.lifeguard)
+              ~threads:t.threads st
+          with
+          | bytes -> Ok bytes
+          | exception Snapshot.Write_error m -> Error m)
 
 let evict t ~dir =
   if t.report <> None then Error "cannot evict: session already reported"

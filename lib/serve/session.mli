@@ -80,14 +80,16 @@ val checkpoint : t -> dir:string -> (int, string) result
 (** Snapshot the engine at its current sealed-epoch frontier (queued
     rows stay queued) to {!Recovery.Snapshot.session_path}; returns the
     snapshot size.  This is the daemon's periodic crash-survivability
-    checkpoint.  Fails only on a session that has already reported. *)
+    checkpoint.  Fails on a session that has already reported, and with
+    the {!Recovery.Snapshot.Write_error} message when the snapshot cannot
+    be written. *)
 
 val evict : t -> dir:string -> (int, string) result
 (** Drain the queue and checkpoint the engine to
     {!Recovery.Snapshot.session_path} — the idle/oversubscription
     eviction path; returns the snapshot size.  A later {!create} with
-    the same [state_dir] revives it transparently.  Fails only on a
-    session that has already reported. *)
+    the same [state_dir] revives it transparently.  Fails like
+    {!checkpoint}; a failed eviction leaves the session usable. *)
 
 val stats_json : t -> Obs.Json.t
 (** Session card for the STATUS surface: tenant, config, fed/queued

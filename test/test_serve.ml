@@ -687,6 +687,46 @@ let tenant_reuse_after_report () =
      later frame; only this final look can race it. *)
   wait_for (fun () -> not (Sys.file_exists snap))
 
+(* A state dir removed under a running daemon: the next periodic
+   checkpoint cannot be written, so that tenant's session fails with one
+   stable ERROR frame — and only that session.  STATUS keeps answering,
+   and once the dir is back a later tenant's REPORT equals batch. *)
+let state_dir_removed () =
+  with_state_dir @@ fun dir ->
+  with_daemon ~state_dir:dir ~checkpoint_every:1 @@ fun socket _stop ->
+  let p = program ~seed:45 ~threads:2 ~scale:100 in
+  let rows = rows_of_program p in
+  Unix.rmdir dir;
+  let snap = Snapshot.session_path ~dir ~tenant:"lost" Snapshot.Racecheck in
+  (match
+     Client.run_tenant ~socket
+       ~hello:(hello ~tenant:"lost" ~lifeguard:Snapshot.Racecheck ~threads:2 ())
+       rows
+   with
+  | Ok _ -> Alcotest.fail "checkpoint into a removed state dir succeeded"
+  | Error m ->
+    checks "stable error"
+      (Printf.sprintf
+         "cannot write checkpoint %s: %s.tmp: No such file or directory" snap
+         snap)
+      m);
+  (match Client.status ~socket () with
+  | Ok s ->
+    checkb "failed session dropped" false
+      (Astring.String.is_infix ~affix:"\"lost\"" s)
+  | Error m -> Alcotest.fail ("status after the failure: " ^ m));
+  Unix.mkdir dir 0o700;
+  match
+    Client.run_tenant ~socket
+      ~hello:(hello ~tenant:"later" ~lifeguard:Snapshot.Racecheck ~threads:2 ())
+      rows
+  with
+  | Ok (_, report) ->
+    checks "later tenant == solo batch"
+      (batch_report Snapshot.Racecheck ~relaxed:false p)
+      report
+  | Error m -> Alcotest.fail ("later tenant: " ^ m)
+
 (* One tenant's corrupt stream must not perturb another tenant streaming
    concurrently — and must end with one stable ERROR frame. *)
 let fault_containment () =
@@ -969,6 +1009,8 @@ let () =
             eight_tenant_battery;
           Alcotest.test_case "crash at a sealed frontier + reconnect" `Slow
             crash_and_reconnect;
+          Alcotest.test_case "state dir removed: one ERROR, daemon lives"
+            `Quick state_dir_removed;
           Alcotest.test_case "per-session fault containment" `Quick
             fault_containment;
           Alcotest.test_case "hello rejections over the wire" `Quick
