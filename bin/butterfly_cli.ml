@@ -257,22 +257,20 @@ let analyze ~domains ~relaxed ~every ~out ~resume lifeguard path h =
       let (Serve.Report.Engine e) =
         Serve.Report.engine ?pool ~relaxed lifeguard
       in
-      let fail m =
-        prerr_endline ("error: " ^ m);
-        exit 2
+      let run () =
+        match resume with
+        | None -> Ok (Recovery.Runner.run e.ops ?checkpoint ~threads rows)
+        | Some path ->
+          Recovery.Runner.resume e.ops ?checkpoint ~path ~threads
+            ~num_rows:(Tracing.Row_source.num_rows ?every:chunk src)
+            rows
       in
       let r =
-        match
-          match resume with
-          | None -> Ok (Recovery.Runner.run e.ops ?checkpoint ~threads rows)
-          | Some path ->
-            Recovery.Runner.resume e.ops ?checkpoint ~path ~threads
-              ~num_rows:(Tracing.Row_source.num_rows ?every:chunk src)
-              rows
-        with
+        match run () with
         | Ok r -> r
-        | Error m -> fail m
-        | exception Recovery.Snapshot.Write_error m -> fail m
+        | Error m | exception Recovery.Snapshot.Write_error m ->
+          prerr_endline ("error: " ^ m);
+          exit 2
       in
       fun ~json -> if json then e.json r ^ "\n" else e.text r)
 

@@ -276,9 +276,9 @@ let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
 (* Everything pass 2 learns about one body block, produced without
    touching shared state.  Evaluating block (l, t) reads only inputs
    sealed before its dispatch — the sealed summary rows l-1 and l and
-   the block's entry clock — so it can run on a pool worker.  The master commits outcomes epoch-major /
-   thread-minor, which reproduces the sequential race list, statistics
-   and telemetry byte for byte. *)
+   the block's entry clock — so it can run on a pool worker.  The master
+   commits outcomes epoch-major / thread-minor, which reproduces the
+   sequential race list, statistics and telemetry byte for byte. *)
 type block_outcome = {
   bo_races : race list; (* in enumeration order *)
   bo_stats : block_stats;

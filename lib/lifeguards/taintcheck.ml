@@ -91,8 +91,8 @@ let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
 (* Everything pass 2 learns about one body block, produced without touching
    shared state.  Evaluating block (l,t) reads only inputs sealed before
    its dispatch — the pass-1 transfer functions of epochs l-1..l+1,
-   LASTCHECK results of epochs <= l-1, and SOS_l — so it can run on a
-   pool worker.  The master commits outcomes epoch-major / thread-minor,
+   LASTCHECK results of epochs <= l-1 with their sealed GEN/KILL sets,
+   and SOS_l — so it can run on a pool worker.  The master commits outcomes epoch-major / thread-minor,
    which reproduces the sequential error list, LASTCHECK tables, statistics
    and telemetry byte for byte. *)
 type block_outcome = {
@@ -227,9 +227,9 @@ let eval_block c ~epoch:l ~tid block =
   let head_gen = gen_block c (l - 1) tid
   and head_kill = kill_block c (l - 1) tid in
   let others_gen_l2 =
-    List.filter_map
-      (fun t' -> if t' = tid then None else Some (gen_block c (l - 2) t'))
-      (List.init c.c_threads Fun.id)
+    List.filteri
+      (fun t' _ -> t' <> tid)
+      (List.init c.c_threads (gen_block c (l - 2)))
   in
   let sos_l = c.sos_at l in
   let in_lsos a =
@@ -357,11 +357,13 @@ let eval_block c ~epoch:l ~tid block =
 
 (* ---------------------------------------------------------------- *)
 (* The epoch-incremental engine, checkpointable between epochs.
-   Evaluating epoch l reads transfer functions of rows l-1..l+1, LASTCHECK rows l-3..l-1 and SOS_l — so raw
-   rows, pass-1 summaries and LASTCHECK rows the window has passed are
-   pruned, and the SOS history (part of the report) is kept whole.
-   Pass-1 summaries are recomputed from the retained raw rows on decode
-   rather than serialized: [summarize_block] is pure. *)
+   Evaluating epoch l reads transfer functions of rows l-1..l+1,
+   LASTCHECK (and GEN/KILL) rows l-3..l-1 and SOS_l — so raw rows, pass-1
+   summaries and LASTCHECK rows the window has passed are pruned, and
+   the SOS history (part of the report) is kept whole.  Pass-1 summaries
+   are recomputed from the retained raw rows on decode rather than
+   serialized: [summarize_block] is pure; likewise GEN/KILL rows are
+   resealed from the retained LASTCHECK rows. *)
 
 module Resumable = struct
   let zero_stats = { instrs = 0; mem_events = 0; checks_resolved = 0 }
