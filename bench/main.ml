@@ -95,9 +95,9 @@ let core_tests =
            (let module S = Butterfly.Scheduler.Make
                 (Butterfly.Reaching_definitions.Problem) in
             fun () ->
-              let s = S.create ~threads:3 ~on_instr:(fun _ -> ()) () in
+              let s = S.create ~threads:3 (fun _ -> ()) () in
               Butterfly.Epochs.iter_rows exploit_epochs (S.feed_row s);
-              S.finish s));
+              ignore (S.finish s)));
       Test.make ~name:"idempotent_filter.walk-1k"
         (Staged.stage (fun () ->
              let f = Machine.Idempotent_filter.create () in
@@ -172,7 +172,7 @@ let figure12_tests =
 module SRD = Butterfly.Scheduler.Make (Butterfly.Reaching_definitions.Problem)
 
 let streaming_run ?pool () =
-  ignore (SRD.run_epochs ?pool ~on_instr:(fun _ -> ()) lu_large_epochs)
+  ignore (SRD.run ?pool (fun _ -> ()) () lu_large_epochs)
 
 let streaming_tests pools =
   Test.make_grouped ~name:"streaming"

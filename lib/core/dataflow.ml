@@ -13,6 +13,8 @@ module type SET = sig
 
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
+  val put : Tracing.Binio.W.t -> t -> unit
+  val get : Tracing.Binio.R.t -> t
 end
 
 module type PROBLEM = sig
@@ -29,8 +31,9 @@ module Make (P : PROBLEM) = struct
   module Set = P.Set
 
   (* Telemetry: one instrument per metric, shared by every batch run of
-     this problem.  The row window ([Scheduler.Make], the engine the
-     lifeguards run on) emits the same names with [driver=streaming]. *)
+     this problem.  The window's dataflow kernel ([Scheduler.Kernel],
+     which the lifeguards run on) emits the same names with
+     [driver=streaming]. *)
   let obs_labels = [ ("problem", P.name); ("driver", "batch") ]
   let m_epochs = Obs.Counter.make ~labels:obs_labels "butterfly.epochs_processed"
   let m_instrs = Obs.Counter.make ~labels:obs_labels "butterfly.pass2_instrs"
@@ -177,7 +180,7 @@ module Make (P : PROBLEM) = struct
     | `Must -> Set.diff lsos_at side_in
 
   (* Pass-2 inner loop over one block, shared by both drivers (batch here,
-     the row window's pass-2 task in [Scheduler.Make]).
+     the pass-2 task of [Scheduler.Kernel] on the window).
      [in_before] depends only on the running LSOS, which GEN/KILL-free
      instructions leave physically unchanged (the set ops shortcut empty
      operands) — so the meet with the side-in is recomputed only at state

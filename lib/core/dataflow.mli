@@ -38,6 +38,9 @@ module type SET = sig
 
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
+  val put : Tracing.Binio.W.t -> t -> unit
+  val get : Tracing.Binio.R.t -> t
+  (** Checkpoint codec: the window's snapshots carry SOS levels. *)
 end
 
 module type PROBLEM = sig
@@ -104,7 +107,7 @@ module Make (P : PROBLEM) : sig
     Block.t ->
     unit
   (** The pass-2 inner loop over one block, shared by both drivers (the
-      batch {!run} and the pass-2 task of the streaming scheduler's row
+      batch {!run} and the pass-2 task of {!Scheduler.Kernel} on the
       window, on the caller or on a pool):
       threads the running LSOS through GEN/KILL and emits each
       instruction's view.  [in_before] is recomputed only when the

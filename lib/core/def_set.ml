@@ -113,3 +113,23 @@ let pp ppf t =
   Format.fprintf ppf "}"
 
 let union_all = List.fold_left union empty
+
+module W = Tracing.Binio.W
+module R = Tracing.Binio.R
+
+let put w t =
+  W.list w
+    (fun w (loc, p) ->
+      W.sint w loc;
+      let all, sites = match p with Pos s -> (false, s) | All_except s -> (true, s) in
+      W.bool w all;
+      W.list w Instr_id.put (S.elements sites))
+    (Loc_map.bindings t)
+
+let get r =
+  R.list r (fun r ->
+      let loc = R.sint r in
+      let all = R.bool r in
+      let sites = S.of_list (R.list r Instr_id.get) in
+      (loc, if all then All_except sites else Pos sites))
+  |> List.to_seq |> Loc_map.of_seq

@@ -49,3 +49,7 @@ val locations : t -> Tracing.Addr.t list
 (** Locations with a non-empty portion, sorted. *)
 
 val pp : Format.formatter -> t -> unit
+
+val put : Tracing.Binio.W.t -> t -> unit
+val get : Tracing.Binio.R.t -> t
+(** Checkpoint codec. *)

@@ -157,3 +157,45 @@ let pp ppf t =
   Format.fprintf ppf "}"
 
 let union_all = List.fold_left union empty
+
+module W = Tracing.Binio.W
+module R = Tracing.Binio.R
+
+let put_expr w (e : Expr.t) =
+  match e with
+  | Unop a ->
+    W.u8 w 0;
+    W.sint w a
+  | Binop (a, b) ->
+    W.u8 w 1;
+    W.sint w a;
+    W.sint w b
+
+let get_expr r =
+  match R.u8 r with
+  | 0 -> Expr.unop (R.sint r)
+  | 1 ->
+    let a = R.sint r in
+    Expr.binop a (R.sint r)
+  | k -> raise (R.Corrupt (Printf.sprintf "bad expression tag %d" k))
+
+let put_exprs w s = W.list w put_expr (ES.elements s)
+let get_exprs r = ES.of_list (R.list r get_expr)
+
+let put w t =
+  put_exprs w t.pos;
+  W.list w
+    (fun w (loc, ex) ->
+      W.sint w loc;
+      put_exprs w ex)
+    (Loc_map.bindings t.wild)
+
+let get r =
+  let pos = get_exprs r in
+  let wild =
+    R.list r (fun r ->
+        let loc = R.sint r in
+        (loc, get_exprs r))
+    |> List.to_seq |> Loc_map.of_seq
+  in
+  { pos; wild }

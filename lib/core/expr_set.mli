@@ -36,3 +36,7 @@ val wild_locations : t -> Tracing.Addr.t list
 (** Locations with a wildcard portion, sorted. *)
 
 val pp : Format.formatter -> t -> unit
+
+val put : Tracing.Binio.W.t -> t -> unit
+val get : Tracing.Binio.R.t -> t
+(** Checkpoint codec. *)

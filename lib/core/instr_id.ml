@@ -15,6 +15,17 @@ let hash = Hashtbl.hash
 let pp ppf { epoch; tid; index } = Format.fprintf ppf "(%d,%d,%d)" epoch tid index
 let to_string t = Format.asprintf "%a" pp t
 
+let put w t =
+  Tracing.Binio.W.sint w t.epoch;
+  Tracing.Binio.W.varint w t.tid;
+  Tracing.Binio.W.varint w t.index
+
+let get r =
+  let epoch = Tracing.Binio.R.sint r in
+  let tid = Tracing.Binio.R.varint r in
+  let index = Tracing.Binio.R.varint r in
+  { epoch; tid; index }
+
 let strictly_before ~sequential a b =
   a.epoch <= b.epoch - 2
   || sequential

@@ -12,6 +12,10 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val put : Tracing.Binio.W.t -> t -> unit
+val get : Tracing.Binio.R.t -> t
+(** Checkpoint codec. *)
+
 val strictly_before : sequential:bool -> t -> t -> bool
 (** The strictly-before relation of Section 6.2: [(l,t,i) < (l',t',i')] iff
     [l <= l' - 2]; when [sequential] (i.e. the machine is sequentially

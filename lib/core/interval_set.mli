@@ -75,3 +75,7 @@ val iter : (int -> unit) -> t -> unit
 
 val elements : t -> int list
 val pp : Format.formatter -> t -> unit
+
+val put : Tracing.Binio.W.t -> t -> unit
+val get : Tracing.Binio.R.t -> t
+(** Checkpoint codec: the canonical interval list. *)

@@ -75,11 +75,11 @@ let put_error w (e : error) =
     | Unallocated_free -> 1
     | Double_alloc -> 2
     | Metadata_race -> 3);
-  Lg_io.put_is w e.addrs;
+  IS.put w e.addrs;
   match e.where with
   | `Instr id ->
     W.u8 w 0;
-    Lg_io.put_id w id
+    Butterfly.Instr_id.put w id
   | `Block (l, tid) ->
     W.u8 w 1;
     W.sint w l;
@@ -95,10 +95,10 @@ let get_error r =
     | 3 -> Metadata_race
     | k -> raise (R.Corrupt (Printf.sprintf "bad error kind %d" k))
   in
-  let addrs = Lg_io.get_is r in
+  let addrs = IS.get r in
   let where =
     match R.u8 r with
-    | 0 -> `Instr (Lg_io.get_id r)
+    | 0 -> `Instr (Butterfly.Instr_id.get r)
     | 1 ->
       let l = R.sint r in
       let tid = R.varint r in
@@ -138,8 +138,7 @@ module Problem = struct
     | `Alloc _ | `None -> IS.empty
 end
 
-module A = Butterfly.Dataflow.Make (Problem)
-module S = Butterfly.Scheduler.Make (Problem)
+module DK = Butterfly.Scheduler.Kernel (Problem)
 
 (* Does instruction [i]'s footprint meet [viol]?  Point accesses probe
    membership directly instead of building a set per instruction. *)
@@ -160,16 +159,40 @@ let access_set block =
     [] block
   |> IS.of_list
 
-(* The per-instruction check.  [violation_of l tid] is block (l, tid)'s
-   isolation-violation set, materialized lazily by the engine below. *)
-let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
-    (v : A.instr_view) =
+(* What the kernel accumulates on the master besides the dataflow
+   window: the report so far, and the isolation-violation row of the
+   epoch being processed. *)
+type acc = {
+  threads : int;
+  isolation : bool;
+  mutable instr_errors : error list; (* reversed *)
+  mutable block_errors : error list; (* reversed *)
+  mutable flagged : int;
+  mutable total : int;
+  stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
+  mutable viol : IS.t array; (* by tid *)
+}
+
+let bump acc tid l f =
+  let row =
+    match Hashtbl.find_opt acc.stats l with
+    | Some row -> row
+    | None ->
+      let row = Array.make acc.threads zero_stats in
+      Hashtbl.replace acc.stats l row;
+      row
+  in
+  row.(tid) <- f row.(tid)
+
+(* The per-instruction check, against the violation row of the view's
+   epoch. *)
+let check acc (v : DK.D.instr_view) =
   let { Butterfly.Instr_id.epoch = l; tid; _ } = v.id in
-  bump tid l (fun s -> { s with instrs = s.instrs + 1 });
+  bump acc tid l (fun s -> { s with instrs = s.instrs + 1 });
   if Tracing.Instr.is_memory_event v.instr then (
-    incr total;
+    acc.total <- acc.total + 1;
     Obs.Counter.incr m_checks;
-    bump tid l (fun s -> { s with mem_events = s.mem_events + 1 }));
+    bump acc tid l (fun s -> { s with mem_events = s.mem_events + 1 }));
   let local_errs =
     match Tracing.Instr.alloc_effect v.instr with
     | `Alloc (base, size) ->
@@ -207,281 +230,196 @@ let make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total
               })
         (Tracing.Instr.accesses v.instr)
   in
-  instr_errors := List.rev_append local_errs !instr_errors;
-  let races = footprint_meets v.instr (violation_of l tid) in
+  acc.instr_errors <- List.rev_append local_errs acc.instr_errors;
+  let races = footprint_meets v.instr acc.viol.(tid) in
   if (local_errs <> [] || races) && Tracing.Instr.is_memory_event v.instr
   then (
-    incr flagged;
+    acc.flagged <- acc.flagged + 1;
     Obs.Counter.incr m_flags;
-    bump tid l (fun s -> { s with flagged_events = s.flagged_events + 1 }))
+    bump acc tid l (fun s -> { s with flagged_events = s.flagged_events + 1 }))
 
 (* ---------------------------------------------------------------- *)
-(* The epoch-incremental engine.  The streaming scheduler carries the
-   dataflow window; what AddrCheck adds on top is the isolation check.
-   The key locality fact (Section 6.1): the violation set of block
-   (l, t) reads state-change/access footprints of rows l-1..l+1 only,
-   and the scheduler runs pass 2 of epoch l only once row l+1 is
-   summarized — so violation rows can be materialized lazily, and access
-   footprints older than the window pruned.  State changes (GEN ∪ KILL)
-   come straight from the window's pass-1 summaries. *)
+(* The window kernel: the dataflow kernel, whose view sink is the check
+   above, plus the isolation check.  The key locality fact (Section
+   6.1): the violation set of block (l, t) reads state-change/access
+   footprints of rows l-1..l+1 only, all resident when epoch l is
+   processed — so the master step computes violation row l from the
+   pass-1 summaries, which carry each block's access footprint next to
+   its dataflow summary (state changes are GEN ∪ KILL). *)
 
-module Resumable = struct
-  (* Fact sets are serialized as canonical interval lists. *)
-  let set_codec = { S.put_set = Lg_io.put_is; get_set = Lg_io.get_is }
+module Kernel = struct
+  module W = Tracing.Binio.W
+  module R = Tracing.Binio.R
 
-  type state = {
-    sched : S.t;
-    threads : int;
-    isolation : bool;
-    instr_errors : error list ref; (* reversed *)
-    mutable block_errors : error list; (* reversed *)
-    flagged : int ref;
-    total : int ref;
-    stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
-    access : (int, IS.t array) Hashtbl.t; (* sliding window, pruned *)
-    viol : (int, IS.t array) Hashtbl.t; (* lazy violation rows *)
-    mutable finalized : int; (* rows 0..finalized-1 emitted block errors *)
-    mutable epochs_fed : int;
-  }
+  let name = Problem.name
 
-  (* Rows absent from [access] (before epoch 0, or past the last row fed)
-     contribute empty footprints, as the window's summaries do: the grid
-     is empty outside the execution. *)
-  let violation_row ~threads ~isolation ~sched ~access ~viol l =
-    match Hashtbl.find_opt viol l with
-    | Some v -> v
-    | None ->
-      let v =
-        if not isolation then Array.make threads IS.empty
-        else
-          Obs.Scope.with_scope ~epoch:l ~phase:"isolation" @@ fun () ->
-          Obs.Span.time sp_isolation (fun () ->
-              (* Rows l-1 .. l+1, indexed by l' - l + 1. *)
-              let sc =
-                Array.init 3 (fun i ->
-                    Array.map
-                      (fun (s : A.block_summary) ->
-                        IS.union s.gen_union s.kill_union)
-                      (S.summary_row sched (l - 1 + i)))
-              and ac =
-                Array.init 3 (fun i ->
-                    match Hashtbl.find_opt access (l - 1 + i) with
-                    | Some row -> row
-                    | None -> Array.make threads IS.empty)
-              in
-              Array.init threads (fun tid ->
-                  let s_change = sc.(1).(tid) and s_access = ac.(1).(tid) in
-                  let wing_change = ref [] and wing_access = ref [] in
-                  for i = 0 to 2 do
-                    for t' = 0 to threads - 1 do
-                      if t' <> tid then (
-                        wing_change := sc.(i).(t') :: !wing_change;
-                        wing_access := ac.(i).(t') :: !wing_access)
-                    done
-                  done;
-                  (* (∪w) ∩ x distributed as ∪(w ∩ x): state changes
-                     are sparse, so every intersection is small, whereas
-                     the union of nine access footprints is about the
-                     whole heap. *)
-                  let wing_inter ws x =
-                    IS.union_all (List.map (IS.inter x) ws)
-                  in
-                  IS.union
-                    (wing_inter !wing_change s_change)
-                    (IS.union
-                       (wing_inter !wing_change s_access)
-                       (wing_inter !wing_access s_change))))
-      in
-      Hashtbl.replace viol l v;
-      v
+  type env = unit
+  type params = bool (* isolation *)
+  type summary = { df : DK.summary; access : IS.t }
+  type state = { df : DK.state; acc : acc }
+  type sealed = DK.sealed
+  type outcome = DK.outcome
+  type nonrec report = report
 
-  let make_state ~isolation ~threads ~instr_errors ~block_errors ~flagged
-      ~total ~stats ~access ~finalized ~epochs_fed ~sched_of =
-    let viol = Hashtbl.create 8 in
-    let bump tid l f =
-      let row =
-        match Hashtbl.find_opt stats l with
-        | Some row -> row
-        | None ->
-          let row = Array.make threads zero_stats in
-          Hashtbl.replace stats l row;
-          row
-      in
-      row.(tid) <- f row.(tid)
-    in
-    (* [on_instr] runs inside the scheduler it is handed to and reads
-       that scheduler's summary rows, hence the knot. *)
-    let rec sched = lazy (sched_of on_instr)
-    and on_instr v =
-      make_on_instr ~violation_of ~bump ~instr_errors ~flagged ~total v
-    and violation_of l tid =
-      (violation_row ~threads ~isolation ~sched:(Lazy.force sched) ~access
-         ~viol l).(tid)
-    in
-    {
-      sched = Lazy.force sched;
-      threads;
-      isolation;
-      instr_errors;
-      block_errors;
-      flagged;
-      total;
-      stats;
-      access;
-      viol;
-      finalized;
-      epochs_fed;
-    }
+  let rows_behind = DK.rows_behind
 
-  let create ?pool ?(isolation = true) ~threads () =
+  (* The dataflow kernel's view sink is the check over [acc]. *)
+  let with_check acc df_of = { df = df_of (check acc); acc }
+
+  let create ~threads () isolation =
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    make_state ~isolation ~threads ~instr_errors:(ref []) ~block_errors:[]
-      ~flagged:(ref 0) ~total:(ref 0) ~stats:(Hashtbl.create 64)
-      ~access:(Hashtbl.create 8) ~finalized:0 ~epochs_fed:0
-      ~sched_of:(fun on_instr -> S.create ?pool ~threads ~on_instr ())
+    with_check
+      {
+        threads;
+        isolation;
+        instr_errors = [];
+        block_errors = [];
+        flagged = 0;
+        total = 0;
+        stats = Hashtbl.create 64;
+        viol = [||];
+      }
+      (fun sink -> DK.create ~threads sink ())
 
-  let threads st = st.threads
-  let epochs_fed st = st.epochs_fed
+  let summarize (st : state) block =
+    { df = DK.summarize st.df block; access = access_set block }
 
-  (* Violation row [e] is final once row [e+1] is summarized; emit its
-     block-level errors and retire access rows the window has passed
-     (rows < e are never read again). *)
-  let finalize_rows st ~upto =
-    while st.finalized <= upto do
-      let l = st.finalized in
-      let v =
-        violation_row ~threads:st.threads ~isolation:st.isolation
-          ~sched:st.sched ~access:st.access ~viol:st.viol l
-      in
-      for tid = 0 to st.threads - 1 do
-        if not (IS.is_empty v.(tid)) then (
-          Obs.Counter.incr m_flags;
-          st.block_errors <-
-            {
-              kind = Metadata_race;
-              addrs = v.(tid);
-              where = `Block (l, tid);
-            }
-            :: st.block_errors)
-      done;
-      Hashtbl.remove st.viol l;
-      if l > 0 then Hashtbl.remove st.access (l - 1);
-      st.finalized <- l + 1
-    done
+  let df_row row l = Option.map (Array.map (fun (s : summary) -> s.df)) (row l)
 
-  (* Row [l]'s access footprints go in before [S.feed_row] runs pass 2
-     of epoch l-1, whose violation row reads them; that same pass leaves
-     violation row l-1 final. *)
-  let feed_epoch st row =
-    if Array.length row <> st.threads then
-      invalid_arg "Addrcheck.Resumable.feed_epoch: wrong row width";
-    let epoch = st.epochs_fed in
-    Hashtbl.replace st.access epoch
-      (Array.mapi
-         (fun tid instrs ->
-           access_set (Butterfly.Block.make ~epoch ~tid instrs))
-         row);
-    S.feed_row st.sched row;
-    st.epochs_fed <- epoch + 1;
-    finalize_rows st ~upto:(epoch - 1)
+  (* Rows outside the execution contribute empty footprints: the grid is
+     empty there. *)
+  let violation_row acc ~row l =
+    let threads = acc.threads in
+    if not acc.isolation then Array.make threads IS.empty
+    else
+      Obs.Scope.with_scope ~epoch:l ~phase:"isolation" @@ fun () ->
+      Obs.Span.time sp_isolation (fun () ->
+          (* Rows l-1 .. l+1, indexed by l' - l + 1. *)
+          let rows = Array.init 3 (fun i -> row (l - 1 + i)) in
+          let of_row f =
+            Array.map
+              (function
+                | Some r -> Array.map f r | None -> Array.make threads IS.empty)
+              rows
+          in
+          let sc =
+            of_row (fun (s : summary) -> IS.union s.df.gen_union s.df.kill_union)
+          and ac = of_row (fun (s : summary) -> s.access) in
+          Array.init threads (fun tid ->
+              let s_change = sc.(1).(tid) and s_access = ac.(1).(tid) in
+              let wing_change = ref [] and wing_access = ref [] in
+              for i = 0 to 2 do
+                for t' = 0 to threads - 1 do
+                  if t' <> tid then (
+                    wing_change := sc.(i).(t') :: !wing_change;
+                    wing_access := ac.(i).(t') :: !wing_access)
+                done
+              done;
+              (* (∪w) ∩ x distributed as ∪(w ∩ x): state changes are
+                 sparse, so every intersection is small, whereas the
+                 union of nine access footprints is about the whole
+                 heap. *)
+              let wing_inter ws x = IS.union_all (List.map (IS.inter x) ws) in
+              IS.union
+                (wing_inter !wing_change s_change)
+                (IS.union
+                   (wing_inter !wing_change s_access)
+                   (wing_inter !wing_access s_change))))
 
-  let finish st =
-    S.finish st.sched;
-    let num_l = S.epochs_completed st.sched in
-    finalize_rows st ~upto:(num_l - 1);
-    let sos_levels = S.sos_history st.sched in
-    let stats =
-      Array.init st.threads (fun tid ->
-          Array.init num_l (fun l ->
-              match Hashtbl.find_opt st.stats l with
-              | Some row -> row.(tid)
-              | None -> zero_stats))
-    in
+  let step st ~inline ~row l =
+    st.acc.viol <- violation_row st.acc ~row l;
+    DK.step st.df ~inline ~row:(df_row row) l
+
+  let eval_block = DK.eval_block
+
+  (* Block (l, tid)'s views, then its isolation violation. *)
+  let commit st ~epoch:l ~tid views =
+    DK.commit st.df ~epoch:l ~tid views;
+    let v = st.acc.viol.(tid) in
+    if not (IS.is_empty v) then (
+      Obs.Counter.incr m_flags;
+      st.acc.block_errors <-
+        { kind = Metadata_race; addrs = v; where = `Block (l, tid) }
+        :: st.acc.block_errors)
+
+  let report st ~row ~epochs:num_l =
+    let sos_levels = DK.report st.df ~row:(df_row row) ~epochs:num_l in
+    let acc = st.acc in
     if Obs.enabled () then
       Array.iter
         (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
         sos_levels;
     {
-      errors = List.rev !(st.instr_errors) @ List.rev st.block_errors;
-      flagged_accesses = !(st.flagged);
-      total_accesses = !(st.total);
-      block_stats = stats;
+      errors = List.rev acc.instr_errors @ List.rev acc.block_errors;
+      flagged_accesses = acc.flagged;
+      total_accesses = acc.total;
+      block_stats =
+        Array.init acc.threads (fun tid ->
+            Array.init num_l (fun l ->
+                match Hashtbl.find_opt acc.stats l with
+                | Some row -> row.(tid)
+                | None -> zero_stats));
       sos = sos_levels;
     }
 
-  let encode st =
-    let module W = Tracing.Binio.W in
-    let w = W.create () in
-    W.varint w st.threads;
-    W.bool w st.isolation;
-    W.varint w st.epochs_fed;
-    W.varint w st.finalized;
-    W.varint w !(st.flagged);
-    W.varint w !(st.total);
-    W.list w put_error !(st.instr_errors);
-    W.list w put_error st.block_errors;
+  let put_params = W.bool
+  let get_params = R.bool
+
+  let put_body w st =
+    let acc = st.acc in
+    W.varint w acc.flagged;
+    W.varint w acc.total;
+    W.list w put_error acc.instr_errors;
+    W.list w put_error acc.block_errors;
     W.list w
       (fun w (epoch, row) ->
         W.varint w epoch;
         W.array w put_stats row)
-      (Lg_io.sorted_entries st.stats);
-    W.list w
-      (fun w (epoch, row) ->
-        W.varint w epoch;
-        W.array w Lg_io.put_is row)
-      (Lg_io.sorted_entries st.access);
-    W.string w (S.encode_state ~set:set_codec st.sched);
-    W.contents w
+      (Lg_io.sorted_entries acc.stats);
+    DK.put_body w st.df
 
-  let decode ?pool s =
-    let module R = Tracing.Binio.R in
-    match
-      let r = R.of_string s in
-      let threads = R.varint r in
-      if threads = 0 then raise (R.Corrupt "zero threads");
-      let isolation = R.bool r in
-      let epochs_fed = R.varint r in
-      let finalized = R.varint r in
-      let flagged = ref (R.varint r) in
-      let total = ref (R.varint r) in
-      let instr_errors = ref (R.list r get_error) in
-      let block_errors = R.list r get_error in
-      let stats = Hashtbl.create 64 in
-      R.list r (fun r ->
-          let epoch = R.varint r in
-          let row = R.array r get_stats in
-          if Array.length row <> threads then
-            raise (R.Corrupt "stats row width mismatch");
-          Hashtbl.replace stats epoch row)
-      |> ignore;
-      let access = Hashtbl.create 8 in
-      R.list r (fun r ->
-          let epoch = R.varint r in
-          let row = R.array r Lg_io.get_is in
-          if Array.length row <> threads then
-            raise (R.Corrupt "access row width mismatch");
-          Hashtbl.replace access epoch row)
-      |> ignore;
-      let sched_payload = R.string r in
-      R.expect_end r;
-      make_state ~isolation ~threads ~instr_errors ~block_errors ~flagged
-        ~total ~stats ~access ~finalized ~epochs_fed ~sched_of:(fun on_instr ->
-          let sched =
-            S.decode_state ~set:set_codec ?pool ~on_instr sched_payload
-          in
-          if S.threads sched <> threads then
-            raise (R.Corrupt "thread count disagrees with the window's");
-          sched)
-    with
-    | st -> Ok st
-    | exception R.Corrupt m -> Error ("addrcheck state: " ^ m)
+  let get_body r ~threads ~processed () isolation =
+    let flagged = R.varint r in
+    let total = R.varint r in
+    let instr_errors = R.list r get_error in
+    let block_errors = R.list r get_error in
+    let stats = Hashtbl.create 64 in
+    R.list r (fun r ->
+        let epoch = R.varint r in
+        let row = R.array r get_stats in
+        if Array.length row <> threads then
+          raise (R.Corrupt "stats row width mismatch");
+        Hashtbl.replace stats epoch row)
+    |> ignore;
+    with_check
+      {
+        threads;
+        isolation;
+        instr_errors;
+        block_errors;
+        flagged;
+        total;
+        stats;
+        viol = [||];
+      }
+      (fun sink -> DK.get_body r ~threads ~processed sink ())
 end
 
-let run ?isolation ?pool epochs =
-  let st =
-    Resumable.create ?pool ?isolation
-      ~threads:(Butterfly.Epochs.threads epochs) ()
-  in
-  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
-  Resumable.finish st
+module Win = Butterfly.Window.Make (Kernel)
+
+module Resumable = struct
+  type state = Win.t
+
+  let create ?pool ?(isolation = true) ~threads () =
+    Win.create ?pool ~threads () isolation
+
+  let feed_epoch = Win.feed_row
+  let threads = Win.threads
+  let epochs_fed = Win.fed
+  let finish = Win.finish
+  let encode = Win.encode
+  let decode ?pool s = Win.decode ?pool () s
+end
+
+let run ?(isolation = true) ?pool epochs = Win.run ?pool () isolation epochs

@@ -54,7 +54,7 @@ val run :
 
     [run] is the {!Resumable} engine fed every row of the grid
     ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs the
-    engine's streaming scheduler on the caller's {!Butterfly.Domain_pool}
+    engine's window on the caller's {!Butterfly.Domain_pool}
     (each epoch's pass 2 fans out as one task per thread); the pool may
     be reused across calls and the caller shuts it down.  The report is identical either
     way — property-tested and continuously fuzzed ([lib/qa],

@@ -47,16 +47,20 @@ module Problem = struct
     | `None -> IS.empty
 end
 
-module A = Butterfly.Dataflow.Make (Problem)
-module S = Butterfly.Scheduler.Make (Problem)
+module DK = Butterfly.Scheduler.Kernel (Problem)
 
-(* The per-instruction check, fed every view the streaming scheduler
-   delivers. *)
-let make_on_instr ~errors ~flagged ~total (v : A.instr_view) =
+type acc = {
+  mutable errors : error list; (* reversed *)
+  mutable flagged : int;
+  mutable total : int;
+}
+
+(* The per-instruction check, fed every view the window delivers. *)
+let check acc (v : DK.D.instr_view) =
   match Tracing.Instr.reads v.instr with
   | [] -> ()
   | rs ->
-    incr total;
+    acc.total <- acc.total + 1;
     Obs.Counter.incr m_checks;
     let bad =
       List.fold_left
@@ -65,112 +69,92 @@ let make_on_instr ~errors ~flagged ~total (v : A.instr_view) =
         IS.empty rs
     in
     if not (IS.is_empty bad) then (
-      incr flagged;
+      acc.flagged <- acc.flagged + 1;
       Obs.Counter.incr m_flags;
-      errors := { id = v.id; addrs = bad } :: !errors)
+      acc.errors <- { id = v.id; addrs = bad } :: acc.errors)
 
 (* ---------------------------------------------------------------- *)
-(* The epoch-incremental engine.  Built directly on the streaming
-   scheduler: InitCheck's durable state is the scheduler's
-   sliding window plus the accumulated report — nothing else. *)
+(* The window kernel: the dataflow kernel, whose view sink is the check
+   above, plus the accumulated report — nothing else. *)
 
-module Resumable = struct
-  (* Fact sets are serialized as canonical interval lists. *)
-  let set_codec = { S.put_set = Lg_io.put_is; get_set = Lg_io.get_is }
+module Kernel = struct
+  module W = Tracing.Binio.W
+  module R = Tracing.Binio.R
 
-  type state = {
-    sched : S.t;
-    threads : int;
-    errors : error list ref; (* reversed *)
-    flagged : int ref;
-    total : int ref;
-    mutable epochs_fed : int;
-  }
+  let name = Problem.name
 
-  let create ?pool ~threads () =
+  type env = unit
+  type params = unit
+  type summary = DK.summary
+  type state = { df : DK.state; acc : acc }
+  type sealed = DK.sealed
+  type outcome = DK.outcome
+  type nonrec report = report
+
+  let rows_behind = DK.rows_behind
+
+  let create ~threads () () =
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    let errors = ref [] and flagged = ref 0 and total = ref 0 in
-    let on_instr = make_on_instr ~errors ~flagged ~total in
-    {
-      sched = S.create ?pool ~threads ~on_instr ();
-      threads;
-      errors;
-      flagged;
-      total;
-      epochs_fed = 0;
-    }
+    let acc = { errors = []; flagged = 0; total = 0 } in
+    { df = DK.create ~threads (check acc) (); acc }
 
-  let threads st = st.threads
-  let epochs_fed st = st.epochs_fed
+  let summarize st = DK.summarize st.df
+  let step st = DK.step st.df
+  let eval_block = DK.eval_block
+  let commit st = DK.commit st.df
 
-  (* Pass 2 of the previous epoch runs inside [S.feed_row]: its views
-     reach the check above before this returns. *)
-  let feed_epoch st row =
-    S.feed_row st.sched row;
-    st.epochs_fed <- st.epochs_fed + 1
-
-  let finish st =
-    S.finish st.sched;
-    let sos_levels = S.sos_history st.sched in
+  let report st ~row ~epochs =
+    let sos_levels = DK.report st.df ~row ~epochs in
     if Obs.enabled () then
       Array.iter
         (fun s -> Obs.Gauge.set_max g_set_hwm (float_of_int (IS.cardinal s)))
         sos_levels;
     {
-      errors = List.rev !(st.errors);
-      flagged_reads = !(st.flagged);
-      total_reads = !(st.total);
+      errors = List.rev st.acc.errors;
+      flagged_reads = st.acc.flagged;
+      total_reads = st.acc.total;
       sos = sos_levels;
     }
 
-  let encode st =
-    let module W = Tracing.Binio.W in
-    let w = W.create () in
-    W.varint w st.threads;
-    W.varint w st.epochs_fed;
-    W.varint w !(st.flagged);
-    W.varint w !(st.total);
+  let put_params _ () = ()
+  let get_params _ = ()
+
+  let put_body w st =
+    W.varint w st.acc.flagged;
+    W.varint w st.acc.total;
     W.list w
       (fun w e ->
-        Lg_io.put_id w e.id;
-        Lg_io.put_is w e.addrs)
-      !(st.errors);
-    W.string w (S.encode_state ~set:set_codec st.sched);
-    W.contents w
+        Butterfly.Instr_id.put w e.id;
+        IS.put w e.addrs)
+      st.acc.errors;
+    DK.put_body w st.df
 
-  let decode ?pool s =
-    let module R = Tracing.Binio.R in
-    match
-      let r = R.of_string s in
-      let threads = R.varint r in
-      let epochs_fed = R.varint r in
-      let flagged = ref (R.varint r) in
-      let total = ref (R.varint r) in
-      let errors =
-        ref
-          (R.list r (fun r ->
-               let id = Lg_io.get_id r in
-               let addrs = Lg_io.get_is r in
-               { id; addrs }))
-      in
-      let sched_payload = R.string r in
-      R.expect_end r;
-      let on_instr = make_on_instr ~errors ~flagged ~total in
-      let sched =
-        S.decode_state ~set:set_codec ?pool ~on_instr sched_payload
-      in
-      if S.threads sched <> threads then
-        raise (R.Corrupt "thread count disagrees with the window's");
-      { sched; threads; errors; flagged; total; epochs_fed }
-    with
-    | st -> Ok st
-    | exception R.Corrupt m -> Error ("initcheck state: " ^ m)
+  let get_body r ~threads ~processed () () =
+    let flagged = R.varint r in
+    let total = R.varint r in
+    let errors =
+      R.list r (fun r ->
+          let id = Butterfly.Instr_id.get r in
+          let addrs = IS.get r in
+          { id; addrs })
+    in
+    let acc = { errors; flagged; total } in
+    { df = DK.get_body r ~threads ~processed (check acc) (); acc }
 end
 
-let run ?pool epochs =
-  let st =
-    Resumable.create ?pool ~threads:(Butterfly.Epochs.threads epochs) ()
-  in
-  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
-  Resumable.finish st
+module Win = Butterfly.Window.Make (Kernel)
+
+module Resumable = struct
+  type state = Win.t
+
+  let create ?pool ~threads () = Win.create ?pool ~threads () ()
+  let feed_epoch = Win.feed_row
+  let threads = Win.threads
+  let epochs_fed = Win.fed
+  let finish = Win.finish
+  let encode = Win.encode
+  let decode ?pool s = Win.decode ?pool () s
+end
+
+let run ?pool epochs = Win.run ?pool () () epochs

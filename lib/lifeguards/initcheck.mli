@@ -28,7 +28,7 @@ type report = {
 val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
 (** The {!Resumable} engine fed every row of the grid
     ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs its
-    streaming scheduler on the caller's pool (see {!Addrcheck.run}); the
+    window on the caller's pool (see {!Addrcheck.run}); the
     report is identical either way. *)
 
 val flagged_addresses : report -> Butterfly.Interval_set.t

@@ -1,35 +1,3 @@
-module W = Tracing.Binio.W
-module R = Tracing.Binio.R
-module IS = Butterfly.Interval_set
-
-let put_is w is =
-  W.list w
-    (fun w (lo, hi) ->
-      W.sint w lo;
-      W.sint w hi)
-    (IS.intervals is)
-
-let get_is r =
-  IS.of_intervals
-    (R.list r (fun r ->
-         let lo = R.sint r in
-         let hi = R.sint r in
-         (lo, hi)))
-
-let put_id w (id : Butterfly.Instr_id.t) =
-  W.sint w id.epoch;
-  W.varint w id.tid;
-  W.varint w id.index
-
-let get_id r =
-  let epoch = R.sint r in
-  let tid = R.varint r in
-  let index = R.varint r in
-  Butterfly.Instr_id.make ~epoch ~tid ~index
-
-let put_instrs w instrs = W.array w Tracing.Trace_codec.put_instr instrs
-let get_instrs r = R.array r Tracing.Trace_codec.read_instr
-
 let sorted_entries tbl =
   List.sort
     (fun (a, _) (b, _) -> compare (a : int) b)

@@ -1,20 +1,5 @@
-(** Serialization helpers shared by the lifeguards' resumable engines.
-
-    The checkpoint payloads ([Resumable.encode]/[decode] in each
-    lifeguard) are built from a handful of recurring shapes — interval
-    sets, instruction ids, instruction arrays — collected here so every
-    lifeguard writes them identically.  Readers raise
-    {!Tracing.Binio.R.Corrupt} on malformed input, like the primitives
-    they are built from. *)
-
-val put_is : Tracing.Binio.W.t -> Butterfly.Interval_set.t -> unit
-val get_is : Tracing.Binio.R.t -> Butterfly.Interval_set.t
-
-val put_id : Tracing.Binio.W.t -> Butterfly.Instr_id.t -> unit
-val get_id : Tracing.Binio.R.t -> Butterfly.Instr_id.t
-
-val put_instrs : Tracing.Binio.W.t -> Tracing.Instr.t array -> unit
-val get_instrs : Tracing.Binio.R.t -> Tracing.Instr.t array
+(** Serialization helper shared by the lifeguard kernels' checkpoint
+    bodies. *)
 
 val sorted_entries : (int, 'a) Hashtbl.t -> (int * 'a) list
 (** Hashtable entries sorted by key — serialization must not depend on

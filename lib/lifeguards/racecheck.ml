@@ -267,12 +267,6 @@ let m_hb_supp = Obs.Counter.make ~labels:obs_labels "racecheck.hb_suppressed"
 let m_lock_supp =
   Obs.Counter.make ~labels:obs_labels "racecheck.lock_suppressed"
 
-(* Racecheck does not ride on [Dataflow.Make], so it emits the pipeline
-   counters itself to keep [--stats] reports uniform across lifeguards. *)
-let pipe_labels = [ ("problem", "racecheck"); ("driver", "batch") ]
-let m_epochs = Obs.Counter.make ~labels:pipe_labels "butterfly.epochs_processed"
-let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
-
 (* Everything pass 2 learns about one body block, produced without
    touching shared state.  Evaluating block (l, t) reads only inputs
    sealed before its dispatch — the sealed summary rows l-1 and l and
@@ -361,64 +355,95 @@ let eval_block ~prev ~cur ~clock ~epoch:l ~tid:t block =
     bo_max_ls = !max_ls;
   }
 
-let zero_stats = { instrs = 0; accesses = 0; pairs_checked = 0; races = 0 }
-
-let commit_obs ~threads ~epoch ~tid o =
-  Obs.Scope.with_scope ~epoch ~tid ~phase:"commit" (fun () ->
-      Obs.Counter.add m_checks o.bo_stats.pairs_checked;
-      Obs.Counter.add m_flags o.bo_stats.races;
-      Obs.Counter.add m_hb_supp o.bo_hb_supp;
-      Obs.Counter.add m_lock_supp o.bo_lock_supp;
-      Obs.Counter.add m_instrs o.bo_stats.instrs;
-      if Obs.enabled () then
-        Obs.Gauge.set_max g_ls_hwm (float_of_int o.bo_max_ls);
-      if tid = threads - 1 then Obs.Counter.incr m_epochs)
-
 (* ------------------------------------------------------------------ *)
-(* The epoch-incremental engine, checkpointable between epochs.
-   Evaluating epoch l reads summary rows l-1 and l, sealed with the
-   entry lock rows l-1 and l, and its own raw row — so raw, summary and
-   sealed rows the window has passed are pruned; the entry-lock history
-   (part of the report) is kept whole.  Pass-1 summaries are recomputed
-   from the retained raw rows on decode rather than serialized:
-   [summarize_block] is pure, sealed rows are resealed on first use, and
-   entry clocks are rederived per epoch from the summary row behind
-   it. *)
+(* The window kernel.  Evaluating epoch l reads summary rows l-1 and l
+   (the window's resident summaries), sealed with the entry lock rows
+   l-1 and l.  The sealed row of epoch l is kept for epoch l+1, where it
+   is the previous row; after a decode it is resealed on first use.  The
+   entry-lock history (part of the report) is kept whole, and entry
+   clocks are rederived per epoch from the summary row behind it. *)
 
-module Resumable = struct
+module Kernel = struct
+  module W = Tracing.Binio.W
+  module R = Tracing.Binio.R
+
+  let name = "racecheck"
+
+  type env = unit
+  type params = unit
+  type nonrec summary = summary
+
   type state = {
     threads : int;
-    pool : Butterfly.Domain_pool.t option;
-    rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
-    summaries : (int, summary array) Hashtbl.t; (* derived from [rows] *)
-    sealed : (int, sealed) Hashtbl.t; (* derived: [summaries] + [entry] *)
     entry : (int, LS.t array) Hashtbl.t; (* full history: report content *)
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
+    mutable last_sealed : (int * sealed) option;
     mutable races : race list; (* reversed *)
-    mutable processed : int;
-    mutable epochs_fed : int;
   }
 
-  let create ?pool ~threads () =
-    if threads <= 0 then
-      invalid_arg "Racecheck.Resumable.create: threads must be > 0";
+  type nonrec sealed = {
+    prev : sealed option;
+    cur : sealed;
+    clocks : Vclock.t array;
+  }
+
+  type outcome = block_outcome
+  type nonrec report = report
+
+  let rows_behind = 1
+  let zero_stats = { instrs = 0; accesses = 0; pairs_checked = 0; races = 0 }
+
+  let make ~threads ~entry ~stats ~races =
+    { threads; entry; stats; last_sealed = None; races }
+
+  let create ~threads () () =
     Obs.Counter.add m_checks 0;
     Obs.Counter.add m_flags 0;
-    {
-      threads;
-      pool;
-      rows = Hashtbl.create 8;
-      summaries = Hashtbl.create 8;
-      sealed = Hashtbl.create 4;
-      entry = Hashtbl.create 64;
-      stats = Hashtbl.create 64;
-      races = [];
-      processed = 0;
-      epochs_fed = 0;
-    }
+    make ~threads ~entry:(Hashtbl.create 64) ~stats:(Hashtbl.create 64)
+      ~races:[]
 
-  let threads st = st.threads
-  let epochs_fed st = st.epochs_fed
+  let summarize st block = summarize_block ~threads:st.threads block
+
+  let entry_row st l =
+    match Hashtbl.find_opt st.entry l with
+    | Some row -> row
+    | None -> Array.make st.threads LS.empty
+
+  let advance_entry st ~row l =
+    if l >= 1 && not (Hashtbl.mem st.entry l) then begin
+      let prev = entry_row st (l - 1) in
+      let srow = row (l - 1) in
+      Hashtbl.replace st.entry l
+        (Array.init st.threads (fun t ->
+             match srow with
+             | Some row -> entry_step prev.(t) row.(t)
+             | None -> prev.(t)))
+    end
+
+  (* Summary row [l] sealed with entry lock row [l]; [None] outside the
+     fed rows. *)
+  let sealed_row st ~row l =
+    match st.last_sealed with
+    | Some (l', w) when l' = l -> Some w
+    | _ -> Option.map (seal ~entry:(entry_row st l)) (row l)
+
+  (* Seal the entry lock row l, summary rows l-1 and l and the entry
+     clocks of epoch l. *)
+  let step st ~inline:_ ~row l =
+    advance_entry st ~row l;
+    let prev = sealed_row st ~row (l - 1) in
+    let cur = Option.get (sealed_row st ~row l) in
+    st.last_sealed <- Some (l, cur);
+    let clocks =
+      Array.init st.threads (fun t ->
+          entry_clock ~threads:st.threads
+            ~prev:(Option.map (fun w -> w.sl_row) prev)
+            ~epoch:l ~tid:t)
+    in
+    { prev; cur; clocks }
+
+  let eval_block s ~epoch ~tid block =
+    eval_block ~prev:s.prev ~cur:s.cur ~clock:s.clocks.(tid) ~epoch ~tid block
 
   let commit st ~epoch:l ~tid o =
     st.races <- List.rev_append o.bo_races st.races;
@@ -431,96 +456,15 @@ module Resumable = struct
         s
     in
     srow.(tid) <- o.bo_stats;
-    commit_obs ~threads:st.threads ~epoch:l ~tid o
+    Obs.Counter.add m_checks o.bo_stats.pairs_checked;
+    Obs.Counter.add m_flags o.bo_stats.races;
+    Obs.Counter.add m_hb_supp o.bo_hb_supp;
+    Obs.Counter.add m_lock_supp o.bo_lock_supp;
+    if Obs.enabled () then Obs.Gauge.set_max g_ls_hwm (float_of_int o.bo_max_ls)
 
-  let entry_row st l =
-    match Hashtbl.find_opt st.entry l with
-    | Some row -> row
-    | None -> Array.make st.threads LS.empty
-
-  let advance_entry st l =
-    if l >= 1 && not (Hashtbl.mem st.entry l) then begin
-      let prev = entry_row st (l - 1) in
-      let srow = Hashtbl.find_opt st.summaries (l - 1) in
-      Hashtbl.replace st.entry l
-        (Array.init st.threads (fun t ->
-             match srow with
-             | Some row -> entry_step prev.(t) row.(t)
-             | None -> prev.(t)))
-    end
-
-  (* Summary row [l] sealed with entry lock row [l]; sealed once, on
-     first use, and [None] outside the fed rows. *)
-  let sealed_row st l =
-    match Hashtbl.find_opt st.sealed l with
-    | Some _ as w -> w
-    | None ->
-      Option.map
-        (fun row ->
-          let w = seal ~entry:(entry_row st l) row in
-          Hashtbl.replace st.sealed l w;
-          w)
-        (Hashtbl.find_opt st.summaries l)
-
-  (* Process epoch [st.processed]: seal its entry lock row, summary rows
-     l-1 and l and entry clocks, run pass 2 of every block (fanned out on
-     the pool when there is one, committed in tid order), then retire the
-     rows the window has passed (raw/summary/sealed rows < l). *)
-  let process_one st =
-    let l = st.processed in
-    advance_entry st l;
-    let prev = sealed_row st (l - 1) in
-    let cur = Option.get (sealed_row st l) in
-    let clocks =
-      Array.init st.threads (fun t ->
-          entry_clock ~threads:st.threads
-            ~prev:(Option.map (fun w -> w.sl_row) prev)
-            ~epoch:l ~tid:t)
-    in
-    let row = Hashtbl.find st.rows l in
-    Butterfly.Scheduler.pass2_epoch ?pool:st.pool ~threads:st.threads
-      ~pass2:(fun ~epoch ~tid ->
-        eval_block ~prev ~cur ~clock:clocks.(tid) ~epoch ~tid
-          (Butterfly.Block.make ~epoch ~tid row.(tid)))
-      ~commit2:(commit st) l;
-    st.processed <- l + 1;
-    if l > 0 then begin
-      Hashtbl.remove st.rows (l - 1);
-      Hashtbl.remove st.summaries (l - 1);
-      Hashtbl.remove st.sealed (l - 1)
-    end
-
-  (* Epoch l reads nothing of row l+1, but processing still lags feeding
-     by one epoch: the lag fixes which rows a snapshot carries, so
-     changing it would change snapshot payloads.  [finish] drains the
-     rest; the lag is invisible to results. *)
-  let feed_epoch st row =
-    if Array.length row <> st.threads then
-      invalid_arg "Racecheck.Resumable.feed_epoch: wrong row width";
-    let epoch = st.epochs_fed in
-    Hashtbl.replace st.rows epoch row;
-    Hashtbl.replace st.summaries epoch
-      (Array.mapi
-         (fun tid instrs ->
-           Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-               summarize_block ~threads:st.threads
-                 (Butterfly.Block.make ~epoch ~tid instrs)))
-         row);
-    st.epochs_fed <- epoch + 1;
-    while st.processed <= st.epochs_fed - 2 do
-      process_one st
-    done
-
-  let finish st =
-    (* An empty program still owns one (empty) epoch — mirror
-       [Epochs.of_program]. *)
-    if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
-    while st.processed < st.epochs_fed do
-      process_one st
-    done;
-    let num_l = st.epochs_fed in
+  let report st ~row ~epochs:num_l =
     (* Final lock state past the last epoch. *)
-    advance_entry st num_l;
+    advance_entry st ~row num_l;
     {
       races = List.rev st.races;
       entry_locks =
@@ -534,15 +478,16 @@ module Resumable = struct
                 | None -> zero_stats));
     }
 
+  let put_params _ () = ()
+  let get_params _ = ()
+
   let put_stats w (s : block_stats) =
-    let module W = Tracing.Binio.W in
     W.varint w s.instrs;
     W.varint w s.accesses;
     W.varint w s.pairs_checked;
     W.varint w s.races
 
   let get_stats r =
-    let module R = Tracing.Binio.R in
     let instrs = R.varint r in
     let accesses = R.varint r in
     let pairs_checked = R.varint r in
@@ -550,28 +495,21 @@ module Resumable = struct
     { instrs; accesses; pairs_checked; races }
 
   let put_race w (rc : race) =
-    let module W = Tracing.Binio.W in
-    Lg_io.put_id w rc.a;
+    Butterfly.Instr_id.put w rc.a;
     W.bool w (rc.a_kind = W);
-    Lg_io.put_id w rc.b;
+    Butterfly.Instr_id.put w rc.b;
     W.bool w (rc.b_kind = W);
     W.sint w rc.addr
 
   let get_race r =
-    let module R = Tracing.Binio.R in
-    let a = Lg_io.get_id r in
+    let a = Butterfly.Instr_id.get r in
     let a_kind = if R.bool r then W else R in
-    let b = Lg_io.get_id r in
+    let b = Butterfly.Instr_id.get r in
     let b_kind = if R.bool r then W else R in
     let addr = R.sint r in
     { a; a_kind; b; b_kind; addr }
 
-  let encode st =
-    let module W = Tracing.Binio.W in
-    let w = W.create () in
-    W.varint w st.threads;
-    W.varint w st.epochs_fed;
-    W.varint w st.processed;
+  let put_body w st =
     W.list w put_race st.races;
     W.list w
       (fun w (epoch, row) ->
@@ -582,80 +520,42 @@ module Resumable = struct
       (fun w (l, row) ->
         W.varint w l;
         W.array w (fun w s -> W.list w (fun w x -> W.sint w x) (LS.elements s)) row)
-      (Lg_io.sorted_entries st.entry);
-    W.list w
-      (fun w (epoch, row) ->
-        W.varint w epoch;
-        W.array w Lg_io.put_instrs row)
-      (Lg_io.sorted_entries st.rows);
-    W.contents w
+      (Lg_io.sorted_entries st.entry)
 
-  let decode ?pool s =
-    let module R = Tracing.Binio.R in
-    match
-      let r = R.of_string s in
-      let threads = R.varint r in
-      if threads = 0 then raise (R.Corrupt "zero threads");
-      let epochs_fed = R.varint r in
-      let processed = R.varint r in
-      let races = R.list r get_race in
-      let stats = Hashtbl.create 64 in
+  let get_body r ~threads ~processed:_ () () =
+    let races = R.list r get_race in
+    let table get_row what =
+      let tbl = Hashtbl.create 64 in
       ignore
         (R.list r (fun r ->
              let epoch = R.varint r in
-             let row = R.array r get_stats in
+             let row = get_row r in
              if Array.length row <> threads then
-               raise (R.Corrupt "stats row width mismatch");
-             Hashtbl.replace stats epoch row));
-      let entry = Hashtbl.create 64 in
-      ignore
-        (R.list r (fun r ->
-             let l = R.varint r in
-             let row =
-               R.array r (fun r -> LS.of_list (R.list r (fun r -> R.sint r)))
-             in
-             if Array.length row <> threads then
-               raise (R.Corrupt "entry-lock row width mismatch");
-             Hashtbl.replace entry l row));
-      let rows = Hashtbl.create 8 in
-      ignore
-        (R.list r (fun r ->
-             let epoch = R.varint r in
-             let row = R.array r Lg_io.get_instrs in
-             if Array.length row <> threads then
-               raise (R.Corrupt "instr row width mismatch");
-             Hashtbl.replace rows epoch row));
-      R.expect_end r;
-      let summaries = Hashtbl.create 8 in
-      Hashtbl.iter
-        (fun epoch row ->
-          Hashtbl.replace summaries epoch
-            (Array.mapi
-               (fun tid instrs ->
-                 summarize_block ~threads
-                   (Butterfly.Block.make ~epoch ~tid instrs))
-               row))
-        rows;
-      {
-        threads;
-        pool;
-        rows;
-        summaries;
-        sealed = Hashtbl.create 4;
-        entry;
-        stats;
-        races;
-        processed;
-        epochs_fed;
-      }
-    with
-    | st -> Ok st
-    | exception R.Corrupt m -> Error ("racecheck state: " ^ m)
+               raise (R.Corrupt (what ^ " row width mismatch"));
+             Hashtbl.replace tbl epoch row));
+      tbl
+    in
+    let stats = table (fun r -> R.array r get_stats) "stats" in
+    let entry =
+      table
+        (fun r -> R.array r (fun r -> LS.of_list (R.list r (fun r -> R.sint r))))
+        "entry-lock"
+    in
+    make ~threads ~entry ~stats ~races
 end
 
-let run ?pool epochs =
-  let st =
-    Resumable.create ?pool ~threads:(Butterfly.Epochs.threads epochs) ()
-  in
-  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
-  Resumable.finish st
+module Win = Butterfly.Window.Make (Kernel)
+
+module Resumable = struct
+  type state = Win.t
+
+  let create ?pool ~threads () = Win.create ?pool ~threads () ()
+  let feed_epoch = Win.feed_row
+  let threads = Win.threads
+  let epochs_fed = Win.fed
+  let finish = Win.finish
+  let encode = Win.encode
+  let decode ?pool s = Win.decode ?pool () s
+end
+
+let run ?pool epochs = Win.run ?pool () () epochs

@@ -65,8 +65,18 @@ val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
 (** Analyze a whole grid: the {!Resumable} engine fed every row of
     {!Butterfly.Epochs.iter_rows}, then finished.  With [pool], each
     epoch's pass-2 block checks fan out on the caller's domain pool
-    ({!Butterfly.Scheduler.pass2_epoch}); the report is identical with
+    ({!Butterfly.Window}); the report is identical with
     and without one. *)
+
+(** RaceCheck as a {!Butterfly.Window} kernel: pass 1 summarizes each
+    block's accesses, locks and fork/join targets; the master step seals
+    the entry lock row, summary rows [l-1] and [l] and the entry clocks;
+    pass 2 checks the block's candidate pairs.  Rows behind: 1. *)
+module Kernel :
+  Butterfly.Window.KERNEL
+    with type env = unit
+     and type params = unit
+     and type report = report
 
 (** The epoch-incremental engine behind {!run}: feed rows as they
     arrive, snapshot between epochs, resume from the encoded state.  Used

@@ -82,12 +82,6 @@ let g_set_hwm = Obs.Gauge.make ~labels:obs_labels "lifeguard.sos_size_hwm"
    Lemma 6.3 — the contended path a coarser phase split would serialize. *)
 let m_phase2 = Obs.Counter.make ~labels:obs_labels "lifeguard.phase2_rechecks"
 
-(* Taintcheck does not ride on [Dataflow.Make], so it emits the pipeline
-   counters itself to keep [--stats] reports uniform across lifeguards. *)
-let pipe_labels = [ ("problem", "taintcheck"); ("driver", "batch") ]
-let m_epochs = Obs.Counter.make ~labels:pipe_labels "butterfly.epochs_processed"
-let m_instrs = Obs.Counter.make ~labels:pipe_labels "butterfly.pass2_instrs"
-
 (* Everything pass 2 learns about one body block, produced without touching
    shared state.  Evaluating block (l,t) reads only inputs sealed before
    its dispatch — the pass-1 transfer functions of epochs l-1..l+1,
@@ -131,10 +125,10 @@ let fingerprint (r : report) =
 
 (* ------------------------------------------------------------------ *)
 (* The evaluation core, parameterized over how its frozen inputs are
-   looked up: the [Resumable] engine below instantiates [ctx] over its
-   pruned sliding window.  Accessors return [None] (or [AS.empty])
-   outside the window, which is also how the grid reads outside the
-   execution. *)
+   looked up: the kernel below instantiates [ctx] over the window's
+   resident rows and its own pruned LASTCHECK rows.  Accessors return
+   [None] (or [AS.empty]) outside the window, which is also how the grid
+   reads outside the execution. *)
 
 (* A LASTCHECK block's GEN (locations it last resolved tainted) and
    KILL (last resolved untainted), sealed once by the master after the
@@ -218,12 +212,31 @@ let tfs_for c ~scope ~exclude_tid a =
                  Option.value (Hashtbl.find_opt tfs.by_dst a) ~default:[])))
     scope
 
+(* LSOS via the May rule, with the resurrection clause:
+     LSOS = head_gen ∪ (SOS_l − head_kill)
+            ∪ (SOS_l ∩ head_kill ∩ ⋃_{t' ≠ tid} GEN(l-2, t'))
+   Pass 2 only asks whether a location is in it, which the sealed
+   GEN/KILL sets answer without building the union.  (A closure of one
+   argument, so pass 2 calls it as cheaply as a local function.) *)
+let in_lsos ~head_gen ~head_kill ~sos_l ~others_gen_l2 =
+  let mem a =
+    AS.mem a head_gen
+    || AS.mem a sos_l
+       && ((not (AS.mem a head_kill)) || List.exists (AS.mem a) others_gen_l2)
+  in
+  mem
+
+(* |LSOS| by the same membership test, probing only the (small) head
+   sets: the LSOS is head_gen plus the members of SOS_l − head_gen that
+   pass [in_lsos], and the only members of SOS_l that fail it lie in
+   head_kill. *)
+let lsos_size ~head_gen ~head_kill ~in_lsos ~sos_l =
+  let count p s = AS.fold (fun a n -> if p a then n + 1 else n) s 0 in
+  AS.cardinal head_gen + AS.cardinal sos_l
+  - count (fun a -> AS.mem a sos_l) head_gen
+  - count (fun a -> AS.mem a sos_l && not (in_lsos a)) head_kill
+
 let eval_block c ~epoch:l ~tid block =
-  (* LSOS via the May rule, with the resurrection clause:
-       LSOS = head_gen ∪ (SOS_l − head_kill)
-              ∪ (SOS_l ∩ head_kill ∩ ⋃_{t' ≠ tid} GEN(l-2, t'))
-     Pass 2 only asks whether a location is in it, which the sealed
-     GEN/KILL sets answer without building the union. *)
   let head_gen = gen_block c (l - 1) tid
   and head_kill = kill_block c (l - 1) tid in
   let others_gen_l2 =
@@ -232,11 +245,7 @@ let eval_block c ~epoch:l ~tid block =
       (List.init c.c_threads (gen_block c (l - 2)))
   in
   let sos_l = c.sos_at l in
-  let in_lsos a =
-    AS.mem a head_gen
-    || AS.mem a sos_l
-       && ((not (AS.mem a head_kill)) || List.exists (AS.mem a) others_gen_l2)
-  in
+  let in_lsos = in_lsos ~head_gen ~head_kill ~sos_l ~others_gen_l2 in
   let local : (int, bool) Hashtbl.t = Hashtbl.create 16 in
   (* A chain's base taint sources: something our block already resolved
      as tainted (the wing read may interleave after our write), or the
@@ -342,105 +351,83 @@ let eval_block c ~epoch:l ~tid block =
     bo_stats =
       { instrs = !n_instrs; mem_events = !n_mem; checks_resolved = !checks };
     bo_lsos_card =
-      (* The LSOS is built only for the size gauge, under a live sink. *)
-      (if Obs.enabled () then
-         AS.cardinal
-           (AS.union head_gen
-              (AS.union
-                 (AS.diff sos_l head_kill)
-                 (AS.inter
-                    (AS.inter sos_l head_kill)
-                    (List.fold_left AS.union AS.empty others_gen_l2))))
+      (* Only the size gauge reads it, under a live sink. *)
+      (if Obs.enabled () then lsos_size ~head_gen ~head_kill ~in_lsos ~sos_l
        else 0);
     bo_phase2 = !phase2;
   }
 
 (* ---------------------------------------------------------------- *)
-(* The epoch-incremental engine, checkpointable between epochs.
-   Evaluating epoch l reads transfer functions of rows l-1..l+1,
-   LASTCHECK (and GEN/KILL) rows l-3..l-1 and SOS_l — so raw rows, pass-1
-   summaries and LASTCHECK rows the window has passed are pruned, and
-   the SOS history (part of the report) is kept whole.  Pass-1 summaries
-   are recomputed from the retained raw rows on decode rather than
-   serialized: [summarize_block] is pure; likewise GEN/KILL rows are
-   resealed from the retained LASTCHECK rows. *)
+(* The window kernel.  Evaluating epoch l reads transfer functions of
+   rows l-1..l+1 (the window's resident summaries), LASTCHECK (and
+   GEN/KILL) rows l-3..l-1 and SOS_l — so LASTCHECK rows the window has
+   passed are pruned, and the SOS history (part of the report) is kept
+   whole.  GEN/KILL rows are resealed from the retained LASTCHECK rows
+   on decode. *)
 
-module Resumable = struct
-  let zero_stats = { instrs = 0; mem_events = 0; checks_resolved = 0 }
+type params = { sequential : bool; two_phase : bool }
+
+module Kernel = struct
+  module W = Tracing.Binio.W
+  module R = Tracing.Binio.R
+
+  let name = "taintcheck"
+
+  type env = unit
+  type nonrec params = params
+  type summary = block_tfs
 
   type state = {
     threads : int;
-    sequential : bool;
-    two_phase : bool;
-    pool : Butterfly.Domain_pool.t option;
-    rows : (int, Tracing.Instr.t array array) Hashtbl.t; (* raw, pruned *)
-    tfs : (int, block_tfs array) Hashtbl.t; (* derived from [rows] *)
     lastcheck : (int, (int, bool) Hashtbl.t array) Hashtbl.t; (* pruned *)
     gen_kill : (int, gen_kill array) Hashtbl.t; (* derived from [lastcheck] *)
     sos : (int, AS.t) Hashtbl.t; (* full history: report content *)
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
-    ctx : ctx; (* window lookups for the evaluation core *)
+    ctx : ctx; (* the step fills in the transfer functions *)
     mutable errors : error list; (* reversed *)
-    mutable processed : int;
-    mutable epochs_fed : int;
   }
 
-  let make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~gen_kill
-      ~sos =
-    {
-      c_threads = threads;
-      c_sequential = sequential;
-      c_two_phase = two_phase;
-      tfs_at =
-        (fun l t ->
-          match Hashtbl.find_opt tfs l with
-          | Some row -> Some row.(t)
-          | None -> None);
-      lastcheck_at =
-        (fun l t ->
-          match Hashtbl.find_opt lastcheck l with
-          | Some row -> Some row.(t)
-          | None -> None);
-      gen_kill_at =
-        (fun l t ->
-          match Hashtbl.find_opt gen_kill l with
-          | Some row -> row.(t)
-          | None -> no_gen_kill);
-      sos_at =
-        (fun l -> Option.value (Hashtbl.find_opt sos l) ~default:AS.empty);
-    }
+  type sealed = ctx
+  type outcome = block_outcome
+  type nonrec report = report
 
-  let create ?pool ?(sequential = true) ?(two_phase = true) ~threads () =
-    if threads <= 0 then
-      invalid_arg "Taintcheck.Resumable.create: threads must be > 0";
-    Obs.Counter.add m_checks 0;
-    Obs.Counter.add m_flags 0;
-    let rows = Hashtbl.create 8 in
-    let tfs = Hashtbl.create 8 in
-    let lastcheck = Hashtbl.create 8 in
+  let rows_behind = 1
+  let zero_stats = { instrs = 0; mem_events = 0; checks_resolved = 0 }
+
+  let make ~threads p ~lastcheck ~sos ~stats ~errors =
     let gen_kill = Hashtbl.create 8 in
-    let sos = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun l row -> Hashtbl.replace gen_kill l (Array.map seal_gen_kill row))
+      lastcheck;
+    let row_at tbl l t = Option.map (fun row -> row.(t)) (Hashtbl.find_opt tbl l) in
     {
       threads;
-      sequential;
-      two_phase;
-      pool;
-      rows;
-      tfs;
       lastcheck;
       gen_kill;
       sos;
-      stats = Hashtbl.create 64;
+      stats;
       ctx =
-        make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~gen_kill
-          ~sos;
-      errors = [];
-      processed = 0;
-      epochs_fed = 0;
+        {
+          c_threads = threads;
+          c_sequential = p.sequential;
+          c_two_phase = p.two_phase;
+          tfs_at = (fun _ _ -> None);
+          lastcheck_at = row_at lastcheck;
+          gen_kill_at =
+            (fun l t -> Option.value (row_at gen_kill l t) ~default:no_gen_kill);
+          sos_at =
+            (fun l -> Option.value (Hashtbl.find_opt sos l) ~default:AS.empty);
+        };
+      errors;
     }
 
-  let threads st = st.threads
-  let epochs_fed st = st.epochs_fed
+  let create ~threads () p =
+    Obs.Counter.add m_checks 0;
+    Obs.Counter.add m_flags 0;
+    make ~threads p ~lastcheck:(Hashtbl.create 8) ~sos:(Hashtbl.create 64)
+      ~stats:(Hashtbl.create 64) ~errors:[]
+
+  let summarize _ block = summarize_block block
 
   let advance_sos st l =
     if l >= 2 then begin
@@ -449,6 +436,18 @@ module Resumable = struct
       in
       Hashtbl.replace st.sos l (sos_step st.ctx ~prev l)
     end
+
+  (* Seal SOS_l, and hand pass 2 the transfer functions of rows
+     l-1..l+1. *)
+  let step st ~inline:_ ~row l =
+    advance_sos st l;
+    let tfs = Array.init 3 (fun i -> row (l - 1 + i)) in
+    {
+      st.ctx with
+      tfs_at = (fun l' t -> Option.map (fun r -> r.(t)) tfs.(l' - l + 1));
+    }
+
+  let eval_block = eval_block
 
   let commit st ~epoch:l ~tid o =
     st.errors <- List.rev_append o.bo_errors st.errors;
@@ -470,81 +469,27 @@ module Resumable = struct
         s
     in
     srow.(tid) <- o.bo_stats;
-    Obs.Scope.with_scope ~epoch:l ~tid ~phase:"commit" (fun () ->
-        Obs.Counter.add m_checks o.bo_stats.checks_resolved;
-        Obs.Counter.add m_flags (List.length o.bo_errors);
-        Obs.Counter.add m_phase2 o.bo_phase2;
-        Obs.Counter.add m_instrs o.bo_stats.instrs;
-        if Obs.enabled () then
-          Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
-        if tid = st.threads - 1 then Obs.Counter.incr m_epochs)
-
-  (* GEN/KILL of every block of LASTCHECK row [l], once it is whole. *)
-  let seal_gen_kill_row gen_kill l row =
-    Hashtbl.replace gen_kill l (Array.map seal_gen_kill row)
-
-  (* Process epoch [st.processed]: seal SOS_l, run pass 2 of every block
-     (fanned out on the pool when there is one, committed in tid order),
-     seal the GEN/KILL row of the committed LASTCHECK row l, then retire
-     the rows the window has passed (raw/summary rows < l, LASTCHECK and
-     GEN/KILL rows < l-2). *)
-  let process_one st =
-    let l = st.processed in
-    advance_sos st l;
-    let c = st.ctx in
-    let row = Hashtbl.find st.rows l in
-    Butterfly.Scheduler.pass2_epoch ?pool:st.pool ~threads:st.threads
-      ~pass2:(fun ~epoch ~tid ->
-        eval_block c ~epoch ~tid (Butterfly.Block.make ~epoch ~tid row.(tid)))
-      ~commit2:(commit st) l;
-    Option.iter
-      (seal_gen_kill_row st.gen_kill l)
-      (Hashtbl.find_opt st.lastcheck l);
-    st.processed <- l + 1;
-    if l > 0 then (
-      Hashtbl.remove st.rows (l - 1);
-      Hashtbl.remove st.tfs (l - 1));
-    if l >= 3 then (
+    Obs.Counter.add m_checks o.bo_stats.checks_resolved;
+    Obs.Counter.add m_flags (List.length o.bo_errors);
+    Obs.Counter.add m_phase2 o.bo_phase2;
+    if Obs.enabled () then
+      Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
+    if tid = st.threads - 1 then begin
+      (* LASTCHECK row l is whole: seal its GEN/KILL, and retire the
+         rows the window has passed. *)
+      Hashtbl.replace st.gen_kill l (Array.map seal_gen_kill row);
       Hashtbl.remove st.lastcheck (l - 3);
-      Hashtbl.remove st.gen_kill (l - 3))
+      Hashtbl.remove st.gen_kill (l - 3)
+    end
 
-  (* Rows arrive whole, so epoch l is processable as soon as row l+1 (its
-     trailing-wing source) has been fed; the last epoch waits for
-     [finish], where the missing row l+1 reads as empty, as the grid
-     does outside the execution. *)
-  let feed_epoch st row =
-    if Array.length row <> st.threads then
-      invalid_arg "Taintcheck.Resumable.feed_epoch: wrong row width";
-    let epoch = st.epochs_fed in
-    Hashtbl.replace st.rows epoch row;
-    Hashtbl.replace st.tfs epoch
-      (Array.mapi
-         (fun tid instrs ->
-           Obs.Scope.with_scope ~epoch ~tid ~phase:"pass1" (fun () ->
-               summarize_block (Butterfly.Block.make ~epoch ~tid instrs)))
-         row);
-    st.epochs_fed <- epoch + 1;
-    while st.processed <= st.epochs_fed - 2 do
-      process_one st
-    done
-
-  let finish st =
-    (* An empty program still owns one (empty) epoch — mirror
-       [Epochs.of_program]. *)
-    if st.epochs_fed = 0 then feed_epoch st (Array.make st.threads [||]);
-    while st.processed < st.epochs_fed do
-      process_one st
-    done;
-    let num_l = st.epochs_fed in
+  let report st ~row:_ ~epochs:num_l =
     (* Final SOS entries past the last window. *)
     advance_sos st num_l;
     advance_sos st (num_l + 1);
     {
       errors = List.rev st.errors;
       sos_tainted =
-        Array.init (num_l + 2) (fun l ->
-            AS.elements
-              (Option.value (Hashtbl.find_opt st.sos l) ~default:AS.empty));
+        Array.init (num_l + 2) (fun l -> AS.elements (st.ctx.sos_at l));
       block_stats =
         Array.init st.threads (fun tid ->
             Array.init num_l (fun l ->
@@ -553,31 +498,31 @@ module Resumable = struct
                 | None -> zero_stats));
     }
 
+  let put_params w p =
+    W.bool w p.sequential;
+    W.bool w p.two_phase
+
+  let get_params r =
+    let sequential = R.bool r in
+    let two_phase = R.bool r in
+    { sequential; two_phase }
+
   let put_stats w (s : block_stats) =
-    let module W = Tracing.Binio.W in
     W.varint w s.instrs;
     W.varint w s.mem_events;
     W.varint w s.checks_resolved
 
   let get_stats r =
-    let module R = Tracing.Binio.R in
     let instrs = R.varint r in
     let mem_events = R.varint r in
     let checks_resolved = R.varint r in
     { instrs; mem_events; checks_resolved }
 
   (* Fact sets are serialized as sorted element lists. *)
-  let encode st =
-    let module W = Tracing.Binio.W in
-    let w = W.create () in
-    W.varint w st.threads;
-    W.bool w st.sequential;
-    W.bool w st.two_phase;
-    W.varint w st.epochs_fed;
-    W.varint w st.processed;
+  let put_body w st =
     W.list w
       (fun w (e : error) ->
-        Lg_io.put_id w e.id;
+        Butterfly.Instr_id.put w e.id;
         W.sint w e.sink)
       st.errors;
     W.list w
@@ -602,108 +547,73 @@ module Resumable = struct
               (List.sort compare
                  (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))
           row)
-      (Lg_io.sorted_entries st.lastcheck);
-    W.list w
-      (fun w (epoch, row) ->
-        W.varint w epoch;
-        W.array w Lg_io.put_instrs row)
-      (Lg_io.sorted_entries st.rows);
-    W.contents w
+      (Lg_io.sorted_entries st.lastcheck)
 
-  let decode ?pool s =
-    let module R = Tracing.Binio.R in
-    match
-      let r = R.of_string s in
-      let threads = R.varint r in
-      if threads = 0 then raise (R.Corrupt "zero threads");
-      let sequential = R.bool r in
-      let two_phase = R.bool r in
-      let epochs_fed = R.varint r in
-      let processed = R.varint r in
-      let errors =
-        R.list r (fun r ->
-            let id = Lg_io.get_id r in
-            let sink = R.sint r in
-            { id; sink })
-      in
-      let stats = Hashtbl.create 64 in
+  let get_body r ~threads ~processed:_ () p =
+    let errors =
+      R.list r (fun r ->
+          let id = Butterfly.Instr_id.get r in
+          let sink = R.sint r in
+          { id; sink })
+    in
+    let table get_row what =
+      let tbl = Hashtbl.create 64 in
       ignore
         (R.list r (fun r ->
              let epoch = R.varint r in
-             let row = R.array r get_stats in
+             let row = get_row r in
              if Array.length row <> threads then
-               raise (R.Corrupt "stats row width mismatch");
-             Hashtbl.replace stats epoch row));
-      let sos = Hashtbl.create 64 in
-      ignore
-        (R.list r (fun r ->
-             let l = R.varint r in
-             let xs = R.list r (fun r -> R.sint r) in
-             Hashtbl.replace sos l (AS.of_list xs)));
-      let lastcheck = Hashtbl.create 8 in
-      ignore
-        (R.list r (fun r ->
-             let epoch = R.varint r in
-             let row =
-               R.array r (fun r ->
-                   let tbl = Hashtbl.create 16 in
-                   ignore
-                     (R.list r (fun r ->
-                          let x = R.sint r in
-                          let b = R.bool r in
-                          Hashtbl.replace tbl x b));
-                   tbl)
-             in
-             if Array.length row <> threads then
-               raise (R.Corrupt "lastcheck row width mismatch");
-             Hashtbl.replace lastcheck epoch row));
-      let rows = Hashtbl.create 8 in
-      ignore
-        (R.list r (fun r ->
-             let epoch = R.varint r in
-             let row = R.array r Lg_io.get_instrs in
-             if Array.length row <> threads then
-               raise (R.Corrupt "instr row width mismatch");
-             Hashtbl.replace rows epoch row));
-      R.expect_end r;
-      let gen_kill = Hashtbl.create 8 in
-      Hashtbl.iter (seal_gen_kill_row gen_kill) lastcheck;
-      let tfs = Hashtbl.create 8 in
-      Hashtbl.iter
-        (fun epoch row ->
-          Hashtbl.replace tfs epoch
-            (Array.mapi
-               (fun tid instrs ->
-                 summarize_block (Butterfly.Block.make ~epoch ~tid instrs))
-               row))
-        rows;
-      {
-        threads;
-        sequential;
-        two_phase;
-        pool;
-        rows;
-        tfs;
-        lastcheck;
-        gen_kill;
-        sos;
-        stats;
-        ctx =
-          make_ctx_of ~threads ~sequential ~two_phase ~tfs ~lastcheck ~gen_kill
-            ~sos;
-        errors;
-        processed;
-        epochs_fed;
-      }
-    with
-    | st -> Ok st
-    | exception R.Corrupt m -> Error ("taintcheck state: " ^ m)
+               raise (R.Corrupt (what ^ " row width mismatch"));
+             Hashtbl.replace tbl epoch row));
+      tbl
+    in
+    let stats = table (fun r -> R.array r get_stats) "stats" in
+    let sos = Hashtbl.create 64 in
+    ignore
+      (R.list r (fun r ->
+           let l = R.varint r in
+           let xs = R.list r (fun r -> R.sint r) in
+           Hashtbl.replace sos l (AS.of_list xs)));
+    let lastcheck =
+      table
+        (fun r ->
+          R.array r (fun r ->
+              let tbl = Hashtbl.create 16 in
+              ignore
+                (R.list r (fun r ->
+                     let x = R.sint r in
+                     let b = R.bool r in
+                     Hashtbl.replace tbl x b));
+              tbl))
+        "lastcheck"
+    in
+    make ~threads p ~lastcheck ~sos ~stats ~errors
 end
 
-let run ?sequential ?two_phase ?pool epochs =
-  let st =
-    Resumable.create ?pool ?sequential ?two_phase
-      ~threads:(Butterfly.Epochs.threads epochs) ()
-  in
-  Butterfly.Epochs.iter_rows epochs (Resumable.feed_epoch st);
-  Resumable.finish st
+module Win = Butterfly.Window.Make (Kernel)
+
+module Resumable = struct
+  type state = Win.t
+
+  let create ?pool ?(sequential = true) ?(two_phase = true) ~threads () =
+    Win.create ?pool ~threads () { sequential; two_phase }
+
+  let feed_epoch = Win.feed_row
+  let threads = Win.threads
+  let epochs_fed = Win.fed
+  let finish = Win.finish
+  let encode = Win.encode
+  let decode ?pool s = Win.decode ?pool () s
+end
+
+let run ?(sequential = true) ?(two_phase = true) ?pool epochs =
+  Win.run ?pool () { sequential; two_phase } epochs
+
+let lsos_cardinal ~head_gen ~head_kill ~sos ~others_gen =
+  let head_gen = AS.of_list head_gen
+  and head_kill = AS.of_list head_kill
+  and sos_l = AS.of_list sos in
+  lsos_size ~head_gen ~head_kill ~sos_l
+    ~in_lsos:
+      (in_lsos ~head_gen ~head_kill ~sos_l
+         ~others_gen_l2:(List.map AS.of_list others_gen))

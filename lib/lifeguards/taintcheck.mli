@@ -53,7 +53,7 @@ val run :
     [run] is the {!Resumable} engine fed every row of the grid: it
     creates an engine, feeds {!Butterfly.Epochs.iter_rows} and finishes.
     With [pool], each epoch's pass-2 block evaluations fan out on the
-    caller's domain pool ({!Butterfly.Scheduler.pass2_epoch}) and the
+    caller's domain pool ({!Butterfly.Window}) and the
     master commits LASTCHECK/SOS results in thread order, so the report
     is byte-identical with and without a pool (property-tested in
     [test/test_taintcheck_parallel.ml] and [test/test_engine.ml]).  The
@@ -68,6 +68,20 @@ val fingerprint : report -> string
     SOS history and per-block stats).  Two reports fingerprint equal iff
     they are semantically identical — the equality used by the
     resume-equivalence and differential test suites. *)
+
+(** The analysis variant: [sequential] and [two_phase] of {!run}. *)
+type params = { sequential : bool; two_phase : bool }
+
+(** TaintCheck as a {!Butterfly.Window} kernel: pass 1 indexes each
+    block's transfer functions by destination; the master step seals
+    SOS{_l} (LASTCHECK GEN/KILL of epoch [l-2]); pass 2 resolves the
+    block's checks against rows [l-1 .. l+1]; the commit folds LASTCHECK
+    row [l] and seals its GEN/KILL.  Rows behind: 1. *)
+module Kernel :
+  Butterfly.Window.KERNEL
+    with type env = unit
+     and type params = params
+     and type report = report
 
 (** Checkpointable epoch-incremental engine.
 
@@ -123,3 +137,15 @@ end
 module Testing : sig
   val break_binop_meet : bool ref
 end
+
+val lsos_cardinal :
+  head_gen:int list ->
+  head_kill:int list ->
+  sos:int list ->
+  others_gen:int list list ->
+  int
+(** [|LSOS|] as the [lifeguard.sos_size_hwm] gauge counts it — by
+    membership, without building the set — for the block whose head
+    GEN/KILL, SOS{_l} and other threads' epoch-[l-2] GEN sets are given.
+    Exposed for the property that it equals the built set's
+    cardinality. *)

@@ -5,9 +5,8 @@
     {ul
     {- {b Driver equivalence.}  Every execution driver must produce a
        structurally identical report: the sequential engine, and the
-       pooled one (streaming scheduler for AddrCheck/InitCheck, the
-       per-epoch fan-out {!Butterfly.Scheduler.pass2_epoch} for
-       TaintCheck/RaceCheck) on each supplied pool.  For
+       pooled one (the per-epoch fan-out of {!Butterfly.Window}) on
+       each supplied pool.  For
        TaintCheck the equivalence is checked per analysis variant
        (sequential/relaxed chase × two-phase/one-phase).  Reports are
        compared via a canonical fingerprint covering the error list in

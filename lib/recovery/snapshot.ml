@@ -13,7 +13,7 @@ type meta = { lifeguard : lifeguard; next_epoch : int; threads : int }
 
 let magic = "BFLYCKPT"
 (* Bumped whenever an engine payload changes shape. *)
-let version = 2
+let version = 3
 
 let encode meta payload =
   let w = W.create () in

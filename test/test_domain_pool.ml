@@ -9,7 +9,7 @@ module Pool = Butterfly.Domain_pool
 let with_pool ?queue_capacity ~domains f =
   Pool.with_pool ?queue_capacity ~name:"test" ~domains f
 
-(* The batch discipline of [Scheduler.pass2_epoch]: submit every task in
+(* The batch discipline of [Window.pass2_epoch]: submit every task in
    index order, then await the futures in index order. *)
 let map_async pool f arr =
   Array.map (fun x -> Pool.async pool (fun () -> f x)) arr

@@ -16,7 +16,7 @@
    - resume from every sealed epoch with pooled engines on both sides,
      and the crash simulator on a pool.
 
-   The per-epoch fan-out itself ([Scheduler.pass2_epoch]) is pinned in
+   The per-epoch fan-out itself ([Window.pass2_epoch]) is pinned in
    test_parallel.ml. *)
 
 module AC = Lifeguards.Addrcheck
@@ -239,6 +239,32 @@ let validation =
       widths "initcheck" IC.Resumable.(feed_epoch (create ~threads:2 ()));
       widths "taintcheck" TC.Resumable.(feed_epoch (create ~threads:2 ()));
       widths "racecheck" RC.Resumable.(feed_epoch (create ~threads:2 ()));
+      (* One end-of-stream contract: a row after [finish] is refused, and
+         a second [finish] gives the same report. *)
+      let after_finish name ~create ~feed ~finish ~fp =
+        let st = create () in
+        let row = [| [| Tracing.Instr.Assign_const 1 |]; [||] |] in
+        feed st row;
+        let first = fp (finish st) in
+        expect_invalid (name ^ ": feed after finish") (fun () -> feed st row);
+        checks (name ^ ": finish twice") first (fp (finish st))
+      in
+      after_finish "addrcheck"
+        ~create:AC.Resumable.(create ~threads:2)
+        ~feed:AC.Resumable.feed_epoch ~finish:AC.Resumable.finish
+        ~fp:AC.fingerprint;
+      after_finish "initcheck"
+        ~create:IC.Resumable.(create ~threads:2)
+        ~feed:IC.Resumable.feed_epoch ~finish:IC.Resumable.finish
+        ~fp:IC.fingerprint;
+      after_finish "taintcheck"
+        ~create:TC.Resumable.(create ~threads:2)
+        ~feed:TC.Resumable.feed_epoch ~finish:TC.Resumable.finish
+        ~fp:TC.fingerprint;
+      after_finish "racecheck"
+        ~create:RC.Resumable.(create ~threads:2)
+        ~feed:RC.Resumable.feed_epoch ~finish:RC.Resumable.finish
+        ~fp:RC.fingerprint;
       expect_invalid "taintcheck: threads = 0" (fun () ->
           ignore (TC.Resumable.create ~threads:0 ()));
       expect_invalid "racecheck: threads = 0" (fun () ->

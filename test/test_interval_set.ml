@@ -518,7 +518,7 @@ let sharing_tests =
 
 let put_is_bytes s =
   let w = Tracing.Binio.W.create () in
-  Lifeguards.Lg_io.put_is w s;
+  Butterfly.Interval_set.put w s;
   Tracing.Binio.W.contents w
 
 let same_set_observably what a b =

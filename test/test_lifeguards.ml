@@ -263,6 +263,14 @@ let gen_tc_program =
 let arb_tc_program =
   QCheck.make ~print:Tracing.Trace_codec.encode gen_tc_program
 
+(* Small address sets, so the operands overlap often. *)
+let arb_lsos_case =
+  let open QCheck.Gen in
+  let set = list_size (int_bound 6) (int_bound 9) in
+  QCheck.make
+    ~print:QCheck.Print.(quad (list int) (list int) (list int) (list (list int)))
+    (quad set set set (list_size (int_bound 3) set))
+
 let figure10_sos_update () =
   (* Figure 10: [a := b] in epoch 1 becomes tainted only through an
      interleaving with epoch 2's [taint b]; the SOS must nevertheless carry
@@ -302,6 +310,21 @@ let taintcheck_tests =
         let sc = TC.flagged_sinks (TC.run ~sequential:true epochs) in
         let rx = TC.flagged_sinks (TC.run ~sequential:false epochs) in
         List.for_all (fun s -> List.mem s rx) sc);
+    Testutil.qtest ~count:500 "LSOS size gauge == cardinality of the built LSOS"
+      arb_lsos_case (fun (head_gen, head_kill, sos, others_gen) ->
+        let module S = Set.Make (Int) in
+        let s = S.of_list in
+        (* LSOS = head_gen ∪ (SOS_l − head_kill)
+                  ∪ (SOS_l ∩ head_kill ∩ ⋃ others' GEN_(l-2)) *)
+        let built =
+          S.union (s head_gen)
+            (S.union
+               (S.diff (s sos) (s head_kill))
+               (S.inter
+                  (S.inter (s sos) (s head_kill))
+                  (List.fold_left (fun a g -> S.union a (s g)) S.empty others_gen)))
+        in
+        TC.lsos_cardinal ~head_gen ~head_kill ~sos ~others_gen = S.cardinal built);
   ]
 
 (* ---------- timesliced baseline ---------- *)

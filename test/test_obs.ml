@@ -401,9 +401,9 @@ let window_accounting =
       let sink = Obs.Sink.memory () in
       let s =
         Obs.with_sink sink (fun () ->
-            let s = Sched.create ~threads:3 ~on_instr:(fun _ -> ()) () in
+            let s = Sched.create ~threads:3 (fun _ -> ()) () in
             Butterfly.Epochs.iter_rows epochs (Sched.feed_row s);
-            Sched.finish s;
+            ignore (Sched.finish s);
             s)
       in
       let snap = Obs.Sink.snapshot sink in
@@ -413,7 +413,7 @@ let window_accounting =
         (Butterfly.Epochs.num_epochs epochs)
         (counter "butterfly.epochs_processed");
       Alcotest.(check int) "epochs processed = scheduler accessor"
-        (Sched.epochs_completed s)
+        (Sched.processed s)
         (counter "butterfly.epochs_processed");
       Alcotest.(check int) "pass-2 instrs = batch instr count"
         (Butterfly.Epochs.instr_count epochs)
@@ -421,8 +421,8 @@ let window_accounting =
       Alcotest.(check int) "every block of the grid was closed"
         (3 * Butterfly.Epochs.num_epochs epochs)
         (counter "scheduler.blocks_closed");
-      Alcotest.(check (float 0.0)) "occupancy hwm = max_resident_epochs"
-        (float_of_int (Sched.max_resident_epochs s))
+      Alcotest.(check (float 0.0)) "occupancy hwm = max_resident"
+        (float_of_int (Sched.max_resident s))
         (gauge "scheduler.window_occupancy_hwm");
       Testutil.checkb "window stayed bounded" true
         (gauge "scheduler.window_occupancy_hwm" <= 4.0))

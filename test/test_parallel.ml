@@ -1,4 +1,4 @@
-(* The per-epoch pass-2 fan-out, Scheduler.pass2_epoch: the one place the
+(* The per-epoch pass-2 fan-out, Window.pass2_epoch: the one place the
    TaintCheck and RaceCheck engines go parallel.  Its contract:
 
    - every block's pass 2 runs exactly once, and [commit2] sees the
@@ -15,7 +15,7 @@
      problem (reaching expressions). *)
 
 module Pool = Butterfly.Domain_pool
-module Sched = Butterfly.Scheduler
+module Sched = Butterfly.Window
 
 let check = Alcotest.check
 

@@ -8,7 +8,7 @@
      boundary, checkpoint + restore + continue produces a report
      fingerprint byte-identical to the uninterrupted run, across
      sequential and pooled drivers and every TaintCheck variant;
-   - the scheduler itself ([Scheduler.Make(P).encode_state]): same
+   - the window itself over the dataflow kernel ([Scheduler.Make(P)]): same
      resume-equivalence at every row boundary, for a May and a Must
      problem. *)
 
@@ -435,8 +435,9 @@ let golden_case (e, snapshot, input, every, report_md5, snapshot_md5) =
         (hex (snapshot ~threads rows)))
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler-level checkpointing: May and Must synthetic problems, with
-   cuts at arbitrary row boundaries.                                    *)
+(* Window-level checkpointing over the dataflow kernel: May and Must
+   synthetic problems and the two wildcard-set problems, with cuts at
+   arbitrary row boundaries.                                            *)
 
 module May_problem = struct
   let name = "syn-may"
@@ -466,44 +467,39 @@ end
 module SMay = Butterfly.Scheduler.Make (May_problem)
 module SMust = Butterfly.Scheduler.Make (Must_problem)
 
-let scheduler_resume_prop
-    (module P : Butterfly.Dataflow.PROBLEM with type Set.t = IS.t)
+let scheduler_resume_prop (module P : Butterfly.Dataflow.PROBLEM)
     (seed, cut_bias) =
   let grid = grid_of_seed Qa.Grid_gen.Mixed seed in
   let module S = Butterfly.Scheduler.Make (P) in
   let module A = Butterfly.Dataflow.Make (P) in
-  let set = { S.put_set = Lifeguards.Lg_io.put_is; get_set = Lifeguards.Lg_io.get_is } in
   let view_sig (v : A.instr_view) =
-    Format.asprintf "%a|%a|%a|%a" Butterfly.Instr_id.pp v.id IS.pp v.in_before
-      IS.pp v.lsos_before IS.pp v.side_in
+    Format.asprintf "%a|%a|%a|%a" Butterfly.Instr_id.pp v.id P.Set.pp
+      v.in_before P.Set.pp v.lsos_before P.Set.pp v.side_in
   in
   let epochs = Qa.Grid.epochs grid in
   let rows = rows_of_epochs epochs in
   let threads = Butterfly.Epochs.threads epochs in
   let run_full () =
     let log = ref [] in
-    let s = S.create ~threads ~on_instr:(fun v -> log := view_sig v :: !log) () in
+    let s = S.create ~threads (fun v -> log := view_sig v :: !log) () in
     Array.iter (S.feed_row s) rows;
-    S.finish s;
-    (List.rev !log, S.sos_history s)
+    (List.rev !log, S.finish s)
   in
   let run_cut cut =
     let log = ref [] in
     let on_instr v = log := view_sig v :: !log in
-    let s = S.create ~threads ~on_instr () in
+    let s = S.create ~threads on_instr () in
     Array.iteri (fun i row -> if i < cut then S.feed_row s row) rows;
-    let payload = S.encode_state ~set s in
-    let s' = S.decode_state ~set ~on_instr payload in
+    let s' = Result.get_ok (S.decode on_instr (S.encode s)) in
     Array.iteri (fun i row -> if i >= cut then S.feed_row s' row) rows;
-    S.finish s';
-    (List.rev !log, S.sos_history s')
+    (List.rev !log, S.finish s')
   in
   let full_log, full_sos = run_full () in
   let cut = cut_bias mod (Array.length rows + 1) in
   let cut_log, cut_sos = run_cut cut in
   full_log = cut_log
   && Array.length full_sos = Array.length cut_sos
-  && Array.for_all2 IS.equal full_sos cut_sos
+  && Array.for_all2 P.Set.equal full_sos cut_sos
 
 (* ------------------------------------------------------------------ *)
 (* The on-disk snapshot envelope, the checkpointed runner, and the
@@ -707,27 +703,57 @@ let thread_skew_case tag () =
     "corrupt checkpoint payload: header and payload disagree on threads"
     (revive ~header_threads:3 (ops.Runner.enc st) st);
   (* The payload's own leading thread count patched from 2 to 3; the
-     window (AddrCheck/InitCheck) or the rows (TaintCheck/RaceCheck)
-     still say 2.  AddrCheck is cut before its first row, where no
-     engine row would catch the skew before the window does. *)
+     window's resident row still says 2. *)
   let st = ops.Runner.create ~threads:2 in
-  if tag <> Snapshot.Addrcheck then ops.Runner.feed st row;
+  ops.Runner.feed st row;
   let payload = Bytes.of_string (ops.Runner.enc st) in
   check Alcotest.int "leading thread count" 2 (Char.code (Bytes.get payload 0));
   Bytes.set payload 0 '\003';
-  let want =
-    match tag with
-    | Snapshot.Addrcheck | Snapshot.Initcheck ->
-      Printf.sprintf
-        "corrupt checkpoint payload: %s state: thread count disagrees with \
-         the window's"
-        lg
-    | Snapshot.Taintcheck | Snapshot.Racecheck ->
-      Printf.sprintf
-        "corrupt checkpoint payload: %s state: instr row width mismatch" lg
-  in
-  checks "engine vs window" want
+  checks "engine vs window"
+    (Printf.sprintf
+       "corrupt checkpoint payload: %s state: instr row width mismatch" lg)
     (revive ~header_threads:3 (Bytes.to_string payload) st)
+
+(* A payload whose cursor counters disagree — three rows fed but none
+   processed, or two processed but no row resident — is a corrupt
+   payload, not an engine whose next feed crashes. *)
+let cursor_skew_case tag () =
+  let (Runner.Packed ops) = Runner.ops_of tag in
+  let lg = Snapshot.lifeguard_to_string tag in
+  (* [threads, <params>, fed, processed, ...]: each one byte here. *)
+  let at =
+    1 + match tag with Snapshot.Addrcheck -> 1 | Snapshot.Taintcheck -> 2 | _ -> 0
+  in
+  let fresh = ops.Runner.enc (ops.Runner.create ~threads:2) in
+  List.iter
+    (fun (processed, why) ->
+      let payload = Bytes.of_string fresh in
+      check Alcotest.(pair int int) "fresh cursors" (0, 0)
+        (Char.code (Bytes.get payload at), Char.code (Bytes.get payload (at + 1)));
+      Bytes.set payload at '\003';
+      Bytes.set payload (at + 1) (Char.chr processed);
+      with_snap_file (fun path ->
+          ignore
+            (Snapshot.write_file ~path
+               { Snapshot.lifeguard = tag; next_epoch = 3; threads = 2 }
+               (Bytes.to_string payload));
+          match Runner.revive ops ~path ~threads:2 with
+          | Ok (st, _) ->
+            ops.Runner.feed st [| [||]; [||] |];
+            Alcotest.failf "%s: fed=3 processed=%d accepted" lg processed
+          | Error m ->
+            checks "cursor skew"
+              (Printf.sprintf "corrupt checkpoint payload: %s state: %s" lg why)
+              m))
+    [
+      (0, "processed epochs disagree with the rows fed");
+      ( 2,
+        (* The dataflow kernel's SOS history is read before the rows. *)
+        match tag with
+        | Snapshot.Addrcheck | Snapshot.Initcheck ->
+          "SOS history disagrees with the cursors"
+        | _ -> "resident rows disagree with the cursors" );
+    ]
 
 let crash_sim_battery () =
   List.iter
@@ -831,6 +857,15 @@ let () =
           qt ~count:80 "Must problem: resume at any row == uninterrupted"
             arb_cut_case
             (scheduler_resume_prop (module Must_problem));
+          (* Wildcard definition and expression sets through their codecs. *)
+          qt ~count:40
+            "reaching definitions: resume at any row == uninterrupted"
+            arb_cut_case
+            (scheduler_resume_prop (module Butterfly.Reaching_definitions.Problem));
+          qt ~count:40
+            "reaching expressions: resume at any row == uninterrupted"
+            arb_cut_case
+            (scheduler_resume_prop (module Butterfly.Reaching_expressions.Problem));
         ] );
       ( "snapshot",
         [
@@ -852,6 +887,13 @@ let () =
                 (Printf.sprintf "%s: thread skew is a corrupt payload"
                    (Snapshot.lifeguard_to_string tag))
                 `Quick (thread_skew_case tag))
+            all_tags
+        @ List.map
+            (fun (tag, _) ->
+              Alcotest.test_case
+                (Printf.sprintf "%s: cursor skew is a corrupt payload"
+                   (Snapshot.lifeguard_to_string tag))
+                `Quick (cursor_skew_case tag))
             all_tags );
       ( "crash-sim",
         [

@@ -6,6 +6,8 @@ module RD = Butterfly.Reaching_definitions
 module RE = Butterfly.Reaching_expressions
 module Sched_rd = Butterfly.Scheduler.Make (RD.Problem)
 module Sched_re = Butterfly.Scheduler.Make (RE.Problem)
+module Taint_w = Butterfly.Window.Make (Lifeguards.Taintcheck.Kernel)
+module Race_w = Butterfly.Window.Make (Lifeguards.Racecheck.Kernel)
 
 type view_key = {
   id : Butterfly.Instr_id.t;
@@ -52,10 +54,12 @@ let rows_of_program program =
 let stream_views_rd program =
   let acc = ref [] in
   let threads = Tracing.Program.threads program in
-  let s = Sched_rd.create ~threads ~on_instr:(fun v -> acc := key_rd v :: !acc) () in
+  let s = Sched_rd.create ~threads (fun v -> acc := key_rd v :: !acc) () in
   List.iter (Sched_rd.feed_row s) (rows_of_program program);
-  Sched_rd.finish s;
-  let sos = Format.asprintf "%a" Butterfly.Def_set.pp (Sched_rd.sos s) in
+  let history = Sched_rd.finish s in
+  let sos =
+    Format.asprintf "%a" Butterfly.Def_set.pp history.(Array.length history - 1)
+  in
   (List.rev !acc, sos)
 
 let gen_program =
@@ -86,11 +90,9 @@ let re_equivalence =
            (Butterfly.Epochs.of_program p));
       let acc_s = ref [] in
       let threads = Tracing.Program.threads p in
-      let s =
-        Sched_re.create ~threads ~on_instr:(fun v -> acc_s := key_re v :: !acc_s) ()
-      in
+      let s = Sched_re.create ~threads (fun v -> acc_s := key_re v :: !acc_s) () in
       List.iter (Sched_re.feed_row s) (rows_of_program p);
-      Sched_re.finish s;
+      ignore (Sched_re.finish s);
       !acc_b = !acc_s)
 
 let expect_invalid_arg name f =
@@ -98,88 +100,108 @@ let expect_invalid_arg name f =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.failf "%s: expected Invalid_argument" name
 
+(* Every kernel on one long stream: rows l-1-rows_behind .. l are
+   resident just before epoch l-1 is processed, so the high-water mark
+   is rows_behind + 2 (4 for the dataflow kernel, 3 for TaintCheck and
+   RaceCheck). *)
 let bounded_window =
   Alcotest.test_case "window stays bounded on long streams" `Quick (fun () ->
       let instrs = List.init 2_000 (fun k -> Tracing.Instr.Assign_const (k mod 5)) in
-      let p =
+      let rows =
         Tracing.Program.of_instrs [ instrs; instrs ]
         |> Tracing.Program.with_heartbeats ~every:10
+        |> rows_of_program
       in
-      let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> ()) () in
-      List.iter (Sched_rd.feed_row s) (rows_of_program p);
-      Sched_rd.finish s;
-      Alcotest.(check int) "epochs completed" 201 (Sched_rd.epochs_completed s);
-      (* Rows l-3 .. l are resident just before epoch l-1 is processed. *)
-      Alcotest.(check int) "resident window" 4 (Sched_rd.max_resident_epochs s))
+      let bounded (type t) name ~rows_behind ~(create : unit -> t) ~feed
+          ~finish ~processed ~max_resident =
+        let s = create () in
+        List.iter (feed s) rows;
+        finish s;
+        Alcotest.(check int) (name ^ ": epochs completed") 201 (processed s);
+        Alcotest.(check int) (name ^ ": resident window") (rows_behind + 2)
+          (max_resident s)
+      in
+      bounded "dataflow" ~rows_behind:2
+        ~create:(fun () -> Sched_rd.create ~threads:2 (fun _ -> ()) ())
+        ~feed:Sched_rd.feed_row
+        ~finish:(fun s -> ignore (Sched_rd.finish s))
+        ~processed:Sched_rd.processed ~max_resident:Sched_rd.max_resident;
+      bounded "taintcheck" ~rows_behind:1
+        ~create:(fun () ->
+          Taint_w.create ~threads:2 () { sequential = true; two_phase = true })
+        ~feed:Taint_w.feed_row
+        ~finish:(fun s -> ignore (Taint_w.finish s))
+        ~processed:Taint_w.processed ~max_resident:Taint_w.max_resident;
+      bounded "racecheck" ~rows_behind:1
+        ~create:(fun () -> Race_w.create ~threads:2 () ())
+        ~feed:Race_w.feed_row
+        ~finish:(fun s -> ignore (Race_w.finish s))
+        ~processed:Race_w.processed ~max_resident:Race_w.max_resident)
 
 let wrong_width =
   Alcotest.test_case "a row of the wrong width raises" `Quick (fun () ->
-      let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> ()) () in
+      let s = Sched_rd.create ~threads:2 (fun _ -> ()) () in
       expect_invalid_arg "narrow row" (fun () ->
           Sched_rd.feed_row s [| [| Tracing.Instr.Nop |] |]);
       expect_invalid_arg "wide row" (fun () ->
           Sched_rd.feed_row s [| [||]; [||]; [||] |]);
       (* A refused row leaves the window untouched. *)
       Sched_rd.feed_row s [| [| Tracing.Instr.Nop |]; [||] |];
-      Sched_rd.finish s;
-      Alcotest.(check int) "one epoch" 1 (Sched_rd.epochs_completed s))
+      ignore (Sched_rd.finish s);
+      Alcotest.(check int) "one epoch" 1 (Sched_rd.processed s))
 
 let feed_after_finish =
   Alcotest.test_case "feed_row after finish raises" `Quick (fun () ->
-      let s = Sched_rd.create ~threads:1 ~on_instr:(fun _ -> ()) () in
+      let s = Sched_rd.create ~threads:1 (fun _ -> ()) () in
       Sched_rd.feed_row s [| [| Tracing.Instr.Nop |] |];
-      Sched_rd.finish s;
+      ignore (Sched_rd.finish s);
       expect_invalid_arg "feed after finish" (fun () ->
           Sched_rd.feed_row s [| [||] |]))
 
 let empty_feed =
   Alcotest.test_case "an empty feed gives one epoch" `Quick (fun () ->
       let views = ref 0 in
-      let s = Sched_rd.create ~threads:3 ~on_instr:(fun _ -> incr views) () in
-      Sched_rd.finish s;
+      let s = Sched_rd.create ~threads:3 (fun _ -> incr views) () in
+      let history = Sched_rd.finish s in
       let batch =
         RD.run (Butterfly.Epochs.of_program (Tracing.Program.of_instrs [ []; []; [] ]))
       in
-      Alcotest.(check int) "one epoch" 1 (Sched_rd.epochs_completed s);
+      Alcotest.(check int) "one epoch" 1 (Sched_rd.processed s);
       Alcotest.(check int) "batch agrees" 1 (Butterfly.Epochs.num_epochs batch.epochs);
       Alcotest.(check int) "no views" 0 !views;
-      Alcotest.(check int) "SOS_0 .. SOS_2" 3
-        (Array.length (Sched_rd.sos_history s)))
+      Alcotest.(check int) "SOS_0 .. SOS_2" 3 (Array.length history))
 
 let finish_idempotent =
   Alcotest.test_case "finish is idempotent" `Quick (fun () ->
       let views = ref 0 in
-      let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> incr views) () in
+      let s = Sched_rd.create ~threads:2 (fun _ -> incr views) () in
       Sched_rd.feed_row s
         [| [| Tracing.Instr.Assign_const 0 |]; [| Tracing.Instr.Assign_const 1 |] |];
       Sched_rd.feed_row s [| [| Tracing.Instr.Nop |]; [||] |];
-      Sched_rd.finish s;
-      let history = Sched_rd.sos_history s in
-      Sched_rd.finish s;
-      Alcotest.(check int) "epochs" 2 (Sched_rd.epochs_completed s);
+      let history = Sched_rd.finish s in
+      let again = Sched_rd.finish s in
+      Alcotest.(check int) "epochs" 2 (Sched_rd.processed s);
       Alcotest.(check int) "views delivered once" 3 !views;
       Testutil.checkb "SOS history unchanged" true
-        (Array.for_all2 Butterfly.Def_set.equal history (Sched_rd.sos_history s)))
+        (Array.for_all2 Butterfly.Def_set.equal history again))
 
 let summary_rows =
   Alcotest.test_case "summary_row serves resident rows, refuses retired ones"
     `Quick (fun () ->
-      let s = Sched_rd.create ~threads:2 ~on_instr:(fun _ -> ()) () in
+      let s = Sched_rd.create ~threads:2 (fun _ -> ()) () in
       let row l = [| [| Tracing.Instr.Assign_const l |]; [||] |] in
       for l = 0 to 4 do
         Sched_rd.feed_row s (row l)
       done;
       (* Epochs 0..3 are processed; rows 2..4 stay resident. *)
-      Alcotest.(check int) "processed" 4 (Sched_rd.epochs_completed s);
+      Alcotest.(check int) "processed" 4 (Sched_rd.processed s);
       for l = 2 to 4 do
-        let b = (Sched_rd.summary_row s l).(0).block in
+        let b = (Option.get (Sched_rd.summary_row s l)).(0).block in
         Alcotest.(check int) "resident row carries its block" l b.epoch;
         Alcotest.(check int) "one instruction" 1 (Butterfly.Block.length b)
       done;
-      Testutil.checkb "rows past the feed read as empty" true
-        (Array.for_all
-           (fun (b : RD.Analysis.block_summary) -> Butterfly.Block.is_empty b.block)
-           (Sched_rd.summary_row s 5));
+      Testutil.checkb "rows past the feed are outside the execution" true
+        (Sched_rd.summary_row s 5 = None);
       expect_invalid_arg "retired row" (fun () ->
           ignore (Sched_rd.summary_row s 1)))
 
@@ -202,12 +224,7 @@ let pooled_equiv_rd domains g =
   let stream = ref [] in
   let hist =
     Butterfly.Domain_pool.with_pool ~name:"test-rd" ~domains (fun pool ->
-        let s =
-          Sched_rd.run_epochs ~pool
-            ~on_instr:(fun v -> stream := key_rd v :: !stream)
-            epochs
-        in
-        Sched_rd.sos_history s)
+        Sched_rd.run ~pool (fun v -> stream := key_rd v :: !stream) () epochs)
   in
   !batch = !stream
   && Array.length hist = Array.length br.sos
@@ -220,12 +237,7 @@ let pooled_equiv_re domains g =
   let stream = ref [] in
   let hist =
     Butterfly.Domain_pool.with_pool ~name:"test-re" ~domains (fun pool ->
-        let s =
-          Sched_re.run_epochs ~pool
-            ~on_instr:(fun v -> stream := key_re v :: !stream)
-            epochs
-        in
-        Sched_re.sos_history s)
+        Sched_re.run ~pool (fun v -> stream := key_re v :: !stream) () epochs)
   in
   !batch = !stream
   && Array.length hist = Array.length br.sos

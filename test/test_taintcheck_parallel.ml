@@ -1,7 +1,7 @@
 (* Parallel TaintCheck: the pooled driver is the sequential driver.
 
    The pooled mode fans each epoch's pass-2 block evaluations out on the
-   pool (Scheduler.pass2_epoch), with the master serializing
+   pool (Window.pass2_epoch), with the master serializing
    LASTCHECK/SOS commits epoch-major / thread-minor.  The
    claim under test is *structural equality of the whole report* — error
    list in order, SOS taint history, per-block statistics — not just the
