@@ -254,14 +254,13 @@ let analyze ~domains ~relaxed ~every ~out ~resume lifeguard path h =
   let threads = Tracing.Row_source.threads src in
   let rows = Tracing.Row_source.iter_rows ?every:chunk src in
   with_pool_opt domains (fun pool ->
-      let (Serve.Report.Engine e) =
-        Serve.Report.engine ?pool ~relaxed lifeguard
-      in
+      let (Serve.Report.Entry e) = Serve.Report.find lifeguard in
+      let ops = e.ops ?pool ~relaxed () in
       let run () =
         match resume with
-        | None -> Ok (Recovery.Runner.run e.ops ?checkpoint ~threads rows)
+        | None -> Ok (Recovery.Runner.run ops ?checkpoint ~threads rows)
         | Some path ->
-          Recovery.Runner.resume e.ops ?checkpoint ~path ~threads
+          Recovery.Runner.resume ops ?checkpoint ~path ~threads
             ~num_rows:(Tracing.Row_source.num_rows ?every:chunk src)
             rows
       in
@@ -313,11 +312,12 @@ let racecheck_cmd =
           trace file"
     no_relaxed
 
-let lifeguard_enum =
-  Arg.enum
-    (List.map
-       (fun lg -> (Recovery.Snapshot.lifeguard_to_string lg, lg))
-       Recovery.Snapshot.[ Addrcheck; Initcheck; Taintcheck; Racecheck ])
+let lifeguard_names =
+  List.map
+    (fun lg -> (Recovery.Snapshot.lifeguard_to_string lg, lg))
+    Recovery.Snapshot.all
+
+let lifeguard_enum = Arg.enum lifeguard_names
 
 let stats_cmd =
   let run path h domains lifeguard json prometheus obs_jsonl =
@@ -385,7 +385,7 @@ let fuzz_cmd =
         else
         let lifeguards =
           match lifeguard with
-          | `All -> Qa.Differential.all_lifeguards
+          | `All -> Recovery.Snapshot.all
           | `One lg -> [ lg ]
         in
         let emit_repro grid =
@@ -406,7 +406,7 @@ let fuzz_cmd =
             (fun lg ->
               let mismatches = Qa.Engine.check_program lg p in
               Format.printf "replay %s %s: %d mismatch%s@." path
-                (Qa.Differential.lifeguard_to_string lg)
+                (Recovery.Snapshot.lifeguard_to_string lg)
                 (List.length mismatches)
                 (if List.length mismatches = 1 then "" else "es");
               if mismatches <> [] then begin
@@ -438,13 +438,13 @@ let fuzz_cmd =
               match outcome.counterexample with
               | None ->
                 Format.printf "fuzz %s: %d grids, 0 mismatches@."
-                  (Qa.Differential.lifeguard_to_string lg)
+                  (Recovery.Snapshot.lifeguard_to_string lg)
                   outcome.grids
               | Some cx ->
                 failed := true;
                 Format.printf
                   "fuzz %s: counterexample at iteration %d (%d mismatch%s%s)@."
-                  (Qa.Differential.lifeguard_to_string lg)
+                  (Recovery.Snapshot.lifeguard_to_string lg)
                   cx.iteration
                   (List.length cx.mismatches)
                   (if List.length cx.mismatches = 1 then "" else "es")
@@ -462,13 +462,8 @@ let fuzz_cmd =
   let lifeguard_arg =
     let lg =
       Arg.enum
-        [
-          ("addrcheck", `One Qa.Differential.Addrcheck);
-          ("initcheck", `One Qa.Differential.Initcheck);
-          ("taintcheck", `One Qa.Differential.Taintcheck);
-          ("racecheck", `One Qa.Differential.Racecheck);
-          ("all", `All);
-        ]
+        (List.map (fun (name, lg) -> (name, `One lg)) lifeguard_names
+        @ [ ("all", `All) ])
     in
     Arg.(value & opt lg `All & info [ "lifeguard" ] ~docv:"LIFEGUARD"
          ~doc:"Which lifeguard to fuzz: $(b,addrcheck), $(b,initcheck), \

@@ -25,45 +25,19 @@ let orderings_of ?(model = Memmodel.Consistency.Sequential) ?(cap = 20_000)
 let instrs_of_ordering vo o =
   Memmodel.Ordering.apply (VO.threads vo) o
 
-let addrcheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
+(* AddrCheck and InitCheck: every address the sequential lifeguard flags
+   on any ordering must be in the butterfly report's flagged set. *)
+let set_zero_false_negatives ~butterfly ~sequential ?model ?cap ?samples ?seed
+    p =
   let grid = grid_of_program p in
   let vo, os, exhaustive = orderings_of ?model ?cap ?samples ?seed grid in
-  let report =
-    Addrcheck.run ?pool (Butterfly.Epochs.of_blocks grid)
-  in
-  let butterfly_flags = Addrcheck.flagged_addresses report in
+  let butterfly_flags = butterfly (Butterfly.Epochs.of_blocks grid) in
   let missed = ref [] in
   List.iteri
     (fun k o ->
-      let seq = Addrcheck_seq.check (instrs_of_ordering vo o) in
-      let seq_flags = Addrcheck_seq.flagged_addresses seq in
-      let uncovered = IS.diff seq_flags butterfly_flags in
-      if not (IS.is_empty uncovered) then
-        missed :=
-          Format.asprintf "ordering #%d: sequential flags %a, butterfly misses them"
-            k IS.pp uncovered
-          :: !missed)
-    os;
-  {
-    sound = !missed = [];
-    orderings_checked = List.length os;
-    exhaustive;
-    missed = List.rev !missed;
-  }
-
-let initcheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
-  let grid = grid_of_program p in
-  let vo, os, exhaustive = orderings_of ?model ?cap ?samples ?seed grid in
-  let report =
-    Initcheck.run ?pool (Butterfly.Epochs.of_blocks grid)
-  in
-  let butterfly_flags = Initcheck.flagged_addresses report in
-  let missed = ref [] in
-  List.iteri
-    (fun k o ->
-      let seq = Initcheck_seq.check (instrs_of_ordering vo o) in
-      let seq_flags = Initcheck_seq.flagged_addresses seq in
-      let uncovered = IS.diff seq_flags butterfly_flags in
+      let uncovered =
+        IS.diff (sequential (instrs_of_ordering vo o)) butterfly_flags
+      in
       if not (IS.is_empty uncovered) then
         missed :=
           Format.asprintf
@@ -77,6 +51,18 @@ let initcheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
     exhaustive;
     missed = List.rev !missed;
   }
+
+let addrcheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
+  set_zero_false_negatives ?model ?cap ?samples ?seed p
+    ~butterfly:(fun e -> Addrcheck.flagged_addresses (Addrcheck.run ?pool e))
+    ~sequential:(fun is ->
+      Addrcheck_seq.flagged_addresses (Addrcheck_seq.check is))
+
+let initcheck_zero_false_negatives ?model ?cap ?samples ?seed ?pool p =
+  set_zero_false_negatives ?model ?cap ?samples ?seed p
+    ~butterfly:(fun e -> Initcheck.flagged_addresses (Initcheck.run ?pool e))
+    ~sequential:(fun is ->
+      Initcheck_seq.flagged_addresses (Initcheck_seq.check is))
 
 (* ------------------------------------------------------------------ *)
 (* RaceCheck ground truth.  A pair races {e in one ordering} when no

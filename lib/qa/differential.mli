@@ -23,12 +23,7 @@
     an unsound analysis change): the fuzz engine shrinks the grid and
     serializes it as a replayable trace. *)
 
-type lifeguard = Addrcheck | Initcheck | Taintcheck | Racecheck
-
-val lifeguard_to_string : lifeguard -> string
-val all_lifeguards : lifeguard list
-
-val profile_of : lifeguard -> Grid_gen.profile
+val profile_of : Recovery.Snapshot.lifeguard -> Grid_gen.profile
 (** The instruction mix that exercises this lifeguard. *)
 
 type config = {
@@ -44,7 +39,7 @@ val default_config : config
 (** cap 240, 24 samples, all three consistency models. *)
 
 type mismatch = {
-  lifeguard : lifeguard;
+  lifeguard : Recovery.Snapshot.lifeguard;
   subject : string;  (** which combination diverged / which theorem broke *)
   details : string list;  (** fingerprints or missed-finding descriptions *)
 }
@@ -54,10 +49,12 @@ val pp_mismatch : Format.formatter -> mismatch -> unit
 val check :
   ?config:config ->
   ?pools:Butterfly.Domain_pool.t list ->
-  lifeguard ->
+  Recovery.Snapshot.lifeguard ->
   Grid.t ->
   mismatch list
-(** Run the full battery on one grid.  [pools] are caller-owned worker
+(** Run the full battery on one grid, as the lifeguard's
+    {!Serve.Report.find} entry describes it: its analysis variants, its
+    reference and its oracle.  [pools] are caller-owned worker
     pools reused across calls (the fuzz engine shares two across its
     whole corpus); when omitted, only the sequential driver runs and the
     battery degrades to the oracle checks. *)
@@ -67,13 +64,16 @@ val check_recovery :
   ?every:int ->
   ?crash_at:int ->
   ?seed:int ->
-  lifeguard ->
+  Recovery.Snapshot.lifeguard ->
   Grid.t ->
   mismatch list
-(** Crash-recovery check ({!Recovery.Crash_sim}): run the grid with a
+(** Crash-recovery check ({!Recovery.Crash_sim}), once per analysis
+    variant of the lifeguard's table entry: run the grid with a
     checkpoint every [every] epochs (default 1), kill the run at
     [crash_at] — or at a [seed]-determined epoch — resume from the
     surviving snapshot, and compare fingerprints with an uninterrupted
     run.  With [pool], both the doomed and the resumed engine run on it.
     The snapshot lives in a temp file, removed afterwards.  A mismatch
-    here is a checkpoint/restore bug. *)
+    here is a checkpoint/restore bug; its subject names the variant
+    ([crash-recovery[relaxed,two-phase]: ...]) when the lifeguard has
+    more than one. *)

@@ -28,7 +28,7 @@ type counterexample = {
 }
 
 type outcome = {
-  lifeguard : Differential.lifeguard;
+  lifeguard : Recovery.Snapshot.lifeguard;
   grids : int;
   counterexample : counterexample option;
 }
@@ -46,7 +46,7 @@ let with_default_pools pools f =
 
 let run ?pools ?(config = default_config) lifeguard =
   let labels =
-    [ ("lifeguard", Differential.lifeguard_to_string lifeguard) ]
+    [ ("lifeguard", Recovery.Snapshot.lifeguard_to_string lifeguard) ]
   in
   let m_grids = Obs.Counter.make ~labels "qa.grids" in
   let m_mismatches = Obs.Counter.make ~labels "qa.mismatches" in

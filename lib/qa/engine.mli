@@ -43,7 +43,7 @@ type counterexample = {
 }
 
 type outcome = {
-  lifeguard : Differential.lifeguard;
+  lifeguard : Recovery.Snapshot.lifeguard;
   grids : int;  (** grids actually generated and checked *)
   counterexample : counterexample option;
 }
@@ -51,7 +51,7 @@ type outcome = {
 val run :
   ?pools:Butterfly.Domain_pool.t list ->
   ?config:config ->
-  Differential.lifeguard ->
+  Recovery.Snapshot.lifeguard ->
   outcome
 (** Fuzz one lifeguard.  [pools] are reused for every pooled run;
     when omitted, the engine creates a one-worker and a two-worker pool
@@ -60,7 +60,7 @@ val run :
 val check_program :
   ?pools:Butterfly.Domain_pool.t list ->
   ?diff:Differential.config ->
-  Differential.lifeguard ->
+  Recovery.Snapshot.lifeguard ->
   Tracing.Program.t ->
   Differential.mismatch list
 (** Replay a serialized counterexample (or any trace) through the same

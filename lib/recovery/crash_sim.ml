@@ -23,7 +23,7 @@ let crash_point ?crash_at ~seed ~num_epochs () =
     let rng = Random.State.make [| 0xc4a5; seed |] in
     Random.State.int rng (num_epochs + 1)
 
-let simulate (type s r) (ops : (s, r) Runner.ops) ?crash_at ~seed ~every ~path
+let run (type s r) ?crash_at ?(seed = 0) ~every ~path (ops : (s, r) Runner.ops)
     epochs =
   if every <= 0 then invalid_arg "Crash_sim.run: every must be > 0";
   let rows = Runner.rows_of epochs in
@@ -72,12 +72,8 @@ let simulate (type s r) (ops : (s, r) Runner.ops) ?crash_at ~seed ~every ~path
         equal = String.equal straight_fp resumed_fp;
       }
 
-let run ?pool ?crash_at ?(seed = 0) ~every ~path lifeguard epochs =
-  let (Runner.Packed ops) = Runner.ops_of ?pool lifeguard in
-  simulate ops ?crash_at ~seed ~every ~path epochs
-
-let run_session ?pool ?crash_at ?seed ~every ~dir ~tenant lifeguard epochs =
+let run_session ?crash_at ?seed ~every ~dir ~tenant ops epochs =
   Obs.Scope.with_scope ~tenant (fun () ->
-      run ?pool ?crash_at ?seed ~every
-        ~path:(Snapshot.session_path ~dir ~tenant lifeguard)
-        lifeguard epochs)
+      run ?crash_at ?seed ~every
+        ~path:(Snapshot.session_path ~dir ~tenant ops.Runner.tag)
+        ops epochs)

@@ -19,28 +19,28 @@ type outcome = {
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val run :
-  ?pool:Butterfly.Domain_pool.t ->
   ?crash_at:int ->
   ?seed:int ->
   every:int ->
   path:string ->
-  Snapshot.lifeguard ->
+  ('s, 'r) Runner.ops ->
   Butterfly.Epochs.t ->
   (outcome, string) result
-(** [crash_at] is clamped to [0 .. num_epochs]; when absent the crash
-    epoch is drawn deterministically from [seed] (default 0).  [path] is
-    overwritten.  [Error _] propagates a failed resume — which the
-    simulation itself never provokes, so it too signals a bug.  Raises
-    [Invalid_argument] if [every <= 0]. *)
+(** Both the doomed and the resumed engine are built by [ops] — on its
+    pool, if it was built with one.  [crash_at] is clamped to
+    [0 .. num_epochs]; when absent the crash epoch is drawn
+    deterministically from [seed] (default 0).  [path] is overwritten.
+    [Error _] propagates a failed resume — which the simulation itself
+    never provokes, so it too signals a bug.  Raises [Invalid_argument]
+    if [every <= 0]. *)
 
 val run_session :
-  ?pool:Butterfly.Domain_pool.t ->
   ?crash_at:int ->
   ?seed:int ->
   every:int ->
   dir:string ->
   tenant:string ->
-  Snapshot.lifeguard ->
+  ('s, 'r) Runner.ops ->
   Butterfly.Epochs.t ->
   (outcome, string) result
 (** {!run} with the snapshot at {!Snapshot.session_path} — the same

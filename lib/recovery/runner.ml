@@ -18,12 +18,10 @@ type ('s, 'r) ops = {
   fp : 'r -> string;
 }
 
-type packed = Packed : ('s, 'r) ops -> packed
-
-let addr_ops ?pool ?isolation () =
+let addr_ops ?pool () =
   {
     tag = Snapshot.Addrcheck;
-    create = (fun ~threads -> AC.Resumable.create ?pool ?isolation ~threads ());
+    create = (fun ~threads -> AC.Resumable.create ?pool ~threads ());
     feed = AC.Resumable.feed_epoch;
     threads = AC.Resumable.threads;
     fed = AC.Resumable.epochs_fed;
@@ -73,13 +71,6 @@ let race_ops ?pool () =
     dec = RC.Resumable.decode ?pool;
     fp = RC.fingerprint;
   }
-
-let ops_of ?pool ?isolation ?sequential ?two_phase = function
-  | Snapshot.Addrcheck -> Packed (addr_ops ?pool ?isolation ())
-  | Snapshot.Initcheck -> Packed (init_ops ?pool ())
-  | Snapshot.Taintcheck ->
-    Packed (taint_ops ?pool ?sequential ?two_phase ())
-  | Snapshot.Racecheck -> Packed (race_ops ?pool ())
 
 let rows_of epochs =
   let rows = ref [] in

@@ -16,9 +16,14 @@ type checkpointing = {
 }
 
 (** One lifeguard's resumable engine, as first-class operations.  ['s] is
-    the engine state, ['r] its report.  Obtain instances from {!ops_of}
-    (or the typed wrappers below); the record is exposed so [Crash_sim]
-    and the QA crash fuzzer can drive any lifeguard generically. *)
+    the engine state, ['r] its report.  The record is exposed so
+    [Crash_sim], the serving layer and the QA battery can drive any
+    lifeguard generically; [Serve.Report]'s lifeguard table builds one per
+    lifeguard from the typed builders below.  Checkpoints are cut at
+    sealed-epoch frontiers, so a snapshot taken with or without [pool]
+    resumes either way.  On resume the analysis flags are restored from
+    the snapshot payload, not from the builder's arguments; [pool] is
+    transient and re-supplied. *)
 type ('s, 'r) ops = {
   tag : Snapshot.lifeguard;
   create : threads:int -> 's;
@@ -31,30 +36,8 @@ type ('s, 'r) ops = {
   fp : 'r -> string;  (** canonical report fingerprint *)
 }
 
-type packed = Packed : ('s, 'r) ops -> packed
-
-val ops_of :
-  ?pool:Butterfly.Domain_pool.t ->
-  ?isolation:bool ->
-  ?sequential:bool ->
-  ?two_phase:bool ->
-  Snapshot.lifeguard ->
-  packed
-(** [isolation] applies to AddrCheck, [sequential]/[two_phase] to
-    TaintCheck; the others ignore them.  Checkpoints are cut at
-    sealed-epoch frontiers, so a snapshot taken with or without [pool]
-    resumes either way.  On resume the analysis flags are restored from
-    the snapshot payload, not from here; [pool] is transient and
-    re-supplied. *)
-
-(** Typed builders behind {!ops_of}, for callers that need to keep the
-    report type visible — e.g. [lib/serve] packs an engine together with
-    a typed report renderer, which the existential {!packed} cannot
-    express. *)
-
 val addr_ops :
   ?pool:Butterfly.Domain_pool.t ->
-  ?isolation:bool ->
   unit ->
   (Lifeguards.Addrcheck.Resumable.state, Lifeguards.Addrcheck.report) ops
 
@@ -69,6 +52,7 @@ val taint_ops :
   ?two_phase:bool ->
   unit ->
   (Lifeguards.Taintcheck.Resumable.state, Lifeguards.Taintcheck.report) ops
+(** [sequential]/[two_phase] as in {!Lifeguards.Taintcheck.run}. *)
 
 val race_ops :
   ?pool:Butterfly.Domain_pool.t ->

@@ -9,6 +9,19 @@ let lifeguard_to_string = function
   | Taintcheck -> "taintcheck"
   | Racecheck -> "racecheck"
 
+let all = [ Addrcheck; Initcheck; Taintcheck; Racecheck ]
+
+let lifeguard_to_byte = function
+  | Addrcheck -> 0
+  | Initcheck -> 1
+  | Taintcheck -> 2
+  | Racecheck -> 3
+
+let lifeguard_of_byte b =
+  match List.find_opt (fun lg -> lifeguard_to_byte lg = b) all with
+  | Some lg -> lg
+  | None -> raise (R.Corrupt (Printf.sprintf "bad lifeguard tag %d" b))
+
 type meta = { lifeguard : lifeguard; next_epoch : int; threads : int }
 
 let magic = "BFLYCKPT"
@@ -17,12 +30,7 @@ let version = 3
 
 let encode meta payload =
   let w = W.create () in
-  W.u8 w
-    (match meta.lifeguard with
-    | Addrcheck -> 0
-    | Initcheck -> 1
-    | Taintcheck -> 2
-    | Racecheck -> 3);
+  W.u8 w (lifeguard_to_byte meta.lifeguard);
   W.varint w meta.next_epoch;
   W.varint w meta.threads;
   W.string w payload;
@@ -34,14 +42,7 @@ let decode s =
   | Ok body -> (
     match
       let r = R.of_string body in
-      let lifeguard =
-        match R.u8 r with
-        | 0 -> Addrcheck
-        | 1 -> Initcheck
-        | 2 -> Taintcheck
-        | 3 -> Racecheck
-        | t -> raise (R.Corrupt (Printf.sprintf "bad lifeguard tag %d" t))
-      in
+      let lifeguard = lifeguard_of_byte (R.u8 r) in
       let next_epoch = R.varint r in
       let threads = R.varint r in
       let payload = R.string r in

@@ -11,9 +11,27 @@
     Writes are atomic (temp file + rename): a crash mid-checkpoint leaves
     the previous snapshot intact, never a torn file. *)
 
+(** {1 Lifeguards}
+
+    The one place the lifeguards are enumerated: their names, the byte
+    that identifies each in a snapshot header and in a daemon's HELLO
+    frame, and {!all}.  Everything per-lifeguard beyond that — engine,
+    renderers, QA battery — is one entry of the [Serve.Report] table. *)
+
 type lifeguard = Addrcheck | Initcheck | Taintcheck | Racecheck
 
 val lifeguard_to_string : lifeguard -> string
+(** The CLI subcommand name: ["addrcheck"], ["initcheck"], ... *)
+
+val all : lifeguard list
+(** Every lifeguard, in byte order. *)
+
+val lifeguard_to_byte : lifeguard -> int
+(** 0 for AddrCheck through 3 for RaceCheck; stable across versions. *)
+
+val lifeguard_of_byte : int -> lifeguard
+(** Inverse of {!lifeguard_to_byte}.  Raises
+    [Tracing.Binio.R.Corrupt "bad lifeguard tag N"] for any other byte. *)
 
 type meta = {
   lifeguard : lifeguard;

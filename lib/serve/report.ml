@@ -129,22 +129,108 @@ let racecheck_text ppf (r : Lifeguards.Racecheck.report) =
     r.races;
   if r.races = [] then Format.fprintf ppf "  no races@."
 
-type engine =
-  | Engine : {
-      ops : ('s, 'r) Recovery.Runner.ops;
-      json : 'r -> string;
-      text : 'r -> string;
-    }
-      -> engine
+(* ------------------------------------------------------------------ *)
+(* The lifeguard table. *)
 
-let engine ?pool ~relaxed lifeguard =
-  let module R = Recovery.Runner in
-  let mk ops json text = Engine { ops; json; text = Format.asprintf "%a" text } in
-  match (lifeguard : Recovery.Snapshot.lifeguard) with
-  | Addrcheck -> mk (R.addr_ops ?pool ()) addrcheck addrcheck_text
-  | Initcheck -> mk (R.init_ops ?pool ()) initcheck initcheck_text
-  | Taintcheck ->
-    mk
-      (R.taint_ops ?pool ~sequential:(not relaxed) ())
-      taintcheck taintcheck_text
-  | Racecheck -> mk (R.race_ops ?pool ()) racecheck racecheck_text
+module R = Recovery.Runner
+module O = Lifeguards.Oracle
+
+type pool = Butterfly.Domain_pool.t
+
+type oracle =
+  model:Memmodel.Consistency.t ->
+  cap:int ->
+  samples:int ->
+  seed:int ->
+  Tracing.Program.t ->
+  O.verdict
+
+type ('s, 'r) entry = {
+  tag : Recovery.Snapshot.lifeguard;
+  ops : ?pool:pool -> relaxed:bool -> unit -> ('s, 'r) R.ops;
+  json : 'r -> string;
+  text : 'r -> string;
+  variants : (string * (?pool:pool -> unit -> ('s, 'r) R.ops)) list;
+  reference : (Butterfly.Epochs.t -> 'r) option;
+  oracle : oracle;
+}
+
+type t = Entry : ('s, 'r) entry -> t
+
+let text pp r = Format.asprintf "%a" pp r
+
+(* A lifeguard without analysis flags: one unlabelled variant. *)
+let plain tag build json pp ?reference oracle =
+  Entry
+    {
+      tag;
+      ops = (fun ?pool ~relaxed:_ () -> build ?pool ());
+      json;
+      text = text pp;
+      variants = [ ("", fun ?pool () -> build ?pool ()) ];
+      reference;
+      oracle;
+    }
+
+let addrcheck_entry =
+  plain Addrcheck R.addr_ops addrcheck addrcheck_text
+    (fun ~model ~cap ~samples ~seed p ->
+      O.addrcheck_zero_false_negatives ~model ~cap ~samples ~seed p)
+
+let initcheck_entry =
+  plain Initcheck R.init_ops initcheck initcheck_text
+    (fun ~model ~cap ~samples ~seed p ->
+      O.initcheck_zero_false_negatives ~model ~cap ~samples ~seed p)
+
+let taintcheck_entry =
+  let variant ~sequential ~two_phase ?pool () =
+    R.taint_ops ?pool ~sequential ~two_phase ()
+  in
+  Entry
+    {
+      tag = Taintcheck;
+      ops =
+        (fun ?pool ~relaxed () ->
+          R.taint_ops ?pool ~sequential:(not relaxed) ());
+      json = taintcheck;
+      text = text taintcheck_text;
+      variants =
+        [
+          ("sc,two-phase", variant ~sequential:true ~two_phase:true);
+          ("relaxed,two-phase", variant ~sequential:false ~two_phase:true);
+          ("sc,one-phase", variant ~sequential:true ~two_phase:false);
+        ];
+      reference = None;
+      oracle =
+        (fun ~model ~cap ~samples ~seed p ->
+          (* Relaxed models need the relaxed termination condition. *)
+          let sequential =
+            Memmodel.Consistency.equal model Memmodel.Consistency.Sequential
+          in
+          O.taintcheck_zero_false_negatives ~model ~sequential ~cap ~samples
+            ~seed p);
+    }
+
+let racecheck_entry =
+  plain Racecheck R.race_ops racecheck racecheck_text
+    ~reference:Lifeguards.Racecheck_seq.check
+    (fun ~model ~cap ~samples ~seed p ->
+      if Memmodel.Consistency.equal model Memmodel.Consistency.Sequential then
+        O.racecheck_zero_false_negatives ~model ~cap ~samples ~seed p
+      else
+        (* The race oracle's happens-before graph assumes program order
+           is respected, so relaxed replays are not a sound ground truth;
+           skip them (see
+           {!Lifeguards.Oracle.racecheck_zero_false_negatives}). *)
+        {
+          O.sound = true;
+          orderings_checked = 0;
+          exhaustive = true;
+          missed = [];
+        })
+
+let find : Recovery.Snapshot.lifeguard -> t = function
+  | Addrcheck -> addrcheck_entry
+  | Initcheck -> initcheck_entry
+  | Taintcheck -> taintcheck_entry
+  | Racecheck -> racecheck_entry

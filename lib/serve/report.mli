@@ -12,46 +12,55 @@ val initcheck : Lifeguards.Initcheck.report -> string
 val taintcheck : Lifeguards.Taintcheck.report -> string
 val racecheck : Lifeguards.Racecheck.report -> string
 
-(** {2 Engines}
+(** {2 The lifeguard table}
 
-    One table from a lifeguard to its engine and its two renderings.
-    The batch CLI subcommands, [stats] and the daemon's sessions all
-    build their engine here, so no caller matches on the lifeguard. *)
+    One entry per {!Recovery.Snapshot.lifeguard}: everything the rest of
+    the system needs to know about a lifeguard.  The batch CLI
+    subcommands, [stats], the daemon's sessions and the QA differential
+    battery all read their engine, renderers and checks from here, so no
+    caller matches on the lifeguard.  Adding a lifeguard is its module
+    under [lib/lifeguards], a constructor and byte in
+    {!Recovery.Snapshot}, and one entry here ({!find} is an exhaustive
+    match, so the compiler points at it). *)
 
-type engine =
-  | Engine : {
-      ops : ('s, 'r) Recovery.Runner.ops;
-      json : 'r -> string;  (** the canonical line above *)
-      text : 'r -> string;
-          (** the subcommands' human-readable report, newline-terminated *)
-    }
-      -> engine
+type oracle =
+  model:Memmodel.Consistency.t ->
+  cap:int ->
+  samples:int ->
+  seed:int ->
+  Tracing.Program.t ->
+  Lifeguards.Oracle.verdict
+(** The Theorem 6.1/6.2 check under one memory model: replay the valid
+    orderings (up to [cap], else [samples] seeded by [seed]) through the
+    sequential lifeguard and require the butterfly report to cover every
+    finding. *)
 
-val engine :
-  ?pool:Butterfly.Domain_pool.t ->
-  relaxed:bool ->
-  Recovery.Snapshot.lifeguard ->
-  engine
-(** [pool] runs the engine's pass 2 on the caller's domain pool;
-    [relaxed] selects TaintCheck's relaxed-consistency chase and is
-    ignored by the other lifeguards. *)
+type ('s, 'r) entry = {
+  tag : Recovery.Snapshot.lifeguard;
+  ops :
+    ?pool:Butterfly.Domain_pool.t ->
+    relaxed:bool ->
+    unit ->
+    ('s, 'r) Recovery.Runner.ops;
+      (** The engine.  [pool] runs its pass 2 on the caller's domain
+          pool; [relaxed] selects TaintCheck's relaxed-consistency chase
+          and is ignored by the other lifeguards. *)
+  json : 'r -> string;  (** the canonical line above *)
+  text : 'r -> string;
+      (** the subcommands' human-readable report, newline-terminated *)
+  variants :
+    (string
+    * (?pool:Butterfly.Domain_pool.t -> unit -> ('s, 'r) Recovery.Runner.ops))
+    list;
+      (** The analysis settings the differential battery checks, each
+          with its label: TaintCheck's three (chase × phase) settings;
+          one unlabelled ([""]) default for the others. *)
+  reference : (Butterfly.Epochs.t -> 'r) option;
+      (** An independent implementation of the same report, which the
+          battery compares against the sequential engine. *)
+  oracle : oracle;
+}
 
-(** {2 Pieces}
+type t = Entry : ('s, 'r) entry -> t
 
-    Exposed for the CLI, which also embeds error objects in its
-    [--stats=json] stream. *)
-
-val json_of_instr_id : Butterfly.Instr_id.t -> Obs.Json.t
-val json_of_intervals : Butterfly.Interval_set.t -> Obs.Json.t
-
-val lifeguard_json :
-  lifeguard:string ->
-  checked:int ->
-  flagged:int ->
-  errors:Obs.Json.t list ->
-  Obs.Json.t
-
-val json_of_addrcheck_error : Lifeguards.Addrcheck.error -> Obs.Json.t
-val json_of_initcheck_error : Lifeguards.Initcheck.error -> Obs.Json.t
-val json_of_taintcheck_error : Lifeguards.Taintcheck.error -> Obs.Json.t
-val json_of_race : Lifeguards.Racecheck.race -> Obs.Json.t
+val find : Recovery.Snapshot.lifeguard -> t

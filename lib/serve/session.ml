@@ -18,23 +18,16 @@ type t = {
   mutable report : string option;
 }
 
-let all_lifeguards =
-  [ Snapshot.Addrcheck; Snapshot.Initcheck; Snapshot.Taintcheck;
-    Snapshot.Racecheck ]
-
-let fresh (h : Wire.hello) pool =
-  let (Report.Engine { ops; json; _ }) =
-    Report.engine ?pool ~relaxed:h.relaxed h.lifeguard
-  in
-  E (ops, ops.Runner.create ~threads:h.threads, json)
-
-let revive (h : Wire.hello) pool ~path =
-  let (Report.Engine { ops; json; _ }) =
-    Report.engine ?pool ~relaxed:h.relaxed h.lifeguard
-  in
-  Result.map
-    (fun (st, _) -> E (ops, st, json))
-    (Runner.revive ops ~path ~threads:h.threads)
+(* Fresh, or revived from the snapshot at [path]. *)
+let engine ?path (h : Wire.hello) pool =
+  let (Report.Entry e) = Report.find h.lifeguard in
+  let ops = e.ops ?pool ~relaxed:h.relaxed () in
+  match path with
+  | None -> Ok (E (ops, ops.Runner.create ~threads:h.threads, e.json))
+  | Some path ->
+    Result.map
+      (fun (st, _) -> E (ops, st, e.json))
+      (Runner.revive ops ~path ~threads:h.threads)
 
 let create ?pool ?state_dir (h : Wire.hello) =
   if not (Snapshot.valid_tenant h.tenant) then
@@ -62,13 +55,10 @@ let create ?pool ?state_dir (h : Wire.hello) =
       }
     in
     match state_dir with
-    | None -> Ok (wrap (fresh h pool))
+    | None -> Result.map wrap (engine h pool)
     | Some dir ->
       let snap = Snapshot.session_path ~dir ~tenant:h.tenant h.lifeguard in
-      if Sys.file_exists snap then (
-        match revive h pool ~path:snap with
-        | Error m -> Error m
-        | Ok engine -> Ok (wrap engine))
+      if Sys.file_exists snap then Result.map wrap (engine ~path:snap h pool)
       else (
         (* No snapshot under this lifeguard — but a snapshot under
            another one means this tenant's stream is mid-flight with a
@@ -80,7 +70,7 @@ let create ?pool ?state_dir (h : Wire.hello) =
             (fun lg ->
               lg <> h.lifeguard
               && Sys.file_exists (Snapshot.session_path ~dir ~tenant:h.tenant lg))
-            all_lifeguards
+            Snapshot.all
         with
         | Some other ->
           Error
@@ -88,7 +78,7 @@ let create ?pool ?state_dir (h : Wire.hello) =
                h.tenant
                (Snapshot.lifeguard_to_string other)
                (Snapshot.lifeguard_to_string h.lifeguard))
-        | None -> Ok (wrap (fresh h pool)))
+        | None -> Result.map wrap (engine h pool))
 
 let tenant t = t.tenant
 let lifeguard t = t.lifeguard

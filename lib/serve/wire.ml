@@ -24,19 +24,6 @@ type frame =
 let protocol_version = 1
 let max_frame = 16 * 1024 * 1024
 
-let lifeguard_tag = function
-  | Snapshot.Addrcheck -> 0
-  | Snapshot.Initcheck -> 1
-  | Snapshot.Taintcheck -> 2
-  | Snapshot.Racecheck -> 3
-
-let lifeguard_of_tag = function
-  | 0 -> Snapshot.Addrcheck
-  | 1 -> Snapshot.Initcheck
-  | 2 -> Snapshot.Taintcheck
-  | 3 -> Snapshot.Racecheck
-  | t -> raise (R.Corrupt (Printf.sprintf "bad lifeguard tag %d" t))
-
 let driver_tag = function `Sequential -> 0 | `Pooled -> 1 | `Wavefront -> 2
 
 let driver_of_tag = function
@@ -58,7 +45,7 @@ let body_of = function
     W.u8 w 1;
     W.u8 w protocol_version;
     W.string w h.tenant;
-    W.u8 w (lifeguard_tag h.lifeguard);
+    W.u8 w (Snapshot.lifeguard_to_byte h.lifeguard);
     W.u8 w (driver_tag h.driver);
     W.u8 w (state_tag h.state);
     W.bool w h.relaxed;
@@ -116,7 +103,7 @@ let decode_body body =
                (Printf.sprintf "unsupported protocol version %d (expected %d)"
                   version protocol_version));
         let tenant = R.string r in
-        let lifeguard = lifeguard_of_tag (R.u8 r) in
+        let lifeguard = Snapshot.lifeguard_of_byte (R.u8 r) in
         let driver = driver_of_tag (R.u8 r) in
         let state = state_of_tag (R.u8 r) in
         let relaxed = R.bool r in

@@ -34,24 +34,23 @@ let checks = Alcotest.(check string)
    names the grid (seeded, so any failure replays exactly). *)
 type fp_fn = ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> string
 
+let run_fp ops epochs =
+  ops.Recovery.Runner.fp
+    (Recovery.Runner.run ops ~threads:(Butterfly.Epochs.threads epochs)
+       (Butterfly.Epochs.iter_rows epochs))
+
+(* Every lifeguard in the table, with every analysis variant it has. *)
 let lifeguard_cases : (string * Qa.Grid_gen.profile * fp_fn list) list =
-  [
-    ( "addrcheck",
-      Qa.Grid_gen.Alloc,
-      [ (fun ?pool epochs -> AC.fingerprint (AC.run ?pool epochs)) ] );
-    ( "initcheck",
-      Qa.Grid_gen.Init,
-      [ (fun ?pool epochs -> IC.fingerprint (IC.run ?pool epochs)) ] );
-    ( "taintcheck",
-      Qa.Grid_gen.Taint,
-      List.map
-        (fun (sequential, two_phase) ?pool epochs ->
-          TC.fingerprint (TC.run ~sequential ~two_phase ?pool epochs))
-        [ (true, true); (false, true); (true, false) ] );
-    ( "racecheck",
-      Qa.Grid_gen.Racy,
-      [ (fun ?pool epochs -> RC.fingerprint (RC.run ?pool epochs)) ] );
-  ]
+  List.map
+    (fun lg ->
+      let (Serve.Report.Entry e) = Serve.Report.find lg in
+      ( Recovery.Snapshot.lifeguard_to_string lg,
+        Qa.Differential.profile_of lg,
+        List.map
+          (fun (_, (ops : ?pool:_ -> unit -> _)) ?pool epochs ->
+            run_fp (ops ?pool ()) epochs)
+          e.variants ))
+    Recovery.Snapshot.all
 
 (* 4 lifeguards x 3 pool widths x 20 grids x (1 or 3 variants) = 720
    grid-runs, each compared against the sequential baseline. *)
@@ -336,59 +335,22 @@ type engine = {
 }
 
 let pooled_engines =
-  [
-    {
-      label = "addrcheck";
-      profile = Qa.Grid_gen.Alloc;
-      batch_fp = (fun epochs -> AC.fingerprint (AC.run epochs));
-      resumed_fp =
-        (fun ~pool ~cut ~threads rows ->
-          resumed_via
-            ~create:(fun ~threads () ->
-              AC.Resumable.create ~pool ~threads ())
-            ~feed:AC.Resumable.feed_epoch ~encode:AC.Resumable.encode
-            ~decode:(AC.Resumable.decode ~pool)
-            ~finish:AC.Resumable.finish ~fp:AC.fingerprint ~cut ~threads rows);
-    };
-    {
-      label = "initcheck";
-      profile = Qa.Grid_gen.Init;
-      batch_fp = (fun epochs -> IC.fingerprint (IC.run epochs));
-      resumed_fp =
-        (fun ~pool ~cut ~threads rows ->
-          resumed_via
-            ~create:(fun ~threads () ->
-              IC.Resumable.create ~pool ~threads ())
-            ~feed:IC.Resumable.feed_epoch ~encode:IC.Resumable.encode
-            ~decode:(IC.Resumable.decode ~pool)
-            ~finish:IC.Resumable.finish ~fp:IC.fingerprint ~cut ~threads rows);
-    };
-    {
-      label = "taintcheck";
-      profile = Qa.Grid_gen.Taint;
-      batch_fp = (fun epochs -> TC.fingerprint (TC.run epochs));
-      resumed_fp =
-        (fun ~pool ~cut ~threads rows ->
-          resumed_via
-            ~create:(fun ~threads () ->
-              TC.Resumable.create ~pool ~threads ())
-            ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
-            ~decode:(TC.Resumable.decode ~pool)
-            ~finish:TC.Resumable.finish ~fp:TC.fingerprint ~cut ~threads rows);
-    };
-    {
-      label = "racecheck";
-      profile = Qa.Grid_gen.Racy;
-      batch_fp = (fun epochs -> RC.fingerprint (RC.run epochs));
-      resumed_fp =
-        (fun ~pool ~cut ~threads rows ->
-          resumed_via
-            ~create:(fun ~threads () -> RC.Resumable.create ~pool ~threads ())
-            ~feed:RC.Resumable.feed_epoch ~encode:RC.Resumable.encode
-            ~decode:(RC.Resumable.decode ~pool)
-            ~finish:RC.Resumable.finish ~fp:RC.fingerprint ~cut ~threads rows);
-    };
-  ]
+  List.map
+    (fun lg ->
+      let (Serve.Report.Entry e) = Serve.Report.find lg in
+      {
+        label = Recovery.Snapshot.lifeguard_to_string lg;
+        profile = Qa.Differential.profile_of lg;
+        batch_fp = run_fp (e.ops ~relaxed:false ());
+        resumed_fp =
+          (fun ~pool ~cut ~threads rows ->
+            let ops = e.ops ~pool ~relaxed:false () in
+            resumed_via
+              ~create:(fun ~threads () -> ops.create ~threads)
+              ~feed:ops.feed ~encode:ops.enc ~decode:ops.dec
+              ~finish:ops.finish ~fp:ops.fp ~cut ~threads rows);
+      })
+    Recovery.Snapshot.all
 
 (* Checkpoints cut at sealed-epoch frontiers: the snapshot must resolve
    in-flight pass-1 work, so a resumed pooled run — from EVERY epoch
@@ -428,10 +390,10 @@ let crash_sim_pooled =
                 | [] -> ()
                 | ms ->
                   Alcotest.failf "%s grid #%d: %d crash-recovery mismatches"
-                    (Qa.Differential.lifeguard_to_string lg)
+                    (Recovery.Snapshot.lifeguard_to_string lg)
                     g (List.length ms)
               done)
-            Qa.Differential.all_lifeguards))
+            Recovery.Snapshot.all))
 
 (* ------------------------------------------------------------------ *)
 (* The qa driver matrix: sequential vs each supplied pool.             *)
@@ -447,7 +409,7 @@ let qa_matrix =
           Butterfly.Domain_pool.with_pool ~name:"engine-qa-2" ~domains:2 (fun p2 ->
               match
                 Qa.Differential.check ~pools:[ p1; p2 ]
-                  Qa.Differential.Taintcheck grid
+                  Recovery.Snapshot.Taintcheck grid
               with
               | [] -> ()
               | ms ->

@@ -63,7 +63,7 @@ let gen_deterministic =
 let clean_campaign lifeguard =
   Alcotest.test_case
     (Printf.sprintf "fuzz %s: no mismatch on main"
-       (Diff.lifeguard_to_string lifeguard))
+       (Recovery.Snapshot.lifeguard_to_string lifeguard))
     `Quick
     (fun () ->
       let config =
@@ -102,7 +102,7 @@ let mutation_caught =
               shrink = true;
             }
           in
-          let outcome = Engine.run ~config Diff.Taintcheck in
+          let outcome = Engine.run ~config Recovery.Snapshot.Taintcheck in
           match outcome.counterexample with
           | None ->
             Alcotest.fail
@@ -127,7 +127,7 @@ let mutation_caught =
                after a serialization round-trip (replay from file). *)
             let p = Grid.to_program shrunk in
             let replayed =
-              Engine.check_program Diff.Taintcheck
+              Engine.check_program Recovery.Snapshot.Taintcheck
                 (Tracing.Trace_codec.roundtrip_exn p)
             in
             Alcotest.(check bool) "repro replays from its trace form" true
@@ -146,7 +146,7 @@ let mutation_metrics =
                   shrink = true;
                 }
               in
-              ignore (Engine.run ~config Diff.Taintcheck)));
+              ignore (Engine.run ~config Recovery.Snapshot.Taintcheck)));
       let snap = Obs.Sink.snapshot sink in
       let labels = [ ("lifeguard", "taintcheck") ] in
       let grids = Obs.Snapshot.counter ~labels snap "qa.grids" in
@@ -207,7 +207,7 @@ let () =
   Alcotest.run "qa"
     [
       ("grids", [ gen_roundtrip; gen_deterministic ]);
-      ("quiet-on-main", List.map clean_campaign Diff.all_lifeguards);
+      ("quiet-on-main", List.map clean_campaign Recovery.Snapshot.all);
       ("mutation", [ mutation_caught; mutation_metrics ]);
       ( "shrinker",
         [ shrinker_invariants; shrinker_minimizes; shrinker_rejects_passing_input ] );

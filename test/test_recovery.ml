@@ -519,13 +519,7 @@ let resume_grid ops ~path epochs =
     (Butterfly.Epochs.iter_rows epochs)
 
 let all_tags =
-  [
-    (Snapshot.Addrcheck, Qa.Grid_gen.Alloc);
-    (Snapshot.Initcheck, Qa.Grid_gen.Init);
-    (Snapshot.Taintcheck, Qa.Grid_gen.Taint);
-    (Snapshot.Racecheck, Qa.Grid_gen.Racy);
-  ]
-
+  List.map (fun lg -> (lg, Qa.Differential.profile_of lg)) Snapshot.all
 let with_snap_file f =
   let path = Filename.temp_file "bfly-test" ".snap" in
   Fun.protect
@@ -533,10 +527,14 @@ let with_snap_file f =
     (fun () -> f path)
 
 let snapshot_roundtrip () =
-  List.iter
-    (fun (lg, _) ->
+  List.iteri
+    (fun i (lg, _) ->
       let meta = { Snapshot.lifeguard = lg; next_epoch = 7; threads = 3 } in
-      match Snapshot.decode (Snapshot.encode meta "payload-bytes") with
+      let data = Snapshot.encode meta "payload-bytes" in
+      (* The header's first byte, after the magic and the version byte. *)
+      check Alcotest.int "lifeguard byte, in Snapshot.all order" i
+        (Char.code data.[String.length Snapshot.magic + 1]);
+      match Snapshot.decode data with
       | Ok (m, p) ->
         check Alcotest.bool "meta" true (m = meta);
         checks "payload" "payload-bytes" p
@@ -602,7 +600,8 @@ let snapshot_rejections () =
 let runner_roundtrip () =
   List.iter
     (fun (tag, profile) ->
-      let (Runner.Packed ops) = Runner.ops_of tag in
+      let (Serve.Report.Entry e) = Serve.Report.find tag in
+      let ops = e.ops ~relaxed:false () in
       let rng = Random.State.make [| 0xeb0f; 3 |] in
       for g = 1 to 6 do
         let grid = Qa.Grid_gen.grid profile rng in
@@ -623,8 +622,7 @@ let runner_rejections () =
   let epochs = Qa.Grid.epochs grid in
   let threads = Butterfly.Epochs.threads epochs in
   let num = Butterfly.Epochs.num_epochs epochs in
-  let (Runner.Packed aops) = Runner.ops_of Snapshot.Addrcheck in
-  let (Runner.Packed iops) = Runner.ops_of Snapshot.Initcheck in
+  let aops = Runner.addr_ops () and iops = Runner.init_ops () in
   let expect_error name want = function
     | Error m -> checks name want m
     | Ok _ -> Alcotest.failf "%s: resume accepted" name
@@ -635,10 +633,9 @@ let runner_rejections () =
       ignore (Runner.write_checkpoint aops ~path ~threads st);
       expect_error "wrong lifeguard" "checkpoint is for addrcheck, not initcheck"
         (resume_grid iops ~path epochs);
-      let (Runner.Packed rops) = Runner.ops_of Snapshot.Racecheck in
       expect_error "wrong lifeguard (racecheck)"
         "checkpoint is for addrcheck, not racecheck"
-        (resume_grid rops ~path epochs);
+        (resume_grid (Runner.race_ops ()) ~path epochs);
       let payload = aops.Runner.enc st in
       ignore
         (Snapshot.write_file ~path
@@ -682,7 +679,8 @@ let runner_rejections () =
    reports it as such instead of handing back an engine whose next
    [feed_epoch] raises. *)
 let thread_skew_case tag () =
-  let (Runner.Packed ops) = Runner.ops_of tag in
+  let (Serve.Report.Entry e) = Serve.Report.find tag in
+  let ops = e.ops ~relaxed:false () in
   let lg = Snapshot.lifeguard_to_string tag in
   let revive ~header_threads payload st =
     with_snap_file (fun path ->
@@ -718,7 +716,8 @@ let thread_skew_case tag () =
    processed, or two processed but no row resident — is a corrupt
    payload, not an engine whose next feed crashes. *)
 let cursor_skew_case tag () =
-  let (Runner.Packed ops) = Runner.ops_of tag in
+  let (Serve.Report.Entry e) = Serve.Report.find tag in
+  let ops = e.ops ~relaxed:false () in
   let lg = Snapshot.lifeguard_to_string tag in
   (* [threads, <params>, fed, processed, ...]: each one byte here. *)
   let at =
@@ -758,14 +757,15 @@ let cursor_skew_case tag () =
 let crash_sim_battery () =
   List.iter
     (fun (tag, profile) ->
+      let (Serve.Report.Entry e) = Serve.Report.find tag in
       let rng = Random.State.make [| 0xeb10; 5 |] in
       for g = 1 to 5 do
         let grid = Qa.Grid_gen.grid profile rng in
         let epochs = Qa.Grid.epochs grid in
         with_snap_file (fun path ->
             match
-              Recovery.Crash_sim.run ~seed:g ~every:(1 + (g mod 2)) ~path tag
-                epochs
+              Recovery.Crash_sim.run ~seed:g ~every:(1 + (g mod 2)) ~path
+                (e.ops ~relaxed:false ()) epochs
             with
             | Error m -> Alcotest.failf "crash sim: %s" m
             | Ok o ->
@@ -778,8 +778,8 @@ let crash_sim_battery () =
       let grid = Qa.Grid_gen.grid profile rng in
       with_snap_file (fun path ->
           match
-            Recovery.Crash_sim.run ~crash_at:0 ~every:1 ~path tag
-              (Qa.Grid.epochs grid)
+            Recovery.Crash_sim.run ~crash_at:0 ~every:1 ~path
+              (e.ops ~relaxed:false ()) (Qa.Grid.epochs grid)
           with
           | Error m -> Alcotest.failf "crash sim at 0: %s" m
           | Ok o ->
@@ -799,7 +799,7 @@ let qa_crash_checks () =
           (List.length ms)
           (String.concat "; "
              (List.map (fun (m : Qa.Differential.mismatch) -> m.subject) ms)))
-    Qa.Differential.all_lifeguards
+    Snapshot.all
 
 (* ------------------------------------------------------------------ *)
 

@@ -46,13 +46,10 @@ let rows_of_program p = Runner.rows_of (Epochs.of_program p)
    tenant configs. *)
 let batch_report lifeguard ~relaxed p =
   let epochs = Epochs.of_program p in
-  match lifeguard with
-  | Snapshot.Addrcheck -> Report.addrcheck (Lifeguards.Addrcheck.run epochs)
-  | Snapshot.Initcheck -> Report.initcheck (Lifeguards.Initcheck.run epochs)
-  | Snapshot.Taintcheck ->
-    Report.taintcheck
-      (Lifeguards.Taintcheck.run ~sequential:(not relaxed) epochs)
-  | Snapshot.Racecheck -> Report.racecheck (Lifeguards.Racecheck.run epochs)
+  let (Report.Entry e) = Report.find lifeguard in
+  e.json
+    (Runner.run (e.ops ~relaxed ()) ~threads:(Epochs.threads epochs)
+       (Epochs.iter_rows epochs))
 
 let hello ?(lifeguard = Snapshot.Addrcheck) ?(driver = `Sequential)
     ?(relaxed = false) ~tenant ~threads () =
@@ -66,6 +63,11 @@ let sample_frames =
     Wire.Hello
       (hello ~tenant:"alpha-1" ~lifeguard:Snapshot.Taintcheck ~driver:`Wavefront
          ~relaxed:true ~threads:7 ());
+  ]
+  @ List.map
+      (fun lifeguard -> Wire.Hello (hello ~tenant:"t" ~lifeguard ~threads:2 ()))
+      Snapshot.all
+  @ [
     Wire.Hello_ok { resumed_from = 42 };
     Wire.Data "\x00\x01\x02binary payload\xff";
     Wire.Fin;
@@ -89,6 +91,17 @@ let wire_roundtrip () =
       match Wire.Reader.next reader with
       | Ok (Some got) ->
         check frame_testable "roundtrip" f got;
+        (match f with
+        | Wire.Hello h ->
+          (* Length, tag, version, the tenant (one length byte here),
+             then the lifeguard's position in [Snapshot.all]. *)
+          let rec index i = function
+            | [] -> Alcotest.fail "lifeguard missing from Snapshot.all"
+            | lg :: rest -> if lg = h.lifeguard then i else index (i + 1) rest
+          in
+          check Alcotest.int "hello lifeguard byte" (index 0 Snapshot.all)
+            (Char.code encoded.[4 + 3 + String.length h.tenant])
+        | _ -> ());
         (match Wire.Reader.next reader with
         | Ok None -> ()
         | _ -> Alcotest.fail "leftover bytes after one frame")
@@ -452,23 +465,24 @@ let crash_sim_session () =
   with_state_dir @@ fun dir ->
   let p = program ~seed:5 ~threads:3 ~scale:120 in
   let epochs = Epochs.of_program p in
-  List.iter
-    (fun lifeguard ->
-      match
-        Recovery.Crash_sim.run_session ~every:2 ~seed:9 ~dir ~tenant:"cs"
-          lifeguard epochs
-      with
-      | Error m -> Alcotest.fail m
-      | Ok o ->
-        checkb
-          (Snapshot.lifeguard_to_string lifeguard ^ " recovers identically")
-          true o.Recovery.Crash_sim.equal)
-    [ Snapshot.Addrcheck; Snapshot.Taintcheck ];
+  let recovers ops =
+    match
+      Recovery.Crash_sim.run_session ~every:2 ~seed:9 ~dir ~tenant:"cs" ops
+        epochs
+    with
+    | Error m -> Alcotest.fail m
+    | Ok o ->
+      checkb
+        (Snapshot.lifeguard_to_string ops.Runner.tag ^ " recovers identically")
+        true o.Recovery.Crash_sim.equal
+  in
+  recovers (Runner.addr_ops ());
+  recovers (Runner.taint_ops ());
   checkb "snapshot under session path" true
     (Sys.file_exists (Snapshot.session_path ~dir ~tenant:"cs" Snapshot.Addrcheck));
   match
     Recovery.Crash_sim.run_session ~every:1 ~dir ~tenant:"no good"
-      Snapshot.Addrcheck epochs
+      (Runner.addr_ops ()) epochs
   with
   | _ -> Alcotest.fail "invalid tenant accepted"
   | exception Invalid_argument _ -> ()
