@@ -284,13 +284,12 @@ let fact_table_tests =
     match Tracing.Trace_codec.Cursor.of_string ocean_binary with
     | Error m -> failwith m
     | Ok c ->
+      let module E = Lifeguards.Addrcheck.Engine in
       let st =
-        Lifeguards.Addrcheck.Resumable.create
-          ~threads:(Tracing.Trace_codec.Cursor.threads c) ()
+        E.create ~threads:(Tracing.Trace_codec.Cursor.threads c) () true
       in
-      Tracing.Trace_codec.Cursor.iter_rows c
-        (Lifeguards.Addrcheck.Resumable.feed_epoch st);
-      ignore (Lifeguards.Addrcheck.Resumable.finish st)
+      Tracing.Trace_codec.Cursor.iter_rows c (E.feed_row st);
+      ignore (E.finish st)
   in
   let list_run () =
     match Tracing.Trace_codec.decode_binary ocean_binary with

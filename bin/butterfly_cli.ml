@@ -321,27 +321,13 @@ let lifeguard_enum = Arg.enum lifeguard_names
 
 let stats_cmd =
   let run path h domains lifeguard json prometheus obs_jsonl =
-    let sink = Obs.Sink.memory () in
-    let with_jsonl k =
-      match obs_jsonl with
-      | None -> k sink
-      | Some jpath ->
-        Out_channel.with_open_bin jpath (fun oc ->
-            let ppf = Format.formatter_of_out_channel oc in
-            let r = k (Obs.Sink.tee sink (Obs.Sink.jsonl ppf)) in
-            Format.pp_print_flush ppf ();
-            r)
-    in
-    with_jsonl (fun s ->
-        Obs.with_sink s (fun () ->
-            let (_ : json:bool -> string) =
-              analyze ~domains ~relaxed:false ~every:None ~out:None
-                ~resume:None lifeguard path h
-            in
-            ()));
-    print_snapshot
-      (if prometheus then `Prometheus else if json then `Json else `Text)
-      (Obs.Sink.snapshot sink)
+    let fmt = if prometheus then `Prometheus else if json then `Json else `Text in
+    with_stats ?obs_jsonl (Some fmt) (fun () ->
+        let (_ : json:bool -> string) =
+          analyze ~domains ~relaxed:false ~every:None ~out:None ~resume:None
+            lifeguard path h
+        in
+        ())
   in
   let prometheus_arg =
     Arg.(value & flag

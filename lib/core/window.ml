@@ -30,6 +30,26 @@ module type KERNEL = sig
     R.t -> threads:int -> processed:int -> env -> params -> state
 end
 
+module type S = sig
+  type env
+  type params
+  type summary
+  type report
+  type t
+
+  val create : ?pool:Domain_pool.t -> threads:int -> env -> params -> t
+  val feed_row : t -> Tracing.Instr.t array array -> unit
+  val finish : t -> report
+  val run : ?pool:Domain_pool.t -> env -> params -> Epochs.t -> report
+  val threads : t -> int
+  val fed : t -> int
+  val processed : t -> int
+  val max_resident : t -> int
+  val summary_row : t -> int -> summary array option
+  val encode : t -> string
+  val decode : ?pool:Domain_pool.t -> env -> string -> (t, string) result
+end
+
 let pass2_epoch ?pool ~threads ~pass2 ~commit2 l =
   let task tid =
     Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
@@ -53,6 +73,11 @@ let pass2_epoch ?pool ~threads ~pass2 ~commit2 l =
       futs
 
 module Make (K : KERNEL) = struct
+  type env = K.env
+  type params = K.params
+  type summary = K.summary
+  type report = K.report
+
   let obs_labels = [ ("problem", K.name); ("driver", "streaming") ]
   let m_epochs = Obs.Counter.make ~labels:obs_labels "butterfly.epochs_processed"
   let m_instrs = Obs.Counter.make ~labels:obs_labels "butterfly.pass2_instrs"

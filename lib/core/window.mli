@@ -6,7 +6,8 @@
     Every input (CLI traces in either encoding, checkpoint resume, the
     serving daemon) reaches the engines this way.  The two-pass
     framework does not depend on the lifeguard, so this module runs it
-    once for all of them; a lifeguard plugs in as a {!KERNEL}.
+    once for all of them; a lifeguard plugs in as a {!KERNEL}, and
+    {!Make} turns the kernel into the lifeguard's engine, an {!S}.
 
     For every row the window:
     + runs pass 1 ({!KERNEL.summarize}) over each block of the row on the
@@ -19,7 +20,7 @@
     + retires the rows the kernel no longer reads.
 
     Only rows [l - rows_behind .. l+1] are resident while epoch [l] is
-    processed, so the window stays bounded — {!Make.max_resident} exposes
+    processed, so the window stays bounded — {!S.max_resident} exposes
     the high-water mark, [rows_behind + 2].  The window also owns the
     empty feed, [finish], the row-width and thread-count checks, the
     pipeline telemetry ([butterfly.epochs_processed],
@@ -99,27 +100,51 @@ module type KERNEL = sig
       [processed], the number of epochs committed. *)
 end
 
-module Make (K : KERNEL) : sig
+(** A running window: the engine of one lifeguard.
+
+    The contract every engine keeps, whatever its kernel:
+    - {b feed}: rows arrive one at a time, in epoch order, each exactly
+      [threads] wide ({!feed_row});
+    - {b checkpoint between rows}: between any two rows the engine can be
+      {!encode}d and later {!decode}d, and the revived engine's report is
+      byte-identical to an uninterrupted run's;
+    - {b finish is idempotent}: {!finish} processes the last epoch and
+      caches the report, so a second call returns the same report;
+    - {b no row after finish}: {!feed_row} refuses a row once {!finish}
+      has run;
+    - {b decode never raises}: a malformed payload is an [Error]. *)
+module type S = sig
+  type env
+  (** Transient plumbing, re-supplied on {!decode}. *)
+
+  type params
+  (** The analysis settings chosen at {!create}; carried in the payload,
+      so a revived engine keeps them. *)
+
+  type summary
+  (** The pass-1 summary of one block. *)
+
+  type report
   type t
 
-  val create : ?pool:Domain_pool.t -> threads:int -> K.env -> K.params -> t
+  val create : ?pool:Domain_pool.t -> threads:int -> env -> params -> t
   (** With [pool], each epoch's pass 2 runs as pool tasks (see
-      {!pass2_epoch}).  The window does not own the pool: the caller
-      shuts it down.  All calls must come from the domain that created
-      the window (the master).  Raises [Invalid_argument] unless
-      [threads > 0]. *)
+      {!pass2_epoch}); the report is identical without one.  The window
+      does not own the pool: the caller shuts it down.  All calls must
+      come from the domain that created the window (the master).  Raises
+      [Invalid_argument] unless [threads > 0]. *)
 
   val feed_row : t -> Tracing.Instr.t array array -> unit
   (** Deliver the next epoch row, indexed by tid: pass 1 summarizes it,
       then the previous epoch is processed.  Raises [Invalid_argument]
       after {!finish} or for a row whose width is not [threads]. *)
 
-  val finish : t -> K.report
+  val finish : t -> report
   (** End of the execution: processes the last epoch (its trailing row
       reads as empty).  An empty feed still owns one (empty) epoch, as
       in {!Epochs.of_program}.  A second call returns the same report. *)
 
-  val run : ?pool:Domain_pool.t -> K.env -> K.params -> Epochs.t -> K.report
+  val run : ?pool:Domain_pool.t -> env -> params -> Epochs.t -> report
   (** {!create}, feed every row of the grid ({!Epochs.iter_rows}),
       {!finish}. *)
 
@@ -134,7 +159,7 @@ module Make (K : KERNEL) : sig
   val max_resident : t -> int
   (** High-water mark of rows simultaneously resident. *)
 
-  val summary_row : t -> int -> K.summary array option
+  val summary_row : t -> int -> summary array option
   (** Summary row [l] while the window holds it, [None] outside the
       execution.  Raises [Invalid_argument] for a row the window has
       retired. *)
@@ -148,14 +173,22 @@ module Make (K : KERNEL) : sig
       CRC-guarded envelope. *)
 
   val encode : t -> string
+  (** Between rows; a payload encoded after {!finish} does not decode. *)
 
-  val decode : ?pool:Domain_pool.t -> K.env -> string -> (t, string) result
+  val decode : ?pool:Domain_pool.t -> env -> string -> (t, string) result
   (** [Error "<name> state: ..."] on a malformed payload, including
       rows whose width is not the thread count and cursors that
       disagree: between rows, [processed = max 0 (fed - 1)] and exactly
       rows [max 0 (processed - rows_behind) .. fed - 1] are resident.
       Never raises. *)
 end
+
+module Make (K : KERNEL) :
+  S
+    with type env = K.env
+     and type params = K.params
+     and type summary = K.summary
+     and type report = K.report
 
 (** Pass 2 of one epoch, fanned out per thread: the one per-epoch
     fan-out in the tree.

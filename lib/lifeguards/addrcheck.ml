@@ -372,11 +372,7 @@ module Kernel = struct
     W.varint w acc.total;
     W.list w put_error acc.instr_errors;
     W.list w put_error acc.block_errors;
-    W.list w
-      (fun w (epoch, row) ->
-        W.varint w epoch;
-        W.array w put_stats row)
-      (Lg_io.sorted_entries acc.stats);
+    Lg_io.put_rows w put_stats acc.stats;
     DK.put_body w st.df
 
   let get_body r ~threads ~processed () isolation =
@@ -384,14 +380,7 @@ module Kernel = struct
     let total = R.varint r in
     let instr_errors = R.list r get_error in
     let block_errors = R.list r get_error in
-    let stats = Hashtbl.create 64 in
-    R.list r (fun r ->
-        let epoch = R.varint r in
-        let row = R.array r get_stats in
-        if Array.length row <> threads then
-          raise (R.Corrupt "stats row width mismatch");
-        Hashtbl.replace stats epoch row)
-    |> ignore;
+    let stats = Lg_io.get_rows r ~threads ~what:"stats" get_stats in
     with_check
       {
         threads;
@@ -406,20 +395,6 @@ module Kernel = struct
       (fun sink -> DK.get_body r ~threads ~processed sink ())
 end
 
-module Win = Butterfly.Window.Make (Kernel)
+module Engine = Butterfly.Window.Make (Kernel)
 
-module Resumable = struct
-  type state = Win.t
-
-  let create ?pool ?(isolation = true) ~threads () =
-    Win.create ?pool ~threads () isolation
-
-  let feed_epoch = Win.feed_row
-  let threads = Win.threads
-  let epochs_fed = Win.fed
-  let finish = Win.finish
-  let encode = Win.encode
-  let decode ?pool s = Win.decode ?pool () s
-end
-
-let run ?(isolation = true) ?pool epochs = Win.run ?pool () isolation epochs
+let run ?(isolation = true) ?pool epochs = Engine.run ?pool () isolation epochs

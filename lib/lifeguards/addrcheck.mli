@@ -52,13 +52,13 @@ val run :
     with an access), reintroducing false negatives — the tests demonstrate
     exactly which errors it loses.
 
-    [run] is the {!Resumable} engine fed every row of the grid
+    [run] is {!Engine.run}: the engine fed every row of the grid
     ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs the
     engine's window on the caller's {!Butterfly.Domain_pool}
     (each epoch's pass 2 fans out as one task per thread); the pool may
-    be reused across calls and the caller shuts it down.  The report is identical either
-    way — property-tested and continuously fuzzed ([lib/qa],
-    [test/test_engine.ml]). *)
+    be reused across calls and the caller shuts it down.  The report is
+    identical either way — property-tested and continuously fuzzed
+    ([lib/qa], [test/test_engine.ml]). *)
 
 val flagged_addresses : report -> Butterfly.Interval_set.t
 val pp_error : Format.formatter -> error -> unit
@@ -69,43 +69,15 @@ val fingerprint : report -> string
     they are semantically identical — the equality used by the
     resume-equivalence and differential test suites. *)
 
-(** Checkpointable epoch-incremental engine.
-
-    Feed whole epoch rows one at a time; between any two rows the engine
-    can be serialized with {!Resumable.encode} and later revived with
-    {!Resumable.decode}, and the resumed run's {!Resumable.finish} report
-    is byte-identical to an uninterrupted run's (see [test_recovery]).
-    The isolation check reads a sliding window of per-row access
-    footprints, finalized and pruned as the wing passes each row, and
-    takes each block's state changes from the row window's pass-1
-    summaries.  The payload is raw — [lib/recovery] wraps it in a
-    versioned, CRC-guarded envelope. *)
-module Resumable : sig
-  type state
-
-  val create :
-    ?pool:Butterfly.Domain_pool.t ->
-    ?isolation:bool ->
-    threads:int ->
-    unit ->
-    state
-
-  val feed_epoch : state -> Tracing.Instr.t array array -> unit
-  (** One epoch row, indexed by tid; width must equal [threads]. *)
-
-  val threads : state -> int
-  val epochs_fed : state -> int
-
-  val finish : state -> report
-  (** Close the final epoch and produce the report.  The state must not
-      be used afterwards. *)
-
-  val encode : state -> string
-
-  val decode :
-    ?pool:Butterfly.Domain_pool.t ->
-    string ->
-    (state, string) result
-  (** [Error _] on any malformed payload (never raises).  Snapshots
-      serialize fact sets as canonical interval lists. *)
-end
+(** The engine: AddrCheck as a {!Butterfly.Window} kernel, under the
+    window contract of {!Butterfly.Window.S}.  [params] is [isolation]
+    (see {!run}).  The isolation check reads a sliding window of per-row
+    access footprints, finalized and pruned as the wing passes each row,
+    and takes each block's state changes from the row window's pass-1
+    summaries.  Snapshots serialize fact sets as canonical interval
+    lists. *)
+module Engine :
+  Butterfly.Window.S
+    with type env = unit
+     and type params = bool
+     and type report = report

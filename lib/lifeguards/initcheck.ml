@@ -143,18 +143,6 @@ module Kernel = struct
     { df = DK.get_body r ~threads ~processed (check acc) (); acc }
 end
 
-module Win = Butterfly.Window.Make (Kernel)
+module Engine = Butterfly.Window.Make (Kernel)
 
-module Resumable = struct
-  type state = Win.t
-
-  let create ?pool ~threads () = Win.create ?pool ~threads () ()
-  let feed_epoch = Win.feed_row
-  let threads = Win.threads
-  let epochs_fed = Win.fed
-  let finish = Win.finish
-  let encode = Win.encode
-  let decode ?pool s = Win.decode ?pool () s
-end
-
-let run ?pool epochs = Win.run ?pool () () epochs
+let run ?pool epochs = Engine.run ?pool () () epochs

@@ -26,7 +26,7 @@ type report = {
 }
 
 val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
-(** The {!Resumable} engine fed every row of the grid
+(** {!Engine.run}: the engine fed every row of the grid
     ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs its
     window on the caller's pool (see {!Addrcheck.run}); the
     report is identical either way. *)
@@ -40,35 +40,12 @@ val fingerprint : report -> string
     semantically identical — the equality used by the resume-equivalence
     and differential test suites. *)
 
-(** Checkpointable epoch-incremental engine.
-
-    Feed whole epoch rows one at a time; between any two rows the engine
-    can be serialized with {!Resumable.encode} and later revived with
-    {!Resumable.decode}, and the resumed run's {!Resumable.finish} report
-    is byte-identical to an uninterrupted run's (see [test_recovery]).
-    The payload is raw — [lib/recovery] wraps it in a versioned,
-    CRC-guarded envelope. *)
-module Resumable : sig
-  type state
-
-  val create : ?pool:Butterfly.Domain_pool.t -> threads:int -> unit -> state
-
-  val feed_epoch : state -> Tracing.Instr.t array array -> unit
-  (** One epoch row, indexed by tid; width must equal [threads]. *)
-
-  val threads : state -> int
-  val epochs_fed : state -> int
-
-  val finish : state -> report
-  (** Close the final epoch and produce the report.  The state must not
-      be used afterwards. *)
-
-  val encode : state -> string
-
-  val decode :
-    ?pool:Butterfly.Domain_pool.t ->
-    string ->
-    (state, string) result
-  (** [Error _] on any malformed payload (never raises).  Snapshots
-      serialize fact sets as canonical interval lists. *)
-end
+(** The engine: InitCheck as a {!Butterfly.Window} kernel, under the
+    window contract of {!Butterfly.Window.S}.  It has no analysis
+    settings.  Snapshots serialize fact sets as canonical interval
+    lists. *)
+module Engine :
+  Butterfly.Window.S
+    with type env = unit
+     and type params = unit
+     and type report = report

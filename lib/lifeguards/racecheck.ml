@@ -511,51 +511,21 @@ module Kernel = struct
 
   let put_body w st =
     W.list w put_race st.races;
-    W.list w
-      (fun w (epoch, row) ->
-        W.varint w epoch;
-        W.array w put_stats row)
-      (Lg_io.sorted_entries st.stats);
-    W.list w
-      (fun w (l, row) ->
-        W.varint w l;
-        W.array w (fun w s -> W.list w (fun w x -> W.sint w x) (LS.elements s)) row)
-      (Lg_io.sorted_entries st.entry)
+    Lg_io.put_rows w put_stats st.stats;
+    Lg_io.put_rows w
+      (fun w s -> W.list w (fun w x -> W.sint w x) (LS.elements s))
+      st.entry
 
   let get_body r ~threads ~processed:_ () () =
     let races = R.list r get_race in
-    let table get_row what =
-      let tbl = Hashtbl.create 64 in
-      ignore
-        (R.list r (fun r ->
-             let epoch = R.varint r in
-             let row = get_row r in
-             if Array.length row <> threads then
-               raise (R.Corrupt (what ^ " row width mismatch"));
-             Hashtbl.replace tbl epoch row));
-      tbl
-    in
-    let stats = table (fun r -> R.array r get_stats) "stats" in
+    let stats = Lg_io.get_rows r ~threads ~what:"stats" get_stats in
     let entry =
-      table
-        (fun r -> R.array r (fun r -> LS.of_list (R.list r (fun r -> R.sint r))))
-        "entry-lock"
+      Lg_io.get_rows r ~threads ~what:"entry-lock" (fun r ->
+          LS.of_list (R.list r (fun r -> R.sint r)))
     in
     make ~threads ~entry ~stats ~races
 end
 
-module Win = Butterfly.Window.Make (Kernel)
+module Engine = Butterfly.Window.Make (Kernel)
 
-module Resumable = struct
-  type state = Win.t
-
-  let create ?pool ~threads () = Win.create ?pool ~threads () ()
-  let feed_epoch = Win.feed_row
-  let threads = Win.threads
-  let epochs_fed = Win.fed
-  let finish = Win.finish
-  let encode = Win.encode
-  let decode ?pool s = Win.decode ?pool () s
-end
-
-let run ?pool epochs = Win.run ?pool () () epochs
+let run ?pool epochs = Engine.run ?pool () () epochs

@@ -62,48 +62,24 @@ val fingerprint : report -> string
     results.  The differential batteries compare drivers through this. *)
 
 val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
-(** Analyze a whole grid: the {!Resumable} engine fed every row of
+(** Analyze a whole grid: {!Engine.run}, the engine fed every row of
     {!Butterfly.Epochs.iter_rows}, then finished.  With [pool], each
     epoch's pass-2 block checks fan out on the caller's domain pool
     ({!Butterfly.Window}); the report is identical with
     and without one. *)
 
-(** RaceCheck as a {!Butterfly.Window} kernel: pass 1 summarizes each
+(** The engine: RaceCheck as a {!Butterfly.Window} kernel, under the
+    window contract of {!Butterfly.Window.S}.  Pass 1 summarizes each
     block's accesses, locks and fork/join targets; the master step seals
     the entry lock row, summary rows [l-1] and [l] and the entry clocks;
-    pass 2 checks the block's candidate pairs.  Rows behind: 1. *)
-module Kernel :
-  Butterfly.Window.KERNEL
+    pass 2 checks the block's candidate pairs.  Rows behind: 1.  The
+    checkpoint body holds the accumulated races, statistics and
+    entry-lock history; summaries are recomputed on decode. *)
+module Engine :
+  Butterfly.Window.S
     with type env = unit
      and type params = unit
      and type report = report
-
-(** The epoch-incremental engine behind {!run}: feed rows as they
-    arrive, snapshot between epochs, resume from the encoded state.  Used
-    by {!run}, {!Recovery.Runner} and the crash-sim battery. *)
-module Resumable : sig
-  type state
-
-  val create :
-    ?pool:Butterfly.Domain_pool.t -> threads:int -> unit -> state
-  (** With [pool], each epoch's pass-2 block checks fan out on it. *)
-
-  val feed_epoch : state -> Tracing.Instr.t array array -> unit
-  (** One grid row, [threads] wide; raises [Invalid_argument] otherwise. *)
-
-  val threads : state -> int
-  val epochs_fed : state -> int
-
-  val finish : state -> report
-
-  val encode : state -> string
-  (** Serialize between [feed_epoch] calls.  The payload retains only the
-      sliding window's raw rows (summaries are recomputed on decode) plus
-      the accumulated races, statistics and entry-lock history. *)
-
-  val decode :
-    ?pool:Butterfly.Domain_pool.t -> string -> (state, string) result
-end
 
 (**/**)
 

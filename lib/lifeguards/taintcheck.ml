@@ -525,29 +525,21 @@ module Kernel = struct
         Butterfly.Instr_id.put w e.id;
         W.sint w e.sink)
       st.errors;
-    W.list w
-      (fun w (epoch, row) ->
-        W.varint w epoch;
-        W.array w put_stats row)
-      (Lg_io.sorted_entries st.stats);
+    Lg_io.put_rows w put_stats st.stats;
     W.list w
       (fun w (l, s) ->
         W.varint w l;
         W.list w (fun w x -> W.sint w x) (AS.elements s))
       (Lg_io.sorted_entries st.sos);
-    W.list w
-      (fun w (epoch, row) ->
-        W.varint w epoch;
-        W.array w
-          (fun w tbl ->
-            W.list w
-              (fun w (x, b) ->
-                W.sint w x;
-                W.bool w b)
-              (List.sort compare
-                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))
-          row)
-      (Lg_io.sorted_entries st.lastcheck)
+    Lg_io.put_rows w
+      (fun w tbl ->
+        W.list w
+          (fun w (x, b) ->
+            W.sint w x;
+            W.bool w b)
+          (List.sort compare
+             (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))
+      st.lastcheck
 
   let get_body r ~threads ~processed:_ () p =
     let errors =
@@ -556,18 +548,7 @@ module Kernel = struct
           let sink = R.sint r in
           { id; sink })
     in
-    let table get_row what =
-      let tbl = Hashtbl.create 64 in
-      ignore
-        (R.list r (fun r ->
-             let epoch = R.varint r in
-             let row = get_row r in
-             if Array.length row <> threads then
-               raise (R.Corrupt (what ^ " row width mismatch"));
-             Hashtbl.replace tbl epoch row));
-      tbl
-    in
-    let stats = table (fun r -> R.array r get_stats) "stats" in
+    let stats = Lg_io.get_rows r ~threads ~what:"stats" get_stats in
     let sos = Hashtbl.create 64 in
     ignore
       (R.list r (fun r ->
@@ -575,39 +556,22 @@ module Kernel = struct
            let xs = R.list r (fun r -> R.sint r) in
            Hashtbl.replace sos l (AS.of_list xs)));
     let lastcheck =
-      table
-        (fun r ->
-          R.array r (fun r ->
-              let tbl = Hashtbl.create 16 in
-              ignore
-                (R.list r (fun r ->
-                     let x = R.sint r in
-                     let b = R.bool r in
-                     Hashtbl.replace tbl x b));
-              tbl))
-        "lastcheck"
+      Lg_io.get_rows r ~threads ~what:"lastcheck" (fun r ->
+          let tbl = Hashtbl.create 16 in
+          ignore
+            (R.list r (fun r ->
+                 let x = R.sint r in
+                 let b = R.bool r in
+                 Hashtbl.replace tbl x b));
+          tbl)
     in
     make ~threads p ~lastcheck ~sos ~stats ~errors
 end
 
-module Win = Butterfly.Window.Make (Kernel)
-
-module Resumable = struct
-  type state = Win.t
-
-  let create ?pool ?(sequential = true) ?(two_phase = true) ~threads () =
-    Win.create ?pool ~threads () { sequential; two_phase }
-
-  let feed_epoch = Win.feed_row
-  let threads = Win.threads
-  let epochs_fed = Win.fed
-  let finish = Win.finish
-  let encode = Win.encode
-  let decode ?pool s = Win.decode ?pool () s
-end
+module Engine = Butterfly.Window.Make (Kernel)
 
 let run ?(sequential = true) ?(two_phase = true) ?pool epochs =
-  Win.run ?pool () { sequential; two_phase } epochs
+  Engine.run ?pool () { sequential; two_phase } epochs
 
 let lsos_cardinal ~head_gen ~head_kill ~sos ~others_gen =
   let head_gen = AS.of_list head_gen

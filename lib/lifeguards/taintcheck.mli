@@ -50,8 +50,8 @@ val run :
     Lemma 6.3; disabling it is the ablation of that design choice — still
     sound, strictly less precise.
 
-    [run] is the {!Resumable} engine fed every row of the grid: it
-    creates an engine, feeds {!Butterfly.Epochs.iter_rows} and finishes.
+    [run] is {!Engine.run}: it creates an engine, feeds every row of
+    the grid ({!Butterfly.Epochs.iter_rows}) and finishes.
     With [pool], each epoch's pass-2 block evaluations fan out on the
     caller's domain pool ({!Butterfly.Window}) and the
     master commits LASTCHECK/SOS results in thread order, so the report
@@ -72,60 +72,19 @@ val fingerprint : report -> string
 (** The analysis variant: [sequential] and [two_phase] of {!run}. *)
 type params = { sequential : bool; two_phase : bool }
 
-(** TaintCheck as a {!Butterfly.Window} kernel: pass 1 indexes each
+(** The engine: TaintCheck as a {!Butterfly.Window} kernel, under the
+    window contract of {!Butterfly.Window.S}.  Pass 1 indexes each
     block's transfer functions by destination; the master step seals
     SOS{_l} (LASTCHECK GEN/KILL of epoch [l-2]); pass 2 resolves the
     block's checks against rows [l-1 .. l+1]; the commit folds LASTCHECK
-    row [l] and seals its GEN/KILL.  Rows behind: 1. *)
-module Kernel :
-  Butterfly.Window.KERNEL
+    row [l] and seals its GEN/KILL.  Rows behind: 1, so LASTCHECK rows
+    the window has passed are pruned from the state and from
+    checkpoints.  The analysis variant travels inside the payload. *)
+module Engine :
+  Butterfly.Window.S
     with type env = unit
      and type params = params
      and type report = report
-
-(** Checkpointable epoch-incremental engine.
-
-    Feed whole epoch rows one at a time; between any two rows the engine
-    can be serialized with {!Resumable.encode} and later revived with
-    {!Resumable.decode}, and the resumed run's {!Resumable.finish} report
-    is byte-identical to an uninterrupted run's (see [test_recovery]).
-    The engine keeps a sliding window: raw rows, pass-1 summaries and
-    LASTCHECK rows the window has passed are pruned from the state (and
-    hence from checkpoints).  The payload is raw — [lib/recovery] wraps
-    it in a versioned, CRC-guarded envelope. *)
-module Resumable : sig
-  type state
-
-  val create :
-    ?pool:Butterfly.Domain_pool.t ->
-    ?sequential:bool ->
-    ?two_phase:bool ->
-    threads:int ->
-    unit ->
-    state
-  (** Pass 1 runs on the caller as rows are fed; with [pool], each epoch's
-      pass-2 block evaluations fan out on it.  Results are unchanged. *)
-
-  val feed_epoch : state -> Tracing.Instr.t array array -> unit
-  (** One epoch row, indexed by tid; width must equal [threads]. *)
-
-  val threads : state -> int
-  val epochs_fed : state -> int
-
-  val finish : state -> report
-  (** Close the final epoch and produce the report.  The state must not
-      be used afterwards. *)
-
-  val encode : state -> string
-
-  val decode :
-    ?pool:Butterfly.Domain_pool.t ->
-    string ->
-    (state, string) result
-  (** [Error _] on any malformed payload (never raises).  The analysis
-      variant ([sequential]/[two_phase]) travels inside the payload;
-      [pool] is transient plumbing re-supplied on restore. *)
-end
 
 (**/**)
 

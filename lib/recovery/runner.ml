@@ -18,59 +18,36 @@ type ('s, 'r) ops = {
   fp : 'r -> string;
 }
 
-let addr_ops ?pool () =
+let of_engine (type s r p)
+    (module E : Butterfly.Window.S
+      with type env = unit
+       and type params = p
+       and type t = s
+       and type report = r) tag fp ?pool params =
   {
-    tag = Snapshot.Addrcheck;
-    create = (fun ~threads -> AC.Resumable.create ?pool ~threads ());
-    feed = AC.Resumable.feed_epoch;
-    threads = AC.Resumable.threads;
-    fed = AC.Resumable.epochs_fed;
-    finish = AC.Resumable.finish;
-    enc = AC.Resumable.encode;
-    dec = AC.Resumable.decode ?pool;
-    fp = AC.fingerprint;
+    tag;
+    create = (fun ~threads -> E.create ?pool ~threads () params);
+    feed = E.feed_row;
+    threads = E.threads;
+    fed = E.fed;
+    finish = E.finish;
+    enc = E.encode;
+    dec = E.decode ?pool ();
+    fp;
   }
+
+let addr_ops ?pool () =
+  of_engine (module AC.Engine) Snapshot.Addrcheck AC.fingerprint ?pool true
 
 let init_ops ?pool () =
-  {
-    tag = Snapshot.Initcheck;
-    create = (fun ~threads -> IC.Resumable.create ?pool ~threads ());
-    feed = IC.Resumable.feed_epoch;
-    threads = IC.Resumable.threads;
-    fed = IC.Resumable.epochs_fed;
-    finish = IC.Resumable.finish;
-    enc = IC.Resumable.encode;
-    dec = IC.Resumable.decode ?pool;
-    fp = IC.fingerprint;
-  }
+  of_engine (module IC.Engine) Snapshot.Initcheck IC.fingerprint ?pool ()
 
-let taint_ops ?pool ?sequential ?two_phase () =
-  {
-    tag = Snapshot.Taintcheck;
-    create =
-      (fun ~threads ->
-        TC.Resumable.create ?pool ?sequential ?two_phase ~threads ());
-    feed = TC.Resumable.feed_epoch;
-    threads = TC.Resumable.threads;
-    fed = TC.Resumable.epochs_fed;
-    finish = TC.Resumable.finish;
-    enc = TC.Resumable.encode;
-    dec = TC.Resumable.decode ?pool;
-    fp = TC.fingerprint;
-  }
+let taint_ops ?pool () =
+  of_engine (module TC.Engine) Snapshot.Taintcheck TC.fingerprint ?pool
+    TC.{ sequential = true; two_phase = true }
 
 let race_ops ?pool () =
-  {
-    tag = Snapshot.Racecheck;
-    create = (fun ~threads -> RC.Resumable.create ?pool ~threads ());
-    feed = RC.Resumable.feed_epoch;
-    threads = RC.Resumable.threads;
-    fed = RC.Resumable.epochs_fed;
-    finish = RC.Resumable.finish;
-    enc = RC.Resumable.encode;
-    dec = RC.Resumable.decode ?pool;
-    fp = RC.fingerprint;
-  }
+  of_engine (module RC.Engine) Snapshot.Racecheck RC.fingerprint ?pool ()
 
 let rows_of epochs =
   let rows = ref [] in

@@ -1,10 +1,11 @@
 (** Checkpointed lifeguard runs.
 
-    Drives a lifeguard's [Resumable] engine over a stream of epoch rows,
-    persisting a {!Snapshot} every [every] epochs, and revives a run from
-    such a snapshot.  The resumed run is byte-identical to an uninterrupted one —
-    that is the [Resumable] contract, enforced by the resume-equivalence
-    suite in [test_recovery] and fuzzed continuously by [Qa].
+    Drives a lifeguard's engine (a {!Butterfly.Window.S}) over a stream
+    of epoch rows, persisting a {!Snapshot} every [every] epochs, and
+    revives a run from such a snapshot.  The resumed run is
+    byte-identical to an uninterrupted one — that is the window's
+    checkpoint contract, enforced by the resume-equivalence suite in
+    [test_recovery] and fuzzed continuously by [Qa].
 
     Telemetry (under the installed {!Obs} sink): [recovery.checkpoints]
     and [recovery.bytes] counters, and a [recovery.restore.ns] span around
@@ -15,15 +16,15 @@ type checkpointing = {
   path : string;  (** snapshot file, atomically overwritten each time *)
 }
 
-(** One lifeguard's resumable engine, as first-class operations.  ['s] is
-    the engine state, ['r] its report.  The record is exposed so
+(** One lifeguard's engine, as first-class operations.  ['s] is the
+    engine state, ['r] its report.  The record is exposed so
     [Crash_sim], the serving layer and the QA battery can drive any
     lifeguard generically; [Serve.Report]'s lifeguard table builds one per
-    lifeguard from the typed builders below.  Checkpoints are cut at
-    sealed-epoch frontiers, so a snapshot taken with or without [pool]
-    resumes either way.  On resume the analysis flags are restored from
-    the snapshot payload, not from the builder's arguments; [pool] is
-    transient and re-supplied. *)
+    lifeguard and analysis variant with {!of_engine}.  Checkpoints are cut
+    at sealed-epoch frontiers, so a snapshot taken with or without [pool]
+    resumes either way.  On resume the analysis settings are restored
+    from the snapshot payload, not from the builder's arguments; [pool]
+    is transient and re-supplied. *)
 type ('s, 'r) ops = {
   tag : Snapshot.lifeguard;
   create : threads:int -> 's;
@@ -36,28 +37,43 @@ type ('s, 'r) ops = {
   fp : 'r -> string;  (** canonical report fingerprint *)
 }
 
+val of_engine :
+  (module Butterfly.Window.S
+     with type env = unit
+      and type params = 'p
+      and type t = 's
+      and type report = 'r) ->
+  Snapshot.lifeguard ->
+  ('r -> string) ->
+  ?pool:Butterfly.Domain_pool.t ->
+  'p ->
+  ('s, 'r) ops
+(** [of_engine (module E) tag fp ?pool params]: the operations of engine
+    [E] (a lifeguard's [Engine]) created with [params], snapshots tagged
+    [tag], reports fingerprinted by [fp].  [pool] runs pass 2 on the
+    caller's domain pool, in fresh and in decoded engines alike. *)
+
+(** The four lifeguards with their default analysis settings. *)
+
 val addr_ops :
   ?pool:Butterfly.Domain_pool.t ->
   unit ->
-  (Lifeguards.Addrcheck.Resumable.state, Lifeguards.Addrcheck.report) ops
+  (Lifeguards.Addrcheck.Engine.t, Lifeguards.Addrcheck.report) ops
 
 val init_ops :
   ?pool:Butterfly.Domain_pool.t ->
   unit ->
-  (Lifeguards.Initcheck.Resumable.state, Lifeguards.Initcheck.report) ops
+  (Lifeguards.Initcheck.Engine.t, Lifeguards.Initcheck.report) ops
 
 val taint_ops :
   ?pool:Butterfly.Domain_pool.t ->
-  ?sequential:bool ->
-  ?two_phase:bool ->
   unit ->
-  (Lifeguards.Taintcheck.Resumable.state, Lifeguards.Taintcheck.report) ops
-(** [sequential]/[two_phase] as in {!Lifeguards.Taintcheck.run}. *)
+  (Lifeguards.Taintcheck.Engine.t, Lifeguards.Taintcheck.report) ops
 
 val race_ops :
   ?pool:Butterfly.Domain_pool.t ->
   unit ->
-  (Lifeguards.Racecheck.Resumable.state, Lifeguards.Racecheck.report) ops
+  (Lifeguards.Racecheck.Engine.t, Lifeguards.Racecheck.report) ops
 
 val rows_of : Butterfly.Epochs.t -> Tracing.Instr.t array array array
 (** The grid as epoch rows, [rows.(epoch).(tid)]

@@ -3,10 +3,10 @@
     A snapshot is the envelope every checkpoint travels in on disk:
     {!Tracing.Binio.frame} (magic, format-version byte, CRC32 trailer)
     around a small metadata header and the lifeguard engine's raw state
-    payload ([Resumable.encode]).  The metadata is what restore needs to
-    {e refuse} early with a precise message — resuming AddrCheck state
-    into TaintCheck, or a 4-thread checkpoint against a 2-thread trace —
-    before the payload is even parsed.
+    payload ({!Butterfly.Window.S.encode}).  The metadata is what restore
+    needs to {e refuse} early with a precise message — resuming AddrCheck
+    state into TaintCheck, or a 4-thread checkpoint against a 2-thread
+    trace — before the payload is even parsed.
 
     Writes are atomic (temp file + rename): a crash mid-checkpoint leaves
     the previous snapshot intact, never a torn file. *)

@@ -182,24 +182,29 @@ let initcheck_entry =
     (fun ~model ~cap ~samples ~seed p ->
       O.initcheck_zero_false_negatives ~model ~cap ~samples ~seed p)
 
+let taintcheck_variants =
+  Lifeguards.Taintcheck.
+    [
+      ("sc,two-phase", { sequential = true; two_phase = true });
+      ("relaxed,two-phase", { sequential = false; two_phase = true });
+      ("sc,one-phase", { sequential = true; two_phase = false });
+    ]
+
 let taintcheck_entry =
-  let variant ~sequential ~two_phase ?pool () =
-    R.taint_ops ?pool ~sequential ~two_phase ()
+  let ops params ?pool () =
+    R.of_engine (module Lifeguards.Taintcheck.Engine) Taintcheck
+      Lifeguards.Taintcheck.fingerprint ?pool params
   in
   Entry
     {
       tag = Taintcheck;
       ops =
         (fun ?pool ~relaxed () ->
-          R.taint_ops ?pool ~sequential:(not relaxed) ());
+          ops { sequential = not relaxed; two_phase = true } ?pool ());
       json = taintcheck;
       text = text taintcheck_text;
       variants =
-        [
-          ("sc,two-phase", variant ~sequential:true ~two_phase:true);
-          ("relaxed,two-phase", variant ~sequential:false ~two_phase:true);
-          ("sc,one-phase", variant ~sequential:true ~two_phase:false);
-        ];
+        List.map (fun (label, params) -> (label, ops params)) taintcheck_variants;
       reference = None;
       oracle =
         (fun ~model ~cap ~samples ~seed p ->

@@ -63,4 +63,9 @@ type ('s, 'r) entry = {
 
 type t = Entry : ('s, 'r) entry -> t
 
+val taintcheck_variants : (string * Lifeguards.Taintcheck.params) list
+(** TaintCheck's labelled analysis settings, in the order of its
+    entry's [variants]: ["sc,two-phase"], ["relaxed,two-phase"],
+    ["sc,one-phase"]. *)
+
 val find : Recovery.Snapshot.lifeguard -> t

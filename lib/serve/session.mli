@@ -1,7 +1,7 @@
 (** One tenant's analysis session.
 
-    A session wraps a lifeguard's [Resumable] engine (built from the
-    HELLO's lifeguard/driver config via the {!Report.find} table)
+    A session wraps a lifeguard's engine (built from the HELLO's
+    lifeguard/driver config via the {!Report.find} table)
     plus a queue of decoded-but-unfed epoch rows.  The daemon owns
     the pacing: it {!enqueue}s every DATA chunk as it arrives and calls
     {!step} from its fairness rotation, one epoch at a time, so no

@@ -1,6 +1,6 @@
 (* The one engine per lifeguard: each lifeguard's [run] is its
-   epoch-incremental [Resumable] engine fed every row of the grid, with
-   pass 2 fanned out per epoch on an optional domain pool.
+   [Engine] (a [Window.S]) fed every row of the grid, with pass 2 fanned
+   out per epoch on an optional domain pool.
 
    Five batteries:
 
@@ -20,9 +20,7 @@
    test_parallel.ml. *)
 
 module AC = Lifeguards.Addrcheck
-module IC = Lifeguards.Initcheck
 module TC = Lifeguards.Taintcheck
-module RC = Lifeguards.Racecheck
 
 let check = Alcotest.check
 let checks = Alcotest.(check string)
@@ -34,11 +32,6 @@ let checks = Alcotest.(check string)
    names the grid (seeded, so any failure replays exactly). *)
 type fp_fn = ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> string
 
-let run_fp ops epochs =
-  ops.Recovery.Runner.fp
-    (Recovery.Runner.run ops ~threads:(Butterfly.Epochs.threads epochs)
-       (Butterfly.Epochs.iter_rows epochs))
-
 (* Every lifeguard in the table, with every analysis variant it has. *)
 let lifeguard_cases : (string * Qa.Grid_gen.profile * fp_fn list) list =
   List.map
@@ -48,7 +41,7 @@ let lifeguard_cases : (string * Qa.Grid_gen.profile * fp_fn list) list =
         Qa.Differential.profile_of lg,
         List.map
           (fun (_, (ops : ?pool:_ -> unit -> _)) ?pool epochs ->
-            run_fp (ops ?pool ()) epochs)
+            Testutil.run_fp (ops ?pool ()) epochs)
           e.variants ))
     Recovery.Snapshot.all
 
@@ -228,46 +221,37 @@ let validation =
         | exception Invalid_argument _ -> ()
         | () -> Alcotest.failf "%s: expected Invalid_argument" name
       in
-      (* Every engine is created for two threads. *)
+      (* Every engine of the table, in every analysis variant, created
+         for two threads. *)
       let widths name feed =
         expect_invalid (name ^ ": narrow row") (fun () -> feed [| [||] |]);
         expect_invalid (name ^ ": wide row") (fun () ->
             feed [| [||]; [||]; [||] |])
       in
-      widths "addrcheck" AC.Resumable.(feed_epoch (create ~threads:2 ()));
-      widths "initcheck" IC.Resumable.(feed_epoch (create ~threads:2 ()));
-      widths "taintcheck" TC.Resumable.(feed_epoch (create ~threads:2 ()));
-      widths "racecheck" RC.Resumable.(feed_epoch (create ~threads:2 ()));
       (* One end-of-stream contract: a row after [finish] is refused, and
          a second [finish] gives the same report. *)
-      let after_finish name ~create ~feed ~finish ~fp =
-        let st = create () in
+      let after_finish name (ops : (_, _) Recovery.Runner.ops) =
+        let st = ops.create ~threads:2 in
         let row = [| [| Tracing.Instr.Assign_const 1 |]; [||] |] in
-        feed st row;
-        let first = fp (finish st) in
-        expect_invalid (name ^ ": feed after finish") (fun () -> feed st row);
-        checks (name ^ ": finish twice") first (fp (finish st))
+        ops.feed st row;
+        let first = ops.fp (ops.finish st) in
+        expect_invalid (name ^ ": feed after finish") (fun () ->
+            ops.feed st row);
+        checks (name ^ ": finish twice") first (ops.fp (ops.finish st))
       in
-      after_finish "addrcheck"
-        ~create:AC.Resumable.(create ~threads:2)
-        ~feed:AC.Resumable.feed_epoch ~finish:AC.Resumable.finish
-        ~fp:AC.fingerprint;
-      after_finish "initcheck"
-        ~create:IC.Resumable.(create ~threads:2)
-        ~feed:IC.Resumable.feed_epoch ~finish:IC.Resumable.finish
-        ~fp:IC.fingerprint;
-      after_finish "taintcheck"
-        ~create:TC.Resumable.(create ~threads:2)
-        ~feed:TC.Resumable.feed_epoch ~finish:TC.Resumable.finish
-        ~fp:TC.fingerprint;
-      after_finish "racecheck"
-        ~create:RC.Resumable.(create ~threads:2)
-        ~feed:RC.Resumable.feed_epoch ~finish:RC.Resumable.finish
-        ~fp:RC.fingerprint;
-      expect_invalid "taintcheck: threads = 0" (fun () ->
-          ignore (TC.Resumable.create ~threads:0 ()));
-      expect_invalid "racecheck: threads = 0" (fun () ->
-          ignore (RC.Resumable.create ~threads:0 ()));
+      List.iter
+        (fun lg ->
+          let (Serve.Report.Entry e) = Serve.Report.find lg in
+          List.iter
+            (fun (setting, (ops : ?pool:_ -> unit -> _)) ->
+              let ops : (_, _) Recovery.Runner.ops = ops () in
+              let name = Testutil.variant_label lg setting in
+              widths name (ops.feed (ops.create ~threads:2));
+              after_finish name ops;
+              expect_invalid (name ^ ": threads = 0") (fun () ->
+                  ignore (ops.create ~threads:0)))
+            e.variants)
+        Recovery.Snapshot.all;
       expect_invalid "checkpoint every = 0" (fun () ->
           ignore
             (Recovery.Runner.run (Recovery.Runner.addr_ops ())
@@ -300,28 +284,6 @@ let edge_tests =
 (* ------------------------------------------------------------------ *)
 (* Resume from every sealed epoch, pooled engines on both sides.       *)
 
-let rows_of_epochs epochs =
-  let threads = Butterfly.Epochs.threads epochs in
-  Array.init (Butterfly.Epochs.num_epochs epochs) (fun epoch ->
-      Array.init threads (fun tid ->
-          (Butterfly.Epochs.block epochs ~epoch ~tid).Butterfly.Block.instrs))
-
-let resumed_via (type s) ~(create : threads:int -> unit -> s)
-    ~(feed : s -> Tracing.Instr.t array array -> unit) ~(encode : s -> string)
-    ~(decode : string -> (s, string) result) ~(finish : s -> 'r)
-    ~(fp : 'r -> string) ~cut ~threads rows =
-  let st = create ~threads () in
-  Array.iteri (fun i row -> if i < cut then feed st row) rows;
-  let payload = encode st in
-  let st' =
-    match decode payload with
-    | Ok st' -> st'
-    | Error m -> Alcotest.failf "decode after %d rows: %s" cut m
-  in
-  checks "snapshot stability" payload (encode st');
-  Array.iteri (fun i row -> if i >= cut then feed st' row) rows;
-  fp (finish st')
-
 type engine = {
   label : string;
   profile : Qa.Grid_gen.profile;
@@ -341,14 +303,11 @@ let pooled_engines =
       {
         label = Recovery.Snapshot.lifeguard_to_string lg;
         profile = Qa.Differential.profile_of lg;
-        batch_fp = run_fp (e.ops ~relaxed:false ());
+        batch_fp = Testutil.run_fp (e.ops ~relaxed:false ());
         resumed_fp =
           (fun ~pool ~cut ~threads rows ->
-            let ops = e.ops ~pool ~relaxed:false () in
-            resumed_via
-              ~create:(fun ~threads () -> ops.create ~threads)
-              ~feed:ops.feed ~encode:ops.enc ~decode:ops.dec
-              ~finish:ops.finish ~fp:ops.fp ~cut ~threads rows);
+            Testutil.resumed_via (e.ops ~pool ~relaxed:false ()) ~cut
+              ~threads rows);
       })
     Recovery.Snapshot.all
 
@@ -361,7 +320,7 @@ let pooled_resume_battery e () =
       for g = 1 to 8 do
         let grid = Qa.Grid_gen.grid e.profile rng in
         let epochs = Qa.Grid.epochs grid in
-        let rows = rows_of_epochs epochs in
+        let rows = Recovery.Runner.rows_of epochs in
         let threads = Butterfly.Epochs.threads epochs in
         let expected = e.batch_fp epochs in
         for cut = 0 to Array.length rows do

@@ -4,7 +4,7 @@
 
    - the binary envelope ([Tracing.Binio]): round-trips, and rejects
      truncation, version skew and every single-bit flip deterministically;
-   - the resumable lifeguard engines: for every grid and EVERY epoch
+   - the lifeguard engines: for every grid and EVERY epoch
      boundary, checkpoint + restore + continue produces a report
      fingerprint byte-identical to the uninterrupted run, across
      sequential and pooled drivers and every TaintCheck variant;
@@ -14,9 +14,6 @@
 
 module IS = Butterfly.Interval_set
 module Binio = Tracing.Binio
-module AC = Lifeguards.Addrcheck
-module IC = Lifeguards.Initcheck
-module TC = Lifeguards.Taintcheck
 
 let check = Alcotest.check
 let checks = Alcotest.(check string)
@@ -157,116 +154,16 @@ let codec_rejects_corruption () =
 (* ------------------------------------------------------------------ *)
 (* Resume-from-every-epoch equivalence, per lifeguard.                 *)
 
-let rows_of_epochs epochs =
-  let threads = Butterfly.Epochs.threads epochs in
-  Array.init (Butterfly.Epochs.num_epochs epochs) (fun epoch ->
-      Array.init threads (fun tid ->
-          (Butterfly.Epochs.block epochs ~epoch ~tid).Butterfly.Block.instrs))
-
-(* One lifeguard driven through a cut: feed rows [0, cut), serialize,
-   revive, feed the rest, finish.  Also asserts the snapshot is stable:
-   re-encoding the revived state reproduces it byte for byte. *)
-type engine = {
-  label : string;
-  profile : Qa.Grid_gen.profile;
-  batch_fp : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> string;
-  resumed_fp :
-    ?pool:Butterfly.Domain_pool.t ->
-    cut:int ->
-    threads:int ->
-    Tracing.Instr.t array array array ->
-    string;
-}
-
-let resumed_via (type s) ~(create : threads:int -> unit -> s)
-    ~(feed : s -> Tracing.Instr.t array array -> unit) ~(encode : s -> string)
-    ~(decode : string -> (s, string) result) ~(finish : s -> 'r)
-    ~(fp : 'r -> string) ~cut ~threads rows =
-  let st = create ~threads () in
-  Array.iteri (fun i row -> if i < cut then feed st row) rows;
-  let payload = encode st in
-  let st' =
-    match decode payload with
-    | Ok st' -> st'
-    | Error m -> Alcotest.failf "decode after %d rows: %s" cut m
-  in
-  checks "snapshot stability" payload (encode st');
-  Array.iteri (fun i row -> if i >= cut then feed st' row) rows;
-  fp (finish st')
-
-let addrcheck_engine =
-  {
-    label = "addrcheck";
-    profile = Qa.Grid_gen.Alloc;
-    batch_fp = (fun ?pool epochs -> AC.fingerprint (AC.run ?pool epochs));
-    resumed_fp =
-      (fun ?pool ~cut ~threads rows ->
-        resumed_via
-          ~create:(fun ~threads () -> AC.Resumable.create ?pool ~threads ())
-          ~feed:AC.Resumable.feed_epoch ~encode:AC.Resumable.encode
-          ~decode:(AC.Resumable.decode ?pool)
-          ~finish:AC.Resumable.finish ~fp:AC.fingerprint ~cut ~threads rows);
-  }
-
-let initcheck_engine =
-  {
-    label = "initcheck";
-    profile = Qa.Grid_gen.Init;
-    batch_fp = (fun ?pool epochs -> IC.fingerprint (IC.run ?pool epochs));
-    resumed_fp =
-      (fun ?pool ~cut ~threads rows ->
-        resumed_via
-          ~create:(fun ~threads () -> IC.Resumable.create ?pool ~threads ())
-          ~feed:IC.Resumable.feed_epoch ~encode:IC.Resumable.encode
-          ~decode:(IC.Resumable.decode ?pool)
-          ~finish:IC.Resumable.finish ~fp:IC.fingerprint ~cut ~threads rows);
-  }
-
-let taintcheck_engine ~sequential ~two_phase vlabel =
-  {
-    label = Printf.sprintf "taintcheck[%s]" vlabel;
-    profile = Qa.Grid_gen.Taint;
-    batch_fp =
-      (fun ?pool epochs ->
-        TC.fingerprint (TC.run ~sequential ~two_phase ?pool epochs));
-    resumed_fp =
-      (fun ?pool ~cut ~threads rows ->
-        resumed_via
-          ~create:(fun ~threads () ->
-            TC.Resumable.create ?pool ~sequential ~two_phase ~threads ())
-          ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
-          ~decode:(TC.Resumable.decode ?pool)
-          ~finish:TC.Resumable.finish ~fp:TC.fingerprint ~cut ~threads rows);
-  }
-
-let racecheck_engine =
-  let module RC = Lifeguards.Racecheck in
-  {
-    label = "racecheck";
-    profile = Qa.Grid_gen.Racy;
-    batch_fp = (fun ?pool epochs -> RC.fingerprint (RC.run ?pool epochs));
-    resumed_fp =
-      (fun ?pool ~cut ~threads rows ->
-        resumed_via
-          ~create:(fun ~threads () -> RC.Resumable.create ?pool ~threads ())
-          ~feed:RC.Resumable.feed_epoch ~encode:RC.Resumable.encode
-          ~decode:(RC.Resumable.decode ?pool)
-          ~finish:RC.Resumable.finish ~fp:RC.fingerprint ~cut ~threads rows);
-  }
-
-let engines =
-  [
-    addrcheck_engine;
-    initcheck_engine;
-    racecheck_engine;
-    taintcheck_engine ~sequential:true ~two_phase:true "sc,two-phase";
-    taintcheck_engine ~sequential:false ~two_phase:true "relaxed,two-phase";
-    taintcheck_engine ~sequential:true ~two_phase:false "sc,one-phase";
-  ]
+(* Every lifeguard in every analysis variant of the [Serve.Report] table
+   ([Testutil.variants]), each driven through a cut: feed rows [0, cut),
+   serialize, revive, feed the rest, finish.  [Testutil.resumed_via]
+   also asserts the snapshot is stable: re-encoding the revived state
+   reproduces it byte for byte. *)
+let rows_of_epochs = Recovery.Runner.rows_of
 
 (* The deterministic battery: [n_grids] seeded grids per engine, resumed
    from EVERY epoch boundary (including 0 and num_epochs). *)
-let every_epoch_battery e ~n_grids () =
+let every_epoch_battery (e : Testutil.variant) ~n_grids () =
   let rng = Random.State.make [| 0xeb0c; 17 |] in
   for g = 1 to n_grids do
     let grid = Qa.Grid_gen.grid e.profile rng in
@@ -287,7 +184,7 @@ let every_epoch_battery e ~n_grids () =
 
 (* Pooled drivers: the same equivalence with worker pools on both sides
    of the cut, across 1/2/8-domain pools (capped by the machine). *)
-let pooled_battery e ~n_grids () =
+let pooled_battery (e : Testutil.variant) ~n_grids () =
   List.iter
     (fun domains ->
       Butterfly.Domain_pool.with_pool ~name:"recovery-test" ~domains
@@ -324,7 +221,7 @@ let arb_cut_case =
 let grid_of_seed profile seed =
   Qa.Grid_gen.grid profile (Random.State.make [| 0xeb0e; seed |])
 
-let resume_prop e (seed, cut_bias) =
+let resume_prop (e : Testutil.variant) (seed, cut_bias) =
   let grid = grid_of_seed e.profile seed in
   let epochs = Qa.Grid.epochs grid in
   let rows = rows_of_epochs epochs in
@@ -370,50 +267,30 @@ let golden_taint ~every =
   |> Tracing.Program.with_heartbeats ~every
   |> Butterfly.Epochs.of_program
 
-(* The encoded engine state after every row has been fed. *)
-let final_snapshot (type s) ~(create : threads:int -> unit -> s)
-    ~(feed : s -> Tracing.Instr.t array array -> unit) ~(encode : s -> string)
-    ~threads rows =
-  let st = create ~threads () in
-  Array.iter (feed st) rows;
-  encode st
-
-let rc_snapshot =
-  let module RC = Lifeguards.Racecheck in
-  final_snapshot
-    ~create:(fun ~threads () -> RC.Resumable.create ~threads ())
-    ~feed:RC.Resumable.feed_epoch ~encode:RC.Resumable.encode
-
-let tc_snapshot ~sequential =
-  final_snapshot
-    ~create:(fun ~threads () -> TC.Resumable.create ~sequential ~threads ())
-    ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
-
 let hex s = Digest.to_hex (Digest.string s)
 
-(* (engine, snapshot, input, epoch size, report digest, snapshot digest) *)
+(* (engine, input, epoch size, report digest, snapshot digest) *)
 let golden_cases =
-  let rc = racecheck_engine in
-  let sc = taintcheck_engine ~sequential:true ~two_phase:true "sc,two-phase" in
-  let rx =
-    taintcheck_engine ~sequential:false ~two_phase:true "relaxed,two-phase"
-  in
+  let rc = Testutil.find_variant "racecheck"
+  and sc = Testutil.find_variant "taintcheck[sc,two-phase]"
+  and rx = Testutil.find_variant "taintcheck[relaxed,two-phase]" in
   [
-    (rc, rc_snapshot, golden_racy, 8, "abfa5dba649743ea4fa06eea020d59a9",
+    (rc, golden_racy, 8, "abfa5dba649743ea4fa06eea020d59a9",
       "1cb2555453f6325b19aec09fa55fdf88");
-    (rc, rc_snapshot, golden_racy, 64, "262727a4852eccd5df6c873658bb7e05",
+    (rc, golden_racy, 64, "262727a4852eccd5df6c873658bb7e05",
       "cacd49b18898d98fc1edece245d29456");
-    (sc, tc_snapshot ~sequential:true, golden_taint, 8,
-      "7600a895ea98cd7838700753cad31669", "6ed49d85c601cdbd29ad23a93e2693ae");
-    (sc, tc_snapshot ~sequential:true, golden_taint, 64,
-      "3724b98df5c95c9d97ef69df84321cd0", "81d0d3565b9101bc0e72c89aef2cfa7b");
-    (rx, tc_snapshot ~sequential:false, golden_taint, 8,
-      "66e9a1f2cab515f7f5ac5105d95b3caa", "0810e09b8a4f25cb666c955bea6e83b6");
-    (rx, tc_snapshot ~sequential:false, golden_taint, 64,
-      "6574647f1fe5f2aa91cc5f6168a12b5d", "f8784a846b572c41c3d2237de2a2796f");
+    (sc, golden_taint, 8, "7600a895ea98cd7838700753cad31669",
+      "6ed49d85c601cdbd29ad23a93e2693ae");
+    (sc, golden_taint, 64, "3724b98df5c95c9d97ef69df84321cd0",
+      "81d0d3565b9101bc0e72c89aef2cfa7b");
+    (rx, golden_taint, 8, "66e9a1f2cab515f7f5ac5105d95b3caa",
+      "0810e09b8a4f25cb666c955bea6e83b6");
+    (rx, golden_taint, 64, "6574647f1fe5f2aa91cc5f6168a12b5d",
+      "f8784a846b572c41c3d2237de2a2796f");
   ]
 
-let golden_case (e, snapshot, input, every, report_md5, snapshot_md5) =
+let golden_case
+    ((e : Testutil.variant), input, every, report_md5, snapshot_md5) =
   let name = Printf.sprintf "%s h=%d: golden digests" e.label every in
   Alcotest.test_case name `Slow (fun () ->
       let epochs = input ~every in
@@ -432,7 +309,7 @@ let golden_case (e, snapshot, input, every, report_md5, snapshot_md5) =
                 e.resumed_fp ~pool ~cut ~threads rows );
             ]);
       checks (name ^ ": final snapshot") snapshot_md5
-        (hex (snapshot ~threads rows)))
+        (hex (e.final_snapshot ~threads rows)))
 
 (* ------------------------------------------------------------------ *)
 (* Window-level checkpointing over the dataflow kernel: May and Must
@@ -828,26 +705,26 @@ let () =
         ] );
       ( "resume-equivalence",
         List.map
-          (fun e ->
+          (fun (e : Testutil.variant) ->
             Alcotest.test_case
               (Printf.sprintf "%s: every-epoch battery" e.label)
               `Slow
               (every_epoch_battery e ~n_grids:40))
-          engines
+          Testutil.variants
         @ List.map
-            (fun e ->
+            (fun (e : Testutil.variant) ->
               qt ~count:40
                 (Printf.sprintf "%s: random grid, random cut" e.label)
                 arb_cut_case (resume_prop e))
-            engines );
+            Testutil.variants );
       ( "resume-pooled",
         List.map
-          (fun e ->
+          (fun (e : Testutil.variant) ->
             Alcotest.test_case
               (Printf.sprintf "%s: pooled 1/2/8 domains" e.label)
               `Slow
               (pooled_battery e ~n_grids:8))
-          engines );
+          Testutil.variants );
       ("golden", List.map golden_case golden_cases);
       ( "scheduler-state",
         [

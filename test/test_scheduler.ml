@@ -6,8 +6,8 @@ module RD = Butterfly.Reaching_definitions
 module RE = Butterfly.Reaching_expressions
 module Sched_rd = Butterfly.Scheduler.Make (RD.Problem)
 module Sched_re = Butterfly.Scheduler.Make (RE.Problem)
-module Taint_w = Butterfly.Window.Make (Lifeguards.Taintcheck.Kernel)
-module Race_w = Butterfly.Window.Make (Lifeguards.Racecheck.Kernel)
+module Taint_w = Lifeguards.Taintcheck.Engine
+module Race_w = Lifeguards.Racecheck.Engine
 
 type view_key = {
   id : Butterfly.Instr_id.t;

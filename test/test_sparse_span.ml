@@ -89,127 +89,35 @@ let reloc_rc (r : RC.report) =
     entry_locks = Array.map (Array.map (List.map reloc)) r.entry_locks;
   }
 
-let rows_of_epochs epochs =
-  let threads = Butterfly.Epochs.threads epochs in
-  Array.init (Butterfly.Epochs.num_epochs epochs) (fun epoch ->
-      Array.init threads (fun tid ->
-          (Butterfly.Epochs.block epochs ~epoch ~tid).Butterfly.Block.instrs))
-
-(* Feed rows [0, cut), snapshot, check the revived state re-encodes to
-   the same payload, feed the rest, finish. *)
-let resumed_via (type s) ~(create : threads:int -> unit -> s)
-    ~(feed : s -> Tracing.Instr.t array array -> unit) ~(encode : s -> string)
-    ~(decode : string -> (s, string) result) ~(finish : s -> 'r)
-    ~(fp : 'r -> string) ~cut ~threads rows =
-  let st = create ~threads () in
-  Array.iteri (fun i row -> if i < cut then feed st row) rows;
-  let payload = encode st in
-  let st' =
-    match decode payload with
-    | Ok st' -> st'
-    | Error m -> Alcotest.failf "decode after %d rows: %s" cut m
-  in
-  Alcotest.(check string) "snapshot stability" payload (encode st');
-  Array.iteri (fun i row -> if i >= cut then feed st' row) rows;
-  fp (finish st')
-
-type lifeguard = {
-  label : string;
-  profile : Qa.Grid_gen.profile;
-  fp :
-    ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> string;
-  relocated_fp : Butterfly.Epochs.t -> string;
-      (** the sequential report, addresses relocated, fingerprinted *)
-  resumed_fp : cut:int -> threads:int -> Tracing.Instr.t array array array -> string;
-}
-
-let addrcheck =
-  {
-    label = "addrcheck";
-    profile = Qa.Grid_gen.Alloc;
-    fp = (fun ?pool e -> AC.fingerprint (AC.run ?pool e));
-    relocated_fp = (fun e -> AC.fingerprint (reloc_ac (AC.run e)));
-    resumed_fp =
-      resumed_via
-        ~create:(fun ~threads () -> AC.Resumable.create ~threads ())
-        ~feed:AC.Resumable.feed_epoch ~encode:AC.Resumable.encode
-        ~decode:(fun p -> AC.Resumable.decode p)
-        ~finish:AC.Resumable.finish ~fp:AC.fingerprint;
-  }
-
-let initcheck =
-  {
-    label = "initcheck";
-    profile = Qa.Grid_gen.Init;
-    fp = (fun ?pool e -> IC.fingerprint (IC.run ?pool e));
-    relocated_fp = (fun e -> IC.fingerprint (reloc_ic (IC.run e)));
-    resumed_fp =
-      resumed_via
-        ~create:(fun ~threads () -> IC.Resumable.create ~threads ())
-        ~feed:IC.Resumable.feed_epoch ~encode:IC.Resumable.encode
-        ~decode:(fun p -> IC.Resumable.decode p)
-        ~finish:IC.Resumable.finish ~fp:IC.fingerprint;
-  }
-
-let taintcheck ~sequential ~two_phase vlabel =
-  {
-    label = Printf.sprintf "taintcheck[%s]" vlabel;
-    profile = Qa.Grid_gen.Taint;
-    fp =
-      (fun ?pool e ->
-        TC.fingerprint (TC.run ~sequential ~two_phase ?pool e));
-    relocated_fp =
-      (fun e -> TC.fingerprint (reloc_tc (TC.run ~sequential ~two_phase e)));
-    resumed_fp =
-      resumed_via
-        ~create:(fun ~threads () ->
-          TC.Resumable.create ~sequential ~two_phase ~threads ())
-        ~feed:TC.Resumable.feed_epoch ~encode:TC.Resumable.encode
-        ~decode:(fun p -> TC.Resumable.decode p)
-        ~finish:TC.Resumable.finish ~fp:TC.fingerprint;
-  }
-
-let racecheck =
-  {
-    label = "racecheck";
-    profile = Qa.Grid_gen.Racy;
-    fp = (fun ?pool e -> RC.fingerprint (RC.run ?pool e));
-    relocated_fp = (fun e -> RC.fingerprint (reloc_rc (RC.run e)));
-    resumed_fp =
-      resumed_via
-        ~create:(fun ~threads () -> RC.Resumable.create ~threads ())
-        ~feed:RC.Resumable.feed_epoch ~encode:RC.Resumable.encode
-        ~decode:(fun p -> RC.Resumable.decode p)
-        ~finish:RC.Resumable.finish ~fp:RC.fingerprint;
-  }
-
-let lifeguards =
-  [
-    addrcheck;
-    initcheck;
-    racecheck;
-    taintcheck ~sequential:true ~two_phase:true "sc,two-phase";
-    taintcheck ~sequential:false ~two_phase:true "relaxed,two-phase";
-    taintcheck ~sequential:true ~two_phase:false "sc,one-phase";
-  ]
+(* The sequential report of the table variant [v], addresses relocated,
+   fingerprinted: the one per-lifeguard piece, since relocation rewrites
+   each report type's own fields. *)
+let relocated_fp (v : Testutil.variant) e =
+  match v.tag with
+  | Addrcheck -> AC.fingerprint (reloc_ac (AC.run e))
+  | Initcheck -> IC.fingerprint (reloc_ic (IC.run e))
+  | Taintcheck ->
+    let params = List.assoc v.setting Serve.Report.taintcheck_variants in
+    TC.fingerprint (reloc_tc (TC.Engine.run () params e))
+  | Racecheck -> RC.fingerprint (reloc_rc (RC.run e))
 
 (* [n] seeded grids for [lg]: the original and its relocation. *)
-let iter_grids lg ~seed ~n f =
+let iter_grids (lg : Testutil.variant) ~seed ~n f =
   let rng = Random.State.make [| 0x5ba7; seed |] in
   for g = 1 to n do
     let grid = Qa.Grid_gen.grid ~shape lg.profile rng in
     f g grid (reloc_grid grid)
   done
 
-let diverged lg what g grid expected got =
+let diverged (lg : Testutil.variant) what g grid expected got =
   Alcotest.failf "%s: %s diverged on grid #%d:\n%s\n%s\nvs\n%s" lg.label what g
     (Format.asprintf "%a" Qa.Grid.pp grid)
     expected got
 
 let relocation_battery lg () =
   iter_grids lg ~seed:1 ~n:150 (fun g grid far ->
-      let expected = lg.relocated_fp (Qa.Grid.epochs grid) in
-      let got = lg.fp (Qa.Grid.epochs far) in
+      let expected = relocated_fp lg (Qa.Grid.epochs grid) in
+      let got = lg.batch_fp (Qa.Grid.epochs far) in
       if not (String.equal expected got) then
         diverged lg "relocated report" g grid expected got)
 
@@ -219,8 +127,8 @@ let drivers_battery lg () =
       Butterfly.Domain_pool.with_pool ~name:"sparse-span" ~domains (fun pool ->
           iter_grids lg ~seed:(2 + domains) ~n:40 (fun g _ far ->
               let epochs = Qa.Grid.epochs far in
-              let expected = lg.fp epochs in
-              let got = lg.fp ~pool epochs in
+              let expected = lg.batch_fp epochs in
+              let got = lg.batch_fp ~pool epochs in
               if not (String.equal expected got) then
                 diverged lg
                   (Printf.sprintf "pooled(%d)" domains)
@@ -230,9 +138,9 @@ let drivers_battery lg () =
 let resume_battery lg () =
   iter_grids lg ~seed:3 ~n:30 (fun g _ far ->
       let epochs = Qa.Grid.epochs far in
-      let rows = rows_of_epochs epochs in
+      let rows = Recovery.Runner.rows_of epochs in
       let threads = Butterfly.Epochs.threads epochs in
-      let expected = lg.fp epochs in
+      let expected = lg.batch_fp epochs in
       for cut = 0 to Array.length rows do
         let got = lg.resumed_fp ~cut ~threads rows in
         if not (String.equal expected got) then
@@ -242,10 +150,10 @@ let resume_battery lg () =
 let () =
   let per_lifeguard what battery =
     List.map
-      (fun lg ->
+      (fun (lg : Testutil.variant) ->
         Alcotest.test_case (Printf.sprintf "%s: %s" lg.label what) `Slow
           (battery lg))
-      lifeguards
+      Testutil.variants
   in
   Alcotest.run "sparse_span"
     [

@@ -213,3 +213,77 @@ let arb_grid ?n_addrs ?min_threads ?max_threads ?max_epochs ?max_block ?uneven
   QCheck.make ~print
     (gen_grid ?n_addrs ?min_threads ?max_threads ?max_epochs ?max_block ?uneven
        ?instr_gen ())
+
+(* --- Engines, driven through [Recovery.Runner.ops]. --- *)
+
+(* The report fingerprint of an uninterrupted run over the grid. *)
+let run_fp (ops : (_, _) Recovery.Runner.ops) epochs =
+  ops.fp
+    (Recovery.Runner.run ops ~threads:(Butterfly.Epochs.threads epochs)
+       (Butterfly.Epochs.iter_rows epochs))
+
+(* Feed rows [0, cut), snapshot, check that the revived engine re-encodes
+   to the same payload, feed the rest, finish: the report fingerprint. *)
+let resumed_via (ops : (_, _) Recovery.Runner.ops) ~cut ~threads rows =
+  let st = ops.create ~threads in
+  Array.iteri (fun i row -> if i < cut then ops.feed st row) rows;
+  let payload = ops.enc st in
+  let st' =
+    match ops.dec payload with
+    | Ok st' -> st'
+    | Error m -> Alcotest.failf "decode after %d rows: %s" cut m
+  in
+  Alcotest.(check string) "snapshot stability" payload (ops.enc st');
+  Array.iteri (fun i row -> if i >= cut then ops.feed st' row) rows;
+  ops.fp (ops.finish st')
+
+(* One analysis variant of one lifeguard, as the table lists it. *)
+type variant = {
+  label : string;  (** ["addrcheck"], ["taintcheck[sc,two-phase]"], ... *)
+  tag : Recovery.Snapshot.lifeguard;
+  setting : string;  (** the table's variant label; [""] if it has one *)
+  profile : Qa.Grid_gen.profile;
+  batch_fp : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> string;
+  resumed_fp :
+    ?pool:Butterfly.Domain_pool.t ->
+    cut:int ->
+    threads:int ->
+    Tracing.Instr.t array array array ->
+    string;
+  final_snapshot : threads:int -> Tracing.Instr.t array array array -> string;
+      (** the engine's payload after every row has been fed *)
+}
+
+(* "addrcheck" for a lifeguard's only variant, "taintcheck[sc,one-phase]"
+   for one of several. *)
+let variant_label tag setting =
+  let name = Recovery.Snapshot.lifeguard_to_string tag in
+  if setting = "" then name else Printf.sprintf "%s[%s]" name setting
+
+(* [Serve.Report]'s table: every lifeguard in every analysis variant. *)
+let variants =
+  List.concat_map
+    (fun tag ->
+      let (Serve.Report.Entry e) = Serve.Report.find tag in
+      List.map
+        (fun (setting, (ops : ?pool:_ -> unit -> _)) ->
+          {
+            label = variant_label tag setting;
+            tag;
+            setting;
+            profile = Qa.Differential.profile_of tag;
+            batch_fp = (fun ?pool epochs -> run_fp (ops ?pool ()) epochs);
+            resumed_fp =
+              (fun ?pool ~cut ~threads rows ->
+                resumed_via (ops ?pool ()) ~cut ~threads rows);
+            final_snapshot =
+              (fun ~threads rows ->
+                let ops = ops () in
+                let st = ops.create ~threads in
+                Array.iter (ops.feed st) rows;
+                ops.enc st);
+          })
+        e.variants)
+    Recovery.Snapshot.all
+
+let find_variant label = List.find (fun v -> v.label = label) variants
