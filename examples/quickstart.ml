@@ -34,7 +34,8 @@ let () =
       ~on_instr:(fun v ->
         if v.instr <> I.Nop then
           Format.printf "  %a %-14s IN = %a@." Butterfly.Instr_id.pp v.id
-            (I.to_string v.instr) Butterfly.Def_set.pp v.in_before)
+            (I.to_string v.instr) Butterfly.Def_set.pp
+            (RD.Analysis.in_before v))
       epochs
   in
 

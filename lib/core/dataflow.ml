@@ -50,17 +50,21 @@ module Make (P : PROBLEM) = struct
     kill_union : Set.t;
   }
 
+  (* An instruction with empty GEN and KILL leaves the summary as it is:
+     most of a trace is such instructions. *)
   let summarize block =
     Block.fold_left
       (fun s id instr ->
         let g = P.gen id instr and k = P.kill id instr in
-        {
-          s with
-          gen = Set.union (Set.diff s.gen k) g;
-          kill = Set.union (Set.diff s.kill g) k;
-          gen_union = Set.union s.gen_union g;
-          kill_union = Set.union s.kill_union k;
-        })
+        if Set.is_empty g && Set.is_empty k then s
+        else
+          {
+            s with
+            gen = Set.union (Set.diff s.gen k) g;
+            kill = Set.union (Set.diff s.kill g) k;
+            gen_union = Set.union s.gen_union g;
+            kill_union = Set.union s.kill_union k;
+          })
       {
         block;
         gen = Set.empty;
@@ -162,7 +166,6 @@ module Make (P : PROBLEM) = struct
     id : Instr_id.t;
     instr : Tracing.Instr.t;
     lsos_before : Set.t;
-    in_before : Set.t;
     side_in : Set.t;
     sos : Set.t;
   }
@@ -179,29 +182,18 @@ module Make (P : PROBLEM) = struct
     | `May -> Set.union side_in lsos_at
     | `Must -> Set.diff lsos_at side_in
 
+  let in_before v = compute_in ~side_in:v.side_in ~lsos_at:v.lsos_before
+
   (* Pass-2 inner loop over one block, shared by both drivers (batch here,
-     the pass-2 task of [Scheduler.Kernel] on the window).
-     [in_before] depends only on the running LSOS, which GEN/KILL-free
-     instructions leave physically unchanged (the set ops shortcut empty
-     operands) — so the meet with the side-in is recomputed only at state
-     changes, not per instruction; the view stream is unchanged. *)
+     the pass-2 task of [Scheduler.Kernel] on the window).  A view holds
+     the running LSOS and the side-in, never their meet: a check asks
+     whether a fact is in IN, which two membership probes answer. *)
   let iter_block ~side_in ~lsos0 ~sos f body =
     let cur = ref lsos0 in
-    let cached_at = ref lsos0 in
-    let cached_in = ref (compute_in ~side_in ~lsos_at:lsos0) in
     Block.iteri
       (fun id instr ->
         let lsos_at = !cur in
-        let in_before =
-          if lsos_at == !cached_at then !cached_in
-          else begin
-            let v = compute_in ~side_in ~lsos_at in
-            cached_at := lsos_at;
-            cached_in := v;
-            v
-          end
-        in
-        f { id; instr; lsos_before = lsos_at; in_before; side_in; sos };
+        f { id; instr; lsos_before = lsos_at; side_in; sos };
         let g = P.gen id instr and k = P.kill id instr in
         cur := Set.union g (Set.diff lsos_at k))
       body

@@ -94,10 +94,16 @@ module Make (P : PROBLEM) : sig
     id : Instr_id.t;
     instr : Tracing.Instr.t;
     lsos_before : Set.t;  (** LSOS{_l,t,i}: local state, pass-1 view. *)
-    in_before : Set.t;  (** IN{_l,t,i}: with wing side-in, pass-2 view. *)
-    side_in : Set.t;
+    side_in : Set.t;  (** The block's wing side-in. *)
     sos : Set.t;  (** SOS{_l}. *)
   }
+
+  val in_before : instr_view -> Set.t
+  (** IN{_l,t,i}, the pass-2 state with the wing side-in:
+      [lsos_before ∪ side_in] for [`May], [lsos_before − side_in] for
+      [`Must].  Built on demand, one set operation per call; a check that
+      only asks whether a fact is in IN should probe [lsos_before] and
+      [side_in] instead. *)
 
   val iter_block :
     side_in:Set.t ->
@@ -108,12 +114,12 @@ module Make (P : PROBLEM) : sig
     unit
   (** The pass-2 inner loop over one block, shared by both drivers (the
       batch {!run} and the pass-2 task of {!Scheduler.Kernel} on the
-      window, on the caller or on a pool):
-      threads the running LSOS through GEN/KILL and emits each
-      instruction's view.  [in_before] is recomputed only when the
-      running LSOS actually changes — GEN/KILL-free instructions reuse
-      the previous meet, so the meet costs one set operation per state
-      change, not per instruction. *)
+      window, on the caller or on a pool): threads the running LSOS
+      through GEN/KILL and emits each instruction's view.  Per
+      instruction it does the LSOS update only; the meet with the
+      side-in is left to {!in_before}, so a state change costs the
+      GEN/KILL update (O(log n) on {!Interval_set}), never a pass over
+      the whole LSOS. *)
 
   type result = {
     epochs : Epochs.t;

@@ -127,35 +127,25 @@ module Problem = struct
 
   let flavour = `Must
 
-  let gen _id i =
-    match Tracing.Instr.alloc_effect i with
-    | `Alloc (base, size) -> IS.range base (base + size)
-    | `Free _ | `None -> IS.empty
+  let gen _id : Tracing.Instr.t -> IS.t = function
+    | Malloc { base; size } -> IS.range base (base + size)
+    | _ -> IS.empty
 
-  let kill _id i =
-    match Tracing.Instr.alloc_effect i with
-    | `Free (base, size) -> IS.range base (base + size)
-    | `Alloc _ | `None -> IS.empty
+  let kill _id : Tracing.Instr.t -> IS.t = function
+    | Free { base; size } -> IS.range base (base + size)
+    | _ -> IS.empty
 end
 
 module DK = Butterfly.Scheduler.Kernel (Problem)
-
-(* Does instruction [i]'s footprint meet [viol]?  Point accesses probe
-   membership directly instead of building a set per instruction. *)
-let footprint_meets i viol =
-  match Tracing.Instr.alloc_effect i with
-  | `Alloc (base, size) | `Free (base, size) ->
-    not (IS.disjoint (IS.range base (base + size)) viol)
-  | `None -> List.exists (fun a -> IS.mem a viol) (Tracing.Instr.accesses i)
 
 (* Collect then build once: one sorted bulk construction instead of one
    union per memory instruction. *)
 let access_set block =
   Butterfly.Block.fold_left
-    (fun acc _id i ->
-      match Tracing.Instr.alloc_effect i with
-      | `Alloc _ | `Free _ -> acc
-      | `None -> List.rev_append (Tracing.Instr.accesses i) acc)
+    (fun acc _id (i : Tracing.Instr.t) ->
+      match i with
+      | Malloc _ | Free _ -> acc
+      | i -> List.rev_append (Tracing.Instr.accesses i) acc)
     [] block
   |> IS.of_list
 
@@ -170,73 +160,89 @@ type acc = {
   mutable flagged : int;
   mutable total : int;
   stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
+  mutable row_l : int; (* the epoch [row] belongs to, [-1] before any *)
+  mutable row : block_stats array; (* [stats] of epoch [row_l] *)
   mutable viol : IS.t array; (* by tid *)
 }
 
-let bump acc tid l f =
-  let row =
-    match Hashtbl.find_opt acc.stats l with
-    | Some row -> row
-    | None ->
-      let row = Array.make acc.threads zero_stats in
-      Hashtbl.replace acc.stats l row;
-      row
-  in
-  row.(tid) <- f row.(tid)
+(* Views arrive epoch by epoch, so the stats row of the current epoch is
+   cached instead of looked up per instruction. *)
+let stats_row acc l =
+  if l <> acc.row_l then (
+    let row =
+      match Hashtbl.find_opt acc.stats l with
+      | Some row -> row
+      | None ->
+        let row = Array.make acc.threads zero_stats in
+        Hashtbl.replace acc.stats l row;
+        row
+    in
+    acc.row_l <- l;
+    acc.row <- row);
+  acc.row
+
+let record acc (v : DK.D.instr_view) kind addrs =
+  acc.instr_errors <- { kind; addrs; where = `Instr v.id } :: acc.instr_errors
+
+(* A malloc or free of region [r]: an error if [bad] is non-empty, a
+   race if [r] meets the violation row.  Whether the event is flagged. *)
+let heap_event acc v ~viol kind r bad =
+  if IS.is_empty bad then not (IS.disjoint r viol)
+  else (
+    record acc v kind bad;
+    true)
+
+(* Point accesses probe the LSOS and the violation row by membership,
+   in access order.  Whether the event is flagged. *)
+let rec point_accesses acc (v : DK.D.instr_view) ~viol flagged = function
+  | [] -> flagged
+  | a :: rest ->
+    let err = not (IS.mem a v.lsos_before) in
+    if err then record acc v Unallocated_access (IS.singleton a);
+    point_accesses acc v ~viol (flagged || err || IS.mem a viol) rest
+
+(* Count one instruction: the totals, and its block's stats row in one
+   write. *)
+let count acc (v : DK.D.instr_view) ~mem_event ~flagged =
+  if mem_event then (
+    acc.total <- acc.total + 1;
+    Obs.Counter.incr m_checks);
+  if flagged then (
+    acc.flagged <- acc.flagged + 1;
+    Obs.Counter.incr m_flags);
+  let { Butterfly.Instr_id.epoch = l; tid; _ } = v.id in
+  let row = stats_row acc l in
+  let s = row.(tid) in
+  row.(tid) <-
+    {
+      instrs = s.instrs + 1;
+      mem_events = (if mem_event then s.mem_events + 1 else s.mem_events);
+      flagged_events =
+        (if flagged then s.flagged_events + 1 else s.flagged_events);
+    }
 
 (* The per-instruction check, against the violation row of the view's
-   epoch. *)
+   epoch: errors test the LSOS, races the footprint against the
+   violation row. *)
 let check acc (v : DK.D.instr_view) =
-  let { Butterfly.Instr_id.epoch = l; tid; _ } = v.id in
-  bump acc tid l (fun s -> { s with instrs = s.instrs + 1 });
-  if Tracing.Instr.is_memory_event v.instr then (
-    acc.total <- acc.total + 1;
-    Obs.Counter.incr m_checks;
-    bump acc tid l (fun s -> { s with mem_events = s.mem_events + 1 }));
-  let local_errs =
-    match Tracing.Instr.alloc_effect v.instr with
-    | `Alloc (base, size) ->
-      let bad = IS.inter (IS.range base (base + size)) v.lsos_before in
-      if IS.is_empty bad then []
-      else
-        [
-          {
-            kind = Double_alloc;
-            addrs = bad;
-            where = `Instr v.id;
-          };
-        ]
-    | `Free (base, size) ->
-      let bad = IS.diff (IS.range base (base + size)) v.lsos_before in
-      if IS.is_empty bad then []
-      else
-        [
-          {
-            kind = Unallocated_free;
-            addrs = bad;
-            where = `Instr v.id;
-          };
-        ]
-    | `None ->
-      List.filter_map
-        (fun a ->
-          if IS.mem a v.lsos_before then None
-          else
-            Some
-              {
-                kind = Unallocated_access;
-                addrs = IS.singleton a;
-                where = `Instr v.id;
-              })
-        (Tracing.Instr.accesses v.instr)
-  in
-  acc.instr_errors <- List.rev_append local_errs acc.instr_errors;
-  let races = footprint_meets v.instr acc.viol.(tid) in
-  if (local_errs <> [] || races) && Tracing.Instr.is_memory_event v.instr
-  then (
-    acc.flagged <- acc.flagged + 1;
-    Obs.Counter.incr m_flags;
-    bump acc tid l (fun s -> { s with flagged_events = s.flagged_events + 1 }))
+  let viol = acc.viol.(v.id.tid) in
+  match v.instr with
+  | Malloc { base; size } ->
+    let r = IS.range base (base + size) in
+    count acc v ~mem_event:true
+      ~flagged:
+        (heap_event acc v ~viol Double_alloc r (IS.inter r v.lsos_before))
+  | Free { base; size } ->
+    let r = IS.range base (base + size) in
+    count acc v ~mem_event:true
+      ~flagged:
+        (heap_event acc v ~viol Unallocated_free r (IS.diff r v.lsos_before))
+  | i -> (
+    match Tracing.Instr.accesses i with
+    | [] -> count acc v ~mem_event:false ~flagged:false
+    | accesses ->
+      count acc v ~mem_event:true
+        ~flagged:(point_accesses acc v ~viol false accesses))
 
 (* ---------------------------------------------------------------- *)
 (* The window kernel: the dataflow kernel, whose view sink is the check
@@ -278,6 +284,8 @@ module Kernel = struct
         flagged = 0;
         total = 0;
         stats = Hashtbl.create 64;
+        row_l = -1;
+        row = [||];
         viol = [||];
       }
       (fun sink -> DK.create ~threads sink ())
@@ -390,6 +398,8 @@ module Kernel = struct
         flagged;
         total;
         stats;
+        row_l = -1;
+        row = [||];
         viol = [||];
       }
       (fun sink -> DK.get_body r ~threads ~processed sink ())

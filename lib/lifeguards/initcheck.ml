@@ -41,10 +41,9 @@ module Problem = struct
     | Some x -> IS.range x (x + 1)
     | None -> IS.empty
 
-  let kill _id i =
-    match Tracing.Instr.alloc_effect i with
-    | `Alloc (base, size) | `Free (base, size) -> IS.range base (base + size)
-    | `None -> IS.empty
+  let kill _id : Tracing.Instr.t -> IS.t = function
+    | Malloc { base; size } | Free { base; size } -> IS.range base (base + size)
+    | _ -> IS.empty
 end
 
 module DK = Butterfly.Scheduler.Kernel (Problem)
@@ -55,7 +54,9 @@ type acc = {
   mutable total : int;
 }
 
-(* The per-instruction check, fed every view the window delivers. *)
+(* The per-instruction check, fed every view the window delivers.  For a
+   [`Must] problem IN = LSOS − side-in, so [a ∈ IN] iff [a ∈ LSOS] and
+   [a ∉ side-in]: two probes, and the IN set is never built. *)
 let check acc (v : DK.D.instr_view) =
   match Tracing.Instr.reads v.instr with
   | [] -> ()
@@ -65,7 +66,8 @@ let check acc (v : DK.D.instr_view) =
     let bad =
       List.fold_left
         (fun acc a ->
-          if IS.mem a v.in_before then acc else IS.union acc (IS.singleton a))
+          if IS.mem a v.lsos_before && not (IS.mem a v.side_in) then acc
+          else IS.union acc (IS.singleton a))
         IS.empty rs
     in
     if not (IS.is_empty bad) then (

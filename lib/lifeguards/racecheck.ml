@@ -293,7 +293,8 @@ let eval_block ~prev ~cur ~clock ~epoch:l ~tid:t block =
   let sm = cur.sl_row.(t) in
   let races = ref [] in
   let n_pairs = ref 0 and hb_supp = ref 0 and lock_supp = ref 0 in
-  let max_ls = ref 0 in
+  (* Only the lockset-size gauge reads it, under a live sink. *)
+  let track_ls = Obs.enabled () and max_ls = ref 0 in
   let check (a : access) ls_a ~wl (w : sealed) (wu, j) =
     let b = w.sl_row.(wu).s_accesses.(j) in
     if a.a_kind = W || b.a_kind = W then begin
@@ -324,7 +325,9 @@ let eval_block ~prev ~cur ~clock ~epoch:l ~tid:t block =
   Array.iteri
     (fun i (a : access) ->
       let ls_a = cur.sl_locksets.(t).(i) in
-      if LS.cardinal ls_a > !max_ls then max_ls := LS.cardinal ls_a;
+      if track_ls then (
+        let n = LS.cardinal ls_a in
+        if n > !max_ls then max_ls := n);
       Option.iter
         (fun w ->
           List.iter

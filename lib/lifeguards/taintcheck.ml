@@ -455,11 +455,13 @@ module Kernel = struct
       match Hashtbl.find_opt st.lastcheck l with
       | Some row -> row
       | None ->
-        let row = Array.init st.threads (fun _ -> Hashtbl.create 16) in
+        let row = Array.init st.threads (fun _ -> Hashtbl.create 1) in
         Hashtbl.replace st.lastcheck l row;
         row
     in
-    Hashtbl.iter (fun x r -> Hashtbl.replace row.(tid) x r) o.bo_lastcheck;
+    (* The block's own table becomes its LASTCHECK entry: the outcome is
+       committed once and nothing else holds it. *)
+    row.(tid) <- o.bo_lastcheck;
     let srow =
       match Hashtbl.find_opt st.stats l with
       | Some s -> s

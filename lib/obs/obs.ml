@@ -14,21 +14,30 @@ module Json = struct
     | List of t list
     | Obj of (string * t) list
 
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
+  (* Appends [s] to [b], escaped: runs of bytes that need no escape are
+     copied whole, and only quotes, backslashes and control bytes are
+     rewritten. *)
+  let add_escaped b s =
+    let n = String.length s in
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        if i > !start then Buffer.add_substring b s !start (i - !start);
+        (match c with
         | '"' -> Buffer.add_string b "\\\""
         | '\\' -> Buffer.add_string b "\\\\"
         | '\n' -> Buffer.add_string b "\\n"
         | '\r' -> Buffer.add_string b "\\r"
         | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+        | c ->
+          Buffer.add_string b "\\u00";
+          Buffer.add_char b "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char b "0123456789abcdef".[Char.code c land 15]);
+        start := i + 1
+      end
+    done;
+    if !start < n then Buffer.add_substring b s !start (n - !start)
 
   let float_repr f =
     if not (Float.is_finite f) then "null"
@@ -43,7 +52,7 @@ module Json = struct
     | Float v -> Buffer.add_string b (float_repr v)
     | String s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
+      add_escaped b s;
       Buffer.add_char b '"'
     | List vs ->
       Buffer.add_char b '[';
@@ -59,7 +68,7 @@ module Json = struct
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
+          add_escaped b k;
           Buffer.add_string b "\":";
           write b v)
         kvs;

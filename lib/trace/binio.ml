@@ -98,13 +98,14 @@ module R = struct
     b
 
   let varint r =
-    let rec go shift acc =
-      if shift > 56 then corrupt "varint too long";
+    let acc = ref 0 and shift = ref 0 and more = ref true in
+    while !more do
+      if !shift > 56 then corrupt "varint too long";
       let b = u8 r in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc else acc
-    in
-    go 0 0
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      if b land 0x80 <> 0 then shift := !shift + 7 else more := false
+    done;
+    !acc
 
   let bool r =
     match u8 r with

@@ -225,34 +225,39 @@ let put_event w = function
   | Event.Heartbeat -> Binio.W.u8 w 0
   | Event.Instr i -> put_instr w i
 
+(* How many varint operands follow each instruction opcode
+   ([put_instr]'s layout); opcode 0, the heartbeat, is no instruction.
+   Both the decoder and the cursor's scan read operands by this table,
+   so the two cannot disagree on where an event ends. *)
+let operand_counts = [| 0; 0; 1; 2; 3; 1; 2; 2; 1; 1; 1; 1; 1; 1; 1; 1 |]
+
+let operand_count op =
+  if op < 1 || op >= Array.length operand_counts then
+    raise (Binio.R.Corrupt (Printf.sprintf "unknown opcode %d" op));
+  operand_counts.(op)
+
 let instr_of_opcode r op =
-  let varint () = Binio.R.varint r in
+  let n = operand_count op in
+  let x = if n > 0 then Binio.R.varint r else 0 in
+  let a = if n > 1 then Binio.R.varint r else 0 in
+  let b = if n > 2 then Binio.R.varint r else 0 in
   match op with
   | 1 -> Instr.Nop
-  | 2 -> Instr.Assign_const (varint ())
-  | 3 ->
-    let x = varint () in
-    Instr.Assign_unop (x, varint ())
-  | 4 ->
-    let x = varint () in
-    let a = varint () in
-    Instr.Assign_binop (x, a, varint ())
-  | 5 -> Instr.Read (varint ())
-  | 6 ->
-    let base = varint () in
-    Instr.Malloc { base; size = varint () }
-  | 7 ->
-    let base = varint () in
-    Instr.Free { base; size = varint () }
-  | 8 -> Instr.Taint_source (varint ())
-  | 9 -> Instr.Untaint (varint ())
-  | 10 -> Instr.Jump_via (varint ())
-  | 11 -> Instr.Syscall_arg (varint ())
-  | 12 -> Instr.Lock (varint ())
-  | 13 -> Instr.Unlock (varint ())
-  | 14 -> Instr.Fork (varint ())
-  | 15 -> Instr.Join (varint ())
-  | op -> raise (Binio.R.Corrupt (Printf.sprintf "unknown opcode %d" op))
+  | 2 -> Instr.Assign_const x
+  | 3 -> Instr.Assign_unop (x, a)
+  | 4 -> Instr.Assign_binop (x, a, b)
+  | 5 -> Instr.Read x
+  | 6 -> Instr.Malloc { base = x; size = a }
+  | 7 -> Instr.Free { base = x; size = a }
+  | 8 -> Instr.Taint_source x
+  | 9 -> Instr.Untaint x
+  | 10 -> Instr.Jump_via x
+  | 11 -> Instr.Syscall_arg x
+  | 12 -> Instr.Lock x
+  | 13 -> Instr.Unlock x
+  | 14 -> Instr.Fork x
+  | 15 -> Instr.Join x
+  | _ -> assert false (* [operand_count] rejected [op] *)
 
 let read_instr r =
   match Binio.R.u8 r with
@@ -343,9 +348,10 @@ module Cursor = struct
   let threads c = Array.length c.regions
   let instr_count c = Array.fold_left ( + ) 0 c.instr_counts
 
-  (* One validating pass over the payload: every event is decoded (so a
-     bad opcode or truncated operand is rejected here, like
-     [read_payload]), but only the region bounds and counts are kept. *)
+  (* One validating pass over the payload: every event's opcode is
+     checked and its operands read past by [operand_count] (so a bad
+     opcode or truncated operand is rejected here, like [read_payload]),
+     but nothing is built: only the region bounds and counts are kept. *)
   let scan_payload buf ~pos ~len =
     let r = Binio.R.of_substring buf ~pos ~len in
     let threads = Binio.R.varint r in
@@ -360,9 +366,13 @@ module Cursor = struct
       if n > 100_000_000 then raise (Binio.R.Corrupt "bad event count");
       let start = Binio.R.pos r in
       for _ = 1 to n do
-        match read_event r with
-        | Event.Heartbeat -> hb_counts.(t) <- hb_counts.(t) + 1
-        | Event.Instr _ -> instr_counts.(t) <- instr_counts.(t) + 1
+        match Binio.R.u8 r with
+        | 0 -> hb_counts.(t) <- hb_counts.(t) + 1
+        | op ->
+          for _ = 1 to operand_count op do
+            ignore (Binio.R.varint r : int)
+          done;
+          instr_counts.(t) <- instr_counts.(t) + 1
       done;
       regions.(t) <- (start, Binio.R.pos r - start);
       counts.(t) <- n

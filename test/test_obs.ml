@@ -140,6 +140,48 @@ let json_output =
                 ("b", Obs.Json.Obj []);
               ])))
 
+(* The emitter escapes in place; this is the per-string escape it
+   replaced, kept as the reference the output must match byte for byte. *)
+let reference_escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* Strings dense in the bytes that need escaping, between plain runs and
+   non-ASCII bytes. *)
+let arb_json_string =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t' ]);
+        (3, map Char.chr (int_range 0 0x1f));
+        (2, map Char.chr (int_range 0x80 0xff));
+        (4, printable);
+      ]
+  in
+  QCheck.make ~print:String.escaped (string_size ~gen:byte (int_range 0 40))
+
+let json_escape_matches_reference =
+  Testutil.qtest ~count:500 "strings and keys render as the reference escape"
+    arb_json_string (fun s ->
+      let quoted = "\"" ^ reference_escape s ^ "\"" in
+      Obs.Json.to_string (Obs.Json.String s) = quoted
+      && Obs.Json.to_string
+           (Obs.Json.Obj [ (s, Obs.Json.List [ Obs.Json.String s ]) ])
+         = "{" ^ quoted ^ ":[" ^ quoted ^ "]}")
+
 let jsonl_sink =
   Alcotest.test_case "jsonl sink emits one line per event" `Quick (fun () ->
       let buf = Buffer.create 256 in
@@ -494,6 +536,60 @@ let interval_set_updates_logarithmic =
         true
         (mem_words *. float_of_int iters < 64.0))
 
+(* Pass 2 hands the checks the running LSOS and the side-in, never their
+   meet: a state change costs the GEN/KILL update of the LSOS, O(log n)
+   words on the interval tree.  Budget-style Gc.minor_words guard over a
+   block of state-changing writes against a 10^4-interval LSOS and a
+   side-in cutting every one of its intervals; building IN = LSOS −
+   side-in at each state change copies the whole tree (about 10^5 words)
+   and fails at once. *)
+let pass2_state_changes_logarithmic =
+  Alcotest.test_case "pass-2 state changes allocate O(log n) words" `Quick
+    (fun () ->
+      let module I = Butterfly.Interval_set in
+      let module D = Butterfly.Dataflow.Make (struct
+        let name = "t.writes"
+
+        module Set = I
+
+        let flavour = `Must
+
+        let gen _ (i : Tracing.Instr.t) =
+          match Tracing.Instr.writes i with
+          | Some x -> I.range x (x + 1)
+          | None -> I.empty
+
+        let kill _ _ = I.empty
+      end) in
+      let n = 10_000 in
+      (* [8k, 8k+3) in the LSOS; [8k+1, 8k+2) in the side-in. *)
+      let lsos0 = I.of_intervals (List.init n (fun k -> (8 * k, (8 * k) + 3))) in
+      let side_in =
+        I.of_intervals (List.init n (fun k -> ((8 * k) + 1, (8 * k) + 2)))
+      in
+      let log2n = int_of_float (Float.ceil (Float.log2 (float_of_int n))) in
+      let budget = float_of_int (64 * log2n) in
+      let iters = 2_000 in
+      (* Each write lands in a fresh gap: every instruction changes the
+         state. *)
+      let body =
+        Butterfly.Block.make ~epoch:0 ~tid:0
+          (Array.init iters (fun j ->
+               Tracing.Instr.Assign_const ((8 * (j * 7919 mod n)) + 5)))
+      in
+      let views = ref 0 in
+      let sink v =
+        ignore (Sys.opaque_identity v);
+        incr views
+      in
+      let before = Gc.minor_words () in
+      D.iter_block ~side_in ~lsos0 ~sos:I.empty sink body;
+      let words = (Gc.minor_words () -. before) /. float_of_int iters in
+      Alcotest.(check int) "one view per instruction" iters !views;
+      Testutil.checkb
+        (Printf.sprintf "%.1f words/instruction, budget %.0f" words budget)
+        true (words <= budget))
+
 let () =
   Alcotest.run "obs"
     [
@@ -504,9 +600,11 @@ let () =
           span_timing;
         ] );
       ( "serialization",
-        [ json_output; jsonl_sink; json_parser; jsonl_scope;
+        [ json_output; json_escape_matches_reference; jsonl_sink; json_parser;
+          jsonl_scope;
           prometheus_exposition ] );
       ("pipeline", [ window_accounting; null_sink_inert;
                      null_sink_allocation_free;
-                     interval_set_updates_logarithmic ]);
+                     interval_set_updates_logarithmic;
+                     pass2_state_changes_logarithmic ]);
     ]

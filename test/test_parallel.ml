@@ -141,13 +141,15 @@ module Drive_re = Drive (RE.Problem)
 let key_rd (v : RD.Analysis.instr_view) =
   Format.asprintf "%a|%s|%a|%a|%a|%a" Butterfly.Instr_id.pp v.id
     (Tracing.Instr.to_string v.instr)
-    Butterfly.Def_set.pp v.lsos_before Butterfly.Def_set.pp v.in_before
+    Butterfly.Def_set.pp v.lsos_before Butterfly.Def_set.pp
+    (RD.Analysis.in_before v)
     Butterfly.Def_set.pp v.side_in Butterfly.Def_set.pp v.sos
 
 let key_re (v : RE.Analysis.instr_view) =
   Format.asprintf "%a|%s|%a|%a|%a|%a" Butterfly.Instr_id.pp v.id
     (Tracing.Instr.to_string v.instr)
-    Butterfly.Expr_set.pp v.lsos_before Butterfly.Expr_set.pp v.in_before
+    Butterfly.Expr_set.pp v.lsos_before Butterfly.Expr_set.pp
+    (RE.Analysis.in_before v)
     Butterfly.Expr_set.pp v.side_in Butterfly.Expr_set.pp v.sos
 
 (* Ragged grids: threads disagreeing on epoch counts, empty blocks. *)

@@ -351,7 +351,7 @@ let scheduler_resume_prop (module P : Butterfly.Dataflow.PROBLEM)
   let module A = Butterfly.Dataflow.Make (P) in
   let view_sig (v : A.instr_view) =
     Format.asprintf "%a|%a|%a|%a" Butterfly.Instr_id.pp v.id P.Set.pp
-      v.in_before P.Set.pp v.lsos_before P.Set.pp v.side_in
+      (A.in_before v) P.Set.pp v.lsos_before P.Set.pp v.side_in
   in
   let epochs = Qa.Grid.epochs grid in
   let rows = rows_of_epochs epochs in

@@ -22,7 +22,8 @@ let key_rd (v : RD.Analysis.instr_view) =
     id = v.id;
     instr = Tracing.Instr.to_string v.instr;
     lsos = Format.asprintf "%a" Butterfly.Def_set.pp v.lsos_before;
-    in_before = Format.asprintf "%a" Butterfly.Def_set.pp v.in_before;
+    in_before =
+      Format.asprintf "%a" Butterfly.Def_set.pp (RD.Analysis.in_before v);
     sos = Format.asprintf "%a" Butterfly.Def_set.pp v.sos;
   }
 
@@ -31,7 +32,8 @@ let key_re (v : RE.Analysis.instr_view) =
     id = v.id;
     instr = Tracing.Instr.to_string v.instr;
     lsos = Format.asprintf "%a" Butterfly.Expr_set.pp v.lsos_before;
-    in_before = Format.asprintf "%a" Butterfly.Expr_set.pp v.in_before;
+    in_before =
+      Format.asprintf "%a" Butterfly.Expr_set.pp (RE.Analysis.in_before v);
     sos = Format.asprintf "%a" Butterfly.Expr_set.pp v.sos;
   }
 

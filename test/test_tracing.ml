@@ -438,6 +438,46 @@ let cursor_tests =
              (rows_of_cursor ~every:h c)
              (Butterfly.Epochs.of_program
                 (Tracing.Program.with_heartbeats ~every:h p)));
+    Alcotest.test_case "bad opcode and truncated operand: decoder's errors"
+      `Quick (fun () ->
+        (* Well-framed payloads (the CRC holds) whose one event is bad:
+           the cursor's scan skips operands without decoding them, and
+           must still reject exactly where and how the decoder does. *)
+        let framed events =
+          let module W = Tracing.Binio.W in
+          let w = W.create () in
+          W.varint w 1;
+          W.varint w (List.length events);
+          List.iter (fun bytes -> List.iter (W.u8 w) bytes) events;
+          Tracing.Binio.frame ~magic:Tracing.Trace_codec.binary_magic
+            ~version:Tracing.Trace_codec.binary_version (W.contents w)
+        in
+        let error s =
+          match Cursor.of_string s with
+          | Ok _ -> Alcotest.fail "cursor accepted a bad event"
+          | Error m -> m
+        in
+        let decoder_error s =
+          match Tracing.Trace_codec.decode_binary s with
+          | Ok _ -> Alcotest.fail "decoder accepted a bad event"
+          | Error m -> m
+        in
+        List.iter
+          (fun (what, events, expect) ->
+            let s = framed events in
+            Alcotest.(check string) (what ^ ": cursor") expect (error s);
+            Alcotest.(check string) (what ^ ": decoder") expect
+              (decoder_error s))
+          [
+            ("unknown opcode", [ [ 5; 7 ]; [ 99; 1 ] ], "unknown opcode 99");
+            ("opcode past the table", [ [ 16 ] ], "unknown opcode 16");
+            (* malloc base, then the payload ends before its size *)
+            ("truncated operand", [ [ 0 ]; [ 6; 0x90; 0x01 ] ],
+             "truncated input");
+            (* binop's third operand cut inside its varint *)
+            ("operand cut mid-varint", [ [ 4; 1; 2; 0x80 ] ],
+             "truncated input");
+          ]);
     Alcotest.test_case "legacy BFLY1 traces walk identically" `Quick
       (fun () ->
         (* Same payload behind the unchecksummed legacy magic: the cursor
