@@ -92,8 +92,7 @@ let core_tests =
              Memmodel.Valid_ordering.count ~cap:5_000 vo_fixture));
       Test.make ~name:"scheduler.streaming-run"
         (Staged.stage
-           (let module S = Butterfly.Scheduler.Make
-                (Butterfly.Reaching_definitions.Problem) in
+           (let module S = Butterfly.Reaching_definitions.Engine in
             fun () ->
               let s = S.create ~threads:3 (fun _ -> ()) () in
               Butterfly.Epochs.iter_rows exploit_epochs (S.feed_row s);
@@ -169,7 +168,7 @@ let figure12_tests =
    pools outlive the measurement loop (created once in [main], shut down
    after), so the numbers compare steady-state dispatch, not domain
    spawning. *)
-module SRD = Butterfly.Scheduler.Make (Butterfly.Reaching_definitions.Problem)
+module SRD = Butterfly.Reaching_definitions.Engine
 
 let streaming_run ?pool () =
   ignore (SRD.run ?pool (fun _ -> ()) () lu_large_epochs)

@@ -30,18 +30,6 @@ end
 module Make (P : PROBLEM) = struct
   module Set = P.Set
 
-  (* Telemetry: one instrument per metric, shared by every batch run of
-     this problem.  The window's dataflow kernel ([Scheduler.Kernel],
-     which the lifeguards run on) emits the same names with
-     [driver=streaming]. *)
-  let obs_labels = [ ("problem", P.name); ("driver", "batch") ]
-  let m_epochs = Obs.Counter.make ~labels:obs_labels "butterfly.epochs_processed"
-  let m_instrs = Obs.Counter.make ~labels:obs_labels "butterfly.pass2_instrs"
-  let sp_pass1 = Obs.Span.make ~labels:obs_labels "butterfly.pass1_summarize.ns"
-  let sp_meet = Obs.Span.make ~labels:obs_labels "butterfly.side_in_meet.ns"
-  let sp_lsos = Obs.Span.make ~labels:obs_labels "butterfly.lsos.ns"
-  let sp_pass2 = Obs.Span.make ~labels:obs_labels "butterfly.pass2_block.ns"
-
   type block_summary = {
     block : Block.t;
     gen : Set.t;
@@ -170,24 +158,16 @@ module Make (P : PROBLEM) = struct
     sos : Set.t;
   }
 
-  type result = {
-    epochs : Epochs.t;
-    sos : Set.t array;
-    block_summaries : block_summary array array;
-    epoch_summaries : epoch_summary array;
-  }
-
-  let compute_in ~side_in ~lsos_at =
+  (* Two membership probes answer whether a fact is in IN; the checks
+     do that, tests and examples build the set. *)
+  let in_before v =
     match P.flavour with
-    | `May -> Set.union side_in lsos_at
-    | `Must -> Set.diff lsos_at side_in
+    | `May -> Set.union v.side_in v.lsos_before
+    | `Must -> Set.diff v.lsos_before v.side_in
 
-  let in_before v = compute_in ~side_in:v.side_in ~lsos_at:v.lsos_before
-
-  (* Pass-2 inner loop over one block, shared by both drivers (batch here,
-     the pass-2 task of [Scheduler.Kernel] on the window).  A view holds
-     the running LSOS and the side-in, never their meet: a check asks
-     whether a fact is in IN, which two membership probes answer. *)
+  (* Pass-2 inner loop over one block, run by the pass-2 task of
+     [Scheduler.Kernel].  A view holds the running LSOS and the side-in,
+     never their meet. *)
   let iter_block ~side_in ~lsos0 ~sos f body =
     let cur = ref lsos0 in
     Block.iteri
@@ -197,80 +177,4 @@ module Make (P : PROBLEM) = struct
         let g = P.gen id instr and k = P.kill id instr in
         cur := Set.union g (Set.diff lsos_at k))
       body
-
-  let run ?on_instr epochs =
-    let num_l = Epochs.num_epochs epochs in
-    let threads = Epochs.threads epochs in
-    (* Pass 1: block summaries, in arrival order. *)
-    let block_summaries =
-      Array.init num_l (fun l ->
-          Obs.Scope.with_scope ~epoch:l ~phase:"pass1" (fun () ->
-              Obs.Span.time sp_pass1 (fun () ->
-                  Array.init threads (fun tid ->
-                      summarize (Epochs.block epochs ~epoch:l ~tid)))))
-    in
-    Obs.Counter.add m_epochs num_l;
-    let epoch_summaries =
-      Array.init num_l (fun l ->
-          epoch_summary
-            ~prev:(if l = 0 then None else Some block_summaries.(l - 1))
-            ~cur:block_summaries.(l))
-    in
-    (* SOS_0 = SOS_1 = ∅; SOS_l = GEN_{l-2} ∪ (SOS_{l-1} − KILL_{l-2}). *)
-    let sos = Array.make (num_l + 2) Set.empty in
-    for l = 2 to num_l + 1 do
-      sos.(l) <-
-        sos_next ~sos_prev:sos.(l - 1) ~two_back:epoch_summaries.(l - 2)
-    done;
-    let empty_row epoch =
-      Array.init threads (fun t -> summarize (Block.empty ~epoch ~tid:t))
-    in
-    let row l = if l < 0 || l >= num_l then empty_row l else block_summaries.(l) in
-    (* Pass 2 with checks. *)
-    (match on_instr with
-    | None -> ()
-    | Some f ->
-      for l = 0 to num_l - 1 do
-        for tid = 0 to threads - 1 do
-          Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
-              let body = Epochs.block epochs ~epoch:l ~tid in
-              let wings =
-                Epochs.wings epochs ~epoch:l ~tid
-                |> List.map (fun (b : Block.t) -> (row b.epoch).(b.tid))
-              in
-              let side_in = Obs.Span.time sp_meet (fun () -> side_in ~wings) in
-              let head = (row (l - 1)).(tid) in
-              let lsos0 =
-                Obs.Span.time sp_lsos (fun () ->
-                    lsos ~sos:sos.(l) ~head ~two_back_row:(row (l - 2)) ~tid)
-              in
-              Obs.Counter.add m_instrs (Block.length body);
-              Obs.Span.time sp_pass2 (fun () ->
-                  iter_block ~side_in ~lsos0 ~sos:sos.(l) f body))
-        done
-      done);
-    { epochs; sos; block_summaries; epoch_summaries }
-
-  let row_of r l =
-    let num_l = Epochs.num_epochs r.epochs in
-    let threads = Epochs.threads r.epochs in
-    if l < 0 || l >= num_l then
-      Array.init threads (fun tid -> summarize (Block.empty ~epoch:l ~tid))
-    else r.block_summaries.(l)
-
-  let block_in r ~epoch ~tid =
-    let wings =
-      Epochs.wings r.epochs ~epoch ~tid
-      |> List.map (fun (b : Block.t) -> (row_of r b.epoch).(b.tid))
-    in
-    let side_in = side_in ~wings in
-    let head = (row_of r (epoch - 1)).(tid) in
-    let lsos0 =
-      lsos ~sos:r.sos.(epoch) ~head ~two_back_row:(row_of r (epoch - 2)) ~tid
-    in
-    compute_in ~side_in ~lsos_at:lsos0
-
-  let block_out r ~epoch ~tid =
-    let s = r.block_summaries.(epoch).(tid) in
-    Set.union s.gen (Set.diff (block_in r ~epoch ~tid) s.kill)
 end

@@ -11,12 +11,14 @@
       it reaches along {e all} valid orderings.  Kills anywhere in a wing
       are visible (KILL-SIDE-OUT); generation is local.
 
-    {!Make} implements the two-pass algorithm: pass 1 summarizes each block
-    (local GEN/KILL plus side-out); the wing summaries are met into a
-    side-in; pass 2 recomputes per-instruction state with wing information
-    and drives the lifeguard's checks; finally epoch-level GEN{_l}/KILL{_l}
-    (Section 5.1.1 / 5.2) update the Strongly Ordered State:
-    SOS{_l} = GEN{_l-2} ∪ (SOS{_l-1} − KILL{_l-2}).
+    {!Make} gives the equations of the two-pass algorithm: pass 1
+    summarizes each block (local GEN/KILL plus side-out); the wing
+    summaries are met into a side-in; pass 2 recomputes per-instruction
+    state with wing information and drives the lifeguard's checks;
+    epoch-level GEN{_l}/KILL{_l} (Section 5.1.1 / 5.2) update the Strongly
+    Ordered State: SOS{_l} = GEN{_l-2} ∪ (SOS{_l-1} − KILL{_l-2}).
+    {!Scheduler.Make} schedules them on the butterfly window; it is the
+    one driver in the library.
 
     The fact-set representation is supplied by the problem; it must be
     closed under the boolean operations the equations perform (see
@@ -112,31 +114,10 @@ module Make (P : PROBLEM) : sig
     (instr_view -> unit) ->
     Block.t ->
     unit
-  (** The pass-2 inner loop over one block, shared by both drivers (the
-      batch {!run} and the pass-2 task of {!Scheduler.Kernel} on the
-      window, on the caller or on a pool): threads the running LSOS
-      through GEN/KILL and emits each instruction's view.  Per
-      instruction it does the LSOS update only; the meet with the
-      side-in is left to {!in_before}, so a state change costs the
-      GEN/KILL update (O(log n) on {!Interval_set}), never a pass over
-      the whole LSOS. *)
-
-  type result = {
-    epochs : Epochs.t;
-    sos : Set.t array;
-        (** [sos.(l)] = SOS{_l}, for [0 <= l <= num_epochs + 1]; the last
-            entry summarizes the entire execution. *)
-    block_summaries : block_summary array array;
-    epoch_summaries : epoch_summary array;
-  }
-
-  val run : ?on_instr:(instr_view -> unit) -> Epochs.t -> result
-  (** Executes both passes over every epoch in sliding-window order,
-      invoking [on_instr] during each block's second pass. *)
-
-  val block_in : result -> epoch:int -> tid:Tracing.Tid.t -> Set.t
-  (** IN{_l,t}: facts possibly (or certainly, for [`Must]) reaching the
-      block start. *)
-
-  val block_out : result -> epoch:int -> tid:Tracing.Tid.t -> Set.t
+  (** The pass-2 inner loop over one block, run by the pass-2 task of
+      {!Scheduler.Kernel}: threads the running LSOS through GEN/KILL and
+      emits each instruction's view.  Per instruction it does the LSOS
+      update only; the meet with the side-in is left to {!in_before},
+      so a state change costs the GEN/KILL update (O(log n) on
+      {!Interval_set}), never a pass over the whole LSOS. *)
 end

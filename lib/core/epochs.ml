@@ -43,9 +43,6 @@ let wings t ~epoch ~tid =
   done;
   !acc
 
-let epoch_blocks t ~epoch =
-  List.init t.threads (fun tid -> block t ~epoch ~tid)
-
 let iter_blocks f t = Array.iter (fun row -> Array.iter f row) t.blocks
 
 let iter_rows t f =

@@ -34,9 +34,6 @@ val wings : t -> epoch:int -> tid:Tracing.Tid.t -> Block.t list
 (** Blocks [(l', t')] with [l-1 <= l' <= l+1] and [t' <> t]: potentially
     concurrent with the body. *)
 
-val epoch_blocks : t -> epoch:int -> Block.t list
-(** All blocks of one epoch, in thread order. *)
-
 val iter_blocks : (Block.t -> unit) -> t -> unit
 (** Visits blocks epoch-major, thread-minor. *)
 

@@ -17,8 +17,10 @@ module Problem = struct
 end
 
 module Analysis = Dataflow.Make (Problem)
+module Engine = Scheduler.Make (Problem)
 
-let run = Analysis.run
+let run ?(on_instr = ignore) epochs = Engine.run on_instr () epochs
 
-let definitely_reaches_loc result ~epoch ~tid loc =
-  Def_set.defines_loc loc (Analysis.block_in result ~epoch ~tid)
+(* May: IN = LSOS ∪ side-in. *)
+let may_reach_loc (v : Analysis.instr_view) loc =
+  Def_set.defines_loc loc v.lsos_before || Def_set.defines_loc loc v.side_in

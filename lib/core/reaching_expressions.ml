@@ -17,8 +17,10 @@ module Problem = struct
 end
 
 module Analysis = Dataflow.Make (Problem)
+module Engine = Scheduler.Make (Problem)
 
-let run = Analysis.run
+let run ?(on_instr = ignore) epochs = Engine.run on_instr () epochs
 
-let available result ~epoch ~tid e =
-  Expr_set.mem e (Analysis.block_in result ~epoch ~tid)
+(* Must: IN = LSOS − side-in. *)
+let available (v : Analysis.instr_view) e =
+  Expr_set.mem e v.lsos_before && not (Expr_set.mem e v.side_in)

@@ -3,8 +3,7 @@ module Kernel (P : Dataflow.PROBLEM) = struct
 
   let name = P.name
 
-  (* Same metric names as the batch driver, distinguished by
-     [driver=streaming]; the window emits the rest of the pipeline. *)
+  (* The window emits the rest of the pipeline's telemetry. *)
   let obs_labels = [ ("problem", P.name); ("driver", "streaming") ]
   let sp_meet = Obs.Span.make ~labels:obs_labels "butterfly.side_in_meet.ns"
   let sp_lsos = Obs.Span.make ~labels:obs_labels "butterfly.lsos.ns"

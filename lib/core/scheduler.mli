@@ -1,8 +1,9 @@
-(** The {!Dataflow.PROBLEM} kernel of the butterfly window.
+(** The {!Dataflow.PROBLEM} kernel of the butterfly window: the one
+    schedule in the library that runs pass 1, the master step and pass 2
+    of a dataflow problem.
 
-    {!Dataflow.Make}'s [run] is a batch driver over a complete execution;
-    this kernel runs the same analysis on {!Window.Make}, one epoch row at
-    a time.  Pass 1 is {!Dataflow.Make.summarize}.  The master step of
+    The kernel runs the analysis on {!Window.Make}, one epoch row at a
+    time.  Pass 1 is {!Dataflow.Make.summarize}.  The master step of
     epoch [l] seals SOS{_l} and the summary rows [l-2 .. l+1] (rows
     outside the execution read as empty summaries), and commits
     SOS{_l+1}, whose epoch summary reads rows [l-2] and [l-1] — hence
@@ -12,13 +13,15 @@
     sink [env] in tid order at the task's commit; inline (no pool) each
     task hands its views over as it makes them.  Either way the sink
     observes the same epoch-major / thread-minor / instruction-order
-    sequence, identical to the batch driver's (property-tested over
-    thousands of random grids; see [test/test_scheduler.ml]).
+    sequence, identical to a whole-grid evaluation of the same equations
+    (property-tested over thousands of random grids against the test
+    reference [Testutil.Whole_grid]; see [test/test_scheduler.ml]).
 
     The kernel's checkpoint body is the SOS history; its report is the
-    whole history [SOS_0 .. SOS_(epochs+1)], which matches the batch
-    driver's [result.sos].  AddrCheck and InitCheck build their kernels
-    on this one. *)
+    whole history [SOS_0 .. SOS_(epochs+1)], the last entry summarizing
+    the entire execution.  AddrCheck and InitCheck build their kernels
+    on this one; {!Reaching_definitions} and {!Reaching_expressions} run
+    on {!Make}. *)
 
 module Kernel (P : Dataflow.PROBLEM) : sig
   module D : module type of Dataflow.Make (P)

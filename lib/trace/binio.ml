@@ -155,10 +155,11 @@ let frame ~magic ~version payload =
   done;
   Buffer.contents b
 
-let unframe ~magic ~version s =
+(* The checks run in place: no copy of the envelope or the payload. *)
+let unframe_span ~magic ~version s =
   let mlen = String.length magic in
   let len = String.length s in
-  if len < mlen || String.sub s 0 mlen <> magic then Error "bad magic"
+  if not (String.starts_with ~prefix:magic s) then Error "bad magic"
   else if len < mlen + 5 then Error "truncated envelope"
   else
     let got_version = Char.code s.[mlen] in
@@ -167,14 +168,18 @@ let unframe ~magic ~version s =
         (Printf.sprintf "unsupported format version %d (expected %d)"
            got_version version)
     else
-      let body = String.sub s 0 (len - 4) in
       let stored = ref 0 in
       for i = 3 downto 0 do
         stored := (!stored lsl 8) lor Char.code s.[len - 4 + i]
       done;
-      let computed = crc32 body in
+      let computed = crc32_sub s ~pos:0 ~len:(len - 4) in
       if !stored <> computed then
         Error
           (Printf.sprintf "CRC mismatch: stored %08x, computed %08x" !stored
              computed)
-      else Ok (String.sub s (mlen + 1) (len - mlen - 5))
+      else Ok (mlen + 1, len - mlen - 5)
+
+let unframe ~magic ~version s =
+  Result.map
+    (fun (pos, len) -> String.sub s pos len)
+    (unframe_span ~magic ~version s)

@@ -90,7 +90,12 @@ end
 val frame : magic:string -> version:int -> string -> string
 (** [magic ^ version-byte ^ payload ^ crc32(all of the above)]. *)
 
-val unframe : magic:string -> version:int -> string -> (string, string) result
-(** Recover the payload, checking magic, version and CRC.  Errors:
+val unframe_span :
+  magic:string -> version:int -> string -> (int * int, string) result
+(** Check magic, version and CRC in place and return the payload's
+    [(pos, len)] within the envelope, copying nothing.  Errors:
     ["bad magic"], ["unsupported format version N (expected M)"],
     ["truncated envelope"], ["CRC mismatch: stored ..., computed ..."]. *)
+
+val unframe : magic:string -> version:int -> string -> (string, string) result
+(** {!unframe_span}, then a copy of the payload; the same errors. *)

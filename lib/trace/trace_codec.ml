@@ -323,7 +323,7 @@ let binary_roundtrip_exn p =
    [decode_binary] materializes per-thread event lists and a [Program.t]
    before any analysis can start — for a multi-hundred-MB trace that is
    a second full-size copy of the input plus a list cell per event.  The
-   cursor instead validates the envelope in place ({!Binio.crc32_sub},
+   cursor instead validates the envelope in place ({!Binio.unframe_span},
    no [String.sub] of the payload), records each thread's event-region
    offsets in a single validating scan, and then replays instruction
    rows one epoch at a time through in-place {!Binio.R.of_substring}
@@ -388,35 +388,14 @@ module Cursor = struct
       | c -> Ok c
       | exception Binio.R.Corrupt m -> Error m
     else
-      (* Envelope validation in place — the same checks, in the same
-         order, with the same messages as [Binio.unframe], minus its two
-         [String.sub] copies. *)
-      let mlen = String.length binary_magic in
-      let len = String.length s in
-      if len < mlen || String.sub s 0 mlen <> binary_magic then
-        Error "bad magic"
-      else if len < mlen + 5 then Error "truncated envelope"
-      else
-        let got_version = Char.code s.[mlen] in
-        if got_version <> binary_version then
-          Error
-            (Printf.sprintf "unsupported format version %d (expected %d)"
-               got_version binary_version)
-        else begin
-          let stored = ref 0 in
-          for i = 3 downto 0 do
-            stored := (!stored lsl 8) lor Char.code s.[len - 4 + i]
-          done;
-          let computed = Binio.crc32_sub s ~pos:0 ~len:(len - 4) in
-          if !stored <> computed then
-            Error
-              (Printf.sprintf "CRC mismatch: stored %08x, computed %08x"
-                 !stored computed)
-          else
-            match scan_payload s ~pos:(mlen + 1) ~len:(len - mlen - 5) with
-            | c -> Ok c
-            | exception Binio.R.Corrupt m -> Error m
-        end
+      match
+        Binio.unframe_span ~magic:binary_magic ~version:binary_version s
+      with
+      | Error m -> Error m
+      | Ok (pos, len) -> (
+        match scan_payload s ~pos ~len with
+        | c -> Ok c
+        | exception Binio.R.Corrupt m -> Error m)
 
   (* Blocks per thread under each chunking mode, mirroring the batch
      pipeline exactly: embedded heartbeats give [Trace.blocks]'s k+1

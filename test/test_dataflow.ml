@@ -1,5 +1,8 @@
 (* The butterfly dataflow engine cross-validated against exhaustively
-   enumerated valid orderings:
+   enumerated valid orderings.  SOS and IN come from the window the
+   lifeguards run on ([RD.run], [RE.run]); GEN_l/KILL_l and block
+   summaries, which the window keeps internal, from the whole-grid
+   reference of the same equations (Testutil.Whole_grid):
 
    - Lemma 5.1: d ∈ GEN_l implies some valid ordering of epochs [0..l] ends
      with d live; d ∈ KILL_l implies none does.
@@ -17,6 +20,8 @@ module DS = Butterfly.Def_set
 module ES = Butterfly.Expr_set
 module Def = Butterfly.Definition
 module VO = Memmodel.Valid_ordering
+module Grid_rd = Testutil.Whole_grid (RD.Problem)
+module Grid_re = Testutil.Whole_grid (RE.Problem)
 
 let cap = 40_000
 
@@ -47,13 +52,25 @@ let arb3 = Testutil.arb_grid ~n_addrs:3 ~max_threads:3 ~max_epochs:3 ~max_block:
 
 (* ---------- Reaching definitions ---------- *)
 
-let rd_result g = RD.run (Testutil.epochs_of_grid g)
+(* The window's pass-2 view of the first instruction of every non-empty
+   block, keyed by (epoch, tid): its IN is the block's IN. *)
+let rd_entries g =
+  let entries = Hashtbl.create 16 in
+  ignore
+    (RD.run
+       ~on_instr:(fun (v : RD.Analysis.instr_view) ->
+         if v.id.index = 0 then Hashtbl.replace entries (v.id.epoch, v.id.tid) v)
+       (Testutil.epochs_of_grid g));
+  entries
+
+let rd_sos g = RD.run (Testutil.epochs_of_grid g)
+let rd_grid g = Grid_rd.run (Testutil.epochs_of_grid g)
 
 let lemma51_gen g =
-  let r = rd_result g in
+  let r = rd_grid g in
   let ok = ref true in
   Array.iteri
-    (fun l (s : RD.Analysis.epoch_summary) ->
+    (fun l (s : Grid_rd.D.epoch_summary) ->
       match orderings g (l + 1) with
       | None -> ()
       | Some (g', os) ->
@@ -70,10 +87,10 @@ let lemma51_gen g =
   !ok
 
 let lemma51_kill ?model g =
-  let r = rd_result g in
+  let r = rd_grid g in
   let ok = ref true in
   Array.iteri
-    (fun l (s : RD.Analysis.epoch_summary) ->
+    (fun l (s : Grid_rd.D.epoch_summary) ->
       match orderings ?model g (l + 1) with
       | None -> ()
       | Some (g', os) ->
@@ -87,7 +104,7 @@ let lemma51_kill ?model g =
   !ok
 
 let lemma52_sos g =
-  let r = rd_result g in
+  let sos = rd_sos g in
   let l_max = num_epochs g + 1 in
   let ok = ref true in
   for l = 2 to l_max do
@@ -101,13 +118,13 @@ let lemma52_sos g =
           [] os
         |> List.sort_uniq Def.compare
       in
-      let sos = r.sos.(l) in
+      let sos_l = sos.(l) in
       (* Exact equivalence: SOS_l = union over orderings of live defs. *)
-      List.iter (fun d -> if not (DS.mem d sos) then ok := false) reachable;
+      List.iter (fun d -> if not (DS.mem d sos_l) then ok := false) reachable;
       List.iter
         (fun d ->
           if not (List.exists (Def.equal d) reachable) then ok := false)
-        (defs_of_set sos)
+        (defs_of_set sos_l)
   done;
   !ok
 
@@ -131,7 +148,7 @@ let prefix_before_step (o : Memmodel.Ordering.t) tid index =
   go [] o
 
 let rd_in_sound g =
-  let r = rd_result g in
+  let entries = rd_entries g in
   let epochs = Testutil.epochs_of_grid g in
   let ok = ref true in
   for l = 0 to Butterfly.Epochs.num_epochs epochs - 1 do
@@ -142,14 +159,17 @@ let rd_in_sound g =
         match orderings g (min (num_epochs g) (l + 2)) with
         | None -> ()
         | Some (g', os) ->
-          let in_set = RD.Analysis.block_in r ~epoch:l ~tid:t in
+          let v = Hashtbl.find entries (l, t) in
+          let in_set = RD.Analysis.in_before v in
           List.iter
             (fun o ->
               match prefix_before_step o t start with
               | None -> ()
               | Some prefix ->
                 List.iter
-                  (fun d -> if not (DS.mem d in_set) then ok := false)
+                  (fun (d : Def.t) ->
+                    if not (DS.mem d in_set && RD.may_reach_loc v d.loc) then
+                      ok := false)
                   (Testutil.live_defs g' prefix))
             os)
     done
@@ -158,11 +178,21 @@ let rd_in_sound g =
 
 (* ---------- Reaching expressions ---------- *)
 
-let re_result g = RE.run (Testutil.epochs_of_grid g)
+(* As [rd_entries]. *)
+let re_entries g =
+  let entries = Hashtbl.create 16 in
+  ignore
+    (RE.run
+       ~on_instr:(fun (v : RE.Analysis.instr_view) ->
+         if v.id.index = 0 then Hashtbl.replace entries (v.id.epoch, v.id.tid) v)
+       (Testutil.epochs_of_grid g));
+  entries
+
+let re_sos g = RE.run (Testutil.epochs_of_grid g)
 
 let re_sos_sound ?model g =
   (* e ∈ SOS_l ⟹ available at the end of every ordering of epochs 0..l-2. *)
-  let r = re_result g in
+  let sos = re_sos g in
   let l_max = num_epochs g + 1 in
   let ok = ref true in
   for l = 2 to l_max do
@@ -176,13 +206,13 @@ let re_sos_sound ?model g =
               if not (Butterfly.Expr.Set.mem e (Testutil.avail_exprs g' o)) then
                 ok := false)
             os)
-        (ES.explicit r.sos.(l))
+        (ES.explicit sos.(l))
   done;
   !ok
 
 let re_sos_exact g =
   (* Converse: available under every ordering ⟹ in SOS. *)
-  let r = re_result g in
+  let sos = re_sos g in
   let l_max = num_epochs g + 1 in
   let ok = ref true in
   for l = 2 to l_max do
@@ -198,13 +228,13 @@ let re_sos_exact g =
             (List.tl os)
         in
         Butterfly.Expr.Set.iter
-          (fun e -> if not (ES.mem e r.sos.(l)) then ok := false)
+          (fun e -> if not (ES.mem e sos.(l)) then ok := false)
           inter_avail)
   done;
   !ok
 
 let re_in_sound g =
-  let r = re_result g in
+  let entries = re_entries g in
   let epochs = Testutil.epochs_of_grid g in
   let ok = ref true in
   for l = 0 to Butterfly.Epochs.num_epochs epochs - 1 do
@@ -215,7 +245,8 @@ let re_in_sound g =
         match orderings g (min (num_epochs g) (l + 2)) with
         | None -> ()
         | Some (g', os) ->
-          let in_set = RE.Analysis.block_in r ~epoch:l ~tid:t in
+          let v = Hashtbl.find entries (l, t) in
+          let in_set = RE.Analysis.in_before v in
           List.iter
             (fun o ->
               match prefix_before_step o t start with
@@ -224,7 +255,7 @@ let re_in_sound g =
                 let avail = Testutil.avail_exprs g' prefix in
                 Butterfly.Expr.Set.iter
                   (fun e ->
-                    if ES.mem e in_set && not (Butterfly.Expr.Set.mem e avail)
+                    if RE.available v e && not (Butterfly.Expr.Set.mem e avail)
                     then ok := false)
                   (ES.explicit in_set))
             os)
@@ -249,19 +280,19 @@ let single_thread_is_sequential () =
       ];
     |]
   in
-  let r = rd_result g in
+  let sos = rd_sos g in
   for l = 2 to 5 do
     match orderings g (l - 1) with
     | None -> Alcotest.fail "enumeration capped unexpectedly"
     | Some (g', os) ->
       Alcotest.(check int) "unique ordering" 1 (List.length os);
       let live = Testutil.live_defs g' (List.hd os) in
-      let sos_defs = defs_of_set r.sos.(l) in
+      let sos_defs = defs_of_set sos.(l) in
       Alcotest.(check int)
         (Printf.sprintf "SOS_%d size" l)
         (List.length live) (List.length sos_defs);
       List.iter
-        (fun d -> Testutil.checkb "live in SOS" true (DS.mem d r.sos.(l)))
+        (fun d -> Testutil.checkb "live in SOS" true (DS.mem d sos.(l)))
         live
   done
 
@@ -280,17 +311,18 @@ let figure8_kill_side_in () =
       [ [| I.Nop |]; [| I.Assign_binop (t2, t2, t2) ; I.Assign_const b |]; [| I.Nop |] ];
     |]
   in
-  let r = re_result g in
+  let epochs = Testutil.epochs_of_grid g in
+  let r = Grid_re.run epochs in
   let wings =
-    Butterfly.Epochs.wings r.epochs ~epoch:1 ~tid:2
-    |> List.map (fun (blk : Butterfly.Block.t) ->
-           r.block_summaries.(blk.epoch).(blk.tid))
+    Butterfly.Epochs.wings epochs ~epoch:1 ~tid:2
+    |> List.map (fun (blk : Butterfly.Block.t) -> r.rows.(blk.epoch).(blk.tid))
   in
-  let ksi = RE.Analysis.side_in ~wings in
+  let ksi = Grid_re.D.side_in ~wings in
   Testutil.checkb "wings kill a-b" true (ES.mem (Butterfly.Expr.binop a b) ksi);
-  (* And IN for block (1,2) must not contain a-b. *)
-  let in_set = RE.Analysis.block_in r ~epoch:1 ~tid:2 in
-  Testutil.checkb "a-b not in IN" false (ES.mem (Butterfly.Expr.binop a b) in_set)
+  (* And the window's IN for block (1,2) must not contain a-b. *)
+  let entries = re_entries g in
+  Testutil.checkb "a-b not in IN" false
+    (RE.available (Hashtbl.find entries (1, 2)) (Butterfly.Expr.binop a b))
 
 let resurrection_clause () =
   (* LSOS (May): the head kills d, but another thread re-generates the same
@@ -305,12 +337,11 @@ let resurrection_clause () =
       [ [| I.Assign_const x |]; [| I.Nop |]; [| I.Nop |] ];
     |]
   in
-  let r = rd_result g in
+  let r = rd_grid g in
   (* Body block (2,0): its head (1,0) kills all other defs of x, but thread
      1's epoch-0 definition can interleave after the head. *)
-  let head = r.block_summaries.(1).(0) in
   let lsos =
-    RD.Analysis.lsos ~sos:r.sos.(2) ~head ~two_back_row:r.block_summaries.(0)
+    Grid_rd.D.lsos ~sos:r.sos.(2) ~head:r.rows.(1).(0) ~two_back_row:r.rows.(0)
       ~tid:0
   in
   let d_other =
@@ -324,7 +355,7 @@ let resurrection_clause () =
    — the universal ("all orderings") claims are checked against the larger
    relaxed ordering set. *)
 let rd_sos_sound_relaxed g =
-  let r = rd_result g in
+  let sos = rd_sos g in
   let l_max = num_epochs g + 1 in
   let ok = ref true in
   for l = 2 to l_max do
@@ -335,7 +366,7 @@ let rd_sos_sound_relaxed g =
       List.iter
         (fun o ->
           List.iter
-            (fun d -> if not (DS.mem d r.sos.(l)) then ok := false)
+            (fun d -> if not (DS.mem d sos.(l)) then ok := false)
             (Testutil.live_defs g' o))
         os
   done;

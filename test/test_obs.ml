@@ -1,8 +1,8 @@
 (* The Obs telemetry subsystem: registry semantics, sink swapping,
    snapshot determinism, JSON serialization — and the pipeline's window
    accounting: the streaming scheduler's occupancy metrics must agree
-   with its own high-water-mark accessor and with the batch
-   Epochs.of_program pipeline on the same trace. *)
+   with its own high-water-mark accessor and with the epoch grid
+   Epochs.of_program builds from the same trace. *)
 
 let counter_semantics =
   Alcotest.test_case "counters aggregate in the memory sink" `Quick (fun () ->
@@ -420,15 +420,15 @@ let null_sink_allocation_free =
       check_free "Histogram.observe" (fun () -> Obs.Histogram.observe h v))
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler window accounting vs the batch pipeline. *)
+(* Scheduler window accounting vs the epoch grid. *)
 
 module RD = Butterfly.Reaching_definitions
-module Sched = Butterfly.Scheduler.Make (RD.Problem)
+module Sched = RD.Engine
 
 let sched_labels = [ ("driver", "streaming"); ("problem", "reaching-definitions") ]
 
 let window_accounting =
-  Alcotest.test_case "occupancy metrics agree with the batch pipeline" `Quick
+  Alcotest.test_case "occupancy metrics agree with the epoch grid" `Quick
     (fun () ->
       let instrs =
         List.init 600 (fun k ->
@@ -451,13 +451,13 @@ let window_accounting =
       let snap = Obs.Sink.snapshot sink in
       let counter = Obs.Snapshot.counter ~labels:sched_labels snap in
       let gauge = Obs.Snapshot.gauge ~labels:sched_labels snap in
-      Alcotest.(check int) "epochs processed = batch epoch count"
+      Alcotest.(check int) "epochs processed = grid epoch count"
         (Butterfly.Epochs.num_epochs epochs)
         (counter "butterfly.epochs_processed");
       Alcotest.(check int) "epochs processed = scheduler accessor"
         (Sched.processed s)
         (counter "butterfly.epochs_processed");
-      Alcotest.(check int) "pass-2 instrs = batch instr count"
+      Alcotest.(check int) "pass-2 instrs = grid instr count"
         (Butterfly.Epochs.instr_count epochs)
         (counter "butterfly.pass2_instrs");
       Alcotest.(check int) "every block of the grid was closed"

@@ -1,51 +1,17 @@
-(* Streaming scheduler: the online sliding-window driver must deliver
-   exactly the batch driver's per-instruction views from a stream of
-   epoch rows, while keeping only a bounded window of epochs resident. *)
+(* The butterfly window over the dataflow kernel (Scheduler.Make), the
+   one two-pass driver in the library, against the whole-grid reference
+   (Testutil.Whole_grid): fed a stream of epoch rows, inline or on
+   1/2/8-domain pools, it must deliver exactly the reference's
+   per-instruction views, in its order, and its whole SOS history, for a
+   May problem (reaching definitions) and a Must problem (reaching
+   expressions) — while keeping only a bounded window of epochs
+   resident. *)
 
 module RD = Butterfly.Reaching_definitions
 module RE = Butterfly.Reaching_expressions
-module Sched_rd = Butterfly.Scheduler.Make (RD.Problem)
-module Sched_re = Butterfly.Scheduler.Make (RE.Problem)
+module Sched_rd = RD.Engine
 module Taint_w = Lifeguards.Taintcheck.Engine
 module Race_w = Lifeguards.Racecheck.Engine
-
-type view_key = {
-  id : Butterfly.Instr_id.t;
-  instr : string;
-  lsos : string;
-  in_before : string;
-  sos : string;
-}
-
-let key_rd (v : RD.Analysis.instr_view) =
-  {
-    id = v.id;
-    instr = Tracing.Instr.to_string v.instr;
-    lsos = Format.asprintf "%a" Butterfly.Def_set.pp v.lsos_before;
-    in_before =
-      Format.asprintf "%a" Butterfly.Def_set.pp (RD.Analysis.in_before v);
-    sos = Format.asprintf "%a" Butterfly.Def_set.pp v.sos;
-  }
-
-let key_re (v : RE.Analysis.instr_view) =
-  {
-    id = v.id;
-    instr = Tracing.Instr.to_string v.instr;
-    lsos = Format.asprintf "%a" Butterfly.Expr_set.pp v.lsos_before;
-    in_before =
-      Format.asprintf "%a" Butterfly.Expr_set.pp (RE.Analysis.in_before v);
-    sos = Format.asprintf "%a" Butterfly.Expr_set.pp v.sos;
-  }
-
-let batch_views_rd program =
-  let acc = ref [] in
-  let r =
-    RD.run
-      ~on_instr:(fun v -> acc := key_rd v :: !acc)
-      (Butterfly.Epochs.of_program program)
-  in
-  (List.rev !acc, Format.asprintf "%a" Butterfly.Def_set.pp r.sos.(Array.length r.sos - 1))
-
 
 let rows_of_program program =
   let rows = ref [] in
@@ -53,16 +19,47 @@ let rows_of_program program =
       rows := row :: !rows);
   List.rev !rows
 
-let stream_views_rd program =
-  let acc = ref [] in
-  let threads = Tracing.Program.threads program in
-  let s = Sched_rd.create ~threads (fun v -> acc := key_rd v :: !acc) () in
-  List.iter (Sched_rd.feed_row s) (rows_of_program program);
-  let history = Sched_rd.finish s in
-  let sos =
-    Format.asprintf "%a" Butterfly.Def_set.pp history.(Array.length history - 1)
-  in
-  (List.rev !acc, sos)
+module Against_grid (P : Butterfly.Dataflow.PROBLEM) = struct
+  module G = Testutil.Whole_grid (P)
+  module W = Butterfly.Scheduler.Make (P)
+
+  let key (v : G.D.instr_view) =
+    Format.asprintf "%a|%s|%a|%a|%a|%a" Butterfly.Instr_id.pp v.id
+      (Tracing.Instr.to_string v.instr)
+      P.Set.pp v.lsos_before P.Set.pp (G.D.in_before v) P.Set.pp v.side_in
+      P.Set.pp v.sos
+
+  let same_as_grid epochs (seen, history) =
+    let g = G.run epochs in
+    List.map key g.views = List.rev seen
+    && Array.length history = Array.length g.sos
+    && Array.for_all2 P.Set.equal g.sos history
+
+  (* The window fed one row at a time through [create]/[feed_row]. *)
+  let row_feed program =
+    let seen = ref [] in
+    let w =
+      W.create ~threads:(Tracing.Program.threads program)
+        (fun v -> seen := key v :: !seen)
+        ()
+    in
+    List.iter (W.feed_row w) (rows_of_program program);
+    let history = W.finish w in
+    same_as_grid (Butterfly.Epochs.of_program program) (!seen, history)
+
+  (* [W.run] over a grid, without a pool or on a fresh one. *)
+  let run ?domains grid =
+    let epochs = Testutil.epochs_of_grid grid in
+    let seen = ref [] in
+    let history =
+      Testutil.with_pool_opt domains (fun pool ->
+          W.run ?pool (fun v -> seen := key v :: !seen) () epochs)
+    in
+    same_as_grid epochs (!seen, history)
+end
+
+module May = Against_grid (RD.Problem)
+module Must = Against_grid (RE.Problem)
 
 let gen_program =
   let open QCheck.Gen in
@@ -74,28 +71,13 @@ let gen_program =
 
 let arb_program = QCheck.make ~print:Tracing.Trace_codec.encode gen_program
 
-let rd_equivalence =
-  Testutil.qtest ~count:150 "streaming == batch (row feed)" arb_program
-    (fun p ->
-      let batch, batch_sos = batch_views_rd p in
-      let stream, stream_sos = stream_views_rd p in
-      batch = stream && batch_sos = stream_sos)
-
-let re_equivalence =
-  Testutil.qtest ~count:100 "streaming == batch (reaching expressions)"
-    arb_program
-    (fun p ->
-      let acc_b = ref [] in
-      ignore
-        (RE.run
-           ~on_instr:(fun v -> acc_b := key_re v :: !acc_b)
-           (Butterfly.Epochs.of_program p));
-      let acc_s = ref [] in
-      let threads = Tracing.Program.threads p in
-      let s = Sched_re.create ~threads (fun v -> acc_s := key_re v :: !acc_s) () in
-      List.iter (Sched_re.feed_row s) (rows_of_program p);
-      ignore (Sched_re.finish s);
-      !acc_b = !acc_s)
+let row_feed =
+  [
+    Testutil.qtest ~count:150 "row feed == whole grid (May/RD)" arb_program
+      May.row_feed;
+    Testutil.qtest ~count:100 "row feed == whole grid (Must/RE)" arb_program
+      Must.row_feed;
+  ]
 
 let expect_invalid_arg name f =
   match f () with
@@ -165,11 +147,11 @@ let empty_feed =
       let views = ref 0 in
       let s = Sched_rd.create ~threads:3 (fun _ -> incr views) () in
       let history = Sched_rd.finish s in
-      let batch =
-        RD.run (Butterfly.Epochs.of_program (Tracing.Program.of_instrs [ []; []; [] ]))
+      let grid =
+        Butterfly.Epochs.of_program (Tracing.Program.of_instrs [ []; []; [] ])
       in
       Alcotest.(check int) "one epoch" 1 (Sched_rd.processed s);
-      Alcotest.(check int) "batch agrees" 1 (Butterfly.Epochs.num_epochs batch.epochs);
+      Alcotest.(check int) "the grid agrees" 1 (Butterfly.Epochs.num_epochs grid);
       Alcotest.(check int) "no views" 0 !views;
       Alcotest.(check int) "SOS_0 .. SOS_2" 3 (Array.length history))
 
@@ -207,62 +189,54 @@ let summary_rows =
       expect_invalid_arg "retired row" (fun () ->
           ignore (Sched_rd.summary_row s 1)))
 
-(* --- Pooled streaming battery (the tentpole differential test). ---
+(* --- Pooled battery. ---
 
-   The pooled scheduler must deliver byte-identical view sequences and
-   the same SOS history as the batch driver, for a May problem (reaching
-   definitions) and a Must problem (reaching expressions), at every pool
-   width — over ragged grids with empty blocks and threads that quit
-   early. *)
+   The same comparison over ragged grids (empty blocks, threads that
+   quit early), inline and at every pool width, in two grid shapes. *)
 
 let arb_uneven_grid =
   Testutil.arb_grid ~n_addrs:3 ~max_threads:4 ~max_epochs:4 ~max_block:3
     ~uneven:true ()
-
-let pooled_equiv_rd domains g =
-  let epochs = Testutil.epochs_of_grid g in
-  let batch = ref [] in
-  let br = RD.run ~on_instr:(fun v -> batch := key_rd v :: !batch) epochs in
-  let stream = ref [] in
-  let hist =
-    Butterfly.Domain_pool.with_pool ~name:"test-rd" ~domains (fun pool ->
-        Sched_rd.run ~pool (fun v -> stream := key_rd v :: !stream) () epochs)
-  in
-  !batch = !stream
-  && Array.length hist = Array.length br.sos
-  && Array.for_all2 Butterfly.Def_set.equal br.sos hist
-
-let pooled_equiv_re domains g =
-  let epochs = Testutil.epochs_of_grid g in
-  let batch = ref [] in
-  let br = RE.run ~on_instr:(fun v -> batch := key_re v :: !batch) epochs in
-  let stream = ref [] in
-  let hist =
-    Butterfly.Domain_pool.with_pool ~name:"test-re" ~domains (fun pool ->
-        Sched_re.run ~pool (fun v -> stream := key_re v :: !stream) () epochs)
-  in
-  !batch = !stream
-  && Array.length hist = Array.length br.sos
-  && Array.for_all2 Butterfly.Expr_set.equal br.sos hist
 
 let pooled_tests =
   List.concat_map
     (fun domains ->
       [
         Testutil.qtest ~count:180
-          (Printf.sprintf "pooled == batch (May/RD, %d domains)" domains)
-          arb_uneven_grid (pooled_equiv_rd domains);
+          (Printf.sprintf "pooled == whole grid (May/RD, %d domains)" domains)
+          arb_uneven_grid (May.run ~domains);
         Testutil.qtest ~count:170
-          (Printf.sprintf "pooled == batch (Must/RE, %d domains)" domains)
-          arb_uneven_grid (pooled_equiv_re domains);
+          (Printf.sprintf "pooled == whole grid (Must/RE, %d domains)" domains)
+          arb_uneven_grid (Must.run ~domains);
       ])
     [ 1; 2; 8 ]
+
+(* Longer epochs and blocks: up to 4 threads x 5 epochs x 4 instrs. *)
+let arb_long_grid =
+  Testutil.arb_grid ~n_addrs:3 ~max_threads:4 ~max_epochs:5 ~max_block:4
+    ~uneven:true ()
+
+let long_grid_tests =
+  List.concat_map
+    (fun (problem, run) ->
+      Testutil.qtest ~count:150
+        (Printf.sprintf "inline == whole grid (%s)" problem)
+        arb_long_grid (run ?domains:None)
+      :: List.map
+           (fun domains ->
+             Testutil.qtest ~count:80
+               (Printf.sprintf "%d-domain pool == whole grid (%s)" domains
+                  problem)
+               arb_long_grid (run ?domains:(Some domains)))
+           [ 1; 2; 8 ])
+    [ ("May/RD", May.run); ("Must/RE", Must.run) ]
 
 let () =
   Alcotest.run "scheduler"
     [
-      ("equivalence", [ rd_equivalence; re_equivalence ]);
+      ("equivalence", row_feed);
       ("pooled", pooled_tests);
+      ("whole-grid", long_grid_tests);
       ( "streaming",
         [
           bounded_window; wrong_width; feed_after_finish; empty_feed;

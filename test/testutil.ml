@@ -83,6 +83,64 @@ let instr_of_step (g : grid) (s : Memmodel.Ordering.step) =
 let grid_prefix (g : grid) n =
   Array.map (fun bs -> List.filteri (fun l _ -> l < n) bs) g
 
+(* --- The whole-grid reference schedule of the two-pass algorithm. ---
+
+   The butterfly window ([Butterfly.Scheduler.Make]) is the only driver
+   in the library.  This is the same two-pass algorithm evaluated over a
+   complete grid at once: pass 1 over every block, every epoch summary
+   and SOS level, then pass 2 over every block in epoch-major,
+   thread-minor order.  The window must reproduce its views and SOS
+   history exactly; the Lemma 5.1 oracles read its epoch summaries. *)
+module Whole_grid (P : Butterfly.Dataflow.PROBLEM) = struct
+  module D = Butterfly.Dataflow.Make (P)
+
+  type t = {
+    views : D.instr_view list;  (** every pass-2 view, in the window's order *)
+    rows : D.block_summary array array;  (** [rows.(l).(t)]: pass 1 *)
+    epoch_summaries : D.epoch_summary array;
+    sos : D.Set.t array;  (** [SOS_0 .. SOS_(epochs+1)] *)
+  }
+
+  let run epochs =
+    let module E = Butterfly.Epochs in
+    let num = E.num_epochs epochs and threads = E.threads epochs in
+    (* Rows outside the execution are rows of empty blocks. *)
+    let summarize_row l =
+      Array.init threads (fun tid -> D.summarize (E.block epochs ~epoch:l ~tid))
+    in
+    let rows = Array.init num summarize_row in
+    let row l = if l >= 0 && l < num then rows.(l) else summarize_row l in
+    let epoch_summaries =
+      Array.init num (fun l ->
+          D.epoch_summary
+            ~prev:(if l = 0 then None else Some rows.(l - 1))
+            ~cur:rows.(l))
+    in
+    (* SOS_0 = SOS_1 = ∅; SOS_l = GEN_(l-2) ∪ (SOS_(l-1) − KILL_(l-2)). *)
+    let sos = Array.make (num + 2) D.Set.empty in
+    for l = 2 to num + 1 do
+      sos.(l) <-
+        D.sos_next ~sos_prev:sos.(l - 1) ~two_back:epoch_summaries.(l - 2)
+    done;
+    let views = ref [] in
+    for l = 0 to num - 1 do
+      for tid = 0 to threads - 1 do
+        let wings =
+          E.wings epochs ~epoch:l ~tid
+          |> List.map (fun (b : Butterfly.Block.t) -> (row b.epoch).(b.tid))
+        in
+        let lsos0 =
+          D.lsos ~sos:sos.(l) ~head:(row (l - 1)).(tid)
+            ~two_back_row:(row (l - 2)) ~tid
+        in
+        D.iter_block ~side_in:(D.side_in ~wings) ~lsos0 ~sos:sos.(l)
+          (fun v -> views := v :: !views)
+          (E.block epochs ~epoch:l ~tid)
+      done
+    done;
+    { views = List.rev !views; rows; epoch_summaries; sos }
+end
+
 (* --- Sequential reference analyses over a total ordering. --- *)
 
 (* Reaching definitions: the definitions live at the end of the ordering
