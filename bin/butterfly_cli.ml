@@ -171,11 +171,15 @@ let positive_int =
 
 let domains_arg =
   Arg.(value & opt (some positive_int) None & info [ "domains" ] ~docv:"N"
-       ~doc:"Run the lifeguard on a pool of $(docv) worker domains (capped \
-             at the hardware's recommended domain count) instead of on the \
-             calling domain alone: each epoch's per-thread work fans out on \
-             the pool and is committed in thread order.  The output is \
-             identical in either mode.")
+       ~doc:"Run the lifeguard (under $(b,serve), every session's, on one \
+             shared pool) on $(docv) domains, the calling one \
+             included (capped at the hardware's recommended domain count), \
+             instead of on the calling domain alone: $(docv)-1 worker \
+             domains are spawned, each epoch's threads are split into one \
+             contiguous share per domain, the calling domain evaluates its \
+             own share, and every result is committed in thread order.  \
+             $(b,--domains 1) spawns nothing.  The output is identical in \
+             every mode.")
 
 (* Checkpoint/restore plumbing (lib/recovery), shared by the lifeguard
    subcommands. *)

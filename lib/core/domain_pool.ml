@@ -10,7 +10,7 @@ type worker = {
 type t = {
   pool_name : string;
   capacity : int;
-  workers : worker array;
+  workers : worker array; (* size - 1: the caller is the other domain *)
   busy : int Atomic.t;
   mutable handles : unit Domain.t array;
   mutable rr : int; (* round-robin submission cursor *)
@@ -25,7 +25,11 @@ type t = {
 let max_domains () = max 1 (Domain.recommended_domain_count ())
 
 let name t = t.pool_name
-let size t = Array.length t.workers
+let size t = Array.length t.workers + 1
+
+let shares t n =
+  if not t.live then invalid_arg "Domain_pool.shares: pool is shut down";
+  max 1 (min n (size t))
 
 (* Pop one task, signalling the submitter that queue space freed up. *)
 let take w =
@@ -65,7 +69,7 @@ let create ?(name = "pool") ?(queue_capacity = 64) ~domains () =
       pool_name = name;
       capacity = queue_capacity;
       workers =
-        Array.init n (fun _ ->
+        Array.init (n - 1) (fun _ ->
             {
               queue = Queue.create ();
               lock = Mutex.create ();
@@ -123,9 +127,12 @@ let async t f =
     Condition.broadcast fut.f_done;
     Mutex.unlock fut.f_lock
   in
-  let w = t.workers.(t.rr) in
-  t.rr <- (t.rr + 1) mod Array.length t.workers;
-  enqueue t w (Run run);
+  if Array.length t.workers = 0 then Obs.Span.time t.sp_task run
+  else begin
+    let w = t.workers.(t.rr) in
+    t.rr <- (t.rr + 1) mod Array.length t.workers;
+    enqueue t w (Run run)
+  end;
   fut
 
 let poll fut =

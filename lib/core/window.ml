@@ -50,27 +50,51 @@ module type S = sig
   val decode : ?pool:Domain_pool.t -> env -> string -> (t, string) result
 end
 
+(* How many contiguous tid ranges epoch pass 2 splits into: one per
+   pool domain, the caller's included. *)
+let shares ?pool threads =
+  match pool with None -> 1 | Some p -> Domain_pool.shares p threads
+
 let pass2_epoch ?pool ~threads ~pass2 ~commit2 l =
   let task tid =
     Obs.Scope.with_scope ~epoch:l ~tid ~phase:"pass2" (fun () ->
         pass2 ~epoch:l ~tid)
   in
-  match pool with
-  | None ->
-    for tid = 0 to threads - 1 do
+  let inline lo hi =
+    for tid = lo to hi - 1 do
       commit2 ~epoch:l ~tid (task tid)
     done
-  | Some pool ->
-    (* Submit in tid order, commit in tid order: a task that raised
-       re-raises from [await] at its own commit point, after every
-       earlier thread's result has been committed. *)
-    let futs =
-      Array.init threads (fun tid ->
-          Domain_pool.async pool (fun () -> task tid))
+  in
+  let shares = shares ?pool threads in
+  match pool with
+  | Some pool when shares > 1 ->
+    (* Share c is tids [lo c, lo (c+1)).  Shares 1.. go to the workers
+       (one task each); share 0, the smallest, runs here and is
+       committed as it goes.  Commits stay in tid order: a task that
+       raised re-raises at its own commit point, after every earlier
+       thread's result has been committed. *)
+    let lo c = c * threads / shares in
+    let share c () =
+      let rec go tid acc =
+        if tid = lo (c + 1) then (List.rev acc, None)
+        else
+          match task tid with
+          | r -> go (tid + 1) (r :: acc)
+          | exception e -> (List.rev acc, Some e)
+      in
+      go (lo c) []
     in
+    let futs =
+      Array.init (shares - 1) (fun c -> Domain_pool.async pool (share (c + 1)))
+    in
+    inline 0 (lo 1);
     Array.iteri
-      (fun tid fut -> commit2 ~epoch:l ~tid (Domain_pool.await fut))
+      (fun i fut ->
+        let rs, raised = Domain_pool.await fut in
+        List.iteri (fun k r -> commit2 ~epoch:l ~tid:(lo (i + 1) + k) r) rs;
+        Option.iter raise raised)
       futs
+  | _ -> inline 0 threads
 
 module Make (K : KERNEL) = struct
   type env = K.env
@@ -86,6 +110,8 @@ module Make (K : KERNEL) = struct
   let g_window_hwm =
     Obs.Gauge.make ~labels:obs_labels "scheduler.window_occupancy_hwm"
   let sp_pass1 = Obs.Span.make ~labels:obs_labels "butterfly.pass1_summarize.ns"
+  let sp_step = Obs.Span.make ~labels:obs_labels "butterfly.step.ns"
+  let h_commit = Obs.Histogram.make ~labels:obs_labels "butterfly.commit.ns"
 
   (* A resident row: the raw blocks (the durable part) and their pass-1
      summaries (derived). *)
@@ -101,10 +127,14 @@ module Make (K : KERNEL) = struct
     mutable processed : int;
     mutable hwm : int;
     mutable final : K.report option; (* set by [finish] *)
+    mutable commit_ns : int64; (* the current epoch's, under a live sink *)
   }
 
   let make ?pool ~threads ~params ~k ~fed ~processed resident =
-    { threads; pool; params; k; resident; fed; processed; hwm = 0; final = None }
+    {
+      threads; pool; params; k; resident; fed; processed; hwm = 0;
+      final = None; commit_ns = 0L;
+    }
 
   let create ?pool ~threads env params =
     if threads <= 0 then invalid_arg (K.name ^ ": threads must be > 0");
@@ -132,23 +162,42 @@ module Make (K : KERNEL) = struct
                 K.summarize t.k (Block.make ~epoch ~tid instrs))))
       raw
 
+  let commit t ~epoch ~tid o =
+    Obs.Scope.with_scope ~epoch ~tid ~phase:"commit" (fun () ->
+        K.commit t.k ~epoch ~tid o)
+
+  (* Under a live sink, the epoch's commits are timed as one span.
+     Gated so the null-sink hot path never boxes the clock. *)
+  let timed_commit t ~epoch ~tid o =
+    if Obs.enabled () then begin
+      let t0 = Obs.now_ns () in
+      commit t ~epoch ~tid o;
+      t.commit_ns <- Int64.add t.commit_ns (Int64.sub (Obs.now_ns ()) t0)
+    end
+    else commit t ~epoch ~tid o
+
   (* Epoch [l]: seal, fan pass 2 out, commit in tid order, retire the
      row the kernel has read for the last time. *)
   let process t =
     let l = t.processed in
-    let sealed = K.step t.k ~inline:(Option.is_none t.pool) ~row:(summary_row t) l in
+    let inline = shares ?pool:t.pool t.threads = 1 in
+    let sealed =
+      Obs.Span.time sp_step (fun () ->
+          K.step t.k ~inline ~row:(summary_row t) l)
+    in
     let raw = (Hashtbl.find t.resident l).raw in
+    t.commit_ns <- 0L;
     pass2_epoch ?pool:t.pool ~threads:t.threads
       ~pass2:(fun ~epoch ~tid ->
         K.eval_block sealed ~epoch ~tid (Block.make ~epoch ~tid raw.(tid)))
       ~commit2:(fun ~epoch ~tid o ->
-        Obs.Scope.with_scope ~epoch ~tid ~phase:"commit" (fun () ->
-            K.commit t.k ~epoch ~tid o);
+        timed_commit t ~epoch ~tid o;
         Obs.Counter.add m_instrs (Array.length raw.(tid)))
       l;
     Hashtbl.remove t.resident (l - K.rows_behind);
     t.processed <- l + 1;
     if Obs.enabled () then begin
+      Obs.Histogram.observe h_commit (Int64.to_float t.commit_ns);
       Obs.Counter.incr m_epochs;
       Obs.Gauge.set g_window (float_of_int (Hashtbl.length t.resident))
     end

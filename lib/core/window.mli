@@ -24,7 +24,9 @@
     the high-water mark, [rows_behind + 2].  The window also owns the
     empty feed, [finish], the row-width and thread-count checks, the
     pipeline telemetry ([butterfly.epochs_processed],
-    [butterfly.pass2_instrs], [butterfly.pass1_summarize.ns],
+    [butterfly.pass2_instrs], the [butterfly.pass1_summarize.ns] span
+    per block, the master's [butterfly.step.ns] and [butterfly.commit.ns]
+    spans once per epoch (the commit span sums the epoch's commits),
     [scheduler.blocks_closed], [scheduler.window_occupancy{,_hwm}],
     labelled [problem=<kernel name>, driver=streaming]) and the
     checkpoint payload. *)
@@ -73,8 +75,9 @@ module type KERNEL = sig
       entry locksets and whatever else every block of the epoch shares.
       [row e] is summary row [e] while the window holds it ([None]
       outside the execution); rows [l - rows_behind .. l+1] are
-      resident.  [inline] is true when pass 2 runs on the master, each
-      block right before its commit (no pool). *)
+      resident.  [inline] is true when the whole of pass 2 runs on the
+      master, each block right before its commit (no pool, a pool of one
+      domain, or a single thread). *)
 
   val eval_block : sealed -> epoch:int -> tid:int -> Block.t -> outcome
   (** Pass 2 of one block.  May run on a pool worker: it must read only
@@ -128,8 +131,9 @@ module type S = sig
   type t
 
   val create : ?pool:Domain_pool.t -> threads:int -> env -> params -> t
-  (** With [pool], each epoch's pass 2 runs as pool tasks (see
-      {!pass2_epoch}); the report is identical without one.  The window
+  (** With [pool], each epoch's pass 2 is shared between the pool's
+      workers and the caller (see {!pass2_epoch}); the report is
+      identical without one.  The window
       does not own the pool: the caller shuts it down.  All calls must
       come from the domain that created the window (the master).  Raises
       [Invalid_argument] unless [threads > 0]. *)
@@ -190,21 +194,27 @@ module Make (K : KERNEL) :
      and type summary = K.summary
      and type report = K.report
 
-(** Pass 2 of one epoch, fanned out per thread: the one per-epoch
-    fan-out in the tree.
+(** Pass 2 of one epoch, fanned out over the pool's domains: the one
+    per-epoch fan-out in the tree.
 
     Every block of epoch [l] reads only frozen inputs — pass-1 summaries
     of nearby rows and the state the master sealed before the fan-out —
     so the blocks are independent (Lemma 5.2).
 
     [pass2_epoch ?pool ~threads ~pass2 ~commit2 l] runs
-    [pass2 ~epoch:l ~tid] for every [tid] in [0 .. threads-1] — inline
-    without [pool], as pool tasks with it — and calls
+    [pass2 ~epoch:l ~tid] for every [tid] in [0 .. threads-1] and calls
     [commit2 ~epoch:l ~tid] on the calling domain (the master) in tid
     order, so every observable result is identical with and without a
-    pool.  [pass2] must not write shared state.  A task that raises
-    re-raises on the master at its commit point, after the commits of
-    the threads before it; the pool survives. *)
+    pool.  Without [pool] (or when {!Domain_pool.shares} gives one
+    share) each block runs inline, right before its commit.  With it,
+    the tids split into [shares] contiguous ranges: ranges [1 ..] are
+    submitted as one pool task each (at most [Domain_pool.size pool - 1]
+    tasks per epoch) and range [0] runs on the caller, each block
+    committed as it is evaluated, before the workers' results are
+    committed in order.  [pass2] must not write shared state.  A block
+    that raises re-raises on the master at its commit point, after the
+    commits of the threads before it; the pool survives.  Raises
+    [Invalid_argument] on a pool that has been shut down. *)
 val pass2_epoch :
   ?pool:Domain_pool.t ->
   threads:int ->

@@ -55,7 +55,8 @@ val run :
     [run] is {!Engine.run}: the engine fed every row of the grid
     ({!Butterfly.Epochs.iter_rows}), then finished.  [pool] runs the
     engine's window on the caller's {!Butterfly.Domain_pool}
-    (each epoch's pass 2 fans out as one task per thread); the pool may
+    (each epoch's pass 2 is split into one share of threads per pool
+    domain, the caller's included); the pool may
     be reused across calls and the caller shuts it down.  The report is
     identical either way — property-tested and continuously fuzzed
     ([lib/qa], [test/test_engine.ml]). *)

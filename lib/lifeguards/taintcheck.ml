@@ -1,6 +1,16 @@
 module AS = Set.Make (Int)
 module Id = Butterfly.Instr_id
 
+(* Int-keyed tables for the per-block indexes and LASTCHECK verdicts.
+   Addresses are 8-byte aligned, so the hash must mix the bits: the
+   identity would crowd every key into an eighth of the buckets. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 type rhs = Bot | Top | Inherit of int list
 type tf = { tf_id : Id.t; dst : int; rhs : rhs }
 
@@ -37,20 +47,29 @@ let tf_of_instr id (i : Tracing.Instr.t) =
   | Unlock _ | Fork _ | Join _ ->
     None
 
-(* Per-block pass-1 summary: transfer functions indexed by destination. *)
-type block_tfs = { by_dst : (int, tf list) Hashtbl.t }
+(* Per-block pass-1 summary: transfer functions indexed by destination,
+   latest first. *)
+type block_tfs = { by_dst : tf list Tbl.t }
 
 let summarize_block block =
-  let by_dst = Hashtbl.create 16 in
+  let by_dst = Tbl.create 16 in
   Butterfly.Block.iteri
     (fun id i ->
       match tf_of_instr id i with
       | None -> ()
       | Some tf ->
-        let prev = Option.value (Hashtbl.find_opt by_dst tf.dst) ~default:[] in
-        Hashtbl.replace by_dst tf.dst (tf :: prev))
+        let prev = Option.value (Tbl.find_opt by_dst tf.dst) ~default:[] in
+        Tbl.replace by_dst tf.dst (tf :: prev))
     block;
   { by_dst }
+
+(* One block's LASTCHECK table: each location the block resolved, with
+   its last verdict (true = tainted).  Its GEN are the tainted entries,
+   its KILL the untainted ones. *)
+type lastcheck = bool Tbl.t
+
+let tainted_in (h : lastcheck) x =
+  match Tbl.find h x with v -> v | exception Not_found -> false
 
 (* SC-termination state: per-thread upper bound on the position of the next
    transfer function the chase may follow from that thread. *)
@@ -85,13 +104,13 @@ let m_phase2 = Obs.Counter.make ~labels:obs_labels "lifeguard.phase2_rechecks"
 (* Everything pass 2 learns about one body block, produced without touching
    shared state.  Evaluating block (l,t) reads only inputs sealed before
    its dispatch — the pass-1 transfer functions of epochs l-1..l+1,
-   LASTCHECK results of epochs <= l-1 with their sealed GEN/KILL sets,
-   and SOS_l — so it can run on a pool worker.  The master commits outcomes epoch-major / thread-minor,
-   which reproduces the sequential error list, LASTCHECK tables, statistics
-   and telemetry byte for byte. *)
+   the LASTCHECK tables of epochs l-2 and l-1, and SOS_l — so it can run
+   on a pool worker.  The master commits outcomes epoch-major /
+   thread-minor, which reproduces the sequential error list, LASTCHECK
+   tables, statistics and telemetry byte for byte. *)
 type block_outcome = {
   bo_errors : error list;  (* in instruction order *)
-  bo_lastcheck : (int, bool) Hashtbl.t;
+  bo_lastcheck : lastcheck;
   bo_stats : block_stats;
   bo_lsos_card : int;
   bo_phase2 : int;
@@ -124,143 +143,109 @@ let fingerprint (r : report) =
     r.sos_tainted fp_stats r.block_stats
 
 (* ------------------------------------------------------------------ *)
-(* The evaluation core, parameterized over how its frozen inputs are
-   looked up: the kernel below instantiates [ctx] over the window's
-   resident rows and its own pruned LASTCHECK rows.  Accessors return
-   [None] (or [AS.empty]) outside the window, which is also how the grid
-   reads outside the execution. *)
-
-(* A LASTCHECK block's GEN (locations it last resolved tainted) and
-   KILL (last resolved untainted), sealed once by the master after the
-   block's epoch has committed. *)
-type gen_kill = { gen : AS.t; kill : AS.t }
-
-let no_gen_kill = { gen = AS.empty; kill = AS.empty }
-
-let seal_gen_kill (h : (int, bool) Hashtbl.t) =
-  let gen, kill =
-    Hashtbl.fold
-      (fun x tainted (g, k) -> if tainted then (x :: g, k) else (g, x :: k))
-      h ([], [])
-  in
-  { gen = AS.of_list gen; kill = AS.of_list kill }
+(* The evaluation core.  The master seals, before epoch l's pass 2, the
+   frozen inputs every block of the epoch reads: summary rows l-1..l+1,
+   LASTCHECK rows l-1 (the head) and l-2, and SOS_l.  Rows outside the
+   execution read as empty.  The master keeps committing epoch l (and
+   adding LASTCHECK row l) while pool workers evaluate it, so the ctx
+   holds the rows themselves, never the tables they live in. *)
 
 type ctx = {
   c_threads : int;
   c_sequential : bool;
   c_two_phase : bool;
-  tfs_at : int -> int -> block_tfs option;
-  lastcheck_at : int -> int -> (int, bool) Hashtbl.t option;
-  gen_kill_at : int -> int -> gen_kill;
-  sos_at : int -> AS.t;
+  tfs : block_tfs array option array; (* summary rows l-1 .. l+1 *)
+  head : lastcheck array; (* LASTCHECK row l-1 *)
+  two_back : lastcheck array; (* LASTCHECK row l-2 *)
+  sos_l : AS.t;
+  sos_card : int; (* |SOS_l| under a live sink, else 0 *)
 }
 
-let gen_block c l t = (c.gen_kill_at l t).gen
-let kill_block c l t = (c.gen_kill_at l t).kill
+(* Is [x] tainted in some thread's LASTCHECK of [row] other than [tid]'s
+   (a GEN entry of another block)? *)
+let rec others_gen (row : lastcheck array) ~tid x t' =
+  t' < Array.length row
+  && ((t' <> tid && tainted_in row.(t') x) || others_gen row ~tid x (t' + 1))
 
-(* LASTCHECK(x, (l-1,l), t): the last check spanning the two epochs. *)
-let lastcheck_span c x l t =
-  let look l =
-    match c.lastcheck_at l t with
-    | None -> None
-    | Some h -> Hashtbl.find_opt h x
-  in
-  match look l with Some r -> Some r | None -> look (l - 1)
+(* Does every thread but [t] leave [x] untainted or unassigned over
+   epochs (l-3, l-2)?  LASTCHECK(x, (l-3,l-2), t') is row l-2's verdict,
+   else row l-3's. *)
+let rec others_clear ~two_back ~three_back ~t x t' =
+  t' >= Array.length two_back
+  || (t' = t
+     ||
+     match Tbl.find two_back.(t') x with
+     | v -> not v
+     | exception Not_found -> not (tainted_in three_back.(t') x))
+     && others_clear ~two_back ~three_back ~t x (t' + 1)
 
-let epoch_gen c l =
-  let acc = ref AS.empty in
-  for t = 0 to c.c_threads - 1 do
-    acc := AS.union !acc (gen_block c l t)
-  done;
-  !acc
-
-let epoch_kill c l =
-  let acc = ref [] in
-  for t = 0 to c.c_threads - 1 do
-    AS.iter
-      (fun x ->
-        let others_ok =
-          List.for_all
-            (fun t' ->
-              t' = t
-              ||
-              match lastcheck_span c x l t' with
-              | None -> true (* ∅: never assigned nearby *)
-              | Some tainted -> not tainted)
-            (List.init c.c_threads Fun.id)
-        in
-        if others_ok then acc := x :: !acc)
-      (kill_block c l t)
-  done;
-  AS.of_list !acc
-
-(* SOS over tainted addresses, with the reaching-definitions update:
-   SOS_l = GEN_{l-2} ∪ (SOS_{l-1} − KILL_{l-2}), for l >= 2. *)
-let sos_step c ~prev l =
-  AS.union (epoch_gen c (l - 2)) (AS.diff prev (epoch_kill c (l - 2)))
-
-let tfs_for c ~scope ~exclude_tid a =
-  List.concat_map
-    (fun l ->
-      List.concat
-        (List.init c.c_threads (fun t' ->
-             if Some t' = exclude_tid then []
-             else
-               match c.tfs_at l t' with
-               | None -> []
-               | Some tfs ->
-                 Option.value (Hashtbl.find_opt tfs.by_dst a) ~default:[])))
-    scope
+(* SOS over tainted addresses, with the reaching-definitions update
+   SOS_l = GEN_{l-2} ∪ (SOS_{l-1} − KILL_{l-2}), for l >= 2, applied
+   element by element to SOS_{l-1}: GEN_{l-2} is every tainted entry of
+   LASTCHECK row l-2, KILL_{l-2} every untainted entry that no other
+   thread's LASTCHECK over (l-3, l-2) leaves tainted.  The two are
+   disjoint — a tainted [x] in one block fails [others_clear] for every
+   other thread, and a table holds one verdict per location — so the
+   order of the updates does not matter, and an update that changes
+   nothing allocates nothing. *)
+let sos_step ~prev ~two_back ~three_back =
+  let sos = ref prev in
+  Array.iteri
+    (fun t h ->
+      Tbl.iter
+        (fun x tainted ->
+          if tainted then sos := AS.add x !sos
+          else if others_clear ~two_back ~three_back ~t x 0 then
+            sos := AS.remove x !sos)
+        h)
+    two_back;
+  !sos
 
 (* LSOS via the May rule, with the resurrection clause:
      LSOS = head_gen ∪ (SOS_l − head_kill)
             ∪ (SOS_l ∩ head_kill ∩ ⋃_{t' ≠ tid} GEN(l-2, t'))
-   Pass 2 only asks whether a location is in it, which the sealed
-   GEN/KILL sets answer without building the union.  (A closure of one
-   argument, so pass 2 calls it as cheaply as a local function.) *)
-let in_lsos ~head_gen ~head_kill ~sos_l ~others_gen_l2 =
-  let mem a =
-    AS.mem a head_gen
-    || AS.mem a sos_l
-       && ((not (AS.mem a head_kill)) || List.exists (AS.mem a) others_gen_l2)
-  in
-  mem
+   Pass 2 only asks whether a location is in it, which one lookup in
+   the head table answers without building the union. *)
+let in_lsos c ~tid a =
+  match Tbl.find c.head.(tid) a with
+  | true -> true
+  | false -> AS.mem a c.sos_l && others_gen c.two_back ~tid a 0
+  | exception Not_found -> AS.mem a c.sos_l
 
-(* |LSOS| by the same membership test, probing only the (small) head
-   sets: the LSOS is head_gen plus the members of SOS_l − head_gen that
-   pass [in_lsos], and the only members of SOS_l that fail it lie in
-   head_kill. *)
-let lsos_size ~head_gen ~head_kill ~in_lsos ~sos_l =
-  let count p s = AS.fold (fun a n -> if p a then n + 1 else n) s 0 in
-  AS.cardinal head_gen + AS.cardinal sos_l
-  - count (fun a -> AS.mem a sos_l) head_gen
-  - count (fun a -> AS.mem a sos_l && not (in_lsos a)) head_kill
+(* |LSOS| by the same membership test, from the head table alone: the
+   LSOS is SOS_l, plus the GEN entries outside it, minus the KILL
+   entries in it that no other thread's GEN of l-2 resurrects. *)
+let lsos_size ~head ~sos_l ~sos_card ~others_gen =
+  Tbl.fold
+    (fun a tainted n ->
+      if tainted then if AS.mem a sos_l then n else n + 1
+      else if AS.mem a sos_l && not (others_gen a) then n - 1
+      else n)
+    head sos_card
 
 let eval_block c ~epoch:l ~tid block =
-  let head_gen = gen_block c (l - 1) tid
-  and head_kill = kill_block c (l - 1) tid in
-  let others_gen_l2 =
-    List.filteri
-      (fun t' _ -> t' <> tid)
-      (List.init c.c_threads (gen_block c (l - 2)))
-  in
-  let sos_l = c.sos_at l in
-  let in_lsos = in_lsos ~head_gen ~head_kill ~sos_l ~others_gen_l2 in
-  let local : (int, bool) Hashtbl.t = Hashtbl.create 16 in
+  let local : lastcheck = Tbl.create 16 in
   (* A chain's base taint sources: something our block already resolved
      as tainted (the wing read may interleave after our write), or the
      strongly-ordered past.  A local untaint does NOT mask the LSOS for
      wing chains: the wing may read the location before our untaint. *)
-  let base_tainted a =
-    Hashtbl.find_opt local a = Some true || in_lsos a
-  in
+  let base_tainted a = tainted_in local a || in_lsos c ~tid a in
   (* Under sequential consistency a wing chain only uses other threads'
      transfer functions (the own thread's effects flow through LSOS and
      [local]); under relaxed models the own thread's independent writes
      may become visible out of program order (Figure 2), so its
      transfer functions join the chase and only the per-location
      termination rules bound it. *)
-  let exclude_tid = if c.c_sequential then Some tid else None in
+  let exclude = if c.c_sequential then tid else -1 in
+  (* The transfer functions writing [a] in block (e, t'). *)
+  let tfs_of e t' a =
+    match c.tfs.(e - l + 1) with
+    | None -> []
+    | Some row -> (
+      match Tbl.find row.(t').by_dst a with
+      | tfs -> tfs
+      | exception Not_found -> [])
+  in
   (* Two-phase resolution (Lemma 6.3): phase 1 chases transfer
      functions of epochs l-1 and l; phase 2 of epochs l and l+1, where
      a parent already proven tainted by phase 1 stays tainted.  Both
@@ -270,60 +255,74 @@ let eval_block c ~epoch:l ~tid block =
      block's commit would change results, not just scheduling. *)
   let checks = ref 0 in
   let phase2 = ref 0 in
-  let phase1_memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-  let rec resolve ~scope ~parent_extra a visited sc_pos =
-    List.exists
-      (fun tf ->
-        incr checks;
-        (not (Tf_set.mem tf.tf_id visited))
-        && ((not c.c_sequential) || sc_admissible sc_pos tf)
-        &&
-        let visited = Tf_set.add tf.tf_id visited in
-        let sc_pos =
-          if c.c_sequential then sc_advance sc_pos tf else sc_pos
-        in
-        match tf.rhs with
-        | Bot -> true
-        | Top -> false
-        | Inherit ps ->
-          List.exists
-            (fun p ->
-              base_tainted p || parent_extra p
-              || resolve ~scope ~parent_extra p visited sc_pos)
-            ps)
-      (tfs_for c ~scope ~exclude_tid a)
+  let phase1_memo : bool Tbl.t = Tbl.create 16 in
+  (* Does some chain through the transfer functions of epochs lo..hi
+     taint [a]?  The chase walks the per-block tables in place — epoch
+     by epoch, then thread by thread, then down each list — and stops
+     at the first chain that does. *)
+  let rec resolve ~lo ~hi ~parent_extra a visited sc_pos =
+    blocks ~lo ~hi ~parent_extra a visited sc_pos lo 0
+  (* Blocks (e, t') onwards, thread-minor. *)
+  and blocks ~lo ~hi ~parent_extra a visited sc_pos e t' =
+    if t' = c.c_threads then
+      e < hi && blocks ~lo ~hi ~parent_extra a visited sc_pos (e + 1) 0
+    else
+      (t' <> exclude
+      && tf_list ~lo ~hi ~parent_extra visited sc_pos (tfs_of e t' a))
+      || blocks ~lo ~hi ~parent_extra a visited sc_pos e (t' + 1)
+  and tf_list ~lo ~hi ~parent_extra visited sc_pos = function
+    | [] -> false
+    | tf :: rest ->
+      follow ~lo ~hi ~parent_extra visited sc_pos tf
+      || tf_list ~lo ~hi ~parent_extra visited sc_pos rest
+  and follow ~lo ~hi ~parent_extra visited sc_pos tf =
+    incr checks;
+    (not (Tf_set.mem tf.tf_id visited))
+    && ((not c.c_sequential) || sc_admissible sc_pos tf)
+    &&
+    let visited = Tf_set.add tf.tf_id visited in
+    let sc_pos = if c.c_sequential then sc_advance sc_pos tf else sc_pos in
+    match tf.rhs with
+    | Bot -> true
+    | Top -> false
+    | Inherit ps -> parents ~lo ~hi ~parent_extra visited sc_pos ps
+  and parents ~lo ~hi ~parent_extra visited sc_pos = function
+    | [] -> false
+    | p :: rest ->
+      base_tainted p || parent_extra p
+      || resolve ~lo ~hi ~parent_extra p visited sc_pos
+      || parents ~lo ~hi ~parent_extra visited sc_pos rest
   in
+  let never _ = false in
   let phase1 a =
-    match Hashtbl.find_opt phase1_memo a with
-    | Some r -> r
-    | None ->
+    match Tbl.find phase1_memo a with
+    | r -> r
+    | exception Not_found ->
       let r =
-        resolve ~scope:[ l - 1; l ]
-          ~parent_extra:(fun _ -> false)
-          a Tf_set.empty Pos_map.empty
+        resolve ~lo:(l - 1) ~hi:l ~parent_extra:never a Tf_set.empty
+          Pos_map.empty
       in
-      Hashtbl.replace phase1_memo a r;
+      Tbl.replace phase1_memo a r;
       r
   in
   let wing_may a =
     if c.c_two_phase then
       phase1 a
       || (incr phase2;
-          resolve ~scope:[ l; l + 1 ] ~parent_extra:phase1 a Tf_set.empty
+          resolve ~lo:l ~hi:(l + 1) ~parent_extra:phase1 a Tf_set.empty
             Pos_map.empty)
     else
       (* Ablation: one phase over the whole window.  Still sound, but
          admits impossible chains such as an epoch l+1 taint feeding an
          epoch l-1 read (the example of Section 6.2). *)
-      resolve ~scope:[ l - 1; l; l + 1 ]
-        ~parent_extra:(fun _ -> false)
-        a Tf_set.empty Pos_map.empty
+      resolve ~lo:(l - 1) ~hi:(l + 1) ~parent_extra:never a Tf_set.empty
+        Pos_map.empty
   in
   let may_tainted a =
-    match Hashtbl.find_opt local a with
-    | Some true -> true
-    | Some false -> wing_may a
-    | None -> in_lsos a || wing_may a
+    match Tbl.find local a with
+    | true -> true
+    | false -> wing_may a
+    | exception Not_found -> in_lsos c ~tid a || wing_may a
   in
   let n_instrs = ref 0 and n_mem = ref 0 in
   let errs = ref [] in
@@ -343,7 +342,7 @@ let eval_block c ~epoch:l ~tid block =
           | Top -> false
           | Inherit ps -> List.exists may_tainted ps
         in
-        Hashtbl.replace local tf.dst result)
+        Tbl.replace local tf.dst result)
     block;
   {
     bo_errors = List.rev !errs;
@@ -352,18 +351,21 @@ let eval_block c ~epoch:l ~tid block =
       { instrs = !n_instrs; mem_events = !n_mem; checks_resolved = !checks };
     bo_lsos_card =
       (* Only the size gauge reads it, under a live sink. *)
-      (if Obs.enabled () then lsos_size ~head_gen ~head_kill ~in_lsos ~sos_l
+      (if Obs.enabled () then
+         lsos_size ~head:c.head.(tid) ~sos_l:c.sos_l ~sos_card:c.sos_card
+           ~others_gen:(fun a -> others_gen c.two_back ~tid a 0)
        else 0);
     bo_phase2 = !phase2;
   }
 
 (* ---------------------------------------------------------------- *)
-(* The window kernel.  Evaluating epoch l reads transfer functions of
-   rows l-1..l+1 (the window's resident summaries), LASTCHECK (and
-   GEN/KILL) rows l-3..l-1 and SOS_l — so LASTCHECK rows the window has
-   passed are pruned, and the SOS history (part of the report) is kept
-   whole.  GEN/KILL rows are resealed from the retained LASTCHECK rows
-   on decode. *)
+(* The window kernel.  The step for epoch l reads LASTCHECK rows l-3
+   and l-2 (the SOS update); pass 2 of l reads transfer functions of
+   rows l-1..l+1 (the window's resident summaries), LASTCHECK rows l-2
+   and l-1 and SOS_l — so LASTCHECK rows the window has passed are
+   pruned, and the SOS history (part of the report) is kept whole.
+   Nothing is derived from the LASTCHECK rows, so decode rebuilds
+   nothing. *)
 
 type params = { sequential : bool; two_phase : bool }
 
@@ -379,11 +381,10 @@ module Kernel = struct
 
   type state = {
     threads : int;
-    lastcheck : (int, (int, bool) Hashtbl.t array) Hashtbl.t; (* pruned *)
-    gen_kill : (int, gen_kill array) Hashtbl.t; (* derived from [lastcheck] *)
+    params : params;
+    lastcheck : (int, lastcheck array) Hashtbl.t; (* pruned *)
     sos : (int, AS.t) Hashtbl.t; (* full history: report content *)
     stats : (int, block_stats array) Hashtbl.t; (* epoch -> per-tid *)
-    ctx : ctx; (* the step fills in the transfer functions *)
     mutable errors : error list; (* reversed *)
   }
 
@@ -394,32 +395,8 @@ module Kernel = struct
   let rows_behind = 1
   let zero_stats = { instrs = 0; mem_events = 0; checks_resolved = 0 }
 
-  let make ~threads p ~lastcheck ~sos ~stats ~errors =
-    let gen_kill = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun l row -> Hashtbl.replace gen_kill l (Array.map seal_gen_kill row))
-      lastcheck;
-    let row_at tbl l t = Option.map (fun row -> row.(t)) (Hashtbl.find_opt tbl l) in
-    {
-      threads;
-      lastcheck;
-      gen_kill;
-      sos;
-      stats;
-      ctx =
-        {
-          c_threads = threads;
-          c_sequential = p.sequential;
-          c_two_phase = p.two_phase;
-          tfs_at = (fun _ _ -> None);
-          lastcheck_at = row_at lastcheck;
-          gen_kill_at =
-            (fun l t -> Option.value (row_at gen_kill l t) ~default:no_gen_kill);
-          sos_at =
-            (fun l -> Option.value (Hashtbl.find_opt sos l) ~default:AS.empty);
-        };
-      errors;
-    }
+  let make ~threads params ~lastcheck ~sos ~stats ~errors =
+    { threads; params; lastcheck; sos; stats; errors }
 
   let create ~threads () p =
     Obs.Counter.add m_checks 0;
@@ -429,22 +406,37 @@ module Kernel = struct
 
   let summarize _ block = summarize_block block
 
-  let advance_sos st l =
-    if l >= 2 then begin
-      let prev =
-        Option.value (Hashtbl.find_opt st.sos (l - 1)) ~default:AS.empty
-      in
-      Hashtbl.replace st.sos l (sos_step st.ctx ~prev l)
-    end
+  let sos_at st l = Option.value (Hashtbl.find_opt st.sos l) ~default:AS.empty
 
-  (* Seal SOS_l, and hand pass 2 the transfer functions of rows
-     l-1..l+1. *)
+  let lastcheck_row st l =
+    match Hashtbl.find_opt st.lastcheck l with
+    | Some row -> row
+    | None ->
+      (* Outside the execution: no entries.  One fresh table per block:
+         [Tbl.fold] writes the table it walks, and pass 2 folds each
+         block's head table (the size gauge) on its own domain. *)
+      Array.init st.threads (fun _ -> Tbl.create 1)
+
+  let advance_sos st l =
+    if l >= 2 then
+      Hashtbl.replace st.sos l
+        (sos_step ~prev:(sos_at st (l - 1))
+           ~two_back:(lastcheck_row st (l - 2))
+           ~three_back:(lastcheck_row st (l - 3)))
+
+  (* Seal SOS_l, and hand pass 2 the rows it reads. *)
   let step st ~inline:_ ~row l =
     advance_sos st l;
-    let tfs = Array.init 3 (fun i -> row (l - 1 + i)) in
+    let sos_l = sos_at st l in
     {
-      st.ctx with
-      tfs_at = (fun l' t -> Option.map (fun r -> r.(t)) tfs.(l' - l + 1));
+      c_threads = st.threads;
+      c_sequential = st.params.sequential;
+      c_two_phase = st.params.two_phase;
+      tfs = Array.init 3 (fun i -> row (l - 1 + i));
+      head = lastcheck_row st (l - 1);
+      two_back = lastcheck_row st (l - 2);
+      sos_l;
+      sos_card = (if Obs.enabled () then AS.cardinal sos_l else 0);
     }
 
   let eval_block = eval_block
@@ -455,7 +447,7 @@ module Kernel = struct
       match Hashtbl.find_opt st.lastcheck l with
       | Some row -> row
       | None ->
-        let row = Array.init st.threads (fun _ -> Hashtbl.create 1) in
+        let row = Array.init st.threads (fun _ -> Tbl.create 1) in
         Hashtbl.replace st.lastcheck l row;
         row
     in
@@ -476,13 +468,8 @@ module Kernel = struct
     Obs.Counter.add m_phase2 o.bo_phase2;
     if Obs.enabled () then
       Obs.Gauge.set_max g_set_hwm (float_of_int o.bo_lsos_card);
-    if tid = st.threads - 1 then begin
-      (* LASTCHECK row l is whole: seal its GEN/KILL, and retire the
-         rows the window has passed. *)
-      Hashtbl.replace st.gen_kill l (Array.map seal_gen_kill row);
-      Hashtbl.remove st.lastcheck (l - 3);
-      Hashtbl.remove st.gen_kill (l - 3)
-    end
+    (* LASTCHECK row l is whole: retire the row the window has passed. *)
+    if tid = st.threads - 1 then Hashtbl.remove st.lastcheck (l - 3)
 
   let report st ~row:_ ~epochs:num_l =
     (* Final SOS entries past the last window. *)
@@ -491,7 +478,7 @@ module Kernel = struct
     {
       errors = List.rev st.errors;
       sos_tainted =
-        Array.init (num_l + 2) (fun l -> AS.elements (st.ctx.sos_at l));
+        Array.init (num_l + 2) (fun l -> AS.elements (sos_at st l));
       block_stats =
         Array.init st.threads (fun tid ->
             Array.init num_l (fun l ->
@@ -539,8 +526,7 @@ module Kernel = struct
           (fun w (x, b) ->
             W.sint w x;
             W.bool w b)
-          (List.sort compare
-             (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))
+          (List.sort compare (Tbl.fold (fun k v acc -> (k, v) :: acc) tbl [])))
       st.lastcheck
 
   let get_body r ~threads ~processed:_ () p =
@@ -559,12 +545,12 @@ module Kernel = struct
            Hashtbl.replace sos l (AS.of_list xs)));
     let lastcheck =
       Lg_io.get_rows r ~threads ~what:"lastcheck" (fun r ->
-          let tbl = Hashtbl.create 16 in
+          let tbl = Tbl.create 16 in
           ignore
             (R.list r (fun r ->
                  let x = R.sint r in
                  let b = R.bool r in
-                 Hashtbl.replace tbl x b));
+                 Tbl.replace tbl x b));
           tbl)
     in
     make ~threads p ~lastcheck ~sos ~stats ~errors
@@ -575,11 +561,19 @@ module Engine = Butterfly.Window.Make (Kernel)
 let run ?(sequential = true) ?(two_phase = true) ?pool epochs =
   Engine.run ?pool () { sequential; two_phase } epochs
 
+let lastcheck_of_list entries : lastcheck =
+  let h = Tbl.create 16 in
+  List.iter (fun (x, v) -> Tbl.replace h x v) entries;
+  h
+
 let lsos_cardinal ~head_gen ~head_kill ~sos ~others_gen =
-  let head_gen = AS.of_list head_gen
-  and head_kill = AS.of_list head_kill
-  and sos_l = AS.of_list sos in
-  lsos_size ~head_gen ~head_kill ~sos_l
-    ~in_lsos:
-      (in_lsos ~head_gen ~head_kill ~sos_l
-         ~others_gen_l2:(List.map AS.of_list others_gen))
+  (* One verdict per location: a location in both lists is in the
+     LSOS through [head_gen], so GEN wins. *)
+  let head =
+    lastcheck_of_list
+      (List.map (fun x -> (x, false)) head_kill
+      @ List.map (fun x -> (x, true)) head_gen)
+  and sos_l = AS.of_list sos
+  and others = AS.of_list (List.concat others_gen) in
+  lsos_size ~head ~sos_l ~sos_card:(AS.cardinal sos_l)
+    ~others_gen:(fun a -> AS.mem a others)

@@ -74,12 +74,16 @@ type params = { sequential : bool; two_phase : bool }
 
 (** The engine: TaintCheck as a {!Butterfly.Window} kernel, under the
     window contract of {!Butterfly.Window.S}.  Pass 1 indexes each
-    block's transfer functions by destination; the master step seals
-    SOS{_l} (LASTCHECK GEN/KILL of epoch [l-2]); pass 2 resolves the
-    block's checks against rows [l-1 .. l+1]; the commit folds LASTCHECK
-    row [l] and seals its GEN/KILL.  Rows behind: 1, so LASTCHECK rows
-    the window has passed are pruned from the state and from
-    checkpoints.  The analysis variant travels inside the payload. *)
+    block's transfer functions by destination; the master step updates
+    SOS{_l-1} element by element into SOS{_l} from the LASTCHECK tables
+    of epoch [l-2] (their tainted entries are GEN, their untainted ones
+    KILL) and seals the rows pass 2 reads; pass 2 resolves the block's
+    checks against rows [l-1 .. l+1], answering head GEN/KILL and the
+    other threads' GEN of [l-2] by lookups in the LASTCHECK tables; the
+    commit adds the block's table to LASTCHECK row [l].  Rows behind: 1,
+    so LASTCHECK rows the window has passed are pruned from the state
+    and from checkpoints.  The analysis variant travels inside the
+    payload. *)
 module Engine :
   Butterfly.Window.S
     with type env = unit
@@ -108,3 +112,22 @@ val lsos_cardinal :
     GEN/KILL, SOS{_l} and other threads' epoch-[l-2] GEN sets are given.
     Exposed for the property that it equals the built set's
     cardinality. *)
+
+type lastcheck
+(** One block's LASTCHECK table: each location it resolved, with its
+    last verdict ([true] = tainted). *)
+
+val lastcheck_of_list : (Tracing.Addr.t * bool) list -> lastcheck
+(** The table of these entries; a later entry for a location replaces
+    an earlier one. *)
+
+val sos_step :
+  prev:Set.Make(Int).t ->
+  two_back:lastcheck array ->
+  three_back:lastcheck array ->
+  Set.Make(Int).t
+(** The master step's SOS update, [SOS{_l} = GEN{_l-2} ∪ (SOS{_l-1} −
+    KILL{_l-2})], applied to [prev = SOS{_l-1}] element by element from
+    LASTCHECK rows [l-2] ([two_back]) and [l-3] ([three_back]), indexed
+    by tid.  Exposed for the property that it equals the union step
+    over the sealed GEN/KILL sets, and for its allocation budget. *)

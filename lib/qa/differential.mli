@@ -54,7 +54,7 @@ val check :
   mismatch list
 (** Run the full battery on one grid, as the lifeguard's
     {!Serve.Report.find} entry describes it: its analysis variants, its
-    reference and its oracle.  [pools] are caller-owned worker
+    reference and its oracle.  [pools] are caller-owned domain
     pools reused across calls (the fuzz engine shares two across its
     whole corpus); when omitted, only the sequential driver runs and the
     battery degrades to the oracle checks. *)

@@ -54,8 +54,9 @@ val run :
   Recovery.Snapshot.lifeguard ->
   outcome
 (** Fuzz one lifeguard.  [pools] are reused for every pooled run;
-    when omitted, the engine creates a one-worker and a two-worker pool
-    for the campaign and shuts them down afterwards. *)
+    when omitted, the engine creates a one-domain pool (tasks on the
+    caller) and a two-domain pool (one worker plus the caller) for the
+    campaign and shuts them down afterwards. *)
 
 val check_program :
   ?pools:Butterfly.Domain_pool.t list ->

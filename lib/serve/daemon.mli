@@ -24,7 +24,9 @@
 type config = {
   socket : string;  (** Unix-domain socket path; replaced if present *)
   domains : int option;
-      (** shared worker pool; required by pooled hellos *)
+      (** domains of the shared pool, the daemon's own included (it
+          spawns one fewer workers and evaluates its share of each
+          epoch); required by pooled hellos *)
   state_dir : string option;  (** session snapshots (eviction, crashes) *)
   checkpoint_every : int option;  (** epochs between periodic snapshots *)
   evict_idle_after : int option;

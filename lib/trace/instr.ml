@@ -68,13 +68,13 @@ let alloc_effect = function
   | Join _ ->
     `None
 
-let is_memory_event i =
-  match i with
-  | Malloc _ | Free _ -> true
-  | Assign_const _ | Assign_unop _ | Assign_binop _ | Read _ | Taint_source _
-  | Untaint _ | Jump_via _ | Syscall_arg _ | Nop | Lock _ | Unlock _ | Fork _
-  | Join _ ->
-    accesses i <> []
+(* Every data instruction reads or writes at least one location, so
+   this is [accesses i <> []] for them without building the list. *)
+let is_memory_event = function
+  | Malloc _ | Free _ | Assign_const _ | Assign_unop _ | Assign_binop _
+  | Read _ | Taint_source _ | Untaint _ | Jump_via _ | Syscall_arg _ ->
+    true
+  | Nop | Lock _ | Unlock _ | Fork _ | Join _ -> false
 
 let taint_sink = function
   | Jump_via x | Syscall_arg x -> Some x

@@ -1,8 +1,9 @@
 (* Domain pool: the bounded worker pool the per-epoch pass-2 fan-out
    runs on.  The contract under test: results come back in submission
    order no matter which worker ran what, exceptions surface at [await], submit
-   blocks (rather than drops) when a queue fills, and pool width never
-   exceeds the hardware's recommended domain count. *)
+   blocks (rather than drops) when a queue fills, pool width never
+   exceeds the hardware's recommended domain count, and the width counts
+   the caller (a one-domain pool runs its tasks there). *)
 
 module Pool = Butterfly.Domain_pool
 
@@ -57,12 +58,35 @@ let single_worker =
             "batch in order"
             (Array.map (fun i -> i + 1) input)
             (map_async pool (fun i -> i + 1) input);
-          (* Interleaved async/await cycles on the single worker: each
-             future must resolve even though every task shares one queue. *)
+          (* Interleaved async/await cycles on the one domain, which
+             runs each task on the caller inside [async]. *)
           for k = 0 to 9 do
             Alcotest.(check int) "async round" (k * 3)
               (Pool.await (Pool.async pool (fun () -> k * 3)))
           done))
+
+let caller_counts =
+  Alcotest.test_case "size counts the caller; one domain runs tasks on it"
+    `Quick (fun () ->
+      let me = Domain.self () in
+      with_pool ~domains:1 (fun pool ->
+          Alcotest.(check int) "size" 1 (Pool.size pool);
+          Alcotest.(check int) "one share" 1 (Pool.shares pool 8);
+          let ran_on = Pool.await (Pool.async pool (fun () -> Domain.self ())) in
+          Testutil.checkb "task ran on the caller" true (ran_on = me));
+      with_pool ~domains:2 (fun pool ->
+          let n = Pool.size pool in
+          Testutil.checkb "size is 2, or 1 on a one-core host" true
+            (n = min 2 (Pool.max_domains ()));
+          Alcotest.(check int) "a share per domain" n (Pool.shares pool 8);
+          Alcotest.(check int) "never more shares than items" 1
+            (Pool.shares pool 1);
+          if n = 2 then begin
+            let ran_on =
+              Pool.await (Pool.async pool (fun () -> Domain.self ()))
+            in
+            Testutil.checkb "task ran on the worker" true (ran_on <> me)
+          end))
 
 exception Boom of int
 
@@ -178,7 +202,7 @@ let () =
       ( "pool",
         [
           async_order; async_deterministic; async_empty;
-          single_worker; exception_propagation; exception_in_batch;
+          caller_counts; single_worker; exception_propagation; exception_in_batch;
           exception_on_single_worker; backpressure; size_capped;
           shutdown_idempotent;
         ] );

@@ -2,12 +2,14 @@
    [Engine] (a [Window.S]) fed every row of the grid, with pass 2 fanned
    out per epoch on an optional domain pool.
 
-   Five batteries:
+   Six batteries:
 
    - the cross-driver equivalence battery: 500+ seeded ragged grids, all
      four lifeguards (TaintCheck in every analysis variant), pools of
      1/2/8 domains — every pooled report fingerprint must be
      byte-identical to the sequential engine's;
+   - the same comparison at 1, 3 and 8 threads on a 2-domain pool, where
+     the caller's share of each epoch and the worker's are uneven;
    - AddrCheck's isolation (metadata-race) sets against a whole-grid
      reference computation, sequential and pooled;
    - Theorem 6.2 through the pooled engine: the valid-ordering oracle
@@ -46,14 +48,26 @@ let lifeguard_cases : (string * Qa.Grid_gen.profile * fp_fn list) list =
     Recovery.Snapshot.all
 
 (* 4 lifeguards x 3 pool widths x 20 grids x (1 or 3 variants) = 720
-   grid-runs, each compared against the sequential baseline. *)
-let equivalence_battery domains () =
+   grid-runs, each compared against the sequential baseline.  With
+   [threads], every grid has exactly that many threads, so on a
+   2-domain pool the caller's share of each epoch and the worker's
+   differ in size (1 + 2 of 3 threads) or the caller takes the whole
+   epoch (1 thread). *)
+let equivalence_battery ?threads domains () =
+  let shape =
+    Option.map
+      (fun n -> { Qa.Grid_gen.default_shape with min_threads = n; max_threads = n })
+      threads
+  in
+  let seed, grids =
+    match threads with None -> (0x3afe, 20) | Some n -> (0x5a2e + n, 25)
+  in
   Butterfly.Domain_pool.with_pool ~name:"engine-test" ~domains (fun pool ->
       List.iter
         (fun (label, profile, fps) ->
-          let rng = Random.State.make [| 0x3afe; domains |] in
-          for g = 1 to 20 do
-            let grid = Qa.Grid_gen.grid profile rng in
+          let rng = Random.State.make [| seed; domains |] in
+          for g = 1 to grids do
+            let grid = Qa.Grid_gen.grid ?shape profile rng in
             let epochs = Qa.Grid.epochs grid in
             List.iteri
               (fun v (fp : fp_fn) ->
@@ -200,7 +214,10 @@ let edge_grid name (g : Testutil.grid) =
 let poll_semantics =
   Alcotest.test_case "future poll: false while pending, true when done"
     `Quick (fun () ->
-      Butterfly.Domain_pool.with_pool ~name:"engine-poll" ~domains:1 (fun pool ->
+      (* A task pending on a worker: a pool of one domain has none (its
+         tasks run on the caller inside [async]). *)
+      Butterfly.Domain_pool.with_pool ~name:"engine-poll" ~domains:2 (fun pool ->
+          if Butterfly.Domain_pool.size pool >= 2 then
           let gate = Atomic.make false in
           let f =
             Butterfly.Domain_pool.async pool (fun () ->
@@ -386,6 +403,13 @@ let () =
                  domains)
               `Slow (equivalence_battery domains))
           [ 1; 2; 8 ] );
+      ( "uneven-shares",
+        List.map
+          (fun threads ->
+            Alcotest.test_case
+              (Printf.sprintf "%d-thread grids, pooled(2) == sequential" threads)
+              `Quick (equivalence_battery ~threads 2))
+          [ 1; 3; 8 ] );
       ( "isolation",
         [
           Alcotest.test_case "metadata-race blocks == whole-grid reference"

@@ -327,6 +327,153 @@ let taintcheck_tests =
         TC.lsos_cardinal ~head_gen ~head_kill ~sos ~others_gen = S.cardinal built);
   ]
 
+(* ---------- TaintCheck's master step ---------- *)
+
+(* The union step the element-wise SOS update replaced, as a reference:
+   seal each LASTCHECK block's GEN (tainted entries) and KILL (untainted
+   entries), then SOS_l = GEN_{l-2} ∪ (SOS_{l-1} − KILL_{l-2}), where a
+   KILL entry counts only if no other thread's LASTCHECK over
+   (l-3, l-2) leaves the location tainted. *)
+module Union_step = struct
+  module AS = Set.Make (Int)
+
+  type row = (int, bool) Hashtbl.t array
+
+  let table entries =
+    let h = Hashtbl.create 16 in
+    List.iter (fun (x, v) -> Hashtbl.replace h x v) entries;
+    h
+
+  let seal (h : (int, bool) Hashtbl.t) =
+    Hashtbl.fold
+      (fun x tainted (g, k) ->
+        if tainted then (AS.add x g, k) else (g, AS.add x k))
+      h (AS.empty, AS.empty)
+
+  let lastcheck_span ~(two_back : row) ~(three_back : row) x t' =
+    match Hashtbl.find_opt two_back.(t') x with
+    | Some r -> Some r
+    | None -> Hashtbl.find_opt three_back.(t') x
+
+  let epoch_gen sealed =
+    Array.fold_left (fun acc (g, _) -> AS.union acc g) AS.empty sealed
+
+  let epoch_kill ~two_back ~three_back sealed =
+    let threads = Array.length sealed in
+    let acc = ref [] in
+    Array.iteri
+      (fun t (_, kill) ->
+        AS.iter
+          (fun x ->
+            let others_ok =
+              List.for_all
+                (fun t' ->
+                  t' = t
+                  ||
+                  match lastcheck_span ~two_back ~three_back x t' with
+                  | None -> true
+                  | Some tainted -> not tainted)
+                (List.init threads Fun.id)
+            in
+            if others_ok then acc := x :: !acc)
+          kill)
+      sealed;
+    AS.of_list !acc
+
+  let step ~prev ~two_back ~three_back ~sealed =
+    AS.union (epoch_gen sealed)
+      (AS.diff prev (epoch_kill ~two_back ~three_back sealed))
+end
+
+(* Per thread, one optional verdict for each of [n_addrs] locations: two
+   threads may disagree on a location in the same row. *)
+let gen_lc_row ~threads ~n_addrs =
+  let entries vs =
+    List.concat (List.mapi (fun x -> function Some b -> [ (x, b) ] | None -> []) vs)
+  in
+  QCheck.Gen.(array_repeat threads (map entries (list_repeat n_addrs (opt bool))))
+
+let arb_sos_case =
+  let open QCheck.Gen in
+  let n_addrs = 8 in
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        triple (list int)
+          (array (list (pair int bool)))
+          (array (list (pair int bool))))
+    (let* threads = int_range 1 4 in
+     triple
+       (list_size (int_bound n_addrs) (int_bound (n_addrs - 1)))
+       (gen_lc_row ~threads ~n_addrs)
+       (gen_lc_row ~threads ~n_addrs))
+
+let sos_step_tests =
+  [
+    Testutil.qtest ~count:500 "element-wise SOS step == GEN ∪ (SOS − KILL)"
+      arb_sos_case (fun (prev, r2, r3) ->
+        let prev = Union_step.AS.of_list prev in
+        let two_back = Array.map Union_step.table r2
+        and three_back = Array.map Union_step.table r3 in
+        let reference =
+          Union_step.step ~prev ~two_back ~three_back
+            ~sealed:(Array.map Union_step.seal two_back)
+        in
+        Union_step.AS.equal reference
+          (TC.sos_step ~prev
+             ~two_back:(Array.map TC.lastcheck_of_list r2)
+             ~three_back:(Array.map TC.lastcheck_of_list r3)));
+    (* A steady-state step: a 4096-location SOS and eight threads of 64
+       LASTCHECK verdicts each, every tainted one already in the SOS and
+       every untainted one already out of it, so SOS_l = SOS_{l-1}.  The
+       element-wise update then allocates a few words per thread; the
+       union step copies the paths of every GEN and KILL entry through
+       the SOS tree and lists the threads per KILL entry, thousands of
+       words. *)
+    Alcotest.test_case "steady-state SOS step allocates O(threads) words"
+      `Quick (fun () ->
+        let threads = 8 and n = 4096 and per = 64 in
+        let prev = Union_step.AS.of_list (List.init n (fun k -> 16 * k)) in
+        let row salt =
+          Array.init threads (fun t ->
+              List.init per (fun j ->
+                  let k = ((t * per) + j + salt) * 7919 mod n in
+                  if j land 1 = 0 then (16 * k, true) else ((16 * k) + 8, false)))
+        in
+        let r2 = row 0 and r3 = row 1 in
+        let two_back = Array.map TC.lastcheck_of_list r2
+        and three_back = Array.map TC.lastcheck_of_list r3 in
+        let budget = float_of_int (32 * threads) in
+        let iters = 200 in
+        let per_step f =
+          ignore (Sys.opaque_identity (f ()));
+          let before = Gc.minor_words () in
+          for _ = 1 to iters do
+            ignore (Sys.opaque_identity (f ()))
+          done;
+          (Gc.minor_words () -. before) /. float_of_int iters
+        in
+        let words =
+          per_step (fun () -> TC.sos_step ~prev ~two_back ~three_back)
+        in
+        Testutil.checkb "the fixture is a steady state" true
+          (Union_step.AS.equal prev (TC.sos_step ~prev ~two_back ~three_back));
+        Testutil.checkb
+          (Printf.sprintf "%.1f words/step, budget %.0f" words budget)
+          true (words <= budget);
+        let two_back = Array.map Union_step.table r2
+        and three_back = Array.map Union_step.table r3 in
+        let sealed = Array.map Union_step.seal two_back in
+        let union_words =
+          per_step (fun () ->
+              Union_step.step ~prev ~two_back ~three_back ~sealed)
+        in
+        Testutil.checkb
+          (Printf.sprintf "the union step (%.0f words/step) exceeds the budget"
+             union_words)
+          true (union_words > budget));
+  ]
+
 (* ---------- timesliced baseline ---------- *)
 
 (* ---------- butterfly InitCheck ---------- *)
@@ -547,6 +694,7 @@ let () =
       ("taintcheck_seq", seq_taintcheck_tests);
       ("addrcheck_butterfly", addrcheck_tests);
       ("taintcheck_butterfly", taintcheck_tests);
+      ("taintcheck_sos_step", sos_step_tests);
       ("timesliced", timesliced_tests);
       ("initcheck", initcheck_tests);
       ("ablations", ablation_tests);

@@ -34,6 +34,25 @@ let footprint_tests =
         Testutil.checkb "nop" false (I.is_memory_event I.Nop);
         Testutil.checkb "malloc" true (I.is_memory_event (I.Malloc { base = 0; size = 1 }));
         Testutil.checkb "assign" true (I.is_memory_event (I.Assign_const addr)));
+    Alcotest.test_case "is_memory_event = a non-empty footprint or heap management"
+      `Quick (fun () ->
+        (* One instruction of every constructor, plus binops whose
+           operands (and destination) coincide. *)
+        let every =
+          [
+            I.Assign_const 1; I.Assign_unop (1, 2); I.Assign_binop (1, 2, 3);
+            I.Assign_binop (1, 2, 2); I.Assign_binop (2, 2, 2); I.Read 1;
+            I.Malloc { base = 0; size = 8 }; I.Free { base = 0; size = 8 };
+            I.Taint_source 1; I.Untaint 1; I.Jump_via 1; I.Syscall_arg 1;
+            I.Lock 1; I.Unlock 1; I.Fork 1; I.Join 1; I.Nop;
+          ]
+        in
+        List.iter
+          (fun i ->
+            Testutil.checkb (I.to_string i)
+              (I.accesses i <> [] || I.alloc_effect i <> `None)
+              (I.is_memory_event i))
+          every);
     Alcotest.test_case "taint_sink" `Quick (fun () ->
         Alcotest.(check (option int)) "jump" (Some 3) (I.taint_sink (I.Jump_via 3));
         Alcotest.(check (option int)) "sysarg" (Some 4)
