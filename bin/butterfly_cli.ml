@@ -250,7 +250,7 @@ let every_of h = if h > 0 then Some h else None
 
 (* One lifeguard run: the trace's rows stream into the lifeguard's engine,
    fresh or revived from a checkpoint, snapshotting on the way when asked.
-   Returns the report's renderer. *)
+   Returns the report's printer. *)
 let analyze ~domains ~relaxed ~every ~out ~resume lifeguard path h =
   let src = load_rows path in
   let checkpoint = checkpointing_of every out in
@@ -275,17 +275,22 @@ let analyze ~domains ~relaxed ~every ~out ~resume lifeguard path h =
           prerr_endline ("error: " ^ m);
           exit 2
       in
-      fun ~json -> if json then e.json r ^ "\n" else e.text r)
+      fun ~json ->
+        if json then begin
+          print_string (e.json r);
+          print_char '\n'
+        end
+        else print_string (e.text r))
 
 (* The four lifeguard subcommands: one builder, told apart by the
    lifeguard, its doc string and TaintCheck's [--relaxed] flag. *)
 let lifeguard_cmd lifeguard ~doc relaxed_arg =
   let run path h relaxed domains every out resume json stats obs_jsonl =
     with_stats ?obs_jsonl stats (fun () ->
-        let render =
+        let print =
           analyze ~domains ~relaxed ~every ~out ~resume lifeguard path h
         in
-        print_string (render ~json))
+        print ~json)
   in
   Cmd.v
     (Cmd.info (Recovery.Snapshot.lifeguard_to_string lifeguard) ~doc)
@@ -327,7 +332,7 @@ let stats_cmd =
   let run path h domains lifeguard json prometheus obs_jsonl =
     let fmt = if prometheus then `Prometheus else if json then `Json else `Text in
     with_stats ?obs_jsonl (Some fmt) (fun () ->
-        let (_ : json:bool -> string) =
+        let (_ : json:bool -> unit) =
           analyze ~domains ~relaxed:false ~every:None ~out:None ~resume:None
             lifeguard path h
         in

@@ -132,76 +132,133 @@ let fingerprint (r : report) =
 
 (* ------------------------------------------------------------------ *)
 (* Pass-1 block summaries: everything pass 2 needs to know about a wing
-   without rereading it, computed per block with no shared state. *)
+   without rereading it, computed per block with no shared state.
 
-type access = {
-  ai : int; (* instruction index in block *)
-  a_addr : Tracing.Addr.t;
-  a_kind : kind;
-  a_held : LS.t; (* locks acquired in-block and still held here *)
-  a_removed : LS.t; (* entry locks already released here *)
-}
+   Accesses are stored field by field, in index order (per instruction:
+   the write, then the reads).  Their locksets are not: a block's lock
+   sets change only at its [Lock]/[Unlock] instructions, so each access
+   names the lock state it runs under.  Lock state 0 is the block's
+   entry; a new state starts at the first access after a change, so a
+   critical section's accesses share one state and a lock operation
+   with no access after it adds none. *)
 
 type summary = {
-  s_accesses : access array; (* index order; per instr: write, then reads *)
+  s_index : int array; (* access -> instruction index in block *)
+  s_addr : Tracing.Addr.t array; (* access -> address *)
+  s_meta : int array; (* access -> (lock state lsl 1) lor (1 if a write) *)
+  s_held : LS.t array; (* lock state -> locks acquired in-block, held *)
+  s_released : LS.t array; (* lock state -> entry locks released *)
   s_fork_max : (int, int) Hashtbl.t; (* child tid -> max Fork index *)
   s_join_min : (int, int) Hashtbl.t; (* target tid -> min Join index *)
   s_added : LS.t; (* locks acquired in-block and held at exit *)
   s_removed : LS.t; (* entry locks released by exit *)
 }
 
+let is_write meta = meta land 1 = 1
+let lock_state meta = meta lsr 1
+let kind_of_meta meta = if is_write meta then W else R
+
 (* Fork/join targets outside the grid (or the forking thread itself) are
    recorded in the trace but induce no ordering. *)
 let valid_target ~threads ~tid u = u >= 0 && u < threads && u <> tid
 
+(* How many accesses an instruction contributes to pairing: its write,
+   then its reads ([Instr.writes], then [Instr.reads]); a binop with
+   equal operands reads once. *)
+let access_count : Tracing.Instr.t -> int = function
+  | Assign_const _ | Taint_source _ | Untaint _ | Read _ | Jump_via _
+  | Syscall_arg _ ->
+    1
+  | Assign_unop _ -> 2
+  | Assign_binop (_, a, b) -> if Tracing.Addr.equal a b then 2 else 3
+  | Malloc _ | Free _ | Lock _ | Unlock _ | Fork _ | Join _ | Nop -> 0
+
+(* Pass 1 walks the instruction array by index and matches the
+   constructors itself.  A counting sweep sizes the arrays; the filling
+   sweep then allocates nothing per instruction but the lock sets of a
+   [Lock]/[Unlock]. *)
 let summarize_block ~threads (block : Butterfly.Block.t) =
-  let tid = block.tid in
-  let accs = ref [] in
-  let held = ref LS.empty and removed = ref LS.empty in
+  let tid = block.tid and instrs = block.instrs in
+  let n = ref 0 and states = ref 1 and synced = ref false in
+  for k = 0 to Array.length instrs - 1 do
+    match Array.unsafe_get instrs k with
+    | Lock _ | Unlock _ -> synced := true
+    | i ->
+      let c = access_count i in
+      if c > 0 && !synced then begin
+        incr states;
+        synced := false
+      end;
+      n := !n + c
+  done;
+  let s_index = Array.make !n 0 and s_addr = Array.make !n 0 in
+  let s_meta = Array.make !n 0 in
+  let s_held = Array.make !states LS.empty in
+  let s_released = Array.make !states LS.empty in
   let fork_max = Hashtbl.create 4 and join_min = Hashtbl.create 4 in
-  Butterfly.Block.iteri
-    (fun id instr ->
-      let index = id.Butterfly.Instr_id.index in
-      (match Tracing.Instr.sync_effect instr with
-      | `Lock m ->
-        held := LS.add m !held;
-        removed := LS.remove m !removed
-      | `Unlock m ->
-        held := LS.remove m !held;
-        removed := LS.add m !removed
-      | `Fork u ->
-        (* iterated in index order, so the last replace is the max *)
-        if valid_target ~threads ~tid u then Hashtbl.replace fork_max u index
-      | `Join u ->
-        if valid_target ~threads ~tid u && not (Hashtbl.mem join_min u) then
-          Hashtbl.replace join_min u index
-      | `None -> ());
-      let push a_kind a_addr =
-        accs :=
-          { ai = index; a_addr; a_kind; a_held = !held; a_removed = !removed }
-          :: !accs
-      in
-      (match Tracing.Instr.writes instr with
-      | Some x -> push W x
-      | None -> ());
-      List.iter (push R) (Tracing.Instr.reads instr))
-    block;
+  let held = ref LS.empty and released = ref LS.empty in
+  let next = ref 0 and state = ref 0 and changed = ref false in
+  let push ai write x =
+    if !changed then begin
+      let s = !state + 1 in
+      s_held.(s) <- !held;
+      s_released.(s) <- !released;
+      state := s;
+      changed := false
+    end;
+    let k = !next in
+    s_index.(k) <- ai;
+    s_addr.(k) <- x;
+    s_meta.(k) <- (!state lsl 1) lor write;
+    next := k + 1
+  in
+  for ai = 0 to Array.length instrs - 1 do
+    match Array.unsafe_get instrs ai with
+    | Assign_const x | Taint_source x | Untaint x -> push ai 1 x
+    | Assign_unop (x, a) ->
+      push ai 1 x;
+      push ai 0 a
+    | Assign_binop (x, a, b) ->
+      push ai 1 x;
+      push ai 0 a;
+      if not (Tracing.Addr.equal a b) then push ai 0 b
+    | Read a | Jump_via a | Syscall_arg a -> push ai 0 a
+    | Lock m ->
+      held := LS.add m !held;
+      released := LS.remove m !released;
+      changed := true
+    | Unlock m ->
+      held := LS.remove m !held;
+      released := LS.add m !released;
+      changed := true
+    | Fork u ->
+      (* swept in index order, so the last replace is the max *)
+      if valid_target ~threads ~tid u then Hashtbl.replace fork_max u ai
+    | Join u ->
+      if valid_target ~threads ~tid u && not (Hashtbl.mem join_min u) then
+        Hashtbl.replace join_min u ai
+    | Malloc _ | Free _ | Nop -> ()
+  done;
   {
-    s_accesses = Array.of_list (List.rev !accs);
+    s_index;
+    s_addr;
+    s_meta;
+    s_held;
+    s_released;
     s_fork_max = fork_max;
     s_join_min = join_min;
     s_added = !held;
-    s_removed = !removed;
+    s_removed = !released;
   }
 
 (* entry(l+1) from entry(l) and block (l, t)'s summary. *)
 let entry_step entry (s : summary) =
   LS.union s.s_added (LS.diff entry s.s_removed)
 
-(* The lockset guarding one access: locally acquired locks still held,
-   plus the epoch-entry set minus what the block released before it. *)
-let access_lockset entry (a : access) =
-  LS.union a.a_held (LS.diff entry a.a_removed)
+(* The lockset guarding the accesses of one lock state: locally acquired
+   locks still held, plus the epoch-entry set minus what the block
+   released before them. *)
+let state_lockset entry held released = LS.union held (LS.diff entry released)
 
 (* Entry clock of block (l, t): for u <> t, everything of u up to the
    last Fork t in block (l-1, u) — or up to epoch l-2 when there is
@@ -209,50 +266,69 @@ let access_lockset entry (a : access) =
    l-1, absent before the first epoch. *)
 let entry_clock ~threads ~(prev : summary array option) ~epoch:l ~tid:t :
     Vclock.t =
+  let own = (l, 0) and before = (l - 1, 0) in
   Array.init threads (fun u ->
-      if u = t then (l, 0)
+      if u = t then own
       else
         match prev with
         | Some row -> (
           match Hashtbl.find_opt row.(u).s_fork_max t with
           | Some f -> (l - 1, f + 1)
-          | None -> (l - 1, 0))
-        | None -> (l - 1, 0))
+          | None -> before)
+        | None -> before)
+
+(* Address-keyed tables.  Addresses are 8-byte aligned, so an identity
+   hash would leave most buckets empty; [Hashtbl.hash] spreads them. *)
+module Addr_tbl = Hashtbl.Make (struct
+  type t = Tracing.Addr.t
+
+  let equal = Tracing.Addr.equal
+  let hash = Hashtbl.hash
+end)
+
+(* A (tid, position) pair packed into one int, ordered as the pair
+   (positions index a block's accesses, far below 2^32). *)
+let pack u i = (u lsl 32) lor i
+let packed_tid p = p lsr 32
+let packed_pos p = p land 0xFFFF_FFFF
 
 (* A summary row sealed by the master before an epoch's fan-out, so that
    pass 2 never rebuilds what every block of the epoch shares:
-   - each access's full lockset, [access_lockset entry(e, u) a], computed
-     once instead of once per candidate pair;
-   - an index from address to the row's accesses as (tid, position)
-     pairs, ascending — the order in which scanning the row thread by
-     thread, access by access, meets them. *)
+   - the full lockset of each lock state, [state_lockset entry(e, u)],
+     computed once instead of once per candidate pair;
+   - an index from address to the row's accesses as packed (tid,
+     position) ints, ascending — the order in which scanning the row
+     thread by thread, access by access, meets them. *)
 type sealed = {
   sl_row : summary array; (* by tid *)
-  sl_locksets : LS.t array array; (* [u].(i): lockset of access i of u *)
-  sl_by_addr : (Tracing.Addr.t, (int * int) list) Hashtbl.t;
+  sl_locksets : LS.t array array; (* [u].(k): lockset of u's lock state k *)
+  sl_by_addr : int list Addr_tbl.t;
 }
 
 let seal ~(entry : LS.t array) (row : summary array) =
-  let by_addr = Hashtbl.create 64 in
+  let by_addr = Addr_tbl.create 64 in
   for u = Array.length row - 1 downto 0 do
-    let accs = row.(u).s_accesses in
-    for i = Array.length accs - 1 downto 0 do
-      let x = accs.(i).a_addr in
-      let later = Option.value (Hashtbl.find_opt by_addr x) ~default:[] in
-      Hashtbl.replace by_addr x ((u, i) :: later)
+    let addrs = row.(u).s_addr in
+    for i = Array.length addrs - 1 downto 0 do
+      let x = addrs.(i) in
+      match Addr_tbl.find_opt by_addr x with
+      | Some later -> Addr_tbl.replace by_addr x (pack u i :: later)
+      | None -> Addr_tbl.add by_addr x [ pack u i ]
     done
   done;
   {
     sl_row = row;
     sl_locksets =
       Array.mapi
-        (fun u s -> Array.map (access_lockset entry.(u)) s.s_accesses)
+        (fun u s -> Array.map2 (state_lockset entry.(u)) s.s_held s.s_released)
         row;
     sl_by_addr = by_addr;
   }
 
 let accesses_to (w : sealed) x =
-  Option.value (Hashtbl.find_opt w.sl_by_addr x) ~default:[]
+  match Addr_tbl.find w.sl_by_addr x with
+  | ps -> ps
+  | exception Not_found -> []
 
 (* ------------------------------------------------------------------ *)
 
@@ -288,68 +364,77 @@ type block_outcome = {
    ascending).  The forward wing (l+1, u) is covered when that block
    runs.  The sealed rows' address index yields exactly those partners,
    in exactly that order; [prev] (row l-1) is absent before the first
-   epoch. *)
+   epoch.
+
+   A wing access B at (wl, wu, bi) happens before A at (l, t, ai) when
+   it lies below component wu of the block's entry clock, or when B is
+   in epoch l-1 and the block joins wu before A.  [joins] holds the
+   block's first valid [Join u] index per u, [max_int] when none. *)
 let eval_block ~prev ~cur ~clock ~epoch:l ~tid:t block =
   let sm = cur.sl_row.(t) in
   let races = ref [] in
   let n_pairs = ref 0 and hb_supp = ref 0 and lock_supp = ref 0 in
-  (* Only the lockset-size gauge reads it, under a live sink. *)
-  let track_ls = Obs.enabled () and max_ls = ref 0 in
-  let check (a : access) ls_a ~wl (w : sealed) (wu, j) =
-    let b = w.sl_row.(wu).s_accesses.(j) in
-    if a.a_kind = W || b.a_kind = W then begin
+  let joins = Array.make (Array.length cur.sl_row) max_int in
+  Hashtbl.iter (fun u j -> joins.(u) <- j) sm.s_join_min;
+  (* Access [i] of this block against access [p] of row [w], epoch [wl]. *)
+  let check i ls_a ~wl (w : sealed) p =
+    let wu = packed_tid p and j = packed_pos p in
+    let wb = w.sl_row.(wu) in
+    let a_meta = sm.s_meta.(i) and b_meta = wb.s_meta.(j) in
+    if is_write a_meta || is_write b_meta then begin
       incr n_pairs;
-      let hb =
-        Vclock.pos_lt (wl, b.ai) (Vclock.get clock wu)
-        || wl < l
-           &&
-           match Hashtbl.find_opt sm.s_join_min wu with
-           | Some j -> j < a.ai
-           | None -> false
-      in
-      if hb then incr hb_supp
-      else if not (LS.disjoint ls_a w.sl_locksets.(wu).(j)) then
-        incr lock_supp
+      let ai = sm.s_index.(i) and bi = wb.s_index.(j) in
+      let cl, ci = clock.(wu) in
+      if wl < cl || (wl = cl && bi < ci) || (wl < l && joins.(wu) < ai) then
+        incr hb_supp
+      else if
+        not (LS.disjoint ls_a w.sl_locksets.(wu).(lock_state b_meta))
+      then incr lock_supp
       else
         races :=
           {
-            a = Id.make ~epoch:l ~tid:t ~index:a.ai;
-            a_kind = a.a_kind;
-            b = Id.make ~epoch:wl ~tid:wu ~index:b.ai;
-            b_kind = b.a_kind;
-            addr = a.a_addr;
+            a = Id.make ~epoch:l ~tid:t ~index:ai;
+            a_kind = kind_of_meta a_meta;
+            b = Id.make ~epoch:wl ~tid:wu ~index:bi;
+            b_kind = kind_of_meta b_meta;
+            addr = sm.s_addr.(i);
           }
           :: !races
     end
   in
-  Array.iteri
-    (fun i (a : access) ->
-      let ls_a = cur.sl_locksets.(t).(i) in
-      if track_ls then (
-        let n = LS.cardinal ls_a in
-        if n > !max_ls then max_ls := n);
-      Option.iter
-        (fun w ->
-          List.iter
-            (fun ((u, _) as p) -> if u <> t then check a ls_a ~wl:(l - 1) w p)
-            (accesses_to w a.a_addr))
-        prev;
-      if not !Testing.break_same_epoch then
-        let rec earlier = function
-          | ((u, _) as p) :: rest when u < t ->
-            check a ls_a ~wl:l cur p;
-            earlier rest
-          | _ -> ()
-        in
-        earlier (accesses_to cur a.a_addr))
-    sm.s_accesses;
+  let rec behind i ls_a w = function
+    | p :: rest ->
+      if packed_tid p <> t then check i ls_a ~wl:(l - 1) w p;
+      behind i ls_a w rest
+    | [] -> ()
+  in
+  let rec earlier i ls_a = function
+    | p :: rest when packed_tid p < t ->
+      check i ls_a ~wl:l cur p;
+      earlier i ls_a rest
+    | _ -> ()
+  in
+  (* Only the lockset-size gauge reads it, under a live sink. *)
+  let track_ls = Obs.enabled () and max_ls = ref 0 in
+  let locksets = cur.sl_locksets.(t) in
+  let n = Array.length sm.s_addr in
+  for i = 0 to n - 1 do
+    let x = sm.s_addr.(i) and ls_a = locksets.(lock_state sm.s_meta.(i)) in
+    if track_ls then (
+      let c = LS.cardinal ls_a in
+      if c > !max_ls then max_ls := c);
+    (match prev with
+    | Some w -> behind i ls_a w (accesses_to w x)
+    | None -> ());
+    if not !Testing.break_same_epoch then earlier i ls_a (accesses_to cur x)
+  done;
   let races = List.rev !races in
   {
     bo_races = races;
     bo_stats =
       {
         instrs = Butterfly.Block.length block;
-        accesses = Array.length sm.s_accesses;
+        accesses = n;
         pairs_checked = !n_pairs;
         races = List.length races;
       };
@@ -530,5 +615,48 @@ module Kernel = struct
 end
 
 module Engine = Butterfly.Window.Make (Kernel)
+
+module Pass1 = struct
+  type t = summary
+
+  let summarize = summarize_block
+
+  type access = {
+    index : int;
+    addr : Tracing.Addr.t;
+    kind : kind;
+    held : int list;
+    released : int list;
+  }
+
+  type view = {
+    accesses : access list;
+    fork_max : (int * int) list;
+    join_min : (int * int) list;
+    added : int list;
+    removed : int list;
+  }
+
+  let bindings tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+  let view (s : t) =
+    {
+      accesses =
+        List.init (Array.length s.s_addr) (fun i ->
+            let meta = s.s_meta.(i) in
+            {
+              index = s.s_index.(i);
+              addr = s.s_addr.(i);
+              kind = kind_of_meta meta;
+              held = LS.elements s.s_held.(lock_state meta);
+              released = LS.elements s.s_released.(lock_state meta);
+            });
+      fork_max = bindings s.s_fork_max;
+      join_min = bindings s.s_join_min;
+      added = LS.elements s.s_added;
+      removed = LS.elements s.s_removed;
+    }
+end
 
 let run ?pool epochs = Engine.run ?pool () () epochs

@@ -70,10 +70,15 @@ val run : ?pool:Butterfly.Domain_pool.t -> Butterfly.Epochs.t -> report
 
 (** The engine: RaceCheck as a {!Butterfly.Window} kernel, under the
     window contract of {!Butterfly.Window.S}.  Pass 1 summarizes each
-    block's accesses, locks and fork/join targets; the master step seals
-    the entry lock row, summary rows [l-1] and [l] and the entry clocks;
-    pass 2 checks the block's candidate pairs.  Rows behind: 1.  The
-    checkpoint body holds the accumulated races, statistics and
+    block's accesses, locks and fork/join targets in one sweep over its
+    instruction array, storing the accesses field by field and their
+    locksets once per lock state, with no allocation per instruction.
+    The master step seals the entry lock row, summary rows [l-1] and
+    [l] (each lock state's full lockset, and an int-keyed index from
+    address to packed (tid, position) ints) and the entry clocks.
+    Pass 2 checks the block's candidate pairs, testing happens-before
+    on the clock component and a per-block join array.  Rows behind: 1.
+    The checkpoint body holds the accumulated races, statistics and
     entry-lock history; summaries are recomputed on decode. *)
 module Engine :
   Butterfly.Window.S
@@ -88,4 +93,34 @@ module Engine :
    mutation smoke test proves the oracle battery catches it. *)
 module Testing : sig
   val break_same_epoch : bool ref
+end
+
+(** Pass 1, exposed for the property that it equals a reference
+    summarizer and for its allocation budget ([test/test_racecheck.ml]). *)
+module Pass1 : sig
+  type t
+
+  val summarize : threads:int -> Butterfly.Block.t -> t
+  (** The block's pass-1 summary, as the engine computes it. *)
+
+  type access = {
+    index : int;  (** instruction index in the block *)
+    addr : Tracing.Addr.t;
+    kind : kind;
+    held : int list;  (** locks acquired in-block and still held, sorted *)
+    released : int list;  (** entry locks already released, sorted *)
+  }
+
+  type view = {
+    accesses : access list;
+        (** index order; per instruction the write, then the reads *)
+    fork_max : (int * int) list;
+        (** valid fork target -> last [Fork] index, sorted by target *)
+    join_min : (int * int) list;
+        (** valid join target -> first [Join] index, sorted by target *)
+    added : int list;  (** locks acquired in-block and held at exit *)
+    removed : int list;  (** entry locks released by exit *)
+  }
+
+  val view : t -> view
 end

@@ -1,59 +1,105 @@
-module J = Obs.Json
+(* Each renderer writes its line straight into one buffer: the header,
+   then one object per error.  Every key and string value is a literal
+   with nothing to escape, so the line is exactly what rendering the
+   same object through [Obs.Json] prints. *)
 
-let json_of_instr_id (id : Butterfly.Instr_id.t) =
-  J.Obj
-    [ ("epoch", J.Int id.epoch); ("tid", J.Int id.tid);
-      ("index", J.Int id.index) ]
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
 
-let json_of_intervals is =
-  J.List
-    (List.map
-       (fun (lo, hi) -> J.List [ J.Int lo; J.Int hi ])
-       (Butterfly.Interval_set.intervals is))
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
 
-let lifeguard_json ~lifeguard ~checked ~flagged ~errors =
-  J.Obj
-    [
-      ("lifeguard", J.String lifeguard);
-      ("checked", J.Int checked);
-      ("flagged", J.Int flagged);
-      ("errors", J.List errors);
-    ]
+(* The literal [lit] (a key such as [",\"tid\":"], or punctuation), then
+   [n]. *)
+let add_int_after b lit n =
+  Buffer.add_string b lit;
+  add_int b n
 
-let json_of_addrcheck_error (e : Lifeguards.Addrcheck.error) =
-  let kind =
-    match e.kind with
-    | Lifeguards.Addrcheck.Unallocated_access -> "unallocated_access"
-    | Unallocated_free -> "unallocated_free"
-    | Double_alloc -> "double_alloc"
-    | Metadata_race -> "metadata_race"
+let add_id b key (id : Butterfly.Instr_id.t) =
+  Buffer.add_string b key;
+  add_int_after b "{\"epoch\":" id.epoch;
+  add_int_after b ",\"tid\":" id.tid;
+  add_int_after b ",\"index\":" id.index;
+  Buffer.add_char b '}'
+
+let add_intervals b is =
+  Buffer.add_string b ",\"addrs\":[";
+  ignore
+    (Butterfly.Interval_set.fold_intervals
+       (fun lo hi first ->
+         if not first then Buffer.add_char b ',';
+         add_int_after b "[" lo;
+         add_int_after b "," hi;
+         Buffer.add_char b ']';
+         false)
+       is true);
+  Buffer.add_char b ']'
+
+(* The whole line: the header, [add_error] on each error (comma
+   separated) and the closing brackets.  [width] guesses the bytes per
+   error, so that the buffer rarely grows. *)
+let render ~lifeguard ~checked ~flagged ~width add_error errors =
+  let b = Buffer.create (64 + (width * List.length errors)) in
+  Buffer.add_string b "{\"lifeguard\":\"";
+  Buffer.add_string b lifeguard;
+  add_int_after b "\",\"checked\":" checked;
+  add_int_after b ",\"flagged\":" flagged;
+  Buffer.add_string b ",\"errors\":[";
+  List.iteri
+    (fun i e ->
+      if i > 0 then Buffer.add_char b ',';
+      add_error b e)
+    errors;
+  Buffer.add_string b "]}";
+  Buffer.contents b
+
+let add_addrcheck_error b (e : Lifeguards.Addrcheck.error) =
+  Buffer.add_string b
+    (match e.kind with
+    | Lifeguards.Addrcheck.Unallocated_access ->
+      "{\"kind\":\"unallocated_access\""
+    | Unallocated_free -> "{\"kind\":\"unallocated_free\""
+    | Double_alloc -> "{\"kind\":\"double_alloc\""
+    | Metadata_race -> "{\"kind\":\"metadata_race\"");
+  add_intervals b e.addrs;
+  (match e.where with
+  | `Instr id -> add_id b ",\"at\":" id
+  | `Block (l, t) ->
+    add_int_after b ",\"block\":{\"epoch\":" l;
+    add_int_after b ",\"tid\":" t;
+    Buffer.add_char b '}');
+  Buffer.add_char b '}'
+
+let add_initcheck_error b (e : Lifeguards.Initcheck.error) =
+  Buffer.add_string b "{\"kind\":\"uninitialized_read\"";
+  add_intervals b e.addrs;
+  add_id b ",\"at\":" e.id;
+  Buffer.add_char b '}'
+
+let add_taintcheck_error b (e : Lifeguards.Taintcheck.error) =
+  add_int_after b "{\"kind\":\"tainted_sink\",\"sink\":" e.sink;
+  add_id b ",\"at\":" e.id;
+  Buffer.add_char b '}'
+
+let add_race b (r : Lifeguards.Racecheck.race) =
+  let kind = function
+    | Lifeguards.Racecheck.R -> "\"read\""
+    | W -> "\"write\""
   in
-  let where =
-    match e.where with
-    | `Instr id -> [ ("at", json_of_instr_id id) ]
-    | `Block (l, t) ->
-      [ ("block", J.Obj [ ("epoch", J.Int l); ("tid", J.Int t) ]) ]
-  in
-  J.Obj
-    ([ ("kind", J.String kind); ("addrs", json_of_intervals e.addrs) ] @ where)
-
-let json_of_initcheck_error (e : Lifeguards.Initcheck.error) =
-  J.Obj
-    [ ("kind", J.String "uninitialized_read");
-      ("addrs", json_of_intervals e.addrs); ("at", json_of_instr_id e.id) ]
-
-let json_of_taintcheck_error (e : Lifeguards.Taintcheck.error) =
-  J.Obj
-    [ ("kind", J.String "tainted_sink"); ("sink", J.Int e.sink);
-      ("at", json_of_instr_id e.id) ]
-
-let json_of_race (r : Lifeguards.Racecheck.race) =
-  let kind = function Lifeguards.Racecheck.R -> "read" | W -> "write" in
-  J.Obj
-    [ ("kind", J.String "may_race");
-      ("addr", J.Int r.addr);
-      ("a", json_of_instr_id r.a); ("a_kind", J.String (kind r.a_kind));
-      ("b", json_of_instr_id r.b); ("b_kind", J.String (kind r.b_kind)) ]
+  add_int_after b "{\"kind\":\"may_race\",\"addr\":" r.addr;
+  add_id b ",\"a\":" r.a;
+  Buffer.add_string b ",\"a_kind\":";
+  Buffer.add_string b (kind r.a_kind);
+  add_id b ",\"b\":" r.b;
+  Buffer.add_string b ",\"b_kind\":";
+  Buffer.add_string b (kind r.b_kind);
+  Buffer.add_char b '}'
 
 let sum_block_stats stats f =
   Array.fold_left
@@ -61,36 +107,28 @@ let sum_block_stats stats f =
     0 stats
 
 let addrcheck (r : Lifeguards.Addrcheck.report) =
-  J.to_string
-    (lifeguard_json ~lifeguard:"addrcheck" ~checked:r.total_accesses
-       ~flagged:r.flagged_accesses
-       ~errors:(List.map json_of_addrcheck_error r.errors))
+  render ~lifeguard:"addrcheck" ~checked:r.total_accesses
+    ~flagged:r.flagged_accesses ~width:100 add_addrcheck_error r.errors
 
 let initcheck (r : Lifeguards.Initcheck.report) =
-  J.to_string
-    (lifeguard_json ~lifeguard:"initcheck" ~checked:r.total_reads
-       ~flagged:r.flagged_reads
-       ~errors:(List.map json_of_initcheck_error r.errors))
+  render ~lifeguard:"initcheck" ~checked:r.total_reads ~flagged:r.flagged_reads
+    ~width:100 add_initcheck_error r.errors
 
 let taintcheck (r : Lifeguards.Taintcheck.report) =
   let checked =
     sum_block_stats r.block_stats
       (fun (s : Lifeguards.Taintcheck.block_stats) -> s.checks_resolved)
   in
-  J.to_string
-    (lifeguard_json ~lifeguard:"taintcheck" ~checked
-       ~flagged:(List.length r.errors)
-       ~errors:(List.map json_of_taintcheck_error r.errors))
+  render ~lifeguard:"taintcheck" ~checked ~flagged:(List.length r.errors)
+    ~width:80 add_taintcheck_error r.errors
 
 let racecheck (r : Lifeguards.Racecheck.report) =
   let checked =
     sum_block_stats r.block_stats
       (fun (s : Lifeguards.Racecheck.block_stats) -> s.pairs_checked)
   in
-  J.to_string
-    (lifeguard_json ~lifeguard:"racecheck" ~checked
-       ~flagged:(List.length r.races)
-       ~errors:(List.map json_of_race r.races))
+  render ~lifeguard:"racecheck" ~checked ~flagged:(List.length r.races)
+    ~width:144 add_race r.races
 
 (* Text renderings, as the lifeguard subcommands print them without
    [--json]. *)

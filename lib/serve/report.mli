@@ -5,7 +5,14 @@
     differential battery compares the two byte-for-byte, so both paths
     must go through these functions.  [checked] counts the lifeguard's
     unit of work (memory events, reads, resolved taint checks,
-    conflicting pairs); [flagged] the errors it raised. *)
+    conflicting pairs); [flagged] the errors it raised.
+
+    Each renderer writes its line straight into one buffer, with no
+    intermediate {!Obs.Json} tree: the keys and string values are
+    literals with nothing to escape.  The line is byte for byte what
+    {!Obs.Json.to_string} prints for the same object, and parses back
+    with {!Obs.Json.of_string} ([test/test_serve.ml] checks both on
+    random reports). *)
 
 val addrcheck : Lifeguards.Addrcheck.report -> string
 val initcheck : Lifeguards.Initcheck.report -> string

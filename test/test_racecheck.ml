@@ -295,6 +295,28 @@ let mutation_smoke () =
 (* ------------------------------------------------------------------ *)
 (* 4. Known-answer workloads.                                          *)
 
+(* A join orders the joined thread's earlier epochs before the rest of
+   the block, never its concurrent same-epoch block: the write races
+   with the read after [Join 0] in one epoch, and is ordered before it
+   when the join comes an epoch later. *)
+let join_orders_earlier_epochs () =
+  let races (g : Testutil.grid) =
+    let epochs = Testutil.epochs_of_grid g in
+    let r = RC.run epochs in
+    checks "pooled == sequential" (RC.fingerprint r)
+      (Testutil.with_pool_opt (Some 2) (fun pool ->
+           RC.fingerprint (RC.run ?pool epochs)));
+    List.length r.RC.races
+  in
+  Alcotest.(check int) "same epoch: one race" 1
+    (races [| [ [| I.Assign_const 16 |] ]; [ [| I.Join 0; I.Read 16 |] ] |]);
+  Alcotest.(check int) "next epoch: ordered" 0
+    (races
+       [|
+         [ [| I.Assign_const 16 |]; [||] ];
+         [ [||]; [| I.Join 0; I.Read 16 |] ];
+       |])
+
 let sorted_addrs = List.sort_uniq compare
 
 let scenario_case (s : Workloads.Races.scenario) =
@@ -362,6 +384,201 @@ let synthetic_discipline () =
   checkb "discipline 0.3 races" true
     (RC.flagged_addrs (RC.run (epochs_of sloppy)) <> [])
 
+(* ------------------------------------------------------------------ *)
+(* 5. Pass 1.                                                          *)
+
+(* The pass-1 summarizer as it was before it swept the instruction array
+   itself: per instruction an [Instr_id], [Instr.sync_effect],
+   [Instr.writes] and [Instr.reads], and per access a record holding its
+   held and released sets, collected in a list.  Kept as the reference
+   the engine's pass 1 must equal, and as the allocation it must beat. *)
+module Reference_pass1 = struct
+  type access = {
+    ai : int;
+    a_addr : Tracing.Addr.t;
+    a_kind : RC.kind;
+    a_held : LS.t;
+    a_removed : LS.t;
+  }
+
+  type summary = {
+    s_accesses : access array;
+    s_fork_max : (int, int) Hashtbl.t;
+    s_join_min : (int, int) Hashtbl.t;
+    s_added : LS.t;
+    s_removed : LS.t;
+  }
+
+  let valid_target ~threads ~tid u = u >= 0 && u < threads && u <> tid
+
+  let summarize ~threads (block : Butterfly.Block.t) =
+    let tid = block.tid in
+    let accs = ref [] in
+    let held = ref LS.empty and removed = ref LS.empty in
+    let fork_max = Hashtbl.create 4 and join_min = Hashtbl.create 4 in
+    Butterfly.Block.iteri
+      (fun id instr ->
+        let index = id.Butterfly.Instr_id.index in
+        (match I.sync_effect instr with
+        | `Lock m ->
+          held := LS.add m !held;
+          removed := LS.remove m !removed
+        | `Unlock m ->
+          held := LS.remove m !held;
+          removed := LS.add m !removed
+        | `Fork u ->
+          if valid_target ~threads ~tid u then Hashtbl.replace fork_max u index
+        | `Join u ->
+          if valid_target ~threads ~tid u && not (Hashtbl.mem join_min u) then
+            Hashtbl.replace join_min u index
+        | `None -> ());
+        let push a_kind a_addr =
+          accs :=
+            { ai = index; a_addr; a_kind; a_held = !held; a_removed = !removed }
+            :: !accs
+        in
+        (match I.writes instr with Some x -> push RC.W x | None -> ());
+        List.iter (push RC.R) (I.reads instr))
+      block;
+    {
+      s_accesses = Array.of_list (List.rev !accs);
+      s_fork_max = fork_max;
+      s_join_min = join_min;
+      s_added = !held;
+      s_removed = !removed;
+    }
+
+  let bindings tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+  let view (s : summary) : RC.Pass1.view =
+    {
+      accesses =
+        Array.to_list
+          (Array.map
+             (fun a ->
+               {
+                 RC.Pass1.index = a.ai;
+                 addr = a.a_addr;
+                 kind = a.a_kind;
+                 held = LS.elements a.a_held;
+                 released = LS.elements a.a_removed;
+               })
+             s.s_accesses);
+      fork_max = bindings s.s_fork_max;
+      join_min = bindings s.s_join_min;
+      added = LS.elements s.s_added;
+      removed = LS.elements s.s_removed;
+    }
+end
+
+(* One block of a [threads]-thread grid.  Its mix covers re-acquired
+   locks and unlocks of locks held at entry (two mutexes, locked and
+   unlocked at random), forks and joins to the thread itself and outside
+   the grid (targets -1 .. threads), binops with equal operands and the
+   opcodes RaceCheck ignores. *)
+let arb_pass1_block =
+  let open QCheck.Gen in
+  let gen =
+    let* threads = int_range 1 4 in
+    let* tid = int_bound (threads - 1) in
+    let addr = map (fun k -> 8 * k) (int_bound 3) in
+    let mutex = map (fun k -> 0x100 + k) (int_bound 1) in
+    let target = int_range (-1) threads in
+    let instr =
+      frequency
+        [
+          (2, map (fun x -> I.Assign_const x) addr);
+          (2, map2 (fun x a -> I.Assign_unop (x, a)) addr addr);
+          (2, map3 (fun x a b -> I.Assign_binop (x, a, b)) addr addr addr);
+          (1, map2 (fun x a -> I.Assign_binop (x, a, a)) addr addr);
+          (2, map (fun a -> I.Read a) addr);
+          (1, map (fun x -> I.Taint_source x) addr);
+          (1, map (fun x -> I.Untaint x) addr);
+          (1, map (fun x -> I.Jump_via x) addr);
+          (1, map (fun x -> I.Syscall_arg x) addr);
+          (3, map (fun m -> I.Lock m) mutex);
+          (3, map (fun m -> I.Unlock m) mutex);
+          (2, map (fun u -> I.Fork u) target);
+          (2, map (fun u -> I.Join u) target);
+          (1, map (fun base -> I.Malloc { base; size = 16 }) addr);
+          (1, map (fun base -> I.Free { base; size = 16 }) addr);
+          (1, return I.Nop);
+        ]
+    in
+    let+ instrs = list_size (int_bound 24) instr in
+    (threads, Butterfly.Block.make ~epoch:1 ~tid (Array.of_list instrs))
+  in
+  QCheck.make
+    ~print:(fun (threads, (b : Butterfly.Block.t)) ->
+      Printf.sprintf "threads=%d tid=%d: %s" threads b.tid
+        (String.concat "; " (Array.to_list (Array.map I.to_string b.instrs))))
+    gen
+
+(* A steady-state block of a lock-disciplined thread: the default epoch
+   size of 64 instructions, critical sections of data operations on one
+   mutex.  Its arrays stay in the minor heap, so minor words count all
+   of pass 1's allocation. *)
+let steady_block =
+  let body k =
+    let x = 8 * k in
+    [
+      I.Lock 0x100;
+      I.Assign_binop (x, x + 8, x + 16);
+      I.Read (x + 24);
+      I.Assign_unop (x + 32, x);
+      I.Unlock 0x100;
+      I.Assign_const (x + 40);
+      I.Read x;
+      I.Nop;
+    ]
+  in
+  Butterfly.Block.make ~epoch:1 ~tid:1
+    (Array.of_list (List.concat (List.init 8 body)))
+
+let words_per_block f =
+  let iters = 1_000 in
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+let pass1_tests =
+  [
+    Testutil.qtest ~count:1000 "pass 1 == the reference summarizer"
+      arb_pass1_block (fun (threads, block) ->
+        RC.Pass1.view (RC.Pass1.summarize ~threads block)
+        = Reference_pass1.view (Reference_pass1.summarize ~threads block));
+    (* The steady block has 64 instructions, 48 accesses and 16 lock
+       operations.  Pass 1 allocates its three access arrays (one word
+       per access each), one lock-set node per lock operation, the nine
+       lock states and the two fork/join tables: 389 words when
+       measured.
+       The reference adds an [Instr_id] and a closure per instruction, a
+       read list, and a record and list cell per access: 2,295 words. *)
+    Alcotest.test_case "steady-state pass-1 block allocates within budget"
+      `Quick (fun () ->
+        let threads = 8 in
+        let n = Array.length steady_block.instrs in
+        let budget = float_of_int (8 * n) in
+        let words =
+          words_per_block (fun () -> RC.Pass1.summarize ~threads steady_block)
+        in
+        Testutil.checkb
+          (Printf.sprintf "%.1f words/block, budget %.0f" words budget)
+          true (words <= budget);
+        let reference =
+          words_per_block (fun () ->
+              Reference_pass1.summarize ~threads steady_block)
+        in
+        Testutil.checkb
+          (Printf.sprintf "the reference (%.0f words/block) exceeds the budget"
+             reference)
+          true (reference > budget));
+  ]
+
 let () =
   Alcotest.run "racecheck"
     [
@@ -381,9 +598,12 @@ let () =
       ( "oracle",
         oracle_cases
         @ [ Alcotest.test_case "mutation smoke test" `Quick mutation_smoke ] );
+      ("pass1", pass1_tests);
       ( "workloads",
         List.map scenario_case (Workloads.Races.all ())
         @ [
+            Alcotest.test_case "a join orders only earlier epochs" `Quick
+              join_orders_earlier_epochs;
             Alcotest.test_case "faults twin pair" `Quick faults_twins;
             Alcotest.test_case "synthetic lock discipline" `Quick
               synthetic_discipline;

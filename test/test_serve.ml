@@ -979,9 +979,232 @@ let status_surface () =
       | _ -> Alcotest.fail "no prometheus field")
     | Ok _ -> Alcotest.fail "status is not an object")
 
+(* ------------------------------------------------------------------ *)
+(* Report lines: the direct writers against the JSON tree.             *)
+
+(* The renderers as they were before they wrote into one buffer: an
+   [Obs.Json] tree per report, printed by [Obs.Json.to_string].  Kept as
+   the reference the lines must equal byte for byte. *)
+module Tree_render = struct
+  module J = Obs.Json
+
+  let instr_id (id : Butterfly.Instr_id.t) =
+    J.Obj
+      [ ("epoch", J.Int id.epoch); ("tid", J.Int id.tid);
+        ("index", J.Int id.index) ]
+
+  let intervals is =
+    J.List
+      (List.map
+         (fun (lo, hi) -> J.List [ J.Int lo; J.Int hi ])
+         (Butterfly.Interval_set.intervals is))
+
+  let lifeguard ~name ~checked ~flagged ~errors =
+    J.Obj
+      [
+        ("lifeguard", J.String name);
+        ("checked", J.Int checked);
+        ("flagged", J.Int flagged);
+        ("errors", J.List errors);
+      ]
+
+  let addrcheck_error (e : Lifeguards.Addrcheck.error) =
+    let kind =
+      match e.kind with
+      | Lifeguards.Addrcheck.Unallocated_access -> "unallocated_access"
+      | Unallocated_free -> "unallocated_free"
+      | Double_alloc -> "double_alloc"
+      | Metadata_race -> "metadata_race"
+    in
+    let where =
+      match e.where with
+      | `Instr id -> [ ("at", instr_id id) ]
+      | `Block (l, t) ->
+        [ ("block", J.Obj [ ("epoch", J.Int l); ("tid", J.Int t) ]) ]
+    in
+    J.Obj ([ ("kind", J.String kind); ("addrs", intervals e.addrs) ] @ where)
+
+  let initcheck_error (e : Lifeguards.Initcheck.error) =
+    J.Obj
+      [ ("kind", J.String "uninitialized_read");
+        ("addrs", intervals e.addrs); ("at", instr_id e.id) ]
+
+  let taintcheck_error (e : Lifeguards.Taintcheck.error) =
+    J.Obj
+      [ ("kind", J.String "tainted_sink"); ("sink", J.Int e.sink);
+        ("at", instr_id e.id) ]
+
+  let race (r : Lifeguards.Racecheck.race) =
+    let kind = function Lifeguards.Racecheck.R -> "read" | W -> "write" in
+    J.Obj
+      [ ("kind", J.String "may_race"); ("addr", J.Int r.addr);
+        ("a", instr_id r.a); ("a_kind", J.String (kind r.a_kind));
+        ("b", instr_id r.b); ("b_kind", J.String (kind r.b_kind)) ]
+
+  let sum stats f =
+    Array.fold_left
+      (fun acc row -> Array.fold_left (fun acc s -> acc + f s) acc row)
+      0 stats
+
+  let addrcheck (r : Lifeguards.Addrcheck.report) =
+    lifeguard ~name:"addrcheck" ~checked:r.total_accesses
+      ~flagged:r.flagged_accesses
+      ~errors:(List.map addrcheck_error r.errors)
+
+  let initcheck (r : Lifeguards.Initcheck.report) =
+    lifeguard ~name:"initcheck" ~checked:r.total_reads ~flagged:r.flagged_reads
+      ~errors:(List.map initcheck_error r.errors)
+
+  let taintcheck (r : Lifeguards.Taintcheck.report) =
+    lifeguard ~name:"taintcheck"
+      ~checked:
+        (sum r.block_stats (fun (s : Lifeguards.Taintcheck.block_stats) ->
+             s.checks_resolved))
+      ~flagged:(List.length r.errors)
+      ~errors:(List.map taintcheck_error r.errors)
+
+  let racecheck (r : Lifeguards.Racecheck.report) =
+    lifeguard ~name:"racecheck"
+      ~checked:
+        (sum r.block_stats (fun (s : Lifeguards.Racecheck.block_stats) ->
+             s.pairs_checked))
+      ~flagged:(List.length r.races)
+      ~errors:(List.map race r.races)
+end
+
+(* Integers of every sign and size: small, negative, near [max_int] and
+   [min_int]. *)
+let gen_any_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-100) 100);
+        (2, int_range 0 (1 lsl 40));
+        (1, int_range (max_int - 100) max_int);
+        (1, int_range min_int (min_int + 100));
+      ])
+
+let gen_id =
+  QCheck.Gen.(
+    map3
+      (fun epoch tid index -> Butterfly.Instr_id.make ~epoch ~tid ~index)
+      gen_any_int (int_bound 16) gen_any_int)
+
+(* Up to four byte ranges, negative and near [max_int] ones included, so
+   that the set often holds several intervals. *)
+let gen_addrs =
+  QCheck.Gen.(
+    map Butterfly.Interval_set.of_intervals
+      (list_size (int_bound 4)
+         (map2
+            (fun lo len -> (lo, lo + len))
+            (oneof
+               [ int_range (-4096) 4096;
+                 int_range (max_int - 4096) (max_int - 64) ])
+            (int_range 1 48))))
+
+let gen_errors gen =
+  QCheck.Gen.(frequency [ (1, return []); (4, list_size (int_bound 12) gen) ])
+
+let gen_counts = QCheck.Gen.(pair gen_any_int gen_any_int)
+
+let gen_addrcheck_report =
+  let open QCheck.Gen in
+  let error =
+    let* kind =
+      oneofl
+        Lifeguards.Addrcheck.
+          [ Unallocated_access; Unallocated_free; Double_alloc; Metadata_race ]
+    in
+    let* addrs = gen_addrs in
+    let+ where =
+      oneof
+        [ map (fun id -> `Instr id) gen_id;
+          map2 (fun l t -> `Block (l, t)) gen_any_int (int_bound 16) ]
+    in
+    { Lifeguards.Addrcheck.kind; addrs; where }
+  in
+  let* errors = gen_errors error in
+  let+ checked, flagged = gen_counts in
+  {
+    Lifeguards.Addrcheck.errors;
+    flagged_accesses = flagged;
+    total_accesses = checked;
+    block_stats = [||];
+    sos = [||];
+  }
+
+let gen_initcheck_report =
+  let open QCheck.Gen in
+  let error =
+    map2 (fun id addrs -> { Lifeguards.Initcheck.id; addrs }) gen_id gen_addrs
+  in
+  let* errors = gen_errors error in
+  let+ checked, flagged = gen_counts in
+  { Lifeguards.Initcheck.errors; flagged_reads = flagged; total_reads = checked;
+    sos = [||] }
+
+(* A small per-block grid of one counter. *)
+let gen_stats_grid mk =
+  QCheck.Gen.(
+    array_size (int_bound 3) (array_size (int_bound 3) (map mk (int_bound 1000))))
+
+let gen_taintcheck_report =
+  let open QCheck.Gen in
+  let error =
+    map2 (fun id sink -> { Lifeguards.Taintcheck.id; sink }) gen_id gen_any_int
+  in
+  let* errors = gen_errors error in
+  let+ block_stats =
+    gen_stats_grid (fun n ->
+        { Lifeguards.Taintcheck.instrs = n; mem_events = n; checks_resolved = n })
+  in
+  { Lifeguards.Taintcheck.errors; sos_tainted = [||]; block_stats }
+
+let gen_racecheck_report =
+  let open QCheck.Gen in
+  let kind = oneofl Lifeguards.Racecheck.[ R; W ] in
+  let race =
+    let* a = gen_id and* a_kind = kind and* b = gen_id and* b_kind = kind in
+    let+ addr = gen_any_int in
+    { Lifeguards.Racecheck.a; a_kind; b; b_kind; addr }
+  in
+  let* races = gen_errors race in
+  let+ block_stats =
+    gen_stats_grid (fun n ->
+        {
+          Lifeguards.Racecheck.instrs = n;
+          accesses = n;
+          pairs_checked = n;
+          races = 0;
+        })
+  in
+  { Lifeguards.Racecheck.races; entry_locks = [||]; block_stats }
+
+(* The line equals the tree's rendering and parses back to the tree. *)
+let line_matches_tree tree line =
+  String.equal line (Obs.Json.to_string tree)
+  && Obs.Json.of_string line = Ok tree
+
+let report_line_tests =
+  let case name gen write tree =
+    Testutil.qtest ~count:300
+      (name ^ ": line == Obs.Json tree rendering, and parses back")
+      (QCheck.make ~print:(fun r -> Obs.Json.to_string (tree r)) gen)
+      (fun r -> line_matches_tree (tree r) (write r))
+  in
+  [
+    case "addrcheck" gen_addrcheck_report Report.addrcheck Tree_render.addrcheck;
+    case "initcheck" gen_initcheck_report Report.initcheck Tree_render.initcheck;
+    case "taintcheck" gen_taintcheck_report Report.taintcheck
+      Tree_render.taintcheck;
+    case "racecheck" gen_racecheck_report Report.racecheck Tree_render.racecheck;
+  ]
+
 let () =
   Alcotest.run "serve"
     [
+      ("report", report_line_tests);
       ( "wire",
         [
           Alcotest.test_case "frames round-trip" `Quick wire_roundtrip;
